@@ -4,8 +4,16 @@ In the upper-triangular chart mu(e_i, e_j) = sum_{k>j} t_{i,j,k} e_k (1-based,
 i < j) the coordinates of the Jacobi tensor and of the nested-word operators
 are polynomials in the t_{i,j,k}.  This module evaluates the operators on the
 generic chart point to produce those generator lists, decides bounded-degree
-ideal membership by one exact linear solve, and carries a small capped
-Buchberger engine for the substitution-based non-membership certificates.
+ideal membership, and carries a small capped Buchberger engine for the
+substitution-based non-membership certificates.
+
+Bounded-degree membership is one exact linear system whose columns are the
+products m * g_j.  On torus-homogeneous input (t_{i,j,k} has weight
+e_i + e_j - e_k) the multiplier monomials m are generated by a depth-first
+search that only ever reaches weight w(f) - w(g_j), so the columns that
+could never appear in a certificate are not built; other input enumerates
+every monomial of each admissible degree, under a column cap.  The system is
+solved by one fraction-free elimination followed by back-substitution.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
@@ -18,6 +26,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
@@ -132,20 +141,112 @@ def _multiweight(poly):
     return weights.pop() if weights else ()
 
 
-def _mono_weight(mono):
-    acc = {}
-    for (i, j, k), e in mono:
-        acc[i] = acc.get(i, 0) + e
-        acc[j] = acc.get(j, 0) + e
-        acc[k] = acc.get(k, 0) - e
-    return tuple(sorted((p, w) for p, w in acc.items() if w))
+# Above this many multiplier columns enumerated without a torus-weight filter,
+# member_bounded raises ResourceCapExceeded instead of building the system.
+# The dense echelon of such a system holds up to columns**2 entries: about
+# 150 MB at 2,900 columns, so roughly 0.4 GB at the cap.
+MAX_UNWEIGHTED_COLUMNS = 5_000
 
 
-def _weight_sum(w1, w2):
-    acc = dict(w1)
-    for p, w in w2:
-        acc[p] = acc.get(p, 0) + w
-    return tuple(sorted((p, w) for p, w in acc.items() if w))
+def _monomial(combo):
+    """Exponent tuple of a nondecreasing variable sequence (already sorted)."""
+    mono = {}
+    for v in combo:
+        mono[v] = mono.get(v, 0) + 1
+    return tuple(mono.items())
+
+
+def _weighted_monomials(universe, steps, reach, rem, d):
+    """Degree-d monomials over ``universe`` of dense weight ``rem``, in
+    ``combinations_with_replacement(universe, d)`` order.
+
+    ``steps[i]`` is the dense weight of ``universe[i]`` and ``reach`` bounds
+    every coordinate of every step in absolute value, so a prefix whose
+    remaining weight has a coordinate beyond ``reach`` times the remaining
+    degree cannot be completed and is cut.
+    """
+    out = []
+    combo = []
+
+    def rec(start, rem, left):
+        if not left:
+            if not any(rem):
+                out.append(_monomial(combo))
+            return
+        lim = reach * (left - 1)
+        for i in range(start, len(universe)):
+            nxt = [a - b for a, b in zip(rem, steps[i])]
+            if max(nxt) <= lim and -min(nxt) <= lim:
+                combo.append(universe[i])
+                rec(i, nxt, left - 1)
+                combo.pop()
+
+    if all(abs(c) <= reach * d for c in rem):
+        rec(0, rem, d)
+    return out
+
+
+def _multiplier_columns(f, gens, bound):
+    """The (generator index, monomial) pairs m * g_j a certificate may use.
+
+    Ordered by generator, then degree, then the
+    ``combinations_with_replacement`` order of the sorted variable universe.
+    When f and g_j are torus-homogeneous only monomials of weight
+    w(f) - w(g_j) are generated; otherwise every monomial of each admissible
+    degree is, up to MAX_UNWEIGHTED_COLUMNS in all.
+    """
+    universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
+    # a multiplier variable absent from f and every generator could be set to
+    # 0 in any certificate, so this universe is enough
+    homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
+    wf = _multiweight(f) if all(isinstance(v, tuple) for v in universe) else None
+
+    plan = []  # (gen index, multiplier degree, generator weight or None)
+    for j, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        dg = g.degree()
+        if homog:
+            degs = [f.degree() - dg] if f.degree() >= dg else []
+        else:
+            degs = range(0, bound - dg + 1)
+        wg = _multiweight(g) if wf is not None else None
+        plan.extend((j, d, wg) for d in degs)
+
+    # an unweighted plan entry needs a variable, so the universe is not empty
+    unweighted = sum(comb(len(universe) + d - 1, d) for _, d, wg in plan if wg is None)
+    if unweighted > MAX_UNWEIGHTED_COLUMNS:
+        raise ResourceCapExceeded(
+            f"membership system needs {unweighted} unweighted multiplier columns,"
+            f" over the cap {MAX_UNWEIGHTED_COLUMNS}"
+        )
+
+    if wf is not None:
+        var_weights = [_multiweight(MultiPoly.var(v)) for v in universe]
+        pos = {}
+        for w in var_weights:
+            for p, _ in w:
+                pos.setdefault(p, len(pos))
+
+        def dense(w):
+            vec = [0] * len(pos)
+            for p, e in w:
+                vec[pos[p]] += e
+            return vec
+
+        steps = [dense(w) for w in var_weights]
+        reach = max((abs(e) for s in steps for e in s), default=0)
+        target = dense(wf)
+
+    columns = []
+    for j, d, wg in plan:
+        if wg is None:
+            monos = map(_monomial, combinations_with_replacement(universe, d))
+        else:
+            rem = [a - b for a, b in zip(target, dense(wg))]
+            monos = _weighted_monomials(universe, steps, reach, rem, d)
+        columns.extend((j, mono) for mono in monos)
+    return columns
 
 
 def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
@@ -156,43 +257,15 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     inputs, in total degree and in the torus multigrading of the chart
     variables, restricts the multiplier monomials without losing any
     certificate, since membership identities project onto graded pieces.
+    Raises ResourceCapExceeded when the unrestricted monomials would number
+    more than MAX_UNWEIGHTED_COLUMNS.
     """
     gens = list(gens)
     if f.is_zero():
         return MembershipCertificate(f, [MultiPoly() for _ in gens], bound)
     if bound < f.degree():
         raise ValueError("bound is smaller than deg(f)")
-    universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
-    # a multiplier variable absent from f and every generator could be set to
-    # 0 in any certificate, so this universe is enough
-    homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
-    use_weights = all(isinstance(v, tuple) for v in universe)
-    wf = _multiweight(f) if use_weights else None
-    if wf is None:
-        use_weights = False
-
-    columns = []  # (gen index, monomial)
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        dg = g.degree()
-        if homog:
-            degs = [f.degree() - dg] if f.degree() >= dg else []
-        else:
-            degs = range(0, bound - dg + 1)
-        wg = _multiweight(g) if use_weights else None
-        restrict_w = use_weights and wg is not None
-        for d in degs:
-            if d < 0:
-                continue
-            for combo in combinations_with_replacement(universe, d):
-                mono = {}
-                for v in combo:
-                    mono[v] = mono.get(v, 0) + 1
-                mono = tuple(sorted(mono.items()))
-                if restrict_w and _weight_sum(_mono_weight(mono), wg) != wf:
-                    continue
-                columns.append((j, mono))
+    columns = _multiplier_columns(f, gens, bound)
 
     row_index = {}
     entries = {}
@@ -217,7 +290,8 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
         if x[cidx]:
             multipliers[j] = multipliers[j] + MultiPoly.term(x[cidx], mono)
     cert = MembershipCertificate(f, multipliers, bound)
-    assert cert.verify(gens), "certificate failed re-verification"
+    if not cert.verify(gens):
+        raise RuntimeError("membership certificate failed re-verification")
     return cert
 
 

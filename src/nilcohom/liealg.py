@@ -404,8 +404,12 @@ def center(mu) -> Subspace:
 
 
 def _matrix_rows(m, n, field):
+    """``m`` as an ExactMatrix over ``field``, or over Q(i) if it has a
+    Gaussian entry."""
     if isinstance(m, ExactMatrix):
         return m
+    if any(_is_qi(v) for row in m for v in row):
+        field = FIELD_QI
     entries = {}
     for r, row in enumerate(m):
         if len(row) != n:
@@ -421,8 +425,9 @@ def _matrix_rows(m, n, field):
 def change_basis(mu, g):
     """The bracket g . mu : (x, y) -> g(mu(g^{-1}x, g^{-1}y)).
 
-    ``g`` is an n x n matrix (rows, or an ExactMatrix) over the algebra's
-    field; raises SingularMatrix when it is not invertible.
+    ``g`` is an n x n matrix (rows, or an ExactMatrix) over Q or Q(i); the
+    result is over Q(i) when either the algebra or ``g`` is.  Raises
+    SingularMatrix when ``g`` is not invertible.
     """
     n = mu.n
     gm = _matrix_rows(g, n, mu.field)

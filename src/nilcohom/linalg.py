@@ -378,13 +378,20 @@ def solve(a: ExactMatrix, b):
             vals = vals + [b[i]]
         if cols:
             red.add_row(cols, vals)
-    rows, leads = _rref(red.basis_rows(), a.ncols + 1, field)
-    zero = _zero(field)
-    x = [zero] * a.ncols
-    for row, p in zip(rows, leads):
-        if p == a.ncols:
-            return None
-        x[p] = row[a.ncols]
+    # back-substitution on the echelon rows with the free variables at 0: the
+    # same solution the reduced row echelon form reads off
+    n = a.ncols
+    rows = red.basis_rows()
+    leads = [next(j for j, v in enumerate(row) if v) for row in rows]
+    if n in leads:
+        return None
+    x = [_zero(field)] * n
+    for p, row in sorted(zip(leads, rows), key=lambda t: t[0], reverse=True):
+        acc = promote(row[n], field)
+        for c in range(p + 1, n):
+            if row[c] and x[c]:
+                acc = acc - row[c] * x[c]
+        x[p] = acc / row[p]
     return x
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from nilcohom.catalog import Catalog
 from nilcohom.liealg import StructureConstants
+from nilcohom.scalars import QI
 
 
 @pytest.fixture(scope="session")
@@ -13,8 +14,8 @@ def catalog():
 
 
 def dense_rank(rows):
-    """Naive dense fraction Gaussian elimination; the independent oracle."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Naive dense Gaussian elimination over Q or Q(i); the independent oracle."""
+    m = [[x if isinstance(x, QI) else Fraction(x) for x in row] for row in rows]
     if not m:
         return 0
     ncols = len(m[0])

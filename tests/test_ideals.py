@@ -1,11 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import nilcohom
 from nilcohom import catalog as cat
+from nilcohom.cli import main
 from nilcohom.errors import ResourceCapExceeded
 from nilcohom.ideals import (
+    MAX_UNWEIGHTED_COLUMNS,
+    _multiplier_columns,
     chart_variables,
     generic_chart,
     generators,
@@ -236,3 +245,134 @@ def test_ideal_presentation_shape():
     assert all(g.degree() == 2 for g in ideal.jacobi_gens)
     assert all(g.degree() == 4 for g in ideal.word_gens)
     assert len(ideal.gens) == 33
+
+
+# -- multiplier columns against a brute-force reference ---------------------------
+
+
+def _ref_weight(mono):
+    acc = {}
+    for (i, j, k), e in mono:
+        acc[i] = acc.get(i, 0) + e
+        acc[j] = acc.get(j, 0) + e
+        acc[k] = acc.get(k, 0) - e
+    return tuple(sorted((p, w) for p, w in acc.items() if w))
+
+
+def _ref_poly_weight(poly):
+    weights = {_ref_weight(m) for m in poly.terms}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def _ref_weight_diff(a, b):
+    acc = dict(a)
+    for p, w in b:
+        acc[p] = acc.get(p, 0) - w
+    return tuple(sorted((p, w) for p, w in acc.items() if w))
+
+
+def reference_columns(f, gens, bound):
+    """Every monomial of each admissible degree from combinations_with_replacement,
+    kept when its torus weight is w(f) - w(g_j) (or always, without weights)."""
+    universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
+    homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
+    weighted = all(isinstance(v, tuple) for v in universe)
+    wf = _ref_poly_weight(f) if weighted else None
+    by_degree = {}  # degree -> (all monomials, monomials by weight), in order
+    columns = []
+    for j, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        dg = g.degree()
+        if homog:
+            degs = [f.degree() - dg] if f.degree() >= dg else []
+        else:
+            degs = range(bound - dg + 1)
+        wg = _ref_poly_weight(g) if wf is not None else None
+        for d in degs:
+            if d not in by_degree:
+                monos, by_weight = [], {}
+                for combo in combinations_with_replacement(universe, d):
+                    mono = {}
+                    for v in combo:
+                        mono[v] = mono.get(v, 0) + 1
+                    mono = tuple(sorted(mono.items()))
+                    monos.append(mono)
+                    if wf is not None:
+                        by_weight.setdefault(_ref_weight(mono), []).append(mono)
+                by_degree[d] = (monos, by_weight)
+            monos, by_weight = by_degree[d]
+            if wg is not None:
+                monos = by_weight.get(_ref_weight_diff(wf, wg), [])
+            columns.extend((j, mono) for mono in monos)
+    return columns
+
+
+@pytest.fixture(scope="module")
+def ideal64_gens():
+    return nilpotency_ideal(6, 4).gens
+
+
+def _q(name):
+    return cat.named_polynomial(name)
+
+
+COLUMN_CASES = [(f"Q{i}", 4) for i in range(1, 15)] + [("Q13^2", 6), ("Q14^2", 6)]
+
+
+@pytest.mark.parametrize("name,bound", COLUMN_CASES)
+def test_multiplier_columns_match_brute_force(ideal64_gens, name, bound):
+    f = _q(name[:-2]) ** 2 if name.endswith("^2") else _q(name)
+    got = _multiplier_columns(f, ideal64_gens, bound)
+    assert got == reference_columns(f, ideal64_gens, bound)
+
+
+def test_multiplier_columns_match_brute_force_off_the_chart(ideal64_gens):
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    gens = [x * y - 1, y * y]
+    assert _multiplier_columns(x * y * y - y, gens, 3) == reference_columns(
+        x * y * y - y, gens, 3
+    )
+    # t_{1,1,2} moves coordinate 1 by 2, beyond a chart variable's step
+    f = parse_tpoly("t_{1,1,2}^2") * ideal64_gens[0]
+    assert _multiplier_columns(f, ideal64_gens, 4) == reference_columns(
+        f, ideal64_gens, 4
+    )
+    # a generator without a torus weight gets every monomial of its degree
+    gens = list(ideal64_gens[:3]) + [parse_tpoly("t_{1,2,3}+t_{1,2,4}")]
+    f = _q("Q5")
+    assert _multiplier_columns(f, gens, 4) == reference_columns(f, gens, 4)
+
+
+def test_unweighted_column_cap(ideal64_gens, capsys):
+    # inhomogeneous, so every monomial up to the bound would be a column
+    f = parse_tpoly("t_{1,2,3}+1")
+    with pytest.raises(ResourceCapExceeded):
+        member_bounded(f, ideal64_gens, 6)
+    assert main(["ideal", "member", "6", "4", "t_{1,2,3}+1", "-D", "6"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    assert len(_multiplier_columns(f, ideal64_gens, 3)) <= MAX_UNWEIGHTED_COLUMNS
+
+
+def test_certificate_reverification_survives_optimize():
+    # python -O strips assert statements; a certificate that fails its exact
+    # re-check must still raise
+    code = (
+        "from nilcohom import ideals\n"
+        "from nilcohom.polynomials import MultiPoly\n"
+        "ideals.MembershipCertificate.verify = lambda self, gens: False\n"
+        "x = MultiPoly.var('x')\n"
+        "try:\n"
+        "    ideals.member_bounded(x * x, [x], 2)\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(nilcohom.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0

@@ -33,6 +33,7 @@ from nilcohom.liealg import (
     solvable_length,
     table_in_basis,
 )
+from nilcohom.scalars import QI
 from nilcohom.tables import parse_table
 
 # every algebra with a hard-coded table, with its nilpotency step
@@ -196,6 +197,21 @@ def test_change_basis_identity_and_inverse(catalog):
         assert ginv_back == mu
     with pytest.raises(SingularMatrix):
         change_basis(mu, [[0] * 5 for _ in range(5)])
+
+
+def test_change_basis_gaussian_matrix_on_rational_algebra(catalog):
+    # a Q(i) transvection g = 1 + i E_{1,3} moves a Q algebra into Q(i);
+    # table_in_basis with the columns of g^{-1} is the same change of basis
+    mu = catalog.structure("g_{5,3}")
+    g = [[Fraction(r == c) for c in range(5)] for r in range(5)]
+    g[0][2] = QI(0, 1)
+    vectors = [[Fraction(r == c) for r in range(5)] for c in range(5)]
+    vectors[2][0] = QI(0, -1)
+    moved = change_basis(mu, g)
+    assert moved.field == "Qi"
+    assert moved == table_in_basis(mu, vectors)
+    g[0][2] = QI(0, -1)
+    assert change_basis(moved, g) == mu
 
 
 def _inv(rows):

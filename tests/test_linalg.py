@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_rank
 from nilcohom.errors import DimensionMismatch, SingularMatrix
 from nilcohom.linalg import (
     ExactMatrix,
+    _rref,
     backend,
     dot,
     in_kernel,
@@ -115,6 +118,52 @@ def test_solve_random_consistency():
         b = a.mat_vec(x0)
         x = solve(a, b)
         assert x is not None and a.mat_vec(x) == b
+
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_gaussians = st.builds(QI, _rationals, _rationals)
+
+
+@st.composite
+def _systems(draw):
+    """(a, b) over Q or Q(i); b = a @ x0 (consistent) or drawn freely."""
+    gaussian = draw(st.booleans())
+    scalar = _gaussians if gaussian else _rationals
+    entry = st.one_of(st.just(0), scalar)
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    a = ExactMatrix.from_dense(rows, field="Qi" if gaussian else "Q")
+    if draw(st.booleans()):
+        b = a.mat_vec(draw(st.lists(scalar, min_size=ncols, max_size=ncols)))
+    else:
+        b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return a, rows, b
+
+
+def _rref_solution(rows, b, field):
+    """The solution read off the reduced row echelon form of [rows | b]."""
+    n = len(rows[0])
+    aug = [row + [v] for row, v in zip(rows, b)]
+    red = reduce_rows(aug, n + 1, field)
+    x = [QI(0) if field == "Qi" else Fraction(0)] * n
+    for row, p in zip(*_rref(red.basis_rows(), n + 1, field)):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_solve_property(system):
+    a, rows, b = system
+    x = solve(a, b)
+    consistent = dense_rank(rows) == dense_rank([r + [v] for r, v in zip(rows, b)])
+    assert (x is not None) == consistent
+    if x is not None:
+        assert a.mat_vec(x) == b
+        assert x == _rref_solution(rows, b, a.field)
 
 
 def test_inverse_round_trip_and_singular():
