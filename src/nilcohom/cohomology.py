@@ -463,8 +463,7 @@ def _constraint_reducer(mu, kind, k):
     elif kind == "sn":
         gen = iter_dsnk_rows(mu, k)
     for _, row in gen:
-        cols = sorted(row)
-        red.add_row(cols, [row[c] for c in cols])
+        red.add_row(row.keys(), row.values())
     return red
 
 
@@ -585,7 +584,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
             df_rank.add_row(sc, [vec[c] for c in sc])
 
     red = _constraint_reducer(mu, kind, k)
-    basis = red.basis_rows()
+    basis = red.sparse_rows()
     containment = all(in_kernel(vec, basis) for vec in cols)
     ker_dg = lay.dim2 - red.rank
     n = mu.n

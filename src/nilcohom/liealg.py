@@ -19,7 +19,7 @@ from .errors import (
     NotLieAlgebra,
     SingularMatrix,
 )
-from .linalg import ExactMatrix, FieldRowBasis, inverse, kernel_basis
+from .linalg import ExactMatrix, RowBasis, inverse, kernel_basis
 from .scalars import FIELD_Q, FIELD_QI, join_fields, promote
 
 
@@ -282,7 +282,7 @@ def _br_vec_vec(mu, x, y):
 
 
 class Subspace:
-    """Span of exact vectors, kept as a monic row-echelon basis."""
+    """Span of exact vectors, kept as its monic reduced row echelon basis."""
 
     __slots__ = ("ambient", "rows")
 
@@ -292,11 +292,10 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors, ambient):
-        basis = FieldRowBasis(ambient)
+        basis = RowBasis(ambient)
         for v in vectors:
-            basis.add_dense([_as_field(x) for x in v])
-        rows = sorted(basis.basis_rows(), key=_lead_index)
-        return cls(ambient, [tuple(r) for r in rows])
+            basis.add({c: _as_field(x) for c, x in enumerate(v) if x})
+        return cls(ambient, [tuple(r) for r in basis.basis_rows()])
 
     @classmethod
     def full(cls, ambient):

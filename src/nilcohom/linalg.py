@@ -1,40 +1,39 @@
 """Exact sparse linear algebra over Q and Q(i).
 
-Ranks and kernels are computed by an online row echelon: every incoming row
-is reduced against the retained basis and kept only if it is nonzero, so at
-most ``ncols`` rows are ever held.  Over Q the rows are cleared to integers
-and handed to the integer kernel (compiled when available, pure Python
-otherwise); over Q(i) a generic field reducer is used.  Per-row scaling by a
-nonzero constant changes neither rank nor kernel, which is what makes the
-integer path exact.
+Ranks, kernels and solutions come from one online row echelon,
+:class:`RowBasis`.  Rows are sparse ``{col: value}`` dicts, and every
+retained (pivot) row is kept fully reduced: it is zero in the lead column of
+every other retained row.  An incoming row therefore needs one elimination
+per pivot column among its own nonzeros, each touching only that pivot row's
+nonzeros; a row that survives is normalized, kept, and its lead column is
+cleared from the retained rows that have it.  At most ``ncols`` rows are ever
+held, however many stream by.
 
-Set ``NILCOHOM_PURE_PYTHON=1`` to force the fallback kernel.
+Two scalar rules share that algorithm:
+
+* the integral mode, used over Q: each row is scaled to integers (per-row
+  scaling changes neither rank nor row space), eliminations cross-multiply
+  without fractions, and a retained row is primitive with a positive lead;
+* the field mode, used over Q(i): a retained row is monic.
+
+The retained rows sorted by lead are the reduced row echelon form of
+everything added, each row scaled by that rule, so they do not depend on the
+order the rows arrived in.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
-if os.environ.get("NILCOHOM_PURE_PYTHON"):
-    from . import _rowred_py as _kernel
-else:
-    try:
-        from . import _rowred as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _rowred_py as _kernel
-
-IntRowBasis = _kernel.IntRowBasis
-
 
 def backend() -> str:
-    """Name of the row-reduction kernel in use: "compiled" or "python"."""
-    return _kernel.BACKEND
+    """Name of the row-reduction implementation, recorded in benchmark stamps."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -167,87 +166,159 @@ def int_cleared(vals):
     for v in vals:
         if isinstance(v, Fraction):
             den = lcm(den, v.denominator)
-    if den == 1:
-        return [int(v) for v in vals]
-    return [int(v * den) for v in vals]
+    return [v.numerator * (den // v.denominator) for v in vals]
 
 
-class FieldRowBasis:
-    """Online echelon over an arbitrary exact field; rows kept monic."""
+class RowBasis:
+    """Online sparse row echelon with every retained row fully reduced.
 
-    __slots__ = ("ncols", "rows", "leads", "_row_at")
+    Rows are ``{col: value}`` dicts without zero values.  In the integral
+    mode values are ints and retained rows are primitive with a positive
+    lead; otherwise values are Fractions or QIs and retained rows are monic.
+    """
 
-    def __init__(self, ncols):
+    __slots__ = ("ncols", "integral", "_rows")
+
+    def __init__(self, ncols, integral=False):
+        if ncols < 0:
+            raise ValueError("ncols must be nonnegative")
         self.ncols = ncols
-        self.rows = []
-        self.leads = []
-        self._row_at = [-1] * ncols
+        self.integral = integral
+        self._rows = {}  # lead column -> retained row
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def pivot_cols(self):
-        return sorted(self.leads)
+        return sorted(self._rows)
+
+    def sparse_rows(self):
+        """Retained rows (copies) sorted by lead."""
+        return [dict(self._rows[j]) for j in sorted(self._rows)]
 
     def basis_rows(self):
-        return [row[:] for row in self.rows]
+        """Retained rows as dense lists, sorted by lead."""
+        out = []
+        for j in sorted(self._rows):
+            dense = [0] * self.ncols
+            for c, v in self._rows[j].items():
+                dense[c] = v
+            out.append(dense)
+        return out
 
-    def add_dense(self, row):
-        n = self.ncols
-        if len(row) != n:
-            raise DimensionMismatch(f"row has length {len(row)}, expected {n}")
-        j = 0
-        while j < n and not row[j]:
-            j += 1
-        while j < n:
-            p = self._row_at[j]
-            if p < 0:
-                inv = row[j]
-                row[j:] = [v / inv for v in row[j:]]
-                self._row_at[j] = len(self.rows)
-                self.rows.append(row)
-                self.leads.append(j)
-                return True
-            piv = self.rows[p]
-            f = row[j]
-            for k in range(j, n):
-                row[k] = row[k] - f * piv[k]
-            j += 1
-            while j < n and not row[j]:
-                j += 1
-        return False
+    def add(self, row):
+        """Reduce ``row`` (consumed) and keep it if it stays nonzero.
+
+        Returns True iff the rank grew.
+        """
+        rows = self._rows
+        integral = self.integral
+        # eliminating one pivot column leaves every other pivot column of the
+        # row as it was (up to a common factor), so the hits are fixed upfront
+        for j in [j for j in row if j in rows]:
+            piv = rows[j]
+            b = row[j]
+            if integral:
+                a = piv[j]
+                if a != 1:
+                    g = gcd(a, b)
+                    if g != a:
+                        m = a // g
+                        for c in row:
+                            row[c] *= m
+                    b //= g
+            _sub_multiple(row, b, piv)
+        if not row:
+            return False
+        lead = min(row)
+        if integral:
+            g = gcd(*row.values())
+            if row[lead] < 0:
+                g = -g
+            if g != 1:
+                for c in row:
+                    row[c] //= g
+        else:
+            inv = row[lead]
+            if inv != 1:
+                for c in row:
+                    row[c] = row[c] / inv
+        a = row[lead]
+        for prow in rows.values():
+            b = prow.get(lead)
+            if not b:
+                continue
+            if integral:
+                g = gcd(a, b)
+                m = a // g
+                if m != 1:
+                    for c in prow:
+                        prow[c] *= m
+                _sub_multiple(prow, b // g, row)
+                g = gcd(*prow.values())
+                if g != 1:
+                    for c in prow:
+                        prow[c] //= g
+            else:
+                _sub_multiple(prow, b, row)
+        rows[lead] = row
+        return True
+
+    def to_field(self):
+        """Switch to the field mode in place: every retained row made monic."""
+        if self.integral:
+            for j, row in self._rows.items():
+                a = row[j]
+                self._rows[j] = {c: Fraction(v, a) for c, v in row.items()}
+            self.integral = False
+
+
+def _sub_multiple(row, b, other):
+    """row -= b * other, in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
 
 
 class _Reducer:
-    """Dispatches rows to the integer kernel, promoting to the generic field
-    reducer if a Gaussian entry shows up mid-stream."""
+    """Feeds rows of ints, Fractions and QIs to a RowBasis: in the integral
+    mode over Q, each row cleared of denominators; in the field mode over
+    Q(i), switching to it in place if a Gaussian entry shows up mid-stream."""
 
-    __slots__ = ("ncols", "basis", "_int_mode")
+    __slots__ = ("ncols", "basis")
 
     def __init__(self, ncols, field=FIELD_Q):
         self.ncols = ncols
-        self._int_mode = field == FIELD_Q
-        self.basis = IntRowBasis(ncols) if self._int_mode else FieldRowBasis(ncols)
-
-    def _promote(self):
-        fb = FieldRowBasis(self.ncols)
-        for row in self.basis.basis_rows():
-            fb.add_dense([Fraction(v) for v in row])
-        self.basis = fb
-        self._int_mode = False
+        self.basis = RowBasis(ncols, integral=field == FIELD_Q)
 
     def add_row(self, cols, vals):
-        if self._int_mode:
-            if any(isinstance(v, QI) for v in vals):
-                self._promote()
+        """Reduce the row with ``vals`` at ``cols``; True iff the rank grew."""
+        basis = self.basis
+        if basis.integral:
+            den = 1
+            exact = True
+            for v in vals:
+                if type(v) is not int:
+                    if isinstance(v, QI):
+                        basis.to_field()
+                        break
+                    exact = False
+                    den = lcm(den, v.denominator)
             else:
-                return self.basis.add_sparse(cols, int_cleared(vals))
-        # field rows may mix Fraction and QI; arithmetic promotes as needed
-        row = [Fraction(0)] * self.ncols
-        for c, v in zip(cols, vals):
-            row[c] = v if isinstance(v, (Fraction, QI)) else Fraction(v)
-        return self.basis.add_dense(row)
+                if exact:
+                    return basis.add({c: v for c, v in zip(cols, vals) if v})
+                return basis.add({
+                    c: v.numerator * (den // v.denominator) for c, v in zip(cols, vals) if v
+                })
+        return basis.add({
+            c: v if isinstance(v, (Fraction, QI)) else Fraction(v)
+            for c, v in zip(cols, vals)
+            if v
+        })
 
     @property
     def rank(self):
@@ -259,15 +330,16 @@ class _Reducer:
     def basis_rows(self):
         return self.basis.basis_rows()
 
+    def sparse_rows(self):
+        return self.basis.sparse_rows()
+
 
 def _sparse_from(rowlike, ncols):
     """Normalize a dense sequence or {col: val} dict to (cols, vals)."""
     if isinstance(rowlike, dict):
-        cols = sorted(rowlike)
-        if cols and (cols[0] < 0 or cols[-1] >= ncols):
+        if rowlike and (min(rowlike) < 0 or max(rowlike) >= ncols):
             raise DimensionMismatch(f"column index outside 0..{ncols - 1}")
-        vals = [rowlike[c] for c in cols]
-        return cols, vals
+        return rowlike.keys(), rowlike.values()
     row = list(rowlike)
     if len(row) != ncols:
         raise DimensionMismatch(f"row has length {len(row)}, expected {ncols}")
@@ -281,12 +353,7 @@ def streaming_rank(rows, ncols, field=FIELD_Q):
     ``rows`` is any iterable of dense sequences (length ``ncols``) or sparse
     {col: value} dicts.  Deterministic, memory bounded by ncols**2 entries.
     """
-    red = _Reducer(ncols, field)
-    for rowlike in rows:
-        cols, vals = _sparse_from(rowlike, ncols)
-        if cols:
-            red.add_row(cols, vals)
-    return red.rank
+    return reduce_rows(rows, ncols, field).rank
 
 
 def reduce_rows(rows, ncols, field=FIELD_Q):
@@ -308,90 +375,59 @@ def rank(m: ExactMatrix) -> RankProfile:
     return RankProfile(red.rank, tuple(red.pivot_cols()))
 
 
-def _rref(basis_rows, ncols, field):
-    """Full reduction of an echelon basis: monic rows sorted by lead, each
-    pivot column cleared from the other rows.  Returns (rows, leads)."""
-    rows = []
-    for row in basis_rows:
-        row = [promote(v, field) for v in row]
-        rows.append(row)
-    leads = []
-    for row in rows:
-        j = 0
-        while j < ncols and not row[j]:
-            j += 1
-        leads.append(j)
-    order = sorted(range(len(rows)), key=lambda i: leads[i])
-    rows = [rows[i] for i in order]
-    leads = [leads[i] for i in order]
-    for i, row in enumerate(rows):
-        j = leads[i]
-        inv = row[j]
-        if inv != 1:
-            rows[i] = row = [v / inv for v in row]
-        for i2 in range(len(rows)):
-            if i2 != i and rows[i2][j]:
-                f = rows[i2][j]
-                rows[i2] = [a - f * b for a, b in zip(rows[i2], row)]
-    return rows, leads
-
-
 def kernel_basis(m: ExactMatrix):
-    """Vectors spanning Ker(m); count is always ncols - rank."""
+    """Vectors spanning Ker(m); count is always ncols - rank.
+
+    One vector per free column f: e_f minus, for every pivot row, its entry
+    in column f over its lead, placed at the lead.
+    """
     red = _Reducer(m.ncols, m.field)
     for cols, vals in m.iter_rows():
         if cols:
             red.add_row(cols, vals)
-    return kernel_from_reduced(red.basis_rows(), m.ncols, m.field)
-
-
-def kernel_from_reduced(basis_rows, ncols, field=FIELD_Q):
-    """Kernel basis of any matrix whose row space is spanned by basis_rows."""
-    rows, leads = _rref(basis_rows, ncols, field)
-    pivot_set = set(leads)
+    field = m.field
     one, zero = _one(field), _zero(field)
+    rows = [(min(row), row) for row in red.sparse_rows()]
+    pivot_set = {p for p, _ in rows}
     out = []
-    for f in range(ncols):
+    for f in range(m.ncols):
         if f in pivot_set:
             continue
-        v = [zero] * ncols
+        v = [zero] * m.ncols
         v[f] = one
-        for row, p in zip(rows, leads):
-            if row[f]:
-                v[p] = -row[f]
+        for p, row in rows:
+            if f in row:
+                v[p] = promote(-row[f], field) / row[p]
         out.append(v)
     return out
 
 
 def solve(a: ExactMatrix, b):
-    """One exact solution of a @ x = b, or None if the system is inconsistent."""
+    """One exact solution of a @ x = b, or None if the system is inconsistent.
+
+    The free variables are 0, which is the solution the reduced row echelon
+    form of [a | b] reads off.
+    """
     if len(b) != a.nrows:
         raise DimensionMismatch("rhs length does not match nrows")
     field = a.field
     if any(isinstance(v, QI) for v in b):
         field = FIELD_QI
-    red = _Reducer(a.ncols + 1, field)
-    rows = a.iter_rows()
-    for i, (cols, vals) in enumerate(rows):
+    n = a.ncols
+    red = _Reducer(n + 1, field)
+    for i, (cols, vals) in enumerate(a.iter_rows()):
         if b[i]:
-            cols = cols + [a.ncols]
+            cols = cols + [n]
             vals = vals + [b[i]]
         if cols:
             red.add_row(cols, vals)
-    # back-substitution on the echelon rows with the free variables at 0: the
-    # same solution the reduced row echelon form reads off
-    n = a.ncols
-    rows = red.basis_rows()
-    leads = [next(j for j, v in enumerate(row) if v) for row in rows]
-    if n in leads:
-        return None
     x = [_zero(field)] * n
-    for p, row in sorted(zip(leads, rows), key=lambda t: t[0], reverse=True):
-        acc = promote(row[n], field)
-        for c in range(p + 1, n):
-            if row[c] and x[c]:
-                acc = acc - row[c] * x[c]
-        x[p] = acc / row[p]
+    for row in red.sparse_rows():
+        p = min(row)
+        if p == n:
+            return None
+        if n in row:
+            x[p] = promote(row[n], field) / row[p]
     return x
 
 
@@ -407,14 +443,13 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     one = _one(field)
     for i, (cols, vals) in enumerate(m.iter_rows()):
         red.add_row(cols + [n + i], vals + [one])
-    rows, leads = _rref(red.basis_rows(), 2 * n, field)
-    if leads != list(range(n)):
+    if red.pivot_cols() != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     entries = {}
-    for r, row in enumerate(rows):
-        for c in range(n):
-            if row[n + c]:
-                entries[(r, c)] = row[n + c]
+    for r, row in enumerate(red.sparse_rows()):
+        for c, v in row.items():
+            if c >= n:
+                entries[(r, c - n)] = promote(v, field) / row[r]
     return ExactMatrix(n, n, entries, field)
 
 
@@ -426,7 +461,22 @@ def dot(u, v):
     return acc
 
 
-def in_kernel(vec, basis_rows):
-    """True iff vec is orthogonal to every retained row (i.e. M @ vec = 0
-    for the matrix those rows were reduced from)."""
-    return all(not dot(vec, row) for row in basis_rows)
+def in_kernel(vec, rows):
+    """True iff vec is orthogonal to every row, i.e. M @ vec = 0 for any
+    matrix whose row space those rows span.  Rows are {col: value} dicts or
+    dense lists.  Only the nonzeros of vec are visited, and a rational vec is
+    cleared of denominators first, so against integral rows every product is
+    an integer one."""
+    cols = [c for c, x in enumerate(vec) if x]
+    vals = [vec[c] for c in cols]
+    if not any(isinstance(x, QI) for x in vals):
+        vals = int_cleared(vals)
+    terms = list(zip(cols, vals))
+    for row in rows:
+        if isinstance(row, dict):
+            acc = sum(row[c] * x for c, x in terms if c in row)
+        else:
+            acc = sum(row[c] * x for c, x in terms if row[c])
+        if acc:
+            return False
+    return True

@@ -13,13 +13,14 @@ def catalog():
     return Catalog()
 
 
-def dense_rank(rows):
-    """Naive dense Gaussian elimination over Q or Q(i); the independent oracle."""
+def dense_rref(rows):
+    """Naive dense Gauss-Jordan elimination over Q or Q(i); the independent
+    oracle.  Returns the nonzero rows of the reduced row echelon form: monic,
+    sorted by lead, each lead column zero in every other row."""
     m = [[x if isinstance(x, QI) else Fraction(x) for x in row] for row in rows]
     if not m:
-        return 0
+        return []
     ncols = len(m[0])
-    rank = 0
     row = 0
     for col in range(ncols):
         piv = None
@@ -37,8 +38,12 @@ def dense_rank(rows):
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[row])]
         row += 1
-        rank += 1
-    return rank
+    return m[:row]
+
+
+def dense_rank(rows):
+    """Rank by the dense oracle."""
+    return len(dense_rref(rows))
 
 
 def random_structure(n, rng=None, density=0.5, lo=-3, hi=3):

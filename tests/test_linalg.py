@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rank
+from conftest import dense_rank, dense_rref
 from nilcohom.errors import DimensionMismatch, SingularMatrix
 from nilcohom.linalg import (
     ExactMatrix,
-    _rref,
+    RowBasis,
     backend,
     dot,
     in_kernel,
@@ -20,8 +21,7 @@ from nilcohom.linalg import (
     solve,
     streaming_rank,
 )
-from nilcohom.scalars import QI
-from nilcohom import _rowred_py
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6, bound=6):
@@ -144,10 +144,9 @@ def _systems(draw):
 def _rref_solution(rows, b, field):
     """The solution read off the reduced row echelon form of [rows | b]."""
     n = len(rows[0])
-    aug = [row + [v] for row, v in zip(rows, b)]
-    red = reduce_rows(aug, n + 1, field)
     x = [QI(0) if field == "Qi" else Fraction(0)] * n
-    for row, p in zip(*_rref(red.basis_rows(), n + 1, field)):
+    for row in dense_rref([row + [v] for row, v in zip(rows, b)]):
+        p = next(j for j, v in enumerate(row) if v)
         if p == n:
             return None
         x[p] = row[n]
@@ -192,40 +191,55 @@ def test_gaussian_field_path():
     assert r == 2
 
 
-def test_both_backends_produce_identical_reduced_rows():
+def _monic(row, ncols):
+    """A sparse retained row as a dense list divided by its lead entry."""
+    lead = row[min(row)]
+    dense = [Fraction(0)] * ncols
+    for c, v in row.items():
+        dense[c] = v / lead if isinstance(v, QI) else Fraction(v) / lead
+    return dense
+
+
+def _assert_canonical_integral(basis, dense_rows):
+    """Retained rows are the dense RREF rows scaled to primitive integers
+    with a positive lead; rank and pivots agree with the oracle."""
+    ncols = basis.ncols
+    ref = dense_rref(dense_rows)
+    rows = basis.sparse_rows()
+    assert basis.rank == len(ref) == dense_rank(dense_rows)
+    assert basis.pivot_cols() == [next(j for j, v in enumerate(r) if v) for r in ref]
+    for row in rows:
+        assert all(isinstance(v, int) and v for v in row.values())
+        assert row[min(row)] > 0 and gcd(*row.values()) == 1
+    assert [_monic(row, ncols) for row in rows] == ref
+
+
+def _dense(cols, vals, ncols):
+    row = [0] * ncols
+    for c, v in zip(cols, vals):
+        row[c] = v
+    return row
+
+
+def test_integral_reduced_rows_equal_the_dense_rref():
     rng = random.Random(23)
     rows = []
     for _ in range(300):
         nnz = rng.randint(1, 8)
         cols = sorted(rng.sample(range(20), nnz))
         rows.append((cols, [rng.randint(-50, 50) or 3 for _ in cols]))
-    active = _active_kernel_basis(20, rows)
-    ref = _rowred_py.IntRowBasis(20)
+    basis = RowBasis(20, integral=True)
     for cols, vals in rows:
-        ref.add_sparse(cols, list(vals))
-    assert active.rank == ref.rank
-    assert active.pivot_cols() == ref.pivot_cols()
-    assert active.basis_rows() == ref.basis_rows()
+        basis.add(dict(zip(cols, vals)))
+    _assert_canonical_integral(basis, [_dense(c, v, 20) for c, v in rows])
 
 
-def _active_kernel_basis(ncols, rows):
-    from nilcohom.linalg import IntRowBasis
-
-    basis = IntRowBasis(ncols)
-    for cols, vals in rows:
-        basis.add_sparse(cols, list(vals))
-    return basis
-
-
-def test_backends_agree_across_the_machine_word_boundary():
-    pytest.importorskip("nilcohom._rowred")
-    from nilcohom import _rowred
-
+def test_integral_reduced_rows_equal_the_dense_rref_past_the_machine_word():
     rng = random.Random(99)
     for _ in range(12):
         ncols = rng.randint(1, 25)
-        fast = _rowred.IntRowBasis(ncols)
-        ref = _rowred_py.IntRowBasis(ncols)
+        basis = RowBasis(ncols, integral=True)
+        dense_rows = []
         for _ in range(rng.randint(1, 120)):
             nnz = rng.randint(1, ncols)
             cols = sorted(rng.sample(range(ncols), nnz))
@@ -233,16 +247,56 @@ def test_backends_agree_across_the_machine_word_boundary():
             for _ in cols:
                 mag = rng.choice([1, 5, 2**30, 2**40, 2**70, 2**100])
                 vals.append(rng.randint(-mag, mag) or 1)
-            assert fast.add_sparse(cols, list(vals)) == ref.add_sparse(cols, list(vals))
-        assert fast.rank == ref.rank
-        assert fast.basis_rows() == ref.basis_rows()
+            before = basis.rank
+            grew = basis.add(dict(zip(cols, vals)))
+            assert grew == (basis.rank == before + 1)
+            dense_rows.append(_dense(cols, vals, ncols))
+        _assert_canonical_integral(basis, dense_rows)
+
+
+@st.composite
+def _streams(draw):
+    """(rows, variant, ncols, field): rows over Q, over Q(i), or over Q with
+    a Gaussian row arriving mid-stream, and the same rows rescaled,
+    partly duplicated and permuted."""
+    mode = draw(st.sampled_from(("Q", "Qi", "promote")))
+    scalar = _rationals if mode == "Q" else st.one_of(_rationals, _gaussians)
+    nonzero = scalar.filter(bool)
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(
+        st.lists(st.one_of(st.just(0), scalar), min_size=ncols, max_size=ncols),
+        min_size=1, max_size=8,
+    ))
+    if mode == "promote":
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, [draw(_gaussians.filter(lambda z: z.im)) for _ in range(ncols)])
+    scales = draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    variant = [[c * v for v in row] for c, row in zip(scales, rows)]
+    variant += [list(row) for row in draw(st.lists(st.sampled_from(variant), max_size=4))]
+    variant = draw(st.permutations(variant))
+    return rows, variant, ncols, FIELD_QI if mode == "Qi" else FIELD_Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_streams())
+def test_reduction_invariant_under_permutation_scaling_and_duplication(stream):
+    rows, variant, ncols, field = stream
+    red = reduce_rows(rows, ncols, field)
+    other = reduce_rows(variant, ncols, field)
+    ref = dense_rref(rows)
+    assert red.rank == other.rank == len(ref)
+    assert red.pivot_cols() == other.pivot_cols()
+    assert red.sparse_rows() == other.sparse_rows()
+    assert [_monic(row, ncols) for row in red.sparse_rows()] == ref
 
 
 def test_in_kernel_against_reduced_rows():
     rows = [[1, 1, 0], [0, 1, 1]]
     red = reduce_rows(rows, 3)
+    assert red.sparse_rows() == [{0: 1, 2: -1}, {1: 1, 2: 1}]
+    assert in_kernel([1, -1, 1], red.sparse_rows())
+    assert not in_kernel([1, 0, 0], red.sparse_rows())
     assert in_kernel([1, -1, 1], red.basis_rows())
-    assert not in_kernel([1, 0, 0], red.basis_rows())
     assert dot([1, 2], [2, -1]) == 0
 
 
