@@ -7,55 +7,36 @@ The multilinear operators map into full tensor powers, so their differentials
 are indexed by arbitrary (k+1)-tuples of basis letters.
 
 The derivative of a nested bracket word at mu is the sum over replacing one
-mu by sigma; the generators below build those rows directly from the word
-structure for any k, one argument tuple at a time, so the tall matrices (for
-example the 7^6-tuple one in dimension 7) are streamed and never stored.
-Rows are scaled to integers (per-row scaling never changes rank or kernel),
-which keeps the whole pipeline on the fast integer reducer.
+mu by sigma.  The rows come from the same word walker that evaluates N_k and
+SN_k (``liealg.walk_words``), run in forward mode: each word carries its
+value and its tangent functional, one letter at a time, so the tall matrices
+(for example the 7^6-tuple one in dimension 7) are streamed and never
+stored.  The split word combines each inner word with every leading pair by
+the product rule.  Rows are scaled to integers (per-row scaling never
+changes rank or kernel), which keeps the whole pipeline on the integer
+reducer.  Membership in the k-step variety is checked by the lower central
+series, in polynomial time, not by enumerating the words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
 from .errors import NotInVariety, NotLieAlgebra
-from .liealg import StructureConstants, is_lie, n_k, sn_k
+from .liealg import (
+    Layout,
+    StructureConstants,
+    _brvv,
+    _dense_table,
+    _sigma_of_vec,
+    _unit,
+    is_lie,
+    n_k_vanishes,
+    sn_k,
+    walk_words,
+)
 from .linalg import ExactMatrix, _Reducer, in_kernel, rank
-from .scalars import FIELD_Q
-
-
-@lru_cache(maxsize=None)
-class Layout:
-    """Index bookkeeping for the cochain spaces of an n-dimensional algebra."""
-
-    def __init__(self, n):
-        self.n = n
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.pair_index = {p: t for t, p in enumerate(self.pairs)}
-        self.triples = [
-            (i, j, l)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for l in range(j + 1, n)
-        ]
-        self.triple_index = {t: s for s, t in enumerate(self.triples)}
-        self.dim1 = n * n
-        self.dim2 = len(self.pairs) * n
-        self.dim3 = len(self.triples) * n
-
-    def col2(self, i, j, k):
-        return self.pair_index[(i, j)] * self.n + k
-
-    def atom(self, i, j):
-        """(pair index, sign) of sigma(e_i, e_j), or None on the diagonal."""
-        if i == j:
-            return None
-        if i < j:
-            return self.pair_index[(i, j)], 1
-        return self.pair_index[(j, i)], -1
 
 
 def cochain_vector(sigma: StructureConstants):
@@ -66,70 +47,6 @@ def cochain_vector(sigma: StructureConstants):
         for k, val in coeffs.items():
             v[lay.col2(i, j, k)] = val
     return v
-
-
-def _dense_table(mu, scaled):
-    """Bracket table as dense vectors; scaled=True clears denominators.
-
-    Returns (n, C) with C[p][q] a length-n list or None when the bracket is
-    zero.  Scaling multiplies every entry by one global integer, which is
-    legitimate anywhere a uniform per-row scale is (rank, kernel).
-    """
-    n = mu.n
-    den = 1
-    if scaled:
-        if mu.field != FIELD_Q:
-            scaled = False
-        else:
-            for coeffs in mu.c.values():
-                for v in coeffs.values():
-                    den = lcm(den, Fraction(v).denominator)
-    table = [[None] * n for _ in range(n)]
-    for (i, j), coeffs in mu.c.items():
-        row = [0] * n
-        neg = [0] * n
-        for k, v in coeffs.items():
-            val = int(v * den) if scaled else v
-            row[k] = val
-            neg[k] = -val
-        table[i][j] = row
-        table[j][i] = neg
-    return n, table
-
-
-def _brv(table, n, v, b):
-    """mu(v, e_b) over the dense table; None when zero."""
-    out = None
-    row = None
-    for p, co in enumerate(v):
-        if co and p != b and table[p][b] is not None:
-            if out is None:
-                out = [0] * n
-            for m, w in enumerate(table[p][b]):
-                if w:
-                    out[m] = out[m] + co * w
-    if out is not None and any(out):
-        return out
-    return None
-
-
-def _brvv(table, n, x, y):
-    """mu(x, y) for two dense vectors; None when zero."""
-    out = None
-    for p, cp in enumerate(x):
-        if not cp:
-            continue
-        for q, cq in enumerate(y):
-            if cq and table[p][q] is not None:
-                if out is None:
-                    out = [0] * n
-                co = cp * cq
-                for m, w in enumerate(table[p][q]):
-                    if w:
-                        out[m] = out[m] + co * w
-    if out is not None and any(out):
-        return out
-    return None
 
 
 # -- small materialized differentials -------------------------------------------
@@ -166,19 +83,6 @@ def d1_matrix(mu) -> ExactMatrix:
                     for q in range(n):
                         put(base + q, p * n + q, -co)
     return ExactMatrix(lay.dim2, lay.dim1, entries, mu.field)
-
-
-def _sigma_of_vec(F, lay, vec, b, factor, n):
-    """Accumulate factor * sigma(vec, e_b) into the column functional F."""
-    for p, co in enumerate(vec):
-        if not co or p == b:
-            continue
-        at = lay.atom(p, b)
-        pi, sgn = at
-        val = factor * co * sgn
-        for s in range(n):
-            acc = F.setdefault(pi * n + s, [0] * n)
-            acc[s] = acc[s] + val
 
 
 def d2_matrix(mu) -> ExactMatrix:
@@ -240,131 +144,42 @@ def dj_matrix(mu) -> ExactMatrix:
 # -- streamed rows of the word-derivative matrices --------------------------------
 
 
-def _iter_word_rows(table, n, lay, k):
-    """Rows of the derivative of the left-nested (k+1)-letter word.
-
-    Depth-first over argument tuples; the running pair (value, functional)
-    is extended one letter at a time, so shared prefixes are computed once
-    and dead branches (zero value, empty functional) are pruned.
-    Yields (row_index, {column: value}).
-    """
-
-    def emit(base, F):
-        rows = {}
-        for col, vec in F.items():
-            for m, v in enumerate(vec):
-                if v:
-                    rows.setdefault(m, {})[col] = v
-        for m in sorted(rows):
-            yield base * n + m, rows[m]
-
-    def rec(tupidx, depth, v, F):
-        if depth == k + 1:
-            yield from emit(tupidx, F)
-            return
-        for b in range(n):
-            F2 = {}
-            for col, vec in F.items():
-                w = _brv(table, n, vec, b)
-                if w is not None:
-                    F2[col] = w
-            if v is not None:
-                _sigma_of_vec(F2, lay, v, b, 1, n)
-                F2 = {col: vec for col, vec in F2.items() if any(vec)}
-            v2 = _brv(table, n, v, b) if v is not None else None
-            if F2 or v2 is not None:
-                yield from rec(tupidx * n + b, depth + 1, v2, F2)
-
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            pi, sgn = lay.atom(a, b)
-            F = {}
-            for s in range(n):
-                acc = [0] * n
-                acc[s] = sgn
-                F[pi * n + s] = acc
-            v = table[a][b]
-            yield from rec(a * n + b, 2, list(v) if v is not None else None, F)
+def _emit_rows(index, tangent, n):
+    """One sparse row {column: value} per output coordinate m of a word's
+    tangent, at row index * n + m."""
+    rows = {}
+    for col, vec in tangent.items():
+        for m, v in enumerate(vec):
+            if v:
+                rows.setdefault(m, {})[col] = v
+    for m in sorted(rows):
+        yield index * n + m, rows[m]
 
 
 def iter_dnk_rows(mu, k, scaled=True):
     """Sparse rows of the derivative of the k-fold nested bracket at mu."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lay = Layout(mu.n)
     n, table = _dense_table(mu, scaled)
-    yield from _iter_word_rows(table, n, lay, k)
-
-
-def _tail_functionals(table, n, lay, k):
-    """(tail index, tail tuple value B, functional) for the inner word."""
-    if k == 2:
-        for a in range(n):
-            v = [0] * n
-            v[a] = 1
-            yield a, v, {}
-        return
-
-    def rec(tupidx, depth, v, F):
-        if depth == k - 1:
-            yield tupidx, v, F
-            return
-        for b in range(n):
-            F2 = {}
-            for col, vec in F.items():
-                w = _brv(table, n, vec, b)
-                if w is not None:
-                    F2[col] = w
-            if v is not None:
-                _sigma_of_vec(F2, lay, v, b, 1, n)
-                F2 = {col: vec for col, vec in F2.items() if any(vec)}
-            v2 = _brv(table, n, v, b) if v is not None else None
-            yield from rec(tupidx * n + b, depth + 1, v2, F2)
-
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                pi = None
-            else:
-                pi, sgn = lay.atom(a, b)
-            F = {}
-            if pi is not None:
-                for s in range(n):
-                    acc = [0] * n
-                    acc[s] = sgn
-                    F[pi * n + s] = acc
-            v = table[a][b]
-            yield from rec(a * n + b, 2, list(v) if v is not None else None, F)
+    for index, _, tangent in walk_words(table, n, k + 1, Layout(n)):
+        yield from _emit_rows(index, tangent, n)
 
 
 def iter_dsnk_rows(mu, k, scaled=True):
     """Rows of the derivative of the split word mu(mu(x1,x2), N_{k-2}(...)).
 
-    The functional of each inner tuple is computed once and combined with
-    every leading pair, covering the full n^(k+1) argument tuples.
+    The value B and tangent of each inner (k-1)-letter word are computed once
+    and combined with every leading pair by the product rule, covering the
+    full n^(k+1) argument tuples.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     lay = Layout(mu.n)
     n, table = _dense_table(mu, scaled)
-    heads = []
-    for x1 in range(n):
-        for x2 in range(n):
-            a = table[x1][x2]
-            heads.append((x1, x2, a))
+    heads = [(x1, x2, table[x1][x2]) for x1 in range(n) for x2 in range(n)]
     tail_span = n ** (k - 1)
-    for tailidx, bvec, ftail in _tail_functionals(table, n, lay, k):
-        b_is_zero = bvec is None or not any(bvec)
-        if b_is_zero and not ftail:
-            continue
-        mu_es_b = [None] * n
-        if not b_is_zero:
-            for s in range(n):
-                mu_es_b[s] = _brv(table, n, bvec, s)
-                if mu_es_b[s] is not None:
-                    mu_es_b[s] = [-x for x in mu_es_b[s]]  # mu(e_s, B) = -mu(B, e_s)
+    for tailidx, bvec, ftail in walk_words(table, n, k - 1, lay):
+        mu_es_b = [bvec and _brvv(table, n, _unit(n, s), bvec) for s in range(n)]
         for x1, x2, a in heads:
             F = {}
             if a is not None and ftail:
@@ -372,7 +187,7 @@ def iter_dsnk_rows(mu, k, scaled=True):
                     w = _brvv(table, n, a, vec)
                     if w is not None:
                         F[col] = w
-            if x1 != x2 and not b_is_zero:
+            if x1 != x2 and bvec is not None:
                 pi, sgn = lay.atom(x1, x2)
                 for s in range(n):
                     if mu_es_b[s] is not None:
@@ -380,7 +195,7 @@ def iter_dsnk_rows(mu, k, scaled=True):
                         for m, w in enumerate(mu_es_b[s]):
                             if w:
                                 acc[m] = acc[m] + sgn * w
-            if a is not None and not b_is_zero:
+            if a is not None and bvec is not None:
                 sup = [p for p in range(n) if a[p] or bvec[p]]
                 for ii, p in enumerate(sup):
                     for q in sup[ii + 1 :]:
@@ -390,37 +205,26 @@ def iter_dsnk_rows(mu, k, scaled=True):
                             for s in range(n):
                                 acc = F.setdefault(pi * n + s, [0] * n)
                                 acc[s] = acc[s] + co
-            if not F:
-                continue
-            base = (x1 * n + x2) * tail_span + tailidx
-            rows = {}
-            for col, vec in F.items():
-                for m, v in enumerate(vec):
-                    if v:
-                        rows.setdefault(m, {})[col] = v
-            for m in sorted(rows):
-                yield base * n + m, rows[m]
+            if F:
+                yield from _emit_rows((x1 * n + x2) * tail_span + tailidx, F, n)
+
+
+def _materialize(mu, k, rows):
+    entries = {}
+    for r, row in rows:
+        for c, v in row.items():
+            entries[(r, c)] = v
+    return ExactMatrix(mu.n ** (k + 1) * mu.n, Layout(mu.n).dim2, entries, mu.field)
 
 
 def dnk_matrix(mu, k) -> ExactMatrix:
     """Materialized derivative of the nested word (moderate n, k only)."""
-    lay = Layout(mu.n)
-    n = mu.n
-    entries = {}
-    for r, row in iter_dnk_rows(mu, k, scaled=False):
-        for c, v in row.items():
-            entries[(r, c)] = v
-    return ExactMatrix(n ** (k + 1) * n, lay.dim2, entries, mu.field)
+    return _materialize(mu, k, iter_dnk_rows(mu, k, scaled=False))
 
 
 def dsnk_matrix(mu, k) -> ExactMatrix:
-    lay = Layout(mu.n)
-    n = mu.n
-    entries = {}
-    for r, row in iter_dsnk_rows(mu, k, scaled=False):
-        for c, v in row.items():
-            entries[(r, c)] = v
-    return ExactMatrix(n ** (k + 1) * n, lay.dim2, entries, mu.field)
+    """Materialized derivative of the split word (moderate n, k only)."""
+    return _materialize(mu, k, iter_dsnk_rows(mu, k, scaled=False))
 
 
 # -- cohomology reports ------------------------------------------------------------
@@ -471,7 +275,7 @@ def h2_knil(mu, k, name=None) -> CohomologyReport:
     """Deformation cohomology inside the k-step nilpotent variety."""
     if not is_lie(mu):
         raise NotInVariety("bracket does not satisfy the Jacobi identity")
-    if n_k(mu, k):
+    if not n_k_vanishes(mu, k):
         raise NotInVariety(f"bracket is not (at most) {k}-step nilpotent")
     lay = Layout(mu.n)
     b = rank(d1_matrix(mu)).rank
@@ -559,7 +363,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     mu = table.evaluate(point)
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
-    if kind == "n" and n_k(mu, k):
+    if kind == "n" and not n_k_vanishes(mu, k):
         raise NotInVariety(f"point violates N_{k} = 0")
     if kind == "sn" and sn_k(mu, k):
         raise NotInVariety(f"point violates SN_{k} = 0")

@@ -12,6 +12,8 @@ Indices are 0-based internally; table text and the JSON schema are 1-based.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -128,16 +130,6 @@ def _is_qi(x):
     return isinstance(x, QI)
 
 
-def _br_vec_basis(mu, v, b):
-    """mu(v, e_b) for a coefficient vector v."""
-    out = [0] * mu.n
-    for p, co in enumerate(v):
-        if co and p != b:
-            for k, w in mu.bracket_basis(p, b).items():
-                out[k] = out[k] + co * w
-    return out
-
-
 def pencil(mu, nu, t):
     """mu + t * nu."""
     return mu.add(nu.scale(t))
@@ -176,6 +168,153 @@ def is_lie(mu):
     return not jacobi(mu)
 
 
+# -- left-nested words over the dense table ------------------------------------
+
+
+@lru_cache(maxsize=None)
+class Layout:
+    """Index bookkeeping for the cochain spaces of an n-dimensional algebra."""
+
+    def __init__(self, n):
+        self.n = n
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.pair_index = {p: t for t, p in enumerate(self.pairs)}
+        self.triples = [
+            (i, j, l)
+            for i in range(n)
+            for j in range(i + 1, n)
+            for l in range(j + 1, n)
+        ]
+        self.triple_index = {t: s for s, t in enumerate(self.triples)}
+        self.dim1 = n * n
+        self.dim2 = len(self.pairs) * n
+        self.dim3 = len(self.triples) * n
+
+    def col2(self, i, j, k):
+        return self.pair_index[(i, j)] * self.n + k
+
+    def atom(self, i, j):
+        """(pair index, sign) of sigma(e_i, e_j), or None on the diagonal."""
+        if i == j:
+            return None
+        if i < j:
+            return self.pair_index[(i, j)], 1
+        return self.pair_index[(j, i)], -1
+
+
+def _dense_table(mu, scaled):
+    """Bracket table as dense vectors; scaled=True clears denominators.
+
+    Returns (n, C) with C[p][q] a length-n list or None when the bracket is
+    zero.  Scaling multiplies every entry by one global integer, which is
+    legitimate anywhere a uniform per-row scale is (rank, kernel).
+    """
+    n = mu.n
+    den = 1
+    if scaled:
+        if mu.field != FIELD_Q:
+            scaled = False
+        else:
+            for coeffs in mu.c.values():
+                for v in coeffs.values():
+                    den = lcm(den, Fraction(v).denominator)
+    table = [[None] * n for _ in range(n)]
+    for (i, j), coeffs in mu.c.items():
+        row = [0] * n
+        neg = [0] * n
+        for k, v in coeffs.items():
+            val = int(v * den) if scaled else v
+            row[k] = val
+            neg[k] = -val
+        table[i][j] = row
+        table[j][i] = neg
+    return n, table
+
+
+def _brv(table, n, v, b):
+    """mu(v, e_b) over the dense table; None when zero."""
+    out = None
+    for p, co in enumerate(v):
+        if co and p != b and table[p][b] is not None:
+            if out is None:
+                out = [0] * n
+            for m, w in enumerate(table[p][b]):
+                if w:
+                    out[m] = out[m] + co * w
+    if out is not None and any(out):
+        return out
+    return None
+
+
+def _brvv(table, n, x, y):
+    """mu(x, y) for two dense vectors; None when zero."""
+    out = None
+    for p, cp in enumerate(x):
+        if not cp:
+            continue
+        for q, cq in enumerate(y):
+            if cq and table[p][q] is not None:
+                if out is None:
+                    out = [0] * n
+                co = cp * cq
+                for m, w in enumerate(table[p][q]):
+                    if w:
+                        out[m] = out[m] + co * w
+    if out is not None and any(out):
+        return out
+    return None
+
+
+def _sigma_of_vec(F, lay, vec, b, factor, n):
+    """Accumulate factor * sigma(vec, e_b) into the column functional F."""
+    for p, co in enumerate(vec):
+        if not co or p == b:
+            continue
+        pi, sgn = lay.atom(p, b)
+        val = factor * co * sgn
+        for s in range(n):
+            acc = F.setdefault(pi * n + s, [0] * n)
+            acc[s] = acc[s] + val
+
+
+def walk_words(table, n, length, lay=None):
+    """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
+
+    Depth-first over the letters, so a shared prefix is evaluated once, and a
+    branch is pruned as soon as its value and its tangent both vanish.
+    Yields (index, value, tangent) for every word left: the index has the
+    base-n digits a1..aL, the value is a dense vector or None when zero.
+    With a Layout the tangent is the derivative of the word at mu along a
+    2-cochain sigma, {sigma column: dense vector}, carried forward as
+    F <- mu(F, e_b) + sigma(v, e_b); without one it stays {} (values only).
+    """
+
+    def extend(index, depth, v, tangent):
+        if depth == length:
+            yield index, v, tangent
+            return
+        for b in range(n):
+            t2 = {}
+            for col, vec in tangent.items():
+                w = _brv(table, n, vec, b)
+                if w is not None:
+                    t2[col] = w
+            if lay is not None and v is not None:
+                _sigma_of_vec(t2, lay, v, b, 1, n)
+                t2 = {col: vec for col, vec in t2.items() if any(vec)}
+            v2 = None if v is None else _brv(table, n, v, b)
+            if t2 or v2 is not None:
+                yield from extend(index * n + b, depth + 1, v2, t2)
+
+    for a in range(n):
+        yield from extend(a, 1, _unit(n, a), {})
+
+
+def _letters(index, n, length):
+    """The letters a1..aL of a word: the base-n digits of its index."""
+    return tuple(index // n ** (length - 1 - p) % n for p in range(length))
+
+
 def n_k(mu, k):
     """Left-nested bracket tensor: nonzero values on basis (k+1)-tuples.
 
@@ -184,38 +323,17 @@ def n_k(mu, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = mu.n
-    out = {}
-
-    def extend(letters, v, depth):
-        if depth == k + 1:
-            out[letters] = list(v)
-            return
-        for b in range(n):
-            w = _br_vec_basis(mu, v, b)
-            if any(w):
-                extend(letters + (b,), w, depth + 1)
-
-    for a in range(n):
-        for b in range(n):
-            v = mu.bracket_basis(a, b)
-            if v:
-                vec = [0] * n
-                for kk, co in v.items():
-                    vec[kk] = co
-                extend((a, b), vec, 2)
-    return out
+    n, table = _dense_table(mu, scaled=False)
+    return {_letters(i, n, k + 1): v for i, v, _ in walk_words(table, n, k + 1)}
 
 
 def n_k_value(mu, k, letters):
     if len(letters) != k + 1:
         raise DimensionMismatch(f"expected {k + 1} arguments")
-    coeffs = mu.bracket_basis(letters[0], letters[1])
-    v = [0] * mu.n
-    for kk, co in coeffs.items():
-        v[kk] = co
-    for b in letters[2:]:
-        v = _br_vec_basis(mu, v, b)
+    n, table = _dense_table(mu, scaled=False)
+    v = _unit(n, letters[0])
+    for b in letters[1:]:
+        v = _brv(table, n, v, b) or [0] * n
     return v
 
 
@@ -227,55 +345,35 @@ def sn_k(mu, k):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = mu.n
-    if k == 2:
-        tails = {(a,): _unit(n, a) for a in range(n)}
-    else:
-        tails = n_k(mu, k - 2)
+    n, table = _dense_table(mu, scaled=False)
+    tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(table, n, k - 1)]
     out = {}
     for i in range(n):
         for j in range(n):
-            coeffs = mu.bracket_basis(i, j)
-            if not coeffs:
+            a = table[i][j]
+            if a is None:
                 continue
-            a = [0] * n
-            for kk, co in coeffs.items():
-                a[kk] = co
-            for tail, bvec in tails.items():
-                w = _br_vec_vec(mu, a, bvec)
-                if any(w):
+            for tail, bvec in tails:
+                w = _brvv(table, n, a, bvec)
+                if w is not None:
                     out[(i, j) + tail] = w
     return out
 
 
 def sn_k_value(mu, k, letters):
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if len(letters) != k + 1:
         raise DimensionMismatch(f"expected {k + 1} arguments")
+    n, table = _dense_table(mu, scaled=False)
     a = n_k_value(mu, 1, letters[:2])
-    if k == 2:
-        b = _unit(mu.n, letters[2])
-    else:
-        b = n_k_value(mu, k - 2, letters[2:])
-    return _br_vec_vec(mu, a, b)
+    return _brvv(table, n, a, n_k_value(mu, k - 2, letters[2:])) or [0] * n
 
 
 def _unit(n, i):
     v = [0] * n
     v[i] = 1
     return v
-
-
-def _br_vec_vec(mu, x, y):
-    out = [0] * mu.n
-    for p, cp in enumerate(x):
-        if not cp:
-            continue
-        for q, cq in enumerate(y):
-            if cq and q != p:
-                co = cp * cq
-                for m, w in mu.bracket_basis(p, q).items():
-                    out[m] = out[m] + co * w
-    return out
 
 
 # -- subspaces and series --------------------------------------------------------
@@ -348,6 +446,10 @@ def lower_central_series(mu):
     """g^0 = g, g^i = [g^{i-1}, g]; stops at 0 or at stabilization."""
     if not is_lie(mu):
         raise NotLieAlgebra("lower central series needs the Jacobi identity")
+    return _central_series(mu)
+
+
+def _central_series(mu):
     full = Subspace.full(mu.n)
     series = [full]
     while True:
@@ -357,6 +459,16 @@ def lower_central_series(mu):
         series.append(nxt)
         if nxt.dim == 0:
             return series
+
+
+def n_k_vanishes(mu, k):
+    """N_k(mu) = 0, decided by the lower central series in polynomial time.
+
+    For any bilinear bracket g^k is spanned by the left-nested (k+1)-letter
+    words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.
+    """
+    series = _central_series(mu)
+    return series[min(k, len(series) - 1)].dim == 0
 
 
 def nil_index(mu):

@@ -36,6 +36,13 @@ def test_info_table_text_file(tmp_path, capsys):
     assert code == 0 and "5-dim" in out and "2-step" in out
 
 
+def test_cohomology_rejects_a_perfect_algebra_at_large_k(tmp_path, capsys):
+    path = tmp_path / "sl2.txt"
+    path.write_text("dim 3\nab = c, ca = 2a, cb = -2b\n")
+    code, _, err = run(capsys, "cohomology", str(path), "--k", "30")
+    assert code == 2 and "not (at most) 30-step nilpotent" in err
+
+
 def test_info_parse_error_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("ab = c,\nac = ?\n")

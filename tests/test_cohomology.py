@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_rank, random_structure
 from nilcohom.cohomology import (
@@ -18,12 +20,58 @@ from nilcohom.cohomology import (
     h2_dim,
     h2_knil,
     iter_dnk_rows,
+    iter_dsnk_rows,
     orbit_dim,
     parse_constraint,
 )
 from nilcohom.errors import NotInVariety, NotLieAlgebra
-from nilcohom.liealg import StructureConstants, jacobi, n_k, pencil, sn_k
+from nilcohom.liealg import StructureConstants, change_basis, jacobi, n_k, pencil, sn_k
 from nilcohom.linalg import ExactMatrix, kernel_basis, rank
+from nilcohom.polynomials import MultiPoly
+from nilcohom.scalars import FIELD_QI, QI
+from nilcohom.tables import SymbolicTable
+
+# the printed (z, b, h) of the eight non-abelian nilpotent algebras of dim 5
+DIM5_TABLE = {
+    ("f_3+R^2", 2): (20, 9, 11),
+    ("g_{5,1}", 2): (10, 10, 0),
+    ("g_{5,2}", 2): (12, 12, 0),
+    ("f_4+R", 3): (18, 14, 4),
+    ("g_{5,3}", 3): (17, 15, 2),
+    ("g_{5,4}", 3): (15, 15, 0),
+    ("f_5", 4): (17, 16, 1),
+    ("g_{5,6}", 4): (17, 17, 0),
+}
+
+# sl(2): ab = c, ca = 2a, cb = -2b; perfect, so in no k-step variety
+SL2 = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
+
+
+def _with_entries(mu, fn, field=None):
+    """mu with every structure constant v replaced by fn(v)."""
+    brackets = {p: {k: fn(v) for k, v in c.items()} for p, c in mu.c.items()}
+    return StructureConstants(mu.n, brackets, field or mu.field)
+
+
+def _g53_tables(catalog):
+    """g_{5,3} as printed, and in the basis diag(2, 3, 1, 1, 1), where its
+    structure constants have the denominators 6, 2 and 3."""
+    mu = catalog.structure("g_{5,3}")
+    d = (2, 3, 1, 1, 1)
+    return mu, change_basis(mu, [[d[i] * (i == j) for j in range(5)] for i in range(5)])
+
+
+def _assert_scaled_rows_are_one_integer_multiple(gen, mu, k):
+    """scaled=True rows are the unscaled rows times one positive integer."""
+    plain = list(gen(mu, k, scaled=False))
+    scaled = list(gen(mu, k))
+    assert [r for r, _ in scaled] == [r for r, _ in plain] and plain
+    c = Fraction(next(iter(scaled[0][1].values()))) / next(iter(plain[0][1].values()))
+    assert c.denominator == 1 and c > 0
+    for (_, row), (_, ref) in zip(scaled, plain):
+        assert all(type(v) is int for v in row.values())
+        assert row == {col: c * v for col, v in ref.items()}
+    return c
 
 
 def _tensor_from_matrix_action(mat, sigma, n, arity):
@@ -189,22 +237,31 @@ def test_differentials_vanish_at_the_abelian_point():
                                     ("sn", 3), ("sn", 4)])
 def test_word_derivative_matches_interpolated_expansion(kind, k):
     rng = random.Random(100 + k)
-    for _ in range(3):
-        mu = random_structure(4, rng)
-        sigma = random_structure(4, rng)
+    cases = [(random_structure(4, rng), random_structure(4, rng)) for _ in range(3)]
+    # a table with denominators, and a Gaussian one (in dimension 3, where
+    # the Gaussian arithmetic of the interpolation stays cheap)
+    cases.append((_with_entries(random_structure(4, rng), lambda v: v / rng.randint(2, 5)),
+                  random_structure(4, rng)))
+    cases.append((_with_entries(random_structure(3, rng), lambda v: QI(v, rng.randint(-2, 2)),
+                                FIELD_QI), random_structure(3, rng)))
+    for mu, sigma in cases:
         mat = dnk_matrix(mu, k) if kind == "n" else dsnk_matrix(mu, k)
-        got = _tensor_from_matrix_action(mat, sigma, 4, k + 1)
+        got = _tensor_from_matrix_action(mat, sigma, mu.n, k + 1)
         assert got == _linear_coefficient(mu, sigma, k, kind)
 
 
 def test_streamed_rows_match_materialized_matrix(catalog):
-    mu = catalog.structure("g_{5,3}")
-    m = dnk_matrix(mu, 3)
-    entries = {}
-    for r, row in iter_dnk_rows(mu, 3, scaled=False):
-        for c, v in row.items():
-            entries[(r, c)] = Fraction(v)
-    assert entries == m.entries
+    mu, rescaled = _g53_tables(catalog)
+    for table in (mu, rescaled):
+        m = dnk_matrix(table, 3)
+        entries = {}
+        for r, row in iter_dnk_rows(table, 3, scaled=False):
+            for c, v in row.items():
+                entries[(r, c)] = Fraction(v)
+        assert entries == m.entries
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_dnk_rows, mu, 3) == 1
+    # the derivative of N_3 is quadratic in mu, and the table is scaled by 6
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_dnk_rows, rescaled, 3) == 36
 
 
 def test_stacked_kernel_dimension(catalog):
@@ -232,15 +289,16 @@ def test_streaming_rank_cross_check_against_kernel(catalog):
 
 
 def test_streamed_split_rows_match_materialized_matrix(catalog):
-    mu = catalog.structure("g_{5,3}")
-    from nilcohom.cohomology import iter_dsnk_rows
-
-    m = dsnk_matrix(mu, 3)
-    entries = {}
-    for r, row in iter_dsnk_rows(mu, 3, scaled=False):
-        for c, v in row.items():
-            entries[(r, c)] = Fraction(v)
-    assert entries == m.entries
+    mu, rescaled = _g53_tables(catalog)
+    for table in (mu, rescaled):
+        m = dsnk_matrix(table, 3)
+        entries = {}
+        for r, row in iter_dsnk_rows(table, 3, scaled=False):
+            for c, v in row.items():
+                entries[(r, c)] = Fraction(v)
+        assert entries == m.entries
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_dsnk_rows, mu, 3) == 1
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_dsnk_rows, rescaled, 3) == 36
 
 
 def test_h2_reports(catalog):
@@ -262,6 +320,16 @@ def test_h2_knil_validates_the_variety(catalog):
     bad = StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}})
     with pytest.raises(NotInVariety):
         h2_knil(bad, 3)
+
+
+def test_k_step_guard_is_polynomial_in_k():
+    # enumerating the 3^31 words of N_30 would never finish
+    with pytest.raises(NotInVariety, match="not \\(at most\\) 30-step nilpotent"):
+        h2_knil(StructureConstants(3, SL2), 30)
+    table = SymbolicTable(3, {p: {k: MultiPoly.const(v) for k, v in c.items()}
+                              for p, c in SL2.items()})
+    with pytest.raises(NotInVariety, match="violates N_30 = 0"):
+        augmented_exactness(table, {}, (), "n30")
 
 
 def test_h2_dim(catalog):
@@ -298,21 +366,30 @@ def test_image_of_d1_inside_every_word_kernel(catalog):
         assert dnk_matrix(mu, k).matmul(d1_matrix(mu)).is_zero(), name
 
 
-def test_h2_knil_invariant_under_basis_change(catalog):
-    from nilcohom.liealg import change_basis
+@st.composite
+def _dim5_in_a_new_basis(draw):
+    """A printed dim-5 algebra and a product of 1-4 transvections I + c E_ij
+    with rational or Gaussian c."""
+    (name, k), zbh = draw(st.sampled_from(sorted(DIM5_TABLE.items())))
+    coeffs = draw(st.sampled_from(((1, -1, 2, Fraction(1, 2), Fraction(-1, 3)),
+                                   (QI(0, 1), QI(0, -1), QI(1, 1), QI(1, -1)))))
+    g = [[Fraction(i == j) for j in range(5)] for i in range(5)]
+    pair = st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True)
+    for (i, j), c in draw(st.lists(st.tuples(pair, st.sampled_from(coeffs)),
+                                   min_size=1, max_size=4)):
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    return name, k, zbh, g
 
-    rng = random.Random(77)
-    mu = catalog.structure("g_{5,4}")
-    base = h2_knil(mu, 3)
-    moved = None
-    while moved is None:
-        g = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
-        try:
-            moved = change_basis(mu, g)
-        except Exception:
-            moved = None
-    rep = h2_knil(moved, 3)
-    assert (rep.z, rep.b, rep.h) == (base.z, base.b, base.h)
+
+# a dense integer basis, which the transvection products above never reach
+@example(("g_{5,4}", 3, (15, 15, 0), [[0, 0, -1, -1, -1], [-2, 0, 1, 2, 2], [-1, -1, 2, 2, -2],
+                                      [0, -2, 1, -1, -1], [2, 1, -1, 0, 0]]))
+@settings(max_examples=10, deadline=None)
+@given(_dim5_in_a_new_basis())
+def test_h2_knil_invariant_under_basis_change(catalog, case):
+    name, k, zbh, g = case
+    rep = h2_knil(change_basis(catalog.structure(name), g), k)
+    assert (rep.z, rep.b, rep.h) == zbh
 
 
 def test_parse_constraint():
