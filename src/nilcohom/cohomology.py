@@ -12,10 +12,15 @@ SN_k (``liealg.walk_words``), run in forward mode: each word carries its
 value and its tangent functional, one letter at a time, so the tall matrices
 (for example the 7^6-tuple one in dimension 7) are streamed and never
 stored.  The split word combines each inner word with every leading pair by
-the product rule.  Rows are scaled to integers (per-row scaling never
-changes rank or kernel), which keeps the whole pipeline on the integer
-reducer.  Membership in the k-step variety is checked by the lower central
-series, in polynomial time, not by enumerating the words.
+the product rule.  Both words are antisymmetric in their first two letters,
+and the split word also in its third and fourth (through the inner word),
+so the streams carry one row per unordered pair: every row left out is an
+emitted row up to sign, or zero, and the row space (hence rank, kernel and
+the canonical reduced rows) is that of the full matrix.  Rows are scaled to
+integers (per-row scaling never changes rank or kernel), which keeps the
+whole pipeline on the integer reducer.  Membership in the k-step and split
+varieties is checked by the lower central series, in polynomial time, not
+by enumerating the words.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .liealg import (
     _unit,
     is_lie,
     n_k_vanishes,
-    sn_k,
+    sn_k_vanishes,
     walk_words,
 )
 from .linalg import ExactMatrix, _Reducer, in_kernel, rank
@@ -157,11 +162,17 @@ def _emit_rows(index, tangent, n):
 
 
 def iter_dnk_rows(mu, k, scaled=True):
-    """Sparse rows of the derivative of the k-fold nested bracket at mu."""
+    """Sparse rows of the derivative of the k-fold nested bracket at mu.
+
+    One row per unordered leading pair: only the words with a1 < a2 are
+    emitted.  The word and its derivative are antisymmetric in (a1, a2), so
+    every row left out is minus an emitted one (or zero, at a1 = a2) and the
+    row space is the full matrix's; ``dnk_matrix`` puts the mirrors back.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     n, table = _dense_table(mu, scaled)
-    for index, _, tangent in walk_words(table, n, k + 1, Layout(n)):
+    for index, _, tangent in walk_words(table, n, k + 1, Layout(n), ascending_pair=True):
         yield from _emit_rows(index, tangent, n)
 
 
@@ -169,16 +180,20 @@ def iter_dsnk_rows(mu, k, scaled=True):
     """Rows of the derivative of the split word mu(mu(x1,x2), N_{k-2}(...)).
 
     The value B and tangent of each inner (k-1)-letter word are computed once
-    and combined with every leading pair by the product rule, covering the
-    full n^(k+1) argument tuples.
+    and combined with every leading pair by the product rule.  The split
+    word is antisymmetric in (x1, x2), and for k >= 3 also in (x3, x4)
+    through the inner word, so only the tuples with x1 < x2 (and x3 < x4)
+    are emitted: every row left out is plus or minus an emitted one, or
+    zero, and the row space is the full matrix's.  ``dsnk_matrix`` puts the
+    mirrors back.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     lay = Layout(mu.n)
     n, table = _dense_table(mu, scaled)
-    heads = [(x1, x2, table[x1][x2]) for x1 in range(n) for x2 in range(n)]
+    heads = [(x1, x2, table[x1][x2]) for x1 in range(n) for x2 in range(x1 + 1, n)]
     tail_span = n ** (k - 1)
-    for tailidx, bvec, ftail in walk_words(table, n, k - 1, lay):
+    for tailidx, bvec, ftail in walk_words(table, n, k - 1, lay, ascending_pair=True):
         mu_es_b = [bvec and _brvv(table, n, _unit(n, s), bvec) for s in range(n)]
         for x1, x2, a in heads:
             F = {}
@@ -187,14 +202,14 @@ def iter_dsnk_rows(mu, k, scaled=True):
                     w = _brvv(table, n, a, vec)
                     if w is not None:
                         F[col] = w
-            if x1 != x2 and bvec is not None:
-                pi, sgn = lay.atom(x1, x2)
+            if bvec is not None:
+                pi = lay.pair_index[(x1, x2)]
                 for s in range(n):
                     if mu_es_b[s] is not None:
                         acc = F.setdefault(pi * n + s, [0] * n)
                         for m, w in enumerate(mu_es_b[s]):
                             if w:
-                                acc[m] = acc[m] + sgn * w
+                                acc[m] = acc[m] + w
             if a is not None and bvec is not None:
                 sup = [p for p in range(n) if a[p] or bvec[p]]
                 for ii, p in enumerate(sup):
@@ -209,22 +224,40 @@ def iter_dsnk_rows(mu, k, scaled=True):
                 yield from _emit_rows((x1 * n + x2) * tail_span + tailidx, F, n)
 
 
-def _materialize(mu, k, rows):
+def _swap_letters(r, n, w):
+    """Row index r with its letters of weight w*n and w swapped."""
+    a, b = r // (w * n) % n, r // w % n
+    return r + (b - a) * (w * n - w)
+
+
+def _materialize(mu, k, rows, swaps):
+    """The full matrix from a stream of one row per antisymmetry orbit.
+
+    Row r = index * n + m carries the k+1 letters of its word; swapping the
+    letters at positions (p, p+1) for p in ``swaps`` negates a row, so each
+    streamed row is stored with its mirrors, the same row signed.
+    """
+    n = mu.n
     entries = {}
     for r, row in rows:
-        for c, v in row.items():
-            entries[(r, c)] = v
-    return ExactMatrix(mu.n ** (k + 1) * mu.n, Layout(mu.n).dim2, entries, mu.field)
+        images = [(r, 1)]
+        for p in swaps:
+            images += [(_swap_letters(s, n, n ** (k - p)), -sgn) for s, sgn in images]
+        for s, sgn in images:
+            for c, v in row.items():
+                entries[(s, c)] = sgn * v
+    return ExactMatrix(n ** (k + 1) * n, Layout(n).dim2, entries, mu.field)
 
 
 def dnk_matrix(mu, k) -> ExactMatrix:
     """Materialized derivative of the nested word (moderate n, k only)."""
-    return _materialize(mu, k, iter_dnk_rows(mu, k, scaled=False))
+    return _materialize(mu, k, iter_dnk_rows(mu, k, scaled=False), (0,))
 
 
 def dsnk_matrix(mu, k) -> ExactMatrix:
     """Materialized derivative of the split word (moderate n, k only)."""
-    return _materialize(mu, k, iter_dsnk_rows(mu, k, scaled=False))
+    swaps = (0, 2) if k >= 3 else (0,)
+    return _materialize(mu, k, iter_dsnk_rows(mu, k, scaled=False), swaps)
 
 
 # -- cohomology reports ------------------------------------------------------------
@@ -365,7 +398,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
         raise NotInVariety("point violates the Jacobi identity")
     if kind == "n" and not n_k_vanishes(mu, k):
         raise NotInVariety(f"point violates N_{k} = 0")
-    if kind == "sn" and sn_k(mu, k):
+    if kind == "sn" and not sn_k_vanishes(mu, k):
         raise NotInVariety(f"point violates SN_{k} = 0")
     lay = Layout(mu.n)
     cols = []

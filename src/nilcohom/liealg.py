@@ -277,7 +277,7 @@ def _sigma_of_vec(F, lay, vec, b, factor, n):
             acc[s] = acc[s] + val
 
 
-def walk_words(table, n, length, lay=None):
+def walk_words(table, n, length, lay=None, ascending_pair=False):
     """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
 
     Depth-first over the letters, so a shared prefix is evaluated once, and a
@@ -287,13 +287,18 @@ def walk_words(table, n, length, lay=None):
     With a Layout the tangent is the derivative of the word at mu along a
     2-cochain sigma, {sigma column: dense vector}, carried forward as
     F <- mu(F, e_b) + sigma(v, e_b); without one it stays {} (values only).
+
+    With ``ascending_pair`` only the words with a1 < a2 are walked.  Value
+    and tangent are antisymmetric in (a1, a2), as mu and sigma are, so the
+    word at (a2, a1, ...) is exactly minus the one at (a1, a2, ...) and the
+    word at a1 = a2 is zero.
     """
 
     def extend(index, depth, v, tangent):
         if depth == length:
             yield index, v, tangent
             return
-        for b in range(n):
+        for b in range(index + 1 if ascending_pair and depth == 1 else 0, n):
             t2 = {}
             for col, vec in tangent.items():
                 w = _brv(table, n, vec, b)
@@ -450,14 +455,28 @@ def lower_central_series(mu):
 
 
 def _central_series(mu):
-    full = Subspace.full(mu.n)
-    series = [full]
+    """The lower central series without the Jacobi check.
+
+    g^i is spanned by mu(u, e_b) over the basis rows u of g^{i-1}, taken on
+    the dense table cleared of denominators.  Over Q the span is the integral
+    RowBasis, made monic only for the Subspace it returns.
+    """
+    n, table = _dense_table(mu, scaled=True)
+    series = [Subspace.full(n)]
+    rows = [_unit(n, i) for i in range(n)]
     while True:
-        nxt = _bracket_space(mu, series[-1], full)
-        if nxt.dim == series[-1].dim:
+        basis = RowBasis(n, integral=mu.field == FIELD_Q)
+        for u in rows:
+            for b in range(n):
+                w = _brv(table, n, u, b)
+                if w is not None:
+                    basis.add({c: x for c, x in enumerate(w) if x})
+        if basis.rank == len(rows):
             return series
-        series.append(nxt)
-        if nxt.dim == 0:
+        rows = basis.basis_rows()
+        basis.to_field()
+        series.append(Subspace(n, [tuple(r) for r in basis.basis_rows()]))
+        if not rows:
             return series
 
 
@@ -469,6 +488,26 @@ def n_k_vanishes(mu, k):
     """
     series = _central_series(mu)
     return series[min(k, len(series) - 1)].dim == 0
+
+
+def sn_k_vanishes(mu, k):
+    """SN_k(mu) = 0, decided by the lower central series in polynomial time.
+
+    The leading pairs mu(x1, x2) span g^1 and the inner words span g^{k-2}
+    (g^0 = g), so SN_k = 0 iff mu(g^1, g^{k-2}) = 0.  Jacobi is not assumed:
+    g^i lies in g^{i-1} for any bilinear bracket, so once the series stops
+    its last term stands for every later one.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    series = _central_series(mu)
+    last = len(series) - 1
+    n, table = _dense_table(mu, scaled=False)
+    return all(
+        _brvv(table, n, u, v) is None
+        for u in series[min(1, last)].rows
+        for v in series[min(k - 2, last)].rows
+    )
 
 
 def nil_index(mu):

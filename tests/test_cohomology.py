@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import dense_rank, random_structure
 from nilcohom.cohomology import (
     Layout,
+    _constraint_reducer,
     augmented_exactness,
     cochain_vector,
     d1_matrix,
@@ -26,7 +27,7 @@ from nilcohom.cohomology import (
 )
 from nilcohom.errors import NotInVariety, NotLieAlgebra
 from nilcohom.liealg import StructureConstants, change_basis, jacobi, n_k, pencil, sn_k
-from nilcohom.linalg import ExactMatrix, kernel_basis, rank
+from nilcohom.linalg import ExactMatrix, kernel_basis, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_QI, QI
 from nilcohom.tables import SymbolicTable
@@ -72,6 +73,44 @@ def _assert_scaled_rows_are_one_integer_multiple(gen, mu, k):
         assert all(type(v) is int for v in row.values())
         assert row == {col: c * v for col, v in ref.items()}
     return c
+
+
+def _mirror_images(r, n, k, kind):
+    """(row, sign) of every row the word's antisymmetries tie to row r:
+    swapping letters 1 and 2 negates, and for the split word with k >= 3 so
+    does swapping letters 3 and 4."""
+    index, m = divmod(r, n)
+    letters = [index // n ** (k - p) % n for p in range(k + 1)]
+    swaps = [0, 2] if kind == "sn" and k >= 3 else [0]
+    out = []
+    for mask in range(1 << len(swaps)):
+        word, sign = list(letters), 1
+        for bit, p in enumerate(swaps):
+            if mask >> bit & 1:
+                word[p], word[p + 1] = word[p + 1], word[p]
+                sign = -sign
+        index = 0
+        for a in word:
+            index = index * n + a
+        out.append((index * n + m, sign))
+    return out
+
+
+def _matrix_rows(m):
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def _streamed_entries_with_mirrors(gen, mu, k, kind):
+    """Entries of the streamed rows together with their mirrored rows."""
+    entries = {}
+    for r, row in gen(mu, k, scaled=False):
+        for image, sign in _mirror_images(r, mu.n, k, kind):
+            for c, v in row.items():
+                entries[(image, c)] = sign * v
+    return entries
 
 
 def _tensor_from_matrix_action(mat, sigma, n, arity):
@@ -254,11 +293,7 @@ def test_streamed_rows_match_materialized_matrix(catalog):
     mu, rescaled = _g53_tables(catalog)
     for table in (mu, rescaled):
         m = dnk_matrix(table, 3)
-        entries = {}
-        for r, row in iter_dnk_rows(table, 3, scaled=False):
-            for c, v in row.items():
-                entries[(r, c)] = Fraction(v)
-        assert entries == m.entries
+        assert _streamed_entries_with_mirrors(iter_dnk_rows, table, 3, "n") == m.entries
     assert _assert_scaled_rows_are_one_integer_multiple(iter_dnk_rows, mu, 3) == 1
     # the derivative of N_3 is quadratic in mu, and the table is scaled by 6
     assert _assert_scaled_rows_are_one_integer_multiple(iter_dnk_rows, rescaled, 3) == 36
@@ -275,8 +310,6 @@ def test_stacked_kernel_dimension(catalog):
 
 def test_streaming_rank_cross_check_against_kernel(catalog):
     # compact form of the tall constraint matrix: the retained basis rows
-    from nilcohom.cohomology import _constraint_reducer
-
     mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
     red = _constraint_reducer(mu, "sn", 5)
     compact = ExactMatrix.from_dense(red.basis_rows())
@@ -292,13 +325,44 @@ def test_streamed_split_rows_match_materialized_matrix(catalog):
     mu, rescaled = _g53_tables(catalog)
     for table in (mu, rescaled):
         m = dsnk_matrix(table, 3)
-        entries = {}
-        for r, row in iter_dsnk_rows(table, 3, scaled=False):
-            for c, v in row.items():
-                entries[(r, c)] = Fraction(v)
-        assert entries == m.entries
+        assert _streamed_entries_with_mirrors(iter_dsnk_rows, table, 3, "sn") == m.entries
     assert _assert_scaled_rows_are_one_integer_multiple(iter_dsnk_rows, mu, 3) == 1
     assert _assert_scaled_rows_are_one_integer_multiple(iter_dsnk_rows, rescaled, 3) == 36
+
+
+@pytest.mark.parametrize("kind,k", [("n", 1), ("n", 2), ("n", 3), ("n", 4), ("sn", 2),
+                                    ("sn", 3), ("sn", 4)])
+def test_stream_is_one_row_per_antisymmetry_orbit(kind, k):
+    rng = random.Random(200 + k)
+    tables = [
+        random_structure(4, rng),
+        _with_entries(random_structure(4, rng), lambda v: v / rng.randint(2, 5)),
+        _with_entries(random_structure(3, rng), lambda v: QI(v, rng.randint(-2, 2)), FIELD_QI),
+    ]
+    gen, build = (iter_dnk_rows, dnk_matrix) if kind == "n" else (iter_dsnk_rows, dsnk_matrix)
+    for mu in tables:
+        m = build(mu, k)
+        full = _matrix_rows(m)
+        streamed = list(gen(mu, k, scaled=False))
+        assert streamed
+        # (a) every streamed row is the matrix row at its index
+        for r, row in streamed:
+            assert row == full[r], (r, mu)
+        # (b) the stream spans the same row space as the whole matrix
+        ncols = Layout(mu.n).dim2
+        assert (reduce_rows((row for _, row in streamed), ncols, mu.field).sparse_rows()
+                == reduce_rows(full.values(), ncols, mu.field).sparse_rows())
+        # (c) every other nonzero row mirrors a streamed row, signed
+        assert _streamed_entries_with_mirrors(gen, mu, k, kind) == m.entries
+
+
+def test_halved_split_stream_keeps_the_constraint_rows(catalog):
+    mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    full = _matrix_rows(dsnk_matrix(mu, 5))
+    assert len(full) == 4 * sum(1 for _ in iter_dsnk_rows(mu, 5)) == 6664
+    d2_rows = (dict(zip(cols, vals)) for cols, vals in d2_matrix(mu).iter_rows() if cols)
+    ref = reduce_rows(chain(d2_rows, full.values()), Layout(7).dim2, mu.field)
+    assert _constraint_reducer(mu, "sn", 5).sparse_rows() == ref.sparse_rows()
 
 
 def test_h2_reports(catalog):
@@ -330,6 +394,9 @@ def test_k_step_guard_is_polynomial_in_k():
                               for p, c in SL2.items()})
     with pytest.raises(NotInVariety, match="violates N_30 = 0"):
         augmented_exactness(table, {}, (), "n30")
+    # and the 3^29 inner words of SN_30
+    with pytest.raises(NotInVariety, match="violates SN_30 = 0"):
+        augmented_exactness(table, {}, (), "sn30")
 
 
 def test_h2_dim(catalog):

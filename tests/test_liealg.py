@@ -30,10 +30,11 @@ from nilcohom.liealg import (
     semidirect_by_derivation,
     sn_k,
     sn_k_value,
+    sn_k_vanishes,
     solvable_length,
     table_in_basis,
 )
-from nilcohom.scalars import QI
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import parse_table
 
 # every algebra with a hard-coded table, with its nilpotency step
@@ -60,6 +61,19 @@ NILPOTENT_CATALOG = [
     ("g_{247K}", 3),
     ("g_{247K}-GR", 3),
 ]
+
+DIM5 = ("f_3+R^2", "g_{5,1}", "g_{5,2}", "f_4+R", "g_{5,3}", "g_{5,4}", "f_5", "g_{5,6}")
+DIM7_3STEP = ("g_{137A}", "g_{137B}", "g_{137A_1}", "g_{137B_1}", "g_{137D}", "g_{147D}",
+              "g_{247G}", "g_{247H}", "g_{247K}")
+# the published sample points of the two 7-dimensional surfaces
+CURVE_POINTS = (
+    ("g_5(r,t)", 1, 1),
+    ("g_5(r,t)", 2, 3),
+    ("g_5(r,t)", -1, 2),
+    ("g_6(r,t)", 1, 1),
+    ("g_6(r,t)", 2, 3),
+    ("g_6(r,t)", Fraction(1, 2), Fraction(1, 3)),
+)
 
 
 def test_bracket_is_bilinear_antisymmetric(catalog):
@@ -178,6 +192,51 @@ def test_nilpotency_implies_split_word_vanishes(catalog):
         if step >= 2:
             mu = catalog.structure(name)
             assert sn_k(mu, step) == {}, name
+
+
+def test_sn_k_vanishes_agrees_with_the_split_word(catalog):
+    tables = [catalog.structure(name) for name in DIM5 + DIM7_3STEP]
+    tables += [catalog.structure(fam, {"r": r, "t": t}) for fam, r, t in CURVE_POINTS]
+    rng = random.Random(41)
+    randoms = []
+    while len(randoms) < 12:
+        brackets = random_structure(4, rng, density=0.15).c
+        field = FIELD_QI if len(randoms) % 2 else FIELD_Q  # every other one over Q(i)
+        if field == FIELD_QI:
+            brackets = {p: {k: QI(v, rng.randint(-2, 2)) for k, v in c.items()}
+                        for p, c in brackets.items()}
+        mu = StructureConstants(4, brackets, field)
+        if not is_lie(mu):
+            randoms.append(mu)
+    for mu in tables + randoms:
+        for k in range(2, 7):
+            assert sn_k_vanishes(mu, k) == (not sn_k(mu, k)), (mu, k)
+    # the non-Jacobi brackets reach both answers
+    assert {sn_k_vanishes(mu, k) for mu in randoms for k in range(2, 7)} == {True, False}
+    with pytest.raises(ValueError):
+        sn_k_vanishes(tables[0], 1)
+
+
+def _series_oracle(mu):
+    """g^i = [g^{i-1}, g] by StructureConstants.bracket and Subspace.span."""
+    series = [Subspace.full(mu.n)]
+    units = [[Fraction(i == j) for j in range(mu.n)] for i in range(mu.n)]
+    while True:
+        vecs = [mu.bracket(list(u), e) for u in series[-1].rows for e in units]
+        nxt = Subspace.span(vecs, mu.n)
+        if nxt.dim == series[-1].dim:
+            return series
+        series.append(nxt)
+        if nxt.dim == 0:
+            return series
+
+
+def test_lower_central_series_rows_match_the_bracket_oracle(catalog):
+    tables = [catalog.structure(name) for name, _ in NILPOTENT_CATALOG]
+    tables += [catalog.structure(fam, {"r": r, "t": t}) for fam, r, t in CURVE_POINTS]
+    for mu in tables:
+        got = lower_central_series(mu)
+        assert [s.rows for s in got] == [s.rows for s in _series_oracle(mu)], mu
 
 
 def test_change_basis_identity_and_inverse(catalog):
