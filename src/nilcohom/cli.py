@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``info``, ``cohomology``, ``exactness``, ``ideal``,
-``reproduce``, ``bench``.  Exit codes: 0 success/pass, 1 computed mismatch
+``reproduce``.  Exit codes: 0 success/pass, 1 computed mismatch
 (failed reproduction item, non-exact sequence, membership not found),
 2 usage or parse error, 3 a capped computation hit its resource limit.
 
@@ -14,28 +14,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from . import catalog as cat_mod
 from .catalog import Catalog, named_polynomial
-from .cohomology import augmented_exactness, d1_matrix, h2_knil
-from .errors import (
-    ExternalDataRequired,
-    NilcohomError,
-    ResourceCapExceeded,
-    TableError,
-    UnknownAlgebra,
-)
+from .cohomology import augmented_exactness, derivation_dim, h2_knil
+from .errors import NilcohomError, ResourceCapExceeded, TableError
 from .ideals import generators, member_bounded, nilpotency_ideal, non_membership
 from .jsonio import algebra_from_dict
 from .liealg import is_lie, nil_index, solvable_length
-from .linalg import RowBasis, rank
 from .polynomials import format_poly, parse_tpoly
 from .tables import parse_table
 
@@ -96,9 +87,8 @@ def cmd_info(args, catalog):
         step = nil_index(mu)
         info["nil_step"] = step
         info["solvable_length"] = solvable_length(mu)
-        b = rank(d1_matrix(mu)).rank
-        info["derivation_dim"] = mu.n * mu.n - b
-        info["orbit_dim"] = b
+        info["derivation_dim"] = derivation_dim(mu)
+        info["orbit_dim"] = mu.n * mu.n - info["derivation_dim"]
     if args.json:
         _print_json(info)
         return 0
@@ -229,8 +219,6 @@ def cmd_reproduce(args, catalog):
             line = f"[{mark}] {item.name}: {item.computed}"
             if item.status == "fail":
                 line += f"  (expected {item.expected})"
-            if item.status == "skip":
-                line = f"[{mark}] {item.name}: {item.computed}"
             print(line)
         c = report.counts
         print(f"suite {report.suite}: {c['pass']} passed, {c['fail']} failed,"
@@ -238,54 +226,6 @@ def cmd_reproduce(args, catalog):
         if report.pack:
             print(f"data pack: {report.pack} (sha256 {report.pack_checksum})")
     return 0 if report.passed else 1
-
-
-def cmd_bench(args, catalog):
-    rows = []
-    if args.surface:
-        from .cohomology import d2_matrix, iter_dsnk_rows
-
-        mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
-        ncols = 147
-        for cols, vals in d2_matrix(mu).iter_rows():
-            if cols:
-                rows.append(dict(zip(cols, map(int, vals))))
-        rows.extend(row for _, row in iter_dsnk_rows(mu, 5))
-        label = "tangent-complex rows of the 7-dim surface at (1,1)"
-    else:
-        rng = random.Random(args.seed)
-        ncols = args.cols
-        for _ in range(args.rows):
-            nnz = rng.randint(3, 12)
-            cs = sorted(rng.sample(range(ncols), nnz))
-            rows.append({c: rng.randint(-9, 9) or 1 for c in cs})
-        label = f"{args.rows} random sparse rows, {ncols} columns"
-
-    def reduce(stream):
-        basis = RowBasis(ncols, integral=True)
-        for row in stream:
-            basis.add(dict(row))
-        return basis
-
-    t0 = time.perf_counter()
-    basis = reduce(rows)
-    seconds = time.perf_counter() - t0
-    # the retained rows are canonical, so the reversed stream must give them too
-    agree = reduce(reversed(rows)).basis_rows() == basis.basis_rows()
-    if args.json:
-        _print_json({
-            "workload": label,
-            "rows": len(rows),
-            "cols": ncols,
-            "rank": basis.rank,
-            "seconds": {"python": round(seconds, 4)},
-            "identical_results": agree,
-        })
-    else:
-        print(f"workload: {label} ({len(rows)} rows)")
-        print(f"  python: {seconds:.4f} s  (rank {basis.rank})")
-        print(f"  identical retained rows from the reversed stream: {agree}")
-    return 0 if agree else 1
 
 
 def build_parser():
@@ -351,15 +291,6 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reproduce)
 
-    p = sub.add_parser("bench", help="time the sparse row reducer and check that its"
-                       " retained rows do not depend on the row order")
-    p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--cols", type=int, default=147)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--surface", action="store_true",
-                   help="use the real tall-matrix workload instead of random rows")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_bench)
     return ap
 
 
@@ -375,13 +306,7 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 3
-    except (TableError, UnknownAlgebra, ExternalDataRequired) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NilcohomError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (NilcohomError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

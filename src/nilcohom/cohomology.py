@@ -6,6 +6,12 @@ at column pair_index(i,j)*n + k; 3-cochains use ordered triples the same way.
 The multilinear operators map into full tensor powers, so their differentials
 are indexed by arbitrary (k+1)-tuples of basis letters.
 
+Every differential reaches the reducer in one format, sparse {column: value}
+dicts built from the dense bracket table: d1 as its columns (d1 of each
+basis 1-cochain), d2 and the word derivatives dN_k, dSN_k as their rows.
+The certificates only ever stream them; ``ExactMatrix`` is built only by
+the public ``*_matrix`` functions, from the same streams.
+
 The derivative of a nested bracket word at mu is the sum over replacing one
 mu by sigma.  The rows come from the same word walker that evaluates N_k and
 SN_k (``liealg.walk_words``), run in forward mode: each word carries its
@@ -16,9 +22,14 @@ the product rule.  Both words are antisymmetric in their first two letters,
 and the split word also in its third and fourth (through the inner word),
 so the streams carry one row per unordered pair: every row left out is an
 emitted row up to sign, or zero, and the row space (hence rank, kernel and
-the canonical reduced rows) is that of the full matrix.  Rows are scaled to
-integers (per-row scaling never changes rank or kernel), which keeps the
-whole pipeline on the integer reducer.  Membership in the k-step and split
+the canonical reduced rows) is that of the full matrix.
+
+The streams read the table scaled to integers by one global factor
+(``scaled=True``, over Q).  Each differential is homogeneous in mu (d1 and
+d2 are linear), so that multiplies all its rows or columns by one positive
+integer, changes no span, rank or containment, and keeps the whole
+pipeline on the integer reducer.  The tangent columns of
+``augmented_exactness`` stay unscaled.  Membership in the k-step and split
 varieties is checked by the lower central series, in polynomial time, not
 by enumerating the words.
 """
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NotInVariety, NotLieAlgebra
 from .liealg import (
@@ -41,7 +53,7 @@ from .liealg import (
     sn_k_vanishes,
     walk_words,
 )
-from .linalg import ExactMatrix, _Reducer, in_kernel, rank
+from .linalg import ExactMatrix, in_kernel, reduce_rows
 
 
 def cochain_vector(sigma: StructureConstants):
@@ -54,49 +66,70 @@ def cochain_vector(sigma: StructureConstants):
     return v
 
 
-# -- small materialized differentials -------------------------------------------
+# -- streamed differentials -----------------------------------------------------
 
 
-def d1_matrix(mu) -> ExactMatrix:
-    """alpha |-> mu(x, alpha y) + mu(alpha x, y) - alpha(mu(x, y)): n^2 -> C(n,2)*n."""
+def _emit_rows(index, tangent, n):
+    """One sparse row {column: value} per output coordinate m of a linear
+    map given as {column: dense vector} (a word's tangent, or d2 on one
+    triple), at row index * n + m."""
+    rows = {}
+    for col, vec in tangent.items():
+        for m, v in enumerate(vec):
+            if v:
+                rows.setdefault(m, {})[col] = v
+    for m in sorted(rows):
+        yield index * n + m, rows[m]
+
+
+def iter_d1_columns(mu, scaled=True):
+    """d1 of each basis 1-cochain, as a sparse 2-cochain {column: value}.
+
+    d1(alpha)(x, y) = mu(x, alpha y) + mu(alpha x, y) - alpha(mu(x, y)); the
+    basis 1-cochain alpha(e_p) = e_q is yielded at its column p*n+q, with
+    (p*n+q, cochain) for every nonzero one.  These are the columns of
+    ``d1_matrix``: their span is Im d1 and their rank is b.
+    """
     lay = Layout(mu.n)
-    n = mu.n
-    _, table = _dense_table(mu, scaled=False)
-    entries = {}
-
-    def put(r, c, v):
-        if v:
-            s = entries.get((r, c), 0) + v
-            if s:
-                entries[(r, c)] = s
-            elif (r, c) in entries:
-                del entries[(r, c)]
-
-    for (i, j) in lay.pairs:
-        base = lay.pair_index[(i, j)] * n
-        for q in range(n):
-            if table[i][q] is not None:  # mu(e_i, e_q) against alpha(e_j) = e_q
-                for m, w in enumerate(table[i][q]):
-                    put(base + m, j * n + q, w)
-            if table[q][j] is not None:  # mu(e_q, e_j) against alpha(e_i) = e_q
-                for m, w in enumerate(table[q][j]):
-                    put(base + m, i * n + q, w)
-        row = table[i][j]
-        if row is not None:
-            for p, co in enumerate(row):
+    n, table = _dense_table(mu, scaled)
+    # hits[p]: (pair index, coefficient of e_p in mu(e_i, e_j)) for i < j
+    hits = [[] for _ in range(n)]
+    for t, (i, j) in enumerate(lay.pairs):
+        if table[i][j] is not None:
+            for p, co in enumerate(table[i][j]):
                 if co:
-                    for q in range(n):
-                        put(base + q, p * n + q, -co)
-    return ExactMatrix(lay.dim2, lay.dim1, entries, mu.field)
+                    hits[p].append((t, co))
+    for p in range(n):
+        for q in range(n):
+            col = {}
+            # mu(e_x, alpha e_p) = mu(e_x, e_q), at the pair {x, p}
+            for x in range(n):
+                if x != p and table[x][q] is not None:
+                    pi, sgn = lay.atom(x, p)
+                    for m, w in enumerate(table[x][q]):
+                        if w:
+                            col[pi * n + m] = sgn * w
+            # -alpha(mu(e_i, e_j))
+            for t, co in hits[p]:
+                c = t * n + q
+                v = col.get(c, 0) - co
+                if v:
+                    col[c] = v
+                else:
+                    del col[c]
+            if col:
+                yield p * n + q, col
 
 
-def d2_matrix(mu) -> ExactMatrix:
-    """The six-term adjoint differential on 2-cochains: C(n,2)*n -> C(n,3)*n."""
+def iter_d2_rows(mu, scaled=True):
+    """Sparse rows of the six-term adjoint differential on 2-cochains.
+
+    One row {column: value} per output coordinate m of each basis triple
+    i < j < l, at row triple_index * n + m: the rows of ``d2_matrix``.
+    """
     lay = Layout(mu.n)
-    n = mu.n
-    _, table = _dense_table(mu, scaled=False)
-    entries = {}
-    for (i, j, l) in lay.triples:
+    n, table = _dense_table(mu, scaled)
+    for t, (i, j, l) in enumerate(lay.triples):
         F = {}
         # mu(e_x, sigma(e_y, e_z)) terms, signs +, -, +
         for x, (y, z), sgn in ((i, (j, l), 1), (j, (i, l), -1), (l, (i, j), 1)):
@@ -111,54 +144,7 @@ def d2_matrix(mu) -> ExactMatrix:
         for (x, y), z, sgn in (((i, j), l, -1), ((i, l), j, 1), ((j, l), i, -1)):
             if table[x][y] is not None:
                 _sigma_of_vec(F, lay, table[x][y], z, sgn, n)
-        base = lay.triple_index[(i, j, l)] * n
-        for col, vec in F.items():
-            for m, v in enumerate(vec):
-                if v:
-                    entries[(base + m, col)] = v
-    return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)
-
-
-def dj_matrix(mu) -> ExactMatrix:
-    """Derivative of the cyclic Jacobi operator; equals -d2_matrix entrywise."""
-    lay = Layout(mu.n)
-    n = mu.n
-    _, table = _dense_table(mu, scaled=False)
-    entries = {}
-    for (i, j, l) in lay.triples:
-        F = {}
-        for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
-            if table[x][y] is not None:
-                _sigma_of_vec(F, lay, table[x][y], z, 1, n)
-            at = lay.atom(x, y)
-            pi, sgn = at
-            for s in range(n):
-                if table[s][z] is not None:
-                    acc = F.setdefault(pi * n + s, [0] * n)
-                    for m, w in enumerate(table[s][z]):
-                        if w:
-                            acc[m] = acc[m] + sgn * w
-        base = lay.triple_index[(i, j, l)] * n
-        for col, vec in F.items():
-            for m, v in enumerate(vec):
-                if v:
-                    entries[(base + m, col)] = v
-    return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)
-
-
-# -- streamed rows of the word-derivative matrices --------------------------------
-
-
-def _emit_rows(index, tangent, n):
-    """One sparse row {column: value} per output coordinate m of a word's
-    tangent, at row index * n + m."""
-    rows = {}
-    for col, vec in tangent.items():
-        for m, v in enumerate(vec):
-            if v:
-                rows.setdefault(m, {})[col] = v
-    for m in sorted(rows):
-        yield index * n + m, rows[m]
+        yield from _emit_rows(t, F, n)
 
 
 def iter_dnk_rows(mu, k, scaled=True):
@@ -224,6 +210,23 @@ def iter_dsnk_rows(mu, k, scaled=True):
                 yield from _emit_rows((x1 * n + x2) * tail_span + tailidx, F, n)
 
 
+# -- materialized matrices ---------------------------------------------------------
+
+
+def d1_matrix(mu) -> ExactMatrix:
+    """alpha |-> mu(x, alpha y) + mu(alpha x, y) - alpha(mu(x, y)): n^2 -> C(n,2)*n."""
+    lay = Layout(mu.n)
+    entries = {(r, c): v for c, col in iter_d1_columns(mu, scaled=False) for r, v in col.items()}
+    return ExactMatrix(lay.dim2, lay.dim1, entries, mu.field)
+
+
+def d2_matrix(mu) -> ExactMatrix:
+    """The six-term adjoint differential on 2-cochains: C(n,2)*n -> C(n,3)*n."""
+    lay = Layout(mu.n)
+    entries = {(r, c): v for r, row in iter_d2_rows(mu, scaled=False) for c, v in row.items()}
+    return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)
+
+
 def _swap_letters(r, n, w):
     """Row index r with its letters of weight w*n and w swapped."""
     a, b = r // (w * n) % n, r // w % n
@@ -287,21 +290,20 @@ class CohomologyReport:
         }
 
 
+def _d1_rank(mu):
+    """b = rank d1, from the span of its columns."""
+    cols = (col for _, col in iter_d1_columns(mu))
+    return reduce_rows(cols, Layout(mu.n).dim2, mu.field).rank
+
+
 def _constraint_reducer(mu, kind, k):
     """Reduce the stacked constraint-differential rows; returns the reducer."""
-    lay = Layout(mu.n)
-    red = _Reducer(lay.dim2, mu.field)
-    for cols, vals in d2_matrix(mu).iter_rows():
-        if cols:
-            red.add_row(cols, vals)
-    gen = ()
+    rows = iter_d2_rows(mu)
     if kind == "n":
-        gen = iter_dnk_rows(mu, k)
+        rows = chain(rows, iter_dnk_rows(mu, k))
     elif kind == "sn":
-        gen = iter_dsnk_rows(mu, k)
-    for _, row in gen:
-        red.add_row(row.keys(), row.values())
-    return red
+        rows = chain(rows, iter_dsnk_rows(mu, k))
+    return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
 
 
 def h2_knil(mu, k, name=None) -> CohomologyReport:
@@ -310,9 +312,8 @@ def h2_knil(mu, k, name=None) -> CohomologyReport:
         raise NotInVariety("bracket does not satisfy the Jacobi identity")
     if not n_k_vanishes(mu, k):
         raise NotInVariety(f"bracket is not (at most) {k}-step nilpotent")
-    lay = Layout(mu.n)
-    b = rank(d1_matrix(mu)).rank
-    z = lay.dim2 - _constraint_reducer(mu, "n", k).rank
+    b = _d1_rank(mu)
+    z = Layout(mu.n).dim2 - _constraint_reducer(mu, "n", k).rank
     return CohomologyReport(name or mu.name, mu.n, k, z, b, z - b, z == b)
 
 
@@ -320,16 +321,15 @@ def h2_dim(mu, name=None) -> CohomologyReport:
     """Ordinary adjoint H^2 dimensions (z, b, h)."""
     if not is_lie(mu):
         raise NotLieAlgebra("H^2 needs the Jacobi identity")
-    lay = Layout(mu.n)
-    b = rank(d1_matrix(mu)).rank
-    z = lay.dim2 - rank(d2_matrix(mu)).rank
+    b = _d1_rank(mu)
+    z = Layout(mu.n).dim2 - _constraint_reducer(mu, "j", None).rank
     return CohomologyReport(name or mu.name, mu.n, None, z, b, z - b, False)
 
 
 def derivation_dim(mu) -> int:
     if not is_lie(mu):
         raise NotLieAlgebra("derivations are defined for Lie brackets")
-    return mu.n * mu.n - rank(d1_matrix(mu)).rank
+    return mu.n * mu.n - _d1_rank(mu)
 
 
 def orbit_dim(mu) -> int:
@@ -401,24 +401,11 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     if kind == "sn" and not sn_k_vanishes(mu, k):
         raise NotInVariety(f"point violates SN_{k} = 0")
     lay = Layout(mu.n)
-    cols = []
-    for p in free_params:
-        cols.append(cochain_vector(table.derivative(p).evaluate(point)))
-    d1 = d1_matrix(mu)
-    by_col = {}
-    for (r, c), v in d1.entries.items():
-        by_col.setdefault(c, {})[r] = v
-    for c in range(lay.dim1):
-        vec = [Fraction(0)] * lay.dim2
-        for r, v in by_col.get(c, {}).items():
-            vec[r] = v
-        cols.append(vec)
-
-    df_rank = _Reducer(lay.dim2, mu.field)
-    for vec in cols:
-        sc = [c for c, v in enumerate(vec) if v]
-        if sc:
-            df_rank.add_row(sc, [vec[c] for c in sc])
+    cols = [cochain_vector(table.derivative(p).evaluate(point)) for p in free_params]
+    # the tangents stay unscaled; d1 is linear in mu, so its scaled columns
+    # span Im d1
+    cols += [col for _, col in iter_d1_columns(mu)]
+    df_rank = reduce_rows(cols, lay.dim2, mu.field)
 
     red = _constraint_reducer(mu, kind, k)
     basis = red.sparse_rows()

@@ -15,14 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import (
-    DimensionMismatch,
-    NotDerivation,
-    NotLieAlgebra,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, NotDerivation, NotLieAlgebra
 from .linalg import ExactMatrix, RowBasis, inverse, kernel_basis
-from .scalars import FIELD_Q, FIELD_QI, join_fields, promote
+from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
 
 class StructureConstants:
@@ -125,8 +120,6 @@ TwoCochain = StructureConstants
 
 
 def _is_qi(x):
-    from .scalars import QI
-
     return isinstance(x, QI)
 
 
@@ -425,8 +418,6 @@ class Subspace:
 
 
 def _as_field(x):
-    from .scalars import QI
-
     return x if isinstance(x, (Fraction, QI)) else Fraction(x)
 
 

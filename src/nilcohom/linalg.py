@@ -463,12 +463,15 @@ def dot(u, v):
 
 def in_kernel(vec, rows):
     """True iff vec is orthogonal to every row, i.e. M @ vec = 0 for any
-    matrix whose row space those rows span.  Rows are {col: value} dicts or
-    dense lists.  Only the nonzeros of vec are visited, and a rational vec is
-    cleared of denominators first, so against integral rows every product is
-    an integer one."""
-    cols = [c for c, x in enumerate(vec) if x]
-    vals = [vec[c] for c in cols]
+    matrix whose row space those rows span.  The vector and the rows are
+    {col: value} dicts or dense lists.  Only the nonzeros of vec are
+    visited, and a rational vec is cleared of denominators first, so
+    against integral rows every product is an integer one."""
+    if isinstance(vec, dict):
+        cols, vals = list(vec), list(vec.values())
+    else:
+        cols = [c for c, x in enumerate(vec) if x]
+        vals = [vec[c] for c in cols]
     if not any(isinstance(x, QI) for x in vals):
         vals = int_cleared(vals)
     terms = list(zip(cols, vals))

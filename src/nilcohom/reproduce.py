@@ -17,11 +17,11 @@ from . import catalog as cat
 from .cohomology import (
     augmented_exactness,
     cochain_vector,
-    d1_matrix,
     d2_matrix,
     dnk_matrix,
     h2_dim,
     h2_knil,
+    iter_d1_columns,
 )
 from .errors import ExternalDataRequired
 from .ideals import (
@@ -33,6 +33,7 @@ from .ideals import (
     groebner_small,
 )
 from .liealg import (
+    Layout,
     heisenberg_extension,
     is_lie,
     n_k,
@@ -42,7 +43,7 @@ from .liealg import (
     sn_k_value,
     solvable_length,
 )
-from .linalg import _Reducer
+from .linalg import reduce_rows
 from .polynomials import parse_tpoly
 
 _F = Fraction
@@ -217,14 +218,7 @@ def _counterexample_items(catalog):
     def nu_independent():
         rec = catalog.get("g_{5,3}")
         mu = rec.structure()
-        d1 = d1_matrix(mu)
-        cols = {}
-        for (r, c), v in d1.entries.items():
-            cols.setdefault(c, {})[r] = v
-        red = _Reducer(d1.nrows, mu.field)
-        for c in sorted(cols):
-            sc = sorted(cols[c])
-            red.add_row(sc, [cols[c][r] for r in sc])
+        red = reduce_rows((col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2, mu.field)
         b = red.rank
         for key in ("nu1", "nu2"):
             vec = cochain_vector(rec.cochain(key))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nilcohom.catalog import Catalog
-from nilcohom.liealg import StructureConstants
+from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec
+from nilcohom.linalg import ExactMatrix
 from nilcohom.scalars import QI
 
 
@@ -60,3 +61,58 @@ def random_structure(n, rng=None, density=0.5, lo=-3, hi=3):
             if row:
                 brackets[(i, j)] = row
     return StructureConstants(n, brackets)
+
+
+def d1_by_brackets(mu):
+    """d1 by its definition, through ``StructureConstants.bracket``; the
+    independent oracle for ``d1_matrix``.  Column p*n+q is the 1-cochain
+    alpha(e_p) = e_q, row t*n+m the coordinate e_m at the t-th pair i < j:
+    d1(alpha)(e_i, e_j) = mu(e_i, alpha e_j) + mu(alpha e_i, e_j)
+    - alpha(mu(e_i, e_j))."""
+    n = mu.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    entries = {}
+    for p in range(n):
+        for q in range(n):
+            def alpha(v):
+                return [v[p] if m == q else 0 for m in range(n)]
+
+            for t, (i, j) in enumerate(pairs):
+                ei, ej = unit[i], unit[j]
+                a = mu.bracket(ei, alpha(ej))
+                b = mu.bracket(alpha(ei), ej)
+                c = alpha(mu.bracket(ei, ej))
+                for m in range(n):
+                    v = a[m] + b[m] - c[m]
+                    if v:
+                        entries[(t * n + m, p * n + q)] = v
+    return ExactMatrix(len(pairs) * n, n * n, entries, mu.field)
+
+
+def dj_matrix(mu):
+    """Derivative of the cyclic Jacobi operator, summed over the three
+    cyclic orders; the independent oracle for ``d2_matrix``, which equals
+    -dj_matrix entry for entry."""
+    lay = Layout(mu.n)
+    n = mu.n
+    _, table = _dense_table(mu, scaled=False)
+    entries = {}
+    for (i, j, l) in lay.triples:
+        F = {}
+        for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
+            if table[x][y] is not None:
+                _sigma_of_vec(F, lay, table[x][y], z, 1, n)
+            pi, sgn = lay.atom(x, y)
+            for s in range(n):
+                if table[s][z] is not None:
+                    acc = F.setdefault(pi * n + s, [0] * n)
+                    for m, w in enumerate(table[s][z]):
+                        if w:
+                            acc[m] = acc[m] + sgn * w
+        base = lay.triple_index[(i, j, l)] * n
+        for col, vec in F.items():
+            for m, v in enumerate(vec):
+                if v:
+                    entries[(base + m, col)] = v
+    return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_rank
+from conftest import dense_rank, dj_matrix
 from nilcohom import catalog as cat_mod
 from nilcohom.catalog import Catalog, named_polynomial
 from nilcohom.cohomology import (
@@ -19,7 +19,6 @@ from nilcohom.cohomology import (
     cochain_vector,
     d1_matrix,
     d2_matrix,
-    dj_matrix,
     dnk_matrix,
     dsnk_matrix,
     h2_dim,

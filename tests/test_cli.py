@@ -87,6 +87,12 @@ def test_exactness_small_curve(capsys):
     assert code == 0 and "EXACT" in out
 
 
+def test_exactness_bad_constraint_is_usage_error(capsys):
+    code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
+                       "--constraint", "x7")
+    assert code == 2 and "bad constraint 'x7'" in err
+
+
 def test_ideal_gens_text_output(capsys):
     code, out, _ = run(capsys, "ideal", "gens", "5", "3", "SN")
     assert code == 0
@@ -146,11 +152,3 @@ def test_data_pack_flag(tmp_path, capsys):
     (tmp_path / "rec.json").write_text(json.dumps(record))
     code, out, _ = run(capsys, "--data-pack", str(tmp_path), "info", "cli_pack_algebra")
     assert code == 0 and "2-step" in out
-
-
-def test_bench_small_workload(capsys):
-    code, out, _ = run(capsys, "bench", "--rows", "60", "--cols", "12", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["identical_results"] is True
-    assert set(data["seconds"]) >= {"python"}

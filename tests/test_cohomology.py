@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rank, random_structure
+from conftest import d1_by_brackets, dense_rank, dj_matrix, random_structure
+from nilcohom import cohomology
 from nilcohom.cohomology import (
     Layout,
     _constraint_reducer,
@@ -15,11 +16,12 @@ from nilcohom.cohomology import (
     d1_matrix,
     d2_matrix,
     derivation_dim,
-    dj_matrix,
     dnk_matrix,
     dsnk_matrix,
     h2_dim,
     h2_knil,
+    iter_d1_columns,
+    iter_d2_rows,
     iter_dnk_rows,
     iter_dsnk_rows,
     orbit_dim,
@@ -62,10 +64,15 @@ def _g53_tables(catalog):
     return mu, change_basis(mu, [[d[i] * (i == j) for j in range(5)] for i in range(5)])
 
 
-def _assert_scaled_rows_are_one_integer_multiple(gen, mu, k):
+def _gaussian_table(rng):
+    """A random 4-dimensional table with Gaussian structure constants."""
+    return _with_entries(random_structure(4, rng), lambda v: QI(v, rng.randint(-2, 2)), FIELD_QI)
+
+
+def _assert_scaled_rows_are_one_integer_multiple(gen, *args):
     """scaled=True rows are the unscaled rows times one positive integer."""
-    plain = list(gen(mu, k, scaled=False))
-    scaled = list(gen(mu, k))
+    plain = list(gen(*args, scaled=False))
+    scaled = list(gen(*args))
     assert [r for r, _ in scaled] == [r for r, _ in plain] and plain
     c = Fraction(next(iter(scaled[0][1].values()))) / next(iter(plain[0][1].values()))
     assert c.denominator == 1 and c > 0
@@ -168,6 +175,14 @@ def test_d1_matrix_values(catalog):
     assert d1_matrix(StructureConstants.abelian(3)).is_zero()
     assert rank(d1_matrix(catalog.structure("g_{5,3}"))).rank == 15
     assert rank(d1_matrix(catalog.structure("f_3+R^2"))).rank == 9
+    # the column stream, entry for entry against d1 by its definition
+    mu, rescaled = _g53_tables(catalog)
+    rng = random.Random(41)
+    for table in (mu, rescaled, random_structure(4, rng), _gaussian_table(rng)):
+        assert d1_matrix(table) == d1_by_brackets(table)
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_d1_columns, mu) == 1
+    # d1 is linear in mu, and the table is scaled by 6
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_d1_columns, rescaled) == 6
 
 
 def test_d1_rank_against_brute_force_derivation_count(catalog):
@@ -199,7 +214,15 @@ def test_d2_composes_to_zero_on_catalog(catalog):
         assert d2_matrix(mu).matmul(d1_matrix(mu)).is_zero(), name
 
 
-def test_d2_is_minus_dj_and_quadratic_expansion():
+def test_d2_is_minus_dj_and_quadratic_expansion(catalog):
+    # the row stream, entry for entry against the Jacobi oracle, on tables
+    # with denominators and with Gaussian entries too
+    mu, rescaled = _g53_tables(catalog)
+    for table in (mu, rescaled, _gaussian_table(random.Random(32))):
+        d2 = d2_matrix(table)
+        assert dj_matrix(table).entries == {k: -v for k, v in d2.entries.items()}
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_d2_rows, mu) == 1
+    assert _assert_scaled_rows_are_one_integer_multiple(iter_d2_rows, rescaled) == 6
     rng = random.Random(31)
     for _ in range(20):
         mu = random_structure(4, rng)
@@ -287,6 +310,25 @@ def test_word_derivative_matches_interpolated_expansion(kind, k):
         mat = dnk_matrix(mu, k) if kind == "n" else dsnk_matrix(mu, k)
         got = _tensor_from_matrix_action(mat, sigma, mu.n, k + 1)
         assert got == _linear_coefficient(mu, sigma, k, kind)
+
+
+def test_certificates_materialize_no_matrix(catalog, monkeypatch):
+    """The reports feed the streams straight to the reducer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ExactMatrix was built")
+
+    monkeypatch.setattr(cohomology, "ExactMatrix", refuse)
+    rep = h2_knil(catalog.structure("g_{5,3}"), 3)
+    assert (rep.z, rep.b, rep.h) == (17, 15, 2)
+    rep = h2_dim(catalog.structure("f_3"))
+    assert (rep.z, rep.b, rep.h) == (8, 3, 5)
+    assert derivation_dim(catalog.structure("g_{137B}")) == 13
+    tab = catalog.get("g_{147E_1}(t)").symbolic()
+    rep = augmented_exactness(tab, {"t": Fraction(2)}, ("t",), "n3")
+    assert rep.exact and rep.rank_df == rep.ker_dg_dim == 35
+    with pytest.raises(AssertionError, match="ExactMatrix"):
+        d1_matrix(catalog.structure("f_3"))
 
 
 def test_streamed_rows_match_materialized_matrix(catalog):
