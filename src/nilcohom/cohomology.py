@@ -15,14 +15,18 @@ the public ``*_matrix`` functions, from the same streams.
 The derivative of a nested bracket word at mu is the sum over replacing one
 mu by sigma.  The rows come from the same word walker that evaluates N_k and
 SN_k (``liealg.walk_words``), run in forward mode: each word carries its
-value and its tangent functional, one letter at a time, so the tall matrices
-(for example the 7^6-tuple one in dimension 7) are streamed and never
-stored.  The split word combines each inner word with every leading pair by
-the product rule.  Both words are antisymmetric in their first two letters,
-and the split word also in its third and fourth (through the inner word),
-so the streams carry one row per unordered pair: every row left out is an
-emitted row up to sign, or zero, and the row space (hence rank, kernel and
-the canonical reduced rows) is that of the full matrix.
+value and its tangent, one letter at a time, so the tall matrices (for
+example the 7^6-tuple one in dimension 7) are streamed and never stored.
+The tangent is kept by output coordinate, {m: {column: value}}, which is
+the row format itself, so a word's rows are yielded as they are.  The split
+word combines each inner word with every leading pair by the product rule,
+its rows being combinations of the inner word's rows plus single entries
+for the leading pair's own terms.  Both words are antisymmetric in their
+first two letters, and the split word also in its third and fourth
+(through the inner word), so the streams carry one row per unordered pair:
+every row left out is an emitted row up to sign, or zero, and the row space
+(hence rank, kernel and the canonical reduced rows) is that of the full
+matrix.
 
 The streams read the table scaled to integers by one global factor
 (``scaled=True``, over Q).  Each differential is homogeneous in mu (d1 and
@@ -44,10 +48,11 @@ from .errors import NotInVariety, NotLieAlgebra
 from .liealg import (
     Layout,
     StructureConstants,
-    _brvv,
+    _apply_to_rows,
+    _brv,
     _dense_table,
+    _letter_operators,
     _sigma_of_vec,
-    _unit,
     is_lie,
     n_k_vanishes,
     sn_k_vanishes,
@@ -67,19 +72,6 @@ def cochain_vector(sigma: StructureConstants):
 
 
 # -- streamed differentials -----------------------------------------------------
-
-
-def _emit_rows(index, tangent, n):
-    """One sparse row {column: value} per output coordinate m of a linear
-    map given as {column: dense vector} (a word's tangent, or d2 on one
-    triple), at row index * n + m."""
-    rows = {}
-    for col, vec in tangent.items():
-        for m, v in enumerate(vec):
-            if v:
-                rows.setdefault(m, {})[col] = v
-    for m in sorted(rows):
-        yield index * n + m, rows[m]
 
 
 def iter_d1_columns(mu, scaled=True):
@@ -144,7 +136,14 @@ def iter_d2_rows(mu, scaled=True):
         for (x, y), z, sgn in (((i, j), l, -1), ((i, l), j, 1), ((j, l), i, -1)):
             if table[x][y] is not None:
                 _sigma_of_vec(F, lay, table[x][y], z, sgn, n)
-        yield from _emit_rows(t, F, n)
+        # F is {column: dense vector}; row m gathers coordinate m of each
+        rows = {}
+        for col, vec in F.items():
+            for m, v in enumerate(vec):
+                if v:
+                    rows.setdefault(m, {})[col] = v
+        for m in sorted(rows):
+            yield t * n + m, rows[m]
 
 
 def iter_dnk_rows(mu, k, scaled=True):
@@ -158,56 +157,86 @@ def iter_dnk_rows(mu, k, scaled=True):
     if k < 1:
         raise ValueError("k must be >= 1")
     n, table = _dense_table(mu, scaled)
-    for index, _, tangent in walk_words(table, n, k + 1, Layout(n), ascending_pair=True):
-        yield from _emit_rows(index, tangent, n)
+    _, right = _letter_operators(table, n)
+    for index, _, tangent in walk_words(right, n, k + 1, Layout(n), ascending_pair=True):
+        for m in sorted(tangent):
+            yield index * n + m, tangent[m]
 
 
 def iter_dsnk_rows(mu, k, scaled=True):
     """Rows of the derivative of the split word mu(mu(x1,x2), N_{k-2}(...)).
 
-    The value B and tangent of each inner (k-1)-letter word are computed once
-    and combined with every leading pair by the product rule.  The split
-    word is antisymmetric in (x1, x2), and for k >= 3 also in (x3, x4)
-    through the inner word, so only the tuples with x1 < x2 (and x3 < x4)
-    are emitted: every row left out is plus or minus an emitted one, or
-    zero, and the row space is the full matrix's.  ``dsnk_matrix`` puts the
-    mirrors back.
+    The value B and tangent rows of each inner (k-1)-letter word are
+    computed once and combined with every leading pair a = mu(e_x1, e_x2)
+    by the product rule, row m of the split word being the sum of
+    - mu(a, F_tail): a combination of the inner word's own rows, through
+      mu(a, e_q) for each letter q, computed once per stream;
+    - mu(sigma(e_x1, e_x2), B): mu(e_s, B) at the column of (x1, x2, s);
+    - sigma(a, B): the wedge of a and B, at the columns of coordinate m.
+    The split word is antisymmetric in (x1, x2), and for k >= 3 also in
+    (x3, x4) through the inner word, so only the tuples with x1 < x2 (and
+    x3 < x4) are emitted: every row left out is plus or minus an emitted
+    one, or zero, and the row space is the full matrix's.  ``dsnk_matrix``
+    puts the mirrors back.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     lay = Layout(mu.n)
     n, table = _dense_table(mu, scaled)
-    heads = [(x1, x2, table[x1][x2]) for x1 in range(n) for x2 in range(x1 + 1, n)]
+    left, right = _letter_operators(table, n)
+    heads = []
+    for x1, x2 in lay.pairs:
+        a = table[x1][x2]
+        a_of = []  # (q, [(m, w), ...]) for the nonzero mu(a, e_q)
+        if a is not None:
+            for q in range(n):
+                w = _brv(right, n, a, q)
+                if w is not None:
+                    a_of.append((q, [(m, x) for m, x in enumerate(w) if x]))
+        heads.append((x1 * n + x2, lay.pair_index[(x1, x2)] * n, a, a_of))
     tail_span = n ** (k - 1)
-    for tailidx, bvec, ftail in walk_words(table, n, k - 1, lay, ascending_pair=True):
-        mu_es_b = [bvec and _brvv(table, n, _unit(n, s), bvec) for s in range(n)]
-        for x1, x2, a in heads:
-            F = {}
-            if a is not None and ftail:
-                for col, vec in ftail.items():
-                    w = _brvv(table, n, a, vec)
-                    if w is not None:
-                        F[col] = w
-            if bvec is not None:
-                pi = lay.pair_index[(x1, x2)]
-                for s in range(n):
-                    if mu_es_b[s] is not None:
-                        acc = F.setdefault(pi * n + s, [0] * n)
-                        for m, w in enumerate(mu_es_b[s]):
-                            if w:
-                                acc[m] = acc[m] + w
+    for tailidx, bvec, ftail in walk_words(right, n, k - 1, lay, ascending_pair=True):
+        # es_b[m][s]: coefficient of e_m in mu(e_s, B)
+        es_b = {}
+        if bvec is not None:
+            for s in range(n):
+                for q, terms in left[s]:
+                    cq = bvec[q]
+                    if cq:
+                        for m, w in terms:
+                            acc = es_b.setdefault(m, {})
+                            acc[s] = acc.get(s, 0) + cq * w
+        for pair, base, a, a_of in heads:
+            rows = _apply_to_rows(a_of, ftail)
+            for m, coeffs in es_b.items():
+                acc = rows.get(m)
+                if acc is None:
+                    rows[m] = {base + s: x for s, x in coeffs.items()}
+                else:
+                    for s, x in coeffs.items():
+                        acc[base + s] = acc.get(base + s, 0) + x
             if a is not None and bvec is not None:
+                wedge = []
                 sup = [p for p in range(n) if a[p] or bvec[p]]
                 for ii, p in enumerate(sup):
                     for q in sup[ii + 1 :]:
                         co = a[p] * bvec[q] - a[q] * bvec[p]
                         if co:
-                            pi = lay.pair_index[(p, q)]
-                            for s in range(n):
-                                acc = F.setdefault(pi * n + s, [0] * n)
-                                acc[s] = acc[s] + co
-            if F:
-                yield from _emit_rows((x1 * n + x2) * tail_span + tailidx, F, n)
+                            wedge.append((lay.pair_index[(p, q)] * n, co))
+                if wedge:
+                    for s in range(n):
+                        acc = rows.get(s)
+                        if acc is None:
+                            rows[s] = {col + s: co for col, co in wedge}
+                        else:
+                            for col, co in wedge:
+                                acc[col + s] = acc.get(col + s, 0) + co
+            if rows:
+                index = (pair * tail_span + tailidx) * n
+                for m in sorted(rows):
+                    row = {c: x for c, x in rows[m].items() if x}
+                    if row:
+                        yield index + m, row
 
 
 # -- materialized matrices ---------------------------------------------------------

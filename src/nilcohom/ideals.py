@@ -55,13 +55,25 @@ def generic_chart(n) -> StructureConstants:
     return StructureConstants(n, brackets, field="sym")
 
 
+# Above this many argument tuples of N_k or SN_k (n^(k+1)), generators raises
+# ResourceCapExceeded instead of enumerating the words on the chart.
+MAX_CHART_WORDS = 100_000
+
+
 def generators(n, k, kind):
     """Distinct nonzero coordinate polynomials of J, N_k or SN_k on the chart.
 
     Scalar-multiple duplicates are dropped; order is fixed by scanning the
-    argument tuples and coordinates lexicographically.
+    argument tuples and coordinates lexicographically.  Raises
+    ResourceCapExceeded, before building anything, when N_k or SN_k has more
+    than MAX_CHART_WORDS argument tuples.
     """
     kind = kind.upper()
+    if kind in ("N", "SN") and k >= 1 and n ** (k + 1) > MAX_CHART_WORDS:
+        raise ResourceCapExceeded(
+            f"{kind}_{k} on the {n}-dimensional chart has {n}^{k + 1} argument tuples,"
+            f" over the cap {MAX_CHART_WORDS}"
+        )
     mu = generic_chart(n)
     if kind == "J":
         tensor = jacobi(mu)

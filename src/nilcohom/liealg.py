@@ -224,35 +224,63 @@ def _dense_table(mu, scaled):
     return n, table
 
 
-def _brv(table, n, v, b):
-    """mu(v, e_b) over the dense table; None when zero."""
+def _letter_operators(table, n):
+    """The dense table as sparse per-letter operators (left, right).
+
+    right[b] lists (p, [(m, w), ...]) for every nonzero mu(e_p, e_b), with
+    its nonzero coefficients w of e_m; left[p] lists (q, [(m, w), ...]) the
+    same way for every nonzero mu(e_p, e_q).
+    """
+    left = [
+        [
+            (q, [(m, w) for m, w in enumerate(table[p][q]) if w])
+            for q in range(n)
+            if table[p][q] is not None
+        ]
+        for p in range(n)
+    ]
+    right = [
+        [
+            (p, [(m, w) for m, w in enumerate(table[p][b]) if w])
+            for p in range(n)
+            if table[p][b] is not None
+        ]
+        for b in range(n)
+    ]
+    return left, right
+
+
+def _brv(right, n, v, b):
+    """mu(v, e_b) for a dense vector v, through the right operators; None
+    when zero."""
     out = None
-    for p, co in enumerate(v):
-        if co and p != b and table[p][b] is not None:
+    for p, terms in right[b]:
+        co = v[p]
+        if co:
             if out is None:
                 out = [0] * n
-            for m, w in enumerate(table[p][b]):
-                if w:
-                    out[m] = out[m] + co * w
+            for m, w in terms:
+                out[m] = out[m] + co * w
     if out is not None and any(out):
         return out
     return None
 
 
-def _brvv(table, n, x, y):
-    """mu(x, y) for two dense vectors; None when zero."""
+def _brvv(left, n, x, y):
+    """mu(x, y) for two dense vectors, through the left operators; None when
+    zero."""
     out = None
     for p, cp in enumerate(x):
         if not cp:
             continue
-        for q, cq in enumerate(y):
-            if cq and table[p][q] is not None:
+        for q, terms in left[p]:
+            cq = y[q]
+            if cq:
                 if out is None:
                     out = [0] * n
                 co = cp * cq
-                for m, w in enumerate(table[p][q]):
-                    if w:
-                        out[m] = out[m] + co * w
+                for m, w in terms:
+                    out[m] = out[m] + co * w
     if out is not None and any(out):
         return out
     return None
@@ -270,16 +298,44 @@ def _sigma_of_vec(F, lay, vec, b, factor, n):
             acc[s] = acc[s] + val
 
 
-def walk_words(table, n, length, lay=None, ascending_pair=False):
+def _apply_to_rows(op, rows):
+    """A linear map e_p -> sum w e_m, given as op = [(p, [(m, w), ...]), ...],
+    applied to a tangent kept by output row, {p: {column: value}}: row m of
+    the image is the sum of w * rows[p].  Entries that cancel are dropped;
+    a row may be left empty."""
+    out = {}
+    for p, terms in op:
+        row = rows.get(p)
+        if row is not None:
+            for m, w in terms:
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = {c: w * x for c, x in row.items()}
+                else:
+                    for c, x in row.items():
+                        y = acc.get(c, 0) + w * x
+                        if y:
+                            acc[c] = y
+                        else:
+                            del acc[c]
+    return out
+
+
+def walk_words(right, n, length, lay=None, ascending_pair=False):
     """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
 
+    ``right`` is the right operator list of ``_letter_operators``.
     Depth-first over the letters, so a shared prefix is evaluated once, and a
     branch is pruned as soon as its value and its tangent both vanish.
     Yields (index, value, tangent) for every word left: the index has the
     base-n digits a1..aL, the value is a dense vector or None when zero.
     With a Layout the tangent is the derivative of the word at mu along a
-    2-cochain sigma, {sigma column: dense vector}, carried forward as
-    F <- mu(F, e_b) + sigma(v, e_b); without one it stays {} (values only).
+    2-cochain sigma, stored by output row as {m: {sigma column: value}}
+    without zeros: exactly the rows the derivative streams emit.  It is
+    carried forward as T <- mu(T, e_b) + sigma(v, e_b): row m' of the new
+    tangent gathers w * T[p] over the nonzero coefficients w of e_m' in
+    mu(e_p, e_b), plus the entry v[p] at the column of sigma(e_p, e_b) in
+    coordinate m'.  Without a Layout it stays {} (values only).
 
     With ``ascending_pair`` only the words with a1 < a2 are walked.  Value
     and tangent are antisymmetric in (a1, a2), as mu and sigma are, so the
@@ -287,25 +343,43 @@ def walk_words(table, n, length, lay=None, ascending_pair=False):
     word at a1 = a2 is zero.
     """
 
+    # atoms[b]: (p, first column of the pair {p, b}, sign of sigma(e_p, e_b))
+    atoms = None if lay is None else [
+        [(p, lay.atom(p, b)[0] * n, lay.atom(p, b)[1]) for p in range(n) if p != b]
+        for b in range(n)
+    ]
+
     def extend(index, depth, v, tangent):
-        if depth == length:
-            yield index, v, tangent
-            return
         for b in range(index + 1 if ascending_pair and depth == 1 else 0, n):
-            t2 = {}
-            for col, vec in tangent.items():
-                w = _brv(table, n, vec, b)
-                if w is not None:
-                    t2[col] = w
+            t2 = _apply_to_rows(right[b], tangent) if tangent else {}
             if lay is not None and v is not None:
-                _sigma_of_vec(t2, lay, v, b, 1, n)
-                t2 = {col: vec for col, vec in t2.items() if any(vec)}
-            v2 = None if v is None else _brv(table, n, v, b)
+                # sigma(v, e_b): v[p] at column pair(p, b) * n + s of row s
+                sig = [(col, v[p] if sgn > 0 else -v[p]) for p, col, sgn in atoms[b] if v[p]]
+                if sig:
+                    for s in range(n):
+                        acc = t2.get(s)
+                        if acc is None:
+                            t2[s] = {col + s: co for col, co in sig}
+                        else:
+                            for col, co in sig:
+                                y = acc.get(col + s, 0) + co
+                                if y:
+                                    acc[col + s] = y
+                                else:
+                                    del acc[col + s]
+            t2 = {m: row for m, row in t2.items() if row}
+            v2 = None if v is None else _brv(right, n, v, b)
             if t2 or v2 is not None:
-                yield from extend(index * n + b, depth + 1, v2, t2)
+                if depth + 1 == length:
+                    yield index * n + b, v2, t2
+                else:
+                    yield from extend(index * n + b, depth + 1, v2, t2)
 
     for a in range(n):
-        yield from extend(a, 1, _unit(n, a), {})
+        if length == 1:
+            yield a, _unit(n, a), {}
+        else:
+            yield from extend(a, 1, _unit(n, a), {})
 
 
 def _letters(index, n, length):
@@ -322,16 +396,18 @@ def n_k(mu, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     n, table = _dense_table(mu, scaled=False)
-    return {_letters(i, n, k + 1): v for i, v, _ in walk_words(table, n, k + 1)}
+    _, right = _letter_operators(table, n)
+    return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, n, k + 1)}
 
 
 def n_k_value(mu, k, letters):
     if len(letters) != k + 1:
         raise DimensionMismatch(f"expected {k + 1} arguments")
     n, table = _dense_table(mu, scaled=False)
+    _, right = _letter_operators(table, n)
     v = _unit(n, letters[0])
     for b in letters[1:]:
-        v = _brv(table, n, v, b) or [0] * n
+        v = _brv(right, n, v, b) or [0] * n
     return v
 
 
@@ -344,7 +420,8 @@ def sn_k(mu, k):
     if k < 2:
         raise ValueError("k must be >= 2")
     n, table = _dense_table(mu, scaled=False)
-    tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(table, n, k - 1)]
+    left, right = _letter_operators(table, n)
+    tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(right, n, k - 1)]
     out = {}
     for i in range(n):
         for j in range(n):
@@ -352,7 +429,7 @@ def sn_k(mu, k):
             if a is None:
                 continue
             for tail, bvec in tails:
-                w = _brvv(table, n, a, bvec)
+                w = _brvv(left, n, a, bvec)
                 if w is not None:
                     out[(i, j) + tail] = w
     return out
@@ -364,8 +441,9 @@ def sn_k_value(mu, k, letters):
     if len(letters) != k + 1:
         raise DimensionMismatch(f"expected {k + 1} arguments")
     n, table = _dense_table(mu, scaled=False)
+    left, _ = _letter_operators(table, n)
     a = n_k_value(mu, 1, letters[:2])
-    return _brvv(table, n, a, n_k_value(mu, k - 2, letters[2:])) or [0] * n
+    return _brvv(left, n, a, n_k_value(mu, k - 2, letters[2:])) or [0] * n
 
 
 def _unit(n, i):
@@ -453,13 +531,14 @@ def _central_series(mu):
     RowBasis, made monic only for the Subspace it returns.
     """
     n, table = _dense_table(mu, scaled=True)
+    _, right = _letter_operators(table, n)
     series = [Subspace.full(n)]
     rows = [_unit(n, i) for i in range(n)]
     while True:
         basis = RowBasis(n, integral=mu.field == FIELD_Q)
         for u in rows:
             for b in range(n):
-                w = _brv(table, n, u, b)
+                w = _brv(right, n, u, b)
                 if w is not None:
                     basis.add({c: x for c, x in enumerate(w) if x})
         if basis.rank == len(rows):
@@ -494,8 +573,9 @@ def sn_k_vanishes(mu, k):
     series = _central_series(mu)
     last = len(series) - 1
     n, table = _dense_table(mu, scaled=False)
+    left, _ = _letter_operators(table, n)
     return all(
-        _brvv(table, n, u, v) is None
+        _brvv(left, n, u, v) is None
         for u in series[min(1, last)].rows
         for v in series[min(k - 2, last)].rows
     )

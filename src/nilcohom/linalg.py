@@ -82,9 +82,6 @@ class ExactMatrix:
     def identity(cls, n, field=FIELD_Q):
         return cls(n, n, {(i, i): 1 for i in range(n)}, field)
 
-    def row(self, r):
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
     def iter_rows(self):
         """Yield (cols, vals) per row, cols ascending, in row order."""
         buckets = [[] for _ in range(self.nrows)]

@@ -143,8 +143,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     # -- structure ----------------------------------------------------------

@@ -11,17 +11,52 @@ Parsing produces a :class:`SymbolicTable` whose coefficients are polynomials
 in the parameters; evaluating at rational (or Gaussian) parameter values
 yields exact :class:`~nilcohom.liealg.StructureConstants`, and differentiation
 in a parameter is exact term-by-term.
+
+Any text either parses or raises :class:`TableError`, and quickly: nesting
+is capped, and a power or product whose closed-form size bound passes a cap
+is refused before it is expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import TableError
 from .polynomials import MultiPoly
 from .scalars import FIELD_Q, FIELD_QI, QI, format_scalar
 
 _SEPS = {",", ";", "\n"}
+
+# Caps that keep every text cheap to parse: parentheses and signs nest at
+# most _MAX_NESTING deep, and a power or a product is refused before it is
+# expanded when the closed-form bound on its size passes a cap.
+_MAX_NESTING = 50
+_MAX_DEGREE = 64
+_MAX_TERMS = 1_000
+_MAX_BITS = 10_000
+
+
+def _bits(c):
+    if isinstance(c, QI):
+        return max(_bits(c.re), _bits(c.im))
+    c = Fraction(c)
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _power_too_large(p, e):
+    """Whether p^e may pass a cap: it has degree e * deg p, at most
+    comb(len + e - 1, e) terms, and coefficients of at most
+    e * (bits + log2 len) bits."""
+    if not p.terms or e == 0:
+        return False
+    terms = len(p.terms)
+    bits = max(_bits(c) for c in p.terms.values()) + terms.bit_length()
+    return (
+        e * p.degree() > _MAX_DEGREE
+        or e * bits > _MAX_BITS
+        or comb(terms + e - 1, e) > _MAX_TERMS
+    )
 
 
 class _Tok:
@@ -50,9 +85,9 @@ def _tokenize(src):
             idx += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":
             start = idx
-            while idx < len(src) and src[idx].isdigit():
+            while idx < len(src) and src[idx] in "0123456789":
                 idx += 1
             toks.append(_Tok("num", int(src[start:idx]), line, col))
             col += idx - start
@@ -93,6 +128,7 @@ class _Parser:
             raise TableError(f"dimension {n} outside 1..26")
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.params = set(params)
         bad = [p for p in self.params if self._letter_index(p) is not None]
@@ -152,6 +188,16 @@ class _Parser:
                 return val
 
     def factor(self):
+        # every nested parenthesis and sign passes through here
+        if self.depth == _MAX_NESTING:
+            tok = self.peek()
+            raise TableError(f"expression nested deeper than {_MAX_NESTING}", tok.line, tok.col)
+        self.depth += 1
+        val = self._factor()
+        self.depth -= 1
+        return val
+
+    def _factor(self):
         tok = self.peek()
         if tok.kind == "-":
             self.take()
@@ -162,6 +208,13 @@ class _Parser:
             etok = self.take("num")
             if not base.is_scalar():
                 raise TableError("cannot raise a basis vector to a power", etok.line, etok.col)
+            if _power_too_large(base.scal, etok.value):
+                raise TableError(
+                    f"power too large (caps: degree {_MAX_DEGREE}, {_MAX_TERMS} terms,"
+                    f" {_MAX_BITS}-bit coefficients)",
+                    etok.line,
+                    etok.col,
+                )
             return _Val(base.scal ** etok.value)
         return base
 
@@ -211,6 +264,9 @@ class _Parser:
             raise TableError("product of two basis-vector expressions", tok.line, tok.col)
         if b.is_scalar():
             a, b = b, a
+        widest = max([len(b.scal.terms)] + [len(p.terms) for p in b.vec.values()])
+        if len(a.scal.terms) * widest > _MAX_TERMS:
+            raise TableError(f"product too large (cap: {_MAX_TERMS} terms)", tok.line, tok.col)
         return _Val(a.scal * b.scal, {k: a.scal * p for k, p in b.vec.items()})
 
     @staticmethod

@@ -1,4 +1,5 @@
 import json
+import time
 
 from nilcohom.cli import main
 from nilcohom.jsonio import dump_algebra
@@ -98,6 +99,14 @@ def test_ideal_gens_text_output(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 2 and all("t_{" in l for l in lines)
+
+
+def test_ideal_gens_over_the_word_cap_exits_3(capsys):
+    for argv in (("12", "6", "N"), ("12", "8", "SN")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ideal", "gens", *argv)
+        assert code == 3 and "over the cap 100000" in err
+        assert time.perf_counter() - start < 1
 
 
 def test_ideal_member_and_nonmember(capsys):

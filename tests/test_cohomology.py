@@ -297,7 +297,7 @@ def test_differentials_vanish_at_the_abelian_point():
 
 @pytest.mark.parametrize("kind,k", [("n", 2), ("n", 3), ("n", 4), ("sn", 2),
                                     ("sn", 3), ("sn", 4)])
-def test_word_derivative_matches_interpolated_expansion(kind, k):
+def test_word_derivative_matches_interpolated_expansion(catalog, kind, k):
     rng = random.Random(100 + k)
     cases = [(random_structure(4, rng), random_structure(4, rng)) for _ in range(3)]
     # a table with denominators, and a Gaussian one (in dimension 3, where
@@ -306,6 +306,10 @@ def test_word_derivative_matches_interpolated_expansion(kind, k):
                   random_structure(4, rng)))
     cases.append((_with_entries(random_structure(3, rng), lambda v: QI(v, rng.randint(-2, 2)),
                                 FIELD_QI), random_structure(3, rng)))
+    if kind == "sn" and k in (3, 4):
+        # a 5-dimensional nilpotent table with denominators, where the split
+        # word combines several rows of its inner word
+        cases.append((_g53_tables(catalog)[1], random_structure(5, rng)))
     for mu, sigma in cases:
         mat = dnk_matrix(mu, k) if kind == "n" else dsnk_matrix(mu, k)
         got = _tensor_from_matrix_action(mat, sigma, mu.n, k + 1)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import ceil, log2
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_structure
 from nilcohom.errors import (
@@ -14,6 +16,10 @@ from nilcohom.errors import (
 from nilcohom.liealg import (
     StructureConstants,
     Subspace,
+    _brv,
+    _brvv,
+    _dense_table,
+    _letter_operators,
     center,
     change_basis,
     derived_series,
@@ -349,3 +355,49 @@ def test_random_brackets_jacobi_consistency():
         mu = random_structure(4, rng)
         tensor = jacobi(mu)
         assert (tensor == {}) == is_lie(mu)
+
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_gaussians = st.builds(QI, _rationals, _rationals)
+
+
+@st.composite
+def _tables_and_vectors(draw):
+    """A table over Q or Q(i), with denominators, and two vectors over its
+    field.  With ``dependent`` every head mu(e_i, e_j) is a combination of
+    one or two shared directions, so the heads are linearly dependent."""
+    n = draw(st.integers(1, 5))
+    gaussian = draw(st.booleans())
+    scalar = st.one_of(_rationals, _gaussians) if gaussian else _rationals
+    vec = st.lists(st.one_of(st.just(0), scalar), min_size=n, max_size=n)
+    dependent = draw(st.booleans())
+    directions = draw(st.lists(vec, min_size=1, max_size=2))
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dependent:
+                head = [0] * n
+                for d in directions:
+                    c = draw(st.one_of(st.just(0), scalar))
+                    head = [h + c * x for h, x in zip(head, d)]
+            else:
+                head = draw(vec)
+            brackets[(i, j)] = {k: c for k, c in enumerate(head) if c}
+    mu = StructureConstants(n, brackets, FIELD_QI if gaussian else FIELD_Q)
+    return mu, draw(vec), draw(vec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tables_and_vectors())
+def test_sparse_letter_operators_match_the_bracket(case):
+    """mu(x, y) and mu(x, e_b) through the per-letter operators equal the
+    bilinear evaluation of the tensor."""
+    mu, x, y = case
+    n, table = _dense_table(mu, scaled=False)
+    left, right = _letter_operators(table, n)
+    zero = [0] * n
+    assert (_brvv(left, n, x, y) or zero) == mu.bracket(x, y)
+    for b in range(n):
+        e_b = [int(c == b) for c in range(n)]
+        assert (_brv(right, n, x, b) or zero) == mu.bracket(x, e_b)
+        assert (_brvv(left, n, e_b, y) or zero) == mu.bracket(e_b, y)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilcohom.errors import TableError
 from nilcohom.scalars import QI
@@ -114,3 +116,35 @@ def test_family_identification_on_the_nilpotent_line(catalog):
         a = catalog.structure("g_6(r,t)", {"r": 0, "t": t})
         b = catalog.structure("g_I(t)", {"t": t})
         assert a == b
+
+
+# text over the table grammar's characters (letters inside and outside a..g,
+# the parameters r and t, i, digits, operators, separators), plus a few
+# characters the tokenizer must refuse
+_GRAMMAR_TEXT = st.text(alphabet="abcdghirtz0123456789+-*/^()=,;\n ²é", max_size=40)
+_TABLE_TEXT = st.one_of(
+    _GRAMMAR_TEXT,
+    st.builds("{} = {}".format, st.sampled_from(["ab", "ba", "ce", "fg", "aa", "ah"]),
+              _GRAMMAR_TEXT),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TABLE_TEXT, st.sampled_from([3, 7]))
+@example("ab = " + "(" * 400 + "c" + ")" * 400, 3)
+@example("ab = " + "-" * 2000 + "c", 7)
+@example("ab = 9^99999999c", 7)
+@example("ab = ((((2^9)^9)^9)^9)^9c", 3)
+@example("ab = t^99999999c", 7)
+@example("ab = (1+r+t)^64c", 7)
+@example("ab = (1+r+t)^40(1+r+t)^40c", 7)
+@example("ab = ²c", 3)
+def test_parser_raises_only_table_error(text, n):
+    """Any text parses or raises TableError, quickly: nothing else escapes."""
+    for parse in (lambda: parse_table(text, n, {"r": 2, "t": Fraction(1, 3)}),
+                  lambda: parse_symbolic(text, n, ("r", "t"))):
+        try:
+            parse()
+        except TableError:
+            pass
