@@ -340,9 +340,6 @@ class Catalog:
     def names(self):
         return sorted(self._records)
 
-    def has(self, name):
-        return _norm(name) in self._lookup
-
     def get(self, name) -> AlgebraRecord:
         key = _norm(name)
         if key in self._lookup:

@@ -9,10 +9,6 @@ class DimensionMismatch(NilcohomError, ValueError):
     """Vector or matrix sizes are incompatible."""
 
 
-class FieldMismatch(NilcohomError, ValueError):
-    """Operands live over different scalar fields (Q vs Q(i))."""
-
-
 class NotLieAlgebra(NilcohomError, ValueError):
     """An operation requiring the Jacobi identity received a non-Lie bracket."""
 

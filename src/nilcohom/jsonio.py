@@ -55,12 +55,6 @@ def dump_algebra(mu: StructureConstants, name=None) -> str:
     return json.dumps(algebra_to_dict(mu, name), indent=2)
 
 
-def load_algebra(text_or_path) -> StructureConstants:
-    p = Path(text_or_path)
-    text = p.read_text() if p.suffix == ".json" and p.exists() else str(text_or_path)
-    return algebra_from_dict(json.loads(text))
-
-
 def pack_checksum(directory) -> str:
     """sha256 over the sorted file contents of a data-pack directory."""
     h = hashlib.sha256()

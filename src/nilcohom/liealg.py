@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import DimensionMismatch, NotDerivation, NotLieAlgebra
-from .linalg import ExactMatrix, RowBasis, inverse, kernel_basis
+from .linalg import ExactMatrix, inverse, reduce_rows
 from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
 
@@ -114,9 +114,6 @@ class StructureConstants:
     def __repr__(self):
         label = self.name or f"{self.n}-dim bracket"
         return f"StructureConstants({label}, nnz={sum(len(v) for v in self.c.values())})"
-
-
-TwoCochain = StructureConstants
 
 
 def _is_qi(x):
@@ -456,98 +453,69 @@ def _unit(n, i):
 
 
 class Subspace:
-    """Span of exact vectors, kept as its monic reduced row echelon basis."""
+    """Span of exact vectors, held by a monic RowBasis (its reduced rows)."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient, rows):
-        self.ambient = ambient
-        self.rows = rows
+    def __init__(self, basis):
+        basis.to_field()
+        self.ambient = basis.ncols
+        self.basis = basis
 
     @classmethod
     def span(cls, vectors, ambient):
-        basis = RowBasis(ambient)
-        for v in vectors:
-            basis.add({c: _as_field(x) for c, x in enumerate(v) if x})
-        return cls(ambient, [tuple(r) for r in basis.basis_rows()])
+        return cls(reduce_rows(vectors, ambient))
 
     @classmethod
     def full(cls, ambient):
         return cls.span([_unit(ambient, i) for i in range(ambient)], ambient)
 
     @property
+    def rows(self):
+        return [tuple(r) for r in self.basis.basis_rows()]
+
+    @property
     def dim(self):
-        return len(self.rows)
+        return self.basis.rank
 
     def contains(self, v):
-        v = [_as_field(x) for x in v]
-        for row in self.rows:
-            j = _lead_index(row)
-            if v[j]:
-                f = v[j]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
-
-    def contains_space(self, other):
-        return all(self.contains(row) for row in other.rows)
+        return self.basis.contains({c: x for c, x in enumerate(v) if x})
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient})"
-
-
-def _as_field(x):
-    return x if isinstance(x, (Fraction, QI)) else Fraction(x)
-
-
-def _lead_index(row):
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return len(row)
-
-
-def _bracket_space(mu, a: Subspace, b: Subspace) -> Subspace:
-    vecs = []
-    for u in a.rows:
-        for v in b.rows:
-            w = mu.bracket(list(u), list(v))
-            if any(w):
-                vecs.append(w)
-    return Subspace.span(vecs, mu.n)
 
 
 def lower_central_series(mu):
     """g^0 = g, g^i = [g^{i-1}, g]; stops at 0 or at stabilization."""
     if not is_lie(mu):
         raise NotLieAlgebra("lower central series needs the Jacobi identity")
-    return _central_series(mu)
+    return _series(mu)
 
 
-def _central_series(mu):
-    """The lower central series without the Jacobi check.
+def _series(mu, derived=False):
+    """The lower central or the derived series, without the Jacobi check.
 
-    g^i is spanned by mu(u, e_b) over the basis rows u of g^{i-1}, taken on
-    the dense table cleared of denominators.  Over Q the span is the integral
-    RowBasis, made monic only for the Subspace it returns.
+    Each term is spanned by mu(u, e_b) (lower central) or mu(u, v) (derived)
+    over the basis rows u, v of the previous one, taken on the dense table
+    cleared of denominators; over Q the span is the integral RowBasis, made
+    monic only for the Subspace it returns.  For any bilinear bracket each
+    term lies in the one before, so an equal dimension means stabilization.
     """
     n, table = _dense_table(mu, scaled=True)
-    _, right = _letter_operators(table, n)
+    left, right = _letter_operators(table, n)
     series = [Subspace.full(n)]
     rows = [_unit(n, i) for i in range(n)]
-    while True:
-        basis = RowBasis(n, integral=mu.field == FIELD_Q)
-        for u in rows:
-            for b in range(n):
-                w = _brv(right, n, u, b)
-                if w is not None:
-                    basis.add({c: x for c, x in enumerate(w) if x})
+    while rows:
+        if derived:
+            brackets = (_brvv(left, n, u, v) for i, u in enumerate(rows) for v in rows[i + 1:])
+        else:
+            brackets = (_brv(right, n, u, b) for u in rows for b in range(n))
+        basis = reduce_rows((w for w in brackets if w is not None), n, mu.field)
         if basis.rank == len(rows):
-            return series
-        rows = basis.basis_rows()
-        basis.to_field()
-        series.append(Subspace(n, [tuple(r) for r in basis.basis_rows()]))
-        if not rows:
-            return series
+            break
+        rows = basis.basis_rows()  # integral, read before Subspace makes the basis monic
+        series.append(Subspace(basis))
+    return series
 
 
 def n_k_vanishes(mu, k):
@@ -556,7 +524,7 @@ def n_k_vanishes(mu, k):
     For any bilinear bracket g^k is spanned by the left-nested (k+1)-letter
     words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.
     """
-    series = _central_series(mu)
+    series = _series(mu)
     return series[min(k, len(series) - 1)].dim == 0
 
 
@@ -570,14 +538,15 @@ def sn_k_vanishes(mu, k):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    series = _central_series(mu)
+    series = _series(mu)
     last = len(series) - 1
     n, table = _dense_table(mu, scaled=False)
     left, _ = _letter_operators(table, n)
+    inner = series[min(k - 2, last)].rows
     return all(
         _brvv(left, n, u, v) is None
         for u in series[min(1, last)].rows
-        for v in series[min(k - 2, last)].rows
+        for v in inner
     )
 
 
@@ -593,14 +562,7 @@ def derived_series(mu):
     """g^(0) = g, g^(i) = [g^(i-1), g^(i-1)]; stops at 0 or stabilization."""
     if not is_lie(mu):
         raise NotLieAlgebra("derived series needs the Jacobi identity")
-    series = [Subspace.full(mu.n)]
-    while True:
-        nxt = _bracket_space(mu, series[-1], series[-1])
-        if nxt.dim == series[-1].dim:
-            return series
-        series.append(nxt)
-        if nxt.dim == 0:
-            return series
+    return _series(mu, derived=True)
 
 
 def solvable_length(mu):
@@ -608,17 +570,6 @@ def solvable_length(mu):
     if series[-1].dim == 0:
         return len(series) - 1
     return None
-
-
-def center(mu) -> Subspace:
-    n = mu.n
-    entries = {}
-    for j in range(n):
-        for i in range(n):
-            for k, v in mu.bracket_basis(i, j).items():
-                entries[(j * n + k, i)] = v
-    ad = ExactMatrix(n * n, n, entries, mu.field)
-    return Subspace.span(kernel_basis(ad), n)
 
 
 # -- basis change and constructions ----------------------------------------------

@@ -1,20 +1,24 @@
 """Exact sparse linear algebra over Q and Q(i).
 
-Ranks, kernels and solutions come from one online row echelon,
-:class:`RowBasis`.  Rows are sparse ``{col: value}`` dicts, and every
-retained (pivot) row is kept fully reduced: it is zero in the lead column of
-every other retained row.  An incoming row therefore needs one elimination
-per pivot column among its own nonzeros, each touching only that pivot row's
+Every exact span in the package (ranks, kernels, solutions, the series of
+an algebra) is held by one online row echelon, :class:`RowBasis`.  Rows are
+sparse ``{col: value}`` dicts of ints, Fractions or QIs, and every retained
+(pivot) row is kept fully reduced: it is zero in the lead column of every
+other retained row.  An incoming row therefore needs one elimination per
+pivot column among its own nonzeros, each touching only that pivot row's
 nonzeros; a row that survives is normalized, kept, and its lead column is
-cleared from the retained rows that have it.  At most ``ncols`` rows are ever
-held, however many stream by.
+cleared from the retained rows that have it.  At most ``ncols`` rows are
+ever held, however many stream by.
 
-Two scalar rules share that algorithm:
+The basis' field picks one of two scalar rules, and ``RowBasis.add`` brings
+each incoming row to it:
 
-* the integral mode, used over Q: each row is scaled to integers (per-row
-  scaling changes neither rank nor row space), eliminations cross-multiply
-  without fractions, and a retained row is primitive with a positive lead;
-* the field mode, used over Q(i): a retained row is monic.
+* the integral mode, used over Q: each row is cleared of denominators
+  (per-row scaling changes neither rank nor row space), eliminations
+  cross-multiply without fractions, and a retained row is primitive with a
+  positive lead;
+* the field mode, used over Q(i), and over Q from the first row with a
+  Gaussian entry on: a retained row is monic.
 
 The retained rows sorted by lead are the reduced row echelon form of
 everything added, each row scaled by that rule, so they do not depend on the
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch
-from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
+from .errors import DimensionMismatch, SingularMatrix
+from .scalars import FIELD_Q, FIELD_QI, QI, promote
 
 
 def backend() -> str:
@@ -78,10 +82,6 @@ class ExactMatrix:
                     entries[(r, c)] = v
         return cls(nrows, ncols, entries, field)
 
-    @classmethod
-    def identity(cls, n, field=FIELD_Q):
-        return cls(n, n, {(i, i): 1 for i in range(n)}, field)
-
     def iter_rows(self):
         """Yield (cols, vals) per row, cols ascending, in row order."""
         buckets = [[] for _ in range(self.nrows)]
@@ -90,24 +90,6 @@ class ExactMatrix:
         for pairs in buckets:
             pairs.sort()
             yield [c for c, _ in pairs], [v for _, v in pairs]
-
-    def transpose(self):
-        return ExactMatrix(
-            self.ncols,
-            self.nrows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-            self.field,
-        )
-
-    def stack(self, other):
-        """Rows of ``self`` on top of rows of ``other``."""
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("stacking matrices of different widths")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r + self.nrows, c)] = v
-        field = join_fields(self.field, other.field)
-        return ExactMatrix(self.nrows + other.nrows, self.ncols, entries, field)
 
     def mat_vec(self, v):
         if len(v) != self.ncols:
@@ -118,20 +100,6 @@ class ExactMatrix:
             if v[c]:
                 out[r] = out[r] + a * v[c]
         return out
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        field = join_fields(self.field, other.field)
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        entries = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                entries[key] = entries.get(key, 0) + a * b
-        return ExactMatrix(self.nrows, other.ncols, entries, field)
 
     def is_zero(self):
         return not self.entries
@@ -169,18 +137,19 @@ def int_cleared(vals):
 class RowBasis:
     """Online sparse row echelon with every retained row fully reduced.
 
-    Rows are ``{col: value}`` dicts without zero values.  In the integral
-    mode values are ints and retained rows are primitive with a positive
-    lead; otherwise values are Fractions or QIs and retained rows are monic.
+    Retained rows are ``{col: value}`` dicts without zero values.  In the
+    integral mode values are ints and retained rows are primitive with a
+    positive lead; in the field mode values are Fractions or QIs and
+    retained rows are monic.  A basis over Q starts in the integral mode.
     """
 
     __slots__ = ("ncols", "integral", "_rows")
 
-    def __init__(self, ncols, integral=False):
+    def __init__(self, ncols, field=FIELD_Q):
         if ncols < 0:
             raise ValueError("ncols must be nonnegative")
         self.ncols = ncols
-        self.integral = integral
+        self.integral = field == FIELD_Q
         self._rows = {}  # lead column -> retained row
 
     @property
@@ -205,29 +174,16 @@ class RowBasis:
         return out
 
     def add(self, row):
-        """Reduce ``row`` (consumed) and keep it if it stays nonzero.
+        """Reduce a ``{col: value}`` row of ints, Fractions or QIs and keep it
+        if it stays nonzero; ``row`` itself is left as it was.
 
         Returns True iff the rank grew.
         """
-        rows = self._rows
-        integral = self.integral
-        # eliminating one pivot column leaves every other pivot column of the
-        # row as it was (up to a common factor), so the hits are fixed upfront
-        for j in [j for j in row if j in rows]:
-            piv = rows[j]
-            b = row[j]
-            if integral:
-                a = piv[j]
-                if a != 1:
-                    g = gcd(a, b)
-                    if g != a:
-                        m = a // g
-                        for c in row:
-                            row[c] *= m
-                    b //= g
-            _sub_multiple(row, b, piv)
+        row = self._reduced(row)
         if not row:
             return False
+        rows = self._rows
+        integral = self.integral
         lead = min(row)
         if integral:
             g = gcd(*row.values())
@@ -262,6 +218,16 @@ class RowBasis:
         rows[lead] = row
         return True
 
+    def contains(self, row):
+        """True iff the ``{col: value}`` row lies in the span; the basis keeps
+        its mode, as a Gaussian row lies in the span of rational rows iff its
+        real and imaginary parts do."""
+        if self.integral and any(isinstance(v, QI) for v in row.values()):
+            row = {c: promote(v, FIELD_QI) for c, v in row.items()}
+            parts = ({c: v.re for c, v in row.items()}, {c: v.im for c, v in row.items()})
+            return all(self.contains(part) for part in parts)
+        return not self._reduced(row)
+
     def to_field(self):
         """Switch to the field mode in place: every retained row made monic."""
         if self.integral:
@@ -269,6 +235,49 @@ class RowBasis:
                 a = row[j]
                 self._rows[j] = {c: Fraction(v, a) for c, v in row.items()}
             self.integral = False
+
+    def _reduced(self, row):
+        """A copy of ``row`` in this basis' scalars, minus its components
+        along the retained rows.
+
+        In the integral mode the copy is cleared of denominators; a Gaussian
+        entry first switches the basis to the field mode.
+        """
+        if self.integral:
+            den = 1
+            exact = True
+            for v in row.values():
+                if type(v) is not int:
+                    if isinstance(v, QI):
+                        self.to_field()
+                        break
+                    exact = False
+                    den = lcm(den, v.denominator)
+            else:
+                if exact:
+                    row = {c: v for c, v in row.items() if v}
+                else:
+                    row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        if not self.integral:
+            row = {c: v if isinstance(v, (Fraction, QI)) else Fraction(v) for c, v in row.items() if v}
+        rows = self._rows
+        integral = self.integral
+        # eliminating one pivot column leaves every other pivot column of the
+        # row as it was (up to a common factor), so the hits are fixed upfront
+        for j in [j for j in row if j in rows]:
+            piv = rows[j]
+            b = row[j]
+            if integral:
+                a = piv[j]
+                if a != 1:
+                    g = gcd(a, b)
+                    if g != a:
+                        m = a // g
+                        for c in row:
+                            row[c] *= m
+                    b //= g
+            _sub_multiple(row, b, piv)
+        return row
 
 
 def _sub_multiple(row, b, other):
@@ -281,67 +290,17 @@ def _sub_multiple(row, b, other):
             del row[c]
 
 
-class _Reducer:
-    """Feeds rows of ints, Fractions and QIs to a RowBasis: in the integral
-    mode over Q, each row cleared of denominators; in the field mode over
-    Q(i), switching to it in place if a Gaussian entry shows up mid-stream."""
-
-    __slots__ = ("ncols", "basis")
-
-    def __init__(self, ncols, field=FIELD_Q):
-        self.ncols = ncols
-        self.basis = RowBasis(ncols, integral=field == FIELD_Q)
-
-    def add_row(self, cols, vals):
-        """Reduce the row with ``vals`` at ``cols``; True iff the rank grew."""
-        basis = self.basis
-        if basis.integral:
-            den = 1
-            exact = True
-            for v in vals:
-                if type(v) is not int:
-                    if isinstance(v, QI):
-                        basis.to_field()
-                        break
-                    exact = False
-                    den = lcm(den, v.denominator)
-            else:
-                if exact:
-                    return basis.add({c: v for c, v in zip(cols, vals) if v})
-                return basis.add({
-                    c: v.numerator * (den // v.denominator) for c, v in zip(cols, vals) if v
-                })
-        return basis.add({
-            c: v if isinstance(v, (Fraction, QI)) else Fraction(v)
-            for c, v in zip(cols, vals)
-            if v
-        })
-
-    @property
-    def rank(self):
-        return self.basis.rank
-
-    def pivot_cols(self):
-        return self.basis.pivot_cols()
-
-    def basis_rows(self):
-        return self.basis.basis_rows()
-
-    def sparse_rows(self):
-        return self.basis.sparse_rows()
-
-
 def _sparse_from(rowlike, ncols):
-    """Normalize a dense sequence or {col: val} dict to (cols, vals)."""
+    """A dense sequence or {col: value} dict as a {col: value} dict, checked
+    against ``ncols``."""
     if isinstance(rowlike, dict):
         if rowlike and (min(rowlike) < 0 or max(rowlike) >= ncols):
             raise DimensionMismatch(f"column index outside 0..{ncols - 1}")
-        return rowlike.keys(), rowlike.values()
+        return rowlike
     row = list(rowlike)
     if len(row) != ncols:
         raise DimensionMismatch(f"row has length {len(row)}, expected {ncols}")
-    cols = [c for c, v in enumerate(row) if v]
-    return cols, [row[c] for c in cols]
+    return {c: v for c, v in enumerate(row) if v}
 
 
 def streaming_rank(rows, ncols, field=FIELD_Q):
@@ -354,22 +313,24 @@ def streaming_rank(rows, ncols, field=FIELD_Q):
 
 
 def reduce_rows(rows, ncols, field=FIELD_Q):
-    """Like streaming_rank but returns the reducer (basis rows, pivots)."""
-    red = _Reducer(ncols, field)
+    """Like streaming_rank but returns the RowBasis (basis rows, pivots)."""
+    basis = RowBasis(ncols, field)
     for rowlike in rows:
-        cols, vals = _sparse_from(rowlike, ncols)
-        if cols:
-            red.add_row(cols, vals)
-    return red
+        basis.add(_sparse_from(rowlike, ncols))
+    return basis
+
+
+def _row_basis(m: ExactMatrix) -> RowBasis:
+    basis = RowBasis(m.ncols, m.field)
+    for cols, vals in m.iter_rows():
+        basis.add(dict(zip(cols, vals)))
+    return basis
 
 
 def rank(m: ExactMatrix) -> RankProfile:
     """Exact rank with the (sorted) pivot-column profile."""
-    red = _Reducer(m.ncols, m.field)
-    for cols, vals in m.iter_rows():
-        if cols:
-            red.add_row(cols, vals)
-    return RankProfile(red.rank, tuple(red.pivot_cols()))
+    basis = _row_basis(m)
+    return RankProfile(basis.rank, tuple(basis.pivot_cols()))
 
 
 def kernel_basis(m: ExactMatrix):
@@ -378,21 +339,16 @@ def kernel_basis(m: ExactMatrix):
     One vector per free column f: e_f minus, for every pivot row, its entry
     in column f over its lead, placed at the lead.
     """
-    red = _Reducer(m.ncols, m.field)
-    for cols, vals in m.iter_rows():
-        if cols:
-            red.add_row(cols, vals)
     field = m.field
     one, zero = _one(field), _zero(field)
-    rows = [(min(row), row) for row in red.sparse_rows()]
-    pivot_set = {p for p, _ in rows}
+    rows = _row_basis(m)._rows  # lead column -> retained row
     out = []
     for f in range(m.ncols):
-        if f in pivot_set:
+        if f in rows:
             continue
         v = [zero] * m.ncols
         v[f] = one
-        for p, row in rows:
+        for p, row in rows.items():
             if f in row:
                 v[p] = promote(-row[f], field) / row[p]
         out.append(v)
@@ -411,16 +367,14 @@ def solve(a: ExactMatrix, b):
     if any(isinstance(v, QI) for v in b):
         field = FIELD_QI
     n = a.ncols
-    red = _Reducer(n + 1, field)
-    for i, (cols, vals) in enumerate(a.iter_rows()):
-        if b[i]:
-            cols = cols + [n]
-            vals = vals + [b[i]]
-        if cols:
-            red.add_row(cols, vals)
+    basis = RowBasis(n + 1, field)
+    for (cols, vals), bi in zip(a.iter_rows(), b):
+        row = dict(zip(cols, vals))
+        if bi:
+            row[n] = bi
+        basis.add(row)
     x = [_zero(field)] * n
-    for row in red.sparse_rows():
-        p = min(row)
+    for p, row in basis._rows.items():
         if p == n:
             return None
         if n in row:
@@ -430,20 +384,20 @@ def solve(a: ExactMatrix, b):
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square matrix; raises SingularMatrix."""
-    from .errors import SingularMatrix
-
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
     field = m.field
-    red = _Reducer(2 * n, field)
+    basis = RowBasis(2 * n, field)
     one = _one(field)
     for i, (cols, vals) in enumerate(m.iter_rows()):
-        red.add_row(cols + [n + i], vals + [one])
-    if red.pivot_cols() != list(range(n)):
+        row = dict(zip(cols, vals))
+        row[n + i] = one
+        basis.add(row)
+    if basis.pivot_cols() != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     entries = {}
-    for r, row in enumerate(red.sparse_rows()):
+    for r, row in enumerate(basis.sparse_rows()):
         for c, v in row.items():
             if c >= n:
                 entries[(r, c - n)] = promote(v, field) / row[r]

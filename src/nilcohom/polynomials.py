@@ -191,9 +191,6 @@ class MultiPoly:
             return self.terms[()]
         return None
 
-    def coeff(self, mono):
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
     # -- calculus and evaluation ---------------------------------------------
 
     def substitute(self, assignment):

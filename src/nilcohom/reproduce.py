@@ -222,8 +222,7 @@ def _counterexample_items(catalog):
         b = red.rank
         for key in ("nu1", "nu2"):
             vec = cochain_vector(rec.cochain(key))
-            sc = [i for i, x in enumerate(vec) if x]
-            red.add_row(sc, [vec[i] for i in sc])
+            red.add({i: x for i, x in enumerate(vec) if x})
         return "rank(Im d1 + nu1 + nu2) = b + 2", (
             "rank(Im d1 + nu1 + nu2) = b + 2"
             if red.rank == b + 2

@@ -100,9 +100,6 @@ class QI:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def is_rational(self):
-        return self.im == 0
-
     def to_fraction(self):
         """Explicit coercion to Fraction; rejects a nonzero imaginary part."""
         if self.im != 0:
@@ -114,13 +111,6 @@ class QI:
 
     def __str__(self):
         return format_scalar(self)
-
-
-I_UNIT = QI(0, 1)
-
-
-def field_of(x) -> str:
-    return FIELD_QI if isinstance(x, QI) else FIELD_Q
 
 
 def promote(x, field: str):

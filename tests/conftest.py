@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from nilcohom.catalog import Catalog
-from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec
-from nilcohom.linalg import ExactMatrix
-from nilcohom.scalars import QI
+from nilcohom.liealg import Layout, StructureConstants, Subspace, _dense_table, _sigma_of_vec
+from nilcohom.linalg import ExactMatrix, kernel_basis
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +64,27 @@ def random_structure(n, rng=None, density=0.5, lo=-3, hi=3):
     return StructureConstants(n, brackets)
 
 
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def structure_tables(draw, field=None):
+    """Random brackets of dimension 1-7 with denominators, over ``field``
+    (Q or Q(i), drawn when None); over Q(i) some entries may come out real."""
+    n = draw(st.integers(1, 7))
+    field = field or draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    scalar = _RATIONALS if field == FIELD_Q else st.builds(QI, _RATIONALS, _RATIONALS)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    if pairs:
+        brackets = draw(st.dictionaries(
+            st.sampled_from(pairs),
+            st.dictionaries(st.integers(0, n - 1), scalar, max_size=3),
+            max_size=len(pairs),
+        ))
+    return StructureConstants(n, brackets, field)
+
+
 def d1_by_brackets(mu):
     """d1 by its definition, through ``StructureConstants.bracket``; the
     independent oracle for ``d1_matrix``.  Column p*n+q is the 1-cochain
@@ -116,3 +138,52 @@ def dj_matrix(mu):
                 if v:
                     entries[(base + m, col)] = v
     return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)
+
+
+# -- matrix and subspace helpers that only the tests need ------------------------
+
+
+def identity(n, field=FIELD_Q):
+    return ExactMatrix(n, n, {(i, i): 1 for i in range(n)}, field)
+
+
+def transpose(m):
+    return ExactMatrix(m.ncols, m.nrows, {(c, r): v for (r, c), v in m.entries.items()}, m.field)
+
+
+def stack(top, bottom):
+    """Rows of ``top`` above rows of ``bottom``."""
+    assert top.ncols == bottom.ncols
+    entries = dict(top.entries)
+    for (r, c), v in bottom.entries.items():
+        entries[(r + top.nrows, c)] = v
+    field = join_fields(top.field, bottom.field)
+    return ExactMatrix(top.nrows + bottom.nrows, top.ncols, entries, field)
+
+
+def matmul(a, b):
+    assert a.ncols == b.nrows
+    by_row = {}
+    for (r, c), v in b.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    entries = {}
+    for (r, k), x in a.entries.items():
+        for c, y in by_row.get(k, ()):
+            entries[(r, c)] = entries.get((r, c), 0) + x * y
+    return ExactMatrix(a.nrows, b.ncols, entries, join_fields(a.field, b.field))
+
+
+def center(mu):
+    """The centre as the kernel of x -> (mu(x, e_j))_j."""
+    n = mu.n
+    entries = {}
+    for j in range(n):
+        for i in range(n):
+            for k, v in mu.bracket_basis(i, j).items():
+                entries[(j * n + k, i)] = v
+    ad = ExactMatrix(n * n, n, entries, mu.field)
+    return Subspace.span(kernel_basis(ad), n)
+
+
+def contains_space(big, small):
+    return all(big.contains(row) for row in small.rows)

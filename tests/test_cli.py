@@ -102,10 +102,15 @@ def test_ideal_gens_text_output(capsys):
 
 
 def test_ideal_gens_over_the_word_cap_exits_3(capsys):
-    for argv in (("12", "6", "N"), ("12", "8", "SN")):
+    for argv, cap in (
+        (("12", "6", "N"), "over the cap 100000"),
+        (("12", "8", "SN"), "over the cap 100000"),
+        (("26", "2", "N"), "over the cap 12 on its dimension"),
+        (("26", "2", "J"), "over the cap 12 on its dimension"),
+    ):
         start = time.perf_counter()
         code, _, err = run(capsys, "ideal", "gens", *argv)
-        assert code == 3 and "over the cap 100000" in err
+        assert code == 3 and cap in err
         assert time.perf_counter() - start < 1
 
 

@@ -2,10 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import structure_tables
+from nilcohom.catalog import Catalog
 from nilcohom.jsonio import algebra_from_dict, algebra_to_dict, dump_algebra, pack_checksum
-from nilcohom.scalars import QI
+from nilcohom.scalars import FIELD_QI, QI
 from nilcohom.tables import parse_table
+
+CAT = Catalog()
 
 
 def test_schema_shape(catalog):
@@ -23,15 +28,29 @@ def test_schema_shape(catalog):
     }
 
 
-def test_round_trip_is_bit_exact(catalog):
-    for name in ("g_{5,3}", "12346_E", "g_{247H}"):
-        mu = catalog.structure(name)
-        again = algebra_from_dict(json.loads(dump_algebra(mu)))
-        assert again == mu and again.field == mu.field
+def _typed(mu):
+    return {pair: [(k, type(v), v) for k, v in sorted(coeffs.items())]
+            for pair, coeffs in mu.c.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_tables())
+@example(CAT.structure("g_{5,3}"))
+@example(CAT.structure("12346_E"))
+@example(CAT.structure("g_{247H}"))
+@example(parse_table("ab = (1/2-3/4 i)c, ac = 2d", 4))
+def test_round_trip_is_bit_exact(mu):
+    again = algebra_from_dict(json.loads(dump_algebra(mu)))
+    assert again == mu and again.field == mu.field
+    assert _typed(again) == _typed(mu)  # every entry of the same type, too
+
+
+def test_gaussian_table_survives_json():
     mu = parse_table("ab = (1/2-3/4 i)c, ac = 2d", 4)
     again = algebra_from_dict(json.loads(dump_algebra(mu)))
-    assert again == mu and again.field == "Qi"
+    assert again.field == FIELD_QI
     assert again.entry(0, 1, 2) == QI(Fraction(1, 2), Fraction(-3, 4))
+    assert again.entry(0, 2, 3) == 2
 
 
 def test_fractional_coefficients_survive():

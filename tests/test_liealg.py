@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_structure
+from conftest import center, contains_space, random_structure
 from nilcohom.errors import (
     DimensionMismatch,
     NotDerivation,
@@ -20,7 +20,6 @@ from nilcohom.liealg import (
     _brvv,
     _dense_table,
     _letter_operators,
-    center,
     change_basis,
     derived_series,
     direct_sum,
@@ -189,7 +188,7 @@ def test_derived_series_inside_central_series(catalog):
         derived = derived_series(mu)
         for i, d in enumerate(derived):
             j = min(2**i - 1, len(lower) - 1)
-            assert lower[j].contains_space(d), (name, i)
+            assert contains_space(lower[j], d), (name, i)
 
 
 def test_nilpotency_implies_split_word_vanishes(catalog):
@@ -223,12 +222,14 @@ def test_sn_k_vanishes_agrees_with_the_split_word(catalog):
         sn_k_vanishes(tables[0], 1)
 
 
-def _series_oracle(mu):
-    """g^i = [g^{i-1}, g] by StructureConstants.bracket and Subspace.span."""
+def _series_oracle(mu, derived=False):
+    """g^i = [g^{i-1}, g], or g^(i) = [g^(i-1), g^(i-1)] when ``derived``, by
+    StructureConstants.bracket and Subspace.span."""
     series = [Subspace.full(mu.n)]
     units = [[Fraction(i == j) for j in range(mu.n)] for i in range(mu.n)]
     while True:
-        vecs = [mu.bracket(list(u), e) for u in series[-1].rows for e in units]
+        others = series[-1].rows if derived else units
+        vecs = [mu.bracket(list(u), list(e)) for u in series[-1].rows for e in others]
         nxt = Subspace.span(vecs, mu.n)
         if nxt.dim == series[-1].dim:
             return series
@@ -243,6 +244,8 @@ def test_lower_central_series_rows_match_the_bracket_oracle(catalog):
     for mu in tables:
         got = lower_central_series(mu)
         assert [s.rows for s in got] == [s.rows for s in _series_oracle(mu)], mu
+        got = derived_series(mu)
+        assert [s.rows for s in got] == [s.rows for s in _series_oracle(mu, True)], mu
 
 
 def test_change_basis_identity_and_inverse(catalog):
@@ -345,7 +348,7 @@ def test_subspace_span_and_membership():
     assert s.dim == 2
     assert s.contains([5, -3, 0])
     assert not s.contains([0, 0, 1])
-    assert Subspace.full(3).contains_space(s)
+    assert contains_space(Subspace.full(3), s)
 
 
 def test_random_brackets_jacobi_consistency():

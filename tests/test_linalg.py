@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rank, dense_rref
+from conftest import dense_rank, dense_rref, identity, matmul, transpose
 from nilcohom.errors import DimensionMismatch, SingularMatrix
 from nilcohom.linalg import (
     ExactMatrix,
@@ -14,6 +14,7 @@ from nilcohom.linalg import (
     backend,
     dot,
     in_kernel,
+    int_cleared,
     inverse,
     kernel_basis,
     rank,
@@ -39,7 +40,7 @@ def rand_matrix(rng, nrows, ncols, density=0.6, bound=6):
 
 
 def test_rank_identity_and_proportional_rows():
-    assert rank(ExactMatrix.identity(3)).rank == 3
+    assert rank(identity(3)).rank == 3
     m = ExactMatrix.from_dense([[1, 2], [2, 4]])
     assert rank(m) .rank == 1
     assert rank(m).pivot_cols == (0,)
@@ -59,7 +60,7 @@ def test_rank_equals_rank_of_transpose():
     for _ in range(60):
         rows = rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         m = ExactMatrix.from_dense(rows)
-        assert rank(m).rank == rank(m.transpose()).rank
+        assert rank(m).rank == rank(transpose(m)).rank
 
 
 def test_streaming_rank_examples():
@@ -81,7 +82,7 @@ def test_streaming_agrees_with_materialized_rank():
 
 def test_kernel_basis_examples():
     assert len(kernel_basis(ExactMatrix(2, 3))) == 3
-    assert kernel_basis(ExactMatrix.identity(4)) == []
+    assert kernel_basis(identity(4)) == []
 
 
 def test_kernel_vectors_annihilate_and_complement_row_space():
@@ -101,12 +102,12 @@ def test_kernel_vectors_annihilate_and_complement_row_space():
 
 
 def test_solve_examples():
-    assert solve(ExactMatrix.identity(2), [1, 2]) == [1, 2]
+    assert solve(identity(2), [1, 2]) == [1, 2]
     x = solve(ExactMatrix.from_dense([[1, 1]]), [5])
     assert x is not None and x[0] + x[1] == 5
     assert solve(ExactMatrix.from_dense([[1], [1]]), [0, 1]) is None
     with pytest.raises(DimensionMismatch):
-        solve(ExactMatrix.identity(2), [1, 2, 3])
+        solve(identity(2), [1, 2, 3])
 
 
 def test_solve_random_consistency():
@@ -174,7 +175,7 @@ def test_inverse_round_trip_and_singular():
         if rank(m).rank < 4:
             continue
         found += 1
-        assert m.matmul(inverse(m)) == ExactMatrix.identity(4)
+        assert matmul(m, inverse(m)) == identity(4)
     with pytest.raises(SingularMatrix):
         inverse(ExactMatrix.from_dense([[1, 2], [2, 4]]))
 
@@ -189,6 +190,18 @@ def test_gaussian_field_path():
     # promotion mid-stream: rational rows first, then a Gaussian one
     r = streaming_rank([[1, 0], [0, 1], [i, i]], 2)
     assert r == 2
+
+
+def test_contains_leaves_an_integral_basis_integral():
+    i = QI(0, 1)
+    basis = reduce_rows([[2, 0, 4], [0, 3, 0]], 3)
+    before = basis.sparse_rows()
+    assert basis.contains({0: QI(1, 2), 1: i, 2: QI(2, 4)})  # (1+2i) e0 + i e1 + (2+4i) e2
+    assert not basis.contains({0: QI(1, 2), 2: QI(2, 3)})  # imaginary part outside the span
+    assert not basis.contains({0: QI(1, 1), 2: QI(1, 2)})  # real part outside the span
+    assert basis.contains({1: Fraction(-7, 3)}) and not basis.contains({2: 1})
+    assert basis.integral and basis.sparse_rows() == before
+    assert all(type(v) is int for row in before for v in row.values())
 
 
 def _monic(row, ncols):
@@ -228,7 +241,7 @@ def test_integral_reduced_rows_equal_the_dense_rref():
         nnz = rng.randint(1, 8)
         cols = sorted(rng.sample(range(20), nnz))
         rows.append((cols, [rng.randint(-50, 50) or 3 for _ in cols]))
-    basis = RowBasis(20, integral=True)
+    basis = RowBasis(20)
     for cols, vals in rows:
         basis.add(dict(zip(cols, vals)))
     _assert_canonical_integral(basis, [_dense(c, v, 20) for c, v in rows])
@@ -238,7 +251,7 @@ def test_integral_reduced_rows_equal_the_dense_rref_past_the_machine_word():
     rng = random.Random(99)
     for _ in range(12):
         ncols = rng.randint(1, 25)
-        basis = RowBasis(ncols, integral=True)
+        basis = RowBasis(ncols)
         dense_rows = []
         for _ in range(rng.randint(1, 120)):
             nnz = rng.randint(1, ncols)
@@ -288,6 +301,22 @@ def test_reduction_invariant_under_permutation_scaling_and_duplication(stream):
     assert red.pivot_cols() == other.pivot_cols()
     assert red.sparse_rows() == other.sparse_rows()
     assert [_monic(row, ncols) for row in red.sparse_rows()] == ref
+    # the same rows as {col: value} dicts, the rational ones cleared to ints,
+    # fed to RowBasis.add, which leaves them as they were (callers such as
+    # augmented_exactness reuse them)
+    dicts = []
+    for row in variant:
+        cols = [c for c, v in enumerate(row) if v]
+        vals = [row[c] for c in cols]
+        if not any(isinstance(v, QI) for v in vals):
+            vals = int_cleared(vals)
+        dicts.append(dict(zip(cols, vals)))
+    before = [[(c, type(v), v) for c, v in row.items()] for row in dicts]
+    basis = RowBasis(ncols, field)
+    for row in dicts:
+        basis.add(row)
+    assert [[(c, type(v), v) for c, v in row.items()] for row in dicts] == before
+    assert basis.sparse_rows() == red.sparse_rows()
 
 
 def test_in_kernel_against_reduced_rows():

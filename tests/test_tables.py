@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import structure_tables
 from nilcohom.errors import TableError
-from nilcohom.scalars import QI
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import (
     format_table,
     parse_symbolic,
@@ -89,22 +90,25 @@ def test_vector_expressions():
         parse_vector("a+1", 4)  # scalar part
 
 
-def test_table_text_round_trip():
-    sources = [
-        "ab = c, ac = d, ad = e, bc = e, be = f, cd = -f",
-        "ab = d, ad = e, bc = e",
-        "ab = 3c, ac = -1/2d",
-    ]
-    for src in sources:
-        mu = parse_table(src, 6)
-        again = parse_table(format_table(mu), 6)
-        assert again == mu
+@settings(max_examples=150, deadline=None)
+@given(structure_tables(FIELD_Q))
+@example(parse_table("ab = c, ac = d, ad = e, bc = e, be = f, cd = -f", 6))
+@example(parse_table("ab = d, ad = e, bc = e", 6))
+@example(parse_table("ab = 3c, ac = -1/2d", 6))
+def test_table_text_round_trip(mu):
+    again = parse_table(format_table(mu), mu.n)
+    assert again == mu and again.field == FIELD_Q
 
 
-def test_gaussian_table_round_trip():
-    mu = parse_table("ab = (0+1 i)c, ac = (1/2-3/4 i)d", 4)
-    again = parse_table(format_table(mu), 4)
+@settings(max_examples=150, deadline=None)
+@given(structure_tables(FIELD_QI))
+@example(parse_table("ab = (0+1 i)c, ac = (1/2-3/4 i)d", 4))
+def test_gaussian_table_round_trip(mu):
+    again = parse_table(format_table(mu), mu.n)
     assert again == mu
+    # table text carries no field tag: an all-real table comes back over Q
+    if any(v.im for coeffs in mu.c.values() for v in coeffs.values()):
+        assert again.field == FIELD_QI
 
 
 def test_family_identification_on_the_nilpotent_line(catalog):
