@@ -28,11 +28,12 @@ every row left out is an emitted row up to sign, or zero, and the row space
 (hence rank, kernel and the canonical reduced rows) is that of the full
 matrix.
 
-The streams read the table scaled to integers by one global factor
-(``scaled=True``, over Q).  Each differential is homogeneous in mu (d1 and
-d2 are linear), so that multiplies all its rows or columns by one positive
-integer, changes no span, rank or containment, and keeps the whole
-pipeline on the integer reducer.  The tangent columns of
+The streams read the table scaled by one global integer (``scaled=True``),
+to ints over Q and to ints and Gaussian integers over Q(i).  Each
+differential is homogeneous in mu (d1 and d2 are linear), so that
+multiplies all its rows or columns by one positive integer, changes no
+span, rank or containment, and keeps the whole pipeline fraction-free on
+the one reducer.  The tangent columns of
 ``augmented_exactness`` stay unscaled.  Membership in the k-step and split
 varieties is checked by the lower central series, in polynomial time, not
 by enumerating the words.

@@ -164,9 +164,12 @@ def _multiweight(poly):
 
 
 # Above this many multiplier columns enumerated without a torus-weight filter,
-# member_bounded raises ResourceCapExceeded instead of building the system.
-# The dense echelon of such a system holds up to columns**2 entries: about
-# 150 MB at 2,900 columns, so roughly 0.4 GB at the cap.
+# member_bounded raises ResourceCapExceeded instead of building the system;
+# the count is in closed form, before enumerating.  The weight-directed
+# columns are counted as they are generated, and the running total of all
+# columns is held to the same cap.  The dense echelon of such a system holds
+# up to columns**2 entries: about 150 MB at 2,900 columns, so roughly 0.4 GB
+# at the cap.
 MAX_UNWEIGHTED_COLUMNS = 5_000
 
 
@@ -178,14 +181,15 @@ def _monomial(combo):
     return tuple(mono.items())
 
 
-def _weighted_monomials(universe, steps, reach, rem, d):
+def _weighted_monomials(universe, steps, reach, rem, d, cap):
     """Degree-d monomials over ``universe`` of dense weight ``rem``, in
     ``combinations_with_replacement(universe, d)`` order.
 
     ``steps[i]`` is the dense weight of ``universe[i]`` and ``reach`` bounds
     every coordinate of every step in absolute value, so a prefix whose
     remaining weight has a coordinate beyond ``reach`` times the remaining
-    degree cannot be completed and is cut.
+    degree cannot be completed and is cut.  Raises ResourceCapExceeded as
+    soon as more than ``cap`` monomials are found.
     """
     out = []
     combo = []
@@ -194,6 +198,8 @@ def _weighted_monomials(universe, steps, reach, rem, d):
         if not left:
             if not any(rem):
                 out.append(_monomial(combo))
+                if len(out) > cap:
+                    raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
             return
         lim = reach * (left - 1)
         for i in range(start, len(universe)):
@@ -215,7 +221,8 @@ def _multiplier_columns(f, gens, bound):
     ``combinations_with_replacement`` order of the sorted variable universe.
     When f and g_j are torus-homogeneous only monomials of weight
     w(f) - w(g_j) are generated; otherwise every monomial of each admissible
-    degree is, up to MAX_UNWEIGHTED_COLUMNS in all.
+    degree is.  Raises ResourceCapExceeded past MAX_UNWEIGHTED_COLUMNS
+    columns: unweighted ones counted before, weighted ones while enumerating.
     """
     universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
     # a multiplier variable absent from f and every generator could be set to
@@ -238,10 +245,7 @@ def _multiplier_columns(f, gens, bound):
     # an unweighted plan entry needs a variable, so the universe is not empty
     unweighted = sum(comb(len(universe) + d - 1, d) for _, d, wg in plan if wg is None)
     if unweighted > MAX_UNWEIGHTED_COLUMNS:
-        raise ResourceCapExceeded(
-            f"membership system needs {unweighted} unweighted multiplier columns,"
-            f" over the cap {MAX_UNWEIGHTED_COLUMNS}"
-        )
+        raise _column_cap_error(f"{unweighted} unweighted")
 
     if wf is not None:
         var_weights = [_multiweight(MultiPoly.var(v)) for v in universe]
@@ -266,9 +270,19 @@ def _multiplier_columns(f, gens, bound):
             monos = map(_monomial, combinations_with_replacement(universe, d))
         else:
             rem = [a - b for a, b in zip(target, dense(wg))]
-            monos = _weighted_monomials(universe, steps, reach, rem, d)
+            cap = MAX_UNWEIGHTED_COLUMNS - len(columns)
+            monos = _weighted_monomials(universe, steps, reach, rem, d, cap)
         columns.extend((j, mono) for mono in monos)
+        if len(columns) > MAX_UNWEIGHTED_COLUMNS:
+            raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
     return columns
+
+
+def _column_cap_error(count):
+    return ResourceCapExceeded(
+        f"membership system needs {count} multiplier columns,"
+        f" over the cap {MAX_UNWEIGHTED_COLUMNS}"
+    )
 
 
 def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
@@ -279,8 +293,8 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     inputs, in total degree and in the torus multigrading of the chart
     variables, restricts the multiplier monomials without losing any
     certificate, since membership identities project onto graded pieces.
-    Raises ResourceCapExceeded when the unrestricted monomials would number
-    more than MAX_UNWEIGHTED_COLUMNS.
+    Raises ResourceCapExceeded when the multiplier columns, unrestricted or
+    weight-directed, would number more than MAX_UNWEIGHTED_COLUMNS.
     """
     gens = list(gens)
     if f.is_zero():

@@ -11,12 +11,10 @@ Indices are 0-based internally; table text and the JSON schema are 1-based.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import DimensionMismatch, NotDerivation, NotLieAlgebra
-from .linalg import ExactMatrix, inverse, reduce_rows
+from .linalg import ExactMatrix, int_cleared, inverse, reduce_rows
 from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
 
@@ -197,27 +195,20 @@ def _dense_table(mu, scaled):
 
     Returns (n, C) with C[p][q] a length-n list or None when the bracket is
     zero.  Scaling multiplies every entry by one global integer, which is
-    legitimate anywhere a uniform per-row scale is (rank, kernel).
+    legitimate anywhere a uniform per-row scale is (rank, kernel); the
+    scaled entries are ints, and QIs with int parts where they are not real.
     """
     n = mu.n
-    den = 1
+    keys = [(i, j, k) for (i, j), coeffs in mu.c.items() for k in coeffs]
+    vals = [mu.c[i, j][k] for i, j, k in keys]
     if scaled:
-        if mu.field != FIELD_Q:
-            scaled = False
-        else:
-            for coeffs in mu.c.values():
-                for v in coeffs.values():
-                    den = lcm(den, Fraction(v).denominator)
+        vals = int_cleared(vals)
     table = [[None] * n for _ in range(n)]
-    for (i, j), coeffs in mu.c.items():
-        row = [0] * n
-        neg = [0] * n
-        for k, v in coeffs.items():
-            val = int(v * den) if scaled else v
-            row[k] = val
-            neg[k] = -val
-        table[i][j] = row
-        table[j][i] = neg
+    for (i, j, k), v in zip(keys, vals):
+        if table[i][j] is None:
+            table[i][j], table[j][i] = [0] * n, [0] * n
+        table[i][j][k] = v
+        table[j][i][k] = -v
     return n, table
 
 
@@ -453,12 +444,12 @@ def _unit(n, i):
 
 
 class Subspace:
-    """Span of exact vectors, held by a monic RowBasis (its reduced rows)."""
+    """Span of exact vectors, held by a RowBasis; ``rows`` is its reduced row
+    echelon form, each retained row divided by its lead when read."""
 
     __slots__ = ("ambient", "basis")
 
     def __init__(self, basis):
-        basis.to_field()
         self.ambient = basis.ncols
         self.basis = basis
 
@@ -472,7 +463,12 @@ class Subspace:
 
     @property
     def rows(self):
-        return [tuple(r) for r in self.basis.basis_rows()]
+        field = FIELD_QI if self.basis.gaussian else FIELD_Q
+        out = []
+        for row in self.basis.basis_rows():
+            lead = next(v for v in row if v)
+            out.append(tuple(promote(v, field) / lead if v else 0 for v in row))
+        return out
 
     @property
     def dim(self):
@@ -496,10 +492,11 @@ def _series(mu, derived=False):
     """The lower central or the derived series, without the Jacobi check.
 
     Each term is spanned by mu(u, e_b) (lower central) or mu(u, v) (derived)
-    over the basis rows u, v of the previous one, taken on the dense table
-    cleared of denominators; over Q the span is the integral RowBasis, made
-    monic only for the Subspace it returns.  For any bilinear bracket each
-    term lies in the one before, so an equal dimension means stabilization.
+    over the retained rows u, v of the previous one's RowBasis, taken on the
+    dense table cleared of denominators, so over Q and Q(i) alike the
+    brackets are of ints and Gaussian integers.  For any bilinear bracket
+    each term lies in the one before, so an equal dimension means
+    stabilization.
     """
     n, table = _dense_table(mu, scaled=True)
     left, right = _letter_operators(table, n)
@@ -513,7 +510,7 @@ def _series(mu, derived=False):
         basis = reduce_rows((w for w in brackets if w is not None), n, mu.field)
         if basis.rank == len(rows):
             break
-        rows = basis.basis_rows()  # integral, read before Subspace makes the basis monic
+        rows = basis.basis_rows()
         series.append(Subspace(basis))
     return series
 

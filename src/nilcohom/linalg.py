@@ -10,19 +10,21 @@ nonzeros; a row that survives is normalized, kept, and its lead column is
 cleared from the retained rows that have it.  At most ``ncols`` rows are
 ever held, however many stream by.
 
-The basis' field picks one of two scalar rules, and ``RowBasis.add`` brings
-each incoming row to it:
+One scalar rule holds over Q and Q(i) alike, the fraction-free elimination
+of Bareiss carried over to the Gaussian integers Z[i]:
 
-* the integral mode, used over Q: each row is cleared of denominators
-  (per-row scaling changes neither rank nor row space), eliminations
-  cross-multiply without fractions, and a retained row is primitive with a
-  positive lead;
-* the field mode, used over Q(i), and over Q from the first row with a
-  Gaussian entry on: a retained row is monic.
+* each incoming row is cleared of denominators (those of the real and the
+  imaginary parts; per-row scaling changes neither rank nor row space), so
+  its entries are ints, and QIs with int parts where they are not real;
+* an elimination cross-multiplies by the cofactors a/g and b/g of the two
+  entries, g their gcd over Z, or over Z[i] when either is Gaussian;
+* a retained row is primitive (its entries have gcd 1 over Z[i]) with its
+  lead turned by a unit to re > 0 and im >= 0, real entries as ints.
 
-The retained rows sorted by lead are the reduced row echelon form of
-everything added, each row scaled by that rule, so they do not depend on the
-order the rows arrived in.
+Rows whose entries are all ints never leave the int operations.  The
+retained rows sorted by lead are the reduced row echelon form of everything
+added, each row scaled by that rule, so they do not depend on the order or
+the scale the rows arrived in.
 """
 
 from __future__ import annotations
@@ -126,30 +128,43 @@ def _one(field):
 
 
 def int_cleared(vals):
-    """Scale a list of Fractions/ints by the lcm of denominators -> ints."""
+    """Scale ints, Fractions and QIs by the lcm of all their denominators (of
+    both parts of a QI): ints, and QIs with int parts where a value is not
+    real."""
     den = 1
     for v in vals:
-        if isinstance(v, Fraction):
+        if isinstance(v, QI):
+            den = lcm(den, v.re.denominator, v.im.denominator)
+        elif type(v) is not int:
             den = lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in vals]
+    return [
+        _gaussian(_times(v.re, den), _times(v.im, den)) if isinstance(v, QI) else _times(v, den)
+        for v in vals
+    ]
+
+
+def _times(x, den):
+    """The int den * x, for a rational x whose denominator divides den."""
+    return x.numerator * (den // x.denominator)
 
 
 class RowBasis:
     """Online sparse row echelon with every retained row fully reduced.
 
-    Retained rows are ``{col: value}`` dicts without zero values.  In the
-    integral mode values are ints and retained rows are primitive with a
-    positive lead; in the field mode values are Fractions or QIs and
-    retained rows are monic.  A basis over Q starts in the integral mode.
+    Retained rows are ``{col: value}`` dicts without zero values, of ints
+    and Gaussian integers (QIs with int parts), each primitive with its lead
+    normalized (see the module docstring).  ``gaussian`` says whether the
+    span is a Q(i)-span: true over Q(i), and over Q from the first row with
+    a Gaussian entry on.
     """
 
-    __slots__ = ("ncols", "integral", "_rows")
+    __slots__ = ("ncols", "gaussian", "_rows")
 
     def __init__(self, ncols, field=FIELD_Q):
         if ncols < 0:
             raise ValueError("ncols must be nonnegative")
         self.ncols = ncols
-        self.integral = field == FIELD_Q
+        self.gaussian = field == FIELD_QI
         self._rows = {}  # lead column -> retained row
 
     @property
@@ -183,99 +198,72 @@ class RowBasis:
         if not row:
             return False
         rows = self._rows
-        integral = self.integral
         lead = min(row)
-        if integral:
-            g = gcd(*row.values())
-            if row[lead] < 0:
-                g = -g
-            if g != 1:
-                for c in row:
-                    row[c] //= g
-        else:
-            inv = row[lead]
-            if inv != 1:
-                for c in row:
-                    row[c] = row[c] / inv
+        gaussian = self.gaussian
+        _make_primitive(row, lead, gaussian)
         a = row[lead]
-        for prow in rows.values():
+        for j, prow in rows.items():
             b = prow.get(lead)
             if not b:
                 continue
-            if integral:
+            if type(a) is int and type(b) is int:
                 g = gcd(a, b)
-                m = a // g
-                if m != 1:
-                    for c in prow:
-                        prow[c] *= m
-                _sub_multiple(prow, b // g, row)
-                g = gcd(*prow.values())
-                if g != 1:
-                    for c in prow:
-                        prow[c] //= g
+                m, b = a // g, b // g
             else:
-                _sub_multiple(prow, b, row)
+                m, b = _cofactors(a, b)
+            if m != 1:
+                for c in prow:
+                    prow[c] *= m
+            _sub_multiple(prow, b, row)
+            _make_primitive(prow, j, gaussian)
         rows[lead] = row
         return True
 
     def contains(self, row):
-        """True iff the ``{col: value}`` row lies in the span; the basis keeps
-        its mode, as a Gaussian row lies in the span of rational rows iff its
-        real and imaginary parts do."""
-        if self.integral and any(isinstance(v, QI) for v in row.values()):
+        """True iff the ``{col: value}`` row lies in the span; the basis is
+        left as it was.  A Gaussian row lies in a span over Q iff its real
+        and imaginary parts do."""
+        if not self.gaussian and any(isinstance(v, QI) for v in row.values()):
             row = {c: promote(v, FIELD_QI) for c, v in row.items()}
             parts = ({c: v.re for c, v in row.items()}, {c: v.im for c, v in row.items()})
             return all(self.contains(part) for part in parts)
         return not self._reduced(row)
 
-    def to_field(self):
-        """Switch to the field mode in place: every retained row made monic."""
-        if self.integral:
-            for j, row in self._rows.items():
-                a = row[j]
-                self._rows[j] = {c: Fraction(v, a) for c, v in row.items()}
-            self.integral = False
-
     def _reduced(self, row):
-        """A copy of ``row`` in this basis' scalars, minus its components
-        along the retained rows.
-
-        In the integral mode the copy is cleared of denominators; a Gaussian
-        entry first switches the basis to the field mode.
-        """
-        if self.integral:
-            den = 1
-            exact = True
-            for v in row.values():
-                if type(v) is not int:
-                    if isinstance(v, QI):
-                        self.to_field()
-                        break
-                    exact = False
-                    den = lcm(den, v.denominator)
+        """A copy of ``row`` cleared of denominators, minus its components
+        along the retained rows.  A Gaussian entry makes the span a
+        Q(i)-span (``contains`` splits such a row over Q first)."""
+        den = 1
+        exact = True
+        for v in row.values():
+            if type(v) is not int:
+                if isinstance(v, QI):
+                    self.gaussian = True
+                    row = {c: v for c, v in zip(row, int_cleared(row.values())) if v}
+                    break
+                exact = False
+                den = lcm(den, v.denominator)
+        else:
+            if exact:
+                row = {c: v for c, v in row.items() if v}
             else:
-                if exact:
-                    row = {c: v for c, v in row.items() if v}
-                else:
-                    row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        if not self.integral:
-            row = {c: v if isinstance(v, (Fraction, QI)) else Fraction(v) for c, v in row.items() if v}
+                row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         rows = self._rows
-        integral = self.integral
         # eliminating one pivot column leaves every other pivot column of the
         # row as it was (up to a common factor), so the hits are fixed upfront
         for j in [j for j in row if j in rows]:
             piv = rows[j]
             b = row[j]
-            if integral:
-                a = piv[j]
-                if a != 1:
+            a = piv[j]
+            if a != 1:
+                if type(a) is int and type(b) is int:
                     g = gcd(a, b)
-                    if g != a:
-                        m = a // g
-                        for c in row:
-                            row[c] *= m
-                    b //= g
+                    m, b = a // g, b // g
+                else:
+                    m, b = _cofactors(a, b)
+                if m != 1:
+                    for c in row:
+                        row[c] *= m
             _sub_multiple(row, b, piv)
         return row
 
@@ -288,6 +276,86 @@ def _sub_multiple(row, b, other):
             row[c] = w
         else:
             del row[c]
+
+
+# -- Gaussian integers: ints, or QIs with int parts --------------------------------
+
+
+def _parts(z):
+    return (z, 0) if type(z) is int else (z.re, z.im)
+
+
+def _gaussian(re, im):
+    """re + im i: an int when real, else a QI."""
+    return QI(re, im) if im else re
+
+
+def _quotient(x, y):
+    """x / y, or None when the Gaussian integer y does not divide x."""
+    xr, xi = _parts(x)
+    yr, yi = _parts(y)
+    n = yr * yr + yi * yi
+    qr, rr = divmod(xr * yr + xi * yi, n)
+    qi, ri = divmod(xi * yr - xr * yi, n)
+    return None if rr or ri else _gaussian(qr, qi)
+
+
+def _gcd_parts(ar, ai, br, bi):
+    """A gcd over Z[i] of ar + ai i and br + bi i, as (re, im): Euclid, each
+    quotient rounded to the nearest Gaussian integer."""
+    while br or bi:
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _cofactors(a, b):
+    """(a/g, b/g) for g a gcd over Z[i] of the nonzero Gaussian integers a
+    and b; a/g is 1 when a divides b.  (Two ints take gcd inline.)"""
+    q = _quotient(b, a)
+    if q is not None:
+        return 1, q
+    g = _gaussian(*_gcd_parts(*_parts(a), *_parts(b)))
+    return _quotient(a, g), _quotient(b, g)
+
+
+def _make_primitive(row, lead, gaussian):
+    """Divide the nonzero ``row`` in place by its gcd over Z[i], chosen so
+    that the lead ends with re > 0 and im >= 0; real entries end as ints.
+    Without ``gaussian`` the entries are known to be ints."""
+    vals = row.values()
+    if not gaussian or all(type(v) is int for v in vals):
+        g = gcd(*vals)
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            for c in row:
+                row[c] //= g
+        return
+    gr = gi = 0
+    for v in vals:
+        gr, gi = _gcd_parts(gr, gi, *_parts(v))
+        if gr * gr + gi * gi == 1:
+            break
+    g = _gaussian(gr, gi)
+    qr, qi = _parts(_quotient(row[lead], g))
+    # divide by g / u instead, u the unit that turns the lead's quotient to
+    # re > 0, im >= 0
+    if qr <= 0 and qi > 0:
+        g = g * QI(0, 1)
+    elif qr < 0 and qi <= 0:
+        g = -g
+    elif qr >= 0 and qi < 0:
+        g = g * QI(0, -1)
+    if g != 1:
+        for c in row:
+            row[c] = _quotient(row[c], g)
+    else:
+        for c, v in row.items():
+            if type(v) is not int and not v.im:
+                row[c] = v.re
 
 
 def _sparse_from(rowlike, ncols):
@@ -416,15 +484,15 @@ def in_kernel(vec, rows):
     """True iff vec is orthogonal to every row, i.e. M @ vec = 0 for any
     matrix whose row space those rows span.  The vector and the rows are
     {col: value} dicts or dense lists.  Only the nonzeros of vec are
-    visited, and a rational vec is cleared of denominators first, so
-    against integral rows every product is an integer one."""
+    visited, and vec is cleared of denominators first (of both parts of a
+    Gaussian entry), so against the rows of a RowBasis every product is one
+    of Gaussian integers."""
     if isinstance(vec, dict):
         cols, vals = list(vec), list(vec.values())
     else:
         cols = [c for c, x in enumerate(vec) if x]
         vals = [vec[c] for c in cols]
-    if not any(isinstance(x, QI) for x in vals):
-        vals = int_cleared(vals)
+    vals = int_cleared(vals)
     terms = list(zip(cols, vals))
     for row in rows:
         if isinstance(row, dict):

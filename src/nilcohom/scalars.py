@@ -1,9 +1,12 @@
 """Exact scalars: rationals and Gaussian rationals.
 
 Plain rationals are ``fractions.Fraction``; the Gaussian field Q(i) is a thin
-pair-of-Fractions class.  Mixed arithmetic promotes Fraction -> QI, never the
-other way around; collapsing a QI with zero imaginary part back to Fraction is
-an explicit call (:meth:`QI.to_fraction`).
+class over a pair of rational parts.  A part that is an ``int`` stays an
+``int``, so Gaussian integers are multiplied as plain ints, and division
+always goes through ``Fraction``, so it never gives a float.  Mixed
+arithmetic promotes Fraction -> QI, never the other way around; collapsing a
+QI with zero imaginary part back to Fraction is an explicit call
+(:meth:`QI.to_fraction`).
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ _RAT_TYPES = (int, Fraction)
 
 
 class QI:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational a + b*i; each part an int or a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else Fraction(re)
+        self.im = im if type(im) is int else Fraction(im)
 
     # -- ring/field operations -------------------------------------------
 
@@ -67,7 +70,7 @@ class QI:
         if isinstance(other, _RAT_TYPES):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return QI(self.re / other, self.im / other)
+            return QI(Fraction(self.re, other), Fraction(self.im, other))
         if isinstance(other, QI):
             n = other.re * other.re + other.im * other.im
             if n == 0:
@@ -104,7 +107,7 @@ class QI:
         """Explicit coercion to Fraction; rejects a nonzero imaginary part."""
         if self.im != 0:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
+        return Fraction(self.re)
 
     def __repr__(self):
         return f"QI({self.re!r}, {self.im!r})"

@@ -35,6 +35,7 @@ _MAX_NESTING = 50
 _MAX_DEGREE = 64
 _MAX_TERMS = 1_000
 _MAX_BITS = 10_000
+_MAX_PRODUCTS = 10_000  # coefficient products spent on one power
 
 
 def _bits(c):
@@ -46,8 +47,9 @@ def _bits(c):
 
 def _power_too_large(p, e):
     """Whether p^e may pass a cap: it has degree e * deg p, at most
-    comb(len + e - 1, e) terms, and coefficients of at most
-    e * (bits + log2 len) bits."""
+    comb(len + e - 1, e) terms, coefficients of at most e * (bits + log2 len)
+    bits, and square-and-multiply spends at most ``_chain_products`` products
+    of coefficients on it."""
     if not p.terms or e == 0:
         return False
     terms = len(p.terms)
@@ -56,7 +58,30 @@ def _power_too_large(p, e):
         e * p.degree() > _MAX_DEGREE
         or e * bits > _MAX_BITS
         or comb(terms + e - 1, e) > _MAX_TERMS
+        or _chain_products(terms, e) > _MAX_PRODUCTS
     )
+
+
+def _chain_products(terms, e):
+    """A bound on the coefficient products of ``MultiPoly.__pow__`` raising a
+    polynomial of ``terms`` terms to the power e: each step multiplies two
+    powers p^j and p^k, which costs at most size(j) * size(k) products, with
+    size(j) = comb(terms + j - 1, j) the bound on the terms of p^j."""
+
+    def size(j):
+        return comb(terms + j - 1, j)
+
+    total = 0
+    done, base = 0, 1  # the exponents of the result so far and of the base
+    while e:
+        if e & 1:
+            total += size(done) * size(base)
+            done += base
+        e >>= 1
+        if e:
+            total += size(base) ** 2
+            base *= 2
+    return total
 
 
 class _Tok:
@@ -211,7 +236,7 @@ class _Parser:
             if _power_too_large(base.scal, etok.value):
                 raise TableError(
                     f"power too large (caps: degree {_MAX_DEGREE}, {_MAX_TERMS} terms,"
-                    f" {_MAX_BITS}-bit coefficients)",
+                    f" {_MAX_BITS}-bit coefficients, {_MAX_PRODUCTS} coefficient products)",
                     etok.line,
                     etok.col,
                 )

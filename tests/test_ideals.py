@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -352,6 +353,26 @@ def test_unweighted_column_cap(ideal64_gens, capsys):
     assert main(["ideal", "member", "6", "4", "t_{1,2,3}+1", "-D", "6"]) == 3
     assert "resource cap" in capsys.readouterr().err
     assert len(_multiplier_columns(f, ideal64_gens, 3)) <= MAX_UNWEIGHTED_COLUMNS
+
+
+def test_weighted_column_cap():
+    # ten variables t_{p,2,p} and t_{2,p,p}, all of torus weight e_2, so every
+    # multiplier monomial of the right degree has the right weight
+    chart = [(p, 2, p) for p in (1, 3, 4, 5, 6)] + [(2, p, p) for p in (1, 3, 4, 5, 6)]
+    gens = [MultiPoly.var(v) for v in chart]
+    x = gens[0]
+    # 5,005 columns of degree 6 for the first generator alone
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapExceeded, match="over the cap"):
+        member_bounded(x**7, gens, 7)
+    # 2,002 columns of degree 5 for each generator: the running total passes
+    with pytest.raises(ResourceCapExceeded, match="over the cap"):
+        member_bounded(x**6, gens, 6)
+    assert time.perf_counter() - start < 1.0
+    # below the cap the same system is built and solved
+    cert = member_bounded(x**4, gens, 4)
+    assert cert is not None and cert.verify(gens)
+    assert len(_multiplier_columns(x**4, gens, 4)) == 10 * 220 <= MAX_UNWEIGHTED_COLUMNS
 
 
 def test_certificate_reverification_survives_optimize():

@@ -22,7 +22,7 @@ from nilcohom.linalg import (
     solve,
     streaming_rank,
 )
-from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, promote
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6, bound=6):
@@ -196,11 +196,14 @@ def test_contains_leaves_an_integral_basis_integral():
     i = QI(0, 1)
     basis = reduce_rows([[2, 0, 4], [0, 3, 0]], 3)
     before = basis.sparse_rows()
+    typed = [[(c, type(v), v) for c, v in row.items()] for row in before]
     assert basis.contains({0: QI(1, 2), 1: i, 2: QI(2, 4)})  # (1+2i) e0 + i e1 + (2+4i) e2
     assert not basis.contains({0: QI(1, 2), 2: QI(2, 3)})  # imaginary part outside the span
     assert not basis.contains({0: QI(1, 1), 2: QI(1, 2)})  # real part outside the span
     assert basis.contains({1: Fraction(-7, 3)}) and not basis.contains({2: 1})
-    assert basis.integral and basis.sparse_rows() == before
+    # still a span over Q, its rows unchanged, values and their types
+    assert not basis.gaussian
+    assert [[(c, type(v), v) for c, v in row.items()] for row in basis.sparse_rows()] == typed
     assert all(type(v) is int for row in before for v in row.values())
 
 
@@ -331,3 +334,119 @@ def test_in_kernel_against_reduced_rows():
 
 def test_backend_reports_a_name():
     assert backend() == "python"
+
+
+# -- the Gaussian-integer rows ------------------------------------------------------
+
+
+def _random_gaussian_rows(rng, nrows, ncols):
+    """Rows of Gaussian rationals, some of them rational, some combinations
+    of the ones before (so the rank is often short of full)."""
+    def scalar():
+        if rng.random() < 0.35:
+            return 0
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        im = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+        return QI(re, im)
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = QI(rng.randint(-3, 3), rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind < 0.5:
+            rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)])
+        else:
+            rows.append([scalar() for _ in range(ncols)])
+    return rows
+
+
+def _assert_normal_form(basis):
+    """Each retained row has content 1 over Z[i] (by sympy's gcd on the
+    Gaussian integers) and its lead has re > 0, im >= 0; real entries are
+    ints, the others QIs with int parts."""
+    from sympy.polys.domains import ZZ_I
+
+    for row in basis.sparse_rows():
+        parts = []
+        for v in row.values():
+            assert type(v) is int or (type(v.re) is int and type(v.im) is int and v.im)
+            parts.append((v, 0) if type(v) is int else (v.re, v.im))
+        g = ZZ_I.zero
+        for re, im in parts:
+            g = ZZ_I.gcd(g, ZZ_I(re, im))
+        assert g.x ** 2 + g.y ** 2 == 1
+        re, im = parts[list(row).index(min(row))]
+        assert re > 0 and im >= 0
+
+
+def _rational(q):
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def test_gaussian_rank_and_echelon_match_sympy():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(x):
+        x = promote(x, FIELD_QI)
+        re, im = Fraction(x.re), Fraction(x.im)
+        return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+
+    rng = random.Random(31)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 7)
+        rows = _random_gaussian_rows(rng, nrows, ncols)
+        basis = reduce_rows(rows, ncols, FIELD_QI)
+        dm = DomainMatrix([[to_sympy(x) for x in row] for row in rows], (nrows, ncols), QQ_I)
+        rref, pivots = dm.rref()
+        assert basis.rank == dm.rank() == len(pivots)
+        assert basis.pivot_cols() == list(pivots)
+        ref = [
+            [QI(_rational(z.x), _rational(z.y)) for z in row]
+            for row in rref.to_list()[: len(pivots)]
+        ]
+        assert [_monic(row, ncols) for row in basis.sparse_rows()] == ref
+        _assert_normal_form(basis)
+
+
+def test_gaussian_rows_do_not_depend_on_order_or_scale():
+    """Permuting the rows and rescaling them by non-units of Z[i] and Q(i)
+    gives exactly the same retained rows, value types included."""
+    pytest.importorskip("sympy")
+    rng = random.Random(8)
+    scales = [QI(2, 1), 3, QI(1, -2), QI(0, 5), Fraction(-2, 7), QI(Fraction(1, 2), 3)]
+    for _ in range(150):
+        ncols = rng.randint(1, 7)
+        rows = _random_gaussian_rows(rng, rng.randint(1, 8), ncols)
+        variant = [[s * x for x in row] for row, s in zip(rows, rng.choices(scales, k=len(rows)))]
+        rng.shuffle(variant)
+        one, other = reduce_rows(rows, ncols, FIELD_QI), reduce_rows(variant, ncols, FIELD_QI)
+        typed = [[(c, type(v), v) for c, v in sorted(row.items())] for row in one.sparse_rows()]
+        assert [
+            [(c, type(v), v) for c, v in sorted(row.items())] for row in other.sparse_rows()
+        ] == typed
+        _assert_normal_form(one)
+
+
+def test_in_kernel_over_gaussian_rationals_matches_mat_vec():
+    rng = random.Random(12)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_gaussian_rows(rng, nrows, ncols)
+        m = ExactMatrix.from_dense(rows, FIELD_QI)
+        basis = reduce_rows(rows, ncols, FIELD_QI)
+        ker = kernel_basis(m)
+        vecs = [[QI(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+                 for _ in range(ncols)]]
+        if ker:  # a Gaussian-rational combination of kernel vectors
+            c = [QI(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-3, 3)) for _ in ker]
+            vecs.append([sum((ci * v[j] for ci, v in zip(c, ker)), QI(0)) for j in range(ncols)])
+        for vec in vecs:
+            expect = not any(m.mat_vec(vec))
+            assert in_kernel(vec, basis.sparse_rows()) == expect
+            assert in_kernel(vec, rows) == expect
+            assert in_kernel({j: x for j, x in enumerate(vec) if x}, basis.basis_rows()) == expect

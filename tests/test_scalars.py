@@ -1,7 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcohom.scalars import QI, FIELD_Q, FIELD_QI, format_scalar, parse_scalar, promote
 
@@ -91,3 +94,38 @@ def test_wire_format_round_trip(value, text):
     assert format_scalar(value) == text
     field = FIELD_QI if isinstance(value, QI) else FIELD_Q
     assert parse_scalar(text, field) == value
+
+
+_PARTS = st.integers(-60, 60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PARTS, _PARTS, _PARTS, _PARTS)
+def test_int_parts_and_fraction_parts_agree(a, b, c, d):
+    """A QI keeps int parts as ints, and behaves exactly as the same value
+    with Fraction parts: + - * /, ==, hash and the wire format agree, and
+    division gives Fraction parts, never floats."""
+    x, y = QI(a, b), QI(c, d)
+    fx, fy = QI(Fraction(a), Fraction(b)), QI(Fraction(c), Fraction(d))
+    assert (type(x.re), type(x.im)) == (int, int)
+    assert x == fx and hash(x) == hash(fx) and format_scalar(x) == format_scalar(fx)
+    for op in (operator.add, operator.sub, operator.mul):
+        for got, want in ((op(x, y), op(fx, fy)), (op(x, c), op(fx, Fraction(c))),
+                          (op(c, x), op(Fraction(c), fx))):
+            assert (type(got.re), type(got.im)) == (int, int)
+            assert got == want and hash(got) == hash(want)
+            assert format_scalar(got) == format_scalar(want)
+    quotients = []
+    if y:
+        quotients.append((x / y, fx / fy))
+    if c:
+        quotients.append((x / c, fx / Fraction(c)))
+    if x:
+        quotients.append((c / x, Fraction(c) / fx))
+    for got, want in quotients:
+        assert (type(got.re), type(got.im)) == (Fraction, Fraction)
+        assert got == want and hash(got) == hash(want)
+        assert format_scalar(got) == format_scalar(want)
+    real = QI(a)
+    assert type(real.to_fraction()) is Fraction and real.to_fraction() == a
+    assert type(promote(real, FIELD_Q)) is Fraction

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import structure_tables
 from nilcohom.errors import TableError
+from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import (
+    _chain_products,
     format_table,
     parse_symbolic,
     parse_table,
@@ -143,6 +146,7 @@ _TABLE_TEXT = st.one_of(
 @example("ab = t^99999999c", 7)
 @example("ab = (1+r+t)^64c", 7)
 @example("ab = (1+r+t)^40(1+r+t)^40c", 7)
+@example("ab = (1+r+t)^43c", 4)
 @example("ab = ²c", 3)
 def test_parser_raises_only_table_error(text, n):
     """Any text parses or raises TableError, quickly: nothing else escapes."""
@@ -152,3 +156,41 @@ def test_parser_raises_only_table_error(text, n):
             parse()
         except TableError:
             pass
+
+
+def test_a_power_past_the_product_cap_is_refused_before_it_is_expanded():
+    # 990 terms, within the term cap, but about 70,000 coefficient products
+    # (0.5 s) to expand
+    start = time.perf_counter()
+    with pytest.raises(TableError, match="coefficient products"):
+        parse_table("ab = (1+r+t)^43c", 4, {"r": 2, "t": 3})
+    assert time.perf_counter() - start < 0.05
+    mu = parse_table("ab = (1+r+t)^16c", 4, {"r": 2, "t": 3})
+    assert mu.entry(0, 1, 2) == 6**16
+
+
+_POLYS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3).filter(bool)),
+    min_size=1, max_size=5,
+).map(lambda terms: sum(
+    (c * MultiPoly.var("r") ** a * MultiPoly.var("t") ** b for a, b, c in terms), MultiPoly()
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLYS.filter(bool), st.integers(1, 12))
+def test_chain_products_bounds_the_work_of_a_power(p, e):
+    """The bound is at least the coefficient products that square-and-multiply
+    spends, counted on the actual powers."""
+    spent = 0
+    out, base, k = MultiPoly.const(1), p, e
+    while k:
+        if k & 1:
+            spent += len(out.terms) * len(base.terms)
+            out = out * base
+        k >>= 1
+        if k:
+            spent += len(base.terms) ** 2
+            base = base * base
+    assert out == p**e
+    assert spent <= _chain_products(len(p.terms), e)
