@@ -439,14 +439,11 @@ class Catalog:
         fam = self.get(family)
         for f, v, tgt, mode in _DEGENERATIONS:
             if _norm(f) == _norm(fam.name) and v == value and _norm(tgt) == _norm(target):
-                if mode == "literal":
-                    sym = fam.params[0] if fam.params else None
-                    mu = fam.structure({sym: value} if sym else {})
-                    return mu == self.structure(target)
-                wid = mode.split(":", 1)[1]
-                ok, _ = self.verify_witness(wid)
-                return ok
-        # not registered: fall back to literal comparison
+                if mode != "literal":
+                    ok, _ = self.verify_witness(mode.split(":", 1)[1])
+                    return ok
+                break
+        # registered as literal, or not registered: compare the tables
         sym = fam.params[0] if fam.params else None
         mu = fam.structure({sym: value} if sym else {})
         return mu == self.structure(target)
@@ -458,15 +455,9 @@ def _table_diff(a: StructureConstants, b: StructureConstants):
     for pair in sorted(pairs):
         ca = a.c.get(pair, {})
         cb = b.c.get(pair, {})
-        if not _coeffs_equal(ca, cb):
+        if ca != cb:
             diffs.append((pair, ca, cb))
     return diffs
-
-
-def _coeffs_equal(ca, cb):
-    if set(ca) != set(cb):
-        return False
-    return all(ca[k] == cb[k] for k in ca)
 
 
 _default = None

@@ -32,7 +32,7 @@ from math import comb
 from .errors import ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
 from .linalg import ExactMatrix, solve
-from .polynomials import MultiPoly, _mono_mul
+from .polynomials import MultiPoly, _mono_mul, distinct_primitive
 
 
 def chart_variables(n):
@@ -93,18 +93,9 @@ def generators(n, k, kind):
         tensor = n_k(mu, k)
     else:
         tensor = sn_k(mu, k)
-    seen = set()
-    out = []
-    for args in sorted(tensor):
-        for coord in tensor[args]:
-            if not isinstance(coord, MultiPoly) or coord.is_zero():
-                continue
-            p = coord.primitive()
-            key = frozenset(p.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-    return out
+    return distinct_primitive(
+        coord for args in sorted(tensor) for coord in tensor[args] if isinstance(coord, MultiPoly)
+    )
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,14 @@ def _multiweight(poly):
 # at the cap.
 MAX_UNWEIGHTED_COLUMNS = 5_000
 
+# Above this many monomial prefixes visited by the weight-directed search of
+# one member_bounded call, it raises ResourceCapExceeded: the search may visit
+# far more prefixes than it finds columns, so the column cap alone does not
+# bound its time.  On I_{6,4} the published certificates visit at most 2,142
+# prefixes and Q13^3 at D = 9 visits 100,397, while Q5^4 at D = 12 visits
+# 568,541 (about 4 us each) to find one column.
+MAX_WEIGHTED_NODES = 200_000
+
 
 def _monomial(combo):
     """Exponent tuple of a nondecreasing variable sequence (already sorted)."""
@@ -181,20 +180,30 @@ def _monomial(combo):
     return tuple(mono.items())
 
 
-def _weighted_monomials(universe, steps, reach, rem, d, cap):
+def _weighted_monomials(universe, steps, reach, rem, d, cap, node_cap):
     """Degree-d monomials over ``universe`` of dense weight ``rem``, in
-    ``combinations_with_replacement(universe, d)`` order.
+    ``combinations_with_replacement(universe, d)`` order, and the number of
+    prefixes visited to find them.
 
     ``steps[i]`` is the dense weight of ``universe[i]`` and ``reach`` bounds
     every coordinate of every step in absolute value, so a prefix whose
     remaining weight has a coordinate beyond ``reach`` times the remaining
     degree cannot be completed and is cut.  Raises ResourceCapExceeded as
-    soon as more than ``cap`` monomials are found.
+    soon as more than ``cap`` monomials are found or more than ``node_cap``
+    prefixes are visited.
     """
     out = []
     combo = []
+    visited = 0
 
     def rec(start, rem, left):
+        nonlocal visited
+        visited += 1
+        if visited > node_cap:
+            raise ResourceCapExceeded(
+                f"membership search visits more than {MAX_WEIGHTED_NODES}"
+                " multiplier monomial prefixes, over the cap"
+            )
         if not left:
             if not any(rem):
                 out.append(_monomial(combo))
@@ -211,7 +220,7 @@ def _weighted_monomials(universe, steps, reach, rem, d, cap):
 
     if all(abs(c) <= reach * d for c in rem):
         rec(0, rem, d)
-    return out
+    return out, visited
 
 
 def _multiplier_columns(f, gens, bound):
@@ -265,13 +274,17 @@ def _multiplier_columns(f, gens, bound):
         target = dense(wf)
 
     columns = []
+    nodes = 0
     for j, d, wg in plan:
         if wg is None:
             monos = map(_monomial, combinations_with_replacement(universe, d))
         else:
             rem = [a - b for a, b in zip(target, dense(wg))]
             cap = MAX_UNWEIGHTED_COLUMNS - len(columns)
-            monos = _weighted_monomials(universe, steps, reach, rem, d, cap)
+            monos, visited = _weighted_monomials(
+                universe, steps, reach, rem, d, cap, MAX_WEIGHTED_NODES - nodes
+            )
+            nodes += visited
         columns.extend((j, mono) for mono in monos)
         if len(columns) > MAX_UNWEIGHTED_COLUMNS:
             raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
@@ -535,16 +548,6 @@ def non_membership(f: MultiPoly, gens, assignment, order="grevlex", **caps) -> b
     fs = substitute(f, assignment)
     if fs.is_zero():
         return False
-    sub_gens = []
-    seen = set()
-    for g in gens:
-        gs = substitute(g, assignment)
-        if gs.is_zero():
-            continue
-        p = gs.primitive()
-        fk = frozenset(p.terms.items())
-        if fk not in seen:
-            seen.add(fk)
-            sub_gens.append(p)
+    sub_gens = distinct_primitive(substitute(g, assignment) for g in gens)
     gb = groebner_small(sub_gens, order=order, **caps)
     return not gb.contains(fs)

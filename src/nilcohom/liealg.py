@@ -96,7 +96,7 @@ class StructureConstants:
         brackets = {
             pair: {k: v * t for k, v in coeffs.items()} for pair, coeffs in self.c.items()
         }
-        field = FIELD_QI if self.field == FIELD_QI or _is_qi(t) else self.field
+        field = FIELD_QI if self.field == FIELD_QI or isinstance(t, QI) else self.field
         return StructureConstants(self.n, brackets, field)
 
     def with_name(self, name):
@@ -112,10 +112,6 @@ class StructureConstants:
     def __repr__(self):
         label = self.name or f"{self.n}-dim bracket"
         return f"StructureConstants({label}, nnz={sum(len(v) for v in self.c.values())})"
-
-
-def _is_qi(x):
-    return isinstance(x, QI)
 
 
 def pencil(mu, nu, t):
@@ -440,49 +436,15 @@ def _unit(n, i):
     return v
 
 
-# -- subspaces and series --------------------------------------------------------
-
-
-class Subspace:
-    """Span of exact vectors, held by a RowBasis; ``rows`` is its reduced row
-    echelon form, each retained row divided by its lead when read."""
-
-    __slots__ = ("ambient", "basis")
-
-    def __init__(self, basis):
-        self.ambient = basis.ncols
-        self.basis = basis
-
-    @classmethod
-    def span(cls, vectors, ambient):
-        return cls(reduce_rows(vectors, ambient))
-
-    @classmethod
-    def full(cls, ambient):
-        return cls.span([_unit(ambient, i) for i in range(ambient)], ambient)
-
-    @property
-    def rows(self):
-        field = FIELD_QI if self.basis.gaussian else FIELD_Q
-        out = []
-        for row in self.basis.basis_rows():
-            lead = next(v for v in row if v)
-            out.append(tuple(promote(v, field) / lead if v else 0 for v in row))
-        return out
-
-    @property
-    def dim(self):
-        return self.basis.rank
-
-    def contains(self, v):
-        return self.basis.contains({c: x for c, x in enumerate(v) if x})
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of {self.ambient})"
+# -- series ---------------------------------------------------------------------
 
 
 def lower_central_series(mu):
-    """g^0 = g, g^i = [g^{i-1}, g]; stops at 0 or at stabilization."""
+    """g^0 = g, g^i = [g^{i-1}, g]; stops at 0 or at stabilization.
+
+    Each term is a RowBasis: its ``rank`` is the dimension and its
+    ``basis_rows()`` the reduced row echelon form, each row primitive.
+    """
     if not is_lie(mu):
         raise NotLieAlgebra("lower central series needs the Jacobi identity")
     return _series(mu)
@@ -495,13 +457,12 @@ def _series(mu, derived=False):
     over the retained rows u, v of the previous one's RowBasis, taken on the
     dense table cleared of denominators, so over Q and Q(i) alike the
     brackets are of ints and Gaussian integers.  For any bilinear bracket
-    each term lies in the one before, so an equal dimension means
-    stabilization.
+    each term lies in the one before, so an equal rank means stabilization.
     """
     n, table = _dense_table(mu, scaled=True)
     left, right = _letter_operators(table, n)
-    series = [Subspace.full(n)]
     rows = [_unit(n, i) for i in range(n)]
+    series = [reduce_rows(rows, n, mu.field)]
     while rows:
         if derived:
             brackets = (_brvv(left, n, u, v) for i, u in enumerate(rows) for v in rows[i + 1:])
@@ -511,7 +472,7 @@ def _series(mu, derived=False):
         if basis.rank == len(rows):
             break
         rows = basis.basis_rows()
-        series.append(Subspace(basis))
+        series.append(basis)
     return series
 
 
@@ -521,8 +482,10 @@ def n_k_vanishes(mu, k):
     For any bilinear bracket g^k is spanned by the left-nested (k+1)-letter
     words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     series = _series(mu)
-    return series[min(k, len(series) - 1)].dim == 0
+    return series[min(k, len(series) - 1)].rank == 0
 
 
 def sn_k_vanishes(mu, k):
@@ -531,18 +494,20 @@ def sn_k_vanishes(mu, k):
     The leading pairs mu(x1, x2) span g^1 and the inner words span g^{k-2}
     (g^0 = g), so SN_k = 0 iff mu(g^1, g^{k-2}) = 0.  Jacobi is not assumed:
     g^i lies in g^{i-1} for any bilinear bracket, so once the series stops
-    its last term stands for every later one.
+    its last term stands for every later one.  The retained rows are
+    brackets on the table cleared of denominators, so they are bracketed on
+    that table too: a uniform scale does not change which brackets vanish.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     series = _series(mu)
     last = len(series) - 1
-    n, table = _dense_table(mu, scaled=False)
+    n, table = _dense_table(mu, scaled=True)
     left, _ = _letter_operators(table, n)
-    inner = series[min(k - 2, last)].rows
+    inner = series[min(k - 2, last)].basis_rows()
     return all(
         _brvv(left, n, u, v) is None
-        for u in series[min(1, last)].rows
+        for u in series[min(1, last)].basis_rows()
         for v in inner
     )
 
@@ -550,7 +515,7 @@ def sn_k_vanishes(mu, k):
 def nil_index(mu):
     """Minimal i with g^i = 0, or None for a non-nilpotent algebra."""
     series = lower_central_series(mu)
-    if series[-1].dim == 0:
+    if series[-1].rank == 0:
         return len(series) - 1
     return None
 
@@ -564,7 +529,7 @@ def derived_series(mu):
 
 def solvable_length(mu):
     series = derived_series(mu)
-    if series[-1].dim == 0:
+    if series[-1].rank == 0:
         return len(series) - 1
     return None
 
@@ -572,23 +537,32 @@ def solvable_length(mu):
 # -- basis change and constructions ----------------------------------------------
 
 
-def _matrix_rows(m, n, field):
-    """``m`` as an ExactMatrix over ``field``, or over Q(i) if it has a
-    Gaussian entry."""
-    if isinstance(m, ExactMatrix):
-        return m
-    if any(_is_qi(v) for row in m for v in row):
-        field = FIELD_QI
-    entries = {}
-    for r, row in enumerate(m):
-        if len(row) != n:
-            raise DimensionMismatch("basis matrix must be n x n")
-        for c, v in enumerate(row):
-            if v:
-                entries[(r, c)] = v
-    if len(m) != n:
+def _square(m, n, field):
+    """``m`` (rows, or an ExactMatrix) as an n x n ExactMatrix over ``field``,
+    or over Q(i) if it has a Gaussian entry."""
+    if not isinstance(m, ExactMatrix):
+        if any(isinstance(v, QI) for row in m for v in row):
+            field = FIELD_QI
+        m = ExactMatrix.from_dense(m, field)
+    if (m.nrows, m.ncols) != (n, n):
         raise DimensionMismatch("basis matrix must be n x n")
-    return ExactMatrix(n, n, entries, field)
+    return m
+
+
+def _transport(mu, p, q):
+    """The bracket (x, y) -> q mu(p x, p y), for n x n ExactMatrices p, q;
+    over Q(i) when mu or q is."""
+    n = mu.n
+    cols = [[p.entries.get((r, c), 0) for r in range(n)] for c in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = mu.bracket(cols[i], cols[j])
+            if any(w):
+                row = {k: v for k, v in enumerate(q.mat_vec(w)) if v}
+                if row:
+                    brackets[(i, j)] = row
+    return StructureConstants(n, brackets, join_fields(mu.field, q.field))
 
 
 def change_basis(mu, g):
@@ -598,21 +572,8 @@ def change_basis(mu, g):
     result is over Q(i) when either the algebra or ``g`` is.  Raises
     SingularMatrix when ``g`` is not invertible.
     """
-    n = mu.n
-    gm = _matrix_rows(g, n, mu.field)
-    field = join_fields(mu.field, gm.field)
-    ginv = inverse(gm)
-    cols = [[ginv.entries.get((r, c), 0) for r in range(n)] for c in range(n)]
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = mu.bracket(cols[i], cols[j])
-            if any(w):
-                out = gm.mat_vec(w)
-                row = {k: v for k, v in enumerate(out) if v}
-                if row:
-                    brackets[(i, j)] = row
-    return StructureConstants(n, brackets, field)
+    g = _square(g, mu.n, mu.field)
+    return _transport(mu, inverse(g), g)
 
 
 def table_in_basis(mu, vectors):
@@ -624,17 +585,8 @@ def table_in_basis(mu, vectors):
     n = mu.n
     if len(vectors) != n:
         raise DimensionMismatch(f"need {n} basis vectors")
-    field = mu.field
-    for v in vectors:
-        if any(_is_qi(x) for x in v):
-            field = FIELD_QI
-    vmat = ExactMatrix(
-        n,
-        n,
-        {(r, i): v[r] for i, v in enumerate(vectors) for r in range(n) if v[r]},
-        field,
-    )
-    return change_basis(mu, inverse(vmat))
+    v = _square([[x[r] for x in vectors] for r in range(n)], n, mu.field)
+    return _transport(mu, v, inverse(v))
 
 
 def direct_sum(mu1, mu2, name=None):

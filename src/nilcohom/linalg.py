@@ -232,22 +232,22 @@ class RowBasis:
     def _reduced(self, row):
         """A copy of ``row`` cleared of denominators, minus its components
         along the retained rows.  A Gaussian entry makes the span a
-        Q(i)-span (``contains`` splits such a row over Q first)."""
-        den = 1
-        exact = True
+        Q(i)-span (``contains`` splits such a row over Q first).  A row of
+        ints and Gaussian integers is only copied; any other goes once
+        through ``int_cleared``, which also turns Fraction(3) and
+        QI(Fraction(3), 0) into the int 3."""
+        integral = True
         for v in row.values():
             if type(v) is not int:
                 if isinstance(v, QI):
                     self.gaussian = True
-                    row = {c: v for c, v in zip(row, int_cleared(row.values())) if v}
-                    break
-                exact = False
-                den = lcm(den, v.denominator)
+                    if type(v.re) is int and type(v.im) is int:
+                        continue
+                integral = False
+        if integral:
+            row = {c: v for c, v in row.items() if v}
         else:
-            if exact:
-                row = {c: v for c, v in row.items() if v}
-            else:
-                row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+            row = {c: v for c, v in zip(row, int_cleared(row.values())) if v}
         rows = self._rows
         # eliminating one pivot column leaves every other pivot column of the
         # row as it was (up to a common factor), so the hits are fixed upfront

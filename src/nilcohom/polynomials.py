@@ -266,6 +266,12 @@ class MultiPoly:
         return f"MultiPoly({format_poly(self)})"
 
 
+def distinct_primitive(polys):
+    """The primitive forms of the nonzero ``polys``, one for each set of
+    scalar multiples, in the order first seen."""
+    return list(dict.fromkeys(p.primitive() for p in polys if p))
+
+
 def format_var(v) -> str:
     if isinstance(v, tuple):
         return "t_{" + ",".join(str(x) for x in v) + "}"

@@ -44,7 +44,7 @@ from .liealg import (
     solvable_length,
 )
 from .linalg import reduce_rows
-from .polynomials import parse_tpoly
+from .polynomials import distinct_primitive, parse_tpoly
 
 _F = Fraction
 
@@ -401,10 +401,6 @@ def _curves_items(catalog):
 # -- ideals -----------------------------------------------------------------------
 
 
-def _keyset(polys):
-    return {frozenset(p.primitive().terms.items()) for p in polys}
-
-
 def _ideal_items(catalog):
     src = "structure-constant ideal computations, dims 5 and 6"
     items = []
@@ -413,7 +409,7 @@ def _ideal_items(catalog):
         def fn():
             got = generators(n, k, kind)
             want = [parse_tpoly(s) for s in printed]
-            ok = _keyset(got) == _keyset(want) and len(got) == len(want)
+            ok = set(distinct_primitive(got)) == set(distinct_primitive(want)) and len(got) == len(want)
             return (
                 f"{len(want)} generators, matching the printed list",
                 f"{len(got)} generators, matching the printed list"
@@ -473,14 +469,7 @@ def _ideal_items(catalog):
 
     def restricted():
         ideal = nilpotency_ideal(6, 4)
-        subs, seen = [], set()
-        for g in ideal.gens:
-            gs = substitute(g, cat.Q14_ASSIGNMENT)
-            if gs:
-                key = frozenset(gs.primitive().terms.items())
-                if key not in seen:
-                    seen.add(key)
-                    subs.append(gs.primitive())
+        subs = distinct_primitive(substitute(g, cat.Q14_ASSIGNMENT) for g in ideal.gens)
         printed = [parse_tpoly(s) for s in cat.RESTRICTED_IDEAL_64]
         gb_s, gb_p = groebner_small(subs), groebner_small(printed)
         same = all(gb_p.contains(g) for g in subs) and all(gb_s.contains(g) for g in printed)

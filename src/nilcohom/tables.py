@@ -351,10 +351,6 @@ class SymbolicTable:
                     row[k] = v
             if row:
                 brackets[pair] = row
-        if field == FIELD_Q and any(
-            isinstance(v, QI) for row in brackets.values() for v in row.values()
-        ):
-            field = FIELD_QI
         return StructureConstants(self.n, brackets, field=field)
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from nilcohom.catalog import Catalog
-from nilcohom.liealg import Layout, StructureConstants, Subspace, _dense_table, _sigma_of_vec
-from nilcohom.linalg import ExactMatrix, kernel_basis
+from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec
+from nilcohom.linalg import ExactMatrix, kernel_basis, reduce_rows
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields
 
 
@@ -182,8 +182,9 @@ def center(mu):
             for k, v in mu.bracket_basis(i, j).items():
                 entries[(j * n + k, i)] = v
     ad = ExactMatrix(n * n, n, entries, mu.field)
-    return Subspace.span(kernel_basis(ad), n)
+    return reduce_rows(kernel_basis(ad), n, mu.field)
 
 
 def contains_space(big, small):
-    return all(big.contains(row) for row in small.rows)
+    """Whether the span of one RowBasis holds the span of another."""
+    return all(big.contains(row) for row in small.sparse_rows())

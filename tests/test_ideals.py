@@ -11,6 +11,7 @@ import pytest
 
 import nilcohom
 from nilcohom import catalog as cat
+from nilcohom import ideals
 from nilcohom.cli import main
 from nilcohom.errors import ResourceCapExceeded
 from nilcohom.ideals import (
@@ -373,6 +374,20 @@ def test_weighted_column_cap():
     cert = member_bounded(x**4, gens, 4)
     assert cert is not None and cert.verify(gens)
     assert len(_multiplier_columns(x**4, gens, 4)) == 10 * 220 <= MAX_UNWEIGHTED_COLUMNS
+
+
+def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
+    # Q5^4 at D = 12 visits 568,541 prefixes to find its one column
+    with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
+        member_bounded(_q("Q5") ** 4, ideal64_gens, 12)
+    # the count runs over every generator of one call: Q13^2 at D = 6 visits
+    # 2,142 prefixes for 127 columns
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_000)
+    assert main(["ideal", "member", "6", "4", "Q13^2", "-D", "6"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_142)
+    cert = member_bounded(_q("Q13") ** 2, ideal64_gens, 6)
+    assert cert is not None and cert.verify(ideal64_gens)
 
 
 def test_certificate_reverification_survives_optimize():

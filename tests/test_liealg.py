@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import center, contains_space, random_structure
+from conftest import center, contains_space, dense_rref, random_structure
 from nilcohom.errors import (
     DimensionMismatch,
     NotDerivation,
@@ -15,7 +15,6 @@ from nilcohom.errors import (
 )
 from nilcohom.liealg import (
     StructureConstants,
-    Subspace,
     _brv,
     _brvv,
     _dense_table,
@@ -30,6 +29,7 @@ from nilcohom.liealg import (
     lower_central_series,
     n_k,
     n_k_value,
+    n_k_vanishes,
     nil_index,
     pencil,
     semidirect_by_derivation,
@@ -39,6 +39,7 @@ from nilcohom.liealg import (
     solvable_length,
     table_in_basis,
 )
+from nilcohom.linalg import reduce_rows
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import parse_table
 
@@ -146,13 +147,13 @@ def test_split_word_values(catalog):
 
 
 def test_lower_central_series_dims(catalog):
-    dims = [s.dim for s in lower_central_series(catalog.structure("f_5"))]
+    dims = [s.rank for s in lower_central_series(catalog.structure("f_5"))]
     assert dims == [5, 3, 2, 1, 0]
-    dims = [s.dim for s in lower_central_series(StructureConstants.abelian(4))]
+    dims = [s.rank for s in lower_central_series(StructureConstants.abelian(4))]
     assert dims == [4, 0]
     solvable = catalog.structure("g_6(r,t)", {"r": 1, "t": 1})
     series = lower_central_series(solvable)
-    assert series[-1].dim > 0 and nil_index(solvable) is None
+    assert series[-1].rank > 0 and nil_index(solvable) is None
     with pytest.raises(NotLieAlgebra):
         lower_central_series(StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}}))
 
@@ -216,26 +217,41 @@ def test_sn_k_vanishes_agrees_with_the_split_word(catalog):
     for mu in tables + randoms:
         for k in range(2, 7):
             assert sn_k_vanishes(mu, k) == (not sn_k(mu, k)), (mu, k)
+        for k in range(1, 7):
+            assert n_k_vanishes(mu, k) == (not n_k(mu, k)), (mu, k)
     # the non-Jacobi brackets reach both answers
     assert {sn_k_vanishes(mu, k) for mu in randoms for k in range(2, 7)} == {True, False}
-    with pytest.raises(ValueError):
+    assert {n_k_vanishes(mu, k) for mu in tables for k in range(1, 7)} == {True, False}
+    with pytest.raises(ValueError, match="k must be >= 2"):
         sn_k_vanishes(tables[0], 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            n_k_vanishes(heisenberg(1), k)
 
 
 def _series_oracle(mu, derived=False):
-    """g^i = [g^{i-1}, g], or g^(i) = [g^(i-1), g^(i-1)] when ``derived``, by
-    StructureConstants.bracket and Subspace.span."""
-    series = [Subspace.full(mu.n)]
+    """g^i = [g^{i-1}, g], or g^(i) = [g^(i-1), g^(i-1)] when ``derived``, as
+    monic reduced row echelon forms, by StructureConstants.bracket and the
+    dense Gauss-Jordan oracle."""
     units = [[Fraction(i == j) for j in range(mu.n)] for i in range(mu.n)]
+    series = [units]
     while True:
-        others = series[-1].rows if derived else units
-        vecs = [mu.bracket(list(u), list(e)) for u in series[-1].rows for e in others]
-        nxt = Subspace.span(vecs, mu.n)
-        if nxt.dim == series[-1].dim:
+        others = series[-1] if derived else units
+        nxt = dense_rref([mu.bracket(u, e) for u in series[-1] for e in others])
+        if len(nxt) == len(series[-1]):
             return series
         series.append(nxt)
-        if nxt.dim == 0:
+        if not nxt:
             return series
+
+
+def _monic(basis):
+    """The retained rows of a RowBasis, each divided by its lead."""
+    out = []
+    for row in basis.basis_rows():
+        lead = next(v for v in row if v)
+        out.append([Fraction(v, lead) for v in row])
+    return out
 
 
 def test_lower_central_series_rows_match_the_bracket_oracle(catalog):
@@ -243,9 +259,9 @@ def test_lower_central_series_rows_match_the_bracket_oracle(catalog):
     tables += [catalog.structure(fam, {"r": r, "t": t}) for fam, r, t in CURVE_POINTS]
     for mu in tables:
         got = lower_central_series(mu)
-        assert [s.rows for s in got] == [s.rows for s in _series_oracle(mu)], mu
+        assert [_monic(s) for s in got] == _series_oracle(mu), mu
         got = derived_series(mu)
-        assert [s.rows for s in got] == [s.rows for s in _series_oracle(mu, True)], mu
+        assert [_monic(s) for s in got] == _series_oracle(mu, True), mu
 
 
 def test_change_basis_identity_and_inverse(catalog):
@@ -336,19 +352,20 @@ def test_heisenberg_tables():
     for m in range(1, 5):
         h = heisenberg(m)
         assert nil_index(h) == (2 if m else 1)
-        assert center(h).dim == 1
+        assert center(h).rank == 1
 
 
 def test_center_of_abelian_is_everything():
-    assert center(StructureConstants.abelian(4)).dim == 4
+    assert center(StructureConstants.abelian(4)).rank == 4
 
 
 def test_subspace_span_and_membership():
-    s = Subspace.span([[1, 1, 0], [0, 2, 0]], 3)
-    assert s.dim == 2
-    assert s.contains([5, -3, 0])
-    assert not s.contains([0, 0, 1])
-    assert contains_space(Subspace.full(3), s)
+    s = reduce_rows([[1, 1, 0], [0, 2, 0]], 3)
+    assert s.rank == 2
+    assert s.contains({0: 5, 1: -3})
+    assert not s.contains({2: 1})
+    assert contains_space(reduce_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), s)
+    assert not contains_space(s, reduce_rows([[0, 1, 1]], 3))
 
 
 def test_random_brackets_jacobi_consistency():

@@ -450,3 +450,30 @@ def test_in_kernel_over_gaussian_rationals_matches_mat_vec():
             assert in_kernel(vec, basis.sparse_rows()) == expect
             assert in_kernel(vec, rows) == expect
             assert in_kernel({j: x for j, x in enumerate(vec) if x}, basis.basis_rows()) == expect
+
+
+def test_gaussian_integer_rows_are_copied_and_the_rest_cleared():
+    """A row of ints and QIs with int parts, real ones included, is only
+    copied; Fraction(3) and QI(Fraction(3), 0) still come out as the int 3.
+    Either way the retained rows are the same, value types included."""
+    basis = RowBasis(3, FIELD_QI)
+    row = {0: QI(2, -1), 1: QI(4, 0), 2: 6}
+    got = basis._reduced(row)
+    assert got == row and got is not row
+    got = basis._reduced({0: Fraction(3), 1: QI(Fraction(3), 0), 2: QI(0)})
+    assert got == {0: 3, 1: 3} and all(type(v) is int for v in got.values())
+
+    def typed(b):
+        return [[(c, type(v), v) for c, v in sorted(r.items())] for r in b.sparse_rows()]
+
+    rng = random.Random(19)
+    for _ in range(150):
+        ncols = rng.randint(1, 7)
+        rows = [int_cleared(row) for row in _random_gaussian_rows(rng, rng.randint(1, 8), ncols)]
+        real_qis = [[QI(x) if type(x) is int and rng.random() < 0.5 else x for x in row]
+                    for row in rows]
+        fractions = [[Fraction(x) if type(x) is int else QI(Fraction(x.re), x.im) for x in row]
+                     for row in rows]
+        want = typed(reduce_rows(rows, ncols, FIELD_QI))
+        assert typed(reduce_rows(real_qis, ncols, FIELD_QI)) == want
+        assert typed(reduce_rows(fractions, ncols, FIELD_QI)) == want
