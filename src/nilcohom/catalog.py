@@ -23,7 +23,7 @@ from .errors import ExternalDataRequired, UnknownAlgebra
 from .jsonio import algebra_from_dict, pack_checksum
 from .liealg import StructureConstants, table_in_basis
 from .scalars import FIELD_Q, FIELD_QI
-from .tables import parse_symbolic, parse_vector
+from .tables import parse_symbolic, parse_tpoly, parse_vector
 
 DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 
@@ -541,8 +541,6 @@ RESTRICTED_IDEAL_64 = (
 
 
 def named_polynomial(name):
-    from .polynomials import parse_tpoly
-
     key = name.strip().upper().replace(" ", "")
     if key not in NAMED_POLYNOMIALS:
         raise UnknownAlgebra(f"unknown polynomial {name!r} (P1, P2, Q1..Q14)")

@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -27,12 +26,13 @@ from .errors import NilcohomError, ResourceCapExceeded, TableError
 from .ideals import generators, member_bounded, nilpotency_ideal, non_membership
 from .jsonio import algebra_from_dict
 from .liealg import is_lie, nil_index, solvable_length
-from .polynomials import format_poly, parse_tpoly
-from .tables import parse_table
+from .polynomials import format_poly, format_var
+from .tables import _power_too_large, parse_table, parse_tpoly
 
 
 def _parse_assignment(text):
-    """Parse "r=1,t=1/2" into an ordered {symbol: Fraction} mapping."""
+    """Parse "r=1,t=-1/2" into an ordered {symbol: Fraction} mapping; each
+    value is a constant expression in the table grammar."""
     out = {}
     if not text:
         return out
@@ -41,9 +41,13 @@ def _parse_assignment(text):
         if not chunk:
             continue
         sym, _, val = chunk.partition("=")
+        sym = sym.strip()
         if not val:
             raise TableError(f"bad parameter assignment {chunk!r} (expected sym=value)")
-        out[sym.strip()] = Fraction(val.strip())
+        if sym in out:
+            raise TableError(f"parameter {sym!r} assigned twice")
+        # the value is a constant: the commas of a chart variable split it
+        out[sym] = parse_tpoly(val).as_scalar()
     return out
 
 
@@ -144,13 +148,29 @@ def cmd_exactness(args, catalog):
     return 0 if rep.exact else 1
 
 
-def _resolve_target(text):
-    m = re.fullmatch(r"\s*([PQ]\d+)\s*(\^2)?\s*", text, re.IGNORECASE)
+def _resolve_target(text, n):
+    """A named polynomial, bare or to a power (``Q13^3``), or any t_{i,j,k}
+    expression, with its label; every variable must be one of the n-dim chart."""
+    m = re.fullmatch(r"\s*([PQ]\d+)\s*(?:\^\s*([0-9]+))?\s*", text, re.IGNORECASE)
     if m:
-        poly = named_polynomial(m.group(1))
-        return (poly * poly, f"{m.group(1).upper()}^2") if m.group(2) else (poly, m.group(1).upper())
-    poly = parse_tpoly(text)
-    return poly, format_poly(poly)
+        label = m.group(1).upper()
+        poly = named_polynomial(label)
+        if m.group(2):
+            e = int(m.group(2))
+            if _power_too_large(poly, e):
+                raise TableError(f"power {label}^{e} too large to expand")
+            poly, label = poly**e, f"{label}^{e}"
+    else:
+        poly = parse_tpoly(text)
+        label = format_poly(poly)
+    _check_chart(poly.variables(), n)
+    return poly, label
+
+
+def _check_chart(variables, n):
+    for v in sorted(variables):
+        if not (len(v) == 3 and 1 <= v[0] < v[1] < v[2] <= n):
+            raise TableError(f"{format_var(v)} is not a variable of the {n}-dimensional chart")
 
 
 def cmd_ideal(args, catalog):
@@ -165,8 +185,8 @@ def cmd_ideal(args, catalog):
                 print(format_poly(p))
         return 0
 
+    target, label = _resolve_target(args.target, args.n)
     ideal = nilpotency_ideal(args.n, args.k)
-    target, label = _resolve_target(args.target)
     if args.action == "member":
         bound = args.degree if args.degree is not None else max(target.degree(), 0)
         cert = member_bounded(target, ideal.gens, bound)
@@ -193,6 +213,7 @@ def cmd_ideal(args, catalog):
             chunk = chunk.strip()
             if chunk:
                 assignment[tuple(int(x) for x in chunk.split(","))] = 0
+        _check_chart(assignment, args.n)
     elif label in ("Q13", "Q14") and (args.n, args.k) == (6, 4):
         assignment = cat_mod.Q13_ASSIGNMENT if label == "Q13" else cat_mod.Q14_ASSIGNMENT
     else:
@@ -272,7 +293,7 @@ def build_parser():
     m = psub.add_parser("member", help="bounded-degree membership certificate")
     m.add_argument("n", type=int)
     m.add_argument("k", type=int)
-    m.add_argument("target", help="P1, Q5, Q13^2, or a t_{i,j,k} polynomial")
+    m.add_argument("target", help="P1, Q5, Q13^3, or a t_{i,j,k} polynomial")
     m.add_argument("--degree", "-D", type=int, default=None)
     m.add_argument("--json", action="store_true")
     nm = psub.add_parser("nonmember", help="substitution + Groebner non-membership")

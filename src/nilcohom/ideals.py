@@ -445,7 +445,6 @@ class GroebnerBasis:
         self.universe = list(universe)
         self.order = order
         self._key = _ORDERS[order]
-        self._vecs = vec_polys
         self.members = [_from_vec(p, self.universe) for p in vec_polys]
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
@@ -464,11 +463,20 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero()
 
 
-def groebner_small(gens, order="grevlex", max_basis=120, max_pairs=20000, max_degree=60):
+# Caps of groebner_small, which raises ResourceCapExceeded past them: the
+# S-pairs popped, the size of the basis and the total degree of a new basis
+# element.  They are generous for the restricted few-variable systems that
+# substitution produces and a deliberate wall for anything big.
+MAX_GROEBNER_PAIRS = 20_000
+MAX_GROEBNER_BASIS = 120
+MAX_GROEBNER_DEGREE = 60
+
+
+def groebner_small(gens, order="grevlex"):
     """Buchberger with hard caps; raises ResourceCapExceeded rather than guess.
 
     Meant for the restricted few-variable systems that substitution produces;
-    the caps are generous for those and a deliberate wall for anything big.
+    see MAX_GROEBNER_PAIRS, MAX_GROEBNER_BASIS and MAX_GROEBNER_DEGREE.
     """
     if order not in _ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -497,8 +505,8 @@ def groebner_small(gens, order="grevlex", max_basis=120, max_pairs=20000, max_de
     while pairs:
         _, i, j, lcm_v = heapq.heappop(pairs)
         popped += 1
-        if popped > max_pairs:
-            raise ResourceCapExceeded(f"Buchberger pair cap {max_pairs} exceeded")
+        if popped > MAX_GROEBNER_PAIRS:
+            raise ResourceCapExceeded(f"Buchberger pair cap {MAX_GROEBNER_PAIRS} exceeded")
         fi, fj = basis[i], basis[j]
         lmi, lmj = lm(fi), lm(fj)
         if _vec_add(lmi, lmj) == lcm_v:
@@ -510,11 +518,11 @@ def groebner_small(gens, order="grevlex", max_basis=120, max_pairs=20000, max_de
         if not s:
             continue
         s = _primitive_vec(s, key)
-        if max(sum(m) for m in s) > max_degree:
-            raise ResourceCapExceeded(f"degree cap {max_degree} exceeded")
+        if max(sum(m) for m in s) > MAX_GROEBNER_DEGREE:
+            raise ResourceCapExceeded(f"degree cap {MAX_GROEBNER_DEGREE} exceeded")
         basis.append(s)
-        if len(basis) > max_basis:
-            raise ResourceCapExceeded(f"basis-size cap {max_basis} exceeded")
+        if len(basis) > MAX_GROEBNER_BASIS:
+            raise ResourceCapExceeded(f"basis-size cap {MAX_GROEBNER_BASIS} exceeded")
         new = len(basis) - 1
         for t in range(new):
             lcm_v = _vec_lcm(lm(basis[t]), lm(s))
@@ -538,7 +546,7 @@ def groebner_small(gens, order="grevlex", max_basis=120, max_pairs=20000, max_de
     return GroebnerBasis(universe, order, basis)
 
 
-def non_membership(f: MultiPoly, gens, assignment, order="grevlex", **caps) -> bool:
+def non_membership(f: MultiPoly, gens, assignment) -> bool:
     """True certifies f not in ideal(gens), via an evaluation homomorphism.
 
     Substitution preserves membership, so a nonzero normal form of the
@@ -549,5 +557,5 @@ def non_membership(f: MultiPoly, gens, assignment, order="grevlex", **caps) -> b
     if fs.is_zero():
         return False
     sub_gens = distinct_primitive(substitute(g, assignment) for g in gens)
-    gb = groebner_small(sub_gens, order=order, **caps)
+    gb = groebner_small(sub_gens)
     return not gb.contains(fs)

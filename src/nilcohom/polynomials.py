@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 Variables are arbitrary hashable, totally ordered labels; structure-constant
-polynomials use 1-based index triples ``(i, j, k)`` (printed ``t_{i,j,k}``)
+polynomials use 1-based index triples ``(i, j, k)`` (printed ``t_{i,j,k}`` by
+:func:`format_poly` and read back by :func:`nilcohom.tables.parse_tpoly`)
 while parametric structure tables use single-character symbols like ``r``
 and ``t``.  A monomial is a tuple of ``(variable, exponent)`` pairs sorted by
 variable; coefficients are Fractions (or QI where a table needs i).
@@ -303,44 +304,3 @@ def format_poly(p: MultiPoly) -> str:
         out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
     return out
 
-
-def parse_tpoly(text: str) -> MultiPoly:
-    """Parse the ``t_{i,j,k}`` polynomial notation (inverse of format_poly)."""
-    import re
-
-    s = text.replace(" ", "")
-    if not s or s == "0":
-        return MultiPoly()
-    # the printed lists juxtapose factors; normalize to explicit products
-    s = s.replace("}t", "}*t")
-    s = re.sub(r"(\d)t_\{", r"\1*t_{", s)
-    # split into signed terms at top level (no parentheses in this notation)
-    terms = []
-    start = 0
-    for idx in range(1, len(s)):
-        if s[idx] in "+-" and s[idx - 1] not in "+-*^,{(":
-            terms.append(s[start:idx])
-            start = idx
-    terms.append(s[start:])
-    poly = MultiPoly()
-    for term in terms:
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        coeff = Fraction(sign)
-        mono = {}
-        for factor in term.split("*"):
-            if not factor:
-                continue
-            if factor.startswith("t_{"):
-                body, _, exp = factor.partition("^")
-                trip = tuple(int(x) for x in body[3:].rstrip("}").split(","))
-                if len(trip) != 3:
-                    raise ValueError(f"bad variable {factor!r}")
-                mono[trip] = mono.get(trip, 0) + (int(exp) if exp else 1)
-            else:
-                coeff *= Fraction(factor)
-        poly = poly + MultiPoly.term(coeff, tuple(sorted(mono.items())))
-    return poly

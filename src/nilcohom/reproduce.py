@@ -44,7 +44,8 @@ from .liealg import (
     solvable_length,
 )
 from .linalg import reduce_rows
-from .polynomials import distinct_primitive, parse_tpoly
+from .polynomials import distinct_primitive
+from .tables import parse_tpoly
 
 _F = Fraction
 

@@ -5,7 +5,8 @@ Coefficients are arithmetic expressions in integers, declared parameter
 symbols (single characters such as r, t) and the imaginary unit ``i`` (when
 ``i`` is neither a basis letter nor a parameter).  Juxtaposition multiplies,
 ``^`` takes integer powers, ``/`` divides by a constant, so ``be = rtf+(1-t)g``
-and ``ad = (1+t^3/2)f`` mean what they do in print.
+and ``ad = (1+t^3/2)f`` mean what they do in print.  With the chart variables
+``t_{i,j,k}`` as its only symbols, the grammar reads chart polynomials.
 
 Parsing produces a :class:`SymbolicTable` whose coefficients are polynomials
 in the parameters; evaluating at rational (or Gaussian) parameter values
@@ -13,12 +14,13 @@ yields exact :class:`~nilcohom.liealg.StructureConstants`, and differentiation
 in a parameter is exact term-by-term.
 
 Any text either parses or raises :class:`TableError`, and quickly: nesting
-is capped, and a power or product whose closed-form size bound passes a cap
-is refused before it is expanded.
+is capped, an integer literal or a power or product whose closed-form size
+bound passes a cap is refused before it is expanded.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -93,6 +95,9 @@ class _Tok:
         self.line = line
         self.col = col
 
+    def __str__(self):
+        return "end of input" if self.kind == "end" else repr(self.value)
+
 
 def _tokenize(src):
     toks = []
@@ -114,8 +119,16 @@ def _tokenize(src):
             start = idx
             while idx < len(src) and src[idx] in "0123456789":
                 idx += 1
-            toks.append(_Tok("num", int(src[start:idx]), line, col))
+            toks.append(_Tok("num", _literal(src[start:idx], line, col), line, col))
             col += idx - start
+            continue
+        if src.startswith("t_", idx):
+            m = re.compile(r"t_\{ *([0-9]+) *, *([0-9]+) *, *([0-9]+) *\}").match(src, idx)
+            if not m:
+                raise TableError("malformed chart variable (expected t_{i,j,k})", line, col)
+            toks.append(_Tok("var", tuple(_literal(g, line, col) for g in m.groups()), line, col))
+            col += m.end() - idx
+            idx = m.end()
             continue
         if ch.isalpha():
             toks.append(_Tok("sym", ch, line, col))
@@ -134,6 +147,14 @@ def _tokenize(src):
     return toks
 
 
+def _literal(digits, line, col):
+    """A run of ASCII digits, refused past the coefficient cap (3 < log2 10, so
+    a longer run than _MAX_BITS // 3 has more bits, and ``int`` reads it fast)."""
+    if len(digits) > _MAX_BITS // 3 or int(digits).bit_length() > _MAX_BITS:
+        raise TableError(f"integer literal longer than {_MAX_BITS} bits", line, col)
+    return int(digits)
+
+
 class _Val:
     """Either a pure scalar polynomial or a linear combination of letters."""
 
@@ -148,13 +169,17 @@ class _Val:
 
 
 class _Parser:
+    """Reads table text over ``n`` basis letters, or with ``n=None`` a chart
+    polynomial: ``t_{i,j,k}`` variables and no letters, parameters or i."""
+
     def __init__(self, src, n, params=()):
-        if n < 1 or n > 26:
+        self.chart = n is None
+        if not self.chart and not 1 <= n <= 26:
             raise TableError(f"dimension {n} outside 1..26")
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0
-        self.n = n
+        self.n = n or 0
         self.params = set(params)
         bad = [p for p in self.params if self._letter_index(p) is not None]
         if bad:
@@ -169,7 +194,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.toks[self.pos]
         if kind is not None and tok.kind != kind:
-            raise TableError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col)
+            raise TableError(f"expected {kind!r}, found {tok}", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -178,6 +203,13 @@ class _Parser:
         return k if 0 <= k < self.n else None
 
     # -- expressions ---------------------------------------------------------
+
+    def whole(self):
+        val = self.expr()
+        end = self.peek()
+        if end.kind != "end":
+            raise TableError(f"trailing input {end}", end.line, end.col)
+        return val
 
     def expr(self):
         tok = self.peek()
@@ -207,7 +239,7 @@ class _Parser:
             elif tok.kind == "/":
                 self.take()
                 val = self._div(val, self.factor(), tok)
-            elif tok.kind in ("num", "sym", "("):
+            elif tok.kind in ("num", "sym", "var", "("):
                 val = self._mul(val, self.factor(), tok)
             else:
                 return val
@@ -251,7 +283,11 @@ class _Parser:
             val = self.expr()
             self.take(")")
             return val
-        if tok.kind == "sym":
+        if tok.kind == "var":
+            if not self.chart:
+                raise TableError("chart variable t_{i,j,k} in table text", tok.line, tok.col)
+            return _Val(MultiPoly.var(tok.value))
+        if tok.kind == "sym" and not self.chart:
             ch = tok.value
             idx = self._letter_index(ch)
             if idx is not None:
@@ -266,7 +302,7 @@ class _Parser:
                 tok.line,
                 tok.col,
             )
-        raise TableError(f"unexpected {tok.value!r}", tok.line, tok.col)
+        raise TableError(f"unexpected {tok}", tok.line, tok.col)
 
     @staticmethod
     def _neg(v):
@@ -404,17 +440,19 @@ def parse_table(src, n, params=None):
 
 def parse_vector(src, n, params=()):
     """A basis-vector expression like ``2t(tb-d)`` -> length-n coefficient list."""
-    parser = _Parser(src, n, params)
-    val = parser.expr()
-    end = parser.peek()
-    if end.kind != "end":
-        raise TableError(f"trailing input {end.value!r}", end.line, end.col)
+    val = _Parser(src, n, params).whole()
     if val.scal:
         raise TableError("expression is not a vector (has a scalar part)")
     out = [MultiPoly() for _ in range(n)]
     for k, p in val.vec.items():
         out[k] = p
     return out
+
+
+def parse_tpoly(text) -> MultiPoly:
+    """A chart polynomial in the ``t_{i,j,k}`` notation of ``format_poly``, such
+    as ``t_{1,2,3}t_{3,4,5} - 2t_{1,2,4}^2``: nothing may follow it."""
+    return _Parser(text, None).whole().scal
 
 
 def format_table(mu) -> str:

@@ -46,7 +46,7 @@ from nilcohom.liealg import (
     solvable_length,
 )
 from nilcohom.linalg import ExactMatrix, RowBasis, rank
-from nilcohom.polynomials import parse_tpoly
+from nilcohom.tables import parse_tpoly
 
 CAT = Catalog()
 

@@ -166,3 +166,40 @@ def test_data_pack_flag(tmp_path, capsys):
     (tmp_path / "rec.json").write_text(json.dumps(record))
     code, out, _ = run(capsys, "--data-pack", str(tmp_path), "info", "cli_pack_algebra")
     assert code == 0 and "2-step" in out
+
+
+def test_bad_parameter_points_are_usage_errors(capsys):
+    for at, message in (("r=1/0,t=1", "division by zero"),
+                        ("r=1,t=1,t=2", "'t' assigned twice"),
+                        ("r=1e999999999,t=1", "unexpected 'e'"),
+                        ("r=t_{1,2,3},t=1", "malformed chart variable")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", at)
+        assert code == 2 and message in err
+        assert time.perf_counter() - start < 1
+    code, _, err = run(capsys, "info", "f_4+R", "--params", "t=1/2,t=1/2")
+    assert code == 2 and "assigned twice" in err
+
+
+def test_ideal_variables_outside_the_chart_are_usage_errors(capsys):
+    code, _, err = run(capsys, "ideal", "member", "6", "4", "t_{1,2,9}")
+    assert code == 2 and "t_{1,2,9} is not a variable of the 6-dimensional chart" in err
+    code, _, err = run(capsys, "ideal", "member", "6", "4", "t_{2,1,3}")
+    assert code == 2 and "t_{2,1,3}" in err
+    code, _, err = run(capsys, "ideal", "nonmember", "6", "4", "Q5", "--zeros", "1,2")
+    assert code == 2 and "t_{1,2} is not a variable" in err
+    code, _, err = run(capsys, "ideal", "member", "6", "4", "t_{1,2,3}+")
+    assert code == 2 and "unexpected end of input" in err
+
+
+def test_named_targets_take_any_power(capsys):
+    code, out, _ = run(capsys, "ideal", "member", "6", "4", "Q13^3", "-D", "9", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["member"] is True and data["target"] == "Q13^3"
+    # the weight-directed search stops at MAX_WEIGHTED_NODES, as documented
+    code, _, err = run(capsys, "ideal", "member", "6", "4", "Q5^4", "-D", "12")
+    assert code == 3 and "200000 multiplier monomial prefixes" in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ideal", "member", "6", "4", "Q5^99999")
+    assert code == 2 and "too large" in err
+    assert time.perf_counter() - start < 1

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilcohom.polynomials import MultiPoly, format_poly, parse_tpoly
+from nilcohom.polynomials import MultiPoly, format_poly
 from nilcohom.scalars import QI
+from nilcohom.tables import parse_tpoly
 
 
 def test_ring_axioms_on_small_cases():
@@ -73,3 +76,18 @@ def test_tpoly_format_parse_round_trip():
     assert parse_tpoly("t_{1,2,3}t_{3,4,5}") == parse_tpoly("t_{1,2,3}*t_{3,4,5}")
     assert parse_tpoly("2t_{1,2,3}") == 2 * parse_tpoly("t_{1,2,3}")
     assert parse_tpoly("-t_{1,2,3}+t_{1,2,3}").is_zero()
+
+
+_CHART_VARS = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
+_MONOMIALS = st.dictionaries(_CHART_VARS, st.integers(1, 3), max_size=3).map(
+    lambda mono: tuple(sorted(mono.items()))
+)
+_CHART_POLYS = st.dictionaries(
+    _MONOMIALS, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)), max_size=5
+).map(MultiPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CHART_POLYS)
+def test_tpoly_round_trip_property(p):
+    assert parse_tpoly(format_poly(p)) == p

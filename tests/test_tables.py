@@ -14,6 +14,7 @@ from nilcohom.tables import (
     format_table,
     parse_symbolic,
     parse_table,
+    parse_tpoly,
     parse_vector,
 )
 
@@ -126,13 +127,19 @@ def test_family_identification_on_the_nilpotent_line(catalog):
 
 
 # text over the table grammar's characters (letters inside and outside a..g,
-# the parameters r and t, i, digits, operators, separators), plus a few
-# characters the tokenizer must refuse
-_GRAMMAR_TEXT = st.text(alphabet="abcdghirtz0123456789+-*/^()=,;\n ²é", max_size=40)
+# the parameters r and t, i, digits, operators, separators, the pieces of a
+# chart variable t_{i,j,k}), plus a few characters the tokenizer must refuse
+_GRAMMAR_TEXT = st.text(alphabet="abcdghirtz0123456789+-*/^()=,;\n _{}²é", max_size=40)
+_CHART_TEXT = st.lists(
+    st.one_of(st.sampled_from(["t_{1,2,3}", "t_{2,4,5}", "t_{1,2}", "t_{", "2", "1/3", "0"]),
+              st.sampled_from("+-*/^() ")),
+    max_size=12,
+).map("".join)
 _TABLE_TEXT = st.one_of(
     _GRAMMAR_TEXT,
     st.builds("{} = {}".format, st.sampled_from(["ab", "ba", "ce", "fg", "aa", "ah"]),
-              _GRAMMAR_TEXT),
+              st.one_of(_GRAMMAR_TEXT, _CHART_TEXT)),
+    _CHART_TEXT,
     st.text(max_size=20),
 )
 
@@ -148,10 +155,14 @@ _TABLE_TEXT = st.one_of(
 @example("ab = (1+r+t)^40(1+r+t)^40c", 7)
 @example("ab = (1+r+t)^43c", 4)
 @example("ab = ²c", 3)
+@example("ab = " + "7" * 5000 + "c", 3)
+@example("t_{1,2," + "7" * 5000 + "}", 3)
+@example("ab = t_{1,2,3}c", 3)
 def test_parser_raises_only_table_error(text, n):
     """Any text parses or raises TableError, quickly: nothing else escapes."""
     for parse in (lambda: parse_table(text, n, {"r": 2, "t": Fraction(1, 3)}),
-                  lambda: parse_symbolic(text, n, ("r", "t"))):
+                  lambda: parse_symbolic(text, n, ("r", "t")),
+                  lambda: parse_tpoly(text)):
         try:
             parse()
         except TableError:
@@ -194,3 +205,27 @@ def test_chain_products_bounds_the_work_of_a_power(p, e):
             base = base * base
     assert out == p**e
     assert spent <= _chain_products(len(p.terms), e)
+
+
+def test_chart_polynomials_read_with_the_table_grammar():
+    t123, t345 = MultiPoly.var((1, 2, 3)), MultiPoly.var((3, 4, 5))
+    assert parse_tpoly("t_{1,2,3}t_{3,4,5} - 2t_{1,2,3}^2") == t123 * t345 - 2 * t123**2
+    assert parse_tpoly("((t_{1,2,3}))") == t123
+    assert parse_tpoly("(t_{1,2,3}+1)(t_{3,4,5}-1)/2") == (t123 + 1) * (t345 - 1) / 2
+    assert parse_tpoly("t_{ 1, 2, 3 }") == t123
+    assert parse_tpoly("0").is_zero()
+    # a chart variable is not table text
+    with pytest.raises(TableError, match="chart variable"):
+        parse_table("ab = t_{1,2,3}c", 3)
+
+
+@pytest.mark.parametrize("text", [
+    "t_{1,2,3}+", "t_{1,2,3}^", "1/0*t_{1,2,3}", "t_{1,2}", "x", "i*t_{1,2,3}",
+    "1e100000000*t_{1,2,3}", "7" * 5000 + "*t_{1,2,3}", "2.5t_{1,2,3}", "", "t_{1,2,3})",
+    "t_{1,2,3}^99999999", "(" * 60 + "t_{1,2,3}" + ")" * 60,
+])
+def test_malformed_chart_polynomials_raise_table_error(text):
+    start = time.perf_counter()
+    with pytest.raises(TableError):
+        parse_tpoly(text)
+    assert time.perf_counter() - start < 1
