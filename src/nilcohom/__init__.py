@@ -14,7 +14,7 @@ The package computes, entirely in exact arithmetic over Q or Q(i):
 """
 
 from .scalars import QI, FIELD_Q, FIELD_QI
-from .linalg import ExactMatrix, RankProfile, backend, kernel_basis, rank, solve, streaming_rank
+from .linalg import ExactMatrix, RankProfile, backend, kernel_basis, rank, solve
 from .liealg import StructureConstants
 from .cohomology import augmented_exactness, h2_dim, h2_knil
 from .tables import parse_table
@@ -34,7 +34,6 @@ __all__ = [
     "parse_table",
     "rank",
     "solve",
-    "streaming_rank",
 ]
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .ideals import generators, member_bounded, nilpotency_ideal, non_membership
 from .jsonio import algebra_from_dict
 from .liealg import is_lie, nil_index, solvable_length
 from .polynomials import format_poly, format_var
-from .tables import _power_too_large, parse_table, parse_tpoly
+from .tables import _power_too_large, parse_symbolic, parse_tpoly
 
 
 def _parse_assignment(text):
@@ -42,7 +42,7 @@ def _parse_assignment(text):
             continue
         sym, _, val = chunk.partition("=")
         sym = sym.strip()
-        if not val:
+        if not sym or not val:
             raise TableError(f"bad parameter assignment {chunk!r} (expected sym=value)")
         if sym in out:
             raise TableError(f"parameter {sym!r} assigned twice")
@@ -51,12 +51,21 @@ def _parse_assignment(text):
     return out
 
 
-def _load_structure(catalog, name, params):
+def _check_params(assignment, params, name):
+    """Every assigned symbol must be one of ``params``, those of ``name``."""
+    for sym in assignment:
+        if sym not in params:
+            known = ", ".join(params) or "none"
+            raise TableError(f"{sym!r} is not a parameter of {name} (parameters: {known})")
+
+
+def _load_structure(catalog, name, assignment):
     """Resolve a catalog name or a file (.json schema, or table text)."""
     path = Path(name)
     if path.exists() and path.is_file():
         text = path.read_text()
         if path.suffix == ".json":
+            _check_params(assignment, (), path.name)
             return algebra_from_dict(json.loads(text))
         lines = text.splitlines()
         dim = None
@@ -67,11 +76,15 @@ def _load_structure(catalog, name, params):
                 dim = int(m.group(1))
                 body = "\n".join(lines[1:])
         if dim is None:
-            letters = [c for c in body if c.isalpha()]
+            letters = [c for c in body if c.isalpha() and c not in assignment]
             dim = max((ord(c) - ord("a") + 1 for c in letters), default=1)
-        mu = parse_table(body, dim, params)
-        return mu.with_name(path.name)
-    return catalog.structure(name, params)
+        # the parameters of table text are the symbols it uses
+        table = parse_symbolic(body, dim, tuple(assignment))
+        _check_params(assignment, sorted(table.free_symbols()), path.name)
+        return table.evaluate(assignment).with_name(path.name)
+    rec = catalog.get(name)
+    _check_params(assignment, rec.params, rec.name)
+    return rec.structure(assignment)
 
 
 def _print_json(data):
@@ -131,6 +144,7 @@ def cmd_cohomology(args, catalog):
 def cmd_exactness(args, catalog):
     rec = catalog.get(args.family)
     point = _parse_assignment(args.at)
+    _check_params(point, rec.params, rec.name)
     free = tuple(s.strip() for s in args.free.split(",") if s.strip()) if args.free \
         else rec.params
     rep = augmented_exactness(rec.symbolic(), point, free, args.constraint,

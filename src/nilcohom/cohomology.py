@@ -28,6 +28,20 @@ every row left out is an emitted row up to sign, or zero, and the row space
 (hence rank, kernel and the canonical reduced rows) is that of the full
 matrix.
 
+The certificates reduce the stacks [d2 ; dN_k] and [d2 ; dSN_k], and in
+them the word rows are streamed least-first: only the words (for dSN_k,
+the inner words) that start with their least letter.  The left-normed
+brackets of L distinct letters that start with one fixed letter form a
+basis of the multilinear part of degree L of the free Lie algebra
+(Reutenauer, *Free Lie Algebras*, ch. 5), so every left-normed word is an
+integer combination of the words that start with its least letter, modulo
+antisymmetry and Jacobi terms, and substituting basis letters (repeats
+allowed) keeps the identity.  At a Lie point the Jacobi terms vanish and
+their derivatives lie in the span of the d2 rows, which head every stack:
+the stack keeps its row space, and its reduced rows are the same.  The
+word rows alone can span less, so the public streams, the ``*_matrix``
+functions and the tensors ``n_k``/``sn_k`` keep every word.
+
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
 differential is homogeneous in mu (d1 and d2 are linear), so that
@@ -147,24 +161,28 @@ def iter_d2_rows(mu, scaled=True):
             yield t * n + m, rows[m]
 
 
-def iter_dnk_rows(mu, k, scaled=True):
+def iter_dnk_rows(mu, k, scaled=True, least_first=False):
     """Sparse rows of the derivative of the k-fold nested bracket at mu.
 
     One row per unordered leading pair: only the words with a1 < a2 are
     emitted.  The word and its derivative are antisymmetric in (a1, a2), so
     every row left out is minus an emitted one (or zero, at a1 = a2) and the
     row space is the full matrix's; ``dnk_matrix`` puts the mirrors back.
+    With ``least_first`` only the words that start with their least letter
+    are emitted, whose rows span the others' only beside the d2 rows at a
+    Lie point (see ``walk_words``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n, table = _dense_table(mu, scaled)
     _, right = _letter_operators(table, n)
-    for index, _, tangent in walk_words(right, n, k + 1, Layout(n), ascending_pair=True):
+    words = walk_words(right, n, k + 1, Layout(n), ascending_pair=True, least_first=least_first)
+    for index, _, tangent in words:
         for m in sorted(tangent):
             yield index * n + m, tangent[m]
 
 
-def iter_dsnk_rows(mu, k, scaled=True):
+def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
     """Rows of the derivative of the split word mu(mu(x1,x2), N_{k-2}(...)).
 
     The value B and tangent rows of each inner (k-1)-letter word are
@@ -178,7 +196,10 @@ def iter_dsnk_rows(mu, k, scaled=True):
     (x3, x4) through the inner word, so only the tuples with x1 < x2 (and
     x3 < x4) are emitted: every row left out is plus or minus an emitted
     one, or zero, and the row space is the full matrix's.  ``dsnk_matrix``
-    puts the mirrors back.
+    puts the mirrors back.  With ``least_first`` only the inner words that
+    start with their least letter are walked, as in ``iter_dnk_rows``: the
+    outer bracket with the leading pair is linear, so the rows of every
+    other inner word are again combinations of these and of d2 rows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -196,7 +217,8 @@ def iter_dsnk_rows(mu, k, scaled=True):
                     a_of.append((q, [(m, x) for m, x in enumerate(w) if x]))
         heads.append((x1 * n + x2, lay.pair_index[(x1, x2)] * n, a, a_of))
     tail_span = n ** (k - 1)
-    for tailidx, bvec, ftail in walk_words(right, n, k - 1, lay, ascending_pair=True):
+    tails = walk_words(right, n, k - 1, lay, ascending_pair=True, least_first=least_first)
+    for tailidx, bvec, ftail in tails:
         # es_b[m][s]: coefficient of e_m in mu(e_s, B)
         es_b = {}
         if bvec is not None:
@@ -327,12 +349,16 @@ def _d1_rank(mu):
 
 
 def _constraint_reducer(mu, kind, k):
-    """Reduce the stacked constraint-differential rows; returns the reducer."""
+    """Reduce the stacked constraint-differential rows; returns the reducer.
+
+    The d2 rows come first, so the word rows are streamed least-first: at a
+    Lie point they span, beside the d2 rows, what every word row spans.
+    """
     rows = iter_d2_rows(mu)
     if kind == "n":
-        rows = chain(rows, iter_dnk_rows(mu, k))
+        rows = chain(rows, iter_dnk_rows(mu, k, least_first=True))
     elif kind == "sn":
-        rows = chain(rows, iter_dsnk_rows(mu, k))
+        rows = chain(rows, iter_dsnk_rows(mu, k, least_first=True))
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
 
 

@@ -371,17 +371,13 @@ def _sparse_from(rowlike, ncols):
     return {c: v for c, v in enumerate(row) if v}
 
 
-def streaming_rank(rows, ncols, field=FIELD_Q):
-    """Rank of the stacked matrix of ``rows`` without materializing it.
+def reduce_rows(rows, ncols, field=FIELD_Q):
+    """The RowBasis (rank, basis rows, pivots) of the stacked ``rows``,
+    without materializing the matrix.
 
     ``rows`` is any iterable of dense sequences (length ``ncols``) or sparse
     {col: value} dicts.  Deterministic, memory bounded by ncols**2 entries.
     """
-    return reduce_rows(rows, ncols, field).rank
-
-
-def reduce_rows(rows, ncols, field=FIELD_Q):
-    """Like streaming_rank but returns the RowBasis (basis rows, pivots)."""
     basis = RowBasis(ncols, field)
     for rowlike in rows:
         basis.add(_sparse_from(rowlike, ncols))

@@ -185,6 +185,21 @@ def center(mu):
     return reduce_rows(kernel_basis(ad), n, mu.field)
 
 
+def streaming_rank(rows, ncols, field=FIELD_Q):
+    """Rank of the stacked ``rows``, dense or sparse, through ``reduce_rows``."""
+    return reduce_rows(rows, ncols, field).rank
+
+
+def direct_sum(mu1, mu2, name=None):
+    """mu1 (+) mu2 on the concatenated bases."""
+    n = mu1.n + mu2.n
+    brackets = {pair: dict(coeffs) for pair, coeffs in mu1.c.items()}
+    off = mu1.n
+    for (i, j), coeffs in mu2.c.items():
+        brackets[(i + off, j + off)] = {k + off: v for k, v in coeffs.items()}
+    return StructureConstants(n, brackets, join_fields(mu1.field, mu2.field), name)
+
+
 def contains_space(big, small):
     """Whether the span of one RowBasis holds the span of another."""
     return all(big.contains(row) for row in small.sparse_rows())

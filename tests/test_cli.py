@@ -1,9 +1,13 @@
 import json
 import time
 
+import pytest
+
+from nilcohom import liealg
 from nilcohom.cli import main
+from nilcohom.errors import ResourceCapExceeded
 from nilcohom.jsonio import dump_algebra
-from nilcohom.liealg import StructureConstants
+from nilcohom.liealg import StructureConstants, n_k, sn_k
 
 
 def run(capsys, *argv):
@@ -203,3 +207,62 @@ def test_named_targets_take_any_power(capsys):
     code, _, err = run(capsys, "ideal", "member", "6", "4", "Q5^99999")
     assert code == 2 and "too large" in err
     assert time.perf_counter() - start < 1
+
+
+def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):
+    code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1,x=2",
+                       "--constraint", "sn5")
+    assert code == 2 and "'x' is not a parameter of g_5(r,t) (parameters: r, t)" in err
+    code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "=1,r=1,t=1")
+    assert code == 2 and "bad parameter assignment '=1'" in err
+    code, _, err = run(capsys, "info", "g_{5,3}", "--params", "zz=3")
+    assert code == 2 and "'zz' is not a parameter of g_{5,3} (parameters: none)" in err
+    code, _, err = run(capsys, "cohomology", "f_4+R", "--k", "3", "--params", "t=1")
+    assert code == 2 and "'t' is not a parameter" in err
+    # a table text's parameters are the symbols it uses; a JSON table has none
+    path = tmp_path / "heis_s.txt"
+    path.write_text("dim 3\nab = s c\n")
+    code, out, _ = run(capsys, "info", str(path), "--params", "s=2")
+    assert code == 0 and "3-dim" in out and "2-step" in out
+    # without a dim line the dimension comes from the letters that are not
+    # parameters
+    path.write_text("ab = s c\n")
+    code, out, _ = run(capsys, "info", str(path), "--params", "s=2")
+    assert code == 0 and "3-dim" in out and "2-step" in out
+    code, _, err = run(capsys, "info", str(path), "--params", "s=2,u=1")
+    assert code == 2 and "'u' is not a parameter of heis_s.txt (parameters: s)" in err
+    path = tmp_path / "abelian2.json"
+    path.write_text(dump_algebra(StructureConstants.abelian(2), "flat2"))
+    code, _, err = run(capsys, "info", str(path), "--params", "s=2")
+    assert code == 2 and "'s' is not a parameter of abelian2.json" in err
+    # the known names still answer
+    code, out, _ = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1", "--constraint", "sn5")
+    assert code == 0 and "(r=1, t=1)" in out and "EXACT" in out
+
+
+def test_word_walk_caps_exit_3(capsys, monkeypatch):
+    # g_5(1,1) is not nilpotent: its long words never vanish with their
+    # tangents, so the walk stops at a cap instead of recursing without end
+    start = time.perf_counter()
+    code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
+                       "--constraint", "sn99999")
+    assert code == 3 and f"reached {liealg.MAX_WALK_DEPTH} letters" in err
+    assert time.perf_counter() - start < 5
+    monkeypatch.setattr(liealg, "MAX_WALK_NODES", 20_000)
+    code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
+                       "--constraint", "sn30")
+    assert code == 3 and "more than 20000 nonzero words" in err
+    # on a nilpotent table the walk prunes every long word, under both caps;
+    # the N_300 rows all vanish, so the sequence is not exact
+    code, out, _ = run(capsys, "exactness", "g_{147E_1}(t)", "--at", "t=2",
+                       "--constraint", "n300")
+    assert code == 1 and "rank dF = 35, dim Ker dG = 59, containment ok" in out
+
+
+def test_word_walk_caps_hold_for_the_public_tensors():
+    # [e1, e2] = e2: the words [e1, e2, e1, ..., e1] never vanish
+    mu = StructureConstants(2, {(0, 1): {1: 1}})
+    for fn in (n_k, sn_k):
+        with pytest.raises(ResourceCapExceeded, match="letters without vanishing"):
+            fn(mu, liealg.MAX_WALK_DEPTH + 50)
+    assert n_k(mu, liealg.MAX_WALK_DEPTH - 1)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -28,10 +29,18 @@ from nilcohom.cohomology import (
     parse_constraint,
 )
 from nilcohom.errors import NotInVariety, NotLieAlgebra
-from nilcohom.liealg import StructureConstants, change_basis, jacobi, n_k, pencil, sn_k
+from nilcohom.liealg import (
+    StructureConstants,
+    _letters,
+    change_basis,
+    jacobi,
+    n_k,
+    pencil,
+    sn_k,
+)
 from nilcohom.linalg import ExactMatrix, kernel_basis, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
-from nilcohom.scalars import FIELD_QI, QI
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import SymbolicTable
 
 # the printed (z, b, h) of the eight non-abelian nilpotent algebras of dim 5
@@ -543,3 +552,150 @@ def test_augmented_exactness_fails_at_excluded_points(catalog):
     rep = augmented_exactness(g5, {"r": Fraction(1), "t": Fraction(-1)}, ("r", "t"), "sn5")
     assert not rep.exact and rep.containment
     assert rep.rank_df == 41 and rep.ker_dg_dim == 47
+
+
+# -- the least-first word walk of the constraint reducer ----------------------------
+
+
+def _full_stack(mu, kind, k):
+    """The RowBasis of [d2 ; every word row with a1 < a2]."""
+    words = iter_dnk_rows(mu, k) if kind == "n" else iter_dsnk_rows(mu, k)
+    rows = chain(iter_d2_rows(mu), words)
+    return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
+
+
+def _word_rank(mu, kind, k, least_first):
+    gen = iter_dnk_rows if kind == "n" else iter_dsnk_rows
+    rows = (row for _, row in gen(mu, k, least_first=least_first))
+    return reduce_rows(rows, Layout(mu.n).dim2, mu.field).rank
+
+
+_STACKS = (("n", 2), ("n", 3), ("n", 4), ("sn", 3), ("sn", 4), ("sn", 5))
+
+
+def test_least_first_stack_keeps_the_rref_on_the_catalog(catalog):
+    tables = [catalog.structure(name) for name in catalog.names() if not catalog.get(name).params]
+    tables.append(StructureConstants(3, SL2, name="sl(2)"))
+    assert len(tables) == 22
+    for mu in tables:
+        for kind, k in _STACKS:
+            got = _constraint_reducer(mu, kind, k).sparse_rows()
+            assert got == _full_stack(mu, kind, k).sparse_rows(), (mu.name, kind, k)
+
+
+def test_least_first_stack_keeps_the_rref_on_the_charts(catalog):
+    points = ((1, 1), (2, 3), (-1, 2), (Fraction(1, 2), Fraction(1, 3)), (4, Fraction(-1, 4)),
+              (1, 0), (1, -1))
+    for fam in ("g_5(r,t)", "g_6(r,t)"):
+        for r, t in points:
+            mu = catalog.structure(fam, {"r": Fraction(r), "t": Fraction(t)})
+            assert jacobi(mu) == {}
+            for kind, k in (("sn", 4), ("sn", 5), ("n", 3)):
+                got = _constraint_reducer(mu, kind, k).sparse_rows()
+                assert got == _full_stack(mu, kind, k).sparse_rows(), (fam, r, t, kind, k)
+
+
+_LIE_NAMES = ("f_3", "f_4", "f_3+R^2", "f_4+R", "f_5", "g_{5,1}", "g_{5,2}", "g_{5,3}",
+              "g_{5,4}", "g_{5,6}", "12346_E", "sl(2)")
+
+
+@st.composite
+def _lie_tables(draw):
+    """A Lie table over Q or Q(i): a printed algebra (or sl(2)) in a basis of
+    1-3 transvections I + c E_ij, or a random 2-step nilpotent table, whose
+    brackets of the first m letters land in the span of the others."""
+    gaussian = draw(st.booleans())
+    rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    scalar = st.builds(QI, rationals, rationals) if gaussian else rationals
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(_LIE_NAMES))
+        moves = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6), scalar),
+                              min_size=1, max_size=3))
+        return name, moves
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(2, n - 1))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    brackets = draw(st.dictionaries(
+        st.sampled_from(pairs), st.dictionaries(st.integers(m, n - 1), scalar, max_size=2),
+        min_size=1, max_size=len(pairs)))
+    return StructureConstants(n, brackets, FIELD_QI if gaussian else FIELD_Q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_lie_tables(), st.sampled_from(_STACKS))
+def test_least_first_stack_keeps_the_rref_on_random_lie_tables(catalog, table, stack_kind):
+    if isinstance(table, tuple):
+        name, moves = table
+        mu = StructureConstants(3, SL2) if name == "sl(2)" else catalog.structure(name)
+        g = [[Fraction(i == j) for j in range(mu.n)] for i in range(mu.n)]
+        for i, shift, c in moves:
+            i, j = i % mu.n, (i + shift) % mu.n
+            if i != j:
+                g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        mu = change_basis(mu, g)
+    else:
+        mu = table
+    assert jacobi(mu) == {}
+    kind, k = stack_kind
+    assert _constraint_reducer(mu, kind, k).sparse_rows() == _full_stack(mu, kind, k).sparse_rows()
+
+
+def test_least_first_word_rows_alone_can_span_less(catalog):
+    # beside the d2 rows the stacks agree (above); the word rows alone do not,
+    # so the d2 rows carry the Jacobi terms of the rewriting
+    cases = ((catalog.structure("g_{5,3}"), "n", 3, 32, 30),
+             (catalog.structure("g_{137B}"), "n", 3, 106, 94),
+             (catalog.structure("g_{137B}"), "sn", 4, 38, 34),
+             (catalog.structure("12346_E"), "sn", 4, 66, 65))
+    for mu, kind, k, full, least in cases:
+        assert _word_rank(mu, kind, k, False) == full
+        assert _word_rank(mu, kind, k, True) == least
+        assert (_constraint_reducer(mu, kind, k).sparse_rows()
+                == _full_stack(mu, kind, k).sparse_rows())
+
+
+def test_least_first_streams_are_the_full_streams_restricted(catalog):
+    # the rows of a least-first stream are the full stream's rows of the
+    # words (dN_k) or inner words (dSN_k) that start with their least letter,
+    # in the same order
+    for mu in (catalog.structure("g_{137B}"), _g53_tables(catalog)[1],
+               catalog.structure("g_5(r,t)", {"r": Fraction(2), "t": Fraction(3)})):
+        n = mu.n
+        for k in (2, 3, 4):
+            full = list(iter_dnk_rows(mu, k))
+            assert full == list(iter_dnk_rows(mu, k, least_first=False))
+            kept = [(r, row) for r, row in full
+                    if min(word := _letters(r // n, n, k + 1)) == word[0]]
+            assert list(iter_dnk_rows(mu, k, least_first=True)) == kept
+        for k in (3, 4, 5):
+            full = list(iter_dsnk_rows(mu, k))
+            assert full == list(iter_dsnk_rows(mu, k, least_first=False))
+            kept = [(r, row) for r, row in full
+                    if min(inner := _letters(r // n, n, k + 1)[2:]) == inner[0]]
+            assert list(iter_dsnk_rows(mu, k, least_first=True)) == kept
+
+
+def _digest(items):
+    text = repr(sorted((repr(key), repr(value)) for key, value in items))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_full_streams_matrices_and_tensors_are_unchanged(catalog):
+    # digests taken before the least-first walk: the public streams, the
+    # materialized matrices and the word tensors keep every word
+    g53, rescaled = _g53_tables(catalog)
+    g137 = catalog.structure("g_{137B}")
+    g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    sl2 = StructureConstants(3, SL2)
+    assert [_digest(dnk_matrix(mu, 3).entries.items()) for mu in (g53, rescaled)] == [
+        "f4f3a286f00857e3", "cdc5a2ee99c7b6b7"]
+    assert [_digest(dsnk_matrix(mu, 4).entries.items()) for mu in (g53, rescaled)] == [
+        "292eb2f3c05141c3", "1dfe37a9845ede84"]
+    assert [_digest((r, sorted(row.items())) for r, row in iter_dnk_rows(mu, 4))
+            for mu in (g137, g5)] == ["7c9e8c1e42233c74", "f269391c7346fb26"]
+    assert [_digest((r, sorted(row.items())) for r, row in iter_dsnk_rows(mu, 5))
+            for mu in (g137, g5)] == ["e79af958d2dbdd45", "8370a7e99b2f6e99"]
+    assert [_digest(n_k(g137, 2).items()), _digest(n_k(g5, 3).items())] == [
+        "cf98bf750d77350c", "377f883e5963af0c"]
+    assert [_digest(sn_k(sl2, 4).items()), _digest(sn_k(g5, 3).items())] == [
+        "99d1b02bf0025ded", "ffccb7a4db453ed4"]

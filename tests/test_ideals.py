@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import direct_sum
 import nilcohom
 from nilcohom import catalog as cat
 from nilcohom import ideals
@@ -69,8 +70,6 @@ def test_generators_are_deterministic():
 
 def test_generators_vanish_on_variety_members(catalog):
     # padded 5-dim algebras are upper triangular members of the dim-6 variety
-    from nilcohom.liealg import direct_sum
-
     members = [
         direct_sum(catalog.structure("g_{5,3}"), StructureConstants.abelian(1)),
         direct_sum(catalog.structure("f_4+R"), StructureConstants.abelian(1)),

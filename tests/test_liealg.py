@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import center, contains_space, dense_rref, random_structure
+from conftest import center, contains_space, dense_rref, direct_sum, random_structure
 from nilcohom.errors import (
     DimensionMismatch,
     NotDerivation,
@@ -21,7 +21,6 @@ from nilcohom.liealg import (
     _letter_operators,
     change_basis,
     derived_series,
-    direct_sum,
     heisenberg,
     heisenberg_extension,
     is_lie,

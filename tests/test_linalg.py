@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rank, dense_rref, identity, matmul, transpose
+from conftest import dense_rank, dense_rref, identity, matmul, streaming_rank, transpose
 from nilcohom.errors import DimensionMismatch, SingularMatrix
 from nilcohom.linalg import (
     ExactMatrix,
@@ -20,7 +20,6 @@ from nilcohom.linalg import (
     rank,
     reduce_rows,
     solve,
-    streaming_rank,
 )
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, promote
 
