@@ -14,7 +14,7 @@ The package computes, entirely in exact arithmetic over Q or Q(i):
 """
 
 from .scalars import QI, FIELD_Q, FIELD_QI
-from .linalg import ExactMatrix, RankProfile, backend, kernel_basis, rank, solve
+from .linalg import ExactMatrix, RankProfile, backend, rank, solve
 from .liealg import StructureConstants
 from .cohomology import augmented_exactness, h2_dim, h2_knil
 from .tables import parse_table
@@ -30,7 +30,6 @@ __all__ = [
     "backend",
     "h2_dim",
     "h2_knil",
-    "kernel_basis",
     "parse_table",
     "rank",
     "solve",

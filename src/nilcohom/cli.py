@@ -76,7 +76,8 @@ def _load_structure(catalog, name, assignment):
                 dim = int(m.group(1))
                 body = "\n".join(lines[1:])
         if dim is None:
-            letters = [c for c in body if c.isalpha() and c not in assignment]
+            # i is the imaginary unit here, so a table reaching e_9 needs a dim line
+            letters = [c for c in body if c.isalpha() and c != "i" and c not in assignment]
             dim = max((ord(c) - ord("a") + 1 for c in letters), default=1)
         # the parameters of table text are the symbols it uses
         table = parse_symbolic(body, dim, tuple(assignment))

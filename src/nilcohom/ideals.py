@@ -11,10 +11,12 @@ Bounded-degree membership is one exact linear system whose columns are the
 products m * g_j.  On torus-homogeneous input (t_{i,j,k} has weight
 e_i + e_j - e_k) the multiplier monomials m are generated by a depth-first
 search that only ever reaches weight w(f) - w(g_j), so the columns that
-could never appear in a certificate are not built; other input enumerates
-every monomial of each admissible degree, under a column cap.  The system is
-solved by ``linalg.solve``, which reads the answer off the reduced row
-echelon form of [A | b].
+could never appear in a certificate are not built.  The search picks the
+variables that may extend a prefix by ANDing one bitmask per weight
+coordinate over the variables, without testing them one by one; other
+input enumerates every monomial of each admissible degree, under a column
+cap.  The system is solved by ``linalg.solve``, which reads the answer off
+the reduced row echelon form of [A | b].
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
@@ -26,8 +28,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
+from operator import or_, sub
 
 from .errors import ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
@@ -168,7 +171,7 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # far more prefixes than it finds columns, so the column cap alone does not
 # bound its time.  On I_{6,4} the published certificates visit at most 2,142
 # prefixes and Q13^3 at D = 9 visits 100,397, while Q5^4 at D = 12 visits
-# 568,541 (about 4 us each) to find one column.
+# 568,541 (about 2 us each on a 2-vCPU host) to find one column.
 MAX_WEIGHTED_NODES = 200_000
 
 
@@ -186,12 +189,30 @@ def _weighted_monomials(universe, steps, reach, rem, d, cap, node_cap):
     prefixes visited to find them.
 
     ``steps[i]`` is the dense weight of ``universe[i]`` and ``reach`` bounds
-    every coordinate of every step in absolute value, so a prefix whose
-    remaining weight has a coordinate beyond ``reach`` times the remaining
-    degree cannot be completed and is cut.  Raises ResourceCapExceeded as
-    soon as more than ``cap`` monomials are found or more than ``node_cap``
-    prefixes are visited.
+    every coordinate of every step in absolute value, so with ``left``
+    letters still to place a prefix extends by index i >= ``start`` only if
+    |rem_p - steps[i][p]| <= lim = reach * (left - 1) at every coordinate p.
+    Coordinate p allows the indices whose step at p lies in
+    [rem_p - lim, rem_p + lim], a difference of two cumulative bitmasks; the
+    children are the set bits of the AND over the coordinates that do not
+    allow every index, in ascending order.  At ``left == 1`` the bound is 0
+    and one lookup keyed by ``rem`` gives the indices whose step equals it.
+    Raises ResourceCapExceeded as soon as more than ``cap`` monomials are
+    found or more than ``node_cap`` prefixes are visited.
     """
+    full = (1 << len(universe)) - 1
+    # below[p][v + off] holds the indices whose step at p is below v; every
+    # prefix has |rem_p| <= reach * left, so its band stays within [-off, off]
+    pad = 2 * reach * d
+    off = pad + reach
+    below, exact = [], {}
+    for p in range(len(rem)):
+        masks = [0] * (2 * reach + 2)
+        for i, s in enumerate(steps):
+            masks[s[p] + reach + 1] |= 1 << i
+        below.append([0] * pad + list(accumulate(masks, or_)) + [full] * pad)
+    for i, s in enumerate(steps):
+        exact[tuple(s)] = exact.get(tuple(s), 0) | 1 << i
     out = []
     combo = []
     visited = 0
@@ -204,19 +225,28 @@ def _weighted_monomials(universe, steps, reach, rem, d, cap, node_cap):
                 f"membership search visits more than {MAX_WEIGHTED_NODES}"
                 " multiplier monomial prefixes, over the cap"
             )
-        if not left:
-            if not any(rem):
-                out.append(_monomial(combo))
-                if len(out) > cap:
-                    raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
+        if not left:  # the prefix reached rem exactly
+            out.append(_monomial(combo))
+            if len(out) > cap:
+                raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
             return
-        lim = reach * (left - 1)
-        for i in range(start, len(universe)):
-            nxt = [a - b for a, b in zip(rem, steps[i])]
-            if max(nxt) <= lim and -min(nxt) <= lim:
-                combo.append(universe[i])
-                rec(i, nxt, left - 1)
-                combo.pop()
+        sel = full >> start << start
+        if left == 1:
+            sel &= exact.get(tuple(rem), 0)
+        else:
+            lim = reach * (left - 1)
+            hi, lo = off + lim + 1, off - lim
+            for masks, r in zip(below, rem):
+                allowed = masks[r + hi] ^ masks[r + lo]
+                if allowed != full:
+                    sel &= allowed
+        while sel:
+            low = sel & -sel
+            sel ^= low
+            i = low.bit_length() - 1
+            combo.append(universe[i])
+            rec(i, list(map(sub, rem, steps[i])), left - 1)
+            combo.pop()
 
     if all(abs(c) <= reach * d for c in rem):
         rec(0, rem, d)

@@ -123,10 +123,6 @@ def _zero(field):
     return QI(0) if field == FIELD_QI else Fraction(0)
 
 
-def _one(field):
-    return QI(1) if field == FIELD_QI else Fraction(1)
-
-
 def int_cleared(vals):
     """Scale ints, Fractions and QIs by the lcm of all their denominators (of
     both parts of a QI): ints, and QIs with int parts where a value is not
@@ -384,39 +380,12 @@ def reduce_rows(rows, ncols, field=FIELD_Q):
     return basis
 
 
-def _row_basis(m: ExactMatrix) -> RowBasis:
+def rank(m: ExactMatrix) -> RankProfile:
+    """Exact rank with the (sorted) pivot-column profile."""
     basis = RowBasis(m.ncols, m.field)
     for cols, vals in m.iter_rows():
         basis.add(dict(zip(cols, vals)))
-    return basis
-
-
-def rank(m: ExactMatrix) -> RankProfile:
-    """Exact rank with the (sorted) pivot-column profile."""
-    basis = _row_basis(m)
     return RankProfile(basis.rank, tuple(basis.pivot_cols()))
-
-
-def kernel_basis(m: ExactMatrix):
-    """Vectors spanning Ker(m); count is always ncols - rank.
-
-    One vector per free column f: e_f minus, for every pivot row, its entry
-    in column f over its lead, placed at the lead.
-    """
-    field = m.field
-    one, zero = _one(field), _zero(field)
-    rows = _row_basis(m)._rows  # lead column -> retained row
-    out = []
-    for f in range(m.ncols):
-        if f in rows:
-            continue
-        v = [zero] * m.ncols
-        v[f] = one
-        for p, row in rows.items():
-            if f in row:
-                v[p] = promote(-row[f], field) / row[p]
-        out.append(v)
-    return out
 
 
 def solve(a: ExactMatrix, b):
@@ -453,10 +422,9 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
         raise DimensionMismatch("inverse of a non-square matrix")
     field = m.field
     basis = RowBasis(2 * n, field)
-    one = _one(field)
     for i, (cols, vals) in enumerate(m.iter_rows()):
         row = dict(zip(cols, vals))
-        row[n + i] = one
+        row[n + i] = 1
         basis.add(row)
     if basis.pivot_cols() != list(range(n)):
         raise SingularMatrix("matrix is not invertible")

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from nilcohom.catalog import Catalog
 from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec
-from nilcohom.linalg import ExactMatrix, kernel_basis, reduce_rows
-from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields
+from nilcohom.linalg import ExactMatrix, reduce_rows
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
 
 @pytest.fixture(scope="session")
@@ -183,6 +183,29 @@ def center(mu):
                 entries[(j * n + k, i)] = v
     ad = ExactMatrix(n * n, n, entries, mu.field)
     return reduce_rows(kernel_basis(ad), n, mu.field)
+
+
+def kernel_basis(m):
+    """Vectors spanning Ker(m); count is always ncols - rank.
+
+    One vector per free column f: e_f minus, for every pivot row, its entry
+    in column f over its lead, placed at the lead.
+    """
+    field = m.field
+    one, zero = (QI(1), QI(0)) if field == FIELD_QI else (Fraction(1), Fraction(0))
+    basis = reduce_rows((dict(zip(cols, vals)) for cols, vals in m.iter_rows()), m.ncols, field)
+    rows = dict(zip(basis.pivot_cols(), basis.sparse_rows()))
+    out = []
+    for f in range(m.ncols):
+        if f in rows:
+            continue
+        v = [zero] * m.ncols
+        v[f] = one
+        for p, row in rows.items():
+            if f in row:
+                v[p] = promote(-row[f], field) / row[p]
+        out.append(v)
+    return out
 
 
 def streaming_rank(rows, ncols, field=FIELD_Q):

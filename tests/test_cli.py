@@ -41,6 +41,25 @@ def test_info_table_text_file(tmp_path, capsys):
     assert code == 0 and "5-dim" in out and "2-step" in out
 
 
+def test_table_text_dimension_leaves_out_the_imaginary_unit(tmp_path, capsys):
+    # without a dim line the dimension is the highest letter other than i,
+    # which is the imaginary unit
+    path = tmp_path / "heis_qi.txt"
+    for text in ("ab = i c\n", "dim 3\nab = i c\n"):
+        path.write_text(text)
+        code, out, _ = run(capsys, "info", str(path), "--json")
+        info = json.loads(out)
+        assert code == 0 and (info["dim"], info["field"], info["nil_step"]) == (3, "Qi", 2)
+    # so a table whose highest letter is i (e_9) needs the dim line
+    path.write_text("dim 9\nah = i\n")
+    code, out, _ = run(capsys, "info", str(path), "--json")
+    info = json.loads(out)
+    assert code == 0 and (info["dim"], info["field"], info["nil_step"]) == (9, "Q", 2)
+    path.write_text("ah = i\n")
+    code, _, err = run(capsys, "info", str(path))
+    assert code == 2 and "scalar part" in err
+
+
 def test_cohomology_rejects_a_perfect_algebra_at_large_k(tmp_path, capsys):
     path = tmp_path / "sl2.txt"
     path.write_text("dim 3\nab = c, ca = 2a, cb = -2b\n")

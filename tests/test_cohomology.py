@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import d1_by_brackets, dense_rank, dj_matrix, matmul, random_structure, stack
+from conftest import (
+    d1_by_brackets,
+    dense_rank,
+    dj_matrix,
+    kernel_basis,
+    matmul,
+    random_structure,
+    stack,
+)
 from nilcohom import cohomology
 from nilcohom.cohomology import (
     Layout,
@@ -38,7 +46,7 @@ from nilcohom.liealg import (
     pencil,
     sn_k,
 )
-from nilcohom.linalg import ExactMatrix, kernel_basis, rank, reduce_rows
+from nilcohom.linalg import ExactMatrix, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import SymbolicTable

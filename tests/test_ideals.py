@@ -8,6 +8,8 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import direct_sum
 import nilcohom
@@ -380,6 +382,13 @@ def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
     # Q5^4 at D = 12 visits 568,541 prefixes to find its one column
     with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
         member_bounded(_q("Q5") ** 4, ideal64_gens, 12)
+    # Q13^3 at D = 9 visits 100,397 prefixes for its 1,342 columns
+    q13_cubed = _q("Q13") ** 3
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 100_396)
+    with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
+        _multiplier_columns(q13_cubed, ideal64_gens, 9)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 100_397)
+    assert len(_multiplier_columns(q13_cubed, ideal64_gens, 9)) == 1_342
     # the count runs over every generator of one call: Q13^2 at D = 6 visits
     # 2,142 prefixes for 127 columns
     monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_000)
@@ -388,6 +397,59 @@ def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
     monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_142)
     cert = member_bounded(_q("Q13") ** 2, ideal64_gens, 6)
     assert cert is not None and cert.verify(ideal64_gens)
+
+
+@st.composite
+def _weighted_searches(draw):
+    """A small universe of steps in Z^3..Z^6 with entries in [-reach, reach]
+    (repeated steps allowed), a remaining weight and a degree."""
+    reach = draw(st.integers(1, 2))
+    width = draw(st.integers(3, 6))
+    entry = st.integers(-reach, reach)
+    steps = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=6))
+    d = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        # the weight of a random monomial, so that some monomials are found
+        picks = draw(st.lists(st.sampled_from(steps), min_size=d, max_size=d))
+        rem = [sum(step[p] for step in picks) for p in range(width)]
+    else:
+        rem = draw(st.lists(st.integers(-reach * d - 1, reach * d + 1), min_size=width,
+                            max_size=width))
+    return steps, reach, rem, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_searches())
+def test_weighted_search_matches_brute_force(search):
+    steps, reach, rem, d = search
+    universe = list(range(len(steps)))
+
+    def left_over(combo):
+        return [r - sum(steps[i][p] for i in combo) for p, r in enumerate(rem)]
+
+    columns = [
+        ideals._monomial(combo)
+        for combo in combinations_with_replacement(universe, d)
+        if not any(left_over(combo))
+    ]
+    # a prefix is visited when it, and every prefix of it, can still reach
+    # rem with the letters left
+    visited = sum(
+        all(
+            max(map(abs, left_over(combo[:length]))) <= reach * (d - length)
+            for length in range(size + 1)
+        )
+        for size in range(d + 1)
+        for combo in combinations_with_replacement(universe, size)
+    )
+    cap = len(columns)
+    assert ideals._weighted_monomials(universe, steps, reach, rem, d, cap, visited) == (
+        columns,
+        visited,
+    )
+    if visited:
+        with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
+            ideals._weighted_monomials(universe, steps, reach, rem, d, cap, visited - 1)
 
 
 def test_certificate_reverification_survives_optimize():

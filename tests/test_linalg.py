@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rank, dense_rref, identity, matmul, streaming_rank, transpose
+from conftest import (
+    dense_rank,
+    dense_rref,
+    identity,
+    kernel_basis,
+    matmul,
+    streaming_rank,
+    transpose,
+)
 from nilcohom.errors import DimensionMismatch, SingularMatrix
 from nilcohom.linalg import (
     ExactMatrix,
@@ -16,7 +24,6 @@ from nilcohom.linalg import (
     in_kernel,
     int_cleared,
     inverse,
-    kernel_basis,
     rank,
     reduce_rows,
     solve,
