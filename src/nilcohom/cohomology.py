@@ -59,8 +59,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import NotInVariety, NotLieAlgebra
+from .errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
 from .liealg import (
+    MAX_WALK_DEPTH,
     Layout,
     StructureConstants,
     _apply_to_rows,
@@ -132,7 +133,7 @@ def iter_d2_rows(mu, scaled=True):
     """Sparse rows of the six-term adjoint differential on 2-cochains.
 
     One row {column: value} per output coordinate m of each basis triple
-    i < j < l, at row triple_index * n + m: the rows of ``d2_matrix``.
+    i < j < l, at row t * n + m for the t-th triple: the rows of ``d2_matrix``.
     """
     lay = Layout(mu.n)
     n, table = _dense_table(mu, scaled)
@@ -441,9 +442,13 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     ``table`` is a SymbolicTable; the point must satisfy the constraint
     exactly (Jacobi, plus vanishing of the chosen word operator).  One
     column is adjoined to d1 per free parameter: the exact derivative of
-    the table in that parameter, evaluated at the point.
+    the table in that parameter, evaluated at the point.  Words longer than
+    the walk's MAX_WALK_DEPTH letters raise ResourceCapExceeded at once.
     """
     kind, k = parse_constraint(constraint)
+    if k is not None and k + 1 > MAX_WALK_DEPTH:
+        raise ResourceCapExceeded(f"the words of {kind.upper()}_{k} have {k + 1} letters,"
+                                  f" over the cap {MAX_WALK_DEPTH} on the word walk's depth")
     point = dict(point)
     free_params = tuple(free_params)
     for p in free_params:

@@ -15,8 +15,8 @@ could never appear in a certificate are not built.  The search picks the
 variables that may extend a prefix by ANDing one bitmask per weight
 coordinate over the variables, without testing them one by one; other
 input enumerates every monomial of each admissible degree, under a column
-cap.  The system is solved by ``linalg.solve``, which reads the answer off
-the reduced row echelon form of [A | b].
+cap.  The system goes to ``linalg.solve`` as one sparse augmented row per
+monomial, and the answer is read off its reduced row echelon form.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
@@ -29,12 +29,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
 from operator import or_, sub
 
 from .errors import ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
-from .linalg import ExactMatrix, solve
+from .linalg import solve
 from .polynomials import MultiPoly, _mono_mul, distinct_primitive
 
 
@@ -183,14 +183,33 @@ def _monomial(combo):
     return tuple(mono.items())
 
 
-def _weighted_monomials(universe, steps, reach, rem, d, cap, node_cap):
+def _search_masks(steps, reach, depth):
+    """(reach, off, below, exact) for the searches of degree <= ``depth``:
+    below[p][v + off] holds the indices whose step at p is below v (every
+    prefix has |rem_p| <= reach * left, so its band stays within [-off,
+    off]) and exact[step] the indices with that step."""
+    full = (1 << len(steps)) - 1
+    pad = 2 * reach * depth
+    below, exact = [], {}
+    for p in range(len(steps[0]) if steps else 0):
+        masks = [0] * (2 * reach + 2)
+        for i, s in enumerate(steps):
+            masks[s[p] + reach + 1] |= 1 << i
+        below.append([0] * pad + list(accumulate(masks, or_)) + [full] * pad)
+    for i, s in enumerate(steps):
+        exact[tuple(s)] = exact.get(tuple(s), 0) | 1 << i
+    return reach, pad + reach, below, exact
+
+
+def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
     """Degree-d monomials over ``universe`` of dense weight ``rem``, in
     ``combinations_with_replacement(universe, d)`` order, and the number of
     prefixes visited to find them.
 
-    ``steps[i]`` is the dense weight of ``universe[i]`` and ``reach`` bounds
-    every coordinate of every step in absolute value, so with ``left``
-    letters still to place a prefix extends by index i >= ``start`` only if
+    ``steps[i]`` is the dense weight of ``universe[i]``, ``masks`` come from
+    ``_search_masks`` and their ``reach`` bounds every coordinate of every
+    step in absolute value, so with ``left`` letters still to place a prefix
+    extends by index i >= ``start`` only if
     |rem_p - steps[i][p]| <= lim = reach * (left - 1) at every coordinate p.
     Coordinate p allows the indices whose step at p lies in
     [rem_p - lim, rem_p + lim], a difference of two cumulative bitmasks; the
@@ -200,19 +219,8 @@ def _weighted_monomials(universe, steps, reach, rem, d, cap, node_cap):
     Raises ResourceCapExceeded as soon as more than ``cap`` monomials are
     found or more than ``node_cap`` prefixes are visited.
     """
+    reach, off, below, exact = masks
     full = (1 << len(universe)) - 1
-    # below[p][v + off] holds the indices whose step at p is below v; every
-    # prefix has |rem_p| <= reach * left, so its band stays within [-off, off]
-    pad = 2 * reach * d
-    off = pad + reach
-    below, exact = [], {}
-    for p in range(len(rem)):
-        masks = [0] * (2 * reach + 2)
-        for i, s in enumerate(steps):
-            masks[s[p] + reach + 1] |= 1 << i
-        below.append([0] * pad + list(accumulate(masks, or_)) + [full] * pad)
-    for i, s in enumerate(steps):
-        exact[tuple(s)] = exact.get(tuple(s), 0) | 1 << i
     out = []
     combo = []
     visited = 0
@@ -236,8 +244,8 @@ def _weighted_monomials(universe, steps, reach, rem, d, cap, node_cap):
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim
-            for masks, r in zip(below, rem):
-                allowed = masks[r + hi] ^ masks[r + lo]
+            for cum, r in zip(below, rem):
+                allowed = cum[r + hi] ^ cum[r + lo]
                 if allowed != full:
                     sel &= allowed
         while sel:
@@ -269,13 +277,14 @@ def _multiplier_columns(f, gens, bound):
     homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
     wf = _multiweight(f) if all(isinstance(v, tuple) for v in universe) else None
 
+    df = f.degree()
     plan = []  # (gen index, multiplier degree, generator weight or None)
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
         dg = g.degree()
         if homog:
-            degs = [f.degree() - dg] if f.degree() >= dg else []
+            degs = [df - dg] if df >= dg else []
         else:
             degs = range(0, bound - dg + 1)
         wg = _multiweight(g) if wf is not None else None
@@ -301,6 +310,8 @@ def _multiplier_columns(f, gens, bound):
 
         steps = [dense(w) for w in var_weights]
         reach = max((abs(e) for s in steps for e in s), default=0)
+        depth = max((d for _, d, wg in plan if wg is not None), default=0)
+        masks = _search_masks(steps, reach, depth)
         target = dense(wf)
 
     columns = []
@@ -312,7 +323,7 @@ def _multiplier_columns(f, gens, bound):
             rem = [a - b for a, b in zip(target, dense(wg))]
             cap = MAX_UNWEIGHTED_COLUMNS - len(columns)
             monos, visited = _weighted_monomials(
-                universe, steps, reach, rem, d, cap, MAX_WEIGHTED_NODES - nodes
+                universe, steps, masks, rem, d, cap, MAX_WEIGHTED_NODES - nodes
             )
             nodes += visited
         columns.extend((j, mono) for mono in monos)
@@ -346,22 +357,17 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
         raise ValueError("bound is smaller than deg(f)")
     columns = _multiplier_columns(f, gens, bound)
 
-    row_index = {}
-    entries = {}
+    # one augmented row per monomial (distinct g_j terms give distinct
+    # monomials m * g_j), with the coefficient in f at column len(columns)
+    rows = {}
     for cidx, (j, mono) in enumerate(columns):
         for gm, gc in gens[j].terms.items():
-            m = _mono_mul(mono, gm)
-            r = row_index.setdefault(m, len(row_index))
-            key = (r, cidx)
-            entries[key] = entries.get(key, 0) + gc
-    for m in f.terms:
-        if m not in row_index:
-            return None
-    mat = ExactMatrix(len(row_index), len(columns), entries)
-    rhs = [Fraction(0)] * len(row_index)
+            rows.setdefault(_mono_mul(mono, gm), {})[cidx] = gc
     for m, c in f.terms.items():
-        rhs[row_index[m]] = c
-    x = solve(mat, rhs)
+        if m not in rows:
+            return None
+        rows[m][len(columns)] = c
+    x = solve(rows.values(), len(columns))
     if x is None:
         return None
     multipliers = [MultiPoly() for _ in gens]
@@ -375,35 +381,37 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
 
 
 # -- small capped Buchberger --------------------------------------------------------
+# A polynomial is a dict {exponent vector over the sorted variables: coefficient}.
 
 
-def _to_vec(poly, universe, index):
+def _split(poly, index):
+    """The terms of ``poly`` as {monomial in the variables outside ``index``:
+    {exponent vector over ``index``: coefficient}}."""
     out = {}
     for mono, c in poly.terms.items():
-        vec = [0] * len(universe)
+        vec = [0] * len(index)
+        rest = []
         for v, e in mono:
-            vec[index[v]] = e
-        out[tuple(vec)] = c
+            if v in index:
+                vec[index[v]] = e
+            else:
+                rest.append((v, e))
+        out.setdefault(tuple(rest), {})[tuple(vec)] = c
     return out
 
 
-def _from_vec(vec_poly, universe):
+def _from_vec(vec_poly, universe, rest=()):
+    """The MultiPoly of ``vec_poly`` times the monomial ``rest`` in the
+    variables outside ``universe``."""
     terms = {}
     for vec, c in vec_poly.items():
-        mono = tuple((universe[i], e) for i, e in enumerate(vec) if e)
-        terms[mono] = c
+        mono = [(universe[i], e) for i, e in enumerate(vec) if e]
+        terms[tuple(sorted(mono + list(rest)))] = c
     return MultiPoly(terms)
 
 
 def _key_grevlex(vec):
     return (sum(vec), tuple(-e for e in reversed(vec)))
-
-
-def _key_lex(vec):
-    return vec
-
-
-_ORDERS = {"grevlex": _key_grevlex, "lex": _key_lex}
 
 
 def _divides(a, b):
@@ -435,12 +443,13 @@ def _sub_inplace(f, g):
             del f[m]
 
 
-def _nf_vec(f, basis, key):
-    """Full normal form: every term reduced; deterministic reducer choice."""
+def _nf_vec(f, basis):
+    """Full normal form against the records ``basis``: every term reduced,
+    by the first record whose lead divides it."""
     work = dict(f)
     out = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=_key_grevlex)
         c = work.pop(m)
         for lm, lc, g in basis:
             if _divides(lm, m):
@@ -452,42 +461,36 @@ def _nf_vec(f, basis, key):
     return out
 
 
-def _primitive_vec(p, key):
-    if not p:
-        return p
-    from math import gcd, lcm as _lcm
-
-    num = 0
-    den = 1
+def _record(p):
+    """The basis record of the nonzero ``p`` divided by its content, with a
+    positive lead coefficient."""
+    lead = max(p, key=_key_grevlex)
+    num, den = 0, 1
     for c in p.values():
         num = gcd(num, c.numerator)
-        den = _lcm(den, c.denominator)
-    content = Fraction(num, den)
-    if p[max(p, key=key)] < 0:
-        content = -content
-    return {m: c / content for m, c in p.items()}
+        den = lcm(den, c.denominator)
+    content = Fraction(num if p[lead] > 0 else -num, den)
+    terms = {m: c / content for m, c in p.items()}
+    return lead, terms[lead], terms
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis with a normal-form oracle."""
+    """Reduced Groebner basis (graded reverse lexicographic order, variables
+    in sorted order) with a normal-form oracle."""
 
-    def __init__(self, universe, order, vec_polys):
+    def __init__(self, universe, records):
         self.universe = list(universe)
-        self.order = order
-        self._key = _ORDERS[order]
-        self.members = [_from_vec(p, self.universe) for p in vec_polys]
+        self._index = {v: i for i, v in enumerate(self.universe)}
+        self._records = records
+        self.members = [_from_vec(terms, self.universe) for _, _, terms in records]
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
-        extra = sorted(f.variables() - set(self.universe))
-        universe = sorted(set(self.universe) | set(extra))
-        index = {v: i for i, v in enumerate(universe)}
-        basis = []
-        for p in self.members:
-            vp = _to_vec(p, universe, index)
-            lm = max(vp, key=self._key)
-            basis.append((lm, vp[lm], vp))
-        fv = _to_vec(f, universe, index)
-        return _from_vec(_nf_vec(fv, basis, self._key), universe)
+        # the members use no variable outside the universe, so each monomial
+        # in those variables times its coefficient polynomial reduces alone
+        out = MultiPoly()
+        for rest, part in _split(f, self._index).items():
+            out = out + _from_vec(_nf_vec(part, self._records), self.universe, rest)
+        return out
 
     def contains(self, f: MultiPoly) -> bool:
         return self.normal_form(f).is_zero()
@@ -502,34 +505,21 @@ MAX_GROEBNER_BASIS = 120
 MAX_GROEBNER_DEGREE = 60
 
 
-def groebner_small(gens, order="grevlex"):
-    """Buchberger with hard caps; raises ResourceCapExceeded rather than guess.
+def groebner_small(gens):
+    """Buchberger in grevlex with hard caps on the distinct nonzero ``gens``
+    up to scalars; raises ResourceCapExceeded rather than guess.
 
     Meant for the restricted few-variable systems that substitution produces;
     see MAX_GROEBNER_PAIRS, MAX_GROEBNER_BASIS and MAX_GROEBNER_DEGREE.
     """
-    if order not in _ORDERS:
-        raise ValueError(f"unknown monomial order {order!r}")
-    key = _ORDERS[order]
-    polys = [g for g in gens if not g.is_zero()]
-    universe = sorted(set().union(set(), *(g.variables() for g in polys)))
+    polys = distinct_primitive(gens)
+    universe = sorted(set().union(*(g.variables() for g in polys)))
     index = {v: i for i, v in enumerate(universe)}
-    basis = []
-    seen = set()
-    for g in polys:
-        vp = _primitive_vec(_to_vec(g, universe, index), key)
-        fk = frozenset(vp.items())
-        if fk not in seen:
-            seen.add(fk)
-            basis.append(vp)
-
-    def lm(p):
-        return max(p, key=key)
-
+    basis = [_record(_split(g, index)[()]) for g in polys]
     pairs = []
     for i in range(len(basis)):
         for j in range(i):
-            lcm_v = _vec_lcm(lm(basis[i]), lm(basis[j]))
+            lcm_v = _vec_lcm(basis[i][0], basis[j][0])
             heapq.heappush(pairs, (sum(lcm_v), j, i, lcm_v))
     popped = 0
     while pairs:
@@ -537,43 +527,45 @@ def groebner_small(gens, order="grevlex"):
         popped += 1
         if popped > MAX_GROEBNER_PAIRS:
             raise ResourceCapExceeded(f"Buchberger pair cap {MAX_GROEBNER_PAIRS} exceeded")
-        fi, fj = basis[i], basis[j]
-        lmi, lmj = lm(fi), lm(fj)
+        (lmi, lci, fi), (lmj, lcj, fj) = basis[i], basis[j]
         if _vec_add(lmi, lmj) == lcm_v:
             continue  # coprime leading monomials: s-poly reduces to zero
-        s = _shift(fi, _vec_sub(lcm_v, lmi), Fraction(1) / fi[lmi])
-        _sub_inplace(s, _shift(fj, _vec_sub(lcm_v, lmj), Fraction(1) / fj[lmj]))
-        red = [(lm(g), g[lm(g)], g) for g in basis]
-        s = _nf_vec(s, red, key)
+        s = _shift(fi, _vec_sub(lcm_v, lmi), 1 / lci)
+        _sub_inplace(s, _shift(fj, _vec_sub(lcm_v, lmj), 1 / lcj))
+        s = _nf_vec(s, basis)
         if not s:
             continue
-        s = _primitive_vec(s, key)
+        rec = _record(s)
         if max(sum(m) for m in s) > MAX_GROEBNER_DEGREE:
             raise ResourceCapExceeded(f"degree cap {MAX_GROEBNER_DEGREE} exceeded")
-        basis.append(s)
+        basis.append(rec)
         if len(basis) > MAX_GROEBNER_BASIS:
             raise ResourceCapExceeded(f"basis-size cap {MAX_GROEBNER_BASIS} exceeded")
         new = len(basis) - 1
         for t in range(new):
-            lcm_v = _vec_lcm(lm(basis[t]), lm(s))
+            lcm_v = _vec_lcm(basis[t][0], rec[0])
             heapq.heappush(pairs, (sum(lcm_v), t, new, lcm_v))
 
-    # interreduce to the unique reduced basis
+    # interreduce to the unique reduced basis: each element in turn is taken
+    # out, reduced by the others and put back in its place (as it was, if
+    # that left it unchanged) unless it vanished
     changed = True
     while changed:
         changed = False
-        for i in range(len(basis)):
-            others = [
-                (lm(g), g[lm(g)], g) for t, g in enumerate(basis) if t != i and g
-            ]
-            r = _nf_vec(basis[i], others, key)
-            r = _primitive_vec(r, key) if r else r
-            if r != basis[i]:
-                basis[i] = r
+        i = 0
+        while i < len(basis):
+            rec = basis.pop(i)
+            r = _nf_vec(rec[2], basis)
+            if r:
+                r = _record(r)
+                if r[2] != rec[2]:
+                    rec, changed = r, True
+                basis.insert(i, rec)
+                i += 1
+            else:
                 changed = True
-        basis = [g for g in basis if g]
-    basis.sort(key=lambda g: key(lm(g)))
-    return GroebnerBasis(universe, order, basis)
+    basis.sort(key=lambda rec: _key_grevlex(rec[0]))
+    return GroebnerBasis(universe, basis)
 
 
 def non_membership(f: MultiPoly, gens, assignment) -> bool:
@@ -586,6 +578,4 @@ def non_membership(f: MultiPoly, gens, assignment) -> bool:
     fs = substitute(f, assignment)
     if fs.is_zero():
         return False
-    sub_gens = distinct_primitive(substitute(g, assignment) for g in gens)
-    gb = groebner_small(sub_gens)
-    return not gb.contains(fs)
+    return not groebner_small(substitute(g, assignment) for g in gens).contains(fs)

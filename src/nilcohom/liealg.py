@@ -182,7 +182,6 @@ class Layout:
             for j in range(i + 1, n)
             for l in range(j + 1, n)
         ]
-        self.triple_index = {t: s for s, t in enumerate(self.triples)}
         self.dim1 = n * n
         self.dim2 = len(self.pairs) * n
         self.dim3 = len(self.triples) * n

@@ -388,30 +388,22 @@ def rank(m: ExactMatrix) -> RankProfile:
     return RankProfile(basis.rank, tuple(basis.pivot_cols()))
 
 
-def solve(a: ExactMatrix, b):
-    """One exact solution of a @ x = b, or None if the system is inconsistent.
+def solve(rows, ncols):
+    """One exact solution x of the system whose augmented rows (as
+    ``reduce_rows`` takes them) hold the coefficients of x_0..x_{ncols-1}
+    and the right-hand side at column ``ncols``; None if it is inconsistent.
 
     The free variables are 0, which is the solution the reduced row echelon
-    form of [a | b] reads off.
+    form reads off; x is over Q(i) when a row has a Gaussian entry.
     """
-    if len(b) != a.nrows:
-        raise DimensionMismatch("rhs length does not match nrows")
-    field = a.field
-    if any(isinstance(v, QI) for v in b):
-        field = FIELD_QI
-    n = a.ncols
-    basis = RowBasis(n + 1, field)
-    for (cols, vals), bi in zip(a.iter_rows(), b):
-        row = dict(zip(cols, vals))
-        if bi:
-            row[n] = bi
-        basis.add(row)
-    x = [_zero(field)] * n
+    basis = reduce_rows(rows, ncols + 1)
+    field = FIELD_QI if basis.gaussian else FIELD_Q
+    x = [_zero(field)] * ncols
     for p, row in basis._rows.items():
-        if p == n:
+        if p == ncols:
             return None
-        if n in row:
-            x[p] = promote(row[n], field) / row[p]
+        if ncols in row:
+            x[p] = promote(row[ncols], field) / row[p]
     return x
 
 

@@ -120,7 +120,7 @@ def dj_matrix(mu):
     n = mu.n
     _, table = _dense_table(mu, scaled=False)
     entries = {}
-    for (i, j, l) in lay.triples:
+    for t, (i, j, l) in enumerate(lay.triples):
         F = {}
         for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
             if table[x][y] is not None:
@@ -132,7 +132,7 @@ def dj_matrix(mu):
                     for m, w in enumerate(table[s][z]):
                         if w:
                             acc[m] = acc[m] + sgn * w
-        base = lay.triple_index[(i, j, l)] * n
+        base = t * n
         for col, vec in F.items():
             for m, v in enumerate(vec):
                 if v:

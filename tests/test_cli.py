@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nilcohom import liealg
+from nilcohom.catalog import Catalog
 from nilcohom.cli import main
 from nilcohom.errors import ResourceCapExceeded
 from nilcohom.jsonio import dump_algebra
@@ -261,20 +266,22 @@ def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):
 
 def test_word_walk_caps_exit_3(capsys, monkeypatch):
     # g_5(1,1) is not nilpotent: its long words never vanish with their
-    # tangents, so the walk stops at a cap instead of recursing without end
+    # tangents, so the walk stops at a cap instead of recursing without end;
+    # words longer than the depth cap are refused before the walk starts
     start = time.perf_counter()
     code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
                        "--constraint", "sn99999")
-    assert code == 3 and f"reached {liealg.MAX_WALK_DEPTH} letters" in err
+    assert code == 3 and f"100000 letters, over the cap {liealg.MAX_WALK_DEPTH}" in err
     assert time.perf_counter() - start < 5
     monkeypatch.setattr(liealg, "MAX_WALK_NODES", 20_000)
     code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
                        "--constraint", "sn30")
     assert code == 3 and "more than 20000 nonzero words" in err
     # on a nilpotent table the walk prunes every long word, under both caps;
-    # the N_300 rows all vanish, so the sequence is not exact
+    # the rows of N_199 (200 letters, the longest words taken) all vanish, so
+    # the sequence is not exact
     code, out, _ = run(capsys, "exactness", "g_{147E_1}(t)", "--at", "t=2",
-                       "--constraint", "n300")
+                       "--constraint", "n199")
     assert code == 1 and "rank dF = 35, dim Ker dG = 59, containment ok" in out
 
 
@@ -285,3 +292,104 @@ def test_word_walk_caps_hold_for_the_public_tensors():
         with pytest.raises(ResourceCapExceeded, match="letters without vanishing"):
             fn(mu, liealg.MAX_WALK_DEPTH + 50)
     assert n_k(mu, liealg.MAX_WALK_DEPTH - 1)
+
+
+def test_exactness_refuses_words_past_the_walk_depth(capsys):
+    # N_K and SN_K words have K + 1 letters; past MAX_WALK_DEPTH the
+    # constraint is refused before any work, so no n^(K+1)-sized dimension
+    # is ever printed
+    depth = liealg.MAX_WALK_DEPTH
+    for kind in ("n", "sn"):
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, "exactness", "g_1(t)", "--at", "t=1",
+                                 "--constraint", f"{kind}{depth}", *json_flag)
+            assert code == 3 and out == ""
+            assert f"{kind.upper()}_{depth} have {depth + 1} letters, over the cap {depth}" in err
+        # K + 1 = MAX_WALK_DEPTH letters still answer
+        code, out, _ = run(capsys, "exactness", "g_1(t)", "--at", "t=1", "--constraint",
+                           f"{kind}{depth - 1}", "--json")
+        assert code == 1 and json.loads(out)["constraint"] == f"{kind}{depth - 1}"
+
+
+# -- argv property -----------------------------------------------------------------
+
+_CATALOG = Catalog()
+_PARAMS = {name: _CATALOG.get(name).params for name in _CATALOG.names()}
+_CATALOG_NAMES = sorted(_PARAMS) + ["g_{247H_1}", "not_an_algebra", ""]
+_FAMILIES = sorted(name for name, params in _PARAMS.items() if params)
+_VALUES = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.sampled_from([0, 2, 10**40])),
+    st.just(str(10**40)),
+)
+
+
+def _assignment(draw, name):
+    """"sym=value,..." over the parameters of ``name``, or over a few names
+    known or not, repeats allowed."""
+    params = list(_PARAMS.get(name, ()))
+    names = draw(st.one_of(
+        st.just(params), st.lists(st.sampled_from(params + ["r", "s", ""]), max_size=3)))
+    return ",".join(f"{sym}={draw(_VALUES)}" for sym in names)
+
+
+_KS = st.one_of(st.integers(-2, 8), st.integers(9, 199), st.integers(200, 10**6))
+_TARGETS = st.sampled_from([
+    "Q5", "Q13", "Q14", "P1", "q5^2", "Q13^2", "Q14^2", "Q5^99999", "Q15", "0", "3",
+    "t_{1,2,3}*t_{2,3,4}", "t_{1,2,3}+t_{2,3,4}", "t_{1,2,9}", "t_{2,1,3}", "t_{1,2,3}+",
+    "1/0", "x",
+])
+
+
+@st.composite
+def _argvs(draw):
+    """argv for info, cohomology, exactness and ideal gens|member|nonmember.
+
+    The g_5 and g_6 families keep SN_K with 8 < K < 200 out: at their
+    points that are not nilpotent the word walk runs to its node cap, for
+    seconds.  Chart sizes and degree bounds are those that answer in well
+    under a second.
+    """
+    command = draw(st.sampled_from(
+        ["info", "cohomology", "exactness", "gens", "member", "nonmember"]))
+    if command == "info":
+        name = draw(st.sampled_from(_CATALOG_NAMES))
+        argv = ["info", name, "--params", _assignment(draw, name)]
+    elif command == "cohomology":
+        name = draw(st.sampled_from(_CATALOG_NAMES))
+        argv = ["cohomology", name, "--k", str(draw(_KS)), "--params", _assignment(draw, name)]
+    elif command == "exactness":
+        family = draw(st.sampled_from(_FAMILIES + ["g_{5,3}", "not_an_algebra"]))
+        kind = draw(st.sampled_from(["j", "n", "sn", "x"]))
+        k = draw(_KS)
+        assume(not (kind == "sn" and family in ("g_5(r,t)", "g_6(r,t)") and 8 < k < 200))
+        argv = ["exactness", family, "--at", _assignment(draw, family),
+                "--constraint", kind if kind == "j" else f"{kind}{k}"]
+    elif command == "gens":
+        argv = ["ideal", "gens", str(draw(st.sampled_from([-1, *range(8), 13, 26]))),
+                str(draw(st.integers(-2, 6))), draw(st.sampled_from(["J", "N", "SN", "sn"]))]
+    else:
+        n, k = draw(st.one_of(st.just((6, 4)), st.tuples(
+            st.sampled_from([-1, 0, 3, 5, 6, 13]), st.sampled_from([-2, 0, 2, 3, 4, 5]))))
+        argv = ["ideal", command, str(n), str(k), draw(_TARGETS)]
+        if command == "member" and draw(st.booleans()):
+            argv += ["-D", str(draw(st.integers(-1, 6)))]
+        if command == "nonmember" and draw(st.booleans()):
+            argv += ["--zeros", draw(st.sampled_from(["1,2,4;1,3,4", "1,2,4", "1,2", "a,b", ""]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@example(["exactness", "g_1(t)", "--at", "t=1", "--constraint", "n100000"])
+@given(_argvs())
+def test_every_argv_answers_or_exits_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == "" and err.getvalue()
+    elif "--json" in argv:
+        json.loads(out.getvalue())

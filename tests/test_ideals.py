@@ -182,13 +182,15 @@ def test_groebner_trivial_and_normal_forms():
 
 
 def test_groebner_known_basis():
-    # <x - z^2, y - z^3> under lex x > y > z eliminates to the twisted cubic
-    x, y, z = (MultiPoly.var(v) for v in "xyz")
-    gb = groebner_small([x - z * z, y - z * z * z], order="lex")
+    # the twisted cubic <x - z^2, y - z^3> under grevlex with x > y > z
+    x, y, z, w = (MultiPoly.var(v) for v in "xyzw")
+    gb = groebner_small([x - z * z, y - z * z * z])
+    assert gb.members == [z * z - x, x * z - y, x * x - y * z]
     assert gb.contains(x * y - z**5)
     assert not gb.contains(x + y)
-    nf = gb.normal_form(x * x)
-    assert nf == z**4
+    assert gb.normal_form(x * x) == y * z
+    # a variable outside the basis rides along with its coefficient
+    assert gb.normal_form(w * x * x + w * w * z**3 + 3) == w * y * z + w * w * y + 3
 
 
 def test_normal_form_is_linear():
@@ -402,7 +404,8 @@ def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
 @st.composite
 def _weighted_searches(draw):
     """A small universe of steps in Z^3..Z^6 with entries in [-reach, reach]
-    (repeated steps allowed), a remaining weight and a degree."""
+    (repeated steps allowed), a remaining weight, a degree and a mask depth
+    of at least that degree."""
     reach = draw(st.integers(1, 2))
     width = draw(st.integers(3, 6))
     entry = st.integers(-reach, reach)
@@ -415,13 +418,13 @@ def _weighted_searches(draw):
     else:
         rem = draw(st.lists(st.integers(-reach * d - 1, reach * d + 1), min_size=width,
                             max_size=width))
-    return steps, reach, rem, d
+    return steps, reach, rem, d, d + draw(st.integers(0, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weighted_searches())
 def test_weighted_search_matches_brute_force(search):
-    steps, reach, rem, d = search
+    steps, reach, rem, d, depth = search
     universe = list(range(len(steps)))
 
     def left_over(combo):
@@ -443,13 +446,15 @@ def test_weighted_search_matches_brute_force(search):
         for combo in combinations_with_replacement(universe, size)
     )
     cap = len(columns)
-    assert ideals._weighted_monomials(universe, steps, reach, rem, d, cap, visited) == (
+    # the masks are built once for every degree up to depth
+    masks = ideals._search_masks(steps, reach, depth)
+    assert ideals._weighted_monomials(universe, steps, masks, rem, d, cap, visited) == (
         columns,
         visited,
     )
     if visited:
         with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
-            ideals._weighted_monomials(universe, steps, reach, rem, d, cap, visited - 1)
+            ideals._weighted_monomials(universe, steps, masks, rem, d, cap, visited - 1)
 
 
 def test_certificate_reverification_survives_optimize():

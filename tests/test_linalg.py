@@ -107,24 +107,38 @@ def test_kernel_vectors_annihilate_and_complement_row_space():
         assert streaming_rank(combined, m.ncols) == m.ncols
 
 
+def _augmented(rows, b):
+    """The sparse augmented rows [row | b_i] of a dense system."""
+    return [{c: v for c, v in enumerate(row + [bi]) if v} for row, bi in zip(rows, b)]
+
+
+def _times(rows, x):
+    return [sum((a * v for a, v in zip(row, x) if a), 0) for row in rows]
+
+
 def test_solve_examples():
-    assert solve(identity(2), [1, 2]) == [1, 2]
-    x = solve(ExactMatrix.from_dense([[1, 1]]), [5])
+    assert solve([{0: 1, 2: 1}, {1: 1, 2: 2}], 2) == [1, 2]
+    x = solve([{0: 1, 1: 1, 2: 5}], 2)
     assert x is not None and x[0] + x[1] == 5
-    assert solve(ExactMatrix.from_dense([[1], [1]]), [0, 1]) is None
+    assert solve([{0: 1}, {0: 1, 1: 1}], 1) is None
+    # dense rows of length ncols + 1 are read as reduce_rows reads them
+    assert solve([[2, 0, 4], [0, 3, 1]], 2) == [2, Fraction(1, 3)]
+    # no rows: every unknown is free
+    assert solve([], 3) == [0, 0, 0]
     with pytest.raises(DimensionMismatch):
-        solve(identity(2), [1, 2, 3])
+        solve([{0: 1, 3: 2}], 2)
+    with pytest.raises(DimensionMismatch):
+        solve([[1, 2, 3, 4]], 2)
 
 
 def test_solve_random_consistency():
     rng = random.Random(13)
     for _ in range(40):
         rows = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        a = ExactMatrix.from_dense(rows)
-        x0 = [Fraction(rng.randint(-3, 3)) for _ in range(a.ncols)]
-        b = a.mat_vec(x0)
-        x = solve(a, b)
-        assert x is not None and a.mat_vec(x) == b
+        x0 = [Fraction(rng.randint(-3, 3)) for _ in range(len(rows[0]))]
+        b = _times(rows, x0)
+        x = solve(_augmented(rows, b), len(rows[0]))
+        assert x is not None and _times(rows, x) == b
 
 
 _rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -133,19 +147,19 @@ _gaussians = st.builds(QI, _rationals, _rationals)
 
 @st.composite
 def _systems(draw):
-    """(a, b) over Q or Q(i); b = a @ x0 (consistent) or drawn freely."""
+    """(dense rows, b, field) over Q or Q(i); b = rows @ x0 (consistent) or
+    drawn freely."""
     gaussian = draw(st.booleans())
     scalar = _gaussians if gaussian else _rationals
     entry = st.one_of(st.just(0), scalar)
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
-    a = ExactMatrix.from_dense(rows, field="Qi" if gaussian else "Q")
     if draw(st.booleans()):
-        b = a.mat_vec(draw(st.lists(scalar, min_size=ncols, max_size=ncols)))
+        b = _times(rows, draw(st.lists(scalar, min_size=ncols, max_size=ncols)))
     else:
         b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
-    return a, rows, b
+    return rows, b, "Qi" if gaussian else "Q"
 
 
 def _rref_solution(rows, b, field):
@@ -163,13 +177,13 @@ def _rref_solution(rows, b, field):
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_solve_property(system):
-    a, rows, b = system
-    x = solve(a, b)
+    rows, b, field = system
+    x = solve(_augmented(rows, b), len(rows[0]))
     consistent = dense_rank(rows) == dense_rank([r + [v] for r, v in zip(rows, b)])
     assert (x is not None) == consistent
     if x is not None:
-        assert a.mat_vec(x) == b
-        assert x == _rref_solution(rows, b, a.field)
+        assert _times(rows, x) == b
+        assert x == _rref_solution(rows, b, field)
 
 
 def test_inverse_round_trip_and_singular():
