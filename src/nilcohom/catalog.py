@@ -23,7 +23,7 @@ from .errors import ExternalDataRequired, UnknownAlgebra
 from .jsonio import algebra_from_dict, pack_checksum
 from .liealg import StructureConstants, table_in_basis
 from .scalars import FIELD_Q, FIELD_QI
-from .tables import parse_symbolic, parse_tpoly, parse_vector
+from .tables import format_table, parse_symbolic, parse_tpoly, parse_vector
 
 DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 
@@ -217,14 +217,14 @@ _RECORDS = [
 # Names the literature defines but whose tables are not printed anywhere we
 # hard-code from; they resolve only through the external data pack.
 _EXTERNAL = {
-    "g_{247H_1}": (7, ("g247h1",)),
-    "g_{147E}(t)": (7, ()),
-    "36": (6, ("g_{6,26}",)),
-    "13+13": (6, ("g_{6,22}",)),
-    "246_E": (6, ("g_{6,24}",)),
-    "136_A": (6, ("g_{6,19}",)),
-    "1246": (6, ("g_{6,13}",)),
-    "1346_C": (6, ("g_{6,21}",)),
+    "g_{247H_1}": ("g247h1",),
+    "g_{147E}(t)": (),
+    "36": ("g_{6,26}",),
+    "13+13": ("g_{6,22}",),
+    "246_E": ("g_{6,24}",),
+    "136_A": ("g_{6,19}",),
+    "1246": ("g_{6,13}",),
+    "1346_C": ("g_{6,21}",),
 }
 
 
@@ -321,13 +321,10 @@ class Catalog:
         self._records = {}
         self._lookup = {}
         for rec in _RECORDS:
-            self._records[rec.name] = rec
-            for key in (rec.name,) + rec.aliases:
-                self._lookup[_norm(key)] = rec.name
-        self._external = {}
-        for name, (dim, aliases) in _EXTERNAL.items():
-            for key in (name,) + aliases:
-                self._external[_norm(key)] = name
+            self._add(rec)
+        self._external = {
+            _norm(key): name for name, aliases in _EXTERNAL.items() for key in (name,) + aliases
+        }
         self._witnesses = {w.id: w for w in _WITNESSES}
         self.pack_checksum = None
         self.pack_name = None
@@ -336,6 +333,11 @@ class Catalog:
             self.load_data_pack(path)
 
     # -- records -----------------------------------------------------------
+
+    def _add(self, rec):
+        self._records[rec.name] = rec
+        for key in (rec.name,) + rec.aliases:
+            self._lookup[_norm(key)] = rec.name
 
     def names(self):
         return sorted(self._records)
@@ -367,34 +369,22 @@ class Catalog:
             if fp.name == "manifest.json":
                 continue
             data = json.loads(fp.read_text())
-            name = data["name"]
             if "table" in data:
-                rec = AlgebraRecord(
-                    name,
-                    int(data["dim"]),
-                    data["table"],
-                    params=tuple(data.get("params", ())),
-                    aliases=tuple(data.get("aliases", ())),
-                    field=data.get("field", FIELD_Q),
-                    provenance="external-pack",
-                    notes=data.get("citation", ""),
-                )
+                dim, table, field = int(data["dim"]), data["table"], data.get("field", FIELD_Q)
+                params = tuple(data.get("params", ()))
             else:
                 mu = algebra_from_dict(data)
-                from .tables import format_table
-
-                rec = AlgebraRecord(
-                    name,
-                    mu.n,
-                    format_table(mu),
-                    aliases=tuple(data.get("aliases", ())),
-                    field=mu.field,
-                    provenance="external-pack",
-                    notes=data.get("citation", ""),
-                )
-            self._records[rec.name] = rec
-            for key in (rec.name,) + rec.aliases:
-                self._lookup[_norm(key)] = rec.name
+                dim, table, field, params = mu.n, format_table(mu), mu.field, ()
+            self._add(AlgebraRecord(
+                data["name"],
+                dim,
+                table,
+                params=params,
+                aliases=tuple(data.get("aliases", ())),
+                field=field,
+                provenance="external-pack",
+                notes=data.get("citation", ""),
+            ))
             count += 1
         self.pack_checksum = pack_checksum(root)
         self.pack_name = manifest.get("name", root.name)
@@ -458,17 +448,6 @@ def _table_diff(a: StructureConstants, b: StructureConstants):
         if ca != cb:
             diffs.append((pair, ca, cb))
     return diffs
-
-
-_default = None
-
-
-def default_catalog() -> Catalog:
-    """Shared catalog instance honoring the data-pack environment variable."""
-    global _default
-    if _default is None:
-        _default = Catalog()
-    return _default
 
 
 # -- printed polynomial data ---------------------------------------------------------

@@ -27,6 +27,7 @@ from .ideals import generators, member_bounded, nilpotency_ideal, non_membership
 from .jsonio import algebra_from_dict
 from .liealg import is_lie, nil_index, solvable_length
 from .polynomials import format_poly, format_var
+from .reproduce import SUITES, run_suite
 from .tables import _power_too_large, parse_symbolic, parse_tpoly
 
 
@@ -244,8 +245,6 @@ def cmd_ideal(args, catalog):
 
 
 def cmd_reproduce(args, catalog):
-    from .reproduce import run_suite
-
     report = run_suite(args.suite, catalog)
     if args.json:
         _print_json(report.to_dict())
@@ -322,8 +321,7 @@ def build_parser():
     p.set_defaults(fn=cmd_ideal)
 
     p = sub.add_parser("reproduce", help="recompute the published tables and certificates")
-    p.add_argument("suite", choices=["dim5", "dim6", "n73", "curves", "ideals",
-                                     "counterexamples", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reproduce)
 

@@ -434,17 +434,6 @@ def n_k(mu, k):
     return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, n, k + 1)}
 
 
-def n_k_value(mu, k, letters):
-    if len(letters) != k + 1:
-        raise DimensionMismatch(f"expected {k + 1} arguments")
-    n, table = _dense_table(mu, scaled=False)
-    _, right = _letter_operators(table, n)
-    v = _unit(n, letters[0])
-    for b in letters[1:]:
-        v = _brv(right, n, v, b) or [0] * n
-    return v
-
-
 def sn_k(mu, k):
     """Tensor mu(mu(x1,x2), N_{k-2}(x3..x_{k+1})) on basis tuples, k >= 2.
 
@@ -467,17 +456,6 @@ def sn_k(mu, k):
                 if w is not None:
                     out[(i, j) + tail] = w
     return out
-
-
-def sn_k_value(mu, k, letters):
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if len(letters) != k + 1:
-        raise DimensionMismatch(f"expected {k + 1} arguments")
-    n, table = _dense_table(mu, scaled=False)
-    left, _ = _letter_operators(table, n)
-    a = n_k_value(mu, 1, letters[:2])
-    return _brvv(left, n, a, n_k_value(mu, k - 2, letters[2:])) or [0] * n
 
 
 def _unit(n, i):

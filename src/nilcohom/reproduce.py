@@ -1,17 +1,20 @@
 """Reproduction suites: every published number this package recomputes.
 
-Each suite is a list of items; an item recomputes one fact and compares it
-exactly with the printed value (source strings cite the published tables and
-classifications by content).  Items whose structure tables are not printed
-anywhere are skipped, with the data-pack prerequisite noted, unless a pack
-supplies them.
+Each suite is a list of items ``(name, source, expected, compute)``: the
+expected text is the printed value, stated once, and ``compute()`` returns
+the computed text, or ``True`` when the fact holds as printed (source strings
+cite the published tables and classifications by content).  An item whose
+structure table is not printed anywhere is skipped, with the data-pack
+prerequisite noted, unless a pack supplies it; an item whose computation
+raises any other error fails with that error as its computed text.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 from . import catalog as cat
 from .cohomology import (
@@ -23,7 +26,7 @@ from .cohomology import (
     h2_knil,
     iter_d1_columns,
 )
-from .errors import ExternalDataRequired
+from .errors import ExternalDataRequired, ResourceCapExceeded
 from .ideals import (
     generators,
     member_bounded,
@@ -40,7 +43,6 @@ from .liealg import (
     nil_index,
     pencil,
     sn_k,
-    sn_k_value,
     solvable_length,
 )
 from .linalg import reduce_rows
@@ -48,8 +50,6 @@ from .polynomials import distinct_primitive
 from .tables import parse_tpoly
 
 _F = Fraction
-
-SUITES = ("dim5", "dim6", "n73", "curves", "ideals", "counterexamples")
 
 
 @dataclass
@@ -62,14 +62,7 @@ class ItemResult:
     seconds: float
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "source": self.source,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass
@@ -104,66 +97,65 @@ class ReproductionReport:
 def _run_items(suite, items, catalog):
     report = ReproductionReport(suite, pack=catalog.pack_name,
                                 pack_checksum=catalog.pack_checksum)
-    for name, source, fn in items:
+    for name, source, expected, compute in items:
         t0 = time.perf_counter()
         try:
-            expected, computed = fn()
-            status = "pass" if expected == computed else "fail"
+            computed = compute()
+            computed = expected if computed is True else str(computed)
+            status = "pass" if computed == expected else "fail"
         except ExternalDataRequired as s:
             expected, computed, status = "", str(s), "skip"
+        except ResourceCapExceeded:
+            raise
+        except Exception as e:  # the item fails; the rest of the suite still runs
+            computed, status = str(e), "fail"
         report.items.append(
-            ItemResult(name, source, str(expected), str(computed), status,
-                       time.perf_counter() - t0)
+            ItemResult(name, source, expected, computed, status, time.perf_counter() - t0)
         )
     return report
 
 
-# -- dim 5 ------------------------------------------------------------------------
+# -- restricted H^2 items ---------------------------------------------------------
 
-_DIM5 = [
-    ("f_3+R^2", 2, (20, 9, 11)),
-    ("g_{5,1}", 2, (10, 10, 0)),
-    ("g_{5,2}", 2, (12, 12, 0)),
-    ("f_4+R", 3, (18, 14, 4)),
-    ("g_{5,3}", 3, (17, 15, 2)),
-    ("g_{5,4}", 3, (15, 15, 0)),
-    ("f_5", 4, (17, 16, 1)),
-    ("g_{5,6}", 4, (17, 17, 0)),
-]
+
+def _h2_item(catalog, label, source, expected, name, k, show, params=None):
+    """An item on h2_knil(name at params, k), its report printed by show."""
+    return label, source, expected, lambda: show(h2_knil(catalog.structure(name, params), k))
+
+
+def _zbh(rep):
+    return f"(z,b,h)=({rep.z}, {rep.b}, {rep.h})"
+
+
+def _table_items(catalog, source, rows):
+    """One item per printed (z, b, h) row (name, k, (z, b, h))."""
+    return [_h2_item(catalog, f"{name} k={k}", source, f"(z,b,h)={zbh}", name, k, _zbh)
+            for name, k, zbh in rows]
 
 
 def _dim5_items(catalog):
-    items = []
-    for name, k, zbh in _DIM5:
-        def fn(name=name, k=k, zbh=zbh):
-            rep = h2_knil(catalog.structure(name), k, name)
-            return f"(z,b,h)={zbh}", f"(z,b,h)=({rep.z}, {rep.b}, {rep.h})"
-        items.append((f"{name} k={k}", "published table: 5-dim nilpotent algebras", fn))
-    return items
-
-
-# -- dim 6 ------------------------------------------------------------------------
-
-_DIM6 = [
-    ("36", 2, (18, 18, 0)),
-    ("13+13", 2, (20, 20, 0)),
-    ("246_E", 3, (26, 24, 2)),
-    ("136_A", 3, (25, 25, 0)),
-    ("1246", 4, (27, 26, 1)),
-    ("1346_C", 4, (26, 26, 0)),
-    ("12346_E", 5, (28, 28, 0)),
-]
+    return _table_items(catalog, "published table: 5-dim nilpotent algebras", [
+        ("f_3+R^2", 2, (20, 9, 11)),
+        ("g_{5,1}", 2, (10, 10, 0)),
+        ("g_{5,2}", 2, (12, 12, 0)),
+        ("f_4+R", 3, (18, 14, 4)),
+        ("g_{5,3}", 3, (17, 15, 2)),
+        ("g_{5,4}", 3, (15, 15, 0)),
+        ("f_5", 4, (17, 16, 1)),
+        ("g_{5,6}", 4, (17, 17, 0)),
+    ])
 
 
 def _dim6_items(catalog):
-    items = []
-    for name, k, zbh in _DIM6:
-        def fn(name=name, k=k, zbh=zbh):
-            rec = catalog.get(name)  # may raise ExternalDataRequired -> skip
-            rep = h2_knil(rec.structure(), k, name)
-            return f"(z,b,h)={zbh}", f"(z,b,h)=({rep.z}, {rep.b}, {rep.h})"
-        items.append((f"{name} k={k}", "published table: rigid 6-dim nilpotent algebras", fn))
-    return items
+    return _table_items(catalog, "published table: rigid 6-dim nilpotent algebras", [
+        ("36", 2, (18, 18, 0)),
+        ("13+13", 2, (20, 20, 0)),
+        ("246_E", 3, (26, 24, 2)),
+        ("136_A", 3, (25, 25, 0)),
+        ("1246", 4, (27, 26, 1)),
+        ("1346_C", 4, (26, 26, 0)),
+        ("12346_E", 5, (28, 28, 0)),
+    ])
 
 
 # -- counterexamples and certificates -------------------------------------------------
@@ -174,139 +166,106 @@ def _counterexample_items(catalog):
     src32 = "Heisenberg extension counterexamples"
     src41 = "rigid 3-step 5-dim algebra with nonzero restricted H^2"
 
-    def e12346_nil():
-        mu = catalog.structure("12346_E")
-        return "5-step", f"{nil_index(mu)}-step"
+    def e12346():
+        return catalog.structure("12346_E")
 
-    def e12346_sn4():
-        mu = catalog.structure("12346_E")
-        vec = sn_k_value(mu, 4, (0, 1, 0, 1, 0))
-        want = [0, 0, 0, 0, 0, 1]
-        return "SN_4(a,b,a,b,a) = f", (
-            "SN_4(a,b,a,b,a) = f" if vec == want else f"SN_4(a,b,a,b,a) = {vec}"
-        )
+    def split_word():
+        mu = e12346()
+        vec = sn_k(mu, 4).get((0, 1, 0, 1, 0), [0] * mu.n)
+        return vec == [0, 0, 0, 0, 0, 1] or f"SN_4(a,b,a,b,a) = {vec}"
 
-    def e12346_n6():
-        mu = catalog.structure("12346_E")
-        ok = not n_k(mu, 5) and not n_k(mu, 6)
-        return "N_5 = N_6 = 0", "N_5 = N_6 = 0" if ok else "nonzero"
-
-    def e12346_h2():
-        rep = h2_knil(catalog.structure("12346_E"), 5, "12346_E")
-        return "(z,b,h)=(28, 28, 0)", f"(z,b,h)=({rep.z}, {rep.b}, {rep.h})"
+    def long_words():
+        mu = e12346()
+        return (not n_k(mu, 5) and not n_k(mu, 6)) or "nonzero"
 
     def heis(m):
-        def fn():
-            mu = heisenberg_extension(m)
-            step = nil_index(mu)
-            snm = sn_k(mu, m) if m >= 2 else None
-            got = f"dim {mu.n}, {step}-step, SN_{m} {'!= 0' if snm else '= 0'}"
-            want = f"dim {2 * m + 2}, {m + 1}-step, SN_{m} != 0"
-            return want, got
-        return fn
+        mu = heisenberg_extension(m)
+        return f"dim {mu.n}, {nil_index(mu)}-step, SN_{m} {'!= 0' if sn_k(mu, m) else '= 0'}"
+
+    def g53():
+        rec = catalog.get("g_{5,3}")
+        return rec.structure(), [rec.cochain(key) for key in ("nu1", "nu2")]
 
     def nu_cocycles():
-        rec = catalog.get("g_{5,3}")
-        mu = rec.structure()
-        d2 = d2_matrix(mu)
-        dn3 = dnk_matrix(mu, 3)
-        ok = True
-        for key in ("nu1", "nu2"):
-            v = cochain_vector(rec.cochain(key))
-            ok &= not any(d2.mat_vec(v)) and not any(dn3.mat_vec(v))
-        return "holds", "holds" if ok else "fails"
+        mu, nus = g53()
+        d2, dn3 = d2_matrix(mu), dnk_matrix(mu, 3)
+        vecs = [cochain_vector(nu) for nu in nus]
+        return all(not any(d2.mat_vec(v)) and not any(dn3.mat_vec(v)) for v in vecs) or "fails"
 
     def nu_independent():
-        rec = catalog.get("g_{5,3}")
-        mu = rec.structure()
+        mu, nus = g53()
         red = reduce_rows((col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2, mu.field)
         b = red.rank
-        for key in ("nu1", "nu2"):
-            vec = cochain_vector(rec.cochain(key))
-            red.add({i: x for i, x in enumerate(vec) if x})
-        return "rank(Im d1 + nu1 + nu2) = b + 2", (
-            "rank(Im d1 + nu1 + nu2) = b + 2"
-            if red.rank == b + 2
-            else f"rank = b + {red.rank - b}"
-        )
+        for nu in nus:
+            red.add({i: x for i, x in enumerate(cochain_vector(nu)) if x})
+        return red.rank == b + 2 or f"rank = b + {red.rank - b}"
 
     def nu_deformations():
-        rec = catalog.get("g_{5,3}")
-        mu = rec.structure()
+        mu, nus = g53()
         ok = True
-        for key in ("nu1", "nu2"):
-            nu = rec.cochain(key)
+        for nu in nus:
             # Jacobi of the pencil is quadratic in t: three points certify
-            for t in (1, 2, 3):
-                ok &= is_lie(pencil(mu, nu, _F(t)))
+            ok &= all(is_lie(pencil(mu, nu, _F(t))) for t in (1, 2, 3))
             def1 = pencil(mu, nu, _F(1))
             ok &= solvable_length(def1) is not None and nil_index(def1) is None
-        want = "Lie for all t; solvable, non-nilpotent at t=1"
-        return want, want if ok else "fails"
+        return ok or "fails"
 
     return [
-        ("12346_E nilpotency step", src31, e12346_nil),
-        ("12346_E split word value", src31, e12346_sn4),
-        ("12346_E vanishing of long words", src31, e12346_n6),
-        ("12346_E restricted H^2", src31, e12346_h2),
-        ("R D |x h_2", src32, heis(2)),
-        ("R D |x h_3", src32, heis(3)),
-        ("nu1, nu2 are restricted cocycles", src41, nu_cocycles),
-        ("nu1, nu2 independent mod Im d1", src41, nu_independent),
-        ("mu + t*nu_i solvable deformations", src41, nu_deformations),
+        ("12346_E nilpotency step", src31, "5-step", lambda: f"{nil_index(e12346())}-step"),
+        ("12346_E split word value", src31, "SN_4(a,b,a,b,a) = f", split_word),
+        ("12346_E vanishing of long words", src31, "N_5 = N_6 = 0", long_words),
+        _h2_item(catalog, "12346_E restricted H^2", src31, "(z,b,h)=(28, 28, 0)",
+                 "12346_E", 5, _zbh),
+        ("R D |x h_2", src32, "dim 6, 3-step, SN_2 != 0", partial(heis, 2)),
+        ("R D |x h_3", src32, "dim 8, 4-step, SN_3 != 0", partial(heis, 3)),
+        ("nu1, nu2 are restricted cocycles", src41, "holds", nu_cocycles),
+        ("nu1, nu2 independent mod Im d1", src41, "rank(Im d1 + nu1 + nu2) = b + 2",
+         nu_independent),
+        ("mu + t*nu_i solvable deformations", src41,
+         "Lie for all t; solvable, non-nilpotent at t=1", nu_deformations),
     ]
 
 
 # -- dim 7, 3-step ----------------------------------------------------------------
 
 
+def _rigidity(rep):
+    return f"h={rep.h}{' (rigid)' if rep.rigid_certificate else ''}, orbit dim {rep.b}"
+
+
 def _n73_items(catalog):
     src = "rigid points and degenerations, 3-step 7-dim classification"
-    items = []
-    for name, orbit in (("g_{137B}", 36), ("g_{137B_1}", 36), ("g_{247H}", 38)):
-        def fn(name=name, orbit=orbit):
-            rep = h2_knil(catalog.structure(name), 3, name)
-            return (
-                f"h=0 (rigid), orbit dim {orbit}",
-                f"h={rep.h}{' (rigid)' if rep.rigid_certificate else ''}, orbit dim {rep.b}",
-            )
-        items.append((f"{name} rigidity", src, fn))
+    items = [
+        _h2_item(catalog, f"{name} rigidity", src, f"h=0 (rigid), orbit dim {orbit}",
+                 name, 3, _rigidity)
+        for name, orbit in (("g_{137B}", 36), ("g_{137B_1}", 36), ("g_{247H}", 38),
+                            ("g_{247H_1}", 38))
+    ]
+    items += [
+        _h2_item(catalog, f"{name} restricted H^2", src, "h=1", name, 3,
+                 lambda rep: f"h={rep.h}")
+        for name in ("g_{247K}", "g_{147D}", "g_{137A}", "g_{137D}", "g_{137A_1}", "g_{247G}")
+    ]
 
-    def h1_pack():
-        rec = catalog.get("g_{247H_1}")
-        rep = h2_knil(rec.structure(), 3, rec.name)
-        return "h=0 (rigid), orbit dim 38", (
-            f"h={rep.h}{' (rigid)' if rep.rigid_certificate else ''}, orbit dim {rep.b}"
-        )
+    def witness(wid, at):
+        ok, diffs = catalog.verify_witness(wid, at=at)
+        return ok or f"{len(diffs)} brackets differ"
 
-    items.append(("g_{247H_1} rigidity", src, h1_pack))
+    def degeneration(fam, val, tgt):
+        return catalog.verify_degeneration(fam, val, tgt) or "tables differ"
 
-    for name in ("g_{247K}", "g_{147D}", "g_{137A}", "g_{137D}", "g_{137A_1}", "g_{247G}"):
-        def fn(name=name):
-            rep = h2_knil(catalog.structure(name), 3, name)
-            return "h=1", f"h={rep.h}"
-        items.append((f"{name} restricted H^2", src, fn))
-
-    witness_runs = [
+    for wid, at in (
         ("137B-from-curve", _F(2)),
         ("147E1-to-147D", None),
         ("247H-to-247G-curve", _F(2)),
         ("247K-GR-form", None),
         ("247H-to-247K-curve", _F(1)),
-    ]
-    for wid, at in witness_runs:
-        def fn(wid=wid, at=at):
-            ok, diffs = catalog.verify_witness(wid, at=at)
-            return "tables match", "tables match" if ok else f"{len(diffs)} brackets differ"
-        items.append((f"witness {wid}" + (f" at t={at}" if at is not None else ""), src, fn))
-
+    ):
+        items.append((f"witness {wid}" + (f" at t={at}" if at is not None else ""), src,
+                      "tables match", partial(witness, wid, at)))
     for fam, val, tgt, _mode in catalog.degenerations():
-        def fn(fam=fam, val=val, tgt=tgt):
-            ok = catalog.verify_degeneration(fam, val, tgt)
-            return f"{fam} at t={val} is {tgt}", (
-                f"{fam} at t={val} is {tgt}" if ok else "tables differ"
-            )
-        items.append((f"degeneration {fam} -> {tgt}", src, fn))
+        items.append((f"degeneration {fam} -> {tgt}", src, f"{fam} at t={val} is {tgt}",
+                      partial(degeneration, fam, val, tgt)))
     return items
 
 
@@ -316,86 +275,62 @@ def _n73_items(catalog):
 def _curves_items(catalog):
     src = "rigid curves: augmented tangent sequence exactness"
     items = []
-    for fam_name, points in (
+
+    def exactness(fam, pt, free):
+        rep = augmented_exactness(catalog.get(fam).symbolic(), pt, free, "sn5")
+        return rep.exact or f"not exact (rank dF={rep.rank_df}, dim Ker dG={rep.ker_dg_dim})"
+
+    def generic_h2(name, t):
+        return f"dim H^2 = {h2_dim(catalog.structure(name, {'t': t})).h}"
+
+    def nilpotent_line(name, step):
+        steps = [nil_index(catalog.structure(name, {"t": _F(t)})) for t in (1, 2, -1)]
+        return all(s == step for s in steps) or "mismatch"
+
+    def non_nilpotent(fam):
+        mu = catalog.structure(fam, {"r": _F(1), "t": _F(1)})
+        return (nil_index(mu) is None and solvable_length(mu) is not None) or "mismatch"
+
+    def sn5_vanishes(fam):
+        rec = catalog.get(fam)
+        return all(not sn_k(rec.structure(pt), 5) for pt in rec.default_samples) or "nonzero"
+
+    for fam, points in (
         ("g_5(r,t)", ({"r": _F(1), "t": _F(1)}, {"r": _F(2), "t": _F(3)}, {"r": _F(-1), "t": _F(2)})),
         ("g_6(r,t)", ({"r": _F(1), "t": _F(1)}, {"r": _F(2), "t": _F(3)}, {"r": _F(1, 2), "t": _F(1, 3)})),
     ):
         for pt in points:
-            for free in (("r", "t"), ("t",)):
-                def fn(fam_name=fam_name, pt=pt, free=free):
-                    table = catalog.get(fam_name).symbolic()
-                    rep = augmented_exactness(table, pt, free, "sn5", name=fam_name)
-                    label = "exact" if rep.exact else (
-                        f"not exact (rank dF={rep.rank_df}, dim Ker dG={rep.ker_dg_dim})"
-                    )
-                    return "exact", label
-                tag = "free r,t" if len(free) == 2 else "r frozen"
-                pts = ",".join(f"{k}={v}" for k, v in pt.items())
-                items.append((f"{fam_name} at ({pts}), {tag}", src, fn))
-
-    def h2_generic(name, t):
-        def fn():
-            rep = h2_dim(catalog.structure(name, {"t": t}))
-            return "dim H^2 = 9", f"dim H^2 = {rep.h}"
-        return fn
-
+            pts = ",".join(f"{k}={v}" for k, v in pt.items())
+            for free, tag in ((("r", "t"), "free r,t"), (("t",), "r frozen")):
+                items.append((f"{fam} at ({pts}), {tag}", src, "exact",
+                              partial(exactness, fam, pt, free)))
     for name in ("g_1(t)", "g_I(t)"):
         for t in (_F(2), _F(3)):
-            items.append((f"{name} at t={t}: generic H^2", src, h2_generic(name, t)))
-
-    def nilpotency(name, expect_step):
-        def fn():
-            ok = True
-            for t in (_F(1), _F(2), _F(-1)):
-                mu = catalog.structure(name, {"t": t})
-                ok &= nil_index(mu) == expect_step
-            return f"{expect_step}-step nilpotent on r=0", (
-                f"{expect_step}-step nilpotent on r=0" if ok else "mismatch"
-            )
-        return fn
-
-    items.append(("g_5(0,t) nilpotency step", src, nilpotency("g_1(t)", 5)))
-    items.append(("g_6(0,t) nilpotency step", src, nilpotency("g_I(t)", 6)))
-
-    def non_nilpotent(fam):
-        def fn():
-            mu = catalog.structure(fam, {"r": _F(1), "t": _F(1)})
-            ok = nil_index(mu) is None and solvable_length(mu) is not None
-            return "solvable, not nilpotent off r=0", (
-                "solvable, not nilpotent off r=0" if ok else "mismatch"
-            )
-        return fn
-
-    items.append(("g_5(1,1) is not nilpotent", src, non_nilpotent("g_5(r,t)")))
-    items.append(("g_6(1,1) is not nilpotent", src, non_nilpotent("g_6(r,t)")))
-
-    def sn5_vanishes(fam):
-        def fn():
-            rec = catalog.get(fam)
-            ok = all(not sn_k(rec.structure(pt), 5) for pt in rec.default_samples)
-            return "SN_5 = 0 on the surface", "SN_5 = 0 on the surface" if ok else "nonzero"
-        return fn
-
-    items.append(("g_5(r,t) inside the split variety", src, sn5_vanishes("g_5(r,t)")))
-    items.append(("g_6(r,t) inside the split variety", src, sn5_vanishes("g_6(r,t)")))
+            items.append((f"{name} at t={t}: generic H^2", src, "dim H^2 = 9",
+                          partial(generic_h2, name, t)))
+    for label, name, step in (("g_5(0,t)", "g_1(t)", 5), ("g_6(0,t)", "g_I(t)", 6)):
+        items.append((f"{label} nilpotency step", src, f"{step}-step nilpotent on r=0",
+                      partial(nilpotent_line, name, step)))
+    for n in (5, 6):
+        items.append((f"g_{n}(1,1) is not nilpotent", src, "solvable, not nilpotent off r=0",
+                      partial(non_nilpotent, f"g_{n}(r,t)")))
+    for n in (5, 6):
+        items.append((f"g_{n}(r,t) inside the split variety", src, "SN_5 = 0 on the surface",
+                      partial(sn5_vanishes, f"g_{n}(r,t)")))
 
     src2 = "curve cohomology in the 3-step 7-dim variety"
+
+    def e147_1(t):
+        rep = h2_knil(catalog.structure("g_{147E_1}(t)", {"t": t}), 3)
+        table = catalog.get("g_{147E_1}(t)").symbolic()
+        ex = augmented_exactness(table, {"t": t}, ("t",), "n3")
+        return f"h={rep.h}, tangent {'spans' if ex.exact else 'does not span'}"
+
     for t in (_F(3, 2), _F(2), _F(5)):
-        def fn(t=t):
-            mu = catalog.structure("g_{147E_1}(t)", {"t": t})
-            rep = h2_knil(mu, 3)
-            table = catalog.get("g_{147E_1}(t)").symbolic()
-            ex = augmented_exactness(table, {"t": t}, ("t",), "n3")
-            got = f"h={rep.h}, tangent spans" if ex.exact else f"h={rep.h}, tangent does not span"
-            return "h=1, tangent spans", got
-        items.append((f"g_{{147E_1}}({t}) restricted H^2", src2, fn))
-
-    def e147_pack():
-        rec = catalog.get("g_{147E}(t)")
-        rep = h2_knil(rec.structure({"t": _F(2)}), 3, rec.name)
-        return "h=3 at t=2", f"h={rep.h} at t=2"
-
-    items.append(("g_{147E}(2) restricted H^2", src2, e147_pack))
+        items.append((f"g_{{147E_1}}({t}) restricted H^2", src2, "h=1, tangent spans",
+                      partial(e147_1, t)))
+    items.append(_h2_item(catalog, "g_{147E}(2) restricted H^2", src2, "h=3 at t=2",
+                          "g_{147E}(t)", 3, lambda rep: f"h={rep.h} at t=2", {"t": _F(2)}))
     return items
 
 
@@ -404,46 +339,24 @@ def _curves_items(catalog):
 
 def _ideal_items(catalog):
     src = "structure-constant ideal computations, dims 5 and 6"
-    items = []
+    P = cat.NAMED_POLYNOMIALS
 
-    def gens_match(n, k, kind, printed):
-        def fn():
+    def gens_item(label, n, k, kind, printed):
+        def compute():
             got = generators(n, k, kind)
             want = [parse_tpoly(s) for s in printed]
-            ok = set(distinct_primitive(got)) == set(distinct_primitive(want)) and len(got) == len(want)
-            return (
-                f"{len(want)} generators, matching the printed list",
-                f"{len(got)} generators, matching the printed list"
-                if ok
-                else f"{len(got)} generators, set differs",
-            )
-        return fn
-
-    P = cat.NAMED_POLYNOMIALS
-    items.append(("generators(5,4,J) = {P1, P2}", src,
-                  gens_match(5, 4, "J", (P["P1"], P["P2"]))))
-    items.append(("generators(5,4,N) trivial", src,
-                  lambda: ("0 generators", f"{len(generators(5, 4, 'N'))} generators")))
-    items.append(("generators(5,3,SN) = {Q1, Q2}", src,
-                  gens_match(5, 3, "SN", (P["Q1"], P["Q2"]))))
-    items.append(("generators(6,4,J) = printed degree-2 list", src,
-                  gens_match(6, 4, "J", cat.PRINTED_J_64)))
-    items.append(("generators(6,4,N) = printed degree-4 list", src,
-                  gens_match(6, 4, "N", cat.PRINTED_N_64)))
-    items.append(("generators(6,3,SN) = {Q1..Q14}", src,
-                  gens_match(6, 3, "SN", tuple(P[f"Q{i}"] for i in range(1, 15)))))
+            same = set(distinct_primitive(got)) == set(distinct_primitive(want))
+            return (same and len(got) == len(want)) or f"{len(got)} generators, set differs"
+        return label, src, f"{len(printed)} generators, matching the printed list", compute
 
     def memberships():
         ideal = nilpotency_ideal(6, 4)
-        good = []
+        bad = []
         for i in range(1, 13):
             c = member_bounded(cat.named_polynomial(f"Q{i}"), ideal.gens, 4)
-            good.append(c is not None and c.verify(ideal.gens))
-        return "Q1..Q12 all certified", (
-            "Q1..Q12 all certified" if all(good) else f"failures at {[i+1 for i, g in enumerate(good) if not g]}"
-        )
-
-    items.append(("Q1..Q12 in the dim-6 ideal (D=4)", src, memberships))
+            if c is None or not c.verify(ideal.gens):
+                bad.append(i)
+        return not bad or f"failures at {bad}"
 
     def squares():
         ideal = nilpotency_ideal(6, 4)
@@ -452,21 +365,13 @@ def _ideal_items(catalog):
             q = cat.named_polynomial(f"Q{i}")
             c = member_bounded(q * q, ideal.gens, 6)
             ok &= c is not None and c.verify(ideal.gens)
-        return "Q13^2, Q14^2 certified", "Q13^2, Q14^2 certified" if ok else "failure"
-
-    items.append(("Q13^2, Q14^2 in the dim-6 ideal (D=6)", src, squares))
+        return ok or "failure"
 
     def nonmembers():
         ideal = nilpotency_ideal(6, 4)
         ok14 = non_membership(cat.named_polynomial("Q14"), ideal.gens, cat.Q14_ASSIGNMENT)
         ok13 = non_membership(cat.named_polynomial("Q13"), ideal.gens, cat.Q13_ASSIGNMENT)
-        return "Q13, Q14 certified outside (ideal not radical)", (
-            "Q13, Q14 certified outside (ideal not radical)"
-            if ok13 and ok14
-            else f"Q13: {ok13}, Q14: {ok14}"
-        )
-
-    items.append(("Q13, Q14 not in the dim-6 ideal", src, nonmembers))
+        return (ok13 and ok14) or f"Q13: {ok13}, Q14: {ok14}"
 
     def restricted():
         ideal = nilpotency_ideal(6, 4)
@@ -475,32 +380,41 @@ def _ideal_items(catalog):
         gb_s, gb_p = groebner_small(subs), groebner_small(printed)
         same = all(gb_p.contains(g) for g in subs) and all(gb_s.contains(g) for g in printed)
         q14r = substitute(cat.named_polynomial("Q14"), cat.Q14_ASSIGNMENT)
-        want_q14 = parse_tpoly("t_{1,2,3}*t_{2,3,4}*t_{3,4,6}")
-        return "restriction matches the printed pair; Q14 restricts to t123*t234*t346", (
-            "restriction matches the printed pair; Q14 restricts to t123*t234*t346"
-            if same and q14r == want_q14
-            else "mismatch"
-        )
+        return (same and q14r == parse_tpoly("t_{1,2,3}*t_{2,3,4}*t_{3,4,6}")) or "mismatch"
 
-    items.append(("restricted dim-6 ideal", src, restricted))
-    return items
+    return [
+        gens_item("generators(5,4,J) = {P1, P2}", 5, 4, "J", (P["P1"], P["P2"])),
+        ("generators(5,4,N) trivial", src, "0 generators",
+         lambda: f"{len(generators(5, 4, 'N'))} generators"),
+        gens_item("generators(5,3,SN) = {Q1, Q2}", 5, 3, "SN", (P["Q1"], P["Q2"])),
+        gens_item("generators(6,4,J) = printed degree-2 list", 6, 4, "J", cat.PRINTED_J_64),
+        gens_item("generators(6,4,N) = printed degree-4 list", 6, 4, "N", cat.PRINTED_N_64),
+        gens_item("generators(6,3,SN) = {Q1..Q14}", 6, 3, "SN",
+                  tuple(P[f"Q{i}"] for i in range(1, 15))),
+        ("Q1..Q12 in the dim-6 ideal (D=4)", src, "Q1..Q12 all certified", memberships),
+        ("Q13^2, Q14^2 in the dim-6 ideal (D=6)", src, "Q13^2, Q14^2 certified", squares),
+        ("Q13, Q14 not in the dim-6 ideal", src,
+         "Q13, Q14 certified outside (ideal not radical)", nonmembers),
+        ("restricted dim-6 ideal", src,
+         "restriction matches the printed pair; Q14 restricts to t123*t234*t346", restricted),
+    ]
 
 
-def run_suite(suite, catalog=None) -> ReproductionReport:
-    catalog = catalog or cat.default_catalog()
-    builders = {
-        "dim5": _dim5_items,
-        "dim6": _dim6_items,
-        "n73": _n73_items,
-        "curves": _curves_items,
-        "ideals": _ideal_items,
-        "counterexamples": _counterexample_items,
-    }
+_BUILDERS = {
+    "dim5": _dim5_items,
+    "dim6": _dim6_items,
+    "n73": _n73_items,
+    "curves": _curves_items,
+    "ideals": _ideal_items,
+    "counterexamples": _counterexample_items,
+}
+SUITES = tuple(_BUILDERS)
+
+
+def run_suite(suite, catalog) -> ReproductionReport:
     if suite == "all":
-        items = []
-        for name in SUITES:
-            items.extend(builders[name](catalog))
+        items = [item for build in _BUILDERS.values() for item in build(catalog)]
         return _run_items("all", items, catalog)
-    if suite not in builders:
+    if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)} or all)")
-    return _run_items(suite, builders[suite](catalog), catalog)
+    return _run_items(suite, _BUILDERS[suite](catalog), catalog)

@@ -42,7 +42,6 @@ from nilcohom.liealg import (
     nil_index,
     pencil,
     sn_k,
-    sn_k_value,
     solvable_length,
 )
 from nilcohom.linalg import ExactMatrix, RowBasis, rank
@@ -115,7 +114,7 @@ def test_criterion_03_split_word_counterexample():
                       " (28,28,0)"):
         mu = CAT.structure("12346_E")
         assert nil_index(mu) == 5
-        assert sn_k_value(mu, 4, (0, 1, 0, 1, 0)) == [0, 0, 0, 0, 0, F(1)]
+        assert sn_k(mu, 4)[(0, 1, 0, 1, 0)] == [0, 0, 0, 0, 0, F(1)]
         assert n_k(mu, 6) == {}
         rep = h2_knil(mu, 5, "12346_E")
         assert (rep.z, rep.b, rep.h) == (28, 28, 0) and rep.rigid_certificate

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nilcohom import liealg
+from nilcohom import liealg, reproduce
 from nilcohom.catalog import Catalog
 from nilcohom.cli import main
 from nilcohom.errors import ResourceCapExceeded
@@ -168,16 +169,64 @@ def test_reproduce_dim6_skips_without_pack(capsys):
     assert out.count("[skip]") == 6 and out.count("[PASS]") == 1
 
 
-def test_reproduce_json_deterministic_modulo_timing(capsys):
-    def stripped():
-        code, out, _ = run(capsys, "reproduce", "counterexamples", "--json")
-        assert code == 0
+# placeholder tables (not the published ones) for three pack-only names, and
+# the status and computed text of each item they unlock
+PLACEHOLDER_PACK = [
+    {"name": "36", "dim": 6, "table": "ab = d, ac = e, bc = f"},
+    {"name": "g_{247H_1}", "dim": 7, "table": "ab = d, ac = e, ad = f, bc = g"},
+    {"name": "g_{147E}(t)", "dim": 7, "table": "ab = d, ac = e, ad = f, bc = t g, ae = g",
+     "params": ["t"]},
+]
+PLACEHOLDER_ITEMS = {
+    "36 k=2": ("pass", "(z,b,h)=(18, 18, 0)"),
+    "g_{247H_1} rigidity": ("fail", "h=18, orbit dim 31"),
+    "g_{147E}(2) restricted H^2": ("fail", "h=6 at t=2"),
+}
+
+
+def test_reproduce_json_deterministic_modulo_timing(tmp_path, capsys):
+    def stripped(*pack):
+        code, out, _ = run(capsys, *pack, "reproduce", "all", "--json")
         data = json.loads(out)
         for item in data["items"]:
             item.pop("seconds")
-        return data
+        return code, data
 
-    assert stripped() == stripped()
+    code, report = stripped()
+    assert code == 0
+    assert report == json.loads((Path(__file__).parent / "data" / "reproduce_all.json").read_text())
+
+    for i, record in enumerate(PLACEHOLDER_PACK):
+        (tmp_path / f"r{i}.json").write_text(json.dumps(record))
+    (tmp_path / "manifest.json").write_text(json.dumps({"name": "placeholder"}))
+    code, packed = stripped("--data-pack", str(tmp_path))
+    assert code == 1 and packed["pack"] == "placeholder"
+    assert packed["counts"] == {"pass": 72, "fail": 2, "skip": 5}
+    unlocked = {after["name"]: (after["status"], after["computed"])
+                for before, after in zip(report["items"], packed["items"], strict=True)
+                if after != before}
+    assert unlocked == PLACEHOLDER_ITEMS
+
+
+def test_reproduce_reports_a_raising_item_as_failed(tmp_path, capsys, monkeypatch):
+    # a 5-step table for a 2-step item: h2_knil raises, that item fails with
+    # the error as its computed text, and the rest of the suite still runs
+    data = {"name": "36", "dim": 6, "table": "ab = c, ac = d, ad = e, ae = f"}
+    (tmp_path / "36.json").write_text(json.dumps(data))
+    code, out, _ = run(capsys, "--data-pack", str(tmp_path), "reproduce", "dim6", "--json")
+    items = {item["name"]: item for item in json.loads(out)["items"]}
+    assert code == 1
+    assert items["36 k=2"]["status"] == "fail"
+    assert items["36 k=2"]["computed"] == "bracket is not (at most) 2-step nilpotent"
+    assert items["36 k=2"]["expected"] == "(z,b,h)=(18, 18, 0)"
+    assert items["12346_E k=5"]["status"] == "pass"
+
+    def capped(*args):
+        raise ResourceCapExceeded("cap")
+
+    # a resource cap still ends the run with its own exit code
+    monkeypatch.setattr(reproduce, "h2_knil", capped)
+    assert main(["reproduce", "dim5"]) == 3
 
 
 def test_usage_error_exit_code(capsys):
