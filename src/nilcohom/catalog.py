@@ -360,6 +360,8 @@ class Catalog:
 
     def load_data_pack(self, path):
         root = Path(path)
+        if not root.is_dir():
+            raise ValueError(f"data pack {path} is not a directory")
         manifest = {}
         mpath = root / "manifest.json"
         if mpath.exists():
@@ -369,6 +371,9 @@ class Catalog:
             if fp.name == "manifest.json":
                 continue
             data = json.loads(fp.read_text())
+            for key in ("name", "dim"):
+                if key not in data:
+                    raise ValueError(f"data-pack record {fp} has no {key!r}")
             if "table" in data:
                 dim, table, field = int(data["dim"]), data["table"], data.get("field", FIELD_Q)
                 params = tuple(data.get("params", ()))

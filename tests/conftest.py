@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,13 @@ from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 @pytest.fixture(scope="session")
 def catalog():
     return Catalog()
+
+
+def digest(items):
+    """sha256 (first 16 hex digits) of ``(key, value)`` pairs, by their reprs,
+    in any order."""
+    text = repr(sorted((repr(key), repr(value)) for key, value in items))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def dense_rref(rows):

@@ -244,6 +244,19 @@ def test_data_pack_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "--data-pack", str(tmp_path), "info", "cli_pack_algebra")
     assert code == 0 and "2-step" in out
 
+    # a record without its name or dimension, and a pack that is not there,
+    # are usage errors that name the file or directory
+    nameless = tmp_path / "nameless" / "rec.json"
+    dimless = tmp_path / "dimless" / "rec.json"
+    for path, data in ((nameless, {"dim": 3, "table": "ab = c"}),
+                       (dimless, {"name": "f_3", "table": "ab = c"})):
+        path.parent.mkdir()
+        path.write_text(json.dumps(data))
+    for pack, named in ((nameless.parent, nameless), (dimless.parent, dimless),
+                        (tmp_path / "no_such_dir", tmp_path / "no_such_dir")):
+        code, _, err = run(capsys, "--data-pack", str(pack), "info", "f_3")
+        assert code == 2 and str(named) in err
+
 
 def test_bad_parameter_points_are_usage_errors(capsys):
     for at, message in (("r=1/0,t=1", "division by zero"),

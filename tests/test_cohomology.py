@@ -1,4 +1,3 @@
-import hashlib
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     d1_by_brackets,
     dense_rank,
+    digest,
     dj_matrix,
     kernel_basis,
     matmul,
@@ -683,11 +683,6 @@ def test_least_first_streams_are_the_full_streams_restricted(catalog):
             assert list(iter_dsnk_rows(mu, k, least_first=True)) == kept
 
 
-def _digest(items):
-    text = repr(sorted((repr(key), repr(value)) for key, value in items))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def test_full_streams_matrices_and_tensors_are_unchanged(catalog):
     # digests taken before the least-first walk: the public streams, the
     # materialized matrices and the word tensors keep every word
@@ -695,15 +690,15 @@ def test_full_streams_matrices_and_tensors_are_unchanged(catalog):
     g137 = catalog.structure("g_{137B}")
     g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
     sl2 = StructureConstants(3, SL2)
-    assert [_digest(dnk_matrix(mu, 3).entries.items()) for mu in (g53, rescaled)] == [
+    assert [digest(dnk_matrix(mu, 3).entries.items()) for mu in (g53, rescaled)] == [
         "f4f3a286f00857e3", "cdc5a2ee99c7b6b7"]
-    assert [_digest(dsnk_matrix(mu, 4).entries.items()) for mu in (g53, rescaled)] == [
+    assert [digest(dsnk_matrix(mu, 4).entries.items()) for mu in (g53, rescaled)] == [
         "292eb2f3c05141c3", "1dfe37a9845ede84"]
-    assert [_digest((r, sorted(row.items())) for r, row in iter_dnk_rows(mu, 4))
+    assert [digest((r, sorted(row.items())) for r, row in iter_dnk_rows(mu, 4))
             for mu in (g137, g5)] == ["7c9e8c1e42233c74", "f269391c7346fb26"]
-    assert [_digest((r, sorted(row.items())) for r, row in iter_dsnk_rows(mu, 5))
+    assert [digest((r, sorted(row.items())) for r, row in iter_dsnk_rows(mu, 5))
             for mu in (g137, g5)] == ["e79af958d2dbdd45", "8370a7e99b2f6e99"]
-    assert [_digest(n_k(g137, 2).items()), _digest(n_k(g5, 3).items())] == [
+    assert [digest(n_k(g137, 2).items()), digest(n_k(g5, 3).items())] == [
         "cf98bf750d77350c", "377f883e5963af0c"]
-    assert [_digest(sn_k(sl2, 4).items()), _digest(sn_k(g5, 3).items())] == [
+    assert [digest(sn_k(sl2, 4).items()), digest(sn_k(g5, 3).items())] == [
         "99d1b02bf0025ded", "ffccb7a4db453ed4"]
