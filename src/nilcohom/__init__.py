@@ -14,7 +14,7 @@ The package computes, entirely in exact arithmetic over Q or Q(i):
 """
 
 from .scalars import QI, FIELD_Q, FIELD_QI
-from .linalg import ExactMatrix, RankProfile, backend, rank, solve
+from .linalg import solve
 from .liealg import StructureConstants
 from .cohomology import augmented_exactness, h2_dim, h2_knil
 from .tables import parse_table
@@ -23,15 +23,11 @@ __all__ = [
     "QI",
     "FIELD_Q",
     "FIELD_QI",
-    "ExactMatrix",
-    "RankProfile",
     "StructureConstants",
     "augmented_exactness",
-    "backend",
     "h2_dim",
     "h2_knil",
     "parse_table",
-    "rank",
     "solve",
 ]
 

@@ -13,17 +13,16 @@ needs a value per symbol.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ExternalDataRequired, UnknownAlgebra
-from .jsonio import algebra_from_dict, pack_checksum
+from .jsonio import pack_checksum, read_json, record_fields
 from .liealg import StructureConstants, table_in_basis
-from .scalars import FIELD_Q, FIELD_QI
-from .tables import format_table, parse_symbolic, parse_tpoly, parse_vector
+from .scalars import FIELD_Q, FIELD_QI, QI
+from .tables import SymbolicTable, parse_symbolic, parse_tpoly, parse_vector
 
 DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 
@@ -32,7 +31,7 @@ DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 class AlgebraRecord:
     name: str
     dim: int
-    table: str
+    table: str | SymbolicTable  # a JSON ``brackets`` record is held parsed
     params: tuple = ()
     aliases: tuple = ()
     field: str = FIELD_Q
@@ -42,6 +41,8 @@ class AlgebraRecord:
     default_samples: tuple = ()  # tuples of parameter assignments
 
     def symbolic(self):
+        if isinstance(self.table, SymbolicTable):
+            return self.table
         return parse_symbolic(self.table, self.dim, self.params)
 
     def structure(self, params=None) -> StructureConstants:
@@ -52,6 +53,8 @@ class AlgebraRecord:
                 f"{self.name} needs parameter values for: {', '.join(missing)}"
             )
         mu = self.symbolic().evaluate(assignment)
+        if self.field == FIELD_QI and mu.field == FIELD_Q:
+            mu = StructureConstants(mu.n, mu.c, FIELD_QI)
         label = self.name
         if self.params:
             vals = ",".join(f"{p}={assignment[p]}" for p in self.params)
@@ -316,6 +319,23 @@ _DEGENERATIONS = [
 ]
 
 
+def read_record(path, name=None) -> AlgebraRecord:
+    """The JSON record (either form of ``jsonio``) in the file ``path``;
+    ``name`` names a record without one.  A record that cannot be read, or
+    whose table text does not parse or has Gaussian values over Q, raises
+    ValueError naming the file."""
+    data = read_json(path)
+    try:
+        rec = AlgebraRecord(**record_fields(data, name), provenance="external-pack")
+        coeffs = [c for row in rec.symbolic().entries.values() for p in row.values()
+                  for c in p.terms.values()]
+        if rec.field == FIELD_Q and any(isinstance(c, QI) for c in coeffs):
+            raise ValueError("'field' is Q, but the table has Gaussian values")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return rec
+
+
 class Catalog:
     def __init__(self, data_pack=None):
         self._records = {}
@@ -362,38 +382,16 @@ class Catalog:
         root = Path(path)
         if not root.is_dir():
             raise ValueError(f"data pack {path} is not a directory")
-        manifest = {}
         mpath = root / "manifest.json"
-        if mpath.exists():
-            manifest = json.loads(mpath.read_text())
-        count = 0
+        manifest = read_json(mpath) if mpath.exists() else {}
+        pack_name = manifest.get("name", root.name) if isinstance(manifest, dict) else None
+        if not isinstance(pack_name, str):
+            raise ValueError(f"{mpath}: not an object with a string 'name'")
         for fp in sorted(root.glob("*.json")):
-            if fp.name == "manifest.json":
-                continue
-            data = json.loads(fp.read_text())
-            for key in ("name", "dim"):
-                if key not in data:
-                    raise ValueError(f"data-pack record {fp} has no {key!r}")
-            if "table" in data:
-                dim, table, field = int(data["dim"]), data["table"], data.get("field", FIELD_Q)
-                params = tuple(data.get("params", ()))
-            else:
-                mu = algebra_from_dict(data)
-                dim, table, field, params = mu.n, format_table(mu), mu.field, ()
-            self._add(AlgebraRecord(
-                data["name"],
-                dim,
-                table,
-                params=params,
-                aliases=tuple(data.get("aliases", ())),
-                field=field,
-                provenance="external-pack",
-                notes=data.get("citation", ""),
-            ))
-            count += 1
+            if fp.name != "manifest.json":
+                self._add(read_record(fp))
         self.pack_checksum = pack_checksum(root)
-        self.pack_name = manifest.get("name", root.name)
-        return count
+        self.pack_name = pack_name
 
     # -- witnesses and degenerations --------------------------------------------
 

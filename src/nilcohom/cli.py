@@ -20,11 +20,10 @@ from pathlib import Path
 
 from . import __version__
 from . import catalog as cat_mod
-from .catalog import Catalog, named_polynomial
+from .catalog import Catalog, named_polynomial, read_record
 from .cohomology import augmented_exactness, derivation_dim, h2_knil
 from .errors import NilcohomError, ResourceCapExceeded, TableError
 from .ideals import generators, member_bounded, nilpotency_ideal, non_membership
-from .jsonio import algebra_from_dict
 from .liealg import is_lie, nil_index, solvable_length
 from .polynomials import format_poly, format_var
 from .reproduce import SUITES, run_suite
@@ -61,13 +60,11 @@ def _check_params(assignment, params, name):
 
 
 def _load_structure(catalog, name, assignment):
-    """Resolve a catalog name or a file (.json schema, or table text)."""
+    """Resolve a catalog name or a file (a JSON record, or table text)."""
     path = Path(name)
-    if path.exists() and path.is_file():
+    is_file = path.is_file()
+    if is_file and path.suffix != ".json":
         text = path.read_text()
-        if path.suffix == ".json":
-            _check_params(assignment, (), path.name)
-            return algebra_from_dict(json.loads(text))
         lines = text.splitlines()
         dim = None
         body = text
@@ -84,8 +81,8 @@ def _load_structure(catalog, name, assignment):
         table = parse_symbolic(body, dim, tuple(assignment))
         _check_params(assignment, sorted(table.free_symbols()), path.name)
         return table.evaluate(assignment).with_name(path.name)
-    rec = catalog.get(name)
-    _check_params(assignment, rec.params, rec.name)
+    rec = read_record(path, name) if is_file else catalog.get(name)
+    _check_params(assignment, rec.params, path.name if is_file else rec.name)
     return rec.structure(assignment)
 
 

@@ -10,7 +10,7 @@ Every differential reaches the reducer in one format, sparse {column: value}
 dicts built from the dense bracket table: d1 as its columns (d1 of each
 basis 1-cochain), d2 and the word derivatives dN_k, dSN_k as their rows.
 The certificates only ever stream them; ``ExactMatrix`` is built only by
-the public ``*_matrix`` functions, from the same streams.
+``d1_matrix`` and ``d2_matrix``, from the same streams.
 
 The derivative of a nested bracket word at mu is the sum over replacing one
 mu by sigma.  The rows come from the same word walker that evaluates N_k and
@@ -39,8 +39,8 @@ antisymmetry and Jacobi terms, and substituting basis letters (repeats
 allowed) keeps the identity.  At a Lie point the Jacobi terms vanish and
 their derivatives lie in the span of the d2 rows, which head every stack:
 the stack keeps its row space, and its reduced rows are the same.  The
-word rows alone can span less, so the public streams, the ``*_matrix``
-functions and the tensors ``n_k``/``sn_k`` keep every word.
+word rows alone can span less, so the public streams and the tensors
+``n_k``/``sn_k`` keep every word.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -168,10 +168,9 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False):
     One row per unordered leading pair: only the words with a1 < a2 are
     emitted.  The word and its derivative are antisymmetric in (a1, a2), so
     every row left out is minus an emitted one (or zero, at a1 = a2) and the
-    row space is the full matrix's; ``dnk_matrix`` puts the mirrors back.
-    With ``least_first`` only the words that start with their least letter
-    are emitted, whose rows span the others' only beside the d2 rows at a
-    Lie point (see ``walk_words``).
+    row space is the full matrix's.  With ``least_first`` only the words
+    that start with their least letter are emitted, whose rows span the
+    others' only beside the d2 rows at a Lie point (see ``walk_words``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -196,11 +195,11 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
     The split word is antisymmetric in (x1, x2), and for k >= 3 also in
     (x3, x4) through the inner word, so only the tuples with x1 < x2 (and
     x3 < x4) are emitted: every row left out is plus or minus an emitted
-    one, or zero, and the row space is the full matrix's.  ``dsnk_matrix``
-    puts the mirrors back.  With ``least_first`` only the inner words that
-    start with their least letter are walked, as in ``iter_dnk_rows``: the
-    outer bracket with the leading pair is linear, so the rows of every
-    other inner word are again combinations of these and of d2 rows.
+    one, or zero, and the row space is the full matrix's.  With
+    ``least_first`` only the inner words that start with their least letter
+    are walked, as in ``iter_dnk_rows``: the outer bracket with the leading
+    pair is linear, so the rows of every other inner word are again
+    combinations of these and of d2 rows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -280,42 +279,6 @@ def d2_matrix(mu) -> ExactMatrix:
     return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)
 
 
-def _swap_letters(r, n, w):
-    """Row index r with its letters of weight w*n and w swapped."""
-    a, b = r // (w * n) % n, r // w % n
-    return r + (b - a) * (w * n - w)
-
-
-def _materialize(mu, k, rows, swaps):
-    """The full matrix from a stream of one row per antisymmetry orbit.
-
-    Row r = index * n + m carries the k+1 letters of its word; swapping the
-    letters at positions (p, p+1) for p in ``swaps`` negates a row, so each
-    streamed row is stored with its mirrors, the same row signed.
-    """
-    n = mu.n
-    entries = {}
-    for r, row in rows:
-        images = [(r, 1)]
-        for p in swaps:
-            images += [(_swap_letters(s, n, n ** (k - p)), -sgn) for s, sgn in images]
-        for s, sgn in images:
-            for c, v in row.items():
-                entries[(s, c)] = sgn * v
-    return ExactMatrix(n ** (k + 1) * n, Layout(n).dim2, entries, mu.field)
-
-
-def dnk_matrix(mu, k) -> ExactMatrix:
-    """Materialized derivative of the nested word (moderate n, k only)."""
-    return _materialize(mu, k, iter_dnk_rows(mu, k, scaled=False), (0,))
-
-
-def dsnk_matrix(mu, k) -> ExactMatrix:
-    """Materialized derivative of the split word (moderate n, k only)."""
-    swaps = (0, 2) if k >= 3 else (0,)
-    return _materialize(mu, k, iter_dsnk_rows(mu, k, scaled=False), swaps)
-
-
 # -- cohomology reports ------------------------------------------------------------
 
 
@@ -387,10 +350,6 @@ def derivation_dim(mu) -> int:
     if not is_lie(mu):
         raise NotLieAlgebra("derivations are defined for Lie brackets")
     return mu.n * mu.n - _d1_rank(mu)
-
-
-def orbit_dim(mu) -> int:
-    return mu.n * mu.n - derivation_dim(mu)
 
 
 # -- augmented exactness for parametric families -------------------------------------

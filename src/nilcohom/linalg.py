@@ -103,21 +103,6 @@ class ExactMatrix:
                 out[r] = out[r] + a * v[c]
         return out
 
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
-
 
 def _zero(field):
     return QI(0) if field == FIELD_QI else Fraction(0)
@@ -215,23 +200,12 @@ class RowBasis:
         rows[lead] = row
         return True
 
-    def contains(self, row):
-        """True iff the ``{col: value}`` row lies in the span; the basis is
-        left as it was.  A Gaussian row lies in a span over Q iff its real
-        and imaginary parts do."""
-        if not self.gaussian and any(isinstance(v, QI) for v in row.values()):
-            row = {c: promote(v, FIELD_QI) for c, v in row.items()}
-            parts = ({c: v.re for c, v in row.items()}, {c: v.im for c, v in row.items()})
-            return all(self.contains(part) for part in parts)
-        return not self._reduced(row)
-
     def _reduced(self, row):
         """A copy of ``row`` cleared of denominators, minus its components
         along the retained rows.  A Gaussian entry makes the span a
-        Q(i)-span (``contains`` splits such a row over Q first).  A row of
-        ints and Gaussian integers is only copied; any other goes once
-        through ``int_cleared``, which also turns Fraction(3) and
-        QI(Fraction(3), 0) into the int 3."""
+        Q(i)-span.  A row of ints and Gaussian integers is only copied; any
+        other goes once through ``int_cleared``, which also turns Fraction(3)
+        and QI(Fraction(3), 0) into the int 3."""
         integral = True
         for v in row.values():
             if type(v) is not int:

@@ -11,6 +11,7 @@ QI with zero imaginary part back to Fraction is an explicit call
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 FIELD_Q = "Q"
@@ -144,17 +145,24 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# digits, signs, "/" and a final "i": no decimals or exponents, which
+# Fraction also reads (1e999999999 would expand to a billion digits)
+_WIRE = re.compile(r"[0-9/+\- ]*i?")
+
+
 def parse_scalar(text: str, field: str = FIELD_Q):
     """Parse the wire format back into Fraction or QI (inverse of format)."""
     s = text.strip()
+    if not _WIRE.fullmatch(s):
+        raise ValueError(f"bad scalar: {text!r}")
     if s.endswith("i"):
         body = s[:-1].strip()
         # split at the sign that separates real and imaginary parts
         k = max(body.rfind("+"), body.rfind("-", 1))
         if k <= 0:
             raise ValueError(f"bad Gaussian scalar: {text!r}")
-        re = Fraction(body[:k].strip())
-        im = Fraction((body[k] + body[k + 1 :]).strip().replace("+", ""))
-        return QI(re, im)
+        real = Fraction(body[:k].strip())
+        imag = Fraction((body[k] + body[k + 1 :]).strip().replace("+", ""))
+        return QI(real, imag)
     val = Fraction(s)
     return QI(val) if field == FIELD_QI else val

@@ -1,11 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import strategies as st
 
 from nilcohom.catalog import Catalog
+from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
 from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec
 from nilcohom.linalg import ExactMatrix, reduce_rows
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
@@ -148,6 +150,44 @@ def dj_matrix(mu):
     return ExactMatrix(lay.dim3, lay.dim2, entries, mu.field)
 
 
+def _swap_letters(r, n, w):
+    """Row index r with its letters of weight w*n and w swapped."""
+    a, b = r // (w * n) % n, r // w % n
+    return r + (b - a) * (w * n - w)
+
+
+def _materialize(mu, k, rows, swaps):
+    """The full matrix from a stream of one row per antisymmetry orbit.
+
+    Row r = index * n + m carries the k+1 letters of its word; swapping the
+    letters at positions (p, p+1) for p in ``swaps`` negates a row, so each
+    streamed row is stored with its mirrors, the same row signed.
+    """
+    n = mu.n
+    entries = {}
+    for r, row in rows:
+        images = [(r, 1)]
+        for p in swaps:
+            images += [(_swap_letters(s, n, n ** (k - p)), -sgn) for s, sgn in images]
+        for s, sgn in images:
+            for c, v in row.items():
+                entries[(s, c)] = sgn * v
+    return ExactMatrix(n ** (k + 1) * n, Layout(n).dim2, entries, mu.field)
+
+
+def dnk_matrix(mu, k):
+    """The derivative of the nested word with every row: ``iter_dnk_rows``
+    with the mirrors of its rows put back (moderate n, k only)."""
+    return _materialize(mu, k, iter_dnk_rows(mu, k, scaled=False), (0,))
+
+
+def dsnk_matrix(mu, k):
+    """The derivative of the split word with every row: ``iter_dsnk_rows``
+    with the mirrors of its rows put back (moderate n, k only)."""
+    swaps = (0, 2) if k >= 3 else (0,)
+    return _materialize(mu, k, iter_dsnk_rows(mu, k, scaled=False), swaps)
+
+
 # -- matrix and subspace helpers that only the tests need ------------------------
 
 
@@ -232,5 +272,8 @@ def direct_sum(mu1, mu2, name=None):
 
 
 def contains_space(big, small):
-    """Whether the span of one RowBasis holds the span of another."""
-    return all(big.contains(row) for row in small.sparse_rows())
+    """Whether the span of one RowBasis holds the span of another (of the
+    same field): adding the rows of ``small`` leaves the rank of ``big``."""
+    field = FIELD_QI if big.gaussian else FIELD_Q
+    rows = chain(big.sparse_rows(), small.sparse_rows())
+    return reduce_rows(rows, big.ncols, field).rank == big.rank

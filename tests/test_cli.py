@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -403,9 +404,76 @@ _TARGETS = st.sampled_from([
 ])
 
 
+# -- JSON algebra records ----------------------------------------------------------
+
+_SCALARS = st.sampled_from(["1", "-1/2", "1+2 i", "1/0", "1e9", "x", 2])
+_INDICES = st.one_of(st.integers(0, 4), st.sampled_from(["1", None, 1.5, True]))
+_TERMS = st.fixed_dictionaries({"k": _INDICES, "c": _SCALARS})
+_BRACKETS = st.fixed_dictionaries(
+    {"i": _INDICES, "j": _INDICES, "terms": st.one_of(st.lists(_TERMS, max_size=2), st.just(5))})
+_TABLES = st.sampled_from(["ab = c", "ab = c, ac = d", "ab = (1+i)c", "ab = t c", "ab = zz", 3])
+
+
+def _pruned(draw, fields):
+    """``fields`` with up to two of its keys left out, and so every object
+    nested in it."""
+    if isinstance(fields, list):
+        return [_pruned(draw, x) for x in fields]
+    if not isinstance(fields, dict):
+        return fields
+    drop = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2)) if fields else set()
+    return {key: _pruned(draw, value) for key, value in fields.items() if key not in drop}
+
+
+@st.composite
+def _record_texts(draw):
+    """Text of a JSON algebra record named ``drawn``, in either form, with
+    keys left out, mistyped or out of range (dims 0 and 27 among them); or
+    JSON that is no record, or text that is not JSON."""
+    shape = draw(st.sampled_from(["brackets", "table", "other"]))
+    if shape == "other":
+        return draw(st.sampled_from(["[1, 2]", "5", "{\"name\": \"drawn\", 'dim': 3}", ""]))
+    fields = {
+        "name": draw(st.sampled_from(["drawn", 5])),
+        "dim": draw(st.one_of(st.integers(0, 4), st.sampled_from([26, 27, "3"]))),
+        "field": draw(st.sampled_from(["Q", "Qi", "R"])),
+        "aliases": draw(st.sampled_from([["drawn_alias"], "drawn_alias"])),
+    }
+    if shape == "brackets":
+        fields["brackets"] = draw(st.one_of(st.lists(_BRACKETS, max_size=3), st.just(5)))
+    else:
+        fields["table"] = draw(_TABLES)
+        fields["params"] = draw(st.sampled_from([[], ["t"], [1], "t"]))
+    return json.dumps(_pruned(draw, fields))
+
+
+def _record_argv(draw):
+    """argv naming a drawn record as a file, or by name from a --data-pack
+    directory that holds it (or holds nothing, or is not there), with the
+    files to write under ``{dir}``; ``{dir}/pack`` always exists."""
+    text = draw(_record_texts())
+    where = draw(st.sampled_from(["file", "pack", "empty pack", "no pack"]))
+    if where == "file":
+        argv, files = ["{dir}/drawn.json"], {"drawn.json": text}
+    else:
+        pack = "{dir}/pack" if where != "no pack" else "{dir}/no_pack"
+        name = draw(st.sampled_from(["drawn", "drawn_alias", "f_3"]))
+        argv, files = ["--data-pack", pack, name], {}
+        if where == "pack":
+            files["pack/drawn.json"] = text
+            manifest = draw(st.sampled_from([None, '{"name": "p"}', "[1]", "{"]))
+            if manifest is not None:
+                files["pack/manifest.json"] = manifest
+    command = draw(st.sampled_from([["info"], ["cohomology", "--k", "2"]]))
+    # the options go before the command, the name right after it
+    argv = argv[:-1] + command[:1] + argv[-1:] + command[1:]
+    return argv, files
+
+
 @st.composite
 def _argvs(draw):
-    """argv for info, cohomology, exactness and ideal gens|member|nonmember.
+    """argv for info, cohomology, exactness and ideal gens|member|nonmember,
+    with the files it names (none but for a drawn JSON record).
 
     The g_5 and g_6 families keep SN_K with 8 < K < 200 out: at their
     points that are not nilpotent the word walk runs to its node cap, for
@@ -413,8 +481,11 @@ def _argvs(draw):
     under a second.
     """
     command = draw(st.sampled_from(
-        ["info", "cohomology", "exactness", "gens", "member", "nonmember"]))
-    if command == "info":
+        ["info", "cohomology", "exactness", "gens", "member", "nonmember", "record"]))
+    files = {}
+    if command == "record":
+        argv, files = _record_argv(draw)
+    elif command == "info":
         name = draw(st.sampled_from(_CATALOG_NAMES))
         argv = ["info", name, "--params", _assignment(draw, name)]
     elif command == "cohomology":
@@ -440,18 +511,101 @@ def _argvs(draw):
             argv += ["--zeros", draw(st.sampled_from(["1,2,4;1,3,4", "1,2,4", "1,2", "a,b", ""]))]
     if draw(st.booleans()):
         argv.append("--json")
-    return argv
+    return argv, files
+
+
+# malformed records, each with the key (or the fault) its error names
+_MALFORMED = {
+    '{"name": "x", "dim": 3, "brackets": [{"i": 1}]}': "'j' is missing",
+    '{"brackets": []}': "'dim' is missing",
+    '{"name": "x", "dim": 3, "brackets": 5}': "'brackets' is not a list",
+    "[1, 2]": "not a JSON object",
+    '{"name": "x", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3}]}]}':
+        "'c' is missing",
+    "{\"name\": \"x\", 'dim': 3}": "Expecting property name",
+    '{"name": "x", "dim": 3, "table": "ab = (1+i)c"}': "'field' is Q",
+    '{"name": "x", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1+2 i"}]}]}':
+        "'c' is not a scalar over Q",
+}
+
+
+def _malformed_examples(test):
+    """Each malformed record as an example, as a file and in a pack."""
+    for text in _MALFORMED:
+        test = example((["info", "{dir}/drawn.json"], {"drawn.json": text}))(test)
+        test = example((["--data-pack", "{dir}/pack", "info", "f_3"],
+                        {"pack/drawn.json": text}))(test)
+    return test
+
+
+def _main_in(tmp, argv, files):
+    """Run main on argv with ``{dir}`` set to the directory ``tmp``, after
+    writing ``files`` under it; returns (code, stdout, stderr)."""
+    (Path(tmp) / "pack").mkdir(exist_ok=True)
+    for name, text in files.items():
+        (Path(tmp) / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("{dir}", str(tmp)) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
-@example(["exactness", "g_1(t)", "--at", "t=1", "--constraint", "n100000"])
+@example((["exactness", "g_1(t)", "--at", "t=1", "--constraint", "n100000"], {}))
+@_malformed_examples
 @given(_argvs())
-def test_every_argv_answers_or_exits_2_or_3(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+def test_every_argv_answers_or_exits_2_or_3(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _main_in(tmp, argv, files)
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
-        assert out.getvalue() == "" and err.getvalue()
+        assert out == "" and err
     elif "--json" in argv:
-        json.loads(out.getvalue())
+        json.loads(out)
+
+
+def test_malformed_records_exit_2_naming_the_key_and_the_file(tmp_path):
+    for text, fault in _MALFORMED.items():
+        path = tmp_path / "pack" / "drawn.json"
+        for argv in (["info", str(path)], ["--data-pack", str(path.parent), "info", "f_3"]):
+            code, out, err = _main_in(tmp_path, argv, {"pack/drawn.json": text})
+            assert (code, out) == (2, "") and fault in err and str(path) in err, (text, argv)
+
+
+# a record in table form, and a real record declared over Q(i): each is
+# the 2-step f_3, over Q and over Q(i), however it is given
+_F3_TABLE = '{"name": "drawn", "dim": 3, "table": "ab = c"}'
+_F3_OVER_QI = ('{"name": "drawn", "dim": 3, "field": "Qi",'
+               ' "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}')
+
+
+@settings(max_examples=60, deadline=None)
+@example(_F3_TABLE)
+@example(_F3_OVER_QI)
+@given(_record_texts())
+def test_a_record_answers_the_same_as_a_file_and_from_a_pack(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"pack/drawn.json": text}
+        as_file = _main_in(tmp, ["info", "{dir}/pack/drawn.json", "--json"], files)
+        from_pack = _main_in(tmp, ["--data-pack", "{dir}/pack", "info", "drawn", "--json"], files)
+    assert as_file[0] in (0, 2) and from_pack[0] in (0, 2)
+    try:
+        named = json.loads(text)["name"] == "drawn"
+    except (ValueError, TypeError, KeyError):
+        named = False
+    if named:
+        # byte for byte the same answer, or both refuse it
+        assert from_pack[:2] == as_file[:2]
+    else:
+        # a pack names its records; a file is named by its path
+        assert from_pack[0] == 2
+
+
+def test_a_record_past_26_letters_exits_2_at_once(tmp_path):
+    path = tmp_path / "pack" / "big.json"
+    for argv in (["info", str(path)], ["--data-pack", str(path.parent), "info", "big"]):
+        start = time.perf_counter()
+        code, out, err = _main_in(tmp_path, argv, {"pack/big.json": '{"name": "big", "dim": 2000}'})
+        assert (code, out) == (2, "") and "'dim' is 2000, outside 1..26" in err
+        assert str(path) in err and time.perf_counter() - start < 1

@@ -356,8 +356,8 @@ def test_center_of_abelian_is_everything():
 def test_subspace_span_and_membership():
     s = reduce_rows([[1, 1, 0], [0, 2, 0]], 3)
     assert s.rank == 2
-    assert s.contains({0: 5, 1: -3})
-    assert not s.contains({2: 1})
+    assert contains_space(s, reduce_rows([{0: 5, 1: -3}], 3))
+    assert not contains_space(s, reduce_rows([{2: 1}], 3))
     assert contains_space(reduce_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), s)
     assert not contains_space(s, reduce_rows([[0, 1, 1]], 3))
 

@@ -129,3 +129,15 @@ def test_int_parts_and_fraction_parts_agree(a, b, c, d):
     real = QI(a)
     assert type(real.to_fraction()) is Fraction and real.to_fraction() == a
     assert type(promote(real, FIELD_Q)) is Fraction
+
+
+def test_parse_scalar_reads_the_wire_format_only():
+    assert parse_scalar(" -3/4 ") == Fraction(-3, 4)
+    assert parse_scalar("1/2-3 i", FIELD_QI) == QI(Fraction(1, 2), -3)
+    # Fraction alone would read decimals and exponents, and 1e999999999
+    # would expand to a billion digits
+    for text in ("1e999999999", "0.5", "1_000", "", "2+1e9 i"):
+        with pytest.raises(ValueError):
+            parse_scalar(text, FIELD_QI)
+    with pytest.raises(ZeroDivisionError):
+        parse_scalar("1/0")
