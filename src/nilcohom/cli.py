@@ -64,7 +64,10 @@ def _load_structure(catalog, name, assignment):
     path = Path(name)
     is_file = path.is_file()
     if is_file and path.suffix != ".json":
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as e:  # unreadable, or not UTF-8
+            raise ValueError(f"{path}: {e}") from None
         lines = text.splitlines()
         dim = None
         body = text

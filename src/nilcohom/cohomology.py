@@ -42,6 +42,20 @@ the stack keeps its row space, and its reduced rows are the same.  The
 word rows alone can span less, so the public streams and the tensors
 ``n_k``/``sn_k`` keep every word.
 
+In [d2 ; dN_k] the letters are restricted as well, to a set S of basis
+indices whose e_s span g modulo g^1 (``liealg.k_step_generators``).  If
+N_k(mu) = 0 and d2(sigma) = 0, a letter that is a bracket mu(y, z)
+expands by the Jacobi identity of mu + e sigma, which holds to first order,
+into words of k + 2 letters, whose first-order parts are brackets of
+dN_k(sigma) on words of smaller bracket depth; so dN_k(sigma) vanishes on
+every word once it does on the words of S-letters (the induction is in
+``walk_words``).  The S-letter rows thus span, beside the d2 rows, every
+dN_k row, and the reduced rows are again the same.  The restriction is
+taken only when N_k(mu) = 0: the expansion leaves values of N_k at mu,
+which vanish only then, and at a bracket that is not k-step the S-letter
+rows can span less.  The split words of dSN_k are not left-normed, and
+their letters are not restricted.
+
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
 differential is homogeneous in mu (d1 and d2 are linear), so that
@@ -70,7 +84,7 @@ from .liealg import (
     _letter_operators,
     _sigma_of_vec,
     is_lie,
-    n_k_vanishes,
+    k_step_generators,
     sn_k_vanishes,
     walk_words,
 )
@@ -162,7 +176,7 @@ def iter_d2_rows(mu, scaled=True):
             yield t * n + m, rows[m]
 
 
-def iter_dnk_rows(mu, k, scaled=True, least_first=False):
+def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     """Sparse rows of the derivative of the k-fold nested bracket at mu.
 
     One row per unordered leading pair: only the words with a1 < a2 are
@@ -171,12 +185,16 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False):
     row space is the full matrix's.  With ``least_first`` only the words
     that start with their least letter are emitted, whose rows span the
     others' only beside the d2 rows at a Lie point (see ``walk_words``).
+    With ``letters`` (basis indices) only the words over those letters are
+    emitted; at a k-step point, with letters that generate, their rows span
+    beside the d2 rows what every word row spans (again ``walk_words``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n, table = _dense_table(mu, scaled)
     _, right = _letter_operators(table, n)
-    words = walk_words(right, n, k + 1, Layout(n), ascending_pair=True, least_first=least_first)
+    words = walk_words(right, n, k + 1, Layout(n), ascending_pair=True,
+                       least_first=least_first, letters=letters)
     for index, _, tangent in words:
         for m in sorted(tangent):
             yield index * n + m, tangent[m]
@@ -312,15 +330,20 @@ def _d1_rank(mu):
     return reduce_rows(cols, Layout(mu.n).dim2, mu.field).rank
 
 
-def _constraint_reducer(mu, kind, k):
+def _constraint_reducer(mu, kind, k, letters=None):
     """Reduce the stacked constraint-differential rows; returns the reducer.
 
     The d2 rows come first, so the word rows are streamed least-first: at a
     Lie point they span, beside the d2 rows, what every word row spans.
+    The dN_k words are walked over ``letters``, ``k_step_generators(mu, k)``
+    when not given: a generating set when N_k(mu) = 0, and every letter
+    otherwise.
     """
     rows = iter_d2_rows(mu)
     if kind == "n":
-        rows = chain(rows, iter_dnk_rows(mu, k, least_first=True))
+        if letters is None:
+            letters = k_step_generators(mu, k)
+        rows = chain(rows, iter_dnk_rows(mu, k, least_first=True, letters=letters))
     elif kind == "sn":
         rows = chain(rows, iter_dsnk_rows(mu, k, least_first=True))
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
@@ -330,10 +353,11 @@ def h2_knil(mu, k, name=None) -> CohomologyReport:
     """Deformation cohomology inside the k-step nilpotent variety."""
     if not is_lie(mu):
         raise NotInVariety("bracket does not satisfy the Jacobi identity")
-    if not n_k_vanishes(mu, k):
+    letters = k_step_generators(mu, k)
+    if letters is None:
         raise NotInVariety(f"bracket is not (at most) {k}-step nilpotent")
     b = _d1_rank(mu)
-    z = Layout(mu.n).dim2 - _constraint_reducer(mu, "n", k).rank
+    z = Layout(mu.n).dim2 - _constraint_reducer(mu, "n", k, letters).rank
     return CohomologyReport(name or mu.name, mu.n, k, z, b, z - b, z == b)
 
 
@@ -416,7 +440,8 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     mu = table.evaluate(point)
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
-    if kind == "n" and not n_k_vanishes(mu, k):
+    letters = k_step_generators(mu, k) if kind == "n" else None
+    if kind == "n" and letters is None:
         raise NotInVariety(f"point violates N_{k} = 0")
     if kind == "sn" and not sn_k_vanishes(mu, k):
         raise NotInVariety(f"point violates SN_{k} = 0")
@@ -427,7 +452,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     cols += [col for _, col in iter_d1_columns(mu)]
     df_rank = reduce_rows(cols, lay.dim2, mu.field)
 
-    red = _constraint_reducer(mu, kind, k)
+    red = _constraint_reducer(mu, kind, k, letters)
     basis = red.sparse_rows()
     containment = all(in_kernel(vec, basis) for vec in cols)
     ker_dg = lay.dim2 - red.rank

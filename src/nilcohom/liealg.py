@@ -317,7 +317,8 @@ def _apply_to_rows(op, rows):
     return out
 
 
-def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=False):
+def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=False,
+               letters=None):
     """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
 
     ``right`` is the right operator list of ``_letter_operators``.
@@ -354,6 +355,42 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
     This is valid only in a stack that holds the d2 rows; the generator
     lists and the public row streams walk every word.
 
+    With ``letters`` (basis indices; None for all n) only the words whose
+    letters all lie in that set are walked, in the same order.  Let mu be a
+    Lie bracket with N_k(mu) = 0, so that every bracket of k + 1 or more
+    elements vanishes, and let S be a set of basis indices whose e_s span g
+    modulo g^1 = mu(g, g); g is nilpotent, so the e_s generate it and every
+    element is a combination of bracket monomials in them.  Let sigma be a
+    2-cochain with d2(sigma) = 0 and write D(x_1, ..., x_{k+1}) for the
+    derivative of N_k at mu along sigma, the first-order part in e of the
+    word under mu_e = mu + e sigma.  Claim: if D vanishes on every word of
+    S-letters, it vanishes on every word.  D is multilinear, so it is
+    enough to take each x_p a bracket monomial in the e_s, and to induct
+    on the total bracket depth of the k + 1 letters.  At depth 0 every
+    letter is some e_s.  Otherwise some x_p = mu(y, z), with y and z
+    monomials of smaller depth; by antisymmetry in the first two letters
+    take p >= 2, and write P for the word x_1, ..., x_{p-1} under mu_e.
+    - mu(y, z) = mu_e(y, z) - e sigma(y, z).  The first-order part of e
+      times the word with sigma(y, z) at position p is that word under mu,
+      a value of N_k at mu: it is 0.
+    - mu_e(P, mu_e(y, z)) = mu_e(mu_e(P, y), z) - mu_e(mu_e(P, z), y) plus
+      the Jacobiator of mu_e at (P, y, z), whose first-order part is
+      d2(sigma) = 0 (mu itself satisfies Jacobi), so it is O(e^2); the
+      later letters x_{p+1}, ... are linear brackets on the right.
+    - So D(x) is the first-order part of two left-normed words of k + 2
+      letters, x_1, ..., x_{p-1}, y, z, x_{p+1}, ... and the same with y, z
+      swapped.  The first-order part of such a word u is mu(D(u'), u_last)
+      + sigma(N_k(u'), u_last), where u' is its first k + 1 letters:
+      N_k(u') = 0 at mu, and u' has smaller total depth, so D(u') = 0 by
+      induction.
+    Beside the d2 rows, then, the rows of the S-letter words span every
+    word row.  The least-first restriction keeps the letters of a word, so
+    both restrictions hold together.  The proof needs N_k(mu) = 0 (at a
+    bracket that is not k-step the value terms do not vanish, and the
+    restricted rows can span less) and left-normed words: a split word is
+    not left-normed after the expansion, and restricting its letters
+    changes the span.
+
     The walk raises ResourceCapExceeded once it has kept more than
     MAX_WALK_NODES nonzero words of any length, or would go deeper than
     MAX_WALK_DEPTH letters: a word whose value and tangent never vanish (on
@@ -367,6 +404,8 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
         for b in range(n)
     ]
     ascending_pair = ascending_pair or least_first
+    alphabet = range(n) if letters is None else sorted(letters)
+    from_letter = [[b for b in alphabet if b >= lo] for lo in range(n + 1)]
     nodes = 0
 
     def extend(index, depth, v, tangent):
@@ -375,7 +414,7 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
             lo = index + 1 if ascending_pair else 0
         else:
             lo = index // n ** (depth - 1) if least_first else 0
-        for b in range(lo, n):
+        for b in from_letter[lo]:
             t2 = _apply_to_rows(right[b], tangent) if tangent else {}
             if lay is not None and v is not None:
                 # sigma(v, e_b): v[p] at column pair(p, b) * n + s of row s
@@ -409,7 +448,7 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
                 else:
                     yield from extend(index * n + b, depth + 1, v2, t2)
 
-    for a in range(n):
+    for a in alphabet:
         if length == 1:
             yield a, _unit(n, a), {}
         else:
@@ -505,15 +544,27 @@ def _series(mu, derived=False):
 
 
 def n_k_vanishes(mu, k):
-    """N_k(mu) = 0, decided by the lower central series in polynomial time.
+    """N_k(mu) = 0, decided by the lower central series in polynomial time."""
+    return k_step_generators(mu, k) is not None
+
+
+def k_step_generators(mu, k):
+    """Basis indices S whose e_s span g modulo g^1 when N_k(mu) = 0, else None.
 
     For any bilinear bracket g^k is spanned by the left-nested (k+1)-letter
-    words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.
+    words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.  S is picked
+    greedily: e_s is taken when it is independent of g^1 and of the e_s
+    taken before it, so S has n - dim g^1 elements.  One lower central
+    series serves both answers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     series = _series(mu)
-    return series[min(k, len(series) - 1)].rank == 0
+    last = len(series) - 1
+    if series[min(k, last)].rank:
+        return None
+    span = reduce_rows(series[min(1, last)].sparse_rows(), mu.n, mu.field)
+    return tuple(s for s in range(mu.n) if span.add({s: 1}))
 
 
 def sn_k_vanishes(mu, k):

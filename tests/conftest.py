@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
-from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec
+from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec, change_basis
 from nilcohom.linalg import ExactMatrix, reduce_rows
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
@@ -72,6 +72,21 @@ def random_structure(n, rng=None, density=0.5, lo=-3, hi=3):
             if row:
                 brackets[(i, j)] = row
     return StructureConstants(n, brackets)
+
+
+def seeded_bases(mu, rng, count):
+    """mu in ``count`` bases of three transvections I + c E_ij each, the
+    first half with c in {1, -1, 2}, the rest with c in {i, 1 + i, -i}."""
+    out = []
+    for t in range(count):
+        coeffs = (1, -1, 2) if t < count // 2 else (QI(0, 1), QI(1, 1), QI(0, -1))
+        g = [[int(i == j) for j in range(mu.n)] for i in range(mu.n)]
+        for _ in range(3):
+            i, j = rng.sample(range(mu.n), 2)
+            c = rng.choice(coeffs)
+            g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        out.append(change_basis(mu, g))
+    return out
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))

@@ -81,6 +81,13 @@ def test_info_parse_error_reports_position(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_table_text_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "") and f"{path}: 'utf-8' codec" in err
+
+
 def test_unknown_name_is_usage_error(capsys):
     code, _, err = run(capsys, "info", "not_an_algebra")
     assert code == 2 and "unknown" in err

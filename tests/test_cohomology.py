@@ -16,6 +16,7 @@ from conftest import (
     kernel_basis,
     matmul,
     random_structure,
+    seeded_bases,
     stack,
 )
 from nilcohom import cohomology
@@ -41,6 +42,7 @@ from nilcohom.liealg import (
     _letters,
     change_basis,
     jacobi,
+    k_step_generators,
     n_k,
     pencil,
     sn_k,
@@ -682,6 +684,44 @@ def test_least_first_streams_are_the_full_streams_restricted(catalog):
             kept = [(r, row) for r, row in full
                     if min(inner := _letters(r // n, n, k + 1)[2:]) == inner[0]]
             assert list(iter_dsnk_rows(mu, k, least_first=True)) == kept
+
+
+def test_generator_walk_is_the_least_first_stream_restricted(catalog):
+    # the rows of the generator-letter stream are the least-first stream's
+    # rows of the words whose letters all lie in S, in the same order
+    rng = random.Random(18)
+    cases = [(catalog.structure("g_{137B}"), 3), (_g53_tables(catalog)[1], 3),
+             (catalog.structure("g_{5,1}"), 2), (catalog.structure("12346_E"), 5)]
+    cases += [(mu, 3) for mu in seeded_bases(catalog.structure("g_{5,3}"), rng, 2)]
+    assert {mu.field for mu, _ in cases} == {FIELD_Q, FIELD_QI}
+    for mu, k in cases:
+        n, letters = mu.n, k_step_generators(mu, k)
+        assert letters is not None and len(letters) < n
+        for least_first in (False, True):
+            stream = list(iter_dnk_rows(mu, k, least_first=least_first))
+            kept = [(r, row) for r, row in stream
+                    if set(_letters(r // n, n, k + 1)) <= set(letters)]
+            got = list(iter_dnk_rows(mu, k, least_first=least_first, letters=letters))
+            assert got == kept and 0 < len(got) < len(stream), (mu, k, least_first)
+
+
+def test_generator_walk_needs_every_generator_and_a_k_step_point(catalog):
+    # dropping any one generating letter changes the [d2 ; dN_k] rows
+    for name, k in (("g_{137B}", 3), ("g_{5,1}", 2)):
+        mu = catalog.structure(name)
+        letters = k_step_generators(mu, k)
+        ref = _full_stack(mu, "n", k).sparse_rows()
+        assert _constraint_reducer(mu, "n", k, letters).sparse_rows() == ref
+        for s in letters:
+            fewer = tuple(x for x in letters if x != s)
+            assert _constraint_reducer(mu, "n", k, fewer).sparse_rows() != ref, (name, s)
+    # 12346_E is 5-step: its generators e_1, e_2 do not give the N_2 rows, so
+    # at k = 2 the reducer walks every letter
+    mu = catalog.structure("12346_E")
+    assert k_step_generators(mu, 2) is None and k_step_generators(mu, 5) == (0, 1)
+    ref = _full_stack(mu, "n", 2).sparse_rows()
+    assert _constraint_reducer(mu, "n", 2, (0, 1)).sparse_rows() != ref
+    assert _constraint_reducer(mu, "n", 2).sparse_rows() == ref
 
 
 def test_full_streams_matrices_and_tensors_are_unchanged(catalog):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import center, contains_space, dense_rref, direct_sum, random_structure
+from conftest import (
+    center,
+    contains_space,
+    dense_rref,
+    direct_sum,
+    random_structure,
+    seeded_bases,
+)
 from nilcohom.errors import (
     DimensionMismatch,
     NotDerivation,
@@ -25,6 +32,7 @@ from nilcohom.liealg import (
     heisenberg_extension,
     is_lie,
     jacobi,
+    k_step_generators,
     lower_central_series,
     n_k,
     n_k_vanishes,
@@ -221,6 +229,29 @@ def test_sn_k_vanishes_agrees_with_the_split_word(catalog):
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             n_k_vanishes(heisenberg(1), k)
+
+
+def test_k_step_generators_span_g_modulo_g1(catalog):
+    # the letters of the generator walk: n - dim g^1 basis vectors that span
+    # g together with g^1, given exactly when N_k(mu) = 0
+    rng = random.Random(18)
+    tables = [catalog.structure(name) for name, _ in NILPOTENT_CATALOG]
+    tables += [b for mu in tables for b in seeded_bases(mu, rng, 4)]
+    assert {mu.field for mu in tables} == {FIELD_Q, FIELD_QI}
+    for mu in tables:
+        g1 = lower_central_series(mu)[1]
+        for k in range(1, 7):
+            letters = k_step_generators(mu, k)
+            assert (letters is None) == bool(n_k(mu, k)), (mu, k)
+            if letters is not None:
+                assert len(letters) == mu.n - g1.rank, (mu, k)
+                units = [{s: 1} for s in letters]
+                assert reduce_rows(g1.sparse_rows() + units, mu.n, mu.field).rank == mu.n
+    sl2 = StructureConstants(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    assert [k_step_generators(sl2, k) for k in range(1, 4)] == [None] * 3
+    assert k_step_generators(StructureConstants.abelian(3), 1) == (0, 1, 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        k_step_generators(heisenberg(1), 0)
 
 
 def _series_oracle(mu, derived=False):

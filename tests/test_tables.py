@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import structure_tables
 from nilcohom.errors import TableError
+from nilcohom.liealg import StructureConstants
 from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import (
@@ -113,6 +114,35 @@ def test_gaussian_table_round_trip(mu):
     # table text carries no field tag: an all-real table comes back over Q
     if any(v.im for coeffs in mu.c.values() for v in coeffs.values()):
         assert again.field == FIELD_QI
+
+
+@st.composite
+def _tables_past_e9(draw):
+    """Brackets of dimension 1-12 over Q or Q(i), so that some reach e_9."""
+    n = draw(st.integers(1, 12))
+    gaussian = draw(st.booleans())
+    rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    scalar = st.builds(QI, rationals, rationals) if gaussian else rationals
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = draw(st.dictionaries(
+        st.sampled_from(pairs), st.dictionaries(st.integers(0, n - 1), scalar, max_size=3),
+        max_size=4)) if pairs else {}
+    return StructureConstants(n, brackets, FIELD_QI if gaussian else FIELD_Q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables_past_e9())
+@example(StructureConstants(10, {(0, 1): {2: QI(1, 2)}}, FIELD_QI))
+@example(parse_table("ab = (1+2i)c", 8))
+@example(parse_table("ab = 3i, hi = -1/2a", 9))
+def test_table_text_parses_back_or_is_refused(mu):
+    try:
+        text = format_table(mu)
+    except TableError:
+        assert mu.n >= 9 and any(isinstance(v, QI) and v.im
+                                 for row in mu.c.values() for v in row.values())
+    else:
+        assert parse_table(text, mu.n) == mu
 
 
 def test_family_identification_on_the_nilpotent_line(catalog):
