@@ -37,9 +37,10 @@ basis of the multilinear part of degree L of the free Lie algebra
 integer combination of the words that start with its least letter, modulo
 antisymmetry and Jacobi terms, and substituting basis letters (repeats
 allowed) keeps the identity.  At a Lie point the Jacobi terms vanish and
-their derivatives lie in the span of the d2 rows, which head every stack:
-the stack keeps its row space, and its reduced rows are the same.  The
-word rows alone can span less, so the public streams and the tensors
+their derivatives lie in the span of the d2 rows, which every stack holds
+(where they stand in it does not matter, as a row space has no order): the
+stack keeps its row space, and its reduced rows are the same.  The word
+rows alone can span less, so the public streams and the tensors
 ``n_k``/``sn_k`` keep every word.
 
 In [d2 ; dN_k] the letters are restricted as well, to a set S of basis
@@ -333,8 +334,9 @@ def _d1_rank(mu):
 def _constraint_reducer(mu, kind, k, letters=None):
     """Reduce the stacked constraint-differential rows; returns the reducer.
 
-    The d2 rows come first, so the word rows are streamed least-first: at a
-    Lie point they span, beside the d2 rows, what every word row spans.
+    The d2 rows are in the stack, so the word rows are streamed least-first:
+    at a Lie point they span, beside the d2 rows, what every word row spans.
+    ``reduce_rows`` may add the rows in any order; the span is the same.
     The dN_k words are walked over ``letters``, ``k_step_generators(mu, k)``
     when not given: a generating set when N_k(mu) = 0, and every letter
     otherwise.

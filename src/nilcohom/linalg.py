@@ -8,7 +8,19 @@ other retained row.  An incoming row therefore needs one elimination per
 pivot column among its own nonzeros, each touching only that pivot row's
 nonzeros; a row that survives is normalized, kept, and its lead column is
 cleared from the retained rows that have it.  At most ``ncols`` rows are
-ever held, however many stream by.
+ever retained, however many stream by.
+
+That clearing (the back-substitution) costs one elimination per retained
+row with a nonzero in the new lead column, each touching the entries of
+that row and of the new one, so it grows with the density of the rows
+that are kept.
+``reduce_rows``, which every stream in the package goes through, therefore
+reads its rows in windows of 4 * ncols + 1 and adds each window sparsest
+row first, the order of sparse-first pivoting in structured Gaussian
+elimination (LaMacchia and Odlyzko, "Solving large sparse linear systems
+over finite fields", CRYPTO '90): sparse rows kept early keep the retained
+rows sparse, so a later lead hits fewer of them.  One window is held
+besides the retained rows.
 
 One scalar rule holds over Q and Q(i) alike, the fraction-free elimination
 of Bareiss carried over to the Gaussian integers Z[i]:
@@ -31,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -341,16 +354,31 @@ def _sparse_from(rowlike, ncols):
     return {c: v for c, v in enumerate(row) if v}
 
 
+# rows per window of reduce_rows, per column of the span
+_WINDOW_PER_COL = 4
+
+
 def reduce_rows(rows, ncols, field=FIELD_Q):
     """The RowBasis (rank, basis rows, pivots) of the stacked ``rows``,
     without materializing the matrix.
 
     ``rows`` is any iterable of dense sequences (length ``ncols``) or sparse
-    {col: value} dicts.  Deterministic, memory bounded by ncols**2 entries.
+    {col: value} dicts.  It is read in windows of 4 * ncols + 1 rows, and
+    each window is added sparsest row first (a stable sort by the number of
+    entries, which the package's streams store only when nonzero).  The
+    retained rows do not depend on the order, so the result is that of
+    adding the rows as they arrive.  Deterministic; besides the at most
+    ``ncols`` retained rows of at most ``ncols`` entries, only one window
+    is held, so memory is bounded by (5 * ncols + 1) * ncols entries.  An
+    exception raised by ``rows`` propagates as it is.
     """
     basis = RowBasis(ncols, field)
-    for rowlike in rows:
-        basis.add(_sparse_from(rowlike, ncols))
+    rows = iter(rows)
+    size = _WINDOW_PER_COL * ncols + 1
+    while window := [_sparse_from(rowlike, ncols) for rowlike in islice(rows, size)]:
+        window.sort(key=len)
+        for row in window:
+            basis.add(row)
     return basis
 
 

@@ -458,13 +458,16 @@ def parse_tpoly(text) -> MultiPoly:
 def format_table(mu) -> str:
     """Render structure constants back to table text; zero bracket -> ''.
 
-    Raises TableError on a Gaussian coefficient from dimension 9 on: the
-    letter i is then the basis vector e_9, so the text would not parse back.
+    Raises TableError from dimension 27 on, which has no basis letters, and
+    on a Gaussian coefficient from dimension 9 on: the letter i is then the
+    basis vector e_9, so the text would not parse back.
     """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if mu.n > len(letters):
+        raise TableError(f"dimension {mu.n} has no table text: the basis letters are a..z (1..26)")
     gaussian = any(isinstance(c, QI) and c.im for row in mu.c.values() for c in row.values())
     if gaussian and mu.n >= 9:
         raise TableError(f"a Gaussian coefficient has no table text in dimension {mu.n} >= 9")
-    letters = "abcdefghijklmnopqrstuvwxyz"
     chunks = []
     for (i, j) in sorted(mu.brackets()):
         coeffs = mu.bracket_basis(i, j)

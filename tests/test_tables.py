@@ -145,6 +145,18 @@ def test_table_text_parses_back_or_is_refused(mu):
         assert parse_table(text, mu.n) == mu
 
 
+@pytest.mark.parametrize("mu", [
+    StructureConstants(27, {(0, 26): {1: 1}}),
+    StructureConstants(27, {}),
+    StructureConstants(30, {(0, 1): {2: QI(1, 2)}}, FIELD_QI),
+])
+def test_table_text_is_refused_past_26_letters(mu):
+    with pytest.raises(TableError, match=f"dimension {mu.n}"):
+        format_table(mu)
+    with pytest.raises(TableError):
+        parse_table("", mu.n)
+
+
 def test_family_identification_on_the_nilpotent_line(catalog):
     # the surface at r=0 is the printed nilpotent curve, parameter for parameter
     for t in (Fraction(1), Fraction(5), Fraction(-2)):
