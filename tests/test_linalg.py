@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,7 +15,7 @@ from conftest import (
     streaming_rank,
     transpose,
 )
-from nilcohom.errors import DimensionMismatch, SingularMatrix
+from nilcohom.errors import DimensionMismatch, ResourceCapExceeded, SingularMatrix
 from nilcohom.linalg import (
     ExactMatrix,
     RowBasis,
@@ -279,14 +279,18 @@ def test_integral_reduced_rows_equal_the_dense_rref_past_the_machine_word():
 def _streams(draw):
     """(rows, variant, ncols, field): rows over Q, over Q(i), or over Q with
     a Gaussian row arriving mid-stream, and the same rows rescaled,
-    partly duplicated and permuted."""
+    partly duplicated and permuted.  Some streams are long and narrow, so
+    that they span several of the windows ``reduce_rows`` reads."""
     mode = draw(st.sampled_from(("Q", "Qi", "promote")))
     scalar = _rationals if mode == "Q" else st.one_of(_rationals, _gaussians)
     nonzero = scalar.filter(bool)
-    ncols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        ncols, max_rows = draw(st.integers(1, 3)), 40
+    else:
+        ncols, max_rows = draw(st.integers(1, 6)), 8
     rows = draw(st.lists(
         st.lists(st.one_of(st.just(0), scalar), min_size=ncols, max_size=ncols),
-        min_size=1, max_size=8,
+        min_size=1, max_size=max_rows,
     ))
     if mode == "promote":
         at = draw(st.integers(0, len(rows)))
@@ -298,8 +302,17 @@ def _streams(draw):
     return rows, variant, ncols, FIELD_QI if mode == "Qi" else FIELD_Q
 
 
+def _window_edges():
+    """27 rows in 3 columns, which reduce_rows reads as windows of 13, 13 and
+    1: e_1 ends the first window, e_2 starts the second, e_3 is the last."""
+    rows = [[0, 0, 0] for _ in range(27)]
+    rows[12][0] = rows[13][1] = rows[26][2] = 1
+    return rows, rows[::-1], 3, FIELD_Q
+
+
 @settings(max_examples=150, deadline=None)
 @given(_streams())
+@example(_window_edges())
 def test_reduction_invariant_under_permutation_scaling_and_duplication(stream):
     rows, variant, ncols, field = stream
     red = reduce_rows(rows, ncols, field)
@@ -325,6 +338,29 @@ def test_reduction_invariant_under_permutation_scaling_and_duplication(stream):
         basis.add(row)
     assert [[(c, type(v), v) for c, v in row.items()] for row in dicts] == before
     assert basis.sparse_rows() == red.sparse_rows()
+    # reduce_rows reorders within its windows; adding the rows one at a time
+    # in arrival order gives the same basis
+    arrival = RowBasis(ncols, field)
+    for row in rows:
+        arrival.add({c: v for c, v in enumerate(row) if v})
+    assert arrival.rank == red.rank
+    assert arrival.pivot_cols() == red.pivot_cols()
+    assert arrival.sparse_rows() == red.sparse_rows()
+    assert arrival.gaussian == red.gaussian
+
+
+def test_reduce_rows_raises_what_its_stream_raises():
+    # as a word walk raises at its resource cap, part-way through a window
+    cap = ResourceCapExceeded("the word walk kept more than 3 nonzero words")
+
+    def capped():
+        for c in range(30):
+            yield {c % 3: 1, 2: c}
+        raise cap
+
+    with pytest.raises(ResourceCapExceeded) as info:
+        reduce_rows(capped(), 3)
+    assert info.value is cap
 
 
 def test_in_kernel_against_reduced_rows():
