@@ -241,7 +241,6 @@ class IsomorphismWitness:
     target: str
     param: str | None = None  # symbol ranged over by source/basis/target
     fixed: dict = dc_field(default_factory=dict)  # pinned parameter values
-    field_tag: str = FIELD_Q
     validity: str = ""
     samples: tuple = ()
 
@@ -303,7 +302,6 @@ _WITNESSES = [
         basis=("-ia", "-it^2(a-b)", "tc", "t^2d", "-ite", "-it^2f", "t^3g"),
         target="g_{247K}(t)",
         param="t",
-        field_tag=FIELD_QI,
         validity="t != 0; establishes the Gaussian-rational degeneration to g_{247K}",
         samples=(_F(1), _F(2)),
     ),

@@ -6,10 +6,12 @@ at column pair_index(i,j)*n + k; 3-cochains use ordered triples the same way.
 The multilinear operators map into full tensor powers, so their differentials
 are indexed by arbitrary (k+1)-tuples of basis letters.
 
-Every differential reaches the reducer in one format, sparse {column: value}
-dicts built from the dense bracket table: d1 as its columns (d1 of each
-basis 1-cochain), d2 and the word derivatives dN_k, dSN_k as their rows.
-The certificates only ever stream them; ``ExactMatrix`` is built only by
+Every differential reads the bracket through ``liealg._letter_operators``
+and reaches the reducer in one format, sparse {column: value} dicts with
+no zero entry, never empty: d1 as its columns (d1 of each basis
+1-cochain), d2 and the word derivatives dN_k, dSN_k as their rows, each
+group of rows built as {m: {column: value}} by output coordinate m.  The
+certificates only ever stream them; ``ExactMatrix`` is built only by
 ``d1_matrix`` and ``d2_matrix``, from the same streams.
 
 The derivative of a nested bracket word at mu is the sum over replacing one
@@ -21,7 +23,10 @@ The tangent is kept by output coordinate, {m: {column: value}}, which is
 the row format itself, so a word's rows are yielded as they are.  The split
 word combines each inner word with every leading pair by the product rule,
 its rows being combinations of the inner word's rows plus single entries
-for the leading pair's own terms.  Both words are antisymmetric in their
+for the leading pair's own terms.  d2, the derivative of the cyclic Jacobi
+sum, keeps its six-term formula and builds each triple's rows in the same
+format; its sigma(mu(e_x, e_y), e_z) terms, the walker's sigma(v, e_b) and
+the split word's wedge sigma(a, B) all go through ``liealg._add_sigma``.  Both words are antisymmetric in their
 first two letters, and the split word also in its third and fourth
 (through the inner word), so the streams carry one row per unordered pair:
 every row left out is an emitted row up to sign, or zero, and the row space
@@ -79,11 +84,10 @@ from .liealg import (
     MAX_WALK_DEPTH,
     Layout,
     StructureConstants,
+    _add_sigma,
     _apply_to_rows,
     _brv,
-    _dense_table,
     _letter_operators,
-    _sigma_of_vec,
     is_lie,
     k_step_generators,
     sn_k_vanishes,
@@ -114,7 +118,7 @@ def iter_d1_columns(mu, scaled=True):
     ``d1_matrix``: their span is Im d1 and their rank is b.
     """
     lay = Layout(mu.n)
-    n, table = _dense_table(mu, scaled)
+    n, table, _, right = _letter_operators(mu, scaled)
     # hits[p]: (pair index, coefficient of e_p in mu(e_i, e_j)) for i < j
     hits = [[] for _ in range(n)]
     for t, (i, j) in enumerate(lay.pairs):
@@ -126,12 +130,11 @@ def iter_d1_columns(mu, scaled=True):
         for q in range(n):
             col = {}
             # mu(e_x, alpha e_p) = mu(e_x, e_q), at the pair {x, p}
-            for x in range(n):
-                if x != p and table[x][q] is not None:
+            for x, terms in right[q]:
+                if x != p:
                     pi, sgn = lay.atom(x, p)
-                    for m, w in enumerate(table[x][q]):
-                        if w:
-                            col[pi * n + m] = sgn * w
+                    for m, w in terms:
+                        col[pi * n + m] = sgn * w
             # -alpha(mu(e_i, e_j))
             for t, co in hits[p]:
                 c = t * n + q
@@ -148,33 +151,37 @@ def iter_d2_rows(mu, scaled=True):
     """Sparse rows of the six-term adjoint differential on 2-cochains.
 
     One row {column: value} per output coordinate m of each basis triple
-    i < j < l, at row t * n + m for the t-th triple: the rows of ``d2_matrix``.
+    i < j < l, at row t * n + m for the t-th triple: the rows of
+    ``d2_matrix``.  Each triple's rows are built in the tangent-row format
+    of the word streams, {m: {column: value}}: mu(e_x, sigma(e_y, e_z))
+    puts each coefficient w of e_m in mu(e_x, e_s) at the column of
+    (y, z, s) in row m, and sigma(mu(e_x, e_y), e_z) puts each coefficient
+    of mu(e_x, e_y) at the columns of its pair with z in every row.
     """
     lay = Layout(mu.n)
-    n, table = _dense_table(mu, scaled)
+    n, table, left, _ = _letter_operators(mu, scaled)
     for t, (i, j, l) in enumerate(lay.triples):
-        F = {}
-        # mu(e_x, sigma(e_y, e_z)) terms, signs +, -, +
+        rows = {}
+        # mu(e_x, sigma(e_y, e_z)) terms, signs +, -, +; no column repeats
         for x, (y, z), sgn in ((i, (j, l), 1), (j, (i, l), -1), (l, (i, j), 1)):
-            pi = lay.pair_index[(y, z)]
-            for s in range(n):
-                if table[x][s] is not None:
-                    acc = F.setdefault(pi * n + s, [0] * n)
-                    for m, w in enumerate(table[x][s]):
-                        if w:
-                            acc[m] = acc[m] + sgn * w
+            base = lay.pair_index[(y, z)] * n
+            for s, terms in left[x]:
+                for m, w in terms:
+                    rows.setdefault(m, {})[base + s] = sgn * w
         # sigma(mu(e_x, e_y), e_z) terms, signs -, +, -
         for (x, y), z, sgn in (((i, j), l, -1), ((i, l), j, 1), ((j, l), i, -1)):
-            if table[x][y] is not None:
-                _sigma_of_vec(F, lay, table[x][y], z, sgn, n)
-        # F is {column: dense vector}; row m gathers coordinate m of each
-        rows = {}
-        for col, vec in F.items():
-            for m, v in enumerate(vec):
-                if v:
-                    rows.setdefault(m, {})[col] = v
+            v = table[x][y]
+            if v is not None:
+                sig = []
+                for p, co in enumerate(v):
+                    if co and p != z:
+                        pi, s2 = lay.atom(p, z)
+                        sig.append((pi * n, sgn * s2 * co))
+                if sig:
+                    _add_sigma(rows, sig, n)
         for m in sorted(rows):
-            yield t * n + m, rows[m]
+            if rows[m]:
+                yield t * n + m, rows[m]
 
 
 def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
@@ -192,8 +199,7 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, table = _dense_table(mu, scaled)
-    _, right = _letter_operators(table, n)
+    n, _, _, right = _letter_operators(mu, scaled)
     words = walk_words(right, n, k + 1, Layout(n), ascending_pair=True,
                        least_first=least_first, letters=letters)
     for index, _, tangent in words:
@@ -223,8 +229,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
     if k < 2:
         raise ValueError("k must be >= 2")
     lay = Layout(mu.n)
-    n, table = _dense_table(mu, scaled)
-    left, right = _letter_operators(table, n)
+    n, table, left, right = _letter_operators(mu, scaled)
     heads = []
     for x1, x2 in lay.pairs:
         a = table[x1][x2]
@@ -266,13 +271,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
                         if co:
                             wedge.append((lay.pair_index[(p, q)] * n, co))
                 if wedge:
-                    for s in range(n):
-                        acc = rows.get(s)
-                        if acc is None:
-                            rows[s] = {col + s: co for col, co in wedge}
-                        else:
-                            for col, co in wedge:
-                                acc[col + s] = acc.get(col + s, 0) + co
+                    _add_sigma(rows, wedge, n)
             if rows:
                 index = (pair * tail_span + tailidx) * n
                 for m in sorted(rows):

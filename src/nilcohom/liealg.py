@@ -124,27 +124,17 @@ def pencil(mu, nu, t):
 
 def jacobi(mu):
     """Cyclic Jacobi tensor on basis triples i<j<k; empty dict iff Lie."""
-    n = mu.n
+    n, table, _, right = _letter_operators(mu, scaled=False)
     out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vij = mu.bracket_basis(i, j)
-            for l in range(j + 1, n):
-                acc = [0] * n
-                for k, co in vij.items():
-                    if k != l:
-                        for m, w in mu.bracket_basis(k, l).items():
-                            acc[m] = acc[m] + co * w
-                for k, co in mu.bracket_basis(j, l).items():
-                    if k != i:
-                        for m, w in mu.bracket_basis(k, i).items():
-                            acc[m] = acc[m] + co * w
-                for k, co in mu.bracket_basis(l, i).items():
-                    if k != j:
-                        for m, w in mu.bracket_basis(k, j).items():
-                            acc[m] = acc[m] + co * w
-                if any(acc):
-                    out[(i, j, l)] = acc
+    for i, j, l in Layout(n).triples:
+        acc = [0] * n
+        for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
+            # mu(mu(e_x, e_y), e_z)
+            w = None if table[x][y] is None else _brv(right, n, table[x][y], z)
+            if w is not None:
+                acc = [a + b for a, b in zip(acc, w)]
+        if any(acc):
+            out[(i, j, l)] = acc
     return out
 
 
@@ -198,11 +188,16 @@ class Layout:
         return self.pair_index[(j, i)], -1
 
 
-def _dense_table(mu, scaled):
-    """Bracket table as dense vectors; scaled=True clears denominators.
+def _letter_operators(mu, scaled):
+    """The bracket table, read once: (n, table, left, right).
 
-    Returns (n, C) with C[p][q] a length-n list or None when the bracket is
-    zero.  Scaling multiplies every entry by one global integer, which is
+    table[p][q] is mu(e_p, e_q) as a length-n list, or None when it is
+    zero; right[b] lists (p, [(m, w), ...]) for every nonzero mu(e_p, e_b),
+    with its nonzero coefficients w of e_m, and left[p] lists
+    (q, [(m, w), ...]) the same way for every nonzero mu(e_p, e_q).  J, d1,
+    d2, the words, their derivatives and the series read the coefficients
+    here and nowhere else.
+    scaled=True multiplies every entry by one global integer, which is
     legitimate anywhere a uniform per-row scale is (rank, kernel); the
     scaled entries are ints, and QIs with int parts where they are not real.
     """
@@ -217,33 +212,15 @@ def _dense_table(mu, scaled):
             table[i][j], table[j][i] = [0] * n, [0] * n
         table[i][j][k] = v
         table[j][i][k] = -v
-    return n, table
-
-
-def _letter_operators(table, n):
-    """The dense table as sparse per-letter operators (left, right).
-
-    right[b] lists (p, [(m, w), ...]) for every nonzero mu(e_p, e_b), with
-    its nonzero coefficients w of e_m; left[p] lists (q, [(m, w), ...]) the
-    same way for every nonzero mu(e_p, e_q).
-    """
-    left = [
-        [
-            (q, [(m, w) for m, w in enumerate(table[p][q]) if w])
-            for q in range(n)
-            if table[p][q] is not None
-        ]
-        for p in range(n)
-    ]
-    right = [
-        [
-            (p, [(m, w) for m, w in enumerate(table[p][b]) if w])
-            for p in range(n)
-            if table[p][b] is not None
-        ]
-        for b in range(n)
-    ]
-    return left, right
+    left = [[] for _ in range(n)]
+    right = [[] for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            if table[p][q] is not None:
+                terms = [(m, w) for m, w in enumerate(table[p][q]) if w]
+                left[p].append((q, terms))
+                right[q].append((p, terms))
+    return n, table, left, right
 
 
 def _brv(right, n, v, b):
@@ -282,16 +259,22 @@ def _brvv(left, n, x, y):
     return None
 
 
-def _sigma_of_vec(F, lay, vec, b, factor, n):
-    """Accumulate factor * sigma(vec, e_b) into the column functional F."""
-    for p, co in enumerate(vec):
-        if not co or p == b:
-            continue
-        pi, sgn = lay.atom(p, b)
-        val = factor * co * sgn
-        for s in range(n):
-            acc = F.setdefault(pi * n + s, [0] * n)
-            acc[s] = acc[s] + val
+def _add_sigma(rows, sig, n):
+    """Add a sigma term, given as sig = [(first column, value), ...], to a
+    tangent kept by output row, {m: {column: value}}: each value at column
+    first + s of row s, for every s.  Entries that cancel are dropped; a row
+    may be left empty."""
+    for s in range(n):
+        acc = rows.get(s)
+        if acc is None:
+            rows[s] = {col + s: co for col, co in sig}
+        else:
+            for col, co in sig:
+                y = acc.get(col + s, 0) + co
+                if y:
+                    acc[col + s] = y
+                else:
+                    del acc[col + s]
 
 
 def _apply_to_rows(op, rows):
@@ -420,17 +403,7 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
                 # sigma(v, e_b): v[p] at column pair(p, b) * n + s of row s
                 sig = [(col, v[p] if sgn > 0 else -v[p]) for p, col, sgn in atoms[b] if v[p]]
                 if sig:
-                    for s in range(n):
-                        acc = t2.get(s)
-                        if acc is None:
-                            t2[s] = {col + s: co for col, co in sig}
-                        else:
-                            for col, co in sig:
-                                y = acc.get(col + s, 0) + co
-                                if y:
-                                    acc[col + s] = y
-                                else:
-                                    del acc[col + s]
+                    _add_sigma(t2, sig, n)
             t2 = {m: row for m, row in t2.items() if row}
             v2 = None if v is None else _brv(right, n, v, b)
             if t2 or v2 is not None:
@@ -468,8 +441,7 @@ def n_k(mu, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, table = _dense_table(mu, scaled=False)
-    _, right = _letter_operators(table, n)
+    n, _, _, right = _letter_operators(mu, scaled=False)
     return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, n, k + 1)}
 
 
@@ -481,8 +453,7 @@ def sn_k(mu, k):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n, table = _dense_table(mu, scaled=False)
-    left, right = _letter_operators(table, n)
+    n, table, left, right = _letter_operators(mu, scaled=False)
     tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(right, n, k - 1)]
     out = {}
     for i in range(n):
@@ -526,8 +497,7 @@ def _series(mu, derived=False):
     brackets are of ints and Gaussian integers.  For any bilinear bracket
     each term lies in the one before, so an equal rank means stabilization.
     """
-    n, table = _dense_table(mu, scaled=True)
-    left, right = _letter_operators(table, n)
+    n, _, left, right = _letter_operators(mu, scaled=True)
     rows = [_unit(n, i) for i in range(n)]
     series = [reduce_rows(rows, n, mu.field)]
     while rows:
@@ -541,11 +511,6 @@ def _series(mu, derived=False):
         rows = basis.basis_rows()
         series.append(basis)
     return series
-
-
-def n_k_vanishes(mu, k):
-    """N_k(mu) = 0, decided by the lower central series in polynomial time."""
-    return k_step_generators(mu, k) is not None
 
 
 def k_step_generators(mu, k):
@@ -581,8 +546,7 @@ def sn_k_vanishes(mu, k):
         raise ValueError("k must be >= 2")
     series = _series(mu)
     last = len(series) - 1
-    n, table = _dense_table(mu, scaled=True)
-    left, _ = _letter_operators(table, n)
+    n, _, left, _ = _letter_operators(mu, scaled=True)
     inner = series[min(k - 2, last)].basis_rows()
     return all(
         _brvv(left, n, u, v) is None

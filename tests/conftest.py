@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
-from nilcohom.liealg import Layout, StructureConstants, _dense_table, _sigma_of_vec, change_basis
+from nilcohom.liealg import Layout, StructureConstants, change_basis
 from nilcohom.linalg import ExactMatrix, reduce_rows
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
@@ -137,26 +137,38 @@ def d1_by_brackets(mu):
     return ExactMatrix(len(pairs) * n, n * n, entries, mu.field)
 
 
+def _sigma_of_vec(F, lay, vec, b, factor, n):
+    """Accumulate factor * sigma(vec, e_b) into the column functional F,
+    {column: dense vector over the output coordinates}."""
+    for p, co in enumerate(vec):
+        if not co or p == b:
+            continue
+        pi, sgn = lay.atom(p, b)
+        val = factor * co * sgn
+        for s in range(n):
+            acc = F.setdefault(pi * n + s, [0] * n)
+            acc[s] = acc[s] + val
+
+
 def dj_matrix(mu):
     """Derivative of the cyclic Jacobi operator, summed over the three
     cyclic orders; the independent oracle for ``d2_matrix``, which equals
-    -dj_matrix entry for entry."""
+    -dj_matrix entry for entry.  It reads the bracket through
+    ``bracket_basis`` and builds column functionals, not the package's
+    letter operators and rows."""
     lay = Layout(mu.n)
     n = mu.n
-    _, table = _dense_table(mu, scaled=False)
+    table = [[mu.bracket_basis(x, y) for y in range(n)] for x in range(n)]
     entries = {}
     for t, (i, j, l) in enumerate(lay.triples):
         F = {}
         for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
-            if table[x][y] is not None:
-                _sigma_of_vec(F, lay, table[x][y], z, 1, n)
+            _sigma_of_vec(F, lay, [table[x][y].get(m, 0) for m in range(n)], z, 1, n)
             pi, sgn = lay.atom(x, y)
             for s in range(n):
-                if table[s][z] is not None:
+                for m, w in table[s][z].items():
                     acc = F.setdefault(pi * n + s, [0] * n)
-                    for m, w in enumerate(table[s][z]):
-                        if w:
-                            acc[m] = acc[m] + sgn * w
+                    acc[m] = acc[m] + sgn * w
         base = t * n
         for col, vec in F.items():
             for m, v in enumerate(vec):

@@ -421,6 +421,38 @@ def test_stream_is_one_row_per_antisymmetry_orbit(kind, k):
         assert _streamed_entries_with_mirrors(gen, mu, k, kind) == m.entries
 
 
+def test_streams_emit_no_zero_entry_and_no_empty_row(catalog):
+    # the one row format {column: value}: every emitted row or column holds
+    # an entry and no entry is zero.  At g_5(1,1) mu(e_a, e_f) has an e_f
+    # term, so a mu(e_x, sigma(e_y, e_z)) entry of d2 meets a
+    # sigma(mu(e_x, e_y), e_z) entry at the same place, and they cancel; on
+    # the solvable [e_0, e_1] = -e_1, [e_0, e_2] = e_2 a whole d2 row cancels
+    g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    assert g5.entry(0, 5, 5)
+    rng = random.Random(20)
+    tables = [
+        g5,
+        StructureConstants(3, {(0, 1): {1: -1}, (0, 2): {2: 1}}),
+        catalog.structure("g_{137B}"),
+        random_structure(4, rng),
+        _with_entries(random_structure(4, rng), lambda v: v / rng.randint(2, 5)),
+        _with_entries(random_structure(4, rng), lambda v: QI(v, rng.randint(-2, 2)), FIELD_QI),
+    ]
+    for mu in tables:
+        for scaled in (True, False):
+            streams = {
+                "d1": iter_d1_columns(mu, scaled),
+                "d2": iter_d2_rows(mu, scaled),
+                "dN_3": iter_dnk_rows(mu, 3, scaled),
+                "dN_2 least-first": iter_dnk_rows(mu, 2, scaled, least_first=True),
+                "dSN_3": iter_dsnk_rows(mu, 3, scaled),
+                "dSN_4 least-first": iter_dsnk_rows(mu, 4, scaled, least_first=True),
+            }
+            for name, stream in streams.items():
+                for index, row in stream:
+                    assert row and all(row.values()), (name, mu, scaled, index)
+
+
 def test_halved_split_stream_keeps_the_constraint_rows(catalog):
     mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
     full = _matrix_rows(dsnk_matrix(mu, 5))

@@ -20,11 +20,11 @@ from nilcohom.errors import (
     NotLieAlgebra,
     SingularMatrix,
 )
+from nilcohom.ideals import generic_chart
 from nilcohom.liealg import (
     StructureConstants,
     _brv,
     _brvv,
-    _dense_table,
     _letter_operators,
     change_basis,
     derived_series,
@@ -35,7 +35,6 @@ from nilcohom.liealg import (
     k_step_generators,
     lower_central_series,
     n_k,
-    n_k_vanishes,
     nil_index,
     pencil,
     semidirect_by_derivation,
@@ -220,15 +219,15 @@ def test_sn_k_vanishes_agrees_with_the_split_word(catalog):
         for k in range(2, 7):
             assert sn_k_vanishes(mu, k) == (not sn_k(mu, k)), (mu, k)
         for k in range(1, 7):
-            assert n_k_vanishes(mu, k) == (not n_k(mu, k)), (mu, k)
+            assert (k_step_generators(mu, k) is not None) == (not n_k(mu, k)), (mu, k)
     # the non-Jacobi brackets reach both answers
     assert {sn_k_vanishes(mu, k) for mu in randoms for k in range(2, 7)} == {True, False}
-    assert {n_k_vanishes(mu, k) for mu in tables for k in range(1, 7)} == {True, False}
+    assert {k_step_generators(mu, k) is None for mu in tables for k in range(1, 7)} == {True, False}
     with pytest.raises(ValueError, match="k must be >= 2"):
         sn_k_vanishes(tables[0], 1)
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            n_k_vanishes(heisenberg(1), k)
+            k_step_generators(heisenberg(1), k)
 
 
 def test_k_step_generators_span_g_modulo_g1(catalog):
@@ -393,13 +392,45 @@ def test_subspace_span_and_membership():
     assert not contains_space(s, reduce_rows([[0, 1, 1]], 3))
 
 
-def test_random_brackets_jacobi_consistency():
-    # jacobi() vanishes exactly on brackets built from a known Lie table
+def _jacobi_oracle(mu):
+    """The cyclic Jacobi sum on each basis triple i < j < l, by
+    StructureConstants.bracket on unit vectors; only the nonzero ones."""
+    n = mu.n
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                acc = [0] * n
+                for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
+                    w = mu.bracket(mu.bracket(units[x], units[y]), units[z])
+                    acc = [a + b for a, b in zip(acc, w)]
+                if any(acc):
+                    out[(i, j, l)] = acc
+    return out
+
+
+def test_random_brackets_jacobi_consistency(catalog):
+    # jacobi() entry for entry against the cyclic sum of brackets, on tables
+    # with denominators, Gaussian tables, non-Lie tables, the catalog and the
+    # generic charts, whose entries are polynomials
     rng = random.Random(2)
-    for _ in range(10):
-        mu = random_structure(4, rng)
-        tensor = jacobi(mu)
-        assert (tensor == {}) == is_lie(mu)
+    tables = [random_structure(n, rng, density=d) for n in (3, 4, 5) for d in (0.2, 0.5)]
+    for _ in range(6):
+        n = rng.randint(3, 5)
+        brackets = {(i, j): {k: QI(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                   rng.randint(-2, 2))
+                             for k in range(n) if rng.random() < 0.4}
+                    for i in range(n) for j in range(i + 1, n)}
+        tables.append(StructureConstants(n, brackets, FIELD_QI))
+    tables += [random_structure(4, rng, lo=-3, hi=3).scale(Fraction(1, 6)) for _ in range(3)]
+    tables += [catalog.structure(name) for name, _ in NILPOTENT_CATALOG]
+    tables += [catalog.structure(fam, {"r": r, "t": t}) for fam, r, t in CURVE_POINTS]
+    tables += [generic_chart(n) for n in range(3, 7)]
+    assert any(jacobi(mu) for mu in tables) and any(not jacobi(mu) for mu in tables)
+    assert any(mu.field == FIELD_QI and jacobi(mu) for mu in tables)
+    for mu in tables:
+        assert jacobi(mu) == _jacobi_oracle(mu), mu
 
 
 _rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -438,8 +469,7 @@ def test_sparse_letter_operators_match_the_bracket(case):
     """mu(x, y) and mu(x, e_b) through the per-letter operators equal the
     bilinear evaluation of the tensor."""
     mu, x, y = case
-    n, table = _dense_table(mu, scaled=False)
-    left, right = _letter_operators(table, n)
+    n, _, left, right = _letter_operators(mu, scaled=False)
     zero = [0] * n
     assert (_brvv(left, n, x, y) or zero) == mu.bracket(x, y)
     for b in range(n):
