@@ -26,9 +26,10 @@ its rows being combinations of the inner word's rows plus single entries
 for the leading pair's own terms.  d2, the derivative of the cyclic Jacobi
 sum, keeps its six-term formula and builds each triple's rows in the same
 format; its sigma(mu(e_x, e_y), e_z) terms, the walker's sigma(v, e_b) and
-the split word's wedge sigma(a, B) all go through ``liealg._add_sigma``.  Both words are antisymmetric in their
-first two letters, and the split word also in its third and fourth
-(through the inner word), so the streams carry one row per unordered pair:
+the split word's wedge sigma(a, B) all go through ``liealg._add_sigma``.
+Both words are antisymmetric in their first two letters, and the split
+word also in its third and fourth (through the inner word), so the
+streams carry one row per unordered pair:
 every row left out is an emitted row up to sign, or zero, and the row space
 (hence rank, kernel and the canonical reduced rows) is that of the full
 matrix.
