@@ -436,9 +436,11 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
                                   f" over the cap {MAX_WALK_DEPTH} on the word walk's depth")
     point = dict(point)
     free_params = tuple(free_params)
-    for p in free_params:
+    for t, p in enumerate(free_params):
         if p not in table.params:
             raise ValueError(f"free parameter {p!r} is not a parameter of the family")
+        if p in free_params[:t]:
+            raise ValueError(f"free parameter {p!r} given twice")
     mu = table.evaluate(point)
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb
 from operator import or_, sub
 
 from .errors import ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
 from .linalg import solve
-from .polynomials import MultiPoly, _mono_mul, distinct_primitive
+from .polynomials import MultiPoly, _mono_mul, distinct_primitive, rational_content
 
 
 def chart_variables(n):
@@ -465,11 +464,9 @@ def _record(p):
     """The basis record of the nonzero ``p`` divided by its content, with a
     positive lead coefficient."""
     lead = max(p, key=_key_grevlex)
-    num, den = 0, 1
-    for c in p.values():
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    content = Fraction(num if p[lead] > 0 else -num, den)
+    content = rational_content(p.values())
+    if p[lead] < 0:
+        content = -content
     terms = {m: c / content for m, c in p.items()}
     return lead, terms[lead], terms
 

@@ -28,8 +28,10 @@ of Bareiss carried over to the Gaussian integers Z[i]:
 * each incoming row is cleared of denominators (those of the real and the
   imaginary parts; per-row scaling changes neither rank nor row space), so
   its entries are ints, and QIs with int parts where they are not real;
-* an elimination cross-multiplies by the cofactors a/g and b/g of the two
-  entries, g their gcd over Z, or over Z[i] when either is Gaussian;
+* an elimination, ``_eliminate`` (the one step that both the reduction of
+  an incoming row and the back-substitution take), cross-multiplies by the
+  cofactors a/g and b/g of the two entries, g their gcd over Z, or over
+  Z[i] when either is Gaussian;
 * a retained row is primitive (its entries have gcd 1 over Z[i]) with its
   lead turned by a unit to re > 0 and im >= 0, real entries as ints.
 
@@ -195,21 +197,10 @@ class RowBasis:
         lead = min(row)
         gaussian = self.gaussian
         _make_primitive(row, lead, gaussian)
-        a = row[lead]
         for j, prow in rows.items():
-            b = prow.get(lead)
-            if not b:
-                continue
-            if type(a) is int and type(b) is int:
-                g = gcd(a, b)
-                m, b = a // g, b // g
-            else:
-                m, b = _cofactors(a, b)
-            if m != 1:
-                for c in prow:
-                    prow[c] *= m
-            _sub_multiple(prow, b, row)
-            _make_primitive(prow, j, gaussian)
+            if lead in prow:
+                _eliminate(prow, lead, row)
+                _make_primitive(prow, j, gaussian)
         rows[lead] = row
         return True
 
@@ -235,25 +226,27 @@ class RowBasis:
         # eliminating one pivot column leaves every other pivot column of the
         # row as it was (up to a common factor), so the hits are fixed upfront
         for j in [j for j in row if j in rows]:
-            piv = rows[j]
-            b = row[j]
-            a = piv[j]
-            if a != 1:
-                if type(a) is int and type(b) is int:
-                    g = gcd(a, b)
-                    m, b = a // g, b // g
-                else:
-                    m, b = _cofactors(a, b)
-                if m != 1:
-                    for c in row:
-                        row[c] *= m
-            _sub_multiple(row, b, piv)
+            _eliminate(row, j, rows[j])
         return row
 
 
-def _sub_multiple(row, b, other):
-    """row -= b * other, in place, dropping the entries that cancel."""
-    for c, v in other.items():
+def _eliminate(row, col, piv):
+    """Clear column ``col`` of ``row`` against the row ``piv``, in place:
+    row <- (a/g) row - (b/g) piv, for a = piv[col], b = row[col] and g their
+    gcd over Z, or over Z[i] when either is Gaussian.  Entries that cancel
+    are dropped.  The one elimination step of the module."""
+    a = piv[col]
+    b = row[col]
+    if a != 1:
+        if type(a) is int and type(b) is int:
+            g = gcd(a, b)
+            m, b = a // g, b // g
+        else:
+            m, b = _cofactors(a, b)
+        if m != 1:
+            for c in row:
+                row[c] *= m
+    for c, v in piv.items():
         w = row.get(c, 0) - b * v
         if w:
             row[c] = w

@@ -127,11 +127,6 @@ class MultiPoly:
         return out
 
     def __truediv__(self, c):
-        if isinstance(c, MultiPoly):
-            s = c.as_scalar()
-            if s is None:
-                raise ZeroDivisionError("division by a non-constant polynomial")
-            c = s
         if not c:
             raise ZeroDivisionError("division by zero")
         return self.scale(1 / (Fraction(c) if isinstance(c, int) else c))
@@ -247,12 +242,7 @@ class MultiPoly:
         """
         if not self.terms:
             return self
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        content = Fraction(num, den)
+        content = rational_content(self.terms.values())
         lead = max(self.terms)
         if self.terms[lead] < 0:
             content = -content
@@ -265,6 +255,16 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)})"
+
+
+def rational_content(coeffs):
+    """The positive content of nonzero rational ``coeffs``: the gcd of their
+    numerators over the lcm of their denominators."""
+    num, den = 0, 1
+    for c in coeffs:
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return Fraction(num, den)
 
 
 def distinct_primitive(polys):

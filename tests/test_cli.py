@@ -329,6 +329,8 @@ def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):
     path.write_text(dump_algebra(StructureConstants.abelian(2), "flat2"))
     code, _, err = run(capsys, "info", str(path), "--params", "s=2")
     assert code == 2 and "'s' is not a parameter of abelian2.json" in err
+    code, out, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1", "--free", "r,r")
+    assert code == 2 and out == "" and "free parameter 'r' given twice" in err
     # the known names still answer
     code, out, _ = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1", "--constraint", "sn5")
     assert code == 0 and "(r=1, t=1)" in out and "EXACT" in out

@@ -569,6 +569,9 @@ def test_augmented_exactness_validates_input(catalog):
     tab = catalog.get("g_5(r,t)").symbolic()
     with pytest.raises(ValueError):
         augmented_exactness(tab, {"r": 1, "t": 1}, ("s",), "sn5")
+    # a repeated free parameter would count its tangent column twice
+    with pytest.raises(ValueError, match="^free parameter 'r' given twice$"):
+        augmented_exactness(tab, {"r": 1, "t": 1}, ("r", "r"), "sn5")
     tab147 = catalog.get("g_{147E_1}(t)").symbolic()
     with pytest.raises(NotInVariety):
         # a 3-step algebra is not 2-step

@@ -358,8 +358,16 @@ def test_semidirect_by_derivation(catalog):
     assert ext == direct_sum(StructureConstants.abelian(1), f3)
     # scaling a alone fails: D[a,b] = 0 but [Da,b] = c
     not_deriv = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    with pytest.raises(NotDerivation):
+    with pytest.raises(NotDerivation, match=r"^matrix is not a derivation \(fails on e_0, e_1\)$"):
         semidirect_by_derivation(f3, not_deriv)
+    # only D is checked, not the Jacobi identity of the base table
+    skew = parse_table("ab = c, ac = a", 3)
+    assert not is_lie(skew)
+    ext = semidirect_by_derivation(skew, zero)
+    assert ext == direct_sum(StructureConstants.abelian(1), skew)
+    # a Gaussian D does not fit a Q algebra
+    with pytest.raises(ValueError):
+        semidirect_by_derivation(f3, [[QI(0, 1), 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_heisenberg_extensions():
