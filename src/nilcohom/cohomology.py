@@ -1,8 +1,11 @@
 """Differentials at a bracket and the nilpotent deformation cohomology.
 
 Cochain coordinates: a 1-cochain alpha lives in g* (x) g with column p*n+q
-meaning alpha(e_p) = e_q; a 2-cochain sigma has coordinate (pair (i<j), k)
-at column pair_index(i,j)*n + k; 3-cochains use ordered triples the same way.
+meaning alpha(e_p) = e_q; a 2-cochain sigma has coordinate k of
+sigma(e_p, e_q) at column first + k, where (first, sign) = Layout.sigma[p][q]
+is the one table every stream reads: first = t*n for the t-th pair of
+Layout.pairs, shared by (p, q) and (q, p), and sign +1 exactly when p < q.
+3-cochains use ordered triples the same way.
 The multilinear operators map into full tensor powers, so their differentials
 are indexed by arbitrary (k+1)-tuples of basis letters.
 
@@ -102,8 +105,9 @@ def cochain_vector(sigma: StructureConstants):
     lay = Layout(sigma.n)
     v = [Fraction(0)] * lay.dim2
     for (i, j), coeffs in sigma.c.items():
+        first = lay.sigma[i][j][0]
         for k, val in coeffs.items():
-            v[lay.col2(i, j, k)] = val
+            v[first + k] = val
     return v
 
 
@@ -120,25 +124,26 @@ def iter_d1_columns(mu, scaled=True):
     """
     lay = Layout(mu.n)
     n, table, _, right = _letter_operators(mu, scaled)
-    # hits[p]: (pair index, coefficient of e_p in mu(e_i, e_j)) for i < j
+    # hits[p]: (first column of the pair {i, j}, coefficient of e_p in
+    # mu(e_i, e_j)) for i < j
     hits = [[] for _ in range(n)]
-    for t, (i, j) in enumerate(lay.pairs):
+    for i, j in lay.pairs:
         if table[i][j] is not None:
             for p, co in enumerate(table[i][j]):
                 if co:
-                    hits[p].append((t, co))
+                    hits[p].append((lay.sigma[i][j][0], co))
     for p in range(n):
         for q in range(n):
             col = {}
             # mu(e_x, alpha e_p) = mu(e_x, e_q), at the pair {x, p}
             for x, terms in right[q]:
                 if x != p:
-                    pi, sgn = lay.atom(x, p)
+                    first, sgn = lay.sigma[x][p]
                     for m, w in terms:
-                        col[pi * n + m] = sgn * w
+                        col[first + m] = sgn * w
             # -alpha(mu(e_i, e_j))
-            for t, co in hits[p]:
-                c = t * n + q
+            for first, co in hits[p]:
+                c = first + q
                 v = col.get(c, 0) - co
                 if v:
                     col[c] = v
@@ -165,7 +170,7 @@ def iter_d2_rows(mu, scaled=True):
         rows = {}
         # mu(e_x, sigma(e_y, e_z)) terms, signs +, -, +; no column repeats
         for x, (y, z), sgn in ((i, (j, l), 1), (j, (i, l), -1), (l, (i, j), 1)):
-            base = lay.pair_index[(y, z)] * n
+            base = lay.sigma[y][z][0]
             for s, terms in left[x]:
                 for m, w in terms:
                     rows.setdefault(m, {})[base + s] = sgn * w
@@ -176,8 +181,8 @@ def iter_d2_rows(mu, scaled=True):
                 sig = []
                 for p, co in enumerate(v):
                     if co and p != z:
-                        pi, s2 = lay.atom(p, z)
-                        sig.append((pi * n, sgn * s2 * co))
+                        first, s2 = lay.sigma[p][z]
+                        sig.append((first, sgn * s2 * co))
                 if sig:
                     _add_sigma(rows, sig, n)
         for m in sorted(rows):
@@ -240,7 +245,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
                 w = _brv(right, n, a, q)
                 if w is not None:
                     a_of.append((q, [(m, x) for m, x in enumerate(w) if x]))
-        heads.append((x1 * n + x2, lay.pair_index[(x1, x2)] * n, a, a_of))
+        heads.append((x1 * n + x2, lay.sigma[x1][x2][0], a, a_of))
     tail_span = n ** (k - 1)
     tails = walk_words(right, n, k - 1, lay, ascending_pair=True, least_first=least_first)
     for tailidx, bvec, ftail in tails:
@@ -270,7 +275,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
                     for q in sup[ii + 1 :]:
                         co = a[p] * bvec[q] - a[q] * bvec[p]
                         if co:
-                            wedge.append((lay.pair_index[(p, q)] * n, co))
+                            wedge.append((lay.sigma[p][q][0], co))
                 if wedge:
                     _add_sigma(rows, wedge, n)
             if rows:

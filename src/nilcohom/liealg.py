@@ -165,7 +165,6 @@ class Layout:
     def __init__(self, n):
         self.n = n
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.pair_index = {p: t for t, p in enumerate(self.pairs)}
         self.triples = [
             (i, j, l)
             for i in range(n)
@@ -175,17 +174,12 @@ class Layout:
         self.dim1 = n * n
         self.dim2 = len(self.pairs) * n
         self.dim3 = len(self.triples) * n
-
-    def col2(self, i, j, k):
-        return self.pair_index[(i, j)] * self.n + k
-
-    def atom(self, i, j):
-        """(pair index, sign) of sigma(e_i, e_j), or None on the diagonal."""
-        if i == j:
-            return None
-        if i < j:
-            return self.pair_index[(i, j)], 1
-        return self.pair_index[(j, i)], -1
+        # sigma[p][q]: (first column of the pair {p, q}, sign of sigma(e_p, e_q)),
+        # None on the diagonal; coordinate k of sigma(e_p, e_q) is column first + k
+        self.sigma = [[None] * n for _ in range(n)]
+        for t, (i, j) in enumerate(self.pairs):
+            self.sigma[i][j] = (t * n, 1)
+            self.sigma[j][i] = (t * n, -1)
 
 
 def _letter_operators(mu, scaled):
@@ -383,8 +377,7 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
 
     # atoms[b]: (p, first column of the pair {p, b}, sign of sigma(e_p, e_b))
     atoms = None if lay is None else [
-        [(p, lay.atom(p, b)[0] * n, lay.atom(p, b)[1]) for p in range(n) if p != b]
-        for b in range(n)
+        [(p, *lay.sigma[p][b]) for p in range(n) if p != b] for b in range(n)
     ]
     ascending_pair = ascending_pair or least_first
     alphabet = range(n) if letters is None else sorted(letters)
@@ -520,7 +513,7 @@ def k_step_generators(mu, k):
     words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.  S is picked
     greedily: e_s is taken when it is independent of g^1 and of the e_s
     taken before it, so S has n - dim g^1 elements.  One lower central
-    series serves both answers.
+    series serves both answers, and its own g^1 term takes the picks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -528,7 +521,7 @@ def k_step_generators(mu, k):
     last = len(series) - 1
     if series[min(k, last)].rank:
         return None
-    span = reduce_rows(series[min(1, last)].sparse_rows(), mu.n, mu.field)
+    span = series[min(1, last)]
     return tuple(s for s in range(mu.n) if span.add({s: 1}))
 
 

@@ -14,9 +14,11 @@ That clearing (the back-substitution) costs one elimination per retained
 row with a nonzero in the new lead column, each touching the entries of
 that row and of the new one, so it grows with the density of the rows
 that are kept.
-``reduce_rows``, which every stream in the package goes through, therefore
-reads its rows in windows of 4 * ncols + 1 and adds each window sparsest
-row first, the order of sparse-first pivoting in structured Gaussian
+Every stack in the package enters the echelon through ``reduce_rows`` (the
+streams, ``rank``, ``solve`` and the augmented rows of ``inverse``; ``rank``
+returns its RowBasis), and no RowBasis is built anywhere else.  It
+therefore reads its rows in windows of 4 * ncols + 1 and adds each window
+sparsest row first, the order of sparse-first pivoting in structured Gaussian
 elimination (LaMacchia and Odlyzko, "Solving large sparse linear systems
 over finite fields", CRYPTO '90): sparse rows kept early keep the retained
 rows sparse, so a later lead hits fewer of them.  One window is held
@@ -43,7 +45,6 @@ the scale the rows arrived in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -55,15 +56,6 @@ from .scalars import FIELD_Q, FIELD_QI, QI, promote
 def backend() -> str:
     """Name of the row-reduction implementation, recorded in benchmark stamps."""
     return "python"
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    rank: int
-    pivot_cols: tuple
-
-    def __post_init__(self):
-        assert self.rank == len(self.pivot_cols)
 
 
 class ExactMatrix:
@@ -375,12 +367,9 @@ def reduce_rows(rows, ncols, field=FIELD_Q):
     return basis
 
 
-def rank(m: ExactMatrix) -> RankProfile:
-    """Exact rank with the (sorted) pivot-column profile."""
-    basis = RowBasis(m.ncols, m.field)
-    for cols, vals in m.iter_rows():
-        basis.add(dict(zip(cols, vals)))
-    return RankProfile(basis.rank, tuple(basis.pivot_cols()))
+def rank(m: ExactMatrix) -> RowBasis:
+    """The RowBasis of the rows of ``m``: ``rank`` and ``pivot_cols()``."""
+    return reduce_rows((dict(zip(cols, vals)) for cols, vals in m.iter_rows()), m.ncols, m.field)
 
 
 def solve(rows, ncols):
@@ -408,11 +397,9 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if n != m.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
     field = m.field
-    basis = RowBasis(2 * n, field)
-    for i, (cols, vals) in enumerate(m.iter_rows()):
-        row = dict(zip(cols, vals))
-        row[n + i] = 1
-        basis.add(row)
+    # the augmented rows [m | I]
+    rows = ({**dict(zip(cols, vals)), n + i: 1} for i, (cols, vals) in enumerate(m.iter_rows()))
+    basis = reduce_rows(rows, 2 * n, field)
     if basis.pivot_cols() != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     entries = {}

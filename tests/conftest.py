@@ -137,13 +137,18 @@ def d1_by_brackets(mu):
     return ExactMatrix(len(pairs) * n, n * n, entries, mu.field)
 
 
+def _atom(lay, p, q):
+    """(pair index, sign) of sigma(e_p, e_q), p != q, read off ``lay.pairs``."""
+    return lay.pairs.index((min(p, q), max(p, q))), 1 if p < q else -1
+
+
 def _sigma_of_vec(F, lay, vec, b, factor, n):
     """Accumulate factor * sigma(vec, e_b) into the column functional F,
     {column: dense vector over the output coordinates}."""
     for p, co in enumerate(vec):
         if not co or p == b:
             continue
-        pi, sgn = lay.atom(p, b)
+        pi, sgn = _atom(lay, p, b)
         val = factor * co * sgn
         for s in range(n):
             acc = F.setdefault(pi * n + s, [0] * n)
@@ -164,7 +169,7 @@ def dj_matrix(mu):
         F = {}
         for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
             _sigma_of_vec(F, lay, [table[x][y].get(m, 0) for m in range(n)], z, 1, n)
-            pi, sgn = lay.atom(x, y)
+            pi, sgn = _atom(lay, x, y)
             for s in range(n):
                 for m, w in table[s][z].items():
                     acc = F.setdefault(pi * n + s, [0] * n)

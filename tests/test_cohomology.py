@@ -189,6 +189,23 @@ def _linear_coefficient(mu, sigma, k, kind):
     return out
 
 
+def test_layout_sigma_is_the_documented_column_convention():
+    for n in range(1, 9):
+        lay = Layout(n)
+        assert len(lay.sigma) == n and all(len(row) == n for row in lay.sigma)
+        for p in range(n):
+            assert lay.sigma[p][p] is None
+            for q in range(n):
+                if p != q:
+                    first = lay.pairs.index((min(p, q), max(p, q))) * n
+                    assert lay.sigma[p][q] == (first, 1 if p < q else -1)
+        for i, j in lay.pairs:
+            for k in range(n):
+                v = cochain_vector(StructureConstants(n, {(i, j): {k: 1}}))
+                assert [c for c, x in enumerate(v) if x] == [lay.sigma[i][j][0] + k]
+                assert v[lay.sigma[i][j][0] + k] == 1
+
+
 def test_d1_matrix_values(catalog):
     assert not d1_matrix(StructureConstants.abelian(3)).entries
     assert rank(d1_matrix(catalog.structure("g_{5,3}"))).rank == 15

@@ -49,7 +49,7 @@ def test_rank_identity_and_proportional_rows():
     assert rank(identity(3)).rank == 3
     m = ExactMatrix.from_dense([[1, 2], [2, 4]])
     assert rank(m) .rank == 1
-    assert rank(m).pivot_cols == (0,)
+    assert rank(m).pivot_cols() == [0]
 
 
 def test_rank_agrees_with_dense_oracle_on_100_random_matrices():
