@@ -228,7 +228,10 @@ def cmd_ideal(args, catalog):
         for chunk in args.zeros.split(";"):
             chunk = chunk.strip()
             if chunk:
-                assignment[tuple(int(x) for x in chunk.split(","))] = 0
+                parts = [x.strip() for x in chunk.split(",")]
+                if not all(x.isascii() and x.isdigit() for x in parts):
+                    raise TableError(f"bad --zeros entry {chunk!r} (expected i,j,k)")
+                assignment[tuple(map(int, parts))] = 0
         _check_chart(assignment, args.n)
     elif label in ("Q13", "Q14") and (args.n, args.k) == (6, 4):
         assignment = cat_mod.Q13_ASSIGNMENT if label == "Q13" else cat_mod.Q14_ASSIGNMENT

@@ -20,7 +20,8 @@ monomial, and the answer is read off its reduced row echelon form.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
-capped run raises instead of answering.
+capped run raises instead of answering.  Buchberger runs on the MultiPoly
+terms themselves, in grevlex with the variables in sorted order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import or_, sub
 from .errors import ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
 from .linalg import solve
-from .polynomials import MultiPoly, _mono_mul, distinct_primitive, rational_content
+from .polynomials import MultiPoly, _mono_mul, distinct_primitive, mono_degree, rational_content
 
 
 def chart_variables(n):
@@ -141,19 +142,20 @@ class MembershipCertificate:
         return acc == self.target
 
 
-def _multiweight(poly):
-    """Torus weight of a multihomogeneous chart polynomial, or None."""
+def _multiweight(poly, pos):
+    """Torus weight of a multihomogeneous chart polynomial, as a vector with
+    the weight of e_p at ``pos[p]``, or None."""
     weights = set()
     for mono in poly.terms:
-        acc = {}
+        acc = [0] * len(pos)
         for (i, j, k), e in mono:
-            acc[i] = acc.get(i, 0) + e
-            acc[j] = acc.get(j, 0) + e
-            acc[k] = acc.get(k, 0) - e
-        weights.add(tuple(sorted((p, w) for p, w in acc.items() if w)))
+            acc[pos[i]] += e
+            acc[pos[j]] += e
+            acc[pos[k]] -= e
+        weights.add(tuple(acc))
         if len(weights) > 1:
             return None
-    return weights.pop() if weights else ()
+    return weights.pop() if weights else (0,) * len(pos)
 
 
 # Above this many multiplier columns enumerated without a torus-weight filter,
@@ -274,7 +276,10 @@ def _multiplier_columns(f, gens, bound):
     # a multiplier variable absent from f and every generator could be set to
     # 0 in any certificate, so this universe is enough
     homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
-    wf = _multiweight(f) if all(isinstance(v, tuple) for v in universe) else None
+    wf = None
+    if all(isinstance(v, tuple) for v in universe):
+        pos = {p: i for i, p in enumerate(sorted({p for v in universe for p in v}))}
+        wf = _multiweight(f, pos)
 
     df = f.degree()
     plan = []  # (gen index, multiplier degree, generator weight or None)
@@ -286,7 +291,7 @@ def _multiplier_columns(f, gens, bound):
             degs = [df - dg] if df >= dg else []
         else:
             degs = range(0, bound - dg + 1)
-        wg = _multiweight(g) if wf is not None else None
+        wg = _multiweight(g, pos) if wf is not None else None
         plan.extend((j, d, wg) for d in degs)
 
     # an unweighted plan entry needs a variable, so the universe is not empty
@@ -295,23 +300,10 @@ def _multiplier_columns(f, gens, bound):
         raise _column_cap_error(f"{unweighted} unweighted")
 
     if wf is not None:
-        var_weights = [_multiweight(MultiPoly.var(v)) for v in universe]
-        pos = {}
-        for w in var_weights:
-            for p, _ in w:
-                pos.setdefault(p, len(pos))
-
-        def dense(w):
-            vec = [0] * len(pos)
-            for p, e in w:
-                vec[pos[p]] += e
-            return vec
-
-        steps = [dense(w) for w in var_weights]
+        steps = [_multiweight(MultiPoly.var(v), pos) for v in universe]
         reach = max((abs(e) for s in steps for e in s), default=0)
         depth = max((d for _, d, wg in plan if wg is not None), default=0)
         masks = _search_masks(steps, reach, depth)
-        target = dense(wf)
 
     columns = []
     nodes = 0
@@ -319,7 +311,7 @@ def _multiplier_columns(f, gens, bound):
         if wg is None:
             monos = map(_monomial, combinations_with_replacement(universe, d))
         else:
-            rem = [a - b for a, b in zip(target, dense(wg))]
+            rem = list(map(sub, wf, wg))
             cap = MAX_UNWEIGHTED_COLUMNS - len(columns)
             monos, visited = _weighted_monomials(
                 universe, steps, masks, rem, d, cap, MAX_WEIGHTED_NODES - nodes
@@ -380,57 +372,37 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
 
 
 # -- small capped Buchberger --------------------------------------------------------
-# A polynomial is a dict {exponent vector over the sorted variables: coefficient}.
+# A polynomial is a MultiPoly term dict {monomial: coefficient}.
 
 
-def _split(poly, index):
-    """The terms of ``poly`` as {monomial in the variables outside ``index``:
-    {exponent vector over ``index``: coefficient}}."""
-    out = {}
-    for mono, c in poly.terms.items():
-        vec = [0] * len(index)
-        rest = []
-        for v, e in mono:
-            if v in index:
-                vec[index[v]] = e
-            else:
-                rest.append((v, e))
-        out.setdefault(tuple(rest), {})[tuple(vec)] = c
-    return out
+def _grevlex(rank):
+    """The grevlex sort key of monomials, with the variables ranked by ``rank``."""
+    return lambda mono: (mono_degree(mono), tuple((-rank[v], -e) for v, e in reversed(mono)))
 
 
-def _from_vec(vec_poly, universe, rest=()):
-    """The MultiPoly of ``vec_poly`` times the monomial ``rest`` in the
-    variables outside ``universe``."""
-    terms = {}
-    for vec, c in vec_poly.items():
-        mono = [(universe[i], e) for i, e in enumerate(vec) if e]
-        terms[tuple(sorted(mono + list(rest)))] = c
-    return MultiPoly(terms)
+def _quotient(m, lm):
+    """The monomial m / lm, or None when lm does not divide m."""
+    exps = dict(m)
+    for v, e in lm:
+        left = exps.get(v, 0) - e
+        if left < 0:
+            return None
+        if left:
+            exps[v] = left
+        else:
+            del exps[v]
+    return tuple(exps.items())
 
 
-def _key_grevlex(vec):
-    return (sum(vec), tuple(-e for e in reversed(vec)))
+def _lcm(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = max(e, exps.get(v, 0))
+    return tuple(sorted(exps.items()))
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _shift(poly, vec, coeff):
-    return {_vec_add(m, vec): c * coeff for m, c in poly.items()}
+def _shift(poly, mono, coeff):
+    return {_mono_mul(m, mono): c * coeff for m, c in poly.items()}
 
 
 def _sub_inplace(f, g):
@@ -442,28 +414,29 @@ def _sub_inplace(f, g):
             del f[m]
 
 
-def _nf_vec(f, basis):
+def _nf(f, basis, key):
     """Full normal form against the records ``basis``: every term reduced,
     by the first record whose lead divides it."""
     work = dict(f)
     out = {}
     while work:
-        m = max(work, key=_key_grevlex)
+        m = max(work, key=key)
         c = work.pop(m)
         for lm, lc, g in basis:
-            if _divides(lm, m):
+            q = _quotient(m, lm)
+            if q is not None:
                 work[m] = c
-                _sub_inplace(work, _shift(g, _vec_sub(m, lm), c / lc))
+                _sub_inplace(work, _shift(g, q, c / lc))
                 break
         else:
             out[m] = c
     return out
 
 
-def _record(p):
+def _record(p, key):
     """The basis record of the nonzero ``p`` divided by its content, with a
     positive lead coefficient."""
-    lead = max(p, key=_key_grevlex)
+    lead = max(p, key=key)
     content = rational_content(p.values())
     if p[lead] < 0:
         content = -content
@@ -477,17 +450,16 @@ class GroebnerBasis:
 
     def __init__(self, universe, records):
         self.universe = list(universe)
-        self._index = {v: i for i, v in enumerate(self.universe)}
         self._records = records
-        self.members = [_from_vec(terms, self.universe) for _, _, terms in records]
+        self.members = [MultiPoly(terms) for _, _, terms in records]
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
-        # the members use no variable outside the universe, so each monomial
-        # in those variables times its coefficient polynomial reduces alone
-        out = MultiPoly()
-        for rest, part in _split(f, self._index).items():
-            out = out + _from_vec(_nf_vec(part, self._records), self.universe, rest)
-        return out
+        # ranking the variables of f outside the universe among the sorted
+        # ones keeps grevlex on the members, so their leads and S-pairs are
+        # unchanged, the records stay a Groebner basis and the remainder is
+        # the unique one
+        rank = {v: i for i, v in enumerate(sorted(f.variables().union(self.universe)))}
+        return MultiPoly(_nf(f.terms, self._records, _grevlex(rank)))
 
     def contains(self, f: MultiPoly) -> bool:
         return self.normal_form(f).is_zero()
@@ -516,37 +488,37 @@ def groebner_small(gens):
     """
     polys = distinct_primitive(gens)
     universe = sorted(set().union(*(g.variables() for g in polys)))
-    index = {v: i for i, v in enumerate(universe)}
-    basis = [_record(_split(g, index)[()]) for g in polys]
+    key = _grevlex({v: i for i, v in enumerate(universe)})
+    basis = [_record(g.terms, key) for g in polys]
     pairs = []
     for i in range(len(basis)):
         for j in range(i):
-            lcm_v = _vec_lcm(basis[i][0], basis[j][0])
-            heapq.heappush(pairs, (sum(lcm_v), j, i, lcm_v))
+            lcm = _lcm(basis[i][0], basis[j][0])
+            heapq.heappush(pairs, (mono_degree(lcm), j, i, lcm))
     popped = 0
     while pairs:
-        _, i, j, lcm_v = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         popped += 1
         if popped > MAX_GROEBNER_PAIRS:
             raise ResourceCapExceeded(f"Buchberger pair cap {MAX_GROEBNER_PAIRS} exceeded")
         (lmi, lci, fi), (lmj, lcj, fj) = basis[i], basis[j]
-        if _vec_add(lmi, lmj) == lcm_v:
+        if _mono_mul(lmi, lmj) == lcm:
             continue  # coprime leading monomials: s-poly reduces to zero
-        s = _shift(fi, _vec_sub(lcm_v, lmi), 1 / lci)
-        _sub_inplace(s, _shift(fj, _vec_sub(lcm_v, lmj), 1 / lcj))
-        s = _nf_vec(s, basis)
+        s = _shift(fi, _quotient(lcm, lmi), 1 / lci)
+        _sub_inplace(s, _shift(fj, _quotient(lcm, lmj), 1 / lcj))
+        s = _nf(s, basis, key)
         if not s:
             continue
-        rec = _record(s)
-        if max(sum(m) for m in s) > MAX_GROEBNER_DEGREE:
+        rec = _record(s, key)
+        if max(map(mono_degree, s)) > MAX_GROEBNER_DEGREE:
             raise ResourceCapExceeded(f"degree cap {MAX_GROEBNER_DEGREE} exceeded")
         basis.append(rec)
         if len(basis) > MAX_GROEBNER_BASIS:
             raise ResourceCapExceeded(f"basis-size cap {MAX_GROEBNER_BASIS} exceeded")
         new = len(basis) - 1
         for t in range(new):
-            lcm_v = _vec_lcm(basis[t][0], rec[0])
-            heapq.heappush(pairs, (sum(lcm_v), t, new, lcm_v))
+            lcm = _lcm(basis[t][0], rec[0])
+            heapq.heappush(pairs, (mono_degree(lcm), t, new, lcm))
 
     # interreduce to the unique reduced basis: each element in turn is taken
     # out, reduced by the others and put back in its place (as it was, if
@@ -557,16 +529,16 @@ def groebner_small(gens):
         i = 0
         while i < len(basis):
             rec = basis.pop(i)
-            r = _nf_vec(rec[2], basis)
+            r = _nf(rec[2], basis, key)
             if r:
-                r = _record(r)
+                r = _record(r, key)
                 if r[2] != rec[2]:
                     rec, changed = r, True
                 basis.insert(i, rec)
                 i += 1
             else:
                 changed = True
-    basis.sort(key=lambda rec: _key_grevlex(rec[0]))
+    basis.sort(key=lambda rec: key(rec[0]))
     return GroebnerBasis(universe, basis)
 
 

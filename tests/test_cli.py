@@ -286,6 +286,12 @@ def test_ideal_variables_outside_the_chart_are_usage_errors(capsys):
     assert code == 2 and "t_{2,1,3}" in err
     code, _, err = run(capsys, "ideal", "nonmember", "6", "4", "Q5", "--zeros", "1,2")
     assert code == 2 and "t_{1,2} is not a variable" in err
+    code, _, err = run(capsys, "ideal", "nonmember", "6", "4", "Q5", "--zeros", "a,b,c")
+    assert code == 2 and "bad --zeros entry 'a,b,c' (expected i,j,k)" in err
+    # only ASCII digits, as in the table grammar: Arabic-Indic 1,2,4 is refused
+    code, _, err = run(capsys, "ideal", "nonmember", "6", "4", "Q5",
+                       "--zeros", "\u0661,\u0662,\u0664;1,3,4")
+    assert code == 2 and "bad --zeros entry '\u0661,\u0662,\u0664'" in err
     code, _, err = run(capsys, "ideal", "member", "6", "4", "t_{1,2,3}+")
     assert code == 2 and "unexpected end of input" in err
 

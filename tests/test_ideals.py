@@ -179,6 +179,28 @@ def test_groebner_trivial_and_normal_forms():
     assert gb.normal_form(x * x).is_zero()
     assert gb.normal_form(MultiPoly.const(1)) == MultiPoly.const(1)
     assert gb.contains(x * x - x)
+    # the variables outside the basis sort before x ("w"), between x and y
+    # ("xy") and after z ("zz"): each rides along with its coefficient
+    x, y, z = (MultiPoly.var(v) for v in "xyz")
+    gb = groebner_small([x - z * z, y - z * z * z])
+    f = x * x + y * z * z + 2 * x - 1
+    for m in (MultiPoly.var("w"), MultiPoly.var("xy"), MultiPoly.var("zz") ** 2,
+              MultiPoly.var("w") * MultiPoly.var("xy") * MultiPoly.var("zz")):
+        assert gb.normal_form(f * m) == gb.normal_form(f) * m
+
+
+def _dense_grevlex(vec):
+    return (sum(vec), tuple(-e for e in reversed(vec)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12, unique=True)))
+def test_grevlex_key_orders_as_the_dense_key(vecs):
+    names = "uvwxyz"[: len(vecs[0])]
+    monos = {tuple((names[i], e) for i, e in enumerate(vec) if e): vec for vec in vecs}
+    key = ideals._grevlex({v: i for i, v in enumerate(names)})
+    assert sorted(monos, key=key) == sorted(monos, key=lambda m: _dense_grevlex(monos[m]))
 
 
 def test_groebner_known_basis():
