@@ -399,10 +399,9 @@ class Catalog:
     def witness(self, wid) -> IsomorphismWitness:
         return self._witnesses[wid]
 
-    def verify_witness(self, w, at=None):
-        """Run one witness: (ok, diff list of bracket mismatches)."""
-        if isinstance(w, str):
-            w = self.witness(w)
+    def verify_witness(self, wid, at=None):
+        """Run the witness ``wid``: (ok, diff list of bracket mismatches)."""
+        w = self.witness(wid)
         assignment = dict(w.fixed)
         if w.param is not None:
             if at is None:

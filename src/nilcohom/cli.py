@@ -147,8 +147,8 @@ def cmd_exactness(args, catalog):
     rec = catalog.get(args.family)
     point = _parse_assignment(args.at)
     _check_params(point, rec.params, rec.name)
-    free = tuple(s.strip() for s in args.free.split(",") if s.strip()) if args.free \
-        else rec.params
+    free = rec.params if args.free is None \
+        else tuple(s.strip() for s in args.free.split(",") if s.strip())
     rep = augmented_exactness(rec.symbolic(), point, free, args.constraint,
                               name=rec.name)
     if args.json:

@@ -13,10 +13,10 @@ e_i + e_j - e_k) the multiplier monomials m are generated by a depth-first
 search that only ever reaches weight w(f) - w(g_j), so the columns that
 could never appear in a certificate are not built.  The search picks the
 variables that may extend a prefix by ANDing one bitmask per weight
-coordinate over the variables, without testing them one by one; other
-input enumerates every monomial of each admissible degree, under a column
-cap.  The system goes to ``linalg.solve`` as one sparse augmented row per
-monomial, and the answer is read off its reduced row echelon form.
+coordinate over the variables, without testing them one by one; on other
+input it runs with weights of no coordinates, which filter nothing.  The
+system goes to ``linalg.solve`` as one sparse augmented row per monomial,
+and the answer is read off its reduced row echelon form.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
-from math import comb
+from itertools import accumulate
 from operator import or_, sub
 
 from .errors import ResourceCapExceeded
@@ -158,13 +157,10 @@ def _multiweight(poly, pos):
     return weights.pop() if weights else (0,) * len(pos)
 
 
-# Above this many multiplier columns enumerated without a torus-weight filter,
-# member_bounded raises ResourceCapExceeded instead of building the system;
-# the count is in closed form, before enumerating.  The weight-directed
-# columns are counted as they are generated, and the running total of all
-# columns is held to the same cap.  The dense echelon of such a system holds
-# up to columns**2 entries: about 150 MB at 2,900 columns, so roughly 0.4 GB
-# at the cap.
+# Above this many multiplier columns, counted as the search finds them,
+# member_bounded raises ResourceCapExceeded instead of building the system.
+# Its dense echelon holds up to columns**2 entries: about 150 MB at 2,900
+# columns, so roughly 0.4 GB at the cap.
 MAX_UNWEIGHTED_COLUMNS = 5_000
 
 # Above this many monomial prefixes visited by the weight-directed search of
@@ -174,6 +170,11 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # prefixes and Q13^3 at D = 9 visits 100,397, while Q5^4 at D = 12 visits
 # 568,541 (about 2 us each on a 2-vCPU host) to find one column.
 MAX_WEIGHTED_NODES = 200_000
+
+# Above this many letters in one multiplier monomial, member_bounded raises
+# ResourceCapExceeded: the search recurses once per letter, and this keeps it
+# well below the recursion limit, as liealg.MAX_WALK_DEPTH does for the walk.
+MAX_MULTIPLIER_DEGREE = 200
 
 
 def _monomial(combo):
@@ -217,9 +218,16 @@ def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
     children are the set bits of the AND over the coordinates that do not
     allow every index, in ascending order.  At ``left == 1`` the bound is 0
     and one lookup keyed by ``rem`` gives the indices whose step equals it.
-    Raises ResourceCapExceeded as soon as more than ``cap`` monomials are
-    found or more than ``node_cap`` prefixes are visited.
+    Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
+    Raises ResourceCapExceeded when d is above MAX_MULTIPLIER_DEGREE, before
+    recursing, and once more than ``cap`` monomials are found or more than
+    ``node_cap`` prefixes are visited.
     """
+    if d > MAX_MULTIPLIER_DEGREE:
+        raise ResourceCapExceeded(
+            f"membership search needs multiplier monomials of degree {d},"
+            f" over the cap {MAX_MULTIPLIER_DEGREE}"
+        )
     reach, off, below, exact = masks
     full = (1 << len(universe)) - 1
     out = []
@@ -237,7 +245,10 @@ def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
         if not left:  # the prefix reached rem exactly
             out.append(_monomial(combo))
             if len(out) > cap:
-                raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
+                raise ResourceCapExceeded(
+                    f"membership system needs more than {MAX_UNWEIGHTED_COLUMNS}"
+                    f" multiplier columns, over the cap {MAX_UNWEIGHTED_COLUMNS}"
+                )
             return
         sel = full >> start << start
         if left == 1:
@@ -267,10 +278,9 @@ def _multiplier_columns(f, gens, bound):
 
     Ordered by generator, then degree, then the
     ``combinations_with_replacement`` order of the sorted variable universe.
-    When f and g_j are torus-homogeneous only monomials of weight
-    w(f) - w(g_j) are generated; otherwise every monomial of each admissible
-    degree is.  Raises ResourceCapExceeded past MAX_UNWEIGHTED_COLUMNS
-    columns: unweighted ones counted before, weighted ones while enumerating.
+    ``_weighted_monomials`` finds them, under its caps: when f and g_j are
+    torus-homogeneous, those of weight w(f) - w(g_j); otherwise, with steps
+    of no coordinates that filter nothing, all of each admissible degree.
     """
     universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
     # a multiplier variable absent from f and every generator could be set to
@@ -282,52 +292,28 @@ def _multiplier_columns(f, gens, bound):
         wf = _multiweight(f, pos)
 
     df = f.degree()
-    plan = []  # (gen index, multiplier degree, generator weight or None)
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        dg = g.degree()
-        if homog:
-            degs = [df - dg] if df >= dg else []
-        else:
-            degs = range(0, bound - dg + 1)
-        wg = _multiweight(g, pos) if wf is not None else None
-        plan.extend((j, d, wg) for d in degs)
-
-    # an unweighted plan entry needs a variable, so the universe is not empty
-    unweighted = sum(comb(len(universe) + d - 1, d) for _, d, wg in plan if wg is None)
-    if unweighted > MAX_UNWEIGHTED_COLUMNS:
-        raise _column_cap_error(f"{unweighted} unweighted")
-
+    top = df if homog else bound
+    live = [(j, g, g.degree()) for j, g in enumerate(gens) if not g.is_zero()]
+    # a search deeper than MAX_MULTIPLIER_DEGREE raises before it reads the masks
+    depth = min(max([0] + [top - dg for _, _, dg in live]), MAX_MULTIPLIER_DEGREE)
+    flat = ([()] * len(universe), _search_masks([()] * len(universe), 0, depth), [])
     if wf is not None:
         steps = [_multiweight(MultiPoly.var(v), pos) for v in universe]
         reach = max((abs(e) for s in steps for e in s), default=0)
-        depth = max((d for _, d, wg in plan if wg is not None), default=0)
         masks = _search_masks(steps, reach, depth)
 
     columns = []
     nodes = 0
-    for j, d, wg in plan:
-        if wg is None:
-            monos = map(_monomial, combinations_with_replacement(universe, d))
-        else:
-            rem = list(map(sub, wf, wg))
-            cap = MAX_UNWEIGHTED_COLUMNS - len(columns)
-            monos, visited = _weighted_monomials(
-                universe, steps, masks, rem, d, cap, MAX_WEIGHTED_NODES - nodes
-            )
+    for j, g, dg in live:
+        wg = _multiweight(g, pos) if wf is not None else None
+        search = flat if wg is None else (steps, masks, list(map(sub, wf, wg)))
+        degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
+        for d in degs:
+            cap, node_cap = MAX_UNWEIGHTED_COLUMNS - len(columns), MAX_WEIGHTED_NODES - nodes
+            monos, visited = _weighted_monomials(universe, *search, d, cap, node_cap)
             nodes += visited
-        columns.extend((j, mono) for mono in monos)
-        if len(columns) > MAX_UNWEIGHTED_COLUMNS:
-            raise _column_cap_error(f"more than {MAX_UNWEIGHTED_COLUMNS}")
+            columns.extend((j, mono) for mono in monos)
     return columns
-
-
-def _column_cap_error(count):
-    return ResourceCapExceeded(
-        f"membership system needs {count} multiplier columns,"
-        f" over the cap {MAX_UNWEIGHTED_COLUMNS}"
-    )
 
 
 def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
@@ -338,8 +324,8 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     inputs, in total degree and in the torus multigrading of the chart
     variables, restricts the multiplier monomials without losing any
     certificate, since membership identities project onto graded pieces.
-    Raises ResourceCapExceeded when the multiplier columns, unrestricted or
-    weight-directed, would number more than MAX_UNWEIGHTED_COLUMNS.
+    Raises ResourceCapExceeded past a cap of the multiplier search
+    (MAX_UNWEIGHTED_COLUMNS, MAX_WEIGHTED_NODES, MAX_MULTIPLIER_DEGREE).
     """
     gens = list(gens)
     if f.is_zero():

@@ -61,8 +61,8 @@ class MultiPoly:
         return cls({(): c} if c else {})
 
     @classmethod
-    def var(cls, v, exp=1):
-        return cls({((v, exp),): Fraction(1)})
+    def var(cls, v):
+        return cls({((v, 1),): Fraction(1)})
 
     @classmethod
     def term(cls, coeff, mono):

@@ -38,6 +38,7 @@ _MAX_DEGREE = 64
 _MAX_TERMS = 1_000
 _MAX_BITS = 10_000
 _MAX_PRODUCTS = 10_000  # coefficient products spent on one power
+_SIZE_CAPS = f"degree {_MAX_DEGREE}, {_MAX_TERMS} terms, {_MAX_BITS}-bit coefficients"
 
 
 def _bits(c):
@@ -47,18 +48,32 @@ def _bits(c):
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
+def _coeff_bits(p):
+    """The bits of p's widest coefficient plus log2 of its term count."""
+    return max(map(_bits, p.terms.values())) + len(p.terms).bit_length()
+
+
+def _product_too_large(p, q):
+    """Whether p * q may pass a cap: it has degree deg p + deg q, at most
+    len p * len q terms and coefficients of at most the sum of their ``_coeff_bits``."""
+    return bool(p.terms and q.terms) and (
+        p.degree() + q.degree() > _MAX_DEGREE
+        or len(p.terms) * len(q.terms) > _MAX_TERMS
+        or _coeff_bits(p) + _coeff_bits(q) > _MAX_BITS
+    )
+
+
 def _power_too_large(p, e):
     """Whether p^e may pass a cap: it has degree e * deg p, at most
-    comb(len + e - 1, e) terms, coefficients of at most e * (bits + log2 len)
+    comb(len + e - 1, e) terms, coefficients of at most e * ``_coeff_bits``
     bits, and square-and-multiply spends at most ``_chain_products`` products
     of coefficients on it."""
     if not p.terms or e == 0:
         return False
     terms = len(p.terms)
-    bits = max(_bits(c) for c in p.terms.values()) + terms.bit_length()
     return (
         e * p.degree() > _MAX_DEGREE
-        or e * bits > _MAX_BITS
+        or e * _coeff_bits(p) > _MAX_BITS
         or comb(terms + e - 1, e) > _MAX_TERMS
         or _chain_products(terms, e) > _MAX_PRODUCTS
     )
@@ -267,8 +282,7 @@ class _Parser:
                 raise TableError("cannot raise a basis vector to a power", etok.line, etok.col)
             if _power_too_large(base.scal, etok.value):
                 raise TableError(
-                    f"power too large (caps: degree {_MAX_DEGREE}, {_MAX_TERMS} terms,"
-                    f" {_MAX_BITS}-bit coefficients, {_MAX_PRODUCTS} coefficient products)",
+                    f"power too large (caps: {_SIZE_CAPS}, {_MAX_PRODUCTS} coefficient products)",
                     etok.line,
                     etok.col,
                 )
@@ -325,9 +339,8 @@ class _Parser:
             raise TableError("product of two basis-vector expressions", tok.line, tok.col)
         if b.is_scalar():
             a, b = b, a
-        widest = max([len(b.scal.terms)] + [len(p.terms) for p in b.vec.values()])
-        if len(a.scal.terms) * widest > _MAX_TERMS:
-            raise TableError(f"product too large (cap: {_MAX_TERMS} terms)", tok.line, tok.col)
+        if any(_product_too_large(a.scal, p) for p in (b.scal, *b.vec.values())):
+            raise TableError(f"product too large (caps: {_SIZE_CAPS})", tok.line, tok.col)
         return _Val(a.scal * b.scal, {k: a.scal * p for k, p in b.vec.items()})
 
     @staticmethod

@@ -15,6 +15,7 @@ from nilcohom.cli import main
 from nilcohom.errors import ResourceCapExceeded
 from nilcohom.jsonio import dump_algebra
 from nilcohom.liealg import StructureConstants, n_k, sn_k
+from nilcohom.tables import parse_table
 
 
 def run(capsys, *argv):
@@ -46,6 +47,21 @@ def test_info_table_text_file(tmp_path, capsys):
     path.write_text("dim 5\nab = e, cd = e\n")
     code, out, _ = run(capsys, "info", str(path))
     assert code == 0 and "5-dim" in out and "2-step" in out
+
+
+def test_info_text_on_tables_that_are_not_nilpotent(tmp_path, capsys):
+    code, out, _ = run(capsys, "info", "g_5(r,t)", "--params", "r=1,t=1")
+    assert code == 0 and "solvable (length 3), not nilpotent" in out
+    path = tmp_path / "sl2.txt"
+    path.write_text("dim 3\nab = c, ca = 2a, cb = -2b\n")
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0 and "not solvable," in out
+    assert liealg.solvable_length(parse_table("ab = c, ca = 2a, cb = -2b", 3)) is None
+    # J(a, b, d) = [[a, b], d] = [c, d] = a
+    path = tmp_path / "not_lie.txt"
+    path.write_text("dim 4\nab = c, cd = a\n")
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0 and "4-dim over Q, not a Lie bracket (Jacobi fails)" in out
 
 
 def test_table_text_dimension_leaves_out_the_imaginary_unit(tmp_path, capsys):
@@ -123,6 +139,12 @@ def test_exactness_small_curve(capsys):
     code, out, _ = run(capsys, "exactness", "g_{147E_1}(t)", "--at", "t=2",
                        "--constraint", "n3")
     assert code == 0 and "EXACT" in out
+
+
+def test_exactness_with_an_empty_free_list_frees_no_parameter(capsys):
+    code, out, _ = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1", "--free", "")
+    assert code == 1 and "free {}" in out and "NOT EXACT" in out
+    assert "rank dF = 40, dim Ker dG = 41" in out
 
 
 def test_exactness_bad_constraint_is_usage_error(capsys):
@@ -307,6 +329,10 @@ def test_named_targets_take_any_power(capsys):
     code, _, err = run(capsys, "ideal", "member", "6", "4", "Q5^99999")
     assert code == 2 and "too large" in err
     assert time.perf_counter() - start < 1
+    # a product of 1,200 factors is refused at degree 65, before the search
+    product = "*".join(["t_{1,2,3}"] * 1200)
+    code, _, err = run(capsys, "ideal", "member", "3", "1", product, "-D", "1200")
+    assert code == 2 and "product too large" in err
 
 
 def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):

@@ -18,6 +18,7 @@ from nilcohom import ideals
 from nilcohom.cli import main
 from nilcohom.errors import ResourceCapExceeded
 from nilcohom.ideals import (
+    MAX_MULTIPLIER_DEGREE,
     MAX_UNWEIGHTED_COLUMNS,
     _multiplier_columns,
     chart_variables,
@@ -226,6 +227,14 @@ def test_normal_form_is_linear():
         assert gb.normal_form(f + g) == gb.normal_form(f) + gb.normal_form(g)
 
 
+def test_interreduction_rewrites_a_reduced_element():
+    # Buchberger adds z + 1 and y^2 - x; interreducing, x*y + 1 vanishes
+    # against x*y - z and z + 1, and x*y - z is rewritten to x*y + 1
+    x, y, z = (MultiPoly.var(v) for v in "xyz")
+    gb = groebner_small([x * x + y, x * y + 1, x * y - z])
+    assert gb.members == [z + 1, y * y - x, x * y + 1, x * x + y]
+
+
 def test_groebner_caps_raise(monkeypatch):
     x, y, z = (MultiPoly.var(v) for v in "xyz")
     cyclic3 = [x + y + z, x * y + y * z + z * x, x * y * z - 1]
@@ -421,6 +430,17 @@ def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
     monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_142)
     cert = member_bounded(_q("Q13") ** 2, ideal64_gens, 6)
     assert cert is not None and cert.verify(ideal64_gens)
+
+
+def test_multiplier_degree_cap():
+    # the search recurses once per letter, so a multiplier monomial past
+    # MAX_MULTIPLIER_DEGREE letters is refused before the search recurses
+    t, x = MultiPoly.var((1, 2, 3)), MultiPoly.var("x")
+    for f, g in ((t**1200, t), (x**2000, x)):
+        with pytest.raises(ResourceCapExceeded, match=f"over the cap {MAX_MULTIPLIER_DEGREE}"):
+            member_bounded(f, [g], f.degree())
+    cert = member_bounded(x ** (MAX_MULTIPLIER_DEGREE + 1), [x], MAX_MULTIPLIER_DEGREE + 1)
+    assert cert is not None and cert.verify([x])
 
 
 @st.composite

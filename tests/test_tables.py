@@ -222,6 +222,23 @@ def test_a_power_past_the_product_cap_is_refused_before_it_is_expanded():
     assert mu.entry(0, 1, 2) == 6**16
 
 
+@pytest.mark.parametrize("text", [
+    "*".join(["t_{1,2,3}"] * 100),  # degree 100
+    "*".join(["2^3000"] * 20),  # a 60,001-bit coefficient
+    "*".join(["7" * 3000] * 300),  # 300 factors of 9,966 bits
+])
+def test_a_product_past_the_degree_or_bit_cap_is_refused_before_it_is_expanded(text):
+    start = time.perf_counter()
+    with pytest.raises(TableError, match="product too large"):
+        parse_tpoly(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_product_at_the_caps_parses():
+    assert parse_tpoly("*".join(["t_{1,2,3}"] * 64)) == MultiPoly.var((1, 2, 3)) ** 64
+    assert parse_tpoly("*".join(["2^3000"] * 3)) == MultiPoly.const(2**9000)
+
+
 _POLYS = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3).filter(bool)),
     min_size=1, max_size=5,
