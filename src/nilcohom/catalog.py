@@ -22,7 +22,7 @@ from .errors import ExternalDataRequired, UnknownAlgebra
 from .jsonio import pack_checksum, read_json, record_fields
 from .liealg import StructureConstants, table_in_basis
 from .scalars import FIELD_Q, FIELD_QI, QI
-from .tables import SymbolicTable, parse_symbolic, parse_tpoly, parse_vector
+from .tables import parse_symbolic, parse_tpoly, parse_vector
 
 DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 
@@ -31,7 +31,7 @@ DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 class AlgebraRecord:
     name: str
     dim: int
-    table: str | SymbolicTable  # a JSON ``brackets`` record is held parsed
+    table: str | StructureConstants  # a JSON ``brackets`` record is held parsed
     params: tuple = ()
     aliases: tuple = ()
     field: str = FIELD_Q
@@ -41,7 +41,7 @@ class AlgebraRecord:
     default_samples: tuple = ()  # tuples of parameter assignments
 
     def symbolic(self):
-        if isinstance(self.table, SymbolicTable):
+        if isinstance(self.table, StructureConstants):
             return self.table
         return parse_symbolic(self.table, self.dim, self.params)
 
@@ -325,7 +325,7 @@ def read_record(path, name=None) -> AlgebraRecord:
     data = read_json(path)
     try:
         rec = AlgebraRecord(**record_fields(data, name), provenance="external-pack")
-        coeffs = [c for row in rec.symbolic().entries.values() for p in row.values()
+        coeffs = [c for row in rec.symbolic().c.values() for p in row.values()
                   for c in p.terms.values()]
         if rec.field == FIELD_Q and any(isinstance(c, QI) for c in coeffs):
             raise ValueError("'field' is Q, but the table has Gaussian values")
@@ -352,10 +352,16 @@ class Catalog:
 
     # -- records -----------------------------------------------------------
 
-    def _add(self, rec):
+    def _add(self, rec, path=None):
+        """Bind a record's names, none bound before: a record of the pack file
+        ``path`` may not take a printed name or an earlier file's."""
+        names = (rec.name,) + rec.aliases
+        for name in names:
+            if _norm(name) in self._lookup:
+                raise ValueError(f"{path}: {name!r} already names {self._lookup[_norm(name)]!r}")
         self._records[rec.name] = rec
-        for key in (rec.name,) + rec.aliases:
-            self._lookup[_norm(key)] = rec.name
+        for name in names:
+            self._lookup[_norm(name)] = rec.name
 
     def names(self):
         return sorted(self._records)
@@ -387,7 +393,7 @@ class Catalog:
             raise ValueError(f"{mpath}: not an object with a string 'name'")
         for fp in sorted(root.glob("*.json")):
             if fp.name != "manifest.json":
-                self._add(read_record(fp))
+                self._add(read_record(fp), fp)
         self.pack_checksum = pack_checksum(root)
         self.pack_name = pack_name
 

@@ -223,7 +223,7 @@ def cmd_ideal(args, catalog):
         return 0 if cert is not None else 1
 
     # nonmember
-    if args.zeros:
+    if args.zeros is not None:
         assignment = {}
         for chunk in args.zeros.split(";"):
             chunk = chunk.strip()

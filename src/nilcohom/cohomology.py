@@ -123,7 +123,7 @@ def iter_d1_columns(mu, scaled=True):
     ``d1_matrix``: their span is Im d1 and their rank is b.
     """
     lay = Layout(mu.n)
-    n, table, _, right = _letter_operators(mu, scaled)
+    n, table, right = _letter_operators(mu, scaled)
     # hits[p]: (first column of the pair {i, j}, coefficient of e_p in
     # mu(e_i, e_j)) for i < j
     hits = [[] for _ in range(n)]
@@ -165,13 +165,14 @@ def iter_d2_rows(mu, scaled=True):
     of mu(e_x, e_y) at the columns of its pair with z in every row.
     """
     lay = Layout(mu.n)
-    n, table, left, _ = _letter_operators(mu, scaled)
+    n, table, right = _letter_operators(mu, scaled)
     for t, (i, j, l) in enumerate(lay.triples):
         rows = {}
-        # mu(e_x, sigma(e_y, e_z)) terms, signs +, -, +; no column repeats
-        for x, (y, z), sgn in ((i, (j, l), 1), (j, (i, l), -1), (l, (i, j), 1)):
+        # mu(e_x, sigma(e_y, e_z)) terms, signs +, -, +, read off
+        # mu(e_s, e_x) = -mu(e_x, e_s); no column repeats
+        for x, (y, z), sgn in ((i, (j, l), -1), (j, (i, l), 1), (l, (i, j), -1)):
             base = lay.sigma[y][z][0]
-            for s, terms in left[x]:
+            for s, terms in right[x]:
                 for m, w in terms:
                     rows.setdefault(m, {})[base + s] = sgn * w
         # sigma(mu(e_x, e_y), e_z) terms, signs -, +, -
@@ -205,7 +206,7 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, _, _, right = _letter_operators(mu, scaled)
+    n, _, right = _letter_operators(mu, scaled)
     words = walk_words(right, n, k + 1, Layout(n), ascending_pair=True,
                        least_first=least_first, letters=letters)
     for index, _, tangent in words:
@@ -235,7 +236,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
     if k < 2:
         raise ValueError("k must be >= 2")
     lay = Layout(mu.n)
-    n, table, left, right = _letter_operators(mu, scaled)
+    n, table, right = _letter_operators(mu, scaled)
     heads = []
     for x1, x2 in lay.pairs:
         a = table[x1][x2]
@@ -249,16 +250,17 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
     tail_span = n ** (k - 1)
     tails = walk_words(right, n, k - 1, lay, ascending_pair=True, least_first=least_first)
     for tailidx, bvec, ftail in tails:
-        # es_b[m][s]: coefficient of e_m in mu(e_s, B)
+        # es_b[m][s]: coefficient of e_m in mu(e_s, B), read off
+        # mu(e_q, e_s) = -mu(e_s, e_q)
         es_b = {}
         if bvec is not None:
             for s in range(n):
-                for q, terms in left[s]:
+                for q, terms in right[s]:
                     cq = bvec[q]
                     if cq:
                         for m, w in terms:
                             acc = es_b.setdefault(m, {})
-                            acc[s] = acc.get(s, 0) + cq * w
+                            acc[s] = acc.get(s, 0) - cq * w
         for pair, base, a, a_of in heads:
             rows = _apply_to_rows(a_of, ftail)
             for m, coeffs in es_b.items():
@@ -429,7 +431,8 @@ def parse_constraint(text):
 def augmented_exactness(table, point, free_params, constraint, name=None) -> ExactnessReport:
     """Exactness of [tangents | d1] -> middle -> [d2 ; d(constraint)] at a point.
 
-    ``table`` is a SymbolicTable; the point must satisfy the constraint
+    ``table`` is a StructureConstants over polynomials (field "sym") with
+    its parameters in ``params``; the point must satisfy the constraint
     exactly (Jacobi, plus vanishing of the chosen word operator).  One
     column is adjoined to d1 per free parameter: the exact derivative of
     the table in that parameter, evaluated at the point.  Words longer than

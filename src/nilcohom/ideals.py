@@ -159,8 +159,11 @@ def _multiweight(poly, pos):
 
 # Above this many multiplier columns, counted as the search finds them,
 # member_bounded raises ResourceCapExceeded instead of building the system.
-# Its dense echelon holds up to columns**2 entries: about 150 MB at 2,900
-# columns, so roughly 0.4 GB at the cap.
+# It bounds the unknowns, not the fill-in of the sparse echelon (RowBasis)
+# that sets time and memory.  Peak RSS of one process (2-vCPU host, 17 MB
+# after the import): a member over nilpotency_ideal(7, 2), D = 3, 4,200
+# columns, 0.2 s CPU, 19 MB; three dense inhomogeneous quadrics in four chart
+# variables, D = 13, 4,095 columns, 2,380 rows, 143 s CPU, 154 MB.
 MAX_UNWEIGHTED_COLUMNS = 5_000
 
 # Above this many monomial prefixes visited by the weight-directed search of

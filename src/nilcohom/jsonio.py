@@ -21,7 +21,6 @@ from pathlib import Path
 from .liealg import StructureConstants
 from .polynomials import MultiPoly
 from .scalars import FIELD_Q, FIELD_QI, format_scalar, parse_scalar, promote
-from .tables import SymbolicTable
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
@@ -92,7 +91,7 @@ def algebra_from_dict(data) -> StructureConstants:
 
 def record_fields(data, name=None) -> dict:
     """The catalog fields of a record in either form, the table as text or,
-    from ``brackets``, as a constant SymbolicTable; ``name`` names a record
+    from ``brackets``, as a table of constant polynomials; ``name`` names a record
     without one.  A missing or mistyped key raises ValueError naming it."""
     dim = _entry(data, "dim", int)
     if not 1 <= dim <= 26:
@@ -103,8 +102,8 @@ def record_fields(data, name=None) -> dict:
         table, params = _entry(data, "table", str), _strings(data, "params")
     else:
         mu = algebra_from_dict(data)
-        table = SymbolicTable(dim, {pair: {k: MultiPoly.const(v) for k, v in row.items()}
-                                    for pair, row in mu.c.items()})
+        table = StructureConstants(dim, {pair: {k: MultiPoly.const(v) for k, v in row.items()}
+                                         for pair, row in mu.c.items()}, "sym")
         params = ()
     return {"name": name, "dim": dim, "table": table, "params": params, "field": _field(data),
             "aliases": _strings(data, "aliases"), "notes": _entry(data, "citation", str, default="")}

@@ -4,7 +4,9 @@ A bracket on an n-dimensional space is stored as the antisymmetric tensor
 c[i][j][k] with only i < j kept; reading (j, i) negates.  Nothing here
 assumes the Jacobi identity unless stated: a :class:`StructureConstants` is
 just a point of the ambient space of antisymmetric bilinear maps, which is
-exactly what the deformation-variety computations need.
+exactly what the deformation-variety computations need.  Over the field
+"sym" the coefficients are polynomials: a family's table in its parameters,
+or the generic chart; it is differentiated and evaluated exactly.
 
 Indices are 0-based internally; table text and the JSON schema are 1-based.
 """
@@ -13,22 +15,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DimensionMismatch, NotDerivation, NotLieAlgebra, ResourceCapExceeded
+from .errors import (DimensionMismatch, NotDerivation, NotLieAlgebra, ResourceCapExceeded,
+                     TableError)
 from .linalg import ExactMatrix, int_cleared, inverse, reduce_rows
 from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
 
 class StructureConstants:
-    """Antisymmetric coefficient tensor of a bracket (or any 2-cochain)."""
+    """Antisymmetric coefficient tensor of a bracket (or any 2-cochain), over
+    Q, Q(i) or "sym", whose coefficients are ``MultiPoly`` polynomials in the
+    symbols ``params`` names; zero coefficients and empty pairs are dropped."""
 
-    __slots__ = ("n", "field", "c", "name")
+    __slots__ = ("n", "field", "c", "name", "params")
 
-    def __init__(self, n, brackets=None, field=FIELD_Q, name=None):
+    def __init__(self, n, brackets=None, field=FIELD_Q, name=None, params=()):
         if n < 1:
             raise DimensionMismatch("dimension must be positive")
         self.n = n
         self.field = field
         self.name = name
+        self.params = tuple(params)
         self.c = {}
         for (i, j), coeffs in (brackets or {}).items():
             if not (0 <= i < j < n):
@@ -101,8 +107,32 @@ class StructureConstants:
 
     def with_name(self, name):
         out = StructureConstants.__new__(StructureConstants)
-        out.n, out.field, out.c, out.name = self.n, self.field, self.c, name
+        out.n, out.field, out.c, out.name, out.params = self.n, self.field, self.c, name, self.params
         return out
+
+    # -- polynomial coefficients ------------------------------------------------
+
+    def free_symbols(self):
+        """The symbols the polynomial coefficients use."""
+        return set().union(*(p.variables() for row in self.c.values() for p in row.values()))
+
+    def derivative(self, sym):
+        """The table of the coefficients' exact derivatives in ``sym``."""
+        brackets = {pair: {k: p.diff(sym) for k, p in coeffs.items()}
+                    for pair, coeffs in self.c.items()}
+        return StructureConstants(self.n, brackets, self.field, params=self.params)
+
+    def evaluate(self, assignment=None):
+        """The table at a value per symbol (TableError if one has none), over
+        Q(i) exactly when some evaluated coefficient is Gaussian."""
+        assignment = dict(assignment or {})
+        missing = sorted(self.free_symbols() - set(assignment))
+        if missing:
+            raise TableError(f"unresolved parameter symbols: {', '.join(missing)}")
+        brackets = {pair: {k: p.evaluate(assignment) for k, p in coeffs.items()}
+                    for pair, coeffs in self.c.items()}
+        gaussian = any(isinstance(v, QI) for row in brackets.values() for v in row.values())
+        return StructureConstants(self.n, brackets, FIELD_QI if gaussian else FIELD_Q)
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
@@ -124,7 +154,7 @@ def pencil(mu, nu, t):
 
 def jacobi(mu):
     """Cyclic Jacobi tensor on basis triples i<j<k; empty dict iff Lie."""
-    n, table, _, right = _letter_operators(mu, scaled=False)
+    n, table, right = _letter_operators(mu, scaled=False)
     out = {}
     for i, j, l in Layout(n).triples:
         acc = [0] * n
@@ -183,14 +213,14 @@ class Layout:
 
 
 def _letter_operators(mu, scaled):
-    """The bracket table, read once: (n, table, left, right).
+    """The bracket table, read once: (n, table, right).
 
     table[p][q] is mu(e_p, e_q) as a length-n list, or None when it is
     zero; right[b] lists (p, [(m, w), ...]) for every nonzero mu(e_p, e_b),
-    with its nonzero coefficients w of e_m, and left[p] lists
-    (q, [(m, w), ...]) the same way for every nonzero mu(e_p, e_q).  J, d1,
-    d2, the words, their derivatives and the series read the coefficients
-    here and nowhere else.
+    p ascending, with its nonzero coefficients w of e_m.  Since
+    mu(e_b, e_p) = -mu(e_p, e_b), right[b] read with the signs flipped is
+    the left operator mu(e_b, .).  J, d1, d2, the words, their derivatives
+    and the series read the coefficients here and nowhere else.
     scaled=True multiplies every entry by one global integer, which is
     legitimate anywhere a uniform per-row scale is (rank, kernel); the
     scaled entries are ints, and QIs with int parts where they are not real.
@@ -206,15 +236,12 @@ def _letter_operators(mu, scaled):
             table[i][j], table[j][i] = [0] * n, [0] * n
         table[i][j][k] = v
         table[j][i][k] = -v
-    left = [[] for _ in range(n)]
     right = [[] for _ in range(n)]
     for p in range(n):
         for q in range(n):
             if table[p][q] is not None:
-                terms = [(m, w) for m, w in enumerate(table[p][q]) if w]
-                left[p].append((q, terms))
-                right[q].append((p, terms))
-    return n, table, left, right
+                right[q].append((p, [(m, w) for m, w in enumerate(table[p][q]) if w]))
+    return n, table, right
 
 
 def _brv(right, n, v, b):
@@ -233,16 +260,16 @@ def _brv(right, n, v, b):
     return None
 
 
-def _brvv(left, n, x, y):
-    """mu(x, y) for two dense vectors, through the left operators; None when
-    zero."""
+def _brvv(right, n, x, y):
+    """mu(x, y) for two dense vectors, through the right operators over the
+    nonzero y_q; None when zero."""
     out = None
-    for p, cp in enumerate(x):
-        if not cp:
+    for q, cq in enumerate(y):
+        if not cq:
             continue
-        for q, terms in left[p]:
-            cq = y[q]
-            if cq:
+        for p, terms in right[q]:
+            cp = x[p]
+            if cp:
                 if out is None:
                     out = [0] * n
                 co = cp * cq
@@ -434,7 +461,7 @@ def n_k(mu, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, _, _, right = _letter_operators(mu, scaled=False)
+    n, _, right = _letter_operators(mu, scaled=False)
     return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, n, k + 1)}
 
 
@@ -446,7 +473,7 @@ def sn_k(mu, k):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n, table, left, right = _letter_operators(mu, scaled=False)
+    n, table, right = _letter_operators(mu, scaled=False)
     tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(right, n, k - 1)]
     out = {}
     for i in range(n):
@@ -455,7 +482,7 @@ def sn_k(mu, k):
             if a is None:
                 continue
             for tail, bvec in tails:
-                w = _brvv(left, n, a, bvec)
+                w = _brvv(right, n, a, bvec)
                 if w is not None:
                     out[(i, j) + tail] = w
     return out
@@ -490,12 +517,12 @@ def _series(mu, derived=False):
     brackets are of ints and Gaussian integers.  For any bilinear bracket
     each term lies in the one before, so an equal rank means stabilization.
     """
-    n, _, left, right = _letter_operators(mu, scaled=True)
+    n, _, right = _letter_operators(mu, scaled=True)
     rows = [_unit(n, i) for i in range(n)]
     series = [reduce_rows(rows, n, mu.field)]
     while rows:
         if derived:
-            brackets = (_brvv(left, n, u, v) for i, u in enumerate(rows) for v in rows[i + 1:])
+            brackets = (_brvv(right, n, u, v) for i, u in enumerate(rows) for v in rows[i + 1:])
         else:
             brackets = (_brv(right, n, u, b) for u in rows for b in range(n))
         basis = reduce_rows((w for w in brackets if w is not None), n, mu.field)
@@ -539,10 +566,10 @@ def sn_k_vanishes(mu, k):
         raise ValueError("k must be >= 2")
     series = _series(mu)
     last = len(series) - 1
-    n, _, left, _ = _letter_operators(mu, scaled=True)
+    n, _, right = _letter_operators(mu, scaled=True)
     inner = series[min(k - 2, last)].basis_rows()
     return all(
-        _brvv(left, n, u, v) is None
+        _brvv(right, n, u, v) is None
         for u in series[min(1, last)].basis_rows()
         for v in inner
     )
@@ -588,12 +615,12 @@ def _square(m, n, field):
 def _transport(mu, p, q):
     """The bracket (x, y) -> q mu(p x, p y), for n x n ExactMatrices p, q;
     over Q(i) when mu or q is."""
-    n, _, left, _ = _letter_operators(mu, scaled=False)
+    n, _, right = _letter_operators(mu, scaled=False)
     cols = [[p.entries.get((r, c), 0) for r in range(n)] for c in range(n)]
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = _brvv(left, n, cols[i], cols[j])
+            w = _brvv(right, n, cols[i], cols[j])
             if w is not None:
                 row = {k: v for k, v in enumerate(q.mat_vec(w)) if v}
                 if row:

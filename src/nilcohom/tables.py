@@ -8,10 +8,10 @@ symbols (single characters such as r, t) and the imaginary unit ``i`` (when
 and ``ad = (1+t^3/2)f`` mean what they do in print.  With the chart variables
 ``t_{i,j,k}`` as its only symbols, the grammar reads chart polynomials.
 
-Parsing produces a :class:`SymbolicTable` whose coefficients are polynomials
-in the parameters; evaluating at rational (or Gaussian) parameter values
-yields exact :class:`~nilcohom.liealg.StructureConstants`, and differentiation
-in a parameter is exact term-by-term.
+Parsing produces a :class:`~nilcohom.liealg.StructureConstants` over the
+field "sym", whose coefficients are polynomials in the parameters; its
+``evaluate`` at rational (or Gaussian) parameter values gives the exact
+table over Q or Q(i), and its ``derivative`` in a parameter is exact.
 
 Any text either parses or raises :class:`TableError`, and quickly: nesting
 is capped, an integer literal or a power or product whose closed-form size
@@ -25,8 +25,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import TableError
+from .liealg import StructureConstants
 from .polynomials import MultiPoly
-from .scalars import FIELD_Q, FIELD_QI, QI, format_scalar
+from .scalars import QI, format_scalar
 
 _SEPS = {",", ";", "\n"}
 
@@ -355,55 +356,9 @@ class _Parser:
         return _Val(a.scal / c, {k: p / c for k, p in a.vec.items()})
 
 
-class SymbolicTable:
-    """A structure table whose coefficients are polynomials in parameters."""
-
-    __slots__ = ("n", "entries", "params")
-
-    def __init__(self, n, entries, params=()):
-        self.n = n
-        self.entries = entries  # {(i, j): {k: MultiPoly}}, 0-based, i < j
-        self.params = tuple(params)
-
-    def free_symbols(self):
-        out = set()
-        for coeffs in self.entries.values():
-            for p in coeffs.values():
-                out |= p.variables()
-        return out
-
-    def derivative(self, sym):
-        entries = {}
-        for pair, coeffs in self.entries.items():
-            d = {k: p.diff(sym) for k, p in coeffs.items()}
-            d = {k: p for k, p in d.items() if p}
-            if d:
-                entries[pair] = d
-        return SymbolicTable(self.n, entries, self.params)
-
-    def evaluate(self, assignment=None):
-        from .liealg import StructureConstants
-
-        assignment = dict(assignment or {})
-        missing = sorted(self.free_symbols() - set(assignment))
-        if missing:
-            raise TableError(f"unresolved parameter symbols: {', '.join(missing)}")
-        field = FIELD_Q
-        brackets = {}
-        for pair, coeffs in self.entries.items():
-            row = {}
-            for k, p in coeffs.items():
-                v = p.evaluate(assignment)
-                if isinstance(v, QI):
-                    field = FIELD_QI
-                if v:
-                    row[k] = v
-            if row:
-                brackets[pair] = row
-        return StructureConstants(self.n, brackets, field=field)
-
-
-def parse_symbolic(src, n, params=()) -> SymbolicTable:
+def parse_symbolic(src, n, params=()) -> StructureConstants:
+    """Table text over ``n`` letters, its coefficients polynomials in the
+    parameter symbols ``params``."""
     parser = _Parser(src, n, params)
     entries = {}
     while True:
@@ -429,20 +384,13 @@ def parse_symbolic(src, n, params=()) -> SymbolicTable:
                 t1.line,
                 t1.col,
             )
-        sign = 1
+        coeffs = val.vec
         if i > j:
-            i, j, sign = j, i, -1
+            i, j, coeffs = j, i, {k: -p for k, p in coeffs.items()}
         if (i, j) in entries:
             raise TableError(f"bracket {t1.value}{t2.value} defined twice", t1.line, t1.col)
-        coeffs = {}
-        for k, p in val.vec.items():
-            if sign < 0:
-                p = -p
-            if p:
-                coeffs[k] = p
         entries[(i, j)] = coeffs
-    entries = {pair: cs for pair, cs in entries.items() if cs}
-    return SymbolicTable(n, entries, params)
+    return StructureConstants(n, entries, "sym", params=params)
 
 
 def parse_table(src, n, params=None):

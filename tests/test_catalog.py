@@ -173,6 +173,25 @@ def test_data_pack_unlocks_skipped_names(tmp_path):
     assert rec.provenance == "external-pack"
 
 
+_PACK_36 = {"name": "36", "dim": 6, "table": "ab = d, ac = e, bc = f"}
+
+
+@pytest.mark.parametrize("records, message", [
+    # an alias of a printed name, a printed name up to notation, and a name
+    # an earlier file of the pack took
+    ([{"name": "g_{5,1}x", "dim": 5, "table": "ab = e", "aliases": ["g_{5,2}"]}],
+     "r0.json: 'g_{5,2}' already names 'g_{5,2}'"),
+    ([{"name": "F_3", "dim": 3, "table": "ab = c, ac = b"}], "r0.json: 'F_3' already names 'f_3'"),
+    ([_PACK_36, dict(_PACK_36, table="ab = c")], "r1.json: '36' already names '36'"),
+], ids=["alias", "printed-name", "two-files"])
+def test_a_pack_record_may_not_take_a_bound_name(tmp_path, records, message):
+    for i, record in enumerate(records):
+        (tmp_path / f"r{i}.json").write_text(json.dumps(record))
+    with pytest.raises(ValueError) as err:
+        Catalog(data_pack=tmp_path)
+    assert str(err.value) == f"{tmp_path}/{message}"
+
+
 def test_named_polynomials():
     assert named_polynomial("Q1") == named_polynomial("q1")
     with pytest.raises(UnknownAlgebra):

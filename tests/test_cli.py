@@ -187,6 +187,24 @@ def test_ideal_member_and_nonmember(capsys):
     assert code == 1 and "inconclusive" in out
 
 
+def test_nonmember_with_an_empty_zeros_list_zeroes_nothing(capsys):
+    # not the published assignment of Q14, and no refusal for other targets
+    for zeros in ("", " ; "):
+        code, out, _ = run(capsys, "ideal", "nonmember", "6", "4", "Q14", "--json",
+                           "--zeros", zeros)
+        assert code == 0 and json.loads(out)["zeroed"] == []
+        code, out, _ = run(capsys, "ideal", "nonmember", "6", "4", "Q5", "--zeros", zeros)
+        assert code == 1 and "inconclusive" in out
+
+
+def test_a_pack_that_takes_a_printed_name_exits_2(tmp_path, capsys):
+    record = {"name": "g_{5,1}x", "dim": 5, "table": "ab = e", "aliases": ["g_{5,2}"]}
+    (tmp_path / "rec.json").write_text(json.dumps(record))
+    for argv in (["info", "g_{5,2}"], ["reproduce", "dim5"]):
+        code, out, err = run(capsys, "--data-pack", str(tmp_path), *argv)
+        assert (code, out) == (2, "") and str(tmp_path / "rec.json") in err
+
+
 def test_reproduce_dim5(capsys):
     code, out, _ = run(capsys, "reproduce", "dim5")
     assert code == 0

@@ -50,7 +50,6 @@ from nilcohom.liealg import (
 from nilcohom.linalg import ExactMatrix, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
-from nilcohom.tables import SymbolicTable
 
 # the printed (z, b, h) of the eight non-abelian nilpotent algebras of dim 5
 DIM5_TABLE = {
@@ -504,8 +503,8 @@ def test_k_step_guard_is_polynomial_in_k():
     # enumerating the 3^31 words of N_30 would never finish
     with pytest.raises(NotInVariety, match="not \\(at most\\) 30-step nilpotent"):
         h2_knil(StructureConstants(3, SL2), 30)
-    table = SymbolicTable(3, {p: {k: MultiPoly.const(v) for k, v in c.items()}
-                              for p, c in SL2.items()})
+    table = StructureConstants(3, {p: {k: MultiPoly.const(v) for k, v in c.items()}
+                                   for p, c in SL2.items()}, "sym")
     with pytest.raises(NotInVariety, match="violates N_30 = 0"):
         augmented_exactness(table, {}, (), "n30")
     # and the 3^29 inner words of SN_30

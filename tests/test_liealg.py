@@ -477,10 +477,10 @@ def test_sparse_letter_operators_match_the_bracket(case):
     """mu(x, y) and mu(x, e_b) through the per-letter operators equal the
     bilinear evaluation of the tensor."""
     mu, x, y = case
-    n, _, left, right = _letter_operators(mu, scaled=False)
+    n, _, right = _letter_operators(mu, scaled=False)
     zero = [0] * n
-    assert (_brvv(left, n, x, y) or zero) == mu.bracket(x, y)
+    assert (_brvv(right, n, x, y) or zero) == mu.bracket(x, y)
     for b in range(n):
         e_b = [int(c == b) for c in range(n)]
         assert (_brv(right, n, x, b) or zero) == mu.bracket(x, e_b)
-        assert (_brvv(left, n, e_b, y) or zero) == mu.bracket(e_b, y)
+        assert (_brvv(right, n, e_b, y) or zero) == mu.bracket(e_b, y)
