@@ -14,6 +14,7 @@ needs a value per symbol.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -45,21 +46,20 @@ class AlgebraRecord:
             return self.table
         return parse_symbolic(self.table, self.dim, self.params)
 
-    def structure(self, params=None) -> StructureConstants:
-        assignment = dict(params or {})
+    def check_assigned(self, assignment):
+        """Raise UnknownAlgebra unless ``assignment`` gives every parameter a value."""
         missing = [p for p in self.params if p not in assignment]
         if missing:
-            raise UnknownAlgebra(
-                f"{self.name} needs parameter values for: {', '.join(missing)}"
-            )
+            raise UnknownAlgebra(f"{self.name} needs parameter values for: {', '.join(missing)}")
+
+    def structure(self, params=None) -> StructureConstants:
+        assignment = dict(params or {})
+        self.check_assigned(assignment)
         mu = self.symbolic().evaluate(assignment)
         if self.field == FIELD_QI and mu.field == FIELD_Q:
             mu = StructureConstants(mu.n, mu.c, FIELD_QI)
-        label = self.name
-        if self.params:
-            vals = ",".join(f"{p}={assignment[p]}" for p in self.params)
-            label = f"{self.name}@{vals}"
-        return mu.with_name(label)
+        vals = ",".join(f"{p}={assignment[p]}" for p in self.params)
+        return mu.with_name(f"{self.name}@{vals}" if vals else self.name)
 
     def cochain(self, key) -> StructureConstants:
         return parse_symbolic(self.cochains[key], self.dim).evaluate({})
@@ -379,6 +379,30 @@ class Catalog:
 
     def structure(self, name, params=None) -> StructureConstants:
         return self.get(name).structure(params)
+
+    def resolve(self, name, symbols=()) -> AlgebraRecord:
+        """The record of an existing file, else of a catalog or data-pack name.
+        A .json file holds a JSON record, any other file table text named by
+        the file: its dimension is a first line ``dim n`` or the highest letter
+        a..z it uses but i and the ``symbols``, its parameters those it uses."""
+        path = Path(name)
+        if not path.is_file():
+            return self.get(name)
+        if path.suffix == ".json":
+            return read_record(path, name)
+        try:
+            body = path.read_text()
+            lines = body.splitlines()
+            m = re.match(r"\s*dim\s*=?\s*(\d+)\s*$", lines[0]) if lines else None
+            if m:
+                dim, body = int(m.group(1)), "\n".join(lines[1:])
+            else:
+                letters = [c for c in body if "a" <= c <= "z" and c != "i" and c not in symbols]
+                dim = max((ord(c) - ord("a") + 1 for c in letters), default=1)
+            used = parse_symbolic(body, dim, symbols).free_symbols()
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8, or no table
+            raise ValueError(f"{path}: {e}") from None
+        return AlgebraRecord(path.name, dim, body, tuple(sorted(used)))
 
     # -- data pack -----------------------------------------------------------
 

@@ -20,22 +20,20 @@ from pathlib import Path
 
 from . import __version__
 from . import catalog as cat_mod
-from .catalog import Catalog, named_polynomial, read_record
+from .catalog import Catalog, named_polynomial
 from .cohomology import augmented_exactness, derivation_dim, h2_knil
 from .errors import NilcohomError, ResourceCapExceeded, TableError
 from .ideals import generators, member_bounded, nilpotency_ideal, non_membership
 from .liealg import is_lie, nil_index, solvable_length
 from .polynomials import format_poly, format_var
 from .reproduce import SUITES, run_suite
-from .tables import _power_too_large, parse_symbolic, parse_tpoly
+from .tables import _power_too_large, parse_tpoly
 
 
 def _parse_assignment(text):
     """Parse "r=1,t=-1/2" into an ordered {symbol: Fraction} mapping; each
     value is a constant expression in the table grammar."""
     out = {}
-    if not text:
-        return out
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -51,42 +49,19 @@ def _parse_assignment(text):
     return out
 
 
-def _check_params(assignment, params, name):
-    """Every assigned symbol must be one of ``params``, those of ``name``."""
+def _record(catalog, name, params):
+    """The record ``name`` resolves to, and the assignment the text ``params``
+    parses to, which must give a value to every parameter of the record and
+    to no other symbol."""
+    assignment = _parse_assignment(params)
+    rec = catalog.resolve(name, tuple(assignment))
+    label = Path(name).name if Path(name).is_file() else rec.name
     for sym in assignment:
-        if sym not in params:
-            known = ", ".join(params) or "none"
-            raise TableError(f"{sym!r} is not a parameter of {name} (parameters: {known})")
-
-
-def _load_structure(catalog, name, assignment):
-    """Resolve a catalog name or a file (a JSON record, or table text)."""
-    path = Path(name)
-    is_file = path.is_file()
-    if is_file and path.suffix != ".json":
-        try:
-            text = path.read_text()
-        except (OSError, ValueError) as e:  # unreadable, or not UTF-8
-            raise ValueError(f"{path}: {e}") from None
-        lines = text.splitlines()
-        dim = None
-        body = text
-        if lines:
-            m = re.match(r"\s*dim\s*=?\s*(\d+)\s*$", lines[0])
-            if m:
-                dim = int(m.group(1))
-                body = "\n".join(lines[1:])
-        if dim is None:
-            # i is the imaginary unit here, so a table reaching e_9 needs a dim line
-            letters = [c for c in body if c.isalpha() and c != "i" and c not in assignment]
-            dim = max((ord(c) - ord("a") + 1 for c in letters), default=1)
-        # the parameters of table text are the symbols it uses
-        table = parse_symbolic(body, dim, tuple(assignment))
-        _check_params(assignment, sorted(table.free_symbols()), path.name)
-        return table.evaluate(assignment).with_name(path.name)
-    rec = read_record(path, name) if is_file else catalog.get(name)
-    _check_params(assignment, rec.params, path.name if is_file else rec.name)
-    return rec.structure(assignment)
+        if sym not in rec.params:
+            known = ", ".join(rec.params) or "none"
+            raise TableError(f"{sym!r} is not a parameter of {label} (parameters: {known})")
+    rec.check_assigned(assignment)
+    return rec, assignment
 
 
 def _print_json(data):
@@ -94,10 +69,11 @@ def _print_json(data):
 
 
 def cmd_info(args, catalog):
-    mu = _load_structure(catalog, args.name, _parse_assignment(args.params))
+    rec, assignment = _record(catalog, args.name, args.params)
+    mu = rec.structure(assignment)
     lie = is_lie(mu)
     info = {
-        "name": mu.name or args.name,
+        "name": mu.name,
         "dim": mu.n,
         "field": mu.field,
         "lie": lie,
@@ -132,8 +108,9 @@ def cmd_info(args, catalog):
 
 
 def cmd_cohomology(args, catalog):
-    mu = _load_structure(catalog, args.name, _parse_assignment(args.params))
-    rep = h2_knil(mu, args.k, mu.name or args.name)
+    rec, assignment = _record(catalog, args.name, args.params)
+    mu = rec.structure(assignment)
+    rep = h2_knil(mu, args.k, mu.name)
     if args.json:
         _print_json(rep.to_dict())
     else:
@@ -144,9 +121,7 @@ def cmd_cohomology(args, catalog):
 
 
 def cmd_exactness(args, catalog):
-    rec = catalog.get(args.family)
-    point = _parse_assignment(args.at)
-    _check_params(point, rec.params, rec.name)
+    rec, point = _record(catalog, args.family, args.at)
     free = rec.params if args.free is None \
         else tuple(s.strip() for s in args.free.split(",") if s.strip())
     rep = augmented_exactness(rec.symbolic(), point, free, args.constraint,
@@ -293,7 +268,7 @@ def build_parser():
 
     p = sub.add_parser("exactness", help="augmented tangent-sequence certificate"
                        " for a parametric family")
-    p.add_argument("family")
+    p.add_argument("family", help="catalog name, .json file, or table-text file")
     p.add_argument("--at", required=True, help="parameter point, e.g. r=1,t=1")
     p.add_argument("--free", default=None, help="free parameters (default: all)")
     p.add_argument("--constraint", default="sn5", help="j, nK or snK (default sn5)")

@@ -36,7 +36,7 @@ class TableError(NilcohomError, ValueError):
         self.col = col
 
 
-class UnknownAlgebra(NilcohomError, KeyError):
+class UnknownAlgebra(NilcohomError, LookupError):
     """Catalog lookup for a name that is not registered."""
 
 

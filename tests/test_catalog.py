@@ -39,6 +39,23 @@ def test_missing_parameters_are_reported(catalog):
         catalog.structure("g_5(r,t)", {"r": 1})
 
 
+def test_resolve_reads_an_existing_file_before_a_name(catalog, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # table text in a file spelled like the catalog's f_3; its parameters are
+    # the given symbols it uses
+    (tmp_path / "f_3").write_text("ab = s c\n")
+    rec = catalog.resolve("f_3", ("s", "u"))
+    assert (rec.name, rec.dim, rec.params) == ("f_3", 3, ("s",))
+    assert rec.structure({"s": 2}) == parse_table("ab = 2c", 3)
+    assert rec.structure({"s": 2}).name == "f_3@s=2"
+    (tmp_path / "fam.json").write_text(
+        json.dumps({"name": "fam", "dim": 3, "table": "ab = t c", "params": ["t"]}))
+    rec = catalog.resolve("fam.json")
+    assert (rec.name, rec.params, rec.provenance) == ("fam", ("t",), "external-pack")
+    (tmp_path / "f_3").unlink()
+    assert catalog.resolve("f_3", ("s",)) is catalog.get("f_3")
+
+
 def test_every_printed_record_is_a_lie_algebra(catalog):
     for name in catalog.names():
         rec = catalog.get(name)

@@ -94,7 +94,19 @@ def test_info_parse_error_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("ab = c,\nac = ?\n")
     code, _, err = run(capsys, "info", str(path))
-    assert code == 2 and "line 2" in err
+    assert code == 2 and f"{path}: line 2" in err
+    # the dimension counts only the letters a..z, so the parser names a
+    # letter outside them, and table text names its file as a record does
+    rec = tmp_path / "upj.json"
+    rec.write_text('{"name": "upj", "dim": 3, "table": "AB = C"}')
+    path.write_text("AB = C\n")
+    for named in (rec, path):
+        code, out, err = run(capsys, "info", str(named))
+        fault = f"error: {named}: line 1, col 1: unknown basis letter 'A'\n"
+        assert (code, out, err) == (2, "", fault)
+    path.write_text("ab = \u0436\n")
+    code, _, err = run(capsys, "info", str(path))
+    assert code == 2 and err.startswith(f"error: {path}: line 1, col 6: unknown symbol '\u0436'")
 
 
 def test_table_text_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
@@ -105,8 +117,13 @@ def test_table_text_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
 
 
 def test_unknown_name_is_usage_error(capsys):
-    code, _, err = run(capsys, "info", "not_an_algebra")
-    assert code == 2 and "unknown" in err
+    # a failed lookup prints its message, not the repr of a KeyError
+    for argv, message in (
+        (["info", "not_an_algebra"], "unknown algebra 'not_an_algebra'"),
+        (["info", "g_5(r,t)"], "g_5(r,t) needs parameter values for: r, t"),
+        (["ideal", "member", "6", "4", "Q15"], "unknown polynomial 'Q15' (P1, P2, Q1..Q14)"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_pack_only_name_is_reported(capsys):
@@ -373,12 +390,19 @@ def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):
     path.write_text("ab = s c\n")
     code, out, _ = run(capsys, "info", str(path), "--params", "s=2")
     assert code == 0 and "3-dim" in out and "2-step" in out
+    # an evaluated table text is named by its point, as a family is
+    assert out.startswith("heis_s.txt@s=2: 3-dim")
     code, _, err = run(capsys, "info", str(path), "--params", "s=2,u=1")
     assert code == 2 and "'u' is not a parameter of heis_s.txt (parameters: s)" in err
     path = tmp_path / "abelian2.json"
     path.write_text(dump_algebra(StructureConstants.abelian(2), "flat2"))
     code, _, err = run(capsys, "info", str(path), "--params", "s=2")
     assert code == 2 and "'s' is not a parameter of abelian2.json" in err
+    # a parameter without a value is named the same way by every command
+    for argv in (["info", "g_5(r,t)", "--params", "r=1"],
+                 ["cohomology", "g_5(r,t)", "--k", "5", "--params", "r=1"],
+                 ["exactness", "g_5(r,t)", "--at", "r=1"]):
+        assert run(capsys, *argv) == (2, "", "error: g_5(r,t) needs parameter values for: t\n")
     code, out, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1", "--free", "r,r")
     assert code == 2 and out == "" and "free parameter 'r' given twice" in err
     # the known names still answer
@@ -523,7 +547,8 @@ def _record_argv(draw):
             manifest = draw(st.sampled_from([None, '{"name": "p"}', "[1]", "{"]))
             if manifest is not None:
                 files["pack/manifest.json"] = manifest
-    command = draw(st.sampled_from([["info"], ["cohomology", "--k", "2"]]))
+    command = draw(st.sampled_from([["info"], ["cohomology", "--k", "2"],
+                                     ["exactness", "--at", f"t={draw(_VALUES)}"]]))
     # the options go before the command, the name right after it
     argv = argv[:-1] + command[:1] + argv[-1:] + command[1:]
     return argv, files
@@ -633,32 +658,55 @@ def test_malformed_records_exit_2_naming_the_key_and_the_file(tmp_path):
 
 
 # a record in table form, and a real record declared over Q(i): each is
-# the 2-step f_3, over Q and over Q(i), however it is given
+# the 2-step f_3, over Q and over Q(i), however it is given; and the
+# family of f_3 scaled by t
 _F3_TABLE = '{"name": "drawn", "dim": 3, "table": "ab = c"}'
 _F3_OVER_QI = ('{"name": "drawn", "dim": 3, "field": "Qi",'
                ' "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}')
+_F3_FAMILY = '{"name": "drawn", "dim": 3, "table": "ab = t c", "params": ["t"]}'
 
 
 @settings(max_examples=60, deadline=None)
 @example(_F3_TABLE)
 @example(_F3_OVER_QI)
+@example(_F3_FAMILY)
 @given(_record_texts())
 def test_a_record_answers_the_same_as_a_file_and_from_a_pack(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {"pack/drawn.json": text}
-        as_file = _main_in(tmp, ["info", "{dir}/pack/drawn.json", "--json"], files)
-        from_pack = _main_in(tmp, ["--data-pack", "{dir}/pack", "info", "drawn", "--json"], files)
-    assert as_file[0] in (0, 2) and from_pack[0] in (0, 2)
     try:
-        named = json.loads(text)["name"] == "drawn"
-    except (ValueError, TypeError, KeyError):
-        named = False
-    if named:
-        # byte for byte the same answer, or both refuse it
-        assert from_pack[:2] == as_file[:2]
-    else:
-        # a pack names its records; a file is named by its path
-        assert from_pack[0] == 2
+        data = json.loads(text)
+        named, family = data["name"] == "drawn", data.get("params") == ["t"]
+    except (ValueError, TypeError, KeyError, AttributeError):
+        named = family = False
+    commands = [["info", "--json"]]
+    if family:
+        commands.append(["exactness", "--at", "t=1/2", "--constraint", "n3", "--json"])
+    for command, *options in commands:
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"pack/drawn.json": text}
+            as_file = _main_in(tmp, [command, "{dir}/pack/drawn.json", *options], files)
+            from_pack = _main_in(tmp, ["--data-pack", "{dir}/pack", command, "drawn", *options],
+                                 files)
+        assert as_file[0] in (0, 1, 2) and from_pack[0] in (0, 1, 2)
+        if named:
+            # byte for byte the same answer, or both refuse it
+            assert from_pack[:2] == as_file[:2]
+        else:
+            # a pack names its records; a file is named by its path
+            assert from_pack[0] == 2
+
+
+def test_a_family_answers_exactness_from_a_file_a_pack_and_table_text(tmp_path):
+    record = '{"name": "fam", "dim": 3, "table": "ab = t c", "params": ["t"]}'
+    files = {"fam.json": record, "pack/fam.json": record, "fam": "ab = t c\n"}
+    point = ["--at", "t=1/2", "--constraint", "n3"]
+    answers = [_main_in(tmp_path, argv, files) for argv in (
+        ["exactness", "{dir}/fam.json", *point],
+        ["--data-pack", "{dir}/pack", "exactness", "fam", *point],
+        ["exactness", "{dir}/fam", *point],  # table text, named by its file
+    )]
+    assert answers[0] == answers[1] == answers[2] == (
+        1, "fam at (t=1/2), free {t}, constraint n3: NOT EXACT\n"
+        "  dims 10 -> 9 -> 246; rank dF = 3, dim Ker dG = 5, containment ok\n", "")
 
 
 def test_a_record_past_26_letters_exits_2_at_once(tmp_path):
