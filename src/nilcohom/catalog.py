@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ExternalDataRequired, UnknownAlgebra
+from .errors import ExternalDataRequired, TableError, UnknownAlgebra
 from .jsonio import pack_checksum, read_json, record_fields
 from .liealg import StructureConstants, table_in_basis
 from .scalars import FIELD_Q, FIELD_QI, QI
@@ -32,7 +32,7 @@ DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 class AlgebraRecord:
     name: str
     dim: int
-    table: str | StructureConstants  # a JSON ``brackets`` record is held parsed
+    table: str | StructureConstants  # a ``brackets`` record or a table-text file is held parsed
     params: tuple = ()
     aliases: tuple = ()
     field: str = FIELD_Q
@@ -46,11 +46,18 @@ class AlgebraRecord:
             return self.table
         return parse_symbolic(self.table, self.dim, self.params)
 
-    def check_assigned(self, assignment):
-        """Raise UnknownAlgebra unless ``assignment`` gives every parameter a value."""
+    def check_assigned(self, assignment, label=None):
+        """Refuse a point that gives a value to a symbol that is not a
+        parameter (TableError) or no value to a parameter (UnknownAlgebra);
+        both errors name ``label``, by default the record's name."""
+        label = label or self.name
+        for sym in assignment:
+            if sym not in self.params:
+                known = ", ".join(self.params) or "none"
+                raise TableError(f"{sym!r} is not a parameter of {label} (parameters: {known})")
         missing = [p for p in self.params if p not in assignment]
         if missing:
-            raise UnknownAlgebra(f"{self.name} needs parameter values for: {', '.join(missing)}")
+            raise UnknownAlgebra(f"{label} needs parameter values for: {', '.join(missing)}")
 
     def structure(self, params=None) -> StructureConstants:
         assignment = dict(params or {})
@@ -399,10 +406,12 @@ class Catalog:
             else:
                 letters = [c for c in body if "a" <= c <= "z" and c != "i" and c not in symbols]
                 dim = max((ord(c) - ord("a") + 1 for c in letters), default=1)
-            used = parse_symbolic(body, dim, symbols).free_symbols()
+            table = parse_symbolic(body, dim, symbols)
         except (OSError, ValueError) as e:  # unreadable, not UTF-8, or no table
             raise ValueError(f"{path}: {e}") from None
-        return AlgebraRecord(path.name, dim, body, tuple(sorted(used)))
+        used = tuple(sorted(table.free_symbols()))
+        return AlgebraRecord(path.name, dim, StructureConstants(dim, table.c, "sym", params=used),
+                             used)
 
     # -- data pack -----------------------------------------------------------
 

@@ -52,15 +52,10 @@ def _parse_assignment(text):
 def _record(catalog, name, params):
     """The record ``name`` resolves to, and the assignment the text ``params``
     parses to, which must give a value to every parameter of the record and
-    to no other symbol."""
+    to no other symbol; a file is named by its file name."""
     assignment = _parse_assignment(params)
     rec = catalog.resolve(name, tuple(assignment))
-    label = Path(name).name if Path(name).is_file() else rec.name
-    for sym in assignment:
-        if sym not in rec.params:
-            known = ", ".join(rec.params) or "none"
-            raise TableError(f"{sym!r} is not a parameter of {label} (parameters: {known})")
-    rec.check_assigned(assignment)
+    rec.check_assigned(assignment, Path(name).name if Path(name).is_file() else None)
     return rec, assignment
 
 

@@ -207,8 +207,7 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     n, _, right = _letter_operators(mu, scaled)
-    words = walk_words(right, n, k + 1, Layout(n), ascending_pair=True,
-                       least_first=least_first, letters=letters)
+    words = walk_words(right, k + 1, Layout(n), least_first=least_first, letters=letters)
     for index, _, tangent in words:
         for m in sorted(tangent):
             yield index * n + m, tangent[m]
@@ -248,7 +247,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
                     a_of.append((q, [(m, x) for m, x in enumerate(w) if x]))
         heads.append((x1 * n + x2, lay.sigma[x1][x2][0], a, a_of))
     tail_span = n ** (k - 1)
-    tails = walk_words(right, n, k - 1, lay, ascending_pair=True, least_first=least_first)
+    tails = walk_words(right, k - 1, lay, least_first=least_first)
     for tailidx, bvec, ftail in tails:
         # es_b[m][s]: coefficient of e_m in mu(e_s, B), read off
         # mu(e_q, e_s) = -mu(e_s, e_q)
@@ -332,10 +331,12 @@ class CohomologyReport:
         }
 
 
-def _d1_rank(mu):
-    """b = rank d1, from the span of its columns."""
-    cols = (col for _, col in iter_d1_columns(mu))
-    return reduce_rows(cols, Layout(mu.n).dim2, mu.field).rank
+def _image(mu, tangents=()):
+    """Im dF: the columns [tangents | d1] and the RowBasis of their span, of
+    rank b with no tangents.  The tangent 2-cochains stay unscaled; d1 is
+    linear in mu, so its scaled columns span Im d1."""
+    cols = list(tangents) + [col for _, col in iter_d1_columns(mu)]
+    return cols, reduce_rows(cols, Layout(mu.n).dim2, mu.field)
 
 
 def _constraint_reducer(mu, kind, k, letters=None):
@@ -365,7 +366,7 @@ def h2_knil(mu, k, name=None) -> CohomologyReport:
     letters = k_step_generators(mu, k)
     if letters is None:
         raise NotInVariety(f"bracket is not (at most) {k}-step nilpotent")
-    b = _d1_rank(mu)
+    b = _image(mu)[1].rank
     z = Layout(mu.n).dim2 - _constraint_reducer(mu, "n", k, letters).rank
     return CohomologyReport(name or mu.name, mu.n, k, z, b, z - b, z == b)
 
@@ -374,7 +375,7 @@ def h2_dim(mu, name=None) -> CohomologyReport:
     """Ordinary adjoint H^2 dimensions (z, b, h)."""
     if not is_lie(mu):
         raise NotLieAlgebra("H^2 needs the Jacobi identity")
-    b = _d1_rank(mu)
+    b = _image(mu)[1].rank
     z = Layout(mu.n).dim2 - _constraint_reducer(mu, "j", None).rank
     return CohomologyReport(name or mu.name, mu.n, None, z, b, z - b, False)
 
@@ -382,7 +383,7 @@ def h2_dim(mu, name=None) -> CohomologyReport:
 def derivation_dim(mu) -> int:
     if not is_lie(mu):
         raise NotLieAlgebra("derivations are defined for Lie brackets")
-    return mu.n * mu.n - _d1_rank(mu)
+    return mu.n * mu.n - _image(mu)[1].rank
 
 
 # -- augmented exactness for parametric families -------------------------------------
@@ -458,11 +459,8 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     if kind == "sn" and not sn_k_vanishes(mu, k):
         raise NotInVariety(f"point violates SN_{k} = 0")
     lay = Layout(mu.n)
-    cols = [cochain_vector(table.derivative(p).evaluate(point)) for p in free_params]
-    # the tangents stay unscaled; d1 is linear in mu, so its scaled columns
-    # span Im d1
-    cols += [col for _, col in iter_d1_columns(mu)]
-    df_rank = reduce_rows(cols, lay.dim2, mu.field)
+    cols, df = _image(mu, [cochain_vector(table.derivative(p).evaluate(point))
+                           for p in free_params])
 
     red = _constraint_reducer(mu, kind, k, letters)
     basis = red.sparse_rows()
@@ -478,8 +476,8 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
         domain_dim=len(free_params) + lay.dim1,
         middle_dim=lay.dim2,
         codomain_dim=codom,
-        rank_df=df_rank.rank,
+        rank_df=df.rank,
         ker_dg_dim=ker_dg,
         containment=containment,
-        exact=containment and df_rank.rank == ker_dg,
+        exact=containment and df.rank == ker_dg,
     )

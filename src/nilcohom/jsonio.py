@@ -8,8 +8,9 @@ strings "p/q" or "p/q+r/s i"; the round trip is bit-exact) or table text:
      "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}, ...]}
     {"name": ..., "dim": n, "field": "Q"|"Qi", "table": "ab = c", "params": []}
 
-``field`` defaults to "Q", which refuses Gaussian values; "Qi" puts even a
-real algebra over Q(i).  ``aliases`` and a ``citation`` are optional.
+``params`` names the table text's parameter symbols, each a single letter
+that is not a basis letter, declared once.  ``field`` defaults to "Q",
+which refuses Gaussian values; "Qi" puts even a real algebra over Q(i).  ``aliases`` and a ``citation`` are optional.
 """
 
 from __future__ import annotations

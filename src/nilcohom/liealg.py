@@ -321,11 +321,10 @@ def _apply_to_rows(op, rows):
     return out
 
 
-def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=False,
-               letters=None):
+def walk_words(right, length, lay=None, least_first=False, letters=None):
     """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
 
-    ``right`` is the right operator list of ``_letter_operators``.
+    ``right`` is the right operator list of ``_letter_operators``, of length n.
     Depth-first over the letters, so a shared prefix is evaluated once, and a
     branch is pruned as soon as its value and its tangent both vanish.
     Yields (index, value, tangent) for every word left: the index has the
@@ -338,13 +337,14 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
     mu(e_p, e_b), plus the entry v[p] at the column of sigma(e_p, e_b) in
     coordinate m'.  Without a Layout it stays {} (values only).
 
-    With ``ascending_pair`` only the words with a1 < a2 are walked.  Value
-    and tangent are antisymmetric in (a1, a2), as mu and sigma are, so the
-    word at (a2, a1, ...) is exactly minus the one at (a1, a2, ...) and the
-    word at a1 = a2 is zero.
+    With a Layout (the derivative row streams) only the words with a1 < a2
+    are walked; without one (the tensors ``n_k`` and ``sn_k``) every word
+    is.  Value and tangent are antisymmetric in (a1, a2), as mu and sigma
+    are, so the word at (a2, a1, ...) is exactly minus the one at
+    (a1, a2, ...) and the word at a1 = a2 is zero.
 
-    With ``least_first`` (which implies ``ascending_pair``) only the words
-    whose first letter is their least one are walked: a1 < a2 and
+    With ``least_first`` (given only with a Layout) only the words whose
+    first letter is their least one are walked: a1 < a2 and
     a1 <= a3, ..., aL.  The left-normed brackets [y_1, y_s(2), ..., y_s(L)]
     of L distinct letters that start with y_1 form a basis of the
     multilinear part of degree L of the free Lie algebra (Reutenauer, *Free
@@ -402,11 +402,11 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
     each letter is one nested generator frame.
     """
 
+    n = len(right)
     # atoms[b]: (p, first column of the pair {p, b}, sign of sigma(e_p, e_b))
     atoms = None if lay is None else [
         [(p, *lay.sigma[p][b]) for p in range(n) if p != b] for b in range(n)
     ]
-    ascending_pair = ascending_pair or least_first
     alphabet = range(n) if letters is None else sorted(letters)
     from_letter = [[b for b in alphabet if b >= lo] for lo in range(n + 1)]
     nodes = 0
@@ -414,7 +414,7 @@ def walk_words(right, n, length, lay=None, ascending_pair=False, least_first=Fal
     def extend(index, depth, v, tangent):
         nonlocal nodes
         if depth == 1:
-            lo = index + 1 if ascending_pair else 0
+            lo = 0 if lay is None else index + 1
         else:
             lo = index // n ** (depth - 1) if least_first else 0
         for b in from_letter[lo]:
@@ -462,7 +462,7 @@ def n_k(mu, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     n, _, right = _letter_operators(mu, scaled=False)
-    return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, n, k + 1)}
+    return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, k + 1)}
 
 
 def sn_k(mu, k):
@@ -474,7 +474,7 @@ def sn_k(mu, k):
     if k < 2:
         raise ValueError("k must be >= 2")
     n, table, right = _letter_operators(mu, scaled=False)
-    tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(right, n, k - 1)]
+    tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(right, k - 1)]
     out = {}
     for i in range(n):
         for j in range(n):

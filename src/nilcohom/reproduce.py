@@ -19,11 +19,11 @@ from itertools import chain
 
 from . import catalog as cat
 from .cohomology import (
+    _image,
     augmented_exactness,
     cochain_vector,
     h2_dim,
     h2_knil,
-    iter_d1_columns,
     iter_d2_rows,
     iter_dnk_rows,
 )
@@ -37,7 +37,6 @@ from .ideals import (
     groebner_small,
 )
 from .liealg import (
-    Layout,
     heisenberg_extension,
     is_lie,
     n_k,
@@ -46,7 +45,7 @@ from .liealg import (
     sn_k,
     solvable_length,
 )
-from .linalg import in_kernel, reduce_rows
+from .linalg import in_kernel
 from .polynomials import distinct_primitive
 from .tables import parse_tpoly
 
@@ -194,7 +193,7 @@ def _counterexample_items(catalog):
 
     def nu_independent():
         mu, nus = g53()
-        red = reduce_rows((col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2, mu.field)
+        red = _image(mu)[1]
         b = red.rank
         for nu in nus:
             red.add({i: x for i, x in enumerate(cochain_vector(nu)) if x})

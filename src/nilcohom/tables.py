@@ -2,8 +2,9 @@
 
 Basis vectors are the first ``n`` lowercase letters (a -> e_1, b -> e_2, ...).
 Coefficients are arithmetic expressions in integers, declared parameter
-symbols (single characters such as r, t) and the imaginary unit ``i`` (when
-``i`` is neither a basis letter nor a parameter).  Juxtaposition multiplies,
+symbols (single letters such as r, t, each declared once and none a basis
+letter) and the imaginary unit ``i`` (when ``i`` is neither a basis letter
+nor a parameter).  Juxtaposition multiplies,
 ``^`` takes integer powers, ``/`` divides by a constant, so ``be = rtf+(1-t)g``
 and ``ad = (1+t^3/2)f`` mean what they do in print.  With the chart variables
 ``t_{i,j,k}`` as its only symbols, the grammar reads chart polynomials.
@@ -196,10 +197,15 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.n = n or 0
-        self.params = set(params)
-        bad = [p for p in self.params if self._letter_index(p) is not None]
-        if bad:
-            raise TableError(f"parameter symbols collide with basis letters: {bad}")
+        self.params = set()
+        for p in params:
+            if not (len(p) == 1 and p.isalpha()):
+                raise TableError(f"parameter symbol {p!r} is not one letter")
+            if self._letter_index(p) is not None:
+                raise TableError(f"parameter symbol {p!r} is a basis letter")
+            if p in self.params:
+                raise TableError(f"parameter symbol {p!r} is declared twice")
+            self.params.add(p)
         self.allow_i = "i" not in self.params and self._letter_index("i") is None
 
     # -- token plumbing ----------------------------------------------------

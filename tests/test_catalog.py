@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from nilcohom.catalog import Catalog, IsomorphismWitness, named_polynomial
-from nilcohom.errors import ExternalDataRequired, UnknownAlgebra
+from nilcohom.errors import ExternalDataRequired, TableError, UnknownAlgebra
 from nilcohom.liealg import is_lie, nil_index
 from nilcohom.tables import parse_table
 
@@ -37,6 +38,11 @@ def test_structures_match_printed_tables(catalog):
 def test_missing_parameters_are_reported(catalog):
     with pytest.raises(UnknownAlgebra):
         catalog.structure("g_5(r,t)", {"r": 1})
+    # a symbol that is not a parameter is refused, and named with the record
+    with pytest.raises(TableError, match=re.escape("'x' is not a parameter of g_5(r,t)")):
+        catalog.structure("g_5(r,t)", {"r": 1, "t": 1, "x": 2})
+    with pytest.raises(TableError, match=re.escape("'x' is not a parameter of fam.json")):
+        catalog.get("g_5(r,t)").check_assigned({"x": 2}, "fam.json")
 
 
 def test_resolve_reads_an_existing_file_before_a_name(catalog, tmp_path, monkeypatch):
@@ -46,6 +52,8 @@ def test_resolve_reads_an_existing_file_before_a_name(catalog, tmp_path, monkeyp
     (tmp_path / "f_3").write_text("ab = s c\n")
     rec = catalog.resolve("f_3", ("s", "u"))
     assert (rec.name, rec.dim, rec.params) == ("f_3", 3, ("s",))
+    # the text is held parsed, its parameters those it uses
+    assert rec.symbolic() is rec.table and rec.table.params == ("s",)
     assert rec.structure({"s": 2}) == parse_table("ab = 2c", 3)
     assert rec.structure({"s": 2}).name == "f_3@s=2"
     (tmp_path / "fam.json").write_text(

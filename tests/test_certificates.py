@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from conftest import digest
-from nilcohom.cohomology import _constraint_reducer, _d1_rank, augmented_exactness, h2_knil
+from nilcohom.cohomology import _constraint_reducer, _image, augmented_exactness, h2_knil
 from nilcohom.ideals import groebner_small, member_bounded, nilpotency_ideal, substitute
 from nilcohom.liealg import Layout
 from nilcohom.polynomials import format_poly
@@ -64,7 +64,7 @@ def rigidity_digest(mu, k):
     """(z, b, h) and the [d2 ; dN_k] rows, from one reduction."""
     red = _constraint_reducer(mu, "n", k)
     z = Layout(mu.n).dim2 - red.rank
-    b = _d1_rank(mu)
+    b = _image(mu)[1].rank
     return digest([("zbh", (z, b, z - b)), ("rows", canonical_rows(red))]), (z, b, z - b)
 
 

@@ -526,7 +526,7 @@ def _record_texts(draw):
         fields["brackets"] = draw(st.one_of(st.lists(_BRACKETS, max_size=3), st.just(5)))
     else:
         fields["table"] = draw(_TABLES)
-        fields["params"] = draw(st.sampled_from([[], ["t"], [1], "t"]))
+        fields["params"] = draw(st.sampled_from([[], ["t"], [1], "t", ["tt"], [""], ["t", "t"]]))
     return json.dumps(_pruned(draw, fields))
 
 
@@ -610,6 +610,10 @@ _MALFORMED = {
     '{"name": "x", "dim": 3, "table": "ab = (1+i)c"}': "'field' is Q",
     '{"name": "x", "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1+2 i"}]}]}':
         "'c' is not a scalar over Q",
+    '{"name": "x", "dim": 3, "table": "ab = c", "params": ["ss"]}': "'ss' is not one letter",
+    '{"name": "x", "dim": 3, "table": "ab = c", "params": [""]}': "'' is not one letter",
+    '{"name": "x", "dim": 3, "table": "ab = c", "params": ["t", "t"]}': "'t' is declared twice",
+    '{"name": "x", "dim": 3, "table": "ab = c", "params": ["1"]}': "'1' is not one letter",
 }
 
 
@@ -709,6 +713,40 @@ def test_a_family_answers_exactness_from_a_file_a_pack_and_table_text(tmp_path):
     assert answers[0] == answers[1] == answers[2] == (
         1, "fam at (t=1/2), free {t}, constraint n3: NOT EXACT\n"
         "  dims 10 -> 9 -> 246; rank dF = 3, dim Ker dG = 5, containment ok\n", "")
+
+
+def test_a_parameter_symbol_given_a_value_is_still_refused(tmp_path):
+    """A declared symbol that is not one letter declared once exits 2 naming
+    the file also when the command gives it a value, and so does such a
+    symbol given to a table-text file."""
+    record = '{{"name": "x", "dim": 3, "table": "ab = c", "params": {}}}'
+    for argv, files, fault in (
+            (["info", "{dir}/x.json", "--params", "t=2"], {"x.json": record.format('["t", "t"]')},
+             "'t' is declared twice"),
+            (["exactness", "{dir}/x.json", "--at", "t=2"], {"x.json": record.format('["t", "t"]')},
+             "'t' is declared twice"),
+            (["info", "{dir}/x.json", "--params", "1=2"], {"x.json": record.format('["1"]')},
+             "'1' is not one letter"),
+            (["info", "{dir}/t.txt", "--params", "ss=1"], {"t.txt": "ab = c\n"},
+             "'ss' is not one letter"),
+            (["exactness", "{dir}/t.txt", "--at", "tt=1"], {"t.txt": "ab = c\n"},
+             "'tt' is not one letter")):
+        code, out, err = _main_in(tmp_path, argv, files)
+        assert (code, out) == (2, "") and fault in err, argv
+        assert argv[1].replace("{dir}", str(tmp_path)) in err, argv
+
+
+def test_a_record_file_is_named_by_its_file_name_in_every_parameter_error(tmp_path):
+    files = {"fam.json": '{"name": "fam", "dim": 3, "table": "ab = t c", "params": ["t"]}'}
+    for command, option in (("info", "--params"), ("exactness", "--at")):
+        assert _main_in(tmp_path, [command, "{dir}/fam.json", option, ""], files) == (
+            2, "", "error: fam.json needs parameter values for: t\n")
+        assert _main_in(tmp_path, [command, "{dir}/fam.json", option, "u=1"], files) == (
+            2, "", "error: 'u' is not a parameter of fam.json (parameters: t)\n")
+    # from a pack the record is named by its name
+    files["pack/fam.json"] = files["fam.json"]
+    assert _main_in(tmp_path, ["--data-pack", "{dir}/pack", "info", "fam"], files) == (
+        2, "", "error: fam needs parameter values for: t\n")
 
 
 def test_a_record_past_26_letters_exits_2_at_once(tmp_path):

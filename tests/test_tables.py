@@ -86,6 +86,18 @@ def test_unresolved_parameters_rejected():
         tab.evaluate({})
 
 
+@pytest.mark.parametrize("params, fault", [
+    (("ss",), "'ss' is not one letter"), (("",), "'' is not one letter"),
+    (("1",), "'1' is not one letter"), (("t", "t"), "'t' is declared twice"),
+    (("b",), "'b' is a basis letter")])
+def test_a_parameter_symbol_is_one_letter_declared_once(params, fault):
+    for parse in (lambda: parse_symbolic("ab = c", 3, params), lambda: parse_vector("a", 3, params)):
+        with pytest.raises(TableError, match=fault):
+            parse()
+    # any other letter is a symbol, once declared
+    assert parse_table("ab = Tc", 3, {"T": 2}) == parse_table("ab = 2c", 3)
+
+
 def test_vector_expressions():
     vecs = parse_vector("2t(tb-d)", 4, params=("t",))
     assert [p.evaluate({"t": 3}) for p in vecs] == [0, 18, 0, -6]
