@@ -52,19 +52,25 @@ stack keeps its row space, and its reduced rows are the same.  The word
 rows alone can span less, so the public streams and the tensors
 ``n_k``/``sn_k`` keep every word.
 
-In [d2 ; dN_k] the letters are restricted as well, to a set S of basis
-indices whose e_s span g modulo g^1 (``liealg.k_step_generators``).  If
-N_k(mu) = 0 and d2(sigma) = 0, a letter that is a bracket mu(y, z)
-expands by the Jacobi identity of mu + e sigma, which holds to first order,
-into words of k + 2 letters, whose first-order parts are brackets of
-dN_k(sigma) on words of smaller bracket depth; so dN_k(sigma) vanishes on
-every word once it does on the words of S-letters (the induction is in
-``walk_words``).  The S-letter rows thus span, beside the d2 rows, every
-dN_k row, and the reduced rows are again the same.  The restriction is
-taken only when N_k(mu) = 0: the expansion leaves values of N_k at mu,
-which vanish only then, and at a bracket that is not k-step the S-letter
-rows can span less.  The split words of dSN_k are not left-normed, and
-their letters are not restricted.
+In both stacks the walked letters are restricted as well, to a set S of
+basis indices whose e_s generate g as a Lie algebra: in [d2 ; dN_k] every
+letter of the word, in [d2 ; dSN_k] every letter of the inner word, while
+the leading pair keeps every letter.  If the word operator vanishes at mu
+and d2(sigma) = 0, a walked letter that is a bracket mu(y, z) expands by
+the Jacobi identity of mu + e sigma, which holds to first order, into
+words of one more letter, whose first-order parts are brackets of the
+derivative on words of smaller bracket depth (for the split word, also
+with other leading pairs); so the derivative vanishes on every word once
+it does on the words of S-letters (the one lemma is in ``walk_words``).
+The S-letter rows thus span, beside the d2 rows, every word row, and the
+reduced rows are again the same.  S comes from one picker in ``liealg``:
+the e_s that span g modulo g^1 (``k_step_generators``, which at a k-step
+point generate g), extended at a point that is not nilpotent by each e_j
+outside the subalgebra generated so far (``split_generators``; the curve
+algebras are solvable, not nilpotent).  The restriction is taken only
+where N_k(mu) = 0 or SN_k(mu) = 0: the expansion leaves values of the
+operator at mu, which vanish only then, and elsewhere the S-letter rows
+can span less.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -89,12 +95,13 @@ from .liealg import (
     Layout,
     StructureConstants,
     _add_sigma,
+    _Budget,
     _apply_to_rows,
     _brv,
     _letter_operators,
     is_lie,
     k_step_generators,
-    sn_k_vanishes,
+    split_generators,
     walk_words,
 )
 from .linalg import ExactMatrix, in_kernel, reduce_rows
@@ -213,7 +220,7 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
             yield index * n + m, tangent[m]
 
 
-def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
+def iter_dsnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     """Rows of the derivative of the split word mu(mu(x1,x2), N_{k-2}(...)).
 
     The value B and tangent rows of each inner (k-1)-letter word are
@@ -230,7 +237,13 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
     ``least_first`` only the inner words that start with their least letter
     are walked, as in ``iter_dnk_rows``: the outer bracket with the leading
     pair is linear, so the rows of every other inner word are again
-    combinations of these and of d2 rows.
+    combinations of these and of d2 rows.  With ``letters`` (basis indices)
+    only the inner words over those letters are walked, and the leading
+    pair keeps every letter; where SN_k(mu) = 0, with letters that generate
+    g, their rows span beside the d2 rows what every row spans (the lemma
+    in ``walk_words``).  Each emitted row is charged to the walk's budget,
+    as each kept inner word is: one kept word can emit up to n times the
+    number of leading pairs rows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -247,7 +260,9 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
                     a_of.append((q, [(m, x) for m, x in enumerate(w) if x]))
         heads.append((x1 * n + x2, lay.sigma[x1][x2][0], a, a_of))
     tail_span = n ** (k - 1)
-    tails = walk_words(right, k - 1, lay, least_first=least_first)
+    budget = _Budget()
+    tails = walk_words(right, k - 1, lay, least_first=least_first, letters=letters,
+                       budget=budget)
     for tailidx, bvec, ftail in tails:
         # es_b[m][s]: coefficient of e_m in mu(e_s, B), read off
         # mu(e_q, e_s) = -mu(e_s, e_q)
@@ -284,7 +299,12 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False):
                 for m in sorted(rows):
                     row = {c: x for c, x in rows[m].items() if x}
                     if row:
+                        budget.charge()
                         yield index + m, row
+
+
+# the word constraints: the picker of their walked letters, and their rows
+_WORDS = {"n": (k_step_generators, iter_dnk_rows), "sn": (split_generators, iter_dsnk_rows)}
 
 
 # -- materialized matrices ---------------------------------------------------------
@@ -345,17 +365,17 @@ def _constraint_reducer(mu, kind, k, letters=None):
     The d2 rows are in the stack, so the word rows are streamed least-first:
     at a Lie point they span, beside the d2 rows, what every word row spans.
     ``reduce_rows`` may add the rows in any order; the span is the same.
-    The dN_k words are walked over ``letters``, ``k_step_generators(mu, k)``
-    when not given: a generating set when N_k(mu) = 0, and every letter
-    otherwise.
+    The dN_k words and the inner words of dSN_k are walked over
+    ``letters``, when not given ``k_step_generators(mu, k)`` or
+    ``split_generators(mu, k)``: a generating set when N_k(mu) = 0 or
+    SN_k(mu) = 0, and every letter otherwise.
     """
     rows = iter_d2_rows(mu)
-    if kind == "n":
+    if kind in _WORDS:
+        pick, stream = _WORDS[kind]
         if letters is None:
-            letters = k_step_generators(mu, k)
-        rows = chain(rows, iter_dnk_rows(mu, k, least_first=True, letters=letters))
-    elif kind == "sn":
-        rows = chain(rows, iter_dsnk_rows(mu, k, least_first=True))
+            letters = pick(mu, k)
+        rows = chain(rows, stream(mu, k, least_first=True, letters=letters))
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
 
 
@@ -453,11 +473,11 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     mu = table.evaluate(point)
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
-    letters = k_step_generators(mu, k) if kind == "n" else None
-    if kind == "n" and letters is None:
-        raise NotInVariety(f"point violates N_{k} = 0")
-    if kind == "sn" and not sn_k_vanishes(mu, k):
-        raise NotInVariety(f"point violates SN_{k} = 0")
+    letters = None
+    if kind in _WORDS:
+        letters = _WORDS[kind][0](mu, k)
+        if letters is None:
+            raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
     lay = Layout(mu.n)
     cols, df = _image(mu, [cochain_vector(table.derivative(p).evaluate(point))
                            for p in free_params])

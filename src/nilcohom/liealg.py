@@ -174,16 +174,20 @@ def is_lie(mu):
 
 # -- left-nested words over the dense table ------------------------------------
 
-# One walk_words stream raises ResourceCapExceeded after keeping this many
-# nonzero words of all its lengths, or before extending a nonzero word past
-# this many letters (each letter is one nested generator frame, well below
-# the interpreter's recursion limit).  On a nilpotent table every word of
-# more than about twice the nilpotency index vanishes with its tangent.  The
-# largest streams keep 8,420 words in the tests, 1,044 in ``reproduce all``
-# and 1,015 in certbench, and the chart generators (n >= 3 letters, at most
-# MAX_CHART_WORDS = n^(k+1) words of full length) at most 150,000.  At the
-# non-nilpotent g_5(1,1) the least-first SN_k walk keeps about 64 k^2 words:
-# ``exactness`` there stops at the node cap from about sn56, in about 2 s.
+# One word stream raises ResourceCapExceeded once the nonzero words its walk
+# keeps, of all lengths, and the rows the split-word stream emits pass this
+# many together, or before extending a nonzero word past MAX_WALK_DEPTH
+# letters (each letter is one nested generator frame, well below the
+# interpreter's recursion limit).  On a nilpotent table every word of more
+# than about twice the nilpotency index vanishes with its tangent.  The
+# largest streams count 34,984 in the tests (the full dSN_5 stream of
+# g_5(1,1) in a seeded basis), 343 in ``reproduce all`` and 6,326 in
+# certbench (its full dSN_5 streams), and the chart generators (n >= 3
+# letters, at most MAX_CHART_WORDS = n^(k+1) words of full length) at most
+# 150,000.  At the non-nilpotent curve points the dSN_k stack walks its
+# inner words over e_0, e_1: at g_5(1,1) ``exactness`` answers up to sn199
+# (43,413 counted there), and at g_6(1,1) it stops at the cap from sn15, in
+# about 1.5 s.
 MAX_WALK_NODES = 200_000
 MAX_WALK_DEPTH = 200
 
@@ -321,7 +325,24 @@ def _apply_to_rows(op, rows):
     return out
 
 
-def walk_words(right, length, lay=None, least_first=False, letters=None):
+class _Budget:
+    """What one word stream has spent of MAX_WALK_NODES: the nonzero words
+    its walk keeps and, in the split-word stream, the rows it emits."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self):
+        self.spent += 1
+        if self.spent > MAX_WALK_NODES:
+            raise ResourceCapExceeded(
+                f"the word walk counted more than {MAX_WALK_NODES} nonzero words and rows"
+            )
+
+
+def walk_words(right, length, lay=None, least_first=False, letters=None, budget=None):
     """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
 
     ``right`` is the right operator list of ``_letter_operators``, of length n.
@@ -360,46 +381,63 @@ def walk_words(right, length, lay=None, least_first=False, letters=None):
     lists and the public row streams walk every word.
 
     With ``letters`` (basis indices; None for all n) only the words whose
-    letters all lie in that set are walked, in the same order.  Let mu be a
-    Lie bracket with N_k(mu) = 0, so that every bracket of k + 1 or more
-    elements vanishes, and let S be a set of basis indices whose e_s span g
-    modulo g^1 = mu(g, g); g is nilpotent, so the e_s generate it and every
-    element is a combination of bracket monomials in them.  Let sigma be a
-    2-cochain with d2(sigma) = 0 and write D(x_1, ..., x_{k+1}) for the
-    derivative of N_k at mu along sigma, the first-order part in e of the
-    word under mu_e = mu + e sigma.  Claim: if D vanishes on every word of
-    S-letters, it vanishes on every word.  D is multilinear, so it is
-    enough to take each x_p a bracket monomial in the e_s, and to induct
-    on the total bracket depth of the k + 1 letters.  At depth 0 every
-    letter is some e_s.  Otherwise some x_p = mu(y, z), with y and z
-    monomials of smaller depth; by antisymmetry in the first two letters
-    take p >= 2, and write P for the word x_1, ..., x_{p-1} under mu_e.
-    - mu(y, z) = mu_e(y, z) - e sigma(y, z).  The first-order part of e
-      times the word with sigma(y, z) at position p is that word under mu,
-      a value of N_k at mu: it is 0.
-    - mu_e(P, mu_e(y, z)) = mu_e(mu_e(P, y), z) - mu_e(mu_e(P, z), y) plus
-      the Jacobiator of mu_e at (P, y, z), whose first-order part is
-      d2(sigma) = 0 (mu itself satisfies Jacobi), so it is O(e^2); the
-      later letters x_{p+1}, ... are linear brackets on the right.
-    - So D(x) is the first-order part of two left-normed words of k + 2
-      letters, x_1, ..., x_{p-1}, y, z, x_{p+1}, ... and the same with y, z
-      swapped.  The first-order part of such a word u is mu(D(u'), u_last)
-      + sigma(N_k(u'), u_last), where u' is its first k + 1 letters:
-      N_k(u') = 0 at mu, and u' has smaller total depth, so D(u') = 0 by
+    letters all lie in that set are walked, in the same order.  What such a
+    restriction keeps is one lemma.  Let mu be a Lie bracket, S a set of
+    basis indices whose e_s generate g as a Lie algebra, so that every
+    element is a combination of bracket monomials in them, and sigma a
+    2-cochain with d2(sigma) = 0; under mu_e = mu + e sigma the Jacobiator
+    is O(e^2), as mu satisfies Jacobi and its first-order part is
+    d2(sigma).  Let W be N_k, the left-normed word of k + 1 letters, or
+    SN_k, mu(mu(x_1, x_2), w) with w the left-normed inner word of the
+    last k - 1 letters, and let W vanish on all of g at mu.  The walked
+    word is the whole word for N_k and w for SN_k.  Write D for the
+    derivative of W at mu along sigma, the first-order part in e of W
+    under mu_e.  Claim: if D vanishes whenever every letter of the walked
+    word is an e_s, it vanishes everywhere.  D is multilinear, so it is
+    enough to take each walked letter a bracket monomial in the e_s (the
+    leading pair of SN_k arbitrary), and to induct on the total bracket
+    depth of the walked letters.  At depth 0 every one is an e_s.
+    Otherwise one is mu(y, z), with y and z of smaller depth.
+    - mu(y, z) = mu_e(y, z) - e sigma(y, z).  The first-order part of the
+      e term is W at mu with sigma(y, z) in that place: 0.
+    - With mu_e(y, z) in that place the walked word is, up to O(e^2), a
+      difference of two left-normed words [w'', t] of one more letter, t
+      the last, and the letters of w'' have a smaller total depth.  If
+      the letter is the walked word's only one (SN_2), it is [y, z]
+      itself.  Otherwise, by antisymmetry in the first two letters, it is
+      not the first; with P the word of the letters before it,
+      mu_e(P, mu_e(y, z)) = mu_e(mu_e(P, y), z) - mu_e(mu_e(P, z), y) plus
+      the Jacobiator at (P, y, z), and the later letters are linear
+      brackets on the right.
+    - N_k: the first-order part of mu_e(w'', t) is mu(D(w''), t) +
+      sigma(N_k(w''), t), where N_k(w'') = 0 at mu and D(w'') = 0 by
       induction.
-    Beside the d2 rows, then, the rows of the S-letter words span every
-    word row.  The least-first restriction keeps the letters of a word, so
-    both restrictions hold together.  The proof needs N_k(mu) = 0 (at a
-    bracket that is not k-step the value terms do not vanish, and the
-    restricted rows can span less) and left-normed words: a split word is
-    not left-normed after the expansion, and restricting its letters
-    changes the span.
+    - SN_k, with u = mu_e(x_1, x_2): up to O(e^2), by Jacobi again,
+      mu_e(u, [w'', t]) = mu_e(mu_e(u, w''), t) - mu_e(mu_e(u, t), w'').
+      The first-order part of the first term is mu(D(x_1, x_2; w''), t)
+      plus sigma of a value of SN_k at mu: 0 by induction.  The second is
+      the sum over i, j of u_i t_j mu_e(mu_e(e_i, e_j), w''), whose
+      first-order part is the sum of u_i t_j D(e_i, e_j; w'') at mu plus
+      values of SN_k at mu: 0 by induction, which covers every leading
+      pair.  That arbitrary pair is why the leading pair keeps every
+      letter.
+    So for sigma in Ker d2 the S-letter word rows vanish only where every
+    word row does: beside the d2 rows they span every word row, and a stack
+    keeps its reduced rows.  The least-first restriction keeps the letters
+    of a word, so both restrictions hold together.  For N_k, S is
+    ``k_step_generators``: at a k-step point g is nilpotent, and e_s that
+    span g modulo g^1 = mu(g, g) generate it.  For SN_k, S is
+    ``split_generators``, which extends those picks at a point that is not
+    nilpotent.  The proof needs W(mu) = 0: where W does not vanish, the
+    value terms remain and the restricted rows can span less.
 
-    The walk raises ResourceCapExceeded once it has kept more than
-    MAX_WALK_NODES nonzero words of any length, or would go deeper than
-    MAX_WALK_DEPTH letters: a word whose value and tangent never vanish (on
-    a table that is not nilpotent) would otherwise run without bound, and
-    each letter is one nested generator frame.
+    The walk charges each nonzero word it keeps, of any length, to
+    ``budget`` (a fresh ``_Budget`` when not given; the split-word stream
+    passes its own and charges its rows to it too), which raises
+    ResourceCapExceeded past MAX_WALK_NODES; the walk also raises it before
+    going deeper than MAX_WALK_DEPTH letters.  A word whose value and
+    tangent never vanish (on a table that is not nilpotent) would otherwise
+    run without bound, and each letter is one nested generator frame.
     """
 
     n = len(right)
@@ -409,10 +447,10 @@ def walk_words(right, length, lay=None, least_first=False, letters=None):
     ]
     alphabet = range(n) if letters is None else sorted(letters)
     from_letter = [[b for b in alphabet if b >= lo] for lo in range(n + 1)]
-    nodes = 0
+    if budget is None:
+        budget = _Budget()
 
     def extend(index, depth, v, tangent):
-        nonlocal nodes
         if depth == 1:
             lo = 0 if lay is None else index + 1
         else:
@@ -427,11 +465,7 @@ def walk_words(right, length, lay=None, least_first=False, letters=None):
             t2 = {m: row for m, row in t2.items() if row}
             v2 = None if v is None else _brv(right, n, v, b)
             if t2 or v2 is not None:
-                nodes += 1
-                if nodes > MAX_WALK_NODES:
-                    raise ResourceCapExceeded(
-                        f"the word walk kept more than {MAX_WALK_NODES} nonzero words"
-                    )
+                budget.charge()
                 if depth + 1 == length:
                     yield index * n + b, v2, t2
                 elif depth + 1 >= MAX_WALK_DEPTH:
@@ -533,34 +567,68 @@ def _series(mu, derived=False):
     return series
 
 
+def _generators(mu, series):
+    """Basis indices S whose e_s generate g as a Lie algebra, ascending.
+
+    ``series`` is the lower central series of mu (``_series``).  First e_s
+    is taken when it is independent of g^1 and of the e_s taken before it.
+    At a nilpotent point those n - dim g^1 picks generate g.  Only where
+    the series does not reach 0 is S extended, by each e_j, in turn, that
+    lies outside the subalgebra the picks so far generate, which is closed
+    under the bracket as it grows.
+    """
+    n = mu.n
+    nilpotent = not series[-1].rank
+    span = series[min(1, len(series) - 1)]
+    picks = [s for s in range(n) if span.add({s: 1})]
+    if nilpotent:
+        return tuple(picks)
+    _, _, right = _letter_operators(mu, scaled=True)
+    sub = reduce_rows((), n, mu.field)
+    kept = []  # the vectors added to sub, each outside the span of those before
+
+    def take(u):
+        """Add u to sub, closing sub under the bracket; True iff u was outside."""
+        if not sub.add({i: x for i, x in enumerate(u) if x}):
+            return False
+        brackets = [w for x in kept if (w := _brvv(right, n, u, x)) is not None]
+        kept.append(u)
+        for w in brackets:
+            take(w)
+        return True
+
+    for s in picks:
+        take(_unit(n, s))
+    return tuple(j for j in range(n) if j in picks or take(_unit(n, j)))
+
+
 def k_step_generators(mu, k):
     """Basis indices S whose e_s span g modulo g^1 when N_k(mu) = 0, else None.
 
     For any bilinear bracket g^k is spanned by the left-nested (k+1)-letter
-    words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.  S is picked
-    greedily: e_s is taken when it is independent of g^1 and of the e_s
-    taken before it, so S has n - dim g^1 elements.  One lower central
-    series serves both answers, and its own g^1 term takes the picks.
+    words, so N_k = 0 iff g^k = 0; Jacobi is not assumed.  Then g is
+    nilpotent and S, from ``_generators``, has n - dim g^1 elements and
+    generates g.  One lower central series serves both answers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     series = _series(mu)
-    last = len(series) - 1
-    if series[min(k, last)].rank:
+    if series[min(k, len(series) - 1)].rank:
         return None
-    span = series[min(1, last)]
-    return tuple(s for s in range(mu.n) if span.add({s: 1}))
+    return _generators(mu, series)
 
 
-def sn_k_vanishes(mu, k):
-    """SN_k(mu) = 0, decided by the lower central series in polynomial time.
+def split_generators(mu, k):
+    """Basis indices S whose e_s generate g when SN_k(mu) = 0, else None.
 
     The leading pairs mu(x1, x2) span g^1 and the inner words span g^{k-2}
-    (g^0 = g), so SN_k = 0 iff mu(g^1, g^{k-2}) = 0.  Jacobi is not assumed:
-    g^i lies in g^{i-1} for any bilinear bracket, so once the series stops
-    its last term stands for every later one.  The retained rows are
-    brackets on the table cleared of denominators, so they are bracketed on
-    that table too: a uniform scale does not change which brackets vanish.
+    (g^0 = g), so SN_k = 0 iff mu(g^1, g^{k-2}) = 0, decided by the lower
+    central series in polynomial time.  Jacobi is not assumed: g^i lies in
+    g^{i-1} for any bilinear bracket, so once the series stops its last
+    term stands for every later one.  The retained rows are brackets on
+    the table cleared of denominators, so they are bracketed on that table
+    too: a uniform scale does not change which brackets vanish.  S comes
+    from ``_generators`` on the same series.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -568,11 +636,15 @@ def sn_k_vanishes(mu, k):
     last = len(series) - 1
     n, _, right = _letter_operators(mu, scaled=True)
     inner = series[min(k - 2, last)].basis_rows()
-    return all(
-        _brvv(right, n, u, v) is None
-        for u in series[min(1, last)].basis_rows()
-        for v in inner
-    )
+    for u in series[min(1, last)].basis_rows():
+        if any(_brvv(right, n, u, v) is not None for v in inner):
+            return None
+    return _generators(mu, series)
+
+
+def sn_k_vanishes(mu, k):
+    """SN_k(mu) = 0, decided by the lower central series (``split_generators``)."""
+    return split_generators(mu, k) is not None
 
 
 def nil_index(mu):

@@ -411,18 +411,24 @@ def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):
 
 
 def test_word_walk_caps_exit_3(capsys, monkeypatch):
-    # g_5(1,1) is not nilpotent: its long words never vanish with their
-    # tangents, so the walk stops at a cap instead of recursing without end;
-    # words longer than the depth cap are refused before the walk starts
+    # g_5(1,1) and g_6(1,1) are not nilpotent: their long words never vanish
+    # with their tangents, so the walk stops at a cap instead of recursing
+    # without end; words longer than the depth cap are refused before the
+    # walk starts
     start = time.perf_counter()
     code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
                        "--constraint", "sn99999")
     assert code == 3 and f"100000 letters, over the cap {liealg.MAX_WALK_DEPTH}" in err
     assert time.perf_counter() - start < 5
     monkeypatch.setattr(liealg, "MAX_WALK_NODES", 20_000)
-    code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
+    code, _, err = run(capsys, "exactness", "g_6(r,t)", "--at", "r=1,t=1",
                        "--constraint", "sn30")
     assert code == 3 and "more than 20000 nonzero words" in err
+    # the inner words of g_5(1,1) over its generating letters (0, 1) stay
+    # under that cap
+    code, out, _ = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
+                       "--constraint", "sn30")
+    assert code == 1 and "rank dF = 41, dim Ker dG = 45, containment ok" in out
     # on a nilpotent table the walk prunes every long word, under both caps;
     # the rows of N_199 (200 letters, the longest words taken) all vanish, so
     # the sequence is not exact

@@ -46,6 +46,7 @@ from nilcohom.liealg import (
     n_k,
     pencil,
     sn_k,
+    split_generators,
 )
 from nilcohom.linalg import ExactMatrix, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
@@ -773,6 +774,60 @@ def test_generator_walk_needs_every_generator_and_a_k_step_point(catalog):
     ref = _full_stack(mu, "n", 2).sparse_rows()
     assert _constraint_reducer(mu, "n", 2, (0, 1)).sparse_rows() != ref
     assert _constraint_reducer(mu, "n", 2).sparse_rows() == ref
+
+
+# [e_0, e_1] = e_1, [e_0, e_2] = -e_2: solvable, not nilpotent; e_0 spans g
+# modulo g^1 but generates only itself
+SOLVABLE3 = {(0, 1): {1: 1}, (0, 2): {2: -1}}
+
+
+def test_split_walk_is_the_least_first_stream_restricted(catalog):
+    # the rows of the dSN_k stream over letters are the stream's rows of the
+    # inner words whose letters all lie in them, in the same order; the
+    # leading pair keeps every letter
+    g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    cases = [(g5, 5, (0, 1)), (catalog.structure("g_6(r,t)", {"r": 2, "t": 3}), 5, (0, 1)),
+             (StructureConstants(3, SOLVABLE3), 4, (0, 2)),
+             (catalog.structure("g_{137B}"), 3, (0, 1, 2))]
+    for mu, k, letters in cases:
+        n = mu.n
+        for least_first in (False, True):
+            stream = list(iter_dsnk_rows(mu, k, least_first=least_first))
+            kept = [(r, row) for r, row in stream
+                    if set(_letters(r // n, n, k + 1)[2:]) <= set(letters)]
+            got = list(iter_dsnk_rows(mu, k, least_first=least_first, letters=letters))
+            assert got == kept and 0 < len(got) < len(stream), (mu, k, least_first)
+            pairs = {_letters(r // n, n, k + 1)[:2] for r, _ in got}
+            assert any(set(pair) - set(letters) for pair in pairs), (mu, k)
+    # the certificate stack at g_5(1,1): 232 SN_5 word rows instead of 1,385
+    assert len(list(iter_dsnk_rows(g5, 5, least_first=True))) == 1385
+    assert len(list(iter_dsnk_rows(g5, 5, least_first=True, letters=(0, 1)))) == 232
+
+
+def test_split_walk_keeps_the_rref_and_needs_a_generating_set(catalog):
+    # beside the d2 rows the inner words over the picked letters give the full
+    # stack's rows (catalog tables and curve points above; here seeded bases
+    # over Q and Q(i)); a set that only spans g modulo g^1, or drops one
+    # generator, does not
+    rng = random.Random(28)
+    g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    cases = [(mu, 5) for mu in seeded_bases(g5, rng, 2)]
+    cases += [(mu, 3) for mu in seeded_bases(catalog.structure("g_{137B}"), rng, 2)]
+    assert {mu.field for mu, _ in cases} == {FIELD_Q, FIELD_QI}
+    for mu, k in cases:
+        assert len(split_generators(mu, k)) < mu.n, mu
+        assert (_constraint_reducer(mu, "sn", k).sparse_rows()
+                == _full_stack(mu, "sn", k).sparse_rows()), (mu, k)
+    solvable = StructureConstants(3, SOLVABLE3)
+    for k in (3, 4, 5):
+        ref = _full_stack(solvable, "sn", k).sparse_rows()
+        assert split_generators(solvable, k) == (0, 1, 2)
+        assert _constraint_reducer(solvable, "sn", k).sparse_rows() == ref
+        assert _constraint_reducer(solvable, "sn", k, (0,)).sparse_rows() != ref, k
+    ref = _full_stack(g5, "sn", 5).sparse_rows()
+    assert _constraint_reducer(g5, "sn", 5, (0, 1)).sparse_rows() == ref
+    for fewer in ((0,), (1,)):
+        assert _constraint_reducer(g5, "sn", 5, fewer).sparse_rows() != ref, fewer
 
 
 def test_full_streams_matrices_and_tensors_are_unchanged(catalog):

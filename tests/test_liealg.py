@@ -41,6 +41,7 @@ from nilcohom.liealg import (
     sn_k,
     sn_k_vanishes,
     solvable_length,
+    split_generators,
     table_in_basis,
 )
 from nilcohom.linalg import reduce_rows
@@ -251,6 +252,49 @@ def test_k_step_generators_span_g_modulo_g1(catalog):
     assert k_step_generators(StructureConstants.abelian(3), 1) == (0, 1, 2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         k_step_generators(heisenberg(1), 0)
+
+
+def _generated_dim(mu, letters):
+    """Dimension of the subalgebra the e_s generate, closed by
+    StructureConstants.bracket until its span stops growing."""
+    span = reduce_rows([[int(i == s) for i in range(mu.n)] for s in letters], mu.n, mu.field)
+    while True:
+        rows = span.basis_rows()
+        grown = reduce_rows(rows + [mu.bracket(u, v) for u in rows for v in rows],
+                            mu.n, mu.field)
+        if grown.rank == span.rank:
+            return span.rank
+        span = grown
+
+
+def test_split_generators_generate_g(catalog):
+    # the one picker: at a nilpotent point the n - dim g^1 span picks of
+    # k_step_generators, which generate g; at a point that is not nilpotent
+    # those picks extended until they generate g
+    rng = random.Random(28)
+    nilpotent = [(catalog.structure(name), step) for name, step in NILPOTENT_CATALOG if step > 1]
+    nilpotent += [(b, step) for mu, step in nilpotent[:4] for b in seeded_bases(mu, rng, 2)]
+    assert {mu.field for mu, _ in nilpotent} == {FIELD_Q, FIELD_QI}
+    for mu, step in nilpotent:
+        letters = split_generators(mu, step)
+        assert letters == k_step_generators(mu, step), mu
+        assert len(letters) == mu.n - lower_central_series(mu)[1].rank, mu
+        assert _generated_dim(mu, letters) == mu.n, mu
+    assert split_generators(StructureConstants(3, {(1, 2): {0: 1}}), 3) == (1, 2)
+    solvable = StructureConstants(3, {(0, 1): {1: 1}, (0, 2): {2: -1}})
+    assert nil_index(solvable) is None and split_generators(solvable, 3) == (0, 1, 2)
+    curves = [catalog.structure(fam, {"r": r, "t": t}) for fam, r, t in CURVE_POINTS]
+    assert [split_generators(mu, 5) for mu in curves] == [(0, 1)] * 6
+    bases = seeded_bases(curves[0], rng, 4) + seeded_bases(curves[3], rng, 4)
+    for mu in curves + bases:
+        assert nil_index(mu) is None
+        letters = split_generators(mu, 5)
+        assert _generated_dim(mu, letters) == mu.n, mu
+    # None exactly where SN_k does not vanish, as sn_k_vanishes says
+    sl2 = StructureConstants(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    assert [split_generators(mu, k) for mu in (sl2, curves[0]) for k in (2, 4)] == [None] * 4
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        split_generators(solvable, 1)
 
 
 def _series_oracle(mu, derived=False):
