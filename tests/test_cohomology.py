@@ -19,7 +19,7 @@ from conftest import (
     seeded_bases,
     stack,
 )
-from nilcohom import cohomology
+from nilcohom import cohomology, liealg
 from nilcohom.cohomology import (
     Layout,
     _constraint_reducer,
@@ -36,7 +36,7 @@ from nilcohom.cohomology import (
     iter_dsnk_rows,
     parse_constraint,
 )
-from nilcohom.errors import NotInVariety, NotLieAlgebra
+from nilcohom.errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
 from nilcohom.liealg import (
     StructureConstants,
     _letters,
@@ -828,6 +828,17 @@ def test_split_walk_keeps_the_rref_and_needs_a_generating_set(catalog):
     assert _constraint_reducer(g5, "sn", 5, (0, 1)).sparse_rows() == ref
     for fewer in ((0,), (1,)):
         assert _constraint_reducer(g5, "sn", 5, fewer).sparse_rows() != ref, fewer
+
+
+def test_split_stream_charges_each_row_to_the_walk_budget(catalog, monkeypatch):
+    # one counter against MAX_WALK_NODES: the full dSN_5 stream at g_5(1,1)
+    # counts the 675 inner words its walk keeps and the 1,666 rows it emits
+    g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    monkeypatch.setattr(liealg, "MAX_WALK_NODES", 675 + 1666)
+    assert sum(1 for _ in iter_dsnk_rows(g5, 5)) == 1666
+    monkeypatch.setattr(liealg, "MAX_WALK_NODES", 675 + 1665)
+    with pytest.raises(ResourceCapExceeded, match="more than 2340 nonzero words and rows"):
+        sum(1 for _ in iter_dsnk_rows(g5, 5))
 
 
 def test_full_streams_matrices_and_tensors_are_unchanged(catalog):
