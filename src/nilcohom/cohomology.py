@@ -95,10 +95,10 @@ from .liealg import (
     Layout,
     StructureConstants,
     _add_sigma,
-    _Budget,
     _apply_to_rows,
     _brv,
     _letter_operators,
+    _walk_budget,
     is_lie,
     k_step_generators,
     split_generators,
@@ -241,9 +241,9 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     only the inner words over those letters are walked, and the leading
     pair keeps every letter; where SN_k(mu) = 0, with letters that generate
     g, their rows span beside the d2 rows what every row spans (the lemma
-    in ``walk_words``).  Each emitted row is charged to the walk's budget,
-    as each kept inner word is: one kept word can emit up to n times the
-    number of leading pairs rows.
+    in ``walk_words``).  Each emitted row is charged to the stream's one
+    counter (``liealg._walk_budget``), as each kept inner word is: one kept
+    word can emit up to n times the number of leading pairs rows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -260,7 +260,7 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False, letters=None):
                     a_of.append((q, [(m, x) for m, x in enumerate(w) if x]))
         heads.append((x1 * n + x2, lay.sigma[x1][x2][0], a, a_of))
     tail_span = n ** (k - 1)
-    budget = _Budget()
+    budget = _walk_budget()
     tails = walk_words(right, k - 1, lay, least_first=least_first, letters=letters,
                        budget=budget)
     for tailidx, bvec, ftail in tails:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one counter that
+raises ResourceCapExceeded for every counted cap (``Budget``)."""
 
 
 class NilcohomError(Exception):
@@ -45,4 +46,19 @@ class ExternalDataRequired(NilcohomError, LookupError):
 
 
 class ResourceCapExceeded(NilcohomError, RuntimeError):
-    """A capped computation (Groebner basis) ran past its configured limits."""
+    """A capped computation (walk, search, Buchberger) ran past its limits."""
+
+
+class Budget:
+    """A counted cap: ``charge()`` adds one to ``spent`` and raises
+    ResourceCapExceeded(``message``) once the count passes ``limit``."""
+
+    __slots__ = ("limit", "message", "spent")
+
+    def __init__(self, limit, message):
+        self.limit, self.message, self.spent = limit, message, 0
+
+    def charge(self):
+        self.spent += 1
+        if self.spent > self.limit:
+            raise ResourceCapExceeded(self.message)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_, sub
 
-from .errors import ResourceCapExceeded
+from .errors import Budget, ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
 from .linalg import solve
 from .polynomials import MultiPoly, _mono_mul, distinct_primitive, mono_degree, rational_content
@@ -206,10 +206,9 @@ def _search_masks(steps, reach, depth):
     return reach, pad + reach, below, exact
 
 
-def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
+def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
     """Degree-d monomials over ``universe`` of dense weight ``rem``, in
-    ``combinations_with_replacement(universe, d)`` order, and the number of
-    prefixes visited to find them.
+    ``combinations_with_replacement(universe, d)`` order.
 
     ``steps[i]`` is the dense weight of ``universe[i]``, ``masks`` come from
     ``_search_masks`` and their ``reach`` bounds every coordinate of every
@@ -222,9 +221,9 @@ def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
     allow every index, in ascending order.  At ``left == 1`` the bound is 0
     and one lookup keyed by ``rem`` gives the indices whose step equals it.
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
-    Raises ResourceCapExceeded when d is above MAX_MULTIPLIER_DEGREE, before
-    recursing, and once more than ``cap`` monomials are found or more than
-    ``node_cap`` prefixes are visited.
+    Each monomial found is charged to the Budget ``columns`` and each prefix
+    visited to the Budget ``nodes``, which raise ResourceCapExceeded past
+    their limits; so does a d above MAX_MULTIPLIER_DEGREE, before recursing.
     """
     if d > MAX_MULTIPLIER_DEGREE:
         raise ResourceCapExceeded(
@@ -235,23 +234,13 @@ def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
     full = (1 << len(universe)) - 1
     out = []
     combo = []
-    visited = 0
+    visit, find = nodes.charge, columns.charge
 
     def rec(start, rem, left):
-        nonlocal visited
-        visited += 1
-        if visited > node_cap:
-            raise ResourceCapExceeded(
-                f"membership search visits more than {MAX_WEIGHTED_NODES}"
-                " multiplier monomial prefixes, over the cap"
-            )
+        visit()
         if not left:  # the prefix reached rem exactly
+            find()
             out.append(_monomial(combo))
-            if len(out) > cap:
-                raise ResourceCapExceeded(
-                    f"membership system needs more than {MAX_UNWEIGHTED_COLUMNS}"
-                    f" multiplier columns, over the cap {MAX_UNWEIGHTED_COLUMNS}"
-                )
             return
         sel = full >> start << start
         if left == 1:
@@ -273,7 +262,7 @@ def _weighted_monomials(universe, steps, masks, rem, d, cap, node_cap):
 
     if all(abs(c) <= reach * d for c in rem):
         rec(0, rem, d)
-    return out, visited
+    return out
 
 
 def _multiplier_columns(f, gens, bound):
@@ -281,9 +270,10 @@ def _multiplier_columns(f, gens, bound):
 
     Ordered by generator, then degree, then the
     ``combinations_with_replacement`` order of the sorted variable universe.
-    ``_weighted_monomials`` finds them, under its caps: when f and g_j are
-    torus-homogeneous, those of weight w(f) - w(g_j); otherwise, with steps
-    of no coordinates that filter nothing, all of each admissible degree.
+    ``_weighted_monomials`` finds them, charging one Budget of columns and
+    one of prefixes for the whole call: when f and g_j are torus-homogeneous,
+    those of weight w(f) - w(g_j); otherwise, with steps of no coordinates
+    that filter nothing, all of each admissible degree.
     """
     universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
     # a multiplier variable absent from f and every generator could be set to
@@ -305,16 +295,21 @@ def _multiplier_columns(f, gens, bound):
         reach = max((abs(e) for s in steps for e in s), default=0)
         masks = _search_masks(steps, reach, depth)
 
+    budgets = (
+        Budget(MAX_UNWEIGHTED_COLUMNS,
+               f"membership system needs more than {MAX_UNWEIGHTED_COLUMNS}"
+               f" multiplier columns, over the cap {MAX_UNWEIGHTED_COLUMNS}"),
+        Budget(MAX_WEIGHTED_NODES,
+               f"membership search visits more than {MAX_WEIGHTED_NODES}"
+               " multiplier monomial prefixes, over the cap"),
+    )
     columns = []
-    nodes = 0
     for j, g, dg in live:
         wg = _multiweight(g, pos) if wf is not None else None
         search = flat if wg is None else (steps, masks, list(map(sub, wf, wg)))
         degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
         for d in degs:
-            cap, node_cap = MAX_UNWEIGHTED_COLUMNS - len(columns), MAX_WEIGHTED_NODES - nodes
-            monos, visited = _weighted_monomials(universe, *search, d, cap, node_cap)
-            nodes += visited
+            monos = _weighted_monomials(universe, *search, d, *budgets)
             columns.extend((j, mono) for mono in monos)
     return columns
 
@@ -484,12 +479,10 @@ def groebner_small(gens):
         for j in range(i):
             lcm = _lcm(basis[i][0], basis[j][0])
             heapq.heappush(pairs, (mono_degree(lcm), j, i, lcm))
-    popped = 0
+    popped = Budget(MAX_GROEBNER_PAIRS, f"Buchberger pair cap {MAX_GROEBNER_PAIRS} exceeded")
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        popped += 1
-        if popped > MAX_GROEBNER_PAIRS:
-            raise ResourceCapExceeded(f"Buchberger pair cap {MAX_GROEBNER_PAIRS} exceeded")
+        popped.charge()
         (lmi, lci, fi), (lmj, lcj, fj) = basis[i], basis[j]
         if _mono_mul(lmi, lmj) == lcm:
             continue  # coprime leading monomials: s-poly reduces to zero

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (DimensionMismatch, NotDerivation, NotLieAlgebra, ResourceCapExceeded,
-                     TableError)
+from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra,
+                     ResourceCapExceeded, TableError)
 from .linalg import ExactMatrix, int_cleared, inverse, reduce_rows
 from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 
@@ -176,7 +176,8 @@ def is_lie(mu):
 
 # One word stream raises ResourceCapExceeded once the nonzero words its walk
 # keeps, of all lengths, and the rows the split-word stream emits pass this
-# many together, or before extending a nonzero word past MAX_WALK_DEPTH
+# many together, counted on one ``errors.Budget`` per stream
+# (``_walk_budget``), or before extending a nonzero word past MAX_WALK_DEPTH
 # letters (each letter is one nested generator frame, well below the
 # interpreter's recursion limit).  On a nilpotent table every word of more
 # than about twice the nilpotency index vanishes with its tangent.  The
@@ -325,21 +326,10 @@ def _apply_to_rows(op, rows):
     return out
 
 
-class _Budget:
-    """What one word stream has spent of MAX_WALK_NODES: the nonzero words
-    its walk keeps and, in the split-word stream, the rows it emits."""
-
-    __slots__ = ("spent",)
-
-    def __init__(self):
-        self.spent = 0
-
-    def charge(self):
-        self.spent += 1
-        if self.spent > MAX_WALK_NODES:
-            raise ResourceCapExceeded(
-                f"the word walk counted more than {MAX_WALK_NODES} nonzero words and rows"
-            )
+def _walk_budget():
+    """The counter of one word stream's kept words and split-word rows."""
+    n = MAX_WALK_NODES
+    return Budget(n, f"the word walk counted more than {n} nonzero words and rows")
 
 
 def walk_words(right, length, lay=None, least_first=False, letters=None, budget=None):
@@ -432,8 +422,8 @@ def walk_words(right, length, lay=None, least_first=False, letters=None, budget=
     value terms remain and the restricted rows can span less.
 
     The walk charges each nonzero word it keeps, of any length, to
-    ``budget`` (a fresh ``_Budget`` when not given; the split-word stream
-    passes its own and charges its rows to it too), which raises
+    ``budget`` (a fresh ``_walk_budget()`` when not given; the split-word
+    stream passes its own and charges its rows to it too), which raises
     ResourceCapExceeded past MAX_WALK_NODES; the walk also raises it before
     going deeper than MAX_WALK_DEPTH letters.  A word whose value and
     tangent never vanish (on a table that is not nilpotent) would otherwise
@@ -448,7 +438,7 @@ def walk_words(right, length, lay=None, least_first=False, letters=None, budget=
     alphabet = range(n) if letters is None else sorted(letters)
     from_letter = [[b for b in alphabet if b >= lo] for lo in range(n + 1)]
     if budget is None:
-        budget = _Budget()
+        budget = _walk_budget()
 
     def extend(index, depth, v, tangent):
         if depth == 1:
@@ -640,11 +630,6 @@ def split_generators(mu, k):
         if any(_brvv(right, n, u, v) is not None for v in inner):
             return None
     return _generators(mu, series)
-
-
-def sn_k_vanishes(mu, k):
-    """SN_k(mu) = 0, decided by the lower central series (``split_generators``)."""
-    return split_generators(mu, k) is not None
 
 
 def nil_index(mu):

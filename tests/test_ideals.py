@@ -16,7 +16,7 @@ import nilcohom
 from nilcohom import catalog as cat
 from nilcohom import ideals
 from nilcohom.cli import main
-from nilcohom.errors import ResourceCapExceeded
+from nilcohom.errors import Budget, ResourceCapExceeded
 from nilcohom.ideals import (
     MAX_MULTIPLIER_DEGREE,
     MAX_UNWEIGHTED_COLUMNS,
@@ -247,6 +247,13 @@ def test_groebner_caps_raise(monkeypatch):
     # under generous caps the same system completes
     gb = groebner_small(cyclic3)
     assert gb.contains(x + y + z)
+    # it pops 10 S-pairs: a pair cap of 10 answers and 9 raises
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "MAX_GROEBNER_PAIRS", 10)
+        assert groebner_small(cyclic3).members == gb.members
+        m.setattr(ideals, "MAX_GROEBNER_PAIRS", 9)
+        with pytest.raises(ResourceCapExceeded, match="^Buchberger pair cap 9 exceeded$"):
+            groebner_small(cyclic3)
 
 
 def test_non_membership_certificates():
@@ -391,7 +398,7 @@ def test_unweighted_column_cap(ideal64_gens, capsys):
     assert len(_multiplier_columns(f, ideal64_gens, 3)) <= MAX_UNWEIGHTED_COLUMNS
 
 
-def test_weighted_column_cap():
+def test_weighted_column_cap(monkeypatch):
     # ten variables t_{p,2,p} and t_{2,p,p}, all of torus weight e_2, so every
     # multiplier monomial of the right degree has the right weight
     chart = [(p, 2, p) for p in (1, 3, 4, 5, 6)] + [(2, p, p) for p in (1, 3, 4, 5, 6)]
@@ -409,6 +416,12 @@ def test_weighted_column_cap():
     cert = member_bounded(x**4, gens, 4)
     assert cert is not None and cert.verify(gens)
     assert len(_multiplier_columns(x**4, gens, 4)) == 10 * 220 <= MAX_UNWEIGHTED_COLUMNS
+    # the cap counts the running total over the generators of one call
+    monkeypatch.setattr(ideals, "MAX_UNWEIGHTED_COLUMNS", 2_200)
+    assert len(_multiplier_columns(x**4, gens, 4)) == 2_200
+    monkeypatch.setattr(ideals, "MAX_UNWEIGHTED_COLUMNS", 2_199)
+    with pytest.raises(ResourceCapExceeded, match="2199 multiplier columns, over the cap 2199$"):
+        _multiplier_columns(x**4, gens, 4)
 
 
 def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
@@ -487,16 +500,15 @@ def test_weighted_search_matches_brute_force(search):
         for size in range(d + 1)
         for combo in combinations_with_replacement(universe, size)
     )
-    cap = len(columns)
     # the masks are built once for every degree up to depth
     masks = ideals._search_masks(steps, reach, depth)
-    assert ideals._weighted_monomials(universe, steps, masks, rem, d, cap, visited) == (
-        columns,
-        visited,
-    )
+    found, nodes = Budget(len(columns), "columns"), Budget(visited, "prefixes")
+    assert ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes) == columns
+    assert (found.spent, nodes.spent) == (len(columns), visited)
     if visited:
-        with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
-            ideals._weighted_monomials(universe, steps, masks, rem, d, cap, visited - 1)
+        found, nodes = Budget(len(columns), "columns"), Budget(visited - 1, "prefixes")
+        with pytest.raises(ResourceCapExceeded, match="^prefixes$"):
+            ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes)
 
 
 def test_certificate_reverification_survives_optimize():

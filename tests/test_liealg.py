@@ -39,7 +39,6 @@ from nilcohom.liealg import (
     pencil,
     semidirect_by_derivation,
     sn_k,
-    sn_k_vanishes,
     solvable_length,
     split_generators,
     table_in_basis,
@@ -218,14 +217,15 @@ def test_sn_k_vanishes_agrees_with_the_split_word(catalog):
             randoms.append(mu)
     for mu in tables + randoms:
         for k in range(2, 7):
-            assert sn_k_vanishes(mu, k) == (not sn_k(mu, k)), (mu, k)
+            assert (split_generators(mu, k) is not None) == (not sn_k(mu, k)), (mu, k)
         for k in range(1, 7):
             assert (k_step_generators(mu, k) is not None) == (not n_k(mu, k)), (mu, k)
     # the non-Jacobi brackets reach both answers
-    assert {sn_k_vanishes(mu, k) for mu in randoms for k in range(2, 7)} == {True, False}
+    vanishes = {split_generators(mu, k) is not None for mu in randoms for k in range(2, 7)}
+    assert vanishes == {True, False}
     assert {k_step_generators(mu, k) is None for mu in tables for k in range(1, 7)} == {True, False}
     with pytest.raises(ValueError, match="k must be >= 2"):
-        sn_k_vanishes(tables[0], 1)
+        split_generators(tables[0], 1)
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             k_step_generators(heisenberg(1), k)
@@ -290,7 +290,7 @@ def test_split_generators_generate_g(catalog):
         assert nil_index(mu) is None
         letters = split_generators(mu, 5)
         assert _generated_dim(mu, letters) == mu.n, mu
-    # None exactly where SN_k does not vanish, as sn_k_vanishes says
+    # None exactly where SN_k does not vanish
     sl2 = StructureConstants(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
     assert [split_generators(mu, k) for mu in (sl2, curves[0]) for k in (2, 4)] == [None] * 4
     with pytest.raises(ValueError, match="k must be >= 2"):
