@@ -67,10 +67,12 @@ reduced rows are again the same.  S comes from one picker in ``liealg``:
 the e_s that span g modulo g^1 (``k_step_generators``, which at a k-step
 point generate g), extended at a point that is not nilpotent by each e_j
 outside the subalgebra generated so far (``split_generators``; the curve
-algebras are solvable, not nilpotent).  The restriction is taken only
-where N_k(mu) = 0 or SN_k(mu) = 0: the expansion leaves values of the
-operator at mu, which vanish only then, and elsewhere the S-letter rows
-can span less.
+algebras are solvable, not nilpotent).  The restriction holds only where
+N_k(mu) = 0 or SN_k(mu) = 0: the expansion leaves values of the operator
+at mu, which vanish only then, and elsewhere the S-letter rows can span
+less.  So every certificate builds its sequence in one routine,
+``_sequence``: it checks Jacobi, and the picker both decides W(mu) = 0 and
+gives S, or refuses the point.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -366,37 +368,43 @@ def _constraint_reducer(mu, kind, k, letters=None):
     at a Lie point they span, beside the d2 rows, what every word row spans.
     ``reduce_rows`` may add the rows in any order; the span is the same.
     The dN_k words and the inner words of dSN_k are walked over
-    ``letters``, when not given ``k_step_generators(mu, k)`` or
-    ``split_generators(mu, k)``: a generating set when N_k(mu) = 0 or
-    SN_k(mu) = 0, and every letter otherwise.
+    ``letters``, every letter when not given.
     """
     rows = iter_d2_rows(mu)
     if kind in _WORDS:
-        pick, stream = _WORDS[kind]
-        if letters is None:
-            letters = pick(mu, k)
-        rows = chain(rows, stream(mu, k, least_first=True, letters=letters))
+        rows = chain(rows, _WORDS[kind][1](mu, k, least_first=True, letters=letters))
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
+
+
+def _sequence(mu, kind, k, tangents=()):
+    """Hamilton's sequence at mu, [tangents | d1] -> C^2 -> [d2 ; dW], for W
+    of ``kind`` "j" (Jacobi), "n" (N_k) or "sn" (SN_k).  Returns (cols, df,
+    red): the Im dF columns, their RowBasis and that of the [d2 ; dW] stack.
+    A point off the variety is refused: not Lie, or W(mu) != 0, which the
+    picker of ``_WORDS`` decides; its letters generate g there, and the
+    stack walks them."""
+    if not is_lie(mu):
+        raise NotInVariety("point violates the Jacobi identity")
+    letters = None
+    if kind in _WORDS:
+        letters = _WORDS[kind][0](mu, k)
+        if letters is None:
+            raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
+    cols, df = _image(mu, tangents)
+    return cols, df, _constraint_reducer(mu, kind, k, letters)
 
 
 def h2_knil(mu, k, name=None) -> CohomologyReport:
     """Deformation cohomology inside the k-step nilpotent variety."""
-    if not is_lie(mu):
-        raise NotInVariety("bracket does not satisfy the Jacobi identity")
-    letters = k_step_generators(mu, k)
-    if letters is None:
-        raise NotInVariety(f"bracket is not (at most) {k}-step nilpotent")
-    b = _image(mu)[1].rank
-    z = Layout(mu.n).dim2 - _constraint_reducer(mu, "n", k, letters).rank
+    _, df, red = _sequence(mu, "n", k)
+    z, b = Layout(mu.n).dim2 - red.rank, df.rank
     return CohomologyReport(name or mu.name, mu.n, k, z, b, z - b, z == b)
 
 
 def h2_dim(mu, name=None) -> CohomologyReport:
     """Ordinary adjoint H^2 dimensions (z, b, h)."""
-    if not is_lie(mu):
-        raise NotLieAlgebra("H^2 needs the Jacobi identity")
-    b = _image(mu)[1].rank
-    z = Layout(mu.n).dim2 - _constraint_reducer(mu, "j", None).rank
+    _, df, red = _sequence(mu, "j", None)
+    z, b = Layout(mu.n).dim2 - red.rank, df.rank
     return CohomologyReport(name or mu.name, mu.n, None, z, b, z - b, False)
 
 
@@ -471,23 +479,14 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
         if p in free_params[:t]:
             raise ValueError(f"free parameter {p!r} given twice")
     mu = table.evaluate(point)
-    if not is_lie(mu):
-        raise NotInVariety("point violates the Jacobi identity")
-    letters = None
-    if kind in _WORDS:
-        letters = _WORDS[kind][0](mu, k)
-        if letters is None:
-            raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
     lay = Layout(mu.n)
-    cols, df = _image(mu, [cochain_vector(table.derivative(p).evaluate(point))
-                           for p in free_params])
-
-    red = _constraint_reducer(mu, kind, k, letters)
+    # a generator: the tangents are evaluated only at a point the guards admit
+    cols, df, red = _sequence(mu, kind, k, (cochain_vector(table.derivative(p).evaluate(point))
+                                            for p in free_params))
     basis = red.sparse_rows()
     containment = all(in_kernel(vec, basis) for vec in cols)
     ker_dg = lay.dim2 - red.rank
-    n = mu.n
-    codom = lay.dim3 if kind == "j" else lay.dim3 + n ** (k + 1) * n
+    codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
     return ExactnessReport(
         family=name,
         point=tuple(sorted((str(p), v) for p, v in point.items())),

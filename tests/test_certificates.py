@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from conftest import digest
-from nilcohom.cohomology import _constraint_reducer, _image, augmented_exactness, h2_knil
+from nilcohom.cohomology import _sequence, augmented_exactness, h2_knil
 from nilcohom.ideals import groebner_small, member_bounded, nilpotency_ideal, substitute
 from nilcohom.liealg import Layout
 from nilcohom.polynomials import format_poly
@@ -61,16 +61,15 @@ def canonical_rows(reducer):
 
 
 def rigidity_digest(mu, k):
-    """(z, b, h) and the [d2 ; dN_k] rows, from one reduction."""
-    red = _constraint_reducer(mu, "n", k)
-    z = Layout(mu.n).dim2 - red.rank
-    b = _image(mu)[1].rank
+    """(z, b, h) and the [d2 ; dN_k] rows, from one sequence."""
+    _, df, red = _sequence(mu, "n", k)
+    z, b = Layout(mu.n).dim2 - red.rank, df.rank
     return digest([("zbh", (z, b, z - b)), ("rows", canonical_rows(red))]), (z, b, z - b)
 
 
 def exactness_digest(family, table, point, free_sets):
     """Both exactness reports at a point and its [d2 ; dSN_5] rows."""
-    items = [("rows", canonical_rows(_constraint_reducer(table.evaluate(point), "sn", 5)))]
+    items = [("rows", canonical_rows(_sequence(table.evaluate(point), "sn", 5)[2]))]
     for free in free_sets:
         report = augmented_exactness(table, point, free, "sn5", name=family)
         items.append((tuple(free), json.dumps(report.to_dict(), sort_keys=True)))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nilcohom import liealg, reproduce
 from nilcohom.catalog import Catalog
 from nilcohom.cli import main
+from nilcohom.cohomology import h2_knil
 from nilcohom.errors import ResourceCapExceeded
 from nilcohom.jsonio import dump_algebra
 from nilcohom.liealg import StructureConstants, n_k, sn_k
@@ -87,7 +88,7 @@ def test_cohomology_rejects_a_perfect_algebra_at_large_k(tmp_path, capsys):
     path = tmp_path / "sl2.txt"
     path.write_text("dim 3\nab = c, ca = 2a, cb = -2b\n")
     code, _, err = run(capsys, "cohomology", str(path), "--k", "30")
-    assert code == 2 and "not (at most) 30-step nilpotent" in err
+    assert code == 2 and "point violates N_30 = 0" in err
 
 
 def test_info_parse_error_reports_position(tmp_path, capsys):
@@ -282,7 +283,7 @@ def test_reproduce_reports_a_raising_item_as_failed(tmp_path, capsys, monkeypatc
     items = {item["name"]: item for item in json.loads(out)["items"]}
     assert code == 1
     assert items["36 k=2"]["status"] == "fail"
-    assert items["36 k=2"]["computed"] == "bracket is not (at most) 2-step nilpotent"
+    assert items["36 k=2"]["computed"] == "point violates N_2 = 0"
     assert items["36 k=2"]["expected"] == "(z,b,h)=(18, 18, 0)"
     assert items["12346_E k=5"]["status"] == "pass"
 
@@ -461,6 +462,32 @@ def test_exactness_refuses_words_past_the_walk_depth(capsys):
         code, out, _ = run(capsys, "exactness", "g_1(t)", "--at", "t=1", "--constraint",
                            f"{kind}{depth - 1}", "--json")
         assert code == 1 and json.loads(out)["constraint"] == f"{kind}{depth - 1}"
+
+
+def test_the_depth_refusal_stays_in_exactness(catalog, capsys):
+    # only exactness prints an n^(K+1)-sized codomain, so only it refuses
+    # words past MAX_WALK_DEPTH letters up front; on a 2-step table the walk
+    # of h2_knil prunes every long word, and cohomology answers
+    depth = liealg.MAX_WALK_DEPTH
+    rep = h2_knil(catalog.structure("f_3"), depth + 300)
+    assert (rep.z, rep.b, rep.h) == (8, 3, 5)
+    code, out, _ = run(capsys, "cohomology", "f_3", "--k", str(depth + 300), "--json")
+    assert code == 0 and [json.loads(out)[x] for x in "zbh"] == [8, 3, 5]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "exactness", "f_3", "--at", "", "--constraint", f"n{depth}")
+    assert code == 3 and out == "" and f"N_{depth} have {depth + 1} letters" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_each_fault_exits_2_with_one_message(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("dim 5\nab = c, cd = e\n")
+    for argv in (("cohomology", str(path), "--k", "3"),
+                 ("exactness", str(path), "--at", "", "--constraint", "j")):
+        assert run(capsys, *argv) == (2, "", "error: point violates the Jacobi identity\n")
+    for argv in (("cohomology", "f_4", "--k", "2"),
+                 ("exactness", "f_4", "--at", "", "--constraint", "n2")):
+        assert run(capsys, *argv) == (2, "", "error: point violates N_2 = 0\n")
 
 
 # -- argv property -----------------------------------------------------------------

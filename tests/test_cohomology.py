@@ -23,6 +23,7 @@ from nilcohom import cohomology, liealg
 from nilcohom.cohomology import (
     Layout,
     _constraint_reducer,
+    _sequence,
     augmented_exactness,
     cochain_vector,
     d1_matrix,
@@ -36,7 +37,7 @@ from nilcohom.cohomology import (
     iter_dsnk_rows,
     parse_constraint,
 )
-from nilcohom.errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
+from nilcohom.errors import NotInVariety, ResourceCapExceeded
 from nilcohom.liealg import (
     StructureConstants,
     _letters,
@@ -393,7 +394,7 @@ def test_stacked_kernel_dimension(catalog):
 def test_streaming_rank_cross_check_against_kernel(catalog):
     # compact form of the tall constraint matrix: the retained basis rows
     mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
-    red = _constraint_reducer(mu, "sn", 5)
+    red = _sequence(mu, "sn", 5)[2]
     compact = ExactMatrix.from_dense(red.basis_rows())
     assert red.rank == rank(compact).rank
     assert len(kernel_basis(compact)) == 147 - red.rank
@@ -476,7 +477,7 @@ def test_halved_split_stream_keeps_the_constraint_rows(catalog):
     assert len(full) == 4 * sum(1 for _ in iter_dsnk_rows(mu, 5)) == 6664
     d2_rows = (dict(zip(cols, vals)) for cols, vals in d2_matrix(mu).iter_rows() if cols)
     ref = reduce_rows(chain(d2_rows, full.values()), Layout(7).dim2, mu.field)
-    assert _constraint_reducer(mu, "sn", 5).sparse_rows() == ref.sparse_rows()
+    assert _sequence(mu, "sn", 5)[2].sparse_rows() == ref.sparse_rows()
 
 
 def test_h2_reports(catalog):
@@ -502,7 +503,7 @@ def test_h2_knil_validates_the_variety(catalog):
 
 def test_k_step_guard_is_polynomial_in_k():
     # enumerating the 3^31 words of N_30 would never finish
-    with pytest.raises(NotInVariety, match="not \\(at most\\) 30-step nilpotent"):
+    with pytest.raises(NotInVariety, match="violates N_30 = 0"):
         h2_knil(StructureConstants(3, SL2), 30)
     table = StructureConstants(3, {p: {k: MultiPoly.const(v) for k, v in c.items()}
                                    for p, c in SL2.items()}, "sym")
@@ -511,6 +512,27 @@ def test_k_step_guard_is_polynomial_in_k():
     # and the 3^29 inner words of SN_30
     with pytest.raises(NotInVariety, match="violates SN_30 = 0"):
         augmented_exactness(table, {}, (), "sn30")
+
+
+def test_one_guard_and_one_message_per_fault(catalog):
+    # the three certificates build their sequence in one routine, so each
+    # fault is refused with one class and one message
+    bad = StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}})
+    bad_table = StructureConstants(5, {p: {k: MultiPoly.const(v) for k, v in c.items()}
+                                       for p, c in bad.c.items()}, "sym")
+    f4 = catalog.structure("f_4")  # 3-step
+    faults = (("point violates the Jacobi identity",
+               (lambda: h2_knil(bad, 3), lambda: h2_dim(bad),
+                lambda: augmented_exactness(bad_table, {}, (), "j"),
+                lambda: augmented_exactness(bad_table, {}, (), "sn3"))),
+              ("point violates N_2 = 0",
+               (lambda: h2_knil(f4, 2),
+                lambda: augmented_exactness(catalog.get("f_4").symbolic(), {}, (), "n2"))))
+    for message, calls in faults:
+        for call in calls:
+            with pytest.raises(NotInVariety) as refused:
+                call()
+            assert type(refused.value) is NotInVariety and str(refused.value) == message
 
 
 def test_h2_dim(catalog):
@@ -530,7 +552,7 @@ def test_h2_dim(catalog):
     z = 9 - dense_rank(dense(d2))
     b = dense_rank(dense(d1))
     assert (rep.z, rep.b, rep.h) == (z, b, z - b)
-    with pytest.raises(NotLieAlgebra):
+    with pytest.raises(NotInVariety, match="violates the Jacobi identity"):
         h2_dim(StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}}))
 
 
@@ -627,6 +649,15 @@ def _full_stack(mu, kind, k):
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
 
 
+def _certificate_stack(mu, kind, k):
+    """The [d2 ; dW] stack the certificates reduce, over the picked letters,
+    at a point of the variety; elsewhere the stack over every letter."""
+    try:
+        return _sequence(mu, kind, k)[2]
+    except NotInVariety:
+        return _constraint_reducer(mu, kind, k)
+
+
 def _word_rank(mu, kind, k, least_first):
     gen = iter_dnk_rows if kind == "n" else iter_dsnk_rows
     rows = (row for _, row in gen(mu, k, least_first=least_first))
@@ -642,7 +673,7 @@ def test_least_first_stack_keeps_the_rref_on_the_catalog(catalog):
     assert len(tables) == 22
     for mu in tables:
         for kind, k in _STACKS:
-            got = _constraint_reducer(mu, kind, k).sparse_rows()
+            got = _certificate_stack(mu, kind, k).sparse_rows()
             assert got == _full_stack(mu, kind, k).sparse_rows(), (mu.name, kind, k)
 
 
@@ -654,7 +685,7 @@ def test_least_first_stack_keeps_the_rref_on_the_charts(catalog):
             mu = catalog.structure(fam, {"r": Fraction(r), "t": Fraction(t)})
             assert jacobi(mu) == {}
             for kind, k in (("sn", 4), ("sn", 5), ("n", 3)):
-                got = _constraint_reducer(mu, kind, k).sparse_rows()
+                got = _certificate_stack(mu, kind, k).sparse_rows()
                 assert got == _full_stack(mu, kind, k).sparse_rows(), (fam, r, t, kind, k)
 
 
@@ -700,7 +731,7 @@ def test_least_first_stack_keeps_the_rref_on_random_lie_tables(catalog, table, s
         mu = table
     assert jacobi(mu) == {}
     kind, k = stack_kind
-    assert _constraint_reducer(mu, kind, k).sparse_rows() == _full_stack(mu, kind, k).sparse_rows()
+    assert _certificate_stack(mu, kind, k).sparse_rows() == _full_stack(mu, kind, k).sparse_rows()
 
 
 def test_least_first_word_rows_alone_can_span_less(catalog):
@@ -713,7 +744,7 @@ def test_least_first_word_rows_alone_can_span_less(catalog):
     for mu, kind, k, full, least in cases:
         assert _word_rank(mu, kind, k, False) == full
         assert _word_rank(mu, kind, k, True) == least
-        assert (_constraint_reducer(mu, kind, k).sparse_rows()
+        assert (_certificate_stack(mu, kind, k).sparse_rows()
                 == _full_stack(mu, kind, k).sparse_rows())
 
 
@@ -768,9 +799,12 @@ def test_generator_walk_needs_every_generator_and_a_k_step_point(catalog):
             fewer = tuple(x for x in letters if x != s)
             assert _constraint_reducer(mu, "n", k, fewer).sparse_rows() != ref, (name, s)
     # 12346_E is 5-step: its generators e_1, e_2 do not give the N_2 rows, so
-    # at k = 2 the reducer walks every letter
+    # at k = 2 the certificate refuses the point, and the reducer given no
+    # letters walks every letter
     mu = catalog.structure("12346_E")
     assert k_step_generators(mu, 2) is None and k_step_generators(mu, 5) == (0, 1)
+    with pytest.raises(NotInVariety, match="violates N_2 = 0"):
+        _sequence(mu, "n", 2)
     ref = _full_stack(mu, "n", 2).sparse_rows()
     assert _constraint_reducer(mu, "n", 2, (0, 1)).sparse_rows() != ref
     assert _constraint_reducer(mu, "n", 2).sparse_rows() == ref
@@ -816,13 +850,13 @@ def test_split_walk_keeps_the_rref_and_needs_a_generating_set(catalog):
     assert {mu.field for mu, _ in cases} == {FIELD_Q, FIELD_QI}
     for mu, k in cases:
         assert len(split_generators(mu, k)) < mu.n, mu
-        assert (_constraint_reducer(mu, "sn", k).sparse_rows()
+        assert (_sequence(mu, "sn", k)[2].sparse_rows()
                 == _full_stack(mu, "sn", k).sparse_rows()), (mu, k)
     solvable = StructureConstants(3, SOLVABLE3)
     for k in (3, 4, 5):
         ref = _full_stack(solvable, "sn", k).sparse_rows()
         assert split_generators(solvable, k) == (0, 1, 2)
-        assert _constraint_reducer(solvable, "sn", k).sparse_rows() == ref
+        assert _sequence(solvable, "sn", k)[2].sparse_rows() == ref
         assert _constraint_reducer(solvable, "sn", k, (0,)).sparse_rows() != ref, k
     ref = _full_stack(g5, "sn", 5).sparse_rows()
     assert _constraint_reducer(g5, "sn", 5, (0, 1)).sparse_rows() == ref
