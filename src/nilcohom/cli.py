@@ -264,7 +264,7 @@ def build_parser():
     p = sub.add_parser("exactness", help="augmented tangent-sequence certificate"
                        " for a parametric family")
     p.add_argument("family", help="catalog name, .json file, or table-text file")
-    p.add_argument("--at", required=True, help="parameter point, e.g. r=1,t=1")
+    p.add_argument("--at", default="", help="parameter point, e.g. r=1,t=1")
     p.add_argument("--free", default=None, help="free parameters (default: all)")
     p.add_argument("--constraint", default="sn5", help="j, nK or snK (default sn5)")
     p.add_argument("--json", action="store_true")

@@ -106,7 +106,7 @@ from .liealg import (
     split_generators,
     walk_words,
 )
-from .linalg import ExactMatrix, in_kernel, reduce_rows
+from .linalg import ExactMatrix, reduce_rows
 
 
 def cochain_vector(sigma: StructureConstants):
@@ -382,7 +382,8 @@ def _sequence(mu, kind, k, tangents=()):
     red): the Im dF columns, their RowBasis and that of the [d2 ; dW] stack.
     A point off the variety is refused: not Lie, or W(mu) != 0, which the
     picker of ``_WORDS`` decides; its letters generate g there, and the
-    stack walks them."""
+    stack walks them.  The stack is reduced before the image is built, so
+    the d1 columns are not held through its reduction."""
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
     letters = None
@@ -390,8 +391,9 @@ def _sequence(mu, kind, k, tangents=()):
         letters = _WORDS[kind][0](mu, k)
         if letters is None:
             raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
+    red = _constraint_reducer(mu, kind, k, letters)
     cols, df = _image(mu, tangents)
-    return cols, df, _constraint_reducer(mu, kind, k, letters)
+    return cols, df, red
 
 
 def h2_knil(mu, k, name=None) -> CohomologyReport:
@@ -483,8 +485,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     # a generator: the tangents are evaluated only at a point the guards admit
     cols, df, red = _sequence(mu, kind, k, (cochain_vector(table.derivative(p).evaluate(point))
                                             for p in free_params))
-    basis = red.sparse_rows()
-    containment = all(in_kernel(vec, basis) for vec in cols)
+    containment = red.annihilates(cols)
     ker_dg = lay.dim2 - red.rank
     codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
     return ExactnessReport(

@@ -24,6 +24,14 @@ over finite fields", CRYPTO '90): sparse rows kept early keep the retained
 rows sparse, so a later lead hits fewer of them.  One window is held
 besides the retained rows.
 
+The echelon's readers take the retained rows as they are: ``rank``,
+``pivot_cols``, the copies ``sparse_rows`` and ``basis_rows``, and
+``annihilates``, the containment check of the certificates (Im dF in
+Ker dG).  It indexes the retained rows once by column, {column: [(row
+number, value)]}, so each nonzero of a vector meets only the rows with a
+nonzero in its column, instead of every vector taking one product with
+every row.  ``in_kernel`` runs the same loop over rows given as a list.
+
 One scalar rule holds over Q and Q(i) alike, the fraction-free elimination
 of Bareiss carried over to the Gaussian integers Z[i]:
 
@@ -175,6 +183,13 @@ class RowBasis:
                 dense[c] = v
             out.append(dense)
         return out
+
+    def annihilates(self, vecs):
+        """True iff every vector of ``vecs`` ({col: value} dicts or dense
+        sequences of ints, Fractions or QIs) is orthogonal to every retained
+        row, i.e. lies in the kernel of the stack the basis reduced.  One
+        column index over the retained rows serves all the vectors."""
+        return _annihilates(self._rows.values(), vecs)
 
     def add(self, row):
         """Reduce a ``{col: value}`` row of ints, Fractions or QIs and keep it
@@ -418,25 +433,43 @@ def dot(u, v):
     return acc
 
 
+def _annihilates(rows, vecs):
+    """True iff every vector of ``vecs`` has a zero product with every row;
+    rows and vectors are {col: value} dicts or dense sequences.  Each
+    vector is cleared of denominators first (of both parts of a Gaussian
+    entry, so that against the rows of a RowBasis every product is one of
+    Gaussian integers).  The rows are indexed once by column, {column:
+    [(row number, value)]}, over the columns some vector meets, and each
+    vector sums over the rows its nonzeros meet.  The one containment loop
+    of the package."""
+    terms = []
+    for vec in vecs:
+        if isinstance(vec, dict):
+            cols, vals = list(vec), list(vec.values())
+        else:
+            cols = [c for c, x in enumerate(vec) if x]
+            vals = [vec[c] for c in cols]
+        terms.append(list(zip(cols, int_cleared(vals))))
+    met = {c for t in terms for c, _ in t}
+    index = {}
+    for i, row in enumerate(rows):
+        for c in met.intersection(row) if isinstance(row, dict) else met:
+            if v := row[c]:
+                index.setdefault(c, []).append((i, v))
+    for t in terms:
+        sums = {}
+        for c, x in t:
+            for i, v in index.get(c, ()):
+                sums[i] = sums.get(i, 0) + v * x
+        if any(sums.values()):
+            return False
+    return True
+
+
 def in_kernel(vec, rows):
     """True iff vec is orthogonal to every row, i.e. M @ vec = 0 for any
     matrix whose row space those rows span.  The vector and the rows are
-    {col: value} dicts or dense lists.  Only the nonzeros of vec are
-    visited, and vec is cleared of denominators first (of both parts of a
-    Gaussian entry), so against the rows of a RowBasis every product is one
-    of Gaussian integers."""
-    if isinstance(vec, dict):
-        cols, vals = list(vec), list(vec.values())
-    else:
-        cols = [c for c, x in enumerate(vec) if x]
-        vals = [vec[c] for c in cols]
-    vals = int_cleared(vals)
-    terms = list(zip(cols, vals))
-    for row in rows:
-        if isinstance(row, dict):
-            acc = sum(row[c] * x for c, x in terms if c in row)
-        else:
-            acc = sum(row[c] * x for c, x in terms if row[c])
-        if acc:
-            return False
-    return True
+    {col: value} dicts or dense lists.  ``RowBasis.annihilates`` is the
+    package's own check; this one-vector form has no caller in the package
+    and stays for certbench's traced ``curves-sn5`` path, which calls it."""
+    return _annihilates(rows, [vec])

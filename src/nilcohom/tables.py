@@ -30,8 +30,6 @@ from .liealg import StructureConstants
 from .polynomials import MultiPoly
 from .scalars import QI, format_scalar
 
-_SEPS = {",", ";", "\n"}
-
 # Caps that keep every text cheap to parse: parentheses and signs nest at
 # most _MAX_NESTING deep, and a power or a product is refused before it is
 # expanded when the closed-form bound on its size passes a cap.

@@ -110,6 +110,14 @@ def test_info_parse_error_reports_position(tmp_path, capsys):
     assert code == 2 and err.startswith(f"error: {path}: line 1, col 6: unknown symbol '\u0436'")
 
 
+def test_powers_and_quotients_of_basis_vectors_exit_2_naming_the_file(tmp_path, capsys):
+    for text, fault in (("ab = c^2", "line 1, col 8: cannot raise a basis vector to a power"),
+                        ("ab = c/d", "line 1, col 7: division by a basis-vector expression")):
+        path = tmp_path / "bad.txt"
+        path.write_text(text + "\n")
+        assert run(capsys, "info", str(path)) == (2, "", f"error: {path}: {fault}\n"), text
+
+
 def test_table_text_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "bytes.txt"
     path.write_bytes(b"\xff\xfe")
@@ -169,6 +177,34 @@ def test_exactness_bad_constraint_is_usage_error(capsys):
     code, _, err = run(capsys, "exactness", "g_5(r,t)", "--at", "r=1,t=1",
                        "--constraint", "x7")
     assert code == 2 and "bad constraint 'x7'" in err
+
+
+def test_exactness_reports_a_tangent_outside_ker_dg(tmp_path, capsys):
+    # the Jacobiator of ab = c, ac = s a is s c: the table is Lie only at
+    # s = 0, and there its derivative in s leaves Ker dG
+    path = tmp_path / "fam.txt"
+    path.write_text("ab = c\nac = s a\n")
+    argv = ("exactness", str(path), "--at", "s=0", "--constraint", "j")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "family": "fam.txt", "point": {"s": "0"}, "free_params": ["s"], "constraint": "j",
+        "dims": [10, 9, 3], "rank_dF": 4, "ker_dG_dim": 8, "containment": False,
+        "exact": False,
+    }
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "") and out == (
+        "fam.txt at (s=0), free {s}, constraint j: NOT EXACT\n"
+        "  dims 10 -> 9 -> 3; rank dF = 4, dim Ker dG = 8, containment VIOLATED\n")
+
+
+def test_exactness_without_at_is_the_empty_point(capsys):
+    for tail in ((), ("--json",)):
+        got = run(capsys, "exactness", "f_4", "--constraint", "n3", *tail)
+        assert got == run(capsys, "exactness", "f_4", "--at", "", "--constraint", "n3", *tail)
+        assert got[0] == 0
+    code, out, err = run(capsys, "exactness", "g_5(r,t)")
+    assert (code, out) == (2, "") and "needs parameter values for: r, t" in err
 
 
 def test_ideal_gens_text_output(capsys):

@@ -52,6 +52,7 @@ from nilcohom.liealg import (
 from nilcohom.linalg import ExactMatrix, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
+from nilcohom.tables import parse_symbolic
 
 # the printed (z, b, h) of the eight non-abelian nilpotent algebras of dim 5
 DIM5_TABLE = {
@@ -402,6 +403,37 @@ def test_streaming_rank_cross_check_against_kernel(catalog):
     tab = catalog.get("g_5(r,t)").symbolic()
     rep = augmented_exactness(tab, {"r": Fraction(1), "t": Fraction(1)}, ("r", "t"), "sn5")
     assert rep.ker_dg_dim == 147 - red.rank
+
+
+def test_a_tangent_outside_ker_dg_fails_containment():
+    # the Jacobiator of ab = c, ac = s a is s c, so at s = 0 the tangent in
+    # s leaves Ker dG; the d1 columns alone stay inside it
+    table = parse_symbolic("ab = c\nac = s a", 3, ("s",))
+    rep = augmented_exactness(table, {"s": Fraction(0)}, ("s",), "j")
+    assert (rep.domain_dim, rep.middle_dim, rep.codomain_dim) == (10, 9, 3)
+    assert (rep.rank_df, rep.ker_dg_dim, rep.containment, rep.exact) == (4, 8, False, False)
+    rep = augmented_exactness(table, {"s": Fraction(0)}, (), "j")
+    assert (rep.rank_df, rep.ker_dg_dim, rep.containment, rep.exact) == (3, 8, True, False)
+
+
+def test_a_corrupted_kept_row_fails_containment(catalog):
+    """Im d1 lies in Ker [d2 ; dN_3] at g_{5,3} over Q and over Q(i); one
+    entry changed in any kept row, at a column some d1 column meets, takes
+    that column's product with the row off zero."""
+    mu = catalog.structure("g_{5,3}")
+    for table in (mu, *seeded_bases(mu, random.Random(5), 2)):
+        cols, _, red = _sequence(table, "n", 3)
+        assert red.annihilates(cols)
+        met = set().union(*cols)
+        corrupted = 0
+        for row in red._rows.values():
+            for c in sorted(met.intersection(row))[:2]:
+                v = row[c]
+                row[c] = v + 1
+                assert not red.annihilates(cols), (table.name, c)
+                row[c] = v
+                corrupted += 1
+        assert corrupted and red.annihilates(cols)
 
 
 def test_streamed_split_rows_match_materialized_matrix(catalog):

@@ -493,6 +493,49 @@ def test_in_kernel_over_gaussian_rationals_matches_mat_vec():
             assert in_kernel({j: x for j, x in enumerate(vec) if x}, basis.basis_rows()) == expect
 
 
+_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_GAUSSIANS = st.builds(QI, _FRACTIONS, _FRACTIONS)
+
+
+@st.composite
+def _stacks_and_vectors(draw):
+    """(field, dense rows, vectors) over Q or Q(i), the entries with
+    denominators (of both parts of a Gaussian entry): drawn vectors, mostly
+    outside the kernel, and a combination of the kernel vectors, inside it."""
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    scalar = _FRACTIONS if field == FIELD_Q else st.one_of(_FRACTIONS, _GAUSSIANS)
+    ncols = draw(st.integers(1, 6))
+    vector = st.lists(st.one_of(st.just(0), scalar), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vector, min_size=1, max_size=6))
+    vecs = draw(st.lists(vector, max_size=2))
+    ker = kernel_basis(ExactMatrix.from_dense(rows, field))
+    if ker:
+        coeffs = draw(st.lists(scalar, min_size=len(ker), max_size=len(ker)))
+        zero = QI(0) if field == FIELD_QI else Fraction(0)
+        vecs.append([sum((c * v[j] for c, v in zip(coeffs, ker)), zero) for j in range(ncols)])
+    return field, rows, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@example((FIELD_Q, [[1, 1, 0], [0, 1, 1]], [[1, -1, 1], [1, 0, 0]]))
+@example((FIELD_QI, [[QI(1, 1), Fraction(1, 2)]], [[1, QI(-2, -2)], [QI(0, Fraction(1, 3)), 0]]))
+@given(_stacks_and_vectors())
+def test_annihilates_agrees_with_mat_vec(case):
+    """The column index answers as the product with the matrix itself, for
+    dense and dict vectors, against the kept rows and against the rows as
+    given (``in_kernel``)."""
+    field, rows, vecs = case
+    m = ExactMatrix.from_dense(rows, field)
+    basis = reduce_rows(rows, m.ncols, field)
+    inside = [not any(m.mat_vec(vec)) for vec in vecs]
+    for vec, expect in zip(vecs, inside):
+        for form in (vec, {j: x for j, x in enumerate(vec) if x}):
+            assert basis.annihilates([form]) == expect
+            assert in_kernel(form, rows) == expect
+            assert in_kernel(form, basis.sparse_rows()) == expect
+    assert basis.annihilates(vecs) == all(inside)
+
+
 def test_gaussian_integer_rows_are_copied_and_the_rest_cleared():
     """A row of ints and QIs with int parts, real ones included, is only
     copied; Fraction(3) and QI(Fraction(3), 0) still come out as the int 3.
