@@ -13,10 +13,12 @@ e_i + e_j - e_k) the multiplier monomials m are generated by a depth-first
 search that only ever reaches weight w(f) - w(g_j), so the columns that
 could never appear in a certificate are not built.  The search picks the
 variables that may extend a prefix by ANDing one bitmask per weight
-coordinate over the variables, without testing them one by one; on other
-input it runs with weights of no coordinates, which filter nothing.  The
-system goes to ``linalg.solve`` as one sparse augmented row per monomial,
-and the answer is read off its reduced row echelon form.
+coordinate over the variables, without testing them one by one, and with
+two letters or one left reads exactly those that reach the weight from a
+table of pair sums or of steps; on other input it runs with weights of no
+coordinates, which filter nothing.  The system goes to ``linalg.solve`` as
+one sparse augmented row per monomial, and the answer is read off its
+reduced row echelon form.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
@@ -29,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import or_, sub
+from operator import add, or_, sub
 
 from .errors import Budget, ResourceCapExceeded
 from .liealg import StructureConstants, jacobi, n_k, sn_k
@@ -169,9 +171,9 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # Above this many monomial prefixes visited by the weight-directed search of
 # one member_bounded call, it raises ResourceCapExceeded: the search may visit
 # far more prefixes than it finds columns, so the column cap alone does not
-# bound its time.  On I_{6,4} the published certificates visit at most 2,142
-# prefixes and Q13^3 at D = 9 visits 100,397, while Q5^4 at D = 12 visits
-# 568,541 (about 2 us each on a 2-vCPU host) to find one column.
+# bound its time.  On I_{6,4} the published certificates visit at most 1,130
+# prefixes and Q13^3 at D = 9 visits 74,677, while Q5^4 at D = 12 visits
+# 562,502 (about 2.5 us each on a 2-vCPU host) to find one column.
 MAX_WEIGHTED_NODES = 200_000
 
 # Above this many letters in one multiplier monomial, member_bounded raises
@@ -189,13 +191,14 @@ def _monomial(combo):
 
 
 def _search_masks(steps, reach, depth):
-    """(reach, off, below, exact) for the searches of degree <= ``depth``:
-    below[p][v + off] holds the indices whose step at p is below v (every
-    prefix has |rem_p| <= reach * left, so its band stays within [-off,
-    off]) and exact[step] the indices with that step."""
+    """(reach, off, below, exact, pair) for the searches of degree <=
+    ``depth``: below[p][v + off] holds the indices whose step at p is below v
+    (every prefix has |rem_p| <= reach * left, so its band stays within
+    [-off, off]), exact[step] the indices with that step and pair[sum] (if
+    depth >= 2) the indices i with steps[i] + steps[j] = sum for a j >= i."""
     full = (1 << len(steps)) - 1
     pad = 2 * reach * depth
-    below, exact = [], {}
+    below, exact, pair = [], {}, {}
     for p in range(len(steps[0]) if steps else 0):
         masks = [0] * (2 * reach + 2)
         for i, s in enumerate(steps):
@@ -203,7 +206,14 @@ def _search_masks(steps, reach, depth):
         below.append([0] * pad + list(accumulate(masks, or_)) + [full] * pad)
     for i, s in enumerate(steps):
         exact[tuple(s)] = exact.get(tuple(s), 0) | 1 << i
-    return reach, pad + reach, below, exact
+    items = list(exact.items()) if depth >= 2 else []
+    for n, (a, ma) in enumerate(items):
+        for b, mb in items[n:]:
+            # i of ma has a j >= i in mb iff i <= the last index of mb, and vice versa
+            key = tuple(map(add, a, b))
+            pair[key] = (pair.get(key, 0) | ma & (1 << mb.bit_length()) - 1
+                         | mb & (1 << ma.bit_length()) - 1)
+    return reach, pad + reach, below, exact, pair
 
 
 def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
@@ -212,14 +222,15 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
 
     ``steps[i]`` is the dense weight of ``universe[i]``, ``masks`` come from
     ``_search_masks`` and their ``reach`` bounds every coordinate of every
-    step in absolute value, so with ``left`` letters still to place a prefix
-    extends by index i >= ``start`` only if
+    step in absolute value, so with ``left`` >= 3 letters still to place a
+    prefix extends by index i >= ``start`` only if
     |rem_p - steps[i][p]| <= lim = reach * (left - 1) at every coordinate p.
     Coordinate p allows the indices whose step at p lies in
     [rem_p - lim, rem_p + lim], a difference of two cumulative bitmasks; the
     children are the set bits of the AND over the coordinates that do not
-    allow every index, in ascending order.  At ``left == 1`` the bound is 0
-    and one lookup keyed by ``rem`` gives the indices whose step equals it.
+    allow every index, in ascending order.  At ``left`` 2 or 1 one lookup
+    keyed by ``rem``, in ``pair`` or ``exact``, gives exactly the indices that
+    can still reach it (the pair-sum table of Horowitz and Sahni, 1974).
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
     Each monomial found is charged to the Budget ``columns`` and each prefix
     visited to the Budget ``nodes``, which raise ResourceCapExceeded past
@@ -230,7 +241,7 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             f"membership search needs multiplier monomials of degree {d},"
             f" over the cap {MAX_MULTIPLIER_DEGREE}"
         )
-    reach, off, below, exact = masks
+    reach, off, below, exact, pair = masks
     full = (1 << len(universe)) - 1
     out = []
     combo = []
@@ -245,6 +256,8 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
         sel = full >> start << start
         if left == 1:
             sel &= exact.get(tuple(rem), 0)
+        elif left == 2:
+            sel &= pair.get(tuple(rem), 0)
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim

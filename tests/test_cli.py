@@ -118,6 +118,51 @@ def test_powers_and_quotients_of_basis_vectors_exit_2_naming_the_file(tmp_path, 
         assert run(capsys, "info", str(path)) == (2, "", f"error: {path}: {fault}\n"), text
 
 
+def test_division_by_a_parameter_exits_2_naming_the_file(tmp_path, capsys):
+    # a coefficient is divided only by a constant, also at a point that fixes t
+    path = tmp_path / "bad.txt"
+    path.write_text("ab = c/(1+t)\n")
+    fault = "line 1, col 7: division by a non-constant coefficient"
+    assert run(capsys, "info", str(path), "--params", "t=1") == (
+        2, "", f"error: {path}: {fault}\n")
+
+
+def test_terms_that_cancel_leave_no_bracket_term(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    for text, answer in (
+            ("ab = c + d - c", "4-dim over Q, 2-step nilpotent, solvable length 2,"
+                               " derivation dim 10, orbit dim 6"),
+            # ab = d, ac = d; with the c term kept it would be 3-step
+            ("ab = c + d - c, ac = d", "4-dim over Q, 2-step nilpotent, solvable length 2,"
+                                       " derivation dim 10, orbit dim 6"),
+            ("ab = c - c", "3-dim over Q, abelian, derivation dim 9, orbit dim 0")):
+        path.write_text(text + "\n")
+        assert run(capsys, "info", str(path)) == (0, f"t.txt: {answer}\n", ""), text
+
+
+def test_record_terms_outside_the_dimension_or_field_exit_2_naming_the_file(tmp_path, capsys):
+    record = ('{{"name": "x", "dim": 3,{} "brackets":'
+              ' [{{"i": 1, "j": 2, "terms": [{{"k": {}, "c": "{}"}}]}}]}}')
+    path = tmp_path / "x.json"
+    for field, k, c, fault in (
+            ("", 5, "1", "needs 1 <= k <= dim, has k = 5"),
+            ("", 3, "2 i", "'c' is not a scalar over Q: '2 i'"),
+            # a Gaussian scalar needs its real part: "12 i" is not 1+2 i
+            (' "field": "Qi",', 3, "12 i", "'c' is not a scalar over Qi: '12 i'")):
+        path.write_text(record.format(field, k, c))
+        assert run(capsys, "info", str(path)) == (
+            2, "", f"error: {path}: brackets[0]['terms'][0]: {fault}\n"), c
+
+
+def test_a_real_record_declared_over_qi_answers_over_qi(tmp_path, capsys):
+    path = tmp_path / "f3.json"
+    answer = "f3: 3-dim over Qi, 2-step nilpotent, solvable length 2, derivation dim 6, orbit dim 3\n"
+    for body in ('"table": "ab = c"',
+                 '"brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]'):
+        path.write_text(f'{{"name": "f3", "dim": 3, "field": "Qi", {body}}}')
+        assert run(capsys, "info", str(path)) == (0, answer, ""), body
+
+
 def test_table_text_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "bytes.txt"
     path.write_bytes(b"\xff\xfe")

@@ -425,22 +425,22 @@ def test_weighted_column_cap(monkeypatch):
 
 
 def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
-    # Q5^4 at D = 12 visits 568,541 prefixes to find its one column
+    # Q5^4 at D = 12 visits 562,502 prefixes to find its one column
     with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
         member_bounded(_q("Q5") ** 4, ideal64_gens, 12)
-    # Q13^3 at D = 9 visits 100,397 prefixes for its 1,342 columns
+    # Q13^3 at D = 9 visits 74,677 prefixes for its 1,342 columns
     q13_cubed = _q("Q13") ** 3
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 100_396)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 74_676)
     with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
         _multiplier_columns(q13_cubed, ideal64_gens, 9)
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 100_397)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 74_677)
     assert len(_multiplier_columns(q13_cubed, ideal64_gens, 9)) == 1_342
     # the count runs over every generator of one call: Q13^2 at D = 6 visits
-    # 2,142 prefixes for 127 columns
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_000)
+    # 1,130 prefixes for 127 columns
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 1_129)
     assert main(["ideal", "member", "6", "4", "Q13^2", "-D", "6"]) == 3
     assert "resource cap" in capsys.readouterr().err
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2_142)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 1_130)
     cert = member_bounded(_q("Q13") ** 2, ideal64_gens, 6)
     assert cert is not None and cert.verify(ideal64_gens)
 
@@ -485,18 +485,24 @@ def test_weighted_search_matches_brute_force(search):
     def left_over(combo):
         return [r - sum(steps[i][p] for i in combo) for p, r in enumerate(rem)]
 
-    columns = [
-        ideals._monomial(combo)
-        for combo in combinations_with_replacement(universe, d)
-        if not any(left_over(combo))
-    ]
-    # a prefix is visited when it, and every prefix of it, can still reach
-    # rem with the letters left
-    visited = sum(
-        all(
+    combos = [combo for combo in combinations_with_replacement(universe, d)
+              if not any(left_over(combo))]
+    columns = [ideals._monomial(combo) for combo in combos]
+
+    # the root, and a prefix with two or more letters left, is visited when
+    # it and every prefix of it pass the box rule: rem stays within reach of
+    # the letters left; a nonempty prefix with one or no letter left only
+    # when some column starts with it
+    def visits(combo):
+        if combo and d - len(combo) <= 1:
+            return any(column[: len(combo)] == combo for column in combos)
+        return all(
             max(map(abs, left_over(combo[:length]))) <= reach * (d - length)
-            for length in range(size + 1)
+            for length in range(len(combo) + 1)
         )
+
+    visited = sum(
+        visits(combo)
         for size in range(d + 1)
         for combo in combinations_with_replacement(universe, size)
     )
