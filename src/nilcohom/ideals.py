@@ -14,9 +14,9 @@ search that only ever reaches weight w(f) - w(g_j), so the columns that
 could never appear in a certificate are not built.  The search picks the
 variables that may extend a prefix by ANDing one bitmask per weight
 coordinate over the variables, without testing them one by one, and with
-two letters or one left reads exactly those that reach the weight from a
-table of pair sums or of steps; on other input it runs with weights of no
-coordinates, which filter nothing.  The system goes to ``linalg.solve`` as
+three letters or fewer left reads exactly those that reach the weight from a
+table of triple sums, pair sums or steps, built once per search shape; on
+other input it runs with weights of no coordinates, which filter nothing.  The system goes to ``linalg.solve`` as
 one sparse augmented row per monomial, and the answer is read off its
 reduced row echelon form.
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, or_, sub
 
@@ -171,15 +172,24 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # Above this many monomial prefixes visited by the weight-directed search of
 # one member_bounded call, it raises ResourceCapExceeded: the search may visit
 # far more prefixes than it finds columns, so the column cap alone does not
-# bound its time.  On I_{6,4} the published certificates visit at most 1,130
-# prefixes and Q13^3 at D = 9 visits 74,677, while Q5^4 at D = 12 visits
-# 562,502 (about 2.5 us each on a 2-vCPU host) to find one column.
+# bound its time.  On I_{6,4} the published certificates visit at most 488
+# prefixes and Q13^3 at D = 9 visits 34,942, while Q5^4 at D = 12 visits
+# 473,414 (about 2 us each on a 2-vCPU host) to find one column.
 MAX_WEIGHTED_NODES = 200_000
 
 # Above this many letters in one multiplier monomial, member_bounded raises
 # ResourceCapExceeded: the search recurses once per letter, and this keeps it
 # well below the recursion limit, as liealg.MAX_WALK_DEPTH does for the walk.
 MAX_MULTIPLIER_DEGREE = 200
+
+# _search_masks builds the three-letter table only when it takes at most this
+# many (distinct step, pair sum) updates; above it the box rule runs at three
+# letters left.  The table grows as the cube of the distinct steps: 635 sums
+# for the 20 steps of the 6-dimensional chart, built in 5 ms, and 6,666 for
+# the 56 of the 8-dimensional one (49,336 updates, 0.07 s), but 200,629 sums
+# (45 MB, 5.4 s) for the 220 of the 12-dimensional one, where
+# `ideal member 12 2 't_{1,2,3}^5' -D 5` takes 0.3 s in all without it.
+_TRIPLE_WORK = 100_000
 
 
 def _monomial(combo):
@@ -190,22 +200,28 @@ def _monomial(combo):
     return tuple(mono.items())
 
 
+@lru_cache(maxsize=32)
 def _search_masks(steps, reach, depth):
-    """(reach, off, below, exact, pair) for the searches of degree <=
-    ``depth``: below[p][v + off] holds the indices whose step at p is below v
-    (every prefix has |rem_p| <= reach * left, so its band stays within
-    [-off, off]), exact[step] the indices with that step and pair[sum] (if
-    depth >= 2) the indices i with steps[i] + steps[j] = sum for a j >= i."""
+    """(reach, off, below, exact, pair, triple) for the searches of degree <=
+    ``depth`` over ``steps``, a tuple of step tuples: below[p][v + off] holds
+    the indices whose step at p is below v (every prefix has
+    |rem_p| <= reach * left, so its band stays within [-off, off]),
+    exact[step] the indices with that step, pair[sum] (if depth >= 2) the
+    indices i with steps[i] + steps[j] = sum for a j >= i, and triple[sum]
+    (if depth >= 3 and it takes at most _TRIPLE_WORK updates) those with
+    steps[i] + steps[j] + steps[l] = sum for some l >= j >= i.  The tables of
+    one search shape are built once per process and shared, so callers only
+    read them."""
     full = (1 << len(steps)) - 1
     pad = 2 * reach * depth
-    below, exact, pair = [], {}, {}
+    below, exact, pair, triple = [], {}, {}, {}
     for p in range(len(steps[0]) if steps else 0):
         masks = [0] * (2 * reach + 2)
         for i, s in enumerate(steps):
             masks[s[p] + reach + 1] |= 1 << i
         below.append([0] * pad + list(accumulate(masks, or_)) + [full] * pad)
     for i, s in enumerate(steps):
-        exact[tuple(s)] = exact.get(tuple(s), 0) | 1 << i
+        exact[s] = exact.get(s, 0) | 1 << i
     items = list(exact.items()) if depth >= 2 else []
     for n, (a, ma) in enumerate(items):
         for b, mb in items[n:]:
@@ -213,7 +229,13 @@ def _search_masks(steps, reach, depth):
             key = tuple(map(add, a, b))
             pair[key] = (pair.get(key, 0) | ma & (1 << mb.bit_length()) - 1
                          | mb & (1 << ma.bit_length()) - 1)
-    return reach, pad + reach, below, exact, pair
+    if depth >= 3 and len(items) * len(pair) <= _TRIPLE_WORK:
+        for a, ma in items:
+            for b, mb in pair.items():
+                # the last index j of mb has an l >= j, so i of ma needs only i <= j
+                key = tuple(map(add, a, b))
+                triple[key] = triple.get(key, 0) | ma & (1 << mb.bit_length()) - 1
+    return reach, pad + reach, below, exact, pair, triple
 
 
 def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
@@ -222,15 +244,17 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
 
     ``steps[i]`` is the dense weight of ``universe[i]``, ``masks`` come from
     ``_search_masks`` and their ``reach`` bounds every coordinate of every
-    step in absolute value, so with ``left`` >= 3 letters still to place a
+    step in absolute value, so with ``left`` >= 4 letters still to place a
     prefix extends by index i >= ``start`` only if
     |rem_p - steps[i][p]| <= lim = reach * (left - 1) at every coordinate p.
     Coordinate p allows the indices whose step at p lies in
     [rem_p - lim, rem_p + lim], a difference of two cumulative bitmasks; the
     children are the set bits of the AND over the coordinates that do not
-    allow every index, in ascending order.  At ``left`` 2 or 1 one lookup
-    keyed by ``rem``, in ``pair`` or ``exact``, gives exactly the indices that
-    can still reach it (the pair-sum table of Horowitz and Sahni, 1974).
+    allow every index, in ascending order.  At ``left`` 3, 2 or 1 one lookup
+    keyed by ``rem``, in ``triple``, ``pair`` or ``exact``, gives exactly the
+    indices that can still reach it (the sum tables of Horowitz and Sahni,
+    1974); without a ``triple`` table (over _TRIPLE_WORK) the box rule runs
+    at ``left`` 3 too.  The masks are shared between calls and only read.
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
     Each monomial found is charged to the Budget ``columns`` and each prefix
     visited to the Budget ``nodes``, which raise ResourceCapExceeded past
@@ -241,7 +265,7 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             f"membership search needs multiplier monomials of degree {d},"
             f" over the cap {MAX_MULTIPLIER_DEGREE}"
         )
-    reach, off, below, exact, pair = masks
+    reach, off, below, exact, pair, triple = masks
     full = (1 << len(universe)) - 1
     out = []
     combo = []
@@ -258,6 +282,8 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             sel &= exact.get(tuple(rem), 0)
         elif left == 2:
             sel &= pair.get(tuple(rem), 0)
+        elif left == 3 and triple:  # built unless over _TRIPLE_WORK
+            sel &= triple.get(tuple(rem), 0)
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim
@@ -302,9 +328,13 @@ def _multiplier_columns(f, gens, bound):
     live = [(j, g, g.degree()) for j, g in enumerate(gens) if not g.is_zero()]
     # a search deeper than MAX_MULTIPLIER_DEGREE raises before it reads the masks
     depth = min(max([0] + [top - dg for _, _, dg in live]), MAX_MULTIPLIER_DEGREE)
-    flat = ([()] * len(universe), _search_masks([()] * len(universe), 0, depth), [])
-    if wf is not None:
-        steps = [_multiweight(MultiPoly.var(v), pos) for v in universe]
+    weights = [_multiweight(g, pos) if wf is not None else None for _, g, _ in live]
+    if None in weights:
+        # steps of no coordinates, which filter nothing
+        nil = ((),) * len(universe)
+        flat = (nil, _search_masks(nil, 0, depth), [])
+    if any(w is not None for w in weights):
+        steps = tuple(_multiweight(MultiPoly.var(v), pos) for v in universe)
         reach = max((abs(e) for s in steps for e in s), default=0)
         masks = _search_masks(steps, reach, depth)
 
@@ -317,8 +347,7 @@ def _multiplier_columns(f, gens, bound):
                " multiplier monomial prefixes, over the cap"),
     )
     columns = []
-    for j, g, dg in live:
-        wg = _multiweight(g, pos) if wf is not None else None
+    for (j, g, dg), wg in zip(live, weights):
         search = flat if wg is None else (steps, masks, list(map(sub, wf, wg)))
         degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
         for d in degs:

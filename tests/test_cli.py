@@ -376,6 +376,23 @@ def test_reproduce_reports_a_raising_item_as_failed(tmp_path, capsys, monkeypatc
     assert main(["reproduce", "dim5"]) == 3
 
 
+def test_reproduce_text_prints_a_failing_item_with_its_expected_value(capsys, monkeypatch):
+    # one item computes a wrong answer: the text report marks it FAIL with
+    # the expected value beside it, counts it, and the run exits 1
+    def dim5_items(catalog):
+        items = reproduce._dim5_items(catalog)
+        name, source, expected, _ = items[0]
+        items[0] = (name, source, expected, lambda: "(z,b,h)=(0, 0, 0)")
+        return items
+
+    monkeypatch.setitem(reproduce._BUILDERS, "dim5", dim5_items)
+    code, out, _ = run(capsys, "reproduce", "dim5")
+    assert code == 1
+    assert "[FAIL] f_3+R^2 k=2: (z,b,h)=(0, 0, 0)  (expected (z,b,h)=(20, 9, 11))\n" in out
+    assert out.count("[PASS]") == 7
+    assert out.endswith("suite dim5: 7 passed, 1 failed, 0 skipped\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["reproduce", "nonsense"]) == 2
     assert main([]) == 2

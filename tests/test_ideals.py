@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -425,24 +426,36 @@ def test_weighted_column_cap(monkeypatch):
 
 
 def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
-    # Q5^4 at D = 12 visits 562,502 prefixes to find its one column
+    # Q5^4 at D = 12 visits 473,414 prefixes to find its one column
     with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
         member_bounded(_q("Q5") ** 4, ideal64_gens, 12)
-    # Q13^3 at D = 9 visits 74,677 prefixes for its 1,342 columns
+    # Q13^3 at D = 9 visits 34,942 prefixes for its 1,342 columns
     q13_cubed = _q("Q13") ** 3
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 74_676)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 34_941)
     with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
         _multiplier_columns(q13_cubed, ideal64_gens, 9)
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 74_677)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 34_942)
     assert len(_multiplier_columns(q13_cubed, ideal64_gens, 9)) == 1_342
     # the count runs over every generator of one call: Q13^2 at D = 6 visits
-    # 1,130 prefixes for 127 columns
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 1_129)
+    # 477 prefixes for 127 columns
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 476)
     assert main(["ideal", "member", "6", "4", "Q13^2", "-D", "6"]) == 3
     assert "resource cap" in capsys.readouterr().err
-    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 1_130)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 477)
     cert = member_bounded(_q("Q13") ** 2, ideal64_gens, 6)
     assert cert is not None and cert.verify(ideal64_gens)
+
+
+def test_search_tables_are_built_once_per_shape(ideal64_gens):
+    # Q13^2 and Q14^2 at D = 6 search the same universe and steps to the same
+    # depth, so the second call reads the tables the first one built; every
+    # generator has a torus weight, so no table without weights is built
+    ideals._search_masks.cache_clear()
+    for name in ("Q13", "Q14"):
+        cert = member_bounded(_q(name) ** 2, ideal64_gens, 6)
+        assert cert is not None and cert.verify(ideal64_gens)
+    info = ideals._search_masks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_multiplier_degree_cap():
@@ -459,13 +472,13 @@ def test_multiplier_degree_cap():
 @st.composite
 def _weighted_searches(draw):
     """A small universe of steps in Z^3..Z^6 with entries in [-reach, reach]
-    (repeated steps allowed), a remaining weight, a degree and a mask depth
-    of at least that degree."""
+    (repeated steps allowed), a remaining weight, a degree, a mask depth
+    of at least that degree, and whether the three-letter table is built."""
     reach = draw(st.integers(1, 2))
     width = draw(st.integers(3, 6))
     entry = st.integers(-reach, reach)
-    steps = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=6))
-    d = draw(st.integers(0, 4))
+    steps = draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=6))
+    d = draw(st.integers(0, 5))
     if draw(st.booleans()):
         # the weight of a random monomial, so that some monomials are found
         picks = draw(st.lists(st.sampled_from(steps), min_size=d, max_size=d))
@@ -473,13 +486,13 @@ def _weighted_searches(draw):
     else:
         rem = draw(st.lists(st.integers(-reach * d - 1, reach * d + 1), min_size=width,
                             max_size=width))
-    return steps, reach, rem, d, d + draw(st.integers(0, 3))
+    return tuple(steps), reach, rem, d, d + draw(st.integers(0, 3)), draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weighted_searches())
 def test_weighted_search_matches_brute_force(search):
-    steps, reach, rem, d, depth = search
+    steps, reach, rem, d, depth, triple = search
     universe = list(range(len(steps)))
 
     def left_over(combo):
@@ -489,12 +502,15 @@ def test_weighted_search_matches_brute_force(search):
               if not any(left_over(combo))]
     columns = [ideals._monomial(combo) for combo in combos]
 
-    # the root, and a prefix with two or more letters left, is visited when
+    # the root, and a prefix with more letters left than the exact tables
+    # cover (three, or two without the three-letter table), is visited when
     # it and every prefix of it pass the box rule: rem stays within reach of
-    # the letters left; a nonempty prefix with one or no letter left only
-    # when some column starts with it
+    # the letters left; any other nonempty prefix only when some column
+    # starts with it
+    exact_left = 2 if triple else 1
+
     def visits(combo):
-        if combo and d - len(combo) <= 1:
+        if combo and d - len(combo) <= exact_left:
             return any(column[: len(combo)] == combo for column in combos)
         return all(
             max(map(abs, left_over(combo[:length]))) <= reach * (d - length)
@@ -506,8 +522,13 @@ def test_weighted_search_matches_brute_force(search):
         for size in range(d + 1)
         for combo in combinations_with_replacement(universe, size)
     )
-    # the masks are built once for every degree up to depth
-    masks = ideals._search_masks(steps, reach, depth)
+    # the masks are built once for every degree up to depth; with no room
+    # for the three-letter table the box rule runs at three letters left
+    if triple:
+        masks = ideals._search_masks(steps, reach, depth)
+    else:
+        with mock.patch.object(ideals, "_TRIPLE_WORK", 0):
+            masks = ideals._search_masks.__wrapped__(steps, reach, depth)
     found, nodes = Budget(len(columns), "columns"), Budget(visited, "prefixes")
     assert ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes) == columns
     assert (found.spent, nodes.spent) == (len(columns), visited)
