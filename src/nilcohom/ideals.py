@@ -16,9 +16,9 @@ variables that may extend a prefix by ANDing one bitmask per weight
 coordinate over the variables, without testing them one by one, and with
 three letters or fewer left reads exactly those that reach the weight from a
 table of triple sums, pair sums or steps, built once per search shape; on
-other input it runs with weights of no coordinates, which filter nothing.  The system goes to ``linalg.solve`` as
-one sparse augmented row per monomial, and the answer is read off its
-reduced row echelon form.
+other input it runs with weights of no coordinates, which filter nothing.
+The system goes to ``linalg.solve`` as one sparse augmented row per
+monomial, and the answer is read off its reduced row echelon form.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a

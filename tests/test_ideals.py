@@ -458,6 +458,16 @@ def test_search_tables_are_built_once_per_shape(ideal64_gens):
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_three_letter_table_is_built_only_for_few_distinct_steps():
+    # the table grows as the cube of the distinct steps: the 8-dimensional
+    # chart gets it, the 9-dimensional one keeps the box rule at three letters
+    for n, built in ((8, True), (9, False)):
+        pos = {p: p - 1 for p in range(1, n + 1)}
+        steps = tuple(ideals._multiweight(MultiPoly.var(v), pos) for v in chart_variables(n))
+        *_, pair, triple = ideals._search_masks.__wrapped__(steps, 1, 3)
+        assert pair and bool(triple) is built
+
+
 def test_multiplier_degree_cap():
     # the search recurses once per letter, so a multiplier monomial past
     # MAX_MULTIPLIER_DEGREE letters is refused before the search recurses
