@@ -15,8 +15,9 @@ could never appear in a certificate are not built.  The search picks the
 variables that may extend a prefix by ANDing one bitmask per weight
 coordinate over the variables, without testing them one by one, and with
 three letters or fewer left reads exactly those that reach the weight from a
-table of triple sums, pair sums or steps, built once per search shape; on
-other input it runs with weights of no coordinates, which filter nothing.
+table of pair sums or steps, built once per search shape, or from a memo of
+triple sums filled as the searches meet them; on other input it runs with
+weights of no coordinates, which filter nothing.
 The system goes to ``linalg.solve`` as one sparse augmented row per
 monomial, and the answer is read off its reduced row echelon form.
 
@@ -174,22 +175,16 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # far more prefixes than it finds columns, so the column cap alone does not
 # bound its time.  On I_{6,4} the published certificates visit at most 488
 # prefixes and Q13^3 at D = 9 visits 34,942, while Q5^4 at D = 12 visits
-# 473,414 (about 2 us each on a 2-vCPU host) to find one column.
+# 473,414 (about 2 us each on a 2-vCPU host) to find one column.  A visit with
+# three letters left to a weight no search met before also makes one pair
+# lookup per distinct step, 220 on the 12-dimensional chart, where a search
+# can take 7 s to reach the cap.
 MAX_WEIGHTED_NODES = 200_000
 
 # Above this many letters in one multiplier monomial, member_bounded raises
 # ResourceCapExceeded: the search recurses once per letter, and this keeps it
 # well below the recursion limit, as liealg.MAX_WALK_DEPTH does for the walk.
 MAX_MULTIPLIER_DEGREE = 200
-
-# _search_masks builds the three-letter table only when it takes at most this
-# many (distinct step, pair sum) updates; above it the box rule runs at three
-# letters left.  The table grows as the cube of the distinct steps: 635 sums
-# for the 20 steps of the 6-dimensional chart, built in 5 ms, and 6,666 for
-# the 56 of the 8-dimensional one (49,336 updates, 0.07 s), but 200,629 sums
-# (45 MB, 5.4 s) for the 220 of the 12-dimensional one, where
-# `ideal member 12 2 't_{1,2,3}^5' -D 5` takes 0.3 s in all without it.
-_TRIPLE_WORK = 100_000
 
 
 def _monomial(combo):
@@ -207,14 +202,14 @@ def _search_masks(steps, reach, depth):
     the indices whose step at p is below v (every prefix has
     |rem_p| <= reach * left, so its band stays within [-off, off]),
     exact[step] the indices with that step, pair[sum] (if depth >= 2) the
-    indices i with steps[i] + steps[j] = sum for a j >= i, and triple[sum]
-    (if depth >= 3 and it takes at most _TRIPLE_WORK updates) those with
-    steps[i] + steps[j] + steps[l] = sum for some l >= j >= i.  The tables of
-    one search shape are built once per process and shared, so callers only
-    read them."""
+    indices i with steps[i] + steps[j] = sum for a j >= i, and triple an
+    empty memo that ``_weighted_monomials`` fills as it meets each weight
+    with three letters left.  The tables of one search shape are built once
+    per process and shared: the searches only read them, and add to the memo
+    only entries that depend on their key alone."""
     full = (1 << len(steps)) - 1
     pad = 2 * reach * depth
-    below, exact, pair, triple = [], {}, {}, {}
+    below, exact, pair = [], {}, {}
     for p in range(len(steps[0]) if steps else 0):
         masks = [0] * (2 * reach + 2)
         for i, s in enumerate(steps):
@@ -229,13 +224,7 @@ def _search_masks(steps, reach, depth):
             key = tuple(map(add, a, b))
             pair[key] = (pair.get(key, 0) | ma & (1 << mb.bit_length()) - 1
                          | mb & (1 << ma.bit_length()) - 1)
-    if depth >= 3 and len(items) * len(pair) <= _TRIPLE_WORK:
-        for a, ma in items:
-            for b, mb in pair.items():
-                # the last index j of mb has an l >= j, so i of ma needs only i <= j
-                key = tuple(map(add, a, b))
-                triple[key] = triple.get(key, 0) | ma & (1 << mb.bit_length()) - 1
-    return reach, pad + reach, below, exact, pair, triple
+    return reach, pad + reach, below, exact, pair, {}
 
 
 def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
@@ -250,11 +239,15 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
     Coordinate p allows the indices whose step at p lies in
     [rem_p - lim, rem_p + lim], a difference of two cumulative bitmasks; the
     children are the set bits of the AND over the coordinates that do not
-    allow every index, in ascending order.  At ``left`` 3, 2 or 1 one lookup
-    keyed by ``rem``, in ``triple``, ``pair`` or ``exact``, gives exactly the
-    indices that can still reach it (the sum tables of Horowitz and Sahni,
-    1974); without a ``triple`` table (over _TRIPLE_WORK) the box rule runs
-    at ``left`` 3 too.  The masks are shared between calls and only read.
+    allow every index, in ascending order.  At ``left`` 2 or 1 one lookup
+    keyed by ``rem``, in ``pair`` or ``exact``, gives exactly the indices
+    that can still reach it (the sum tables of Horowitz and Sahni, 1974).
+    At ``left`` 3 the ``triple`` memo does: triple[rem] holds the indices i
+    whose step a leaves a pair sum rem - a with an index >= i, worked out
+    with one ``pair`` lookup per distinct step on the first visit of rem, so
+    its cost follows the weights the searches meet, not the cube of the
+    distinct steps.  The masks are shared between calls and only read; the
+    memo is filled.
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
     Each monomial found is charged to the Budget ``columns`` and each prefix
     visited to the Budget ``nodes``, which raise ResourceCapExceeded past
@@ -282,8 +275,17 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             sel &= exact.get(tuple(rem), 0)
         elif left == 2:
             sel &= pair.get(tuple(rem), 0)
-        elif left == 3 and triple:  # built unless over _TRIPLE_WORK
-            sel &= triple.get(tuple(rem), 0)
+        elif left == 3:
+            key = tuple(rem)
+            t = triple.get(key)
+            if t is None:
+                # i of ma reaches key with a pair sum key - a whose last index is >= i
+                t = 0
+                for a, ma in exact.items():
+                    mb = pair.get(tuple(map(sub, key, a)), 0)
+                    t |= ma & (1 << mb.bit_length()) - 1
+                triple[key] = t
+            sel &= t
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim

@@ -6,7 +6,6 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -458,16 +457,6 @@ def test_search_tables_are_built_once_per_shape(ideal64_gens):
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_three_letter_table_is_built_only_for_few_distinct_steps():
-    # the table grows as the cube of the distinct steps: the 8-dimensional
-    # chart gets it, the 9-dimensional one keeps the box rule at three letters
-    for n, built in ((8, True), (9, False)):
-        pos = {p: p - 1 for p in range(1, n + 1)}
-        steps = tuple(ideals._multiweight(MultiPoly.var(v), pos) for v in chart_variables(n))
-        *_, pair, triple = ideals._search_masks.__wrapped__(steps, 1, 3)
-        assert pair and bool(triple) is built
-
-
 def test_multiplier_degree_cap():
     # the search recurses once per letter, so a multiplier monomial past
     # MAX_MULTIPLIER_DEGREE letters is refused before the search recurses
@@ -482,8 +471,8 @@ def test_multiplier_degree_cap():
 @st.composite
 def _weighted_searches(draw):
     """A small universe of steps in Z^3..Z^6 with entries in [-reach, reach]
-    (repeated steps allowed), a remaining weight, a degree, a mask depth
-    of at least that degree, and whether the three-letter table is built."""
+    (repeated steps allowed), a remaining weight, a degree and a mask depth
+    of at least that degree."""
     reach = draw(st.integers(1, 2))
     width = draw(st.integers(3, 6))
     entry = st.integers(-reach, reach)
@@ -496,13 +485,13 @@ def _weighted_searches(draw):
     else:
         rem = draw(st.lists(st.integers(-reach * d - 1, reach * d + 1), min_size=width,
                             max_size=width))
-    return tuple(steps), reach, rem, d, d + draw(st.integers(0, 3)), draw(st.booleans())
+    return tuple(steps), reach, rem, d, d + draw(st.integers(0, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weighted_searches())
 def test_weighted_search_matches_brute_force(search):
-    steps, reach, rem, d, depth, triple = search
+    steps, reach, rem, d, depth = search
     universe = list(range(len(steps)))
 
     def left_over(combo):
@@ -512,15 +501,12 @@ def test_weighted_search_matches_brute_force(search):
               if not any(left_over(combo))]
     columns = [ideals._monomial(combo) for combo in combos]
 
-    # the root, and a prefix with more letters left than the exact tables
-    # cover (three, or two without the three-letter table), is visited when
+    # the root, and a prefix with four or more letters left, is visited when
     # it and every prefix of it pass the box rule: rem stays within reach of
     # the letters left; any other nonempty prefix only when some column
     # starts with it
-    exact_left = 2 if triple else 1
-
     def visits(combo):
-        if combo and d - len(combo) <= exact_left:
+        if combo and d - len(combo) <= 2:
             return any(column[: len(combo)] == combo for column in combos)
         return all(
             max(map(abs, left_over(combo[:length]))) <= reach * (d - length)
@@ -532,13 +518,8 @@ def test_weighted_search_matches_brute_force(search):
         for size in range(d + 1)
         for combo in combinations_with_replacement(universe, size)
     )
-    # the masks are built once for every degree up to depth; with no room
-    # for the three-letter table the box rule runs at three letters left
-    if triple:
-        masks = ideals._search_masks(steps, reach, depth)
-    else:
-        with mock.patch.object(ideals, "_TRIPLE_WORK", 0):
-            masks = ideals._search_masks.__wrapped__(steps, reach, depth)
+    # the masks are built once for every degree up to depth
+    masks = ideals._search_masks(steps, reach, depth)
     found, nodes = Budget(len(columns), "columns"), Budget(visited, "prefixes")
     assert ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes) == columns
     assert (found.spent, nodes.spent) == (len(columns), visited)
