@@ -177,8 +177,8 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # prefixes and Q13^3 at D = 9 visits 34,942, while Q5^4 at D = 12 visits
 # 473,414 (about 2 us each on a 2-vCPU host) to find one column.  A visit with
 # three letters left to a weight no search met before also makes one pair
-# lookup per distinct step, 220 on the 12-dimensional chart, where a search
-# can take 7 s to reach the cap.
+# lookup per variable that passes the box rule, up to 220 on the
+# 12-dimensional chart, where a search can take 6.5 s to reach the cap.
 MAX_WEIGHTED_NODES = 200_000
 
 # Above this many letters in one multiplier monomial, member_bounded raises
@@ -242,12 +242,12 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
     allow every index, in ascending order.  At ``left`` 2 or 1 one lookup
     keyed by ``rem``, in ``pair`` or ``exact``, gives exactly the indices
     that can still reach it (the sum tables of Horowitz and Sahni, 1974).
-    At ``left`` 3 the ``triple`` memo does: triple[rem] holds the indices i
-    whose step a leaves a pair sum rem - a with an index >= i, worked out
-    with one ``pair`` lookup per distinct step on the first visit of rem, so
-    its cost follows the weights the searches meet, not the cube of the
-    distinct steps.  The masks are shared between calls and only read; the
-    memo is filled.
+    At ``left`` 3 the ``triple`` memo does: on the first visit of a rem it
+    keeps, of the indices that pass the box rule, those i whose step leaves
+    a pair sum with an index >= i, so its cost follows the weights the
+    searches meet, one ``pair`` lookup per index in the box, not the cube of
+    the distinct steps.  The masks are shared between calls and only read;
+    the memo is filled.
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
     Each monomial found is charged to the Budget ``columns`` and each prefix
     visited to the Budget ``nodes``, which raise ResourceCapExceeded past
@@ -275,24 +275,26 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             sel &= exact.get(tuple(rem), 0)
         elif left == 2:
             sel &= pair.get(tuple(rem), 0)
-        elif left == 3:
-            key = tuple(rem)
-            t = triple.get(key)
-            if t is None:
-                # i of ma reaches key with a pair sum key - a whose last index is >= i
-                t = 0
-                for a, ma in exact.items():
-                    mb = pair.get(tuple(map(sub, key, a)), 0)
-                    t |= ma & (1 << mb.bit_length()) - 1
-                triple[key] = t
-            sel &= t
+        elif left == 3 and tuple(rem) in triple:
+            sel &= triple[tuple(rem)]
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim
+            box = full
             for cum, r in zip(below, rem):
                 allowed = cum[r + hi] ^ cum[r + lo]
                 if allowed != full:
-                    sel &= allowed
+                    box &= allowed
+            if left == 3:
+                # keep the i of the box that leave a pair sum with an index >= i
+                key, kept = tuple(rem), 0
+                while box:
+                    low = box & -box
+                    box ^= low
+                    if pair.get(tuple(map(sub, key, steps[low.bit_length() - 1])), 0) >= low:
+                        kept |= low
+                box = triple[key] = kept
+            sel &= box
         while sel:
             low = sel & -sel
             sel ^= low
