@@ -501,7 +501,7 @@ def test_weighted_search_matches_brute_force(search):
               if not any(left_over(combo))]
     columns = [ideals._monomial(combo) for combo in combos]
 
-    # the root, and a prefix with four or more letters left, is visited when
+    # the root, and a prefix with three or more letters left, is visited when
     # it and every prefix of it pass the box rule: rem stays within reach of
     # the letters left; any other nonempty prefix only when some column
     # starts with it
