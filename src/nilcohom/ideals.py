@@ -286,7 +286,8 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
                 if allowed != full:
                     box &= allowed
             if left == 3:
-                # keep the i of the box that leave a pair sum with an index >= i
+                # keep the i of the box whose rest is a pair sum with an index >= i,
+                # that is whose pair mask is at least 1 << i
                 key, kept = tuple(rem), 0
                 while box:
                     low = box & -box
