@@ -8,16 +8,17 @@ ideal membership, and carries a small capped Buchberger engine for the
 substitution-based non-membership certificates.
 
 Bounded-degree membership is one exact linear system whose columns are the
-products m * g_j.  On torus-homogeneous input (t_{i,j,k} has weight
-e_i + e_j - e_k) the multiplier monomials m are generated by a depth-first
-search that only ever reaches weight w(f) - w(g_j), so the columns that
-could never appear in a certificate are not built.  The search picks the
-variables that may extend a prefix by ANDing one bitmask per weight
-coordinate over the variables, without testing them one by one, and with
-three letters or fewer left reads exactly those that reach the weight from a
-table of pair sums or steps, built once per search shape, or from a memo of
-triple sums filled as the searches meet them; on other input it runs with
-weights of no coordinates, which filter nothing.
+products m * g_j.  When f and every generator are torus-homogeneous
+(t_{i,j,k} has weight e_i + e_j - e_k) the multiplier monomials m are
+generated by a depth-first search that only ever reaches weight
+w(f) - w(g_j), so the columns that could never appear in a certificate are
+not built.  The search picks the variables that may extend a prefix by
+ANDing one bitmask per weight coordinate over the variables, without testing
+them one by one, and with three letters or fewer left reads exactly those
+that reach the weight from a table of pair sums or steps, built once per
+search shape, or from a memo of triple sums filled as the searches meet
+them; when f or any generator has no torus weight it runs, for every
+generator, with weights of no coordinates, which filter nothing.
 The system goes to ``linalg.solve`` as one sparse augmented row per
 monomial, and the answer is read off its reduced row echelon form.
 
@@ -176,9 +177,10 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # bound its time.  On I_{6,4} the published certificates visit at most 488
 # prefixes and Q13^3 at D = 9 visits 34,942, while Q5^4 at D = 12 visits
 # 473,414 (about 2 us each on a 2-vCPU host) to find one column.  A visit with
-# three letters left to a weight no search met before also makes one pair
-# lookup per variable that passes the box rule, up to 220 on the
-# 12-dimensional chart, where a search can take 6.5 s to reach the cap.
+# three letters left to a weight no search met before, and within the L1
+# norm of three steps, also makes one pair lookup per variable that passes
+# the box rule, up to 220 on the 12-dimensional chart, where a search can
+# take 3.6 s of CPU to reach the cap.
 MAX_WEIGHTED_NODES = 200_000
 
 # Above this many letters in one multiplier monomial, member_bounded raises
@@ -196,9 +198,10 @@ def _monomial(combo):
 
 
 @lru_cache(maxsize=32)
-def _search_masks(steps, reach, depth):
-    """(reach, off, below, exact, pair, triple) for the searches of degree <=
-    ``depth`` over ``steps``, a tuple of step tuples: below[p][v + off] holds
+def _search_masks(steps, depth):
+    """(reach, off, below, exact, pair, triple, far) for the searches of degree
+    <= ``depth`` over ``steps``, a tuple of step tuples: reach bounds their
+    coordinates and far the L1 norm of three steps, below[p][v + off] holds
     the indices whose step at p is below v (every prefix has
     |rem_p| <= reach * left, so its band stays within [-off, off]),
     exact[step] the indices with that step, pair[sum] (if depth >= 2) the
@@ -208,6 +211,7 @@ def _search_masks(steps, reach, depth):
     per process and shared: the searches only read them, and add to the memo
     only entries that depend on their key alone."""
     full = (1 << len(steps)) - 1
+    reach = max((abs(e) for s in steps for e in s), default=0)
     pad = 2 * reach * depth
     below, exact, pair = [], {}, {}
     for p in range(len(steps[0]) if steps else 0):
@@ -224,7 +228,8 @@ def _search_masks(steps, reach, depth):
             key = tuple(map(add, a, b))
             pair[key] = (pair.get(key, 0) | ma & (1 << mb.bit_length()) - 1
                          | mb & (1 << ma.bit_length()) - 1)
-    return reach, pad + reach, below, exact, pair, {}
+    far = 3 * max((sum(map(abs, s)) for s in exact), default=0)
+    return reach, pad + reach, below, exact, pair, {}, far
 
 
 def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
@@ -246,8 +251,9 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
     keeps, of the indices that pass the box rule, those i whose step leaves
     a pair sum with an index >= i, so its cost follows the weights the
     searches meet, one ``pair`` lookup per index in the box, not the cube of
-    the distinct steps.  The masks are shared between calls and only read;
-    the memo is filled.
+    the distinct steps; a rem whose L1 norm is over ``far`` keeps none,
+    without lookups.  The masks are shared between calls and only read; the
+    memo is filled.
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
     Each monomial found is charged to the Budget ``columns`` and each prefix
     visited to the Budget ``nodes``, which raise ResourceCapExceeded past
@@ -258,7 +264,7 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             f"membership search needs multiplier monomials of degree {d},"
             f" over the cap {MAX_MULTIPLIER_DEGREE}"
         )
-    reach, off, below, exact, pair, triple = masks
+    reach, off, below, exact, pair, triple, far = masks
     full = (1 << len(universe)) - 1
     out = []
     combo = []
@@ -277,6 +283,8 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             sel &= pair.get(tuple(rem), 0)
         elif left == 3 and tuple(rem) in triple:
             sel &= triple[tuple(rem)]
+        elif left == 3 and sum(map(abs, rem)) > far:
+            sel = triple[tuple(rem)] = 0  # no three steps reach that far
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim
@@ -315,34 +323,32 @@ def _multiplier_columns(f, gens, bound):
     Ordered by generator, then degree, then the
     ``combinations_with_replacement`` order of the sorted variable universe.
     ``_weighted_monomials`` finds them, charging one Budget of columns and
-    one of prefixes for the whole call: when f and g_j are torus-homogeneous,
-    those of weight w(f) - w(g_j); otherwise, with steps of no coordinates
-    that filter nothing, all of each admissible degree.
+    one of prefixes for the whole call: when f and every nonzero g_j have a
+    torus weight, those of weight w(f) - w(g_j); otherwise, with steps of no
+    coordinates that filter nothing, all of each admissible degree.
     """
     universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
     # a multiplier variable absent from f and every generator could be set to
     # 0 in any certificate, so this universe is enough
-    homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
-    wf = None
+    live = [(j, g, g.degree()) for j, g in enumerate(gens) if not g.is_zero()]
+    weights = [None]
     if all(isinstance(v, tuple) for v in universe):
         pos = {p: i for i, p in enumerate(sorted({p for v in universe for p in v}))}
-        wf = _multiweight(f, pos)
+        weights = [_multiweight(p, pos) for p in [f] + [g for _, g, _ in live]]
+    # a weight fixes the degree, as a chart variable's has coordinate sum 1
+    homog = None not in weights
+    if homog:
+        steps = tuple(_multiweight(MultiPoly.var(v), pos) for v in universe)
+        rems = [list(map(sub, weights[0], wg)) for wg in weights[1:]]
+    else:  # weights on only some polynomials would drop certificates
+        homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
+        steps, rems = ((),) * len(universe), [[]] * len(live)
 
     df = f.degree()
     top = df if homog else bound
-    live = [(j, g, g.degree()) for j, g in enumerate(gens) if not g.is_zero()]
     # a search deeper than MAX_MULTIPLIER_DEGREE raises before it reads the masks
     depth = min(max([0] + [top - dg for _, _, dg in live]), MAX_MULTIPLIER_DEGREE)
-    weights = [_multiweight(g, pos) if wf is not None else None for _, g, _ in live]
-    if None in weights:
-        # steps of no coordinates, which filter nothing
-        nil = ((),) * len(universe)
-        flat = (nil, _search_masks(nil, 0, depth), [])
-    if any(w is not None for w in weights):
-        steps = tuple(_multiweight(MultiPoly.var(v), pos) for v in universe)
-        reach = max((abs(e) for s in steps for e in s), default=0)
-        masks = _search_masks(steps, reach, depth)
-
+    masks = _search_masks(steps, depth)
     budgets = (
         Budget(MAX_UNWEIGHTED_COLUMNS,
                f"membership system needs more than {MAX_UNWEIGHTED_COLUMNS}"
@@ -352,11 +358,10 @@ def _multiplier_columns(f, gens, bound):
                " multiplier monomial prefixes, over the cap"),
     )
     columns = []
-    for (j, g, dg), wg in zip(live, weights):
-        search = flat if wg is None else (steps, masks, list(map(sub, wf, wg)))
+    for (j, g, dg), rem in zip(live, rems):
         degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
         for d in degs:
-            monos = _weighted_monomials(universe, *search, d, *budgets)
+            monos = _weighted_monomials(universe, steps, masks, rem, d, *budgets)
             columns.extend((j, mono) for mono in monos)
     return columns
 
@@ -365,10 +370,11 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     """Search multipliers m_j with deg(m_j g_j) <= bound and sum m_j g_j = f.
 
     Returns a verified certificate, or None (which is *not* a proof of
-    non-membership, only of absence at this bound).  Homogeneity of the
-    inputs, in total degree and in the torus multigrading of the chart
-    variables, restricts the multiplier monomials without losing any
-    certificate, since membership identities project onto graded pieces.
+    non-membership, only of absence at this bound).  Homogeneity of f and
+    of every generator, in total degree or in the torus multigrading of the
+    chart variables, restricts the multiplier monomials without losing any
+    certificate, since membership identities project onto graded pieces;
+    a grading that f or some generator lacks is not used at all.
     Raises ResourceCapExceeded past a cap of the multiplier search
     (MAX_UNWEIGHTED_COLUMNS, MAX_WEIGHTED_NODES, MAX_MULTIPLIER_DEGREE).
     """

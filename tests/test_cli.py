@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -391,6 +392,18 @@ def test_reproduce_text_prints_a_failing_item_with_its_expected_value(capsys, mo
     assert "[FAIL] f_3+R^2 k=2: (z,b,h)=(0, 0, 0)  (expected (z,b,h)=(20, 9, 11))\n" in out
     assert out.count("[PASS]") == 7
     assert out.endswith("suite dim5: 7 passed, 1 failed, 0 skipped\n")
+
+
+def test_reproduce_text_names_the_data_pack_and_its_checksum(tmp_path, capsys):
+    # a pack without a manifest is named by its directory; the checksum runs
+    # over the file names and contents
+    text = json.dumps({"name": "cli_pack_algebra", "dim": 3, "table": "ab = c"}).encode()
+    (tmp_path / "rec.json").write_bytes(text)
+    digest = hashlib.sha256(b"rec.json" + text).hexdigest()
+    code, out, _ = run(capsys, "--data-pack", str(tmp_path), "reproduce", "dim5")
+    assert code == 0
+    assert out.endswith("suite dim5: 8 passed, 0 failed, 0 skipped\n"
+                        f"data pack: {tmp_path.name} (sha256 {digest})\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_sum
@@ -31,6 +31,7 @@ from nilcohom.ideals import (
     substitute,
 )
 from nilcohom.liealg import StructureConstants, jacobi, n_k, sn_k
+from nilcohom.linalg import solve
 from nilcohom.polynomials import MultiPoly, format_poly
 from nilcohom.tables import parse_tpoly
 
@@ -317,10 +318,12 @@ def _ref_weight_diff(a, b):
 
 def reference_columns(f, gens, bound):
     """Every monomial of each admissible degree from combinations_with_replacement,
-    kept when its torus weight is w(f) - w(g_j) (or always, without weights)."""
+    kept when its torus weight is w(f) - w(g_j) if f and every nonzero g_j
+    have a torus weight, or always if one of them has none."""
     universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
     homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
-    weighted = all(isinstance(v, tuple) for v in universe)
+    weighted = all(isinstance(v, tuple) for v in universe) and all(
+        _ref_poly_weight(p) is not None for p in [f] + [g for g in gens if not g.is_zero()])
     wf = _ref_poly_weight(f) if weighted else None
     by_degree = {}  # degree -> (all monomials, monomials by weight), in order
     columns = []
@@ -382,10 +385,70 @@ def test_multiplier_columns_match_brute_force_off_the_chart(ideal64_gens):
     assert _multiplier_columns(f, ideal64_gens, 4) == reference_columns(
         f, ideal64_gens, 4
     )
-    # a generator without a torus weight gets every monomial of its degree
+    # one generator without a torus weight: every generator gets every
+    # monomial of its degree
     gens = list(ideal64_gens[:3]) + [parse_tpoly("t_{1,2,3}+t_{1,2,4}")]
     f = _q("Q5")
     assert _multiplier_columns(f, gens, 4) == reference_columns(f, gens, 4)
+
+
+def _unfiltered_consistent(f, gens, bound):
+    """Whether f = sum m_j g_j has a solution with m_j a combination of every
+    monomial of degree <= bound - deg g_j over the variables of f and the g_j."""
+    universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
+    products = []
+    for g in gens:
+        for d in range(bound - g.degree() + 1 if not g.is_zero() else 0):
+            for combo in combinations_with_replacement(universe, d):
+                m = MultiPoly.const(1)
+                for v in combo:
+                    m = m * MultiPoly.var(v)
+                products.append(m * g)
+    rows = {}
+    for c, product in enumerate(products + [f]):
+        for mono, coeff in product.terms.items():
+            rows.setdefault(mono, {})[c] = coeff
+    return solve(list(rows.values()), len(products)) is not None
+
+
+@st.composite
+def _mixed_systems(draw):
+    """Generators over 3-4 chart variables of the 5-dimensional chart, some
+    torus-homogeneous and some not, a target built as a combination of them
+    (plus, at times, a stray term) and a bound at least its degree."""
+    chart = draw(st.lists(st.sampled_from(chart_variables(5)), min_size=3, max_size=4,
+                          unique=True))
+    coeff = st.integers(-2, 2).filter(bool)
+
+    def poly(degrees, size):
+        out = MultiPoly()
+        for _ in range(draw(st.integers(*size))):
+            term = MultiPoly.const(draw(coeff))
+            for v in draw(st.lists(st.sampled_from(chart), min_size=degrees[0],
+                                   max_size=degrees[1])):
+                term = term * MultiPoly.var(v)
+            out = out + term
+        return out
+
+    gens = [poly((1, 2), (1, 2)) for _ in range(draw(st.integers(1, 3)))]
+    products = [poly((0, 1), (0, 2)) * g for g in gens]
+    f = sum(products, poly((1, 2), (0, 1)))
+    top = max([f.degree()] + [p.degree() for p in products if not p.is_zero()])
+    return f, gens, top + draw(st.integers(0, 1))
+
+
+@example((parse_tpoly("t_{1,2,3}"),
+          [parse_tpoly("t_{1,2,3}+t_{1,2,4}"), parse_tpoly("t_{1,2,4}")], 1))
+@settings(max_examples=100, deadline=None)
+@given(_mixed_systems())
+def test_member_bounded_finds_every_certificate_of_the_unfiltered_system(system):
+    # the torus weights filter the columns only when f and every generator
+    # have one, so a certificate exists within the filtered columns exactly
+    # when one exists over every monomial of each admissible degree
+    f, gens, bound = system
+    cert = member_bounded(f, gens, bound)
+    assert (cert is not None) == _unfiltered_consistent(f, gens, bound)
+    assert cert is None or cert.verify(gens)
 
 
 def test_unweighted_column_cap(ideal64_gens, capsys):
@@ -485,14 +548,15 @@ def _weighted_searches(draw):
     else:
         rem = draw(st.lists(st.integers(-reach * d - 1, reach * d + 1), min_size=width,
                             max_size=width))
-    return tuple(steps), reach, rem, d, d + draw(st.integers(0, 3))
+    return tuple(steps), rem, d, d + draw(st.integers(0, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weighted_searches())
 def test_weighted_search_matches_brute_force(search):
-    steps, reach, rem, d, depth = search
+    steps, rem, d, depth = search
     universe = list(range(len(steps)))
+    reach = max(abs(e) for step in steps for e in step)
 
     def left_over(combo):
         return [r - sum(steps[i][p] for i in combo) for p, r in enumerate(rem)]
@@ -519,7 +583,7 @@ def test_weighted_search_matches_brute_force(search):
         for combo in combinations_with_replacement(universe, size)
     )
     # the masks are built once for every degree up to depth
-    masks = ideals._search_masks(steps, reach, depth)
+    masks = ideals._search_masks(steps, depth)
     found, nodes = Budget(len(columns), "columns"), Budget(visited, "prefixes")
     assert ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes) == columns
     assert (found.spent, nodes.spent) == (len(columns), visited)
