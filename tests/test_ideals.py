@@ -510,8 +510,8 @@ def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
 
 def test_search_tables_are_built_once_per_shape(ideal64_gens):
     # Q13^2 and Q14^2 at D = 6 search the same universe and steps to the same
-    # depth, so the second call reads the tables the first one built; every
-    # generator has a torus weight, so no table without weights is built
+    # depth, so the second call reads the tables the first one built, and
+    # each call asks for one set of tables
     ideals._search_masks.cache_clear()
     for name in ("Q13", "Q14"):
         cert = member_bounded(_q(name) ** 2, ideal64_gens, 6)
