@@ -200,9 +200,9 @@ def _monomial(combo):
 @lru_cache(maxsize=32)
 def _search_masks(steps, depth):
     """(reach, off, below, exact, pair, triple, far) for the searches of degree
-    <= ``depth`` over ``steps``, a tuple of step tuples: reach bounds their
-    coordinates and far the L1 norm of three steps, below[p][v + off] holds
-    the indices whose step at p is below v (every prefix has
+    <= ``depth`` over ``steps``, a tuple of step tuples: reach and far bound
+    the coordinates of a step and the L1 norm of three, below[p][v + off]
+    holds the indices whose step at p is below v (every prefix has
     |rem_p| <= reach * left, so its band stays within [-off, off]),
     exact[step] the indices with that step, pair[sum] (if depth >= 2) the
     indices i with steps[i] + steps[j] = sum for a j >= i, and triple an

@@ -398,7 +398,7 @@ def _unfiltered_consistent(f, gens, bound):
     universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
     products = []
     for g in gens:
-        for d in range(bound - g.degree() + 1 if not g.is_zero() else 0):
+        for d in range(bound - g.degree() + 1):
             for combo in combinations_with_replacement(universe, d):
                 m = MultiPoly.const(1)
                 for v in combo:
