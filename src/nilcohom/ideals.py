@@ -37,7 +37,7 @@ from itertools import accumulate
 from operator import add, or_, sub
 
 from .errors import Budget, ResourceCapExceeded
-from .liealg import StructureConstants, jacobi, n_k, sn_k
+from .liealg import StructureConstants, _word_tensor, jacobi
 from .linalg import solve
 from .polynomials import MultiPoly, _mono_mul, distinct_primitive, mono_degree, rational_content
 
@@ -94,12 +94,9 @@ def generators(n, k, kind):
             f" over the cap {MAX_CHART_WORDS}"
         )
     mu = generic_chart(n)
-    if kind == "J":
-        tensor = jacobi(mu)
-    elif kind == "N":
-        tensor = n_k(mu, k)
-    else:
-        tensor = sn_k(mu, k)
+    # the tuple (x2, x1, ...) of N_k or SN_k gives minus the coordinates of
+    # (x1, x2, ...), which sorts first, so only x1 < x2 is walked
+    tensor = jacobi(mu) if kind == "J" else _word_tensor(mu, k, kind == "SN", half=True)
     return distinct_primitive(
         coord for args in sorted(tensor) for coord in tensor[args] if isinstance(coord, MultiPoly)
     )
@@ -140,10 +137,15 @@ class MembershipCertificate:
     bound: int
 
     def verify(self, gens) -> bool:
-        acc = MultiPoly()
+        """True iff sum m_j * g_j is exactly the target: every term product
+        is summed into one dict, whose nonzero terms must be the target's."""
+        acc = {}
         for m, g in zip(self.multipliers, gens):
-            acc = acc + m * g
-        return acc == self.target
+            for m1, c1 in m.terms.items():
+                for m2, c2 in g.terms.items():
+                    mono = _mono_mul(m1, m2)
+                    acc[mono] = acc.get(mono, 0) + c1 * c2
+        return {mono: c for mono, c in acc.items() if c} == self.target.terms
 
 
 def _multiweight(poly, pos):
@@ -398,11 +400,12 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     x = solve(rows.values(), len(columns))
     if x is None:
         return None
-    multipliers = [MultiPoly() for _ in gens]
+    # the monomials of one generator's columns are distinct
+    terms = [{} for _ in gens]
     for cidx, (j, mono) in enumerate(columns):
         if x[cidx]:
-            multipliers[j] = multipliers[j] + MultiPoly.term(x[cidx], mono)
-    cert = MembershipCertificate(f, multipliers, bound)
+            terms[j][mono] = x[cidx]
+    cert = MembershipCertificate(f, [MultiPoly(t) for t in terms], bound)
     if not cert.verify(gens):
         raise RuntimeError("membership certificate failed re-verification")
     return cert

@@ -332,7 +332,7 @@ def _walk_budget():
     return Budget(n, f"the word walk counted more than {n} nonzero words and rows")
 
 
-def walk_words(right, length, lay=None, least_first=False, letters=None, budget=None):
+def walk_words(right, length, lay=None, least_first=False, letters=None, budget=None, _half=False):
     """Left-nested words [..[[e_a1, e_a2], e_a3].., e_aL] of ``length`` letters.
 
     ``right`` is the right operator list of ``_letter_operators``, of length n.
@@ -348,11 +348,12 @@ def walk_words(right, length, lay=None, least_first=False, letters=None, budget=
     mu(e_p, e_b), plus the entry v[p] at the column of sigma(e_p, e_b) in
     coordinate m'.  Without a Layout it stays {} (values only).
 
-    With a Layout (the derivative row streams) only the words with a1 < a2
-    are walked; without one (the tensors ``n_k`` and ``sn_k``) every word
-    is.  Value and tangent are antisymmetric in (a1, a2), as mu and sigma
-    are, so the word at (a2, a1, ...) is exactly minus the one at
-    (a1, a2, ...) and the word at a1 = a2 is zero.
+    With a Layout (the derivative row streams) or ``_half`` (the chart
+    generators) only the words with a1 < a2 are walked; otherwise (the
+    tensors ``n_k`` and ``sn_k``) every word is.  Value and tangent are
+    antisymmetric in (a1, a2), as mu and sigma are, so the word at
+    (a2, a1, ...) is exactly minus the one at (a1, a2, ...) and the word at
+    a1 = a2 is zero.
 
     With ``least_first`` (given only with a Layout) only the words whose
     first letter is their least one are walked: a1 < a2 and
@@ -442,7 +443,7 @@ def walk_words(right, length, lay=None, least_first=False, letters=None, budget=
 
     def extend(index, depth, v, tangent):
         if depth == 1:
-            lo = 0 if lay is None else index + 1
+            lo = index + 1 if lay is not None or _half else 0
         else:
             lo = index // n ** (depth - 1) if least_first else 0
         for b in from_letter[lo]:
@@ -483,10 +484,7 @@ def n_k(mu, k):
     Empty dict means the whole tensor vanishes; together with Jacobi that is
     membership in the k-step nilpotent variety.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n, _, right = _letter_operators(mu, scaled=False)
-    return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, k + 1)}
+    return _word_tensor(mu, k, split=False)
 
 
 def sn_k(mu, k):
@@ -495,13 +493,22 @@ def sn_k(mu, k):
     k = 2 takes the inner word to be the identity, so the tensor coincides
     with the left-nested 3-letter one; k >= 3 is the usual split word.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    return _word_tensor(mu, k, split=True)
+
+
+def _word_tensor(mu, k, split, half=False):
+    """``sn_k`` when ``split``, else ``n_k``; with ``half`` only on the
+    tuples with x1 < x2, which give the rest: both tensors are antisymmetric
+    in (x1, x2)."""
+    if k < 1 + split:
+        raise ValueError(f"k must be >= {1 + split}")
     n, table, right = _letter_operators(mu, scaled=False)
+    if not split:
+        return {_letters(i, n, k + 1): v for i, v, _ in walk_words(right, k + 1, _half=half)}
     tails = [(_letters(t, n, k - 1), b) for t, b, _ in walk_words(right, k - 1)]
     out = {}
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1 if half else 0, n):
             a = table[i][j]
             if a is None:
                 continue

@@ -5,7 +5,9 @@ polynomials use 1-based index triples ``(i, j, k)`` (printed ``t_{i,j,k}`` by
 :func:`format_poly` and read back by :func:`nilcohom.tables.parse_tpoly`)
 while parametric structure tables use single-character symbols like ``r``
 and ``t``.  A monomial is a tuple of ``(variable, exponent)`` pairs sorted by
-variable; coefficients are Fractions (or QI where a table needs i).
+variable.  Integer coefficients are ints, so polynomials over Z run on int
+arithmetic; a coefficient is a Fraction only where a division made it one, or
+a QI where a table needs i.  Equal values hash equal, so they share one dict.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c):
-        c = c if isinstance(c, QI) else Fraction(c)
+        c = c if isinstance(c, (int, QI)) else Fraction(c)
         return cls({(): c} if c else {})
 
     @classmethod
     def var(cls, v):
-        return cls({((v, 1),): Fraction(1)})
+        return cls({((v, 1),): 1})
 
     @classmethod
     def term(cls, coeff, mono):
@@ -182,7 +184,7 @@ class MultiPoly:
     def as_scalar(self):
         """The constant value if the polynomial is constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         return None
@@ -207,7 +209,7 @@ class MultiPoly:
                 else:
                     rest.append((v, e))
             if rest:
-                acc = acc * MultiPoly({tuple(rest): Fraction(1)})
+                acc = acc * MultiPoly({tuple(rest): 1})
             out = out + acc
         return out
 
@@ -238,15 +240,17 @@ class MultiPoly:
         """Divide by the rational content; fix sign by the largest monomial.
 
         Two polynomials are scalar multiples of each other iff their
-        primitive forms are equal.  Rational coefficients only.
+        primitive forms are equal.  Rational coefficients only; those of the
+        primitive form are ints.
         """
         if not self.terms:
             return self
         content = rational_content(self.terms.values())
-        lead = max(self.terms)
-        if self.terms[lead] < 0:
-            content = -content
-        return self / content
+        num, den = content.numerator, content.denominator
+        if self.terms[max(self.terms)] < 0:
+            num = -num
+        # c / content is an integer, so the floor division is exact
+        return MultiPoly({m: c * den // num for m, c in self.terms.items()})
 
     # -- printing ------------------------------------------------------------
 

@@ -435,6 +435,17 @@ def test_data_pack_flag(tmp_path, capsys):
         assert code == 2 and str(named) in err
 
 
+def test_a_manifest_without_a_string_name_is_a_usage_error(tmp_path, capsys):
+    # a manifest that is not an object, or whose name is not a string, is
+    # refused before any record is read, naming the manifest
+    for sub, manifest in (("listed", [1]), ("numbered", {"name": 3})):
+        path = tmp_path / sub / "manifest.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "--data-pack", str(path.parent), "info", "f_3")
+        assert code == 2 and str(path) in err
+
+
 def test_bad_parameter_points_are_usage_errors(capsys):
     for at, message in (("r=1/0,t=1", "division by zero"),
                         ("r=1,t=1,t=2", "'t' assigned twice"),

@@ -20,6 +20,7 @@ from nilcohom.errors import Budget, ResourceCapExceeded
 from nilcohom.ideals import (
     MAX_MULTIPLIER_DEGREE,
     MAX_UNWEIGHTED_COLUMNS,
+    MembershipCertificate,
     _multiplier_columns,
     chart_variables,
     generic_chart,
@@ -32,7 +33,7 @@ from nilcohom.ideals import (
 )
 from nilcohom.liealg import StructureConstants, jacobi, n_k, sn_k
 from nilcohom.linalg import solve
-from nilcohom.polynomials import MultiPoly, format_poly
+from nilcohom.polynomials import MultiPoly, distinct_primitive, format_poly
 from nilcohom.tables import parse_tpoly
 
 
@@ -70,6 +71,19 @@ def test_generators_are_deterministic():
     a = [format_poly(p) for p in generators(6, 4, "J")]
     b = [format_poly(p) for p in generators(6, 4, "J")]
     assert a == b
+
+
+@pytest.mark.parametrize("n, k, kind", [(5, 2, "N"), (5, 3, "N"), (5, 4, "N"), (6, 4, "N"),
+                                         (6, 3, "SN"), (6, 4, "SN"), (6, 4, "J")])
+def test_generators_match_the_full_tensor(n, k, kind):
+    # generators walks only the leading pairs x1 < x2; scanning the whole
+    # tensor of the public function gives the same list in the same order
+    mu = generic_chart(n)
+    tensor = jacobi(mu) if kind == "J" else (n_k if kind == "N" else sn_k)(mu, k)
+    full = distinct_primitive(
+        coord for args in sorted(tensor) for coord in tensor[args] if isinstance(coord, MultiPoly)
+    )
+    assert [format_poly(p) for p in generators(n, k, kind)] == [format_poly(p) for p in full]
 
 
 def test_generators_vanish_on_variety_members(catalog):
@@ -142,6 +156,29 @@ def test_member_bounded_examples():
     assert zero is not None and all(m.is_zero() for m in zero.multipliers)
     with pytest.raises(ValueError):
         member_bounded(q14, I64.gens, 2)  # bound below deg f
+
+
+def test_verify_refuses_a_changed_multiplier_coefficient():
+    I64 = nilpotency_ideal(6, 4)
+    cert = member_bounded(cat.named_polynomial("Q5"), I64.gens, 4)
+    assert cert.verify(I64.gens)
+    # adding c * m to the multiplier of a nonzero g_j adds c * m * g_j != 0
+    for j, m in enumerate(cert.multipliers):
+        for mono, c in m.terms.items():
+            changed = list(cert.multipliers)
+            changed[j] = MultiPoly({**m.terms, mono: c + 1})
+            assert not MembershipCertificate(cert.target, changed, cert.bound).verify(I64.gens)
+
+
+def test_verify_accepts_products_that_cancel_across_generators():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    gens = [x * y, x * y + y * y, x]
+    # (y - 1) * x*y + 1 * (x*y + y*y) - y*y * x: the x*y terms cancel
+    # across the first two products, the x*y*y terms across the first and last
+    multipliers = [y - 1, MultiPoly.const(1), -(y * y)]
+    cert = MembershipCertificate(y * y, multipliers, 3)
+    assert cert.verify(gens)
+    assert not MembershipCertificate(y * y + x, multipliers, 3).verify(gens)
 
 
 def test_member_bounded_monotone_in_bound():

@@ -91,3 +91,43 @@ _CHART_POLYS = st.dictionaries(
 @given(_CHART_POLYS)
 def test_tpoly_round_trip_property(p):
     assert parse_tpoly(format_poly(p)) == p
+
+
+def _fraction_twin(p):
+    return MultiPoly({m: Fraction(c) for m, c in p.terms.items()})
+
+
+def _int_terms(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+_INT_CHART_POLYS = st.dictionaries(
+    _MONOMIALS, st.integers(-20, 20).filter(bool), max_size=4
+).map(MultiPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INT_CHART_POLYS, _INT_CHART_POLYS, st.integers(0, 3), _CHART_VARS,
+       st.dictionaries(_CHART_VARS, st.integers(-3, 3), max_size=4))
+def test_int_coefficients_agree_with_their_fraction_twins(p, q, e, var, point):
+    # integer coefficients stay ints through the ring operations, the
+    # primitive form, substitution and differentiation, and give the values
+    # and the printed text of the same polynomials over Fractions
+    pf, qf = _fraction_twin(p), _fraction_twin(q)
+    full = {v: point.get(v, 2) for v in p.variables()}
+    pairs = [
+        (p + q, pf + qf),
+        (p - q, pf - qf),
+        (p * q, pf * qf),
+        (p**e, pf**e),
+        (p.primitive(), pf.primitive()),
+        (p.substitute(point), pf.substitute(point)),
+        (p.substitute({var: q}), pf.substitute({var: qf})),
+        (p.diff(var), pf.diff(var)),
+    ]
+    for exact, twin in pairs:
+        assert _int_terms(exact) and exact == twin
+        assert format_poly(exact) == format_poly(twin)
+        assert parse_tpoly(format_poly(exact)) == exact
+    assert _int_terms(pf.primitive())
+    assert type(p.evaluate(full)) is int and p.evaluate(full) == pf.evaluate(full)
