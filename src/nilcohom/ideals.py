@@ -67,7 +67,9 @@ def generic_chart(n) -> StructureConstants:
 # chart dimension for any kind, generators raises ResourceCapExceeded instead
 # of building the chart.  The cost follows the C(n, 3) chart variables and
 # the size of the generator polynomials, not only the word count: under the
-# word cap, (26, 2, "N") took 11 s and (26, 2, "J") 3.8 s.
+# word cap, with the dimension cap lifted, (26, 2, "N") took 1.1 s of CPU and
+# (26, 2, "J") 0.95 s (2-vCPU host); under both caps (10, 4, "SN") took
+# 1.1 s and (12, 3, "SN") 0.9 s of wall time.
 MAX_CHART_WORDS = 100_000
 MAX_CHART_DIM = 12
 
@@ -511,9 +513,11 @@ class GroebnerBasis:
 # certificates (``reproduce ideals``, ``ideal nonmember 6 4 Q13``/``Q14``,
 # and the non-members of certbench's ideal-membership batches, seeds 1-11)
 # pops 3 S-pairs, forms 7 records of degree <= 4 and ends with 2 elements.
-# The fixed tests pop at most 10; the nonmember targets that the argv
-# property draws popped at most 1,035 S-pairs, with a basis of at most 46
-# elements of degree <= 6, over 31 runs of the property.
+# The fixed tests pop at most 1,176, in ``ideal nonmember 6 4 Q14 --zeros ''``
+# (all of I_{6,4}, nothing zeroed), which ends with 29 elements of degree
+# <= 6; the nonmember targets that the argv property draws popped at most
+# 1,035 S-pairs, with a basis of at most 46 elements of degree <= 6, over 31
+# runs of the property.
 MAX_GROEBNER_PAIRS = 20_000
 MAX_GROEBNER_BASIS = 120
 MAX_GROEBNER_DEGREE = 60
