@@ -20,7 +20,10 @@ search shape, or from a memo of triple sums filled as the searches meet
 them; when f or any generator has no torus weight it runs, for every
 generator, with weights of no coordinates, which filter nothing.
 The system goes to ``linalg.solve`` as one sparse augmented row per
-monomial, and the answer is read off its reduced row echelon form.
+monomial, and the answer is read off its reduced row echelon form.  Within
+one call a monomial is one int, the exponents in fixed bit fields, so a
+product of monomials is an addition; the certificate leaves and is
+re-verified in the exponent tuples of ``MultiPoly``.
 
 Positive membership is primarily the linear-algebra route; the Groebner route
 is kept for restricted (few-variable) systems and never silently degrades: a
@@ -193,14 +196,6 @@ MAX_WEIGHTED_NODES = 200_000
 MAX_MULTIPLIER_DEGREE = 200
 
 
-def _monomial(combo):
-    """Exponent tuple of a nondecreasing variable sequence (already sorted)."""
-    mono = {}
-    for v in combo:
-        mono[v] = mono.get(v, 0) + 1
-    return tuple(mono.items())
-
-
 @lru_cache(maxsize=32)
 def _search_masks(steps, depth):
     """(reach, off, below, exact, pair, triple, far) for the searches of degree
@@ -236,11 +231,13 @@ def _search_masks(steps, depth):
     return reach, pad + reach, below, exact, pair, {}, far
 
 
-def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
-    """Degree-d monomials over ``universe`` of dense weight ``rem``, in
-    ``combinations_with_replacement(universe, d)`` order.
+def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
+    """Degree-d monomials of dense weight ``rem``, each as the sum of the
+    packed codes ``units[i]`` of its letters, in the order in which
+    ``combinations_with_replacement(range(len(units)), d)`` lists their
+    letter indices.
 
-    ``steps[i]`` is the dense weight of ``universe[i]``, ``masks`` come from
+    ``steps[i]`` is the dense weight of the i-th variable, ``masks`` come from
     ``_search_masks`` and their ``reach`` bounds every coordinate of every
     step in absolute value, so with ``left`` >= 4 letters still to place a
     prefix extends by index i >= ``start`` only if
@@ -269,16 +266,15 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             f" over the cap {MAX_MULTIPLIER_DEGREE}"
         )
     reach, off, below, exact, pair, triple, far = masks
-    full = (1 << len(universe)) - 1
+    full = (1 << len(units)) - 1
     out = []
-    combo = []
     visit, find = nodes.charge, columns.charge
 
-    def rec(start, rem, left):
+    def rec(start, code, rem, left):
         visit()
         if not left:  # the prefix reached rem exactly
             find()
-            out.append(_monomial(combo))
+            out.append(code)
             return
         sel = full >> start << start
         if left == 1:
@@ -312,20 +308,22 @@ def _weighted_monomials(universe, steps, masks, rem, d, columns, nodes):
             low = sel & -sel
             sel ^= low
             i = low.bit_length() - 1
-            combo.append(universe[i])
-            rec(i, list(map(sub, rem, steps[i])), left - 1)
-            combo.pop()
+            rec(i, code + units[i], list(map(sub, rem, steps[i])), left - 1)
 
     if all(abs(c) <= reach * d for c in rem):
-        rec(0, rem, d)
+        rec(0, 0, rem, d)
     return out
 
 
 def _multiplier_columns(f, gens, bound):
-    """The (generator index, monomial) pairs m * g_j a certificate may use.
+    """The sorted variable universe of f and ``gens``, and the (generator
+    index, packed monomial) pairs m * g_j a certificate may use.
 
-    Ordered by generator, then degree, then the
-    ``combinations_with_replacement`` order of the sorted variable universe.
+    A monomial is packed into one int: the exponent of ``universe[r]`` is
+    bit field r, of width ``bound.bit_length()``, which holds every exponent
+    of a product of degree <= bound, so a product of monomials is the sum
+    of their codes.  Ordered by generator, then degree, then the
+    ``combinations_with_replacement`` order of the universe.
     ``_weighted_monomials`` finds them, charging one Budget of columns and
     one of prefixes for the whole call: when f and every nonzero g_j have a
     torus weight, those of weight w(f) - w(g_j); otherwise, with steps of no
@@ -361,13 +359,15 @@ def _multiplier_columns(f, gens, bound):
                f"membership search visits more than {MAX_WEIGHTED_NODES}"
                " multiplier monomial prefixes, over the cap"),
     )
+    width = bound.bit_length()
+    units = [1 << r * width for r in range(len(universe))]
     columns = []
     for (j, g, dg), rem in zip(live, rems):
         degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
         for d in degs:
-            monos = _weighted_monomials(universe, steps, masks, rem, d, *budgets)
-            columns.extend((j, mono) for mono in monos)
-    return columns
+            codes = _weighted_monomials(units, steps, masks, rem, d, *budgets)
+            columns.extend((j, code) for code in codes)
+    return universe, columns
 
 
 def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
@@ -379,6 +379,11 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     chart variables, restricts the multiplier monomials without losing any
     certificate, since membership identities project onto graded pieces;
     a grading that f or some generator lacks is not used at all.
+    The system is keyed by the packed monomials of ``_multiplier_columns``:
+    f and the terms of each generator that gets columns are packed once, a
+    row's monomial m * g_j is the sum of two codes, and only the multiplier
+    monomials with a nonzero coefficient are unpacked to tuples, which
+    ``MembershipCertificate.verify`` re-checks without the packing.
     Raises ResourceCapExceeded past a cap of the multiplier search
     (MAX_UNWEIGHTED_COLUMNS, MAX_WEIGHTED_NODES, MAX_MULTIPLIER_DEGREE).
     """
@@ -387,25 +392,37 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
         return MembershipCertificate(f, [MultiPoly() for _ in gens], bound)
     if bound < f.degree():
         raise ValueError("bound is smaller than deg(f)")
-    columns = _multiplier_columns(f, gens, bound)
+    universe, columns = _multiplier_columns(f, gens, bound)
+    width = bound.bit_length()
+    shift = {v: r * width for r, v in enumerate(universe)}
+
+    def pack(mono):
+        return sum(e << shift[v] for v, e in mono)
 
     # one augmented row per monomial (distinct g_j terms give distinct
-    # monomials m * g_j), with the coefficient in f at column len(columns)
+    # monomials m * g_j), with the coefficient in f at column len(columns);
+    # the columns of one generator are consecutive
     rows = {}
-    for cidx, (j, mono) in enumerate(columns):
-        for gm, gc in gens[j].terms.items():
-            rows.setdefault(_mono_mul(mono, gm), {})[cidx] = gc
+    last = None
+    for cidx, (j, code) in enumerate(columns):
+        if j != last:
+            last, g_terms = j, [(pack(gm), gc) for gm, gc in gens[j].terms.items()]
+        for gm, gc in g_terms:
+            rows.setdefault(code + gm, {})[cidx] = gc
     for m, c in f.terms.items():
-        if m not in rows:
+        row = rows.get(pack(m))
+        if row is None:
             return None
-        rows[m][len(columns)] = c
+        row[len(columns)] = c
     x = solve(rows.values(), len(columns))
     if x is None:
         return None
     # the monomials of one generator's columns are distinct
+    mask = (1 << width) - 1
     terms = [{} for _ in gens]
-    for cidx, (j, mono) in enumerate(columns):
+    for cidx, (j, code) in enumerate(columns):
         if x[cidx]:
+            mono = tuple((v, e) for v, r in shift.items() if (e := code >> r & mask))
             terms[j][mono] = x[cidx]
     cert = MembershipCertificate(f, [MultiPoly(t) for t in terms], bound)
     if not cert.verify(gens):

@@ -393,7 +393,8 @@ def solve(rows, ncols):
     and the right-hand side at column ``ncols``; None if it is inconsistent.
 
     The free variables are 0, which is the solution the reduced row echelon
-    form reads off; x is over Q(i) when a row has a Gaussian entry.
+    form reads off; x is over Q(i) when a row has a Gaussian entry, and a
+    value read off two integer entries that divide exactly is an int.
     """
     basis = reduce_rows(rows, ncols + 1)
     field = FIELD_QI if basis.gaussian else FIELD_Q
@@ -402,7 +403,11 @@ def solve(rows, ncols):
         if p == ncols:
             return None
         if ncols in row:
-            x[p] = promote(row[ncols], field) / row[p]
+            b, a = row[ncols], row[p]
+            if type(b) is int and type(a) is int and not b % a:
+                x[p] = b // a
+            else:
+                x[p] = promote(b, field) / a
     return x
 
 

@@ -33,7 +33,7 @@ from nilcohom.ideals import (
 )
 from nilcohom.liealg import StructureConstants, jacobi, n_k, sn_k
 from nilcohom.linalg import solve
-from nilcohom.polynomials import MultiPoly, distinct_primitive, format_poly
+from nilcohom.polynomials import MultiPoly, _mono_mul, distinct_primitive, format_poly
 from nilcohom.tables import parse_tpoly
 
 
@@ -294,6 +294,36 @@ def test_groebner_caps_raise(monkeypatch):
             groebner_small(cyclic3)
 
 
+def test_groebner_degree_and_basis_cap_boundaries(monkeypatch):
+    # cyclic-3 forms elements of degree at most 3 and ends up holding 5
+    # records: the largest caps that raise are 2 and 4, the smallest that
+    # answer 3 and 5
+    x, y, z = (MultiPoly.var(v) for v in "xyz")
+    cyclic3 = [x + y + z, x * y + y * z + z * x, x * y * z - 1]
+    members = groebner_small(cyclic3).members
+    for cap, raises in (("MAX_GROEBNER_DEGREE", 2), ("MAX_GROEBNER_BASIS", 4)):
+        with monkeypatch.context() as m:
+            m.setattr(ideals, cap, raises + 1)
+            assert groebner_small(cyclic3).members == members
+            m.setattr(ideals, cap, raises)
+            name = "degree" if cap == "MAX_GROEBNER_DEGREE" else "basis-size"
+            with pytest.raises(ResourceCapExceeded, match=f"^{name} cap {raises} exceeded$"):
+                groebner_small(cyclic3)
+
+
+@pytest.mark.parametrize("kind", ["N", "SN"])
+def test_chart_word_cap_boundary(monkeypatch, kind):
+    # N_2 and SN_2 on the 5-dimensional chart have 5^3 = 125 argument tuples:
+    # a cap of 125 answers, and 124 raises before building the chart
+    gens = generators(5, 2, kind)
+    monkeypatch.setattr(ideals, "MAX_CHART_WORDS", 125)
+    assert generators(5, 2, kind) == gens and len(gens) == 12
+    monkeypatch.setattr(ideals, "MAX_CHART_WORDS", 124)
+    message = f"^{kind}_2 on the 5-dimensional chart has 5\\^3 argument tuples, over the cap 124$"
+    with pytest.raises(ResourceCapExceeded, match=message):
+        generators(5, 2, kind)
+
+
 def test_non_membership_certificates():
     I64 = nilpotency_ideal(6, 4)
     assert non_membership(cat.named_polynomial("Q14"), I64.gens, cat.Q14_ASSIGNMENT)
@@ -392,6 +422,20 @@ def reference_columns(f, gens, bound):
     return columns
 
 
+def tuple_columns(f, gens, bound):
+    """The columns of _multiplier_columns with each packed monomial read back
+    as an exponent tuple: bit field r, of width bound.bit_length(), holds the
+    exponent of the r-th variable of the sorted universe."""
+    universe, columns = _multiplier_columns(f, gens, bound)
+    width = bound.bit_length()
+    out = []
+    for j, code in columns:
+        exps = [code >> r * width & (1 << width) - 1 for r in range(len(universe))]
+        assert code >> len(universe) * width == 0
+        out.append((j, tuple((v, e) for v, e in zip(universe, exps) if e)))
+    return out
+
+
 @pytest.fixture(scope="module")
 def ideal64_gens():
     return nilpotency_ideal(6, 4).gens
@@ -407,26 +451,75 @@ COLUMN_CASES = [(f"Q{i}", 4) for i in range(1, 15)] + [("Q13^2", 6), ("Q14^2", 6
 @pytest.mark.parametrize("name,bound", COLUMN_CASES)
 def test_multiplier_columns_match_brute_force(ideal64_gens, name, bound):
     f = _q(name[:-2]) ** 2 if name.endswith("^2") else _q(name)
-    got = _multiplier_columns(f, ideal64_gens, bound)
+    got = tuple_columns(f, ideal64_gens, bound)
     assert got == reference_columns(f, ideal64_gens, bound)
 
 
 def test_multiplier_columns_match_brute_force_off_the_chart(ideal64_gens):
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     gens = [x * y - 1, y * y]
-    assert _multiplier_columns(x * y * y - y, gens, 3) == reference_columns(
+    assert tuple_columns(x * y * y - y, gens, 3) == reference_columns(
         x * y * y - y, gens, 3
     )
     # t_{1,1,2} moves coordinate 1 by 2, beyond a chart variable's step
     f = parse_tpoly("t_{1,1,2}^2") * ideal64_gens[0]
-    assert _multiplier_columns(f, ideal64_gens, 4) == reference_columns(
+    assert tuple_columns(f, ideal64_gens, 4) == reference_columns(
         f, ideal64_gens, 4
     )
     # one generator without a torus weight: every generator gets every
     # monomial of its degree
     gens = list(ideal64_gens[:3]) + [parse_tpoly("t_{1,2,3}+t_{1,2,4}")]
     f = _q("Q5")
-    assert _multiplier_columns(f, gens, 4) == reference_columns(f, gens, 4)
+    assert tuple_columns(f, gens, 4) == reference_columns(f, gens, 4)
+
+
+def tuple_path_multipliers(f, gens, bound):
+    """The multipliers member_bounded reads off the same system built on
+    exponent tuples: the columns of reference_columns, each row keyed by the
+    tuple product of polynomials._mono_mul, in the same order; or None."""
+    columns = reference_columns(f, gens, bound)
+    rows = {}
+    for c, (j, mono) in enumerate(columns):
+        for gm, gc in gens[j].terms.items():
+            rows.setdefault(_mono_mul(mono, gm), {})[c] = gc
+    for m, c in f.terms.items():
+        if m not in rows:
+            return None
+        rows[m][len(columns)] = c
+    x = solve(list(rows.values()), len(columns))
+    if x is None:
+        return None
+    terms = [{} for _ in gens]
+    for c, (j, mono) in enumerate(columns):
+        if x[c]:
+            terms[j][mono] = x[c]
+    return [MultiPoly(t) for t in terms]
+
+
+def _same_certificate(cert, multipliers):
+    return [format_poly(m) for m in cert.multipliers] == [format_poly(m) for m in multipliers]
+
+
+@pytest.mark.parametrize("name,bound", COLUMN_CASES)
+def test_member_bounded_matches_the_tuple_path(ideal64_gens, name, bound):
+    # Q13 and Q14 are not members at D = 4, and their squares are at D = 6
+    f = _q(name[:-2]) ** 2 if name.endswith("^2") else _q(name)
+    cert = member_bounded(f, ideal64_gens, bound)
+    multipliers = tuple_path_multipliers(f, ideal64_gens, bound)
+    assert (cert is None) == (name in ("Q13", "Q14")) == (multipliers is None)
+    assert cert is None or _same_certificate(cert, multipliers)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 7, 15])
+def test_member_bounded_at_the_top_of_a_field(bound):
+    # x^bound fills the field of x, bound.bit_length() bits wide, with ones;
+    # a field one bit narrower would carry x^(2^(w-1)) into the field of y
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    f, gens = x**bound + y, [x, y]
+    cert = member_bounded(f, gens, bound)
+    assert cert is not None and cert.verify(gens)
+    assert _same_certificate(cert, tuple_path_multipliers(f, gens, bound))
+    assert tuple_columns(f, gens, bound) == reference_columns(f, gens, bound)
 
 
 def _unfiltered_consistent(f, gens, bound):
@@ -495,7 +588,7 @@ def test_unweighted_column_cap(ideal64_gens, capsys):
         member_bounded(f, ideal64_gens, 6)
     assert main(["ideal", "member", "6", "4", "t_{1,2,3}+1", "-D", "6"]) == 3
     assert "resource cap" in capsys.readouterr().err
-    assert len(_multiplier_columns(f, ideal64_gens, 3)) <= MAX_UNWEIGHTED_COLUMNS
+    assert len(tuple_columns(f, ideal64_gens, 3)) <= MAX_UNWEIGHTED_COLUMNS
 
 
 def test_weighted_column_cap(monkeypatch):
@@ -515,10 +608,10 @@ def test_weighted_column_cap(monkeypatch):
     # below the cap the same system is built and solved
     cert = member_bounded(x**4, gens, 4)
     assert cert is not None and cert.verify(gens)
-    assert len(_multiplier_columns(x**4, gens, 4)) == 10 * 220 <= MAX_UNWEIGHTED_COLUMNS
+    assert len(tuple_columns(x**4, gens, 4)) == 10 * 220 <= MAX_UNWEIGHTED_COLUMNS
     # the cap counts the running total over the generators of one call
     monkeypatch.setattr(ideals, "MAX_UNWEIGHTED_COLUMNS", 2_200)
-    assert len(_multiplier_columns(x**4, gens, 4)) == 2_200
+    assert len(tuple_columns(x**4, gens, 4)) == 2_200
     monkeypatch.setattr(ideals, "MAX_UNWEIGHTED_COLUMNS", 2_199)
     with pytest.raises(ResourceCapExceeded, match="2199 multiplier columns, over the cap 2199$"):
         _multiplier_columns(x**4, gens, 4)
@@ -534,7 +627,7 @@ def test_weighted_search_node_cap(ideal64_gens, monkeypatch, capsys):
     with pytest.raises(ResourceCapExceeded, match="prefixes, over the cap"):
         _multiplier_columns(q13_cubed, ideal64_gens, 9)
     monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 34_942)
-    assert len(_multiplier_columns(q13_cubed, ideal64_gens, 9)) == 1_342
+    assert len(tuple_columns(q13_cubed, ideal64_gens, 9)) == 1_342
     # the count runs over every generator of one call: Q13^2 at D = 6 visits
     # 477 prefixes for 127 columns
     monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 476)
@@ -593,6 +686,9 @@ def _weighted_searches(draw):
 def test_weighted_search_matches_brute_force(search):
     steps, rem, d, depth = search
     universe = list(range(len(steps)))
+    # d <= 5, so 3 bits hold any exponent and the codes of distinct
+    # monomials differ
+    units = [1 << 3 * i for i in universe]
     reach = max(abs(e) for step in steps for e in step)
 
     def left_over(combo):
@@ -600,7 +696,7 @@ def test_weighted_search_matches_brute_force(search):
 
     combos = [combo for combo in combinations_with_replacement(universe, d)
               if not any(left_over(combo))]
-    columns = [ideals._monomial(combo) for combo in combos]
+    columns = [sum(units[i] for i in combo) for combo in combos]
 
     # the root, and a prefix with three or more letters left, is visited when
     # it and every prefix of it pass the box rule: rem stays within reach of
@@ -622,12 +718,12 @@ def test_weighted_search_matches_brute_force(search):
     # the masks are built once for every degree up to depth
     masks = ideals._search_masks(steps, depth)
     found, nodes = Budget(len(columns), "columns"), Budget(visited, "prefixes")
-    assert ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes) == columns
+    assert ideals._weighted_monomials(units, steps, masks, rem, d, found, nodes) == columns
     assert (found.spent, nodes.spent) == (len(columns), visited)
     if visited:
         found, nodes = Budget(len(columns), "columns"), Budget(visited - 1, "prefixes")
         with pytest.raises(ResourceCapExceeded, match="^prefixes$"):
-            ideals._weighted_monomials(universe, steps, masks, rem, d, found, nodes)
+            ideals._weighted_monomials(units, steps, masks, rem, d, found, nodes)
 
 
 def test_certificate_reverification_survives_optimize():

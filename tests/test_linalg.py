@@ -117,12 +117,17 @@ def _times(rows, x):
 
 
 def test_solve_examples():
-    assert solve([{0: 1, 2: 1}, {1: 1, 2: 2}], 2) == [1, 2]
+    x = solve([{0: 1, 2: 1}, {1: 1, 2: 2}], 2)
+    assert x == [1, 2] and all(type(v) is int for v in x)
     x = solve([{0: 1, 1: 1, 2: 5}], 2)
     assert x is not None and x[0] + x[1] == 5
     assert solve([{0: 1}, {0: 1, 1: 1}], 1) is None
     # dense rows of length ncols + 1 are read as reduce_rows reads them
-    assert solve([[2, 0, 4], [0, 3, 1]], 2) == [2, Fraction(1, 3)]
+    x = solve([[2, 0, 4], [0, 3, 1]], 2)
+    assert x == [2, Fraction(1, 3)] and type(x[0]) is int and type(x[1]) is Fraction
+    # a rational system whose solution is integral is solved in ints
+    x = solve([{0: Fraction(1, 2), 1: 3}], 1)
+    assert x == [6] and type(x[0]) is int
     # no rows: every unknown is free
     assert solve([], 3) == [0, 0, 0]
     with pytest.raises(DimensionMismatch):
