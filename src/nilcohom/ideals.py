@@ -187,13 +187,8 @@ MAX_UNWEIGHTED_COLUMNS = 5_000
 # three letters left to a weight no search met before, and within the L1
 # norm of three steps, also makes one pair lookup per variable that passes
 # the box rule, up to 220 on the 12-dimensional chart, where a search can
-# take 3.6 s of CPU to reach the cap.
+# take 1.9-2.8 s of CPU to reach the cap.
 MAX_WEIGHTED_NODES = 200_000
-
-# Above this many letters in one multiplier monomial, member_bounded raises
-# ResourceCapExceeded: the search recurses once per letter, and this keeps it
-# well below the recursion limit, as liealg.MAX_WALK_DEPTH does for the walk.
-MAX_MULTIPLIER_DEGREE = 200
 
 
 @lru_cache(maxsize=32)
@@ -208,7 +203,13 @@ def _search_masks(steps, depth):
     empty memo that ``_weighted_monomials`` fills as it meets each weight
     with three letters left.  The tables of one search shape are built once
     per process and shared: the searches only read them, and add to the memo
-    only entries that depend on their key alone."""
+    only entries that depend on their key alone.
+    Each weight coordinate holds 4 * reach * depth + 2 * reach + 2 masks,
+    which stays small: a weighted search has depth at most deg(f), and a
+    target read from the command line has degree at most 64, since the
+    parser refuses bigger powers and products (``tables._MAX_DEGREE``); an
+    unweighted search, which may run to the bound, has no coordinates and
+    builds no ``below`` table."""
     full = (1 << len(steps)) - 1
     reach = max((abs(e) for s in steps for e in s), default=0)
     pad = 2 * reach * depth
@@ -245,9 +246,9 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
     Coordinate p allows the indices whose step at p lies in
     [rem_p - lim, rem_p + lim], a difference of two cumulative bitmasks; the
     children are the set bits of the AND over the coordinates that do not
-    allow every index, in ascending order.  At ``left`` 2 or 1 one lookup
-    keyed by ``rem``, in ``pair`` or ``exact``, gives exactly the indices
-    that can still reach it (the sum tables of Horowitz and Sahni, 1974).
+    allow every index.  At ``left`` 2 or 1 one lookup keyed by ``rem``, in
+    ``pair`` or ``exact``, gives exactly the indices that can still reach it
+    (the sum tables of Horowitz and Sahni, 1974).
     At ``left`` 3 the ``triple`` memo does: on the first visit of a rem it
     keeps, of the indices that pass the box rule, those i whose step leaves
     a pair sum with an index >= i, so its cost follows the weights the
@@ -256,35 +257,35 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
     without lookups.  The masks are shared between calls and only read; the
     memo is filled.
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
+    The search runs depth first on a stack of pending prefixes
+    ``(start, code, rem, left)``: each pass pops one and pushes its children
+    highest index first, so that they are visited in ascending order.
     Each monomial found is charged to the Budget ``columns`` and each prefix
     visited to the Budget ``nodes``, which raise ResourceCapExceeded past
-    their limits; so does a d above MAX_MULTIPLIER_DEGREE, before recursing.
+    their limits; every letter costs a visit, so ``nodes`` bounds d too.
     """
-    if d > MAX_MULTIPLIER_DEGREE:
-        raise ResourceCapExceeded(
-            f"membership search needs multiplier monomials of degree {d},"
-            f" over the cap {MAX_MULTIPLIER_DEGREE}"
-        )
     reach, off, below, exact, pair, triple, far = masks
     full = (1 << len(units)) - 1
     out = []
     visit, find = nodes.charge, columns.charge
-
-    def rec(start, code, rem, left):
+    rem = tuple(rem)
+    stack = [(0, 0, rem, d)] if all(abs(c) <= reach * d for c in rem) else []
+    while stack:
+        start, code, rem, left = stack.pop()
         visit()
         if not left:  # the prefix reached rem exactly
             find()
             out.append(code)
-            return
+            continue
         sel = full >> start << start
         if left == 1:
-            sel &= exact.get(tuple(rem), 0)
+            sel &= exact.get(rem, 0)
         elif left == 2:
-            sel &= pair.get(tuple(rem), 0)
-        elif left == 3 and tuple(rem) in triple:
-            sel &= triple[tuple(rem)]
+            sel &= pair.get(rem, 0)
+        elif left == 3 and rem in triple:
+            sel &= triple[rem]
         elif left == 3 and sum(map(abs, rem)) > far:
-            sel = triple[tuple(rem)] = 0  # no three steps reach that far
+            sel = triple[rem] = 0  # no three steps reach that far
         else:
             lim = reach * (left - 1)
             hi, lo = off + lim + 1, off - lim
@@ -296,22 +297,18 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
             if left == 3:
                 # keep the i of the box whose rest is a pair sum with an index >= i,
                 # that is whose pair mask is at least 1 << i
-                key, kept = tuple(rem), 0
+                kept = 0
                 while box:
                     low = box & -box
                     box ^= low
-                    if pair.get(tuple(map(sub, key, steps[low.bit_length() - 1])), 0) >= low:
+                    if pair.get(tuple(map(sub, rem, steps[low.bit_length() - 1])), 0) >= low:
                         kept |= low
-                box = triple[key] = kept
+                box = triple[rem] = kept
             sel &= box
         while sel:
-            low = sel & -sel
-            sel ^= low
-            i = low.bit_length() - 1
-            rec(i, code + units[i], list(map(sub, rem, steps[i])), left - 1)
-
-    if all(abs(c) <= reach * d for c in rem):
-        rec(0, 0, rem, d)
+            i = sel.bit_length() - 1
+            sel ^= 1 << i
+            stack.append((i, code + units[i], tuple(map(sub, rem, steps[i])), left - 1))
     return out
 
 
@@ -348,8 +345,7 @@ def _multiplier_columns(f, gens, bound):
 
     df = f.degree()
     top = df if homog else bound
-    # a search deeper than MAX_MULTIPLIER_DEGREE raises before it reads the masks
-    depth = min(max([0] + [top - dg for _, _, dg in live]), MAX_MULTIPLIER_DEGREE)
+    depth = max([0] + [top - dg for _, _, dg in live])
     masks = _search_masks(steps, depth)
     budgets = (
         Budget(MAX_UNWEIGHTED_COLUMNS,
@@ -385,7 +381,7 @@ def member_bounded(f: MultiPoly, gens, bound) -> MembershipCertificate | None:
     monomials with a nonzero coefficient are unpacked to tuples, which
     ``MembershipCertificate.verify`` re-checks without the packing.
     Raises ResourceCapExceeded past a cap of the multiplier search
-    (MAX_UNWEIGHTED_COLUMNS, MAX_WEIGHTED_NODES, MAX_MULTIPLIER_DEGREE).
+    (MAX_UNWEIGHTED_COLUMNS, MAX_WEIGHTED_NODES).
     """
     gens = list(gens)
     if f.is_zero():

@@ -118,10 +118,6 @@ def read_json(path):
         raise ValueError(f"{path}: {e}") from None
 
 
-def dump_algebra(mu: StructureConstants, name=None) -> str:
-    return json.dumps(algebra_to_dict(mu, name), indent=2)
-
-
 def pack_checksum(directory) -> str:
     """sha256 over the sorted file contents of a data-pack directory."""
     h = hashlib.sha256()

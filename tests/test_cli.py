@@ -15,7 +15,7 @@ from nilcohom.catalog import Catalog
 from nilcohom.cli import main
 from nilcohom.cohomology import h2_knil
 from nilcohom.errors import ResourceCapExceeded
-from nilcohom.jsonio import dump_algebra
+from nilcohom.jsonio import algebra_to_dict
 from nilcohom.liealg import StructureConstants, n_k, sn_k
 from nilcohom.tables import parse_table
 
@@ -39,7 +39,7 @@ def test_info_counterexample_algebra(capsys):
 
 def test_info_abelian_json_file(tmp_path, capsys):
     path = tmp_path / "abelian4.json"
-    path.write_text(dump_algebra(StructureConstants.abelian(4), "flat4"))
+    path.write_text(json.dumps(algebra_to_dict(StructureConstants.abelian(4), "flat4")))
     code, out, _ = run(capsys, "info", str(path))
     assert code == 0 and "abelian" in out and "orbit dim 0" in out
 
@@ -518,7 +518,7 @@ def test_unknown_parameter_names_are_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "info", str(path), "--params", "s=2,u=1")
     assert code == 2 and "'u' is not a parameter of heis_s.txt (parameters: s)" in err
     path = tmp_path / "abelian2.json"
-    path.write_text(dump_algebra(StructureConstants.abelian(2), "flat2"))
+    path.write_text(json.dumps(algebra_to_dict(StructureConstants.abelian(2), "flat2")))
     code, _, err = run(capsys, "info", str(path), "--params", "s=2")
     assert code == 2 and "'s' is not a parameter of abelian2.json" in err
     # a parameter without a value is named the same way by every command

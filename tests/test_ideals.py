@@ -18,8 +18,8 @@ from nilcohom import ideals
 from nilcohom.cli import main
 from nilcohom.errors import Budget, ResourceCapExceeded
 from nilcohom.ideals import (
-    MAX_MULTIPLIER_DEGREE,
     MAX_UNWEIGHTED_COLUMNS,
+    MAX_WEIGHTED_NODES,
     MembershipCertificate,
     _multiplier_columns,
     chart_variables,
@@ -650,15 +650,21 @@ def test_search_tables_are_built_once_per_shape(ideal64_gens):
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_multiplier_degree_cap():
-    # the search recurses once per letter, so a multiplier monomial past
-    # MAX_MULTIPLIER_DEGREE letters is refused before the search recurses
+def test_multiplier_degree_is_bounded_by_the_prefix_cap(capsys):
+    # the search runs on a stack, not by recursion, so multipliers of 1,199
+    # and 1,999 letters are found, each at its own degree
     t, x = MultiPoly.var((1, 2, 3)), MultiPoly.var("x")
     for f, g in ((t**1200, t), (x**2000, x)):
-        with pytest.raises(ResourceCapExceeded, match=f"over the cap {MAX_MULTIPLIER_DEGREE}"):
-            member_bounded(f, [g], f.degree())
-    cert = member_bounded(x ** (MAX_MULTIPLIER_DEGREE + 1), [x], MAX_MULTIPLIER_DEGREE + 1)
-    assert cert is not None and cert.verify([x])
+        cert = member_bounded(f, [g], f.degree())
+        assert cert is not None and cert.verify([g])
+    # every letter costs a visit, so a search deeper than MAX_WEIGHTED_NODES
+    # letters still stops at the prefix cap
+    message = f"more than {MAX_WEIGHTED_NODES} multiplier monomial prefixes, over the cap$"
+    with pytest.raises(ResourceCapExceeded, match=message):
+        member_bounded(x**250_000, [x], 250_000)
+    # t_{1,2,3} + 1 has no grading, so the search runs at every degree up to D
+    assert main(["ideal", "member", "3", "1", "t_{1,2,3}+1", "-D", "700"]) == 3
+    assert "200000 multiplier monomial prefixes" in capsys.readouterr().err
 
 
 @st.composite
