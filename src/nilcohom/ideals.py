@@ -43,6 +43,7 @@ from .errors import Budget, ResourceCapExceeded
 from .liealg import StructureConstants, _word_tensor, jacobi
 from .linalg import solve
 from .polynomials import MultiPoly, _mono_mul, distinct_primitive, mono_degree, rational_content
+from .tables import _MAX_DEGREE
 
 
 def chart_variables(n):
@@ -207,9 +208,9 @@ def _search_masks(steps, depth):
     Each weight coordinate holds 4 * reach * depth + 2 * reach + 2 masks,
     which stays small: a weighted search has depth at most deg(f), and a
     target read from the command line has degree at most 64, since the
-    parser refuses bigger powers and products (``tables._MAX_DEGREE``); an
-    unweighted search, which may run to the bound, has no coordinates and
-    builds no ``below`` table."""
+    parser refuses bigger powers and products (``tables._MAX_DEGREE``); a
+    deeper search builds its tables uncached.  An unweighted search, which
+    may run to the bound, has no coordinates and builds no ``below`` table."""
     full = (1 << len(steps)) - 1
     reach = max((abs(e) for s in steps for e in s), default=0)
     pad = 2 * reach * depth
@@ -346,7 +347,7 @@ def _multiplier_columns(f, gens, bound):
     df = f.degree()
     top = df if homog else bound
     depth = max([0] + [top - dg for _, _, dg in live])
-    masks = _search_masks(steps, depth)
+    masks = (_search_masks if depth <= _MAX_DEGREE else _search_masks.__wrapped__)(steps, depth)
     budgets = (
         Budget(MAX_UNWEIGHTED_COLUMNS,
                f"membership system needs more than {MAX_UNWEIGHTED_COLUMNS}"

@@ -6,6 +6,7 @@ from itertools import chain
 import pytest
 from hypothesis import strategies as st
 
+from nilcohom import cohomology
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
 from nilcohom.liealg import Layout, StructureConstants, change_basis
@@ -16,6 +17,14 @@ from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
 @pytest.fixture(scope="session")
 def catalog():
     return Catalog()
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_stacks():
+    """Each test starts with no reduced stack kept by ``cohomology._sequence``,
+    so a test that lowers a cap or patches a stream is not served a stack
+    reduced before it."""
+    cohomology._STACKS.clear()
 
 
 def digest(items):

@@ -419,10 +419,13 @@ def test_a_tangent_outside_ker_dg_fails_containment():
 def test_a_corrupted_kept_row_fails_containment(catalog):
     """Im d1 lies in Ker [d2 ; dN_3] at g_{5,3} over Q and over Q(i); one
     entry changed in any kept row, at a column some d1 column meets, takes
-    that column's product with the row off zero."""
+    that column's product with the row off zero.  The rows corrupted are
+    those of a reducer of the test's own: ``_sequence`` shares its stack
+    with later calls, read-only."""
     mu = catalog.structure("g_{5,3}")
     for table in (mu, *seeded_bases(mu, random.Random(5), 2)):
-        cols, _, red = _sequence(table, "n", 3)
+        cols = _sequence(table, "n", 3)[0]
+        red = _constraint_reducer(table, "n", 3)
         assert red.annihilates(cols)
         met = set().union(*cols)
         corrupted = 0
@@ -926,3 +929,113 @@ def test_full_streams_matrices_and_tensors_are_unchanged(catalog):
         "cf98bf750d77350c", "377f883e5963af0c"]
     assert [digest(sn_k(sl2, 4).items()), digest(sn_k(g5, 3).items())] == [
         "99d1b02bf0025ded", "ffccb7a4db453ed4"]
+
+
+# -- the kept constraint stacks -----------------------------------------------------
+
+
+def _count_reductions(monkeypatch):
+    """Spy on ``_constraint_reducer``; returns the list of (kind, k) it reduced."""
+    calls = []
+    reduce_stack = cohomology._constraint_reducer
+
+    def spy(mu, kind, k, letters=None):
+        calls.append((kind, k))
+        return reduce_stack(mu, kind, k, letters)
+
+    monkeypatch.setattr(cohomology, "_constraint_reducer", spy)
+    return calls
+
+
+def _e147_1_certificates(catalog):
+    """h2_knil, augmented_exactness and h2_dim at g_{147E_1}(2), in that
+    order, as in ``reproduce curves``."""
+    table = catalog.get("g_{147E_1}(t)").symbolic()
+    mu = catalog.structure("g_{147E_1}(t)", {"t": Fraction(2)})
+    return (lambda: h2_knil(mu, 3),
+            lambda: augmented_exactness(table, {"t": Fraction(2)}, ("t",), "n3"),
+            lambda: h2_dim(mu))
+
+
+def _curve_certificates(catalog):
+    """The free {r, t} and frozen {t} exactness runs at g_5(1,1)."""
+    table = catalog.get("g_5(r,t)").symbolic()
+    point = {"r": Fraction(1), "t": Fraction(1)}
+    return tuple((lambda free=free: augmented_exactness(table, point, free, "sn5"))
+                 for free in (("r", "t"), ("t",)))
+
+
+def test_the_free_and_frozen_runs_reduce_one_stack(catalog, monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    free, frozen = (run() for run in _curve_certificates(catalog))
+    assert calls == [("sn", 5)]
+    assert (free.rank_df, frozen.rank_df, free.ker_dg_dim, frozen.ker_dg_dim) == (41, 41, 41, 41)
+    assert free.exact and frozen.exact
+
+
+def test_h2_knil_and_exactness_at_one_point_reduce_one_stack(catalog, monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    knil, exact, _ = _e147_1_certificates(catalog)
+    assert (knil().h, exact().exact) == (1, True)
+    assert calls == [("n", 3)]
+
+
+def test_kept_stacks_give_the_reports_of_an_empty_memo(catalog):
+    # h2_dim at the same table reduces the Jacobi stack, not the kept N_3 one
+    runs = _e147_1_certificates(catalog) + _curve_certificates(catalog)
+    kept = [run() for run in runs]
+    assert len(cohomology._STACKS) == 3
+    fresh = []
+    for run in runs:
+        cohomology._STACKS.clear()
+        fresh.append(run())
+    assert kept == fresh
+
+
+def test_a_refused_point_keeps_nothing_and_is_refused_again(catalog, monkeypatch):
+    h2_knil(catalog.structure("g_{5,3}"), 3)
+    before = list(cohomology._STACKS.items())
+    g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    for _ in range(2):
+        with pytest.raises(NotInVariety, match="violates N_3 = 0"):
+            h2_knil(g5, 3)
+        assert list(cohomology._STACKS.items()) == before
+    # a cap keeps nothing either, and the same call answers once it is lifted
+    table = catalog.get("g_5(r,t)").symbolic()
+    point = {"r": Fraction(1), "t": Fraction(1)}
+    with monkeypatch.context() as patch:
+        patch.setattr(liealg, "MAX_WALK_NODES", 100)
+        for _ in range(2):
+            with pytest.raises(ResourceCapExceeded):
+                augmented_exactness(table, point, ("t",), "sn5")
+            assert list(cohomology._STACKS.items()) == before
+    assert augmented_exactness(table, point, ("t",), "sn5").exact
+
+
+def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    mu = catalog.structure("g_{5,3}")
+    reordered = StructureConstants(mu.n, dict(reversed(list(mu.c.items()))), name="other")
+    assert list(reordered.c) != list(mu.c)
+    reports = [h2_knil(table, 3) for table in (mu, reordered)]
+    assert [(rep.z, rep.b, rep.h) for rep in reports] == [(17, 15, 2)] * 2
+    assert reports[1].algebra == "other"
+    assert len(cohomology._STACKS) == 1 and len(calls) == 1
+    # the same integer table over Q(i) is another table
+    gaussian = StructureConstants(mu.n, mu.c, FIELD_QI)
+    assert (h2_knil(gaussian, 3).z, len(cohomology._STACKS), len(calls)) == (17, 2, 2)
+
+
+def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 22)]
+    for mu in tables[:20]:
+        h2_dim(mu)
+    assert len(cohomology._STACKS) == 8 and len(calls) == 20
+    h2_dim(tables[12])  # kept: no reduction, and now the most recent
+    assert len(calls) == 20
+    h2_dim(tables[20])  # pushes out tables[13], the least recently used
+    h2_dim(tables[12])
+    assert len(cohomology._STACKS) == 8 and len(calls) == 21
+    h2_dim(tables[13])
+    assert len(calls) == 22
