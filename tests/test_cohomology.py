@@ -948,8 +948,8 @@ def _count_reductions(monkeypatch):
 
 
 def _e147_1_certificates(catalog):
-    """h2_knil, augmented_exactness and h2_dim at g_{147E_1}(2), in that
-    order, as in ``reproduce curves``."""
+    """h2_knil and augmented_exactness at g_{147E_1}(2), as ``reproduce
+    curves`` runs them, then h2_dim at the same table."""
     table = catalog.get("g_{147E_1}(t)").symbolic()
     mu = catalog.structure("g_{147E_1}(t)", {"t": Fraction(2)})
     return (lambda: h2_knil(mu, 3),

@@ -650,7 +650,6 @@ def test_search_tables_are_built_once_per_shape(ideal64_gens):
     assert (info.misses, info.hits) == (1, 1)
 
 
-
 def test_a_search_deeper_than_the_command_line_keeps_no_tables():
     # the below tables grow with the depth, so a search deeper than the
     # parser's degree bound of 64 builds them for itself: t**150_000 would
@@ -664,6 +663,7 @@ def test_a_search_deeper_than_the_command_line_keeps_no_tables():
         cert = member_bounded(f, [t], f.degree())
         assert cert is not None and cert.verify([t])
     assert ideals._search_masks.cache_info().currsize == 1
+
 
 def test_multiplier_degree_is_bounded_by_the_prefix_cap(capsys):
     # the search runs on a stack, not by recursion, so multipliers of 1,199
