@@ -526,12 +526,12 @@ class GroebnerBasis:
 # element.  They are a deliberate wall for anything big.  Every run of the
 # certificates (``reproduce ideals``, ``ideal nonmember 6 4 Q13``/``Q14``,
 # and the non-members of certbench's ideal-membership batches, seeds 1-11)
-# pops 3 S-pairs, forms 7 records of degree <= 4 and ends with 2 elements.
-# The fixed tests pop at most 1,176, in ``ideal nonmember 6 4 Q14 --zeros ''``
-# (all of I_{6,4}, nothing zeroed), which ends with 29 elements of degree
-# <= 6; the nonmember targets that the argv property draws popped at most
-# 1,035 S-pairs, with a basis of at most 46 elements of degree <= 6, over 31
-# runs of the property.
+# pops 3 S-pairs and forms 5 records of degree <= 4: the 2 generators, 1
+# S-polynomial and the 2 elements it ends with.  The fixed tests pop at most
+# 1,176, in ``ideal nonmember 6 4 Q14 --zeros ''`` (all of I_{6,4}, nothing
+# zeroed), which ends with 29 elements of degree <= 6; the nonmember targets
+# that the argv property draws popped at most 1,035 S-pairs, with a basis of
+# at most 46 elements of degree <= 6, over 31 runs of the property.
 MAX_GROEBNER_PAIRS = 20_000
 MAX_GROEBNER_BASIS = 120
 MAX_GROEBNER_DEGREE = 60
@@ -576,26 +576,16 @@ def groebner_small(gens):
             lcm = _lcm(basis[t][0], rec[0])
             heapq.heappush(pairs, (mono_degree(lcm), t, new, lcm))
 
-    # interreduce to the unique reduced basis: each element in turn is taken
-    # out, reduced by the others and put back in its place (as it was, if
-    # that left it unchanged) unless it vanished
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(basis):
-            rec = basis.pop(i)
-            r = _nf(rec[2], basis, key)
-            if r:
-                r = _record(r, key)
-                if r[2] != rec[2]:
-                    rec, changed = r, True
-                basis.insert(i, rec)
-                i += 1
-            else:
-                changed = True
+    # the unique reduced basis, in one pass by ascending lead: a record whose
+    # lead a kept lead divides is dropped (of equal leads the first stays),
+    # and every other is reduced by the kept records before it; the later
+    # leads are larger, so none of them divides a term below its lead
     basis.sort(key=lambda rec: key(rec[0]))
-    return GroebnerBasis(universe, basis)
+    reduced = []
+    for lm, _, terms in basis:
+        if all(_quotient(lm, m) is None for m, _, _ in reduced):
+            reduced.append(_record(_nf(terms, reduced, key), key))
+    return GroebnerBasis(universe, reduced)
 
 
 def non_membership(f: MultiPoly, gens, assignment) -> bool:

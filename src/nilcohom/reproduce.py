@@ -18,8 +18,7 @@ from functools import partial
 
 from . import catalog as cat
 from .cohomology import (
-    _constraint_reducer,
-    _image,
+    _sequence,
     augmented_exactness,
     cochain_vector,
     h2_dim,
@@ -185,12 +184,12 @@ def _counterexample_items(catalog):
 
     def nu_cocycles():
         mu, nus = g53()
-        red = _constraint_reducer(mu, "n", 3)
+        red = _sequence(mu, "n", 3)[2]
         return red.annihilates(cochain_vector(nu) for nu in nus) or "fails"
 
     def nu_independent():
         mu, nus = g53()
-        red = _image(mu)[1]
+        red = _sequence(mu, "n", 3)[1]
         b = red.rank
         for nu in nus:
             red.add({i: x for i, x in enumerate(cochain_vector(nu)) if x})

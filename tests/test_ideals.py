@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_sum
@@ -33,7 +33,13 @@ from nilcohom.ideals import (
 )
 from nilcohom.liealg import StructureConstants, jacobi, n_k, sn_k
 from nilcohom.linalg import solve
-from nilcohom.polynomials import MultiPoly, _mono_mul, distinct_primitive, format_poly
+from nilcohom.polynomials import (
+    MultiPoly,
+    _mono_mul,
+    distinct_primitive,
+    format_poly,
+    rational_content,
+)
 from nilcohom.tables import parse_tpoly
 
 
@@ -309,6 +315,43 @@ def test_groebner_degree_and_basis_cap_boundaries(monkeypatch):
             name = "degree" if cap == "MAX_GROEBNER_DEGREE" else "basis-size"
             with pytest.raises(ResourceCapExceeded, match=f"^{name} cap {raises} exceeded$"):
                 groebner_small(cyclic3)
+
+
+_XYZ_POLYS = st.lists(
+    st.tuples(st.builds(Fraction, st.sampled_from([c for c in range(-5, 6) if c]),
+                        st.integers(1, 3)),
+              st.tuples(*[st.integers(0, 2)] * 3)),
+    min_size=1, max_size=4,
+).map(lambda terms: sum((MultiPoly.term(c, tuple(zip("xyz", e))) for c, e in terms),
+                        MultiPoly()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_XYZ_POLYS, min_size=1, max_size=4), st.data())
+def test_groebner_small_gives_the_reduced_basis(gens, data):
+    # the reduced basis is unique: whatever the order of the generators, and
+    # run again on its own members, it has the same members, each with
+    # content 1, a positive lead coefficient and no term that another
+    # member's lead divides
+    orders = (gens, gens[::-1], data.draw(st.permutations(gens)))
+    with pytest.MonkeyPatch.context() as m:
+        # small caps keep each example quick; a capped run is discarded
+        for cap, value in (("MAX_GROEBNER_PAIRS", 200), ("MAX_GROEBNER_BASIS", 20),
+                           ("MAX_GROEBNER_DEGREE", 8)):
+            m.setattr(ideals, cap, value)
+        try:
+            gb, *others = (groebner_small(order) for order in orders)
+        except ResourceCapExceeded:
+            assume(False)
+        assert groebner_small(gb.members).members == gb.members
+    assert all(other.members == gb.members for other in others)
+    key = ideals._grevlex({v: i for i, v in enumerate(gb.universe)})
+    leads = [max(p.terms, key=key) for p in gb.members]
+    for p, lead in zip(gb.members, leads):
+        assert rational_content(p.terms.values()) == 1 and p.terms[lead] > 0
+        assert all(ideals._quotient(m, other) is None
+                   for other in leads if other != lead for m in p.terms)
+    assert all(gb.contains(g) for g in gens)
 
 
 @pytest.mark.parametrize("kind", ["N", "SN"])
