@@ -13,7 +13,7 @@ a QI where a table needs i.  Equal values hash equal, so they share one dict.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .scalars import QI
 
@@ -192,34 +192,29 @@ class MultiPoly:
     # -- calculus and evaluation ---------------------------------------------
 
     def substitute(self, assignment):
-        """Evaluation homomorphism on the assigned variables only.
-
-        Values may be scalars or MultiPoly; unassigned variables survive.
-        """
+        """Evaluation homomorphism on the assigned variables only; values may
+        be scalars or MultiPoly, and unassigned variables survive."""
         out = MultiPoly()
         for mono, coeff in self.terms.items():
-            acc = MultiPoly.const(coeff)
-            rest = []
-            for v, e in mono:
-                if v in assignment:
-                    val = assignment[v]
-                    if not isinstance(val, MultiPoly):
-                        val = MultiPoly.const(val)
-                    acc = acc * val**e
+            rest = tuple(ve for ve in mono if ve[0] not in assignment)
+            term = prod((assignment[v] for v, e in mono if v in assignment for _ in range(e)),
+                        start=MultiPoly({rest: coeff}))
+            for m, c in term.terms.items():
+                s = out.terms.get(m, 0) + c
+                if s:
+                    out.terms[m] = s
                 else:
-                    rest.append((v, e))
-            if rest:
-                acc = acc * MultiPoly({tuple(rest): 1})
-            out = out + acc
+                    del out.terms[m]
         return out
 
     def evaluate(self, assignment):
-        """Full evaluation to a scalar; raises if a variable is unassigned."""
-        val = self.substitute(assignment).as_scalar()
-        if val is None:
-            missing = sorted(map(str, self.variables() - set(assignment)))
-            raise KeyError(f"unassigned variables: {', '.join(missing)}")
-        return val
+        """The scalar value (KeyError names an unassigned variable); a sum
+        that vanishes is the int 0, so a zero Gaussian value is no QI."""
+        total = 0
+        for mono, c in self.terms.items():
+            c = prod((assignment[v] for v, e in mono for _ in range(e)), start=c)
+            total = (total + c or 0) if c else total
+        return total
 
     def diff(self, var):
         res = {}

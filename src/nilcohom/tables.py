@@ -28,7 +28,7 @@ from math import comb
 from .errors import TableError
 from .liealg import StructureConstants
 from .polynomials import MultiPoly
-from .scalars import QI, format_scalar
+from .scalars import QI
 
 # Caps that keep every text cheap to parse: parentheses and signs nest at
 # most _MAX_NESTING deep, and a power or a product is refused before it is
@@ -418,42 +418,3 @@ def parse_tpoly(text) -> MultiPoly:
     """A chart polynomial in the ``t_{i,j,k}`` notation of ``format_poly``, such
     as ``t_{1,2,3}t_{3,4,5} - 2t_{1,2,4}^2``: nothing may follow it."""
     return _Parser(text, None).whole().scal
-
-
-def format_table(mu) -> str:
-    """Render structure constants back to table text; zero bracket -> ''.
-
-    Raises TableError from dimension 27 on, which has no basis letters, and
-    on a Gaussian coefficient from dimension 9 on: the letter i is then the
-    basis vector e_9, so the text would not parse back.
-    """
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if mu.n > len(letters):
-        raise TableError(f"dimension {mu.n} has no table text: the basis letters are a..z (1..26)")
-    gaussian = any(isinstance(c, QI) and c.im for row in mu.c.values() for c in row.values())
-    if gaussian and mu.n >= 9:
-        raise TableError(f"a Gaussian coefficient has no table text in dimension {mu.n} >= 9")
-    chunks = []
-    for (i, j) in sorted(mu.brackets()):
-        coeffs = mu.bracket_basis(i, j)
-        parts = []
-        for k in sorted(coeffs):
-            c = coeffs[k]
-            parts.append(_coeff_prefix(c, bool(parts)) + letters[k])
-        chunks.append(f"{letters[i]}{letters[j]} = {''.join(parts)}")
-    return ", ".join(chunks)
-
-
-def _coeff_prefix(c, inner):
-    if isinstance(c, QI) and c.im != 0:
-        s = format_scalar(c).replace(" i", "i")
-        return ("+" if inner else "") + f"({s})"
-    c = c.to_fraction() if isinstance(c, QI) else Fraction(c)
-    if c == 1:
-        return "+" if inner else ""
-    if c == -1:
-        return "-"
-    s = str(c)
-    if inner and not s.startswith("-"):
-        s = "+" + s
-    return s

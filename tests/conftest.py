@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from nilcohom import cohomology
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
+from nilcohom.errors import TableError
 from nilcohom.liealg import Layout, StructureConstants, change_basis
 from nilcohom.linalg import ExactMatrix, reduce_rows
-from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, format_scalar, join_fields, promote
 
 
 @pytest.fixture(scope="session")
@@ -318,3 +319,43 @@ def contains_space(big, small):
     field = FIELD_QI if big.gaussian else FIELD_Q
     rows = chain(big.sparse_rows(), small.sparse_rows())
     return reduce_rows(rows, big.ncols, field).rank == big.rank
+
+
+def format_table(mu) -> str:
+    """Render structure constants back to the table text that
+    ``tables.parse_table`` reads; zero bracket -> ''.
+
+    Raises TableError from dimension 27 on, which has no basis letters, and
+    on a Gaussian coefficient from dimension 9 on: the letter i is then the
+    basis vector e_9, so the text would not parse back.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if mu.n > len(letters):
+        raise TableError(f"dimension {mu.n} has no table text: the basis letters are a..z (1..26)")
+    gaussian = any(isinstance(c, QI) and c.im for row in mu.c.values() for c in row.values())
+    if gaussian and mu.n >= 9:
+        raise TableError(f"a Gaussian coefficient has no table text in dimension {mu.n} >= 9")
+    chunks = []
+    for (i, j) in sorted(mu.brackets()):
+        coeffs = mu.bracket_basis(i, j)
+        parts = []
+        for k in sorted(coeffs):
+            c = coeffs[k]
+            parts.append(_coeff_prefix(c, bool(parts)) + letters[k])
+        chunks.append(f"{letters[i]}{letters[j]} = {''.join(parts)}")
+    return ", ".join(chunks)
+
+
+def _coeff_prefix(c, inner):
+    if isinstance(c, QI) and c.im != 0:
+        s = format_scalar(c).replace(" i", "i")
+        return ("+" if inner else "") + f"({s})"
+    c = c.to_fraction() if isinstance(c, QI) else Fraction(c)
+    if c == 1:
+        return "+" if inner else ""
+    if c == -1:
+        return "-"
+    s = str(c)
+    if inner and not s.startswith("-"):
+        s = "+" + s
+    return s

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcohom.polynomials import MultiPoly, format_poly
-from nilcohom.scalars import QI
-from nilcohom.tables import parse_tpoly
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
+from nilcohom.tables import parse_symbolic, parse_tpoly
 
 
 def test_ring_axioms_on_small_cases():
@@ -131,3 +131,82 @@ def test_int_coefficients_agree_with_their_fraction_twins(p, q, e, var, point):
         assert parse_tpoly(format_poly(exact)) == exact
     assert _int_terms(pf.primitive())
     assert type(p.evaluate(full)) is int and p.evaluate(full) == pf.evaluate(full)
+
+
+# Evaluation and substitution as ring homomorphisms, over int, Fraction and
+# QI coefficients and values (a value of 0 is drawn often)
+_SYMS = ("r", "s", "t")
+_RATIONALS = st.one_of(st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+_SCALARS = st.one_of(_RATIONALS, st.builds(QI, _RATIONALS, _RATIONALS))
+_SYM_MONOMIALS = st.dictionaries(st.sampled_from(_SYMS), st.integers(1, 3), max_size=3).map(
+    lambda mono: tuple(sorted(mono.items()))
+)
+_SYM_POLYS = st.dictionaries(_SYM_MONOMIALS, _SCALARS, max_size=4).map(MultiPoly)
+_SMALL_POLYS = st.dictionaries(
+    st.dictionaries(st.sampled_from(_SYMS), st.integers(1, 2), max_size=2).map(
+        lambda mono: tuple(sorted(mono.items()))),
+    _SCALARS, max_size=2).map(MultiPoly)
+_POINTS = st.fixed_dictionaries({v: _SCALARS for v in _SYMS})
+
+
+def _power(x, e):
+    out = 1
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYM_POLYS, _SYM_POLYS, st.integers(0, 3), _POINTS)
+def test_evaluate_is_a_ring_homomorphism(p, q, e, point):
+    a, b = p.evaluate(point), q.evaluate(point)
+    assert (p + q).evaluate(point) == a + b
+    assert (p - q).evaluate(point) == a - b
+    assert (p * q).evaluate(point) == a * b
+    assert (p**e).evaluate(point) == _power(a, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYM_POLYS, _POINTS, st.sets(st.sampled_from(_SYMS)))
+def test_partial_substitution_then_evaluation_is_evaluation(p, point, assigned):
+    partial = p.substitute({v: point[v] for v in assigned})
+    assert partial.variables() <= p.variables() - assigned
+    assert partial.evaluate(point) == p.evaluate(point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SMALL_POLYS, st.fixed_dictionaries({}, optional={v: _SMALL_POLYS for v in _SYMS}),
+       st.fixed_dictionaries({}, optional={v: _SMALL_POLYS for v in _SYMS}), _POINTS)
+def test_substitution_of_polynomials_composes(p, first, second, point):
+    # p(first) at a point is p at the values of first there, and substituting
+    # first and then second is substituting first(second)
+    at = {**point, **{v: q.evaluate(point) for v, q in first.items()}}
+    assert p.substitute(first).evaluate(point) == p.evaluate(at)
+    composed = {v: first.get(v, MultiPoly.var(v)).substitute(second) for v in _SYMS}
+    assert p.substitute(first).substitute(second) == p.substitute(composed)
+
+
+_INT_POLYS = st.dictionaries(_SYM_MONOMIALS, st.integers(-5, 5), max_size=4).map(MultiPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYM_POLYS, _INT_POLYS, _POINTS, st.fixed_dictionaries({v: st.integers(-3, 3) for v in _SYMS}))
+def test_ints_give_ints_and_a_vanishing_value_is_the_int_zero(p, n, point, int_point):
+    value = n.evaluate(int_point)
+    assert type(value) is int
+    assert all(type(c) is int for c in n.substitute({"s": int_point["s"]}).terms.values())
+    # p minus its value at the point vanishes there, whatever the scalars
+    zero = (p - p.evaluate(point)).evaluate(point)
+    assert type(zero) is int and zero == 0
+    zero = (n - value).evaluate(int_point)
+    assert type(zero) is int and zero == 0
+
+
+@pytest.mark.parametrize("text", ["ab = itc", "ab = (1+it)c + d", "ab = (it+1)c, ac = (2-it^2)d"])
+def test_a_gaussian_coefficient_zero_at_the_point_leaves_the_table_over_q(text):
+    family = parse_symbolic(text, 4, ("t",))
+    mu = family.evaluate({"t": 0})
+    assert mu.field == FIELD_Q
+    assert not any(isinstance(c, QI) for row in mu.c.values() for c in row.values())
+    assert family.evaluate({"t": 1}).field == FIELD_QI

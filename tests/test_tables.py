@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import structure_tables
+from conftest import format_table, structure_tables
 from nilcohom.errors import TableError
 from nilcohom.liealg import StructureConstants
 from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import (
     _chain_products,
-    format_table,
     parse_symbolic,
     parse_table,
     parse_tpoly,
