@@ -19,6 +19,14 @@ def test_ring_axioms_on_small_cases():
     assert x * 0 == MultiPoly()
 
 
+def test_scalar_on_the_left_and_equality_with_a_scalar():
+    x = MultiPoly.var("x")
+    assert 2 - x == -(x - 2) and (2 - x).evaluate({"x": 5}) == -3
+    assert Fraction(1, 2) - x == MultiPoly({(): Fraction(1, 2), (("x", 1),): -1})
+    assert MultiPoly.const(3) == 3 and MultiPoly.const(QI(0, 1)) == QI(0, 1)
+    assert MultiPoly() == 0 and x != 3 and x + 1 != 1
+
+
 def test_degree_homogeneity_variables():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     p = x**2 * y + x * y**2
@@ -139,14 +147,16 @@ _SYMS = ("r", "s", "t")
 _RATIONALS = st.one_of(st.integers(-3, 3),
                        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
 _SCALARS = st.one_of(_RATIONALS, st.builds(QI, _RATIONALS, _RATIONALS))
-_SYM_MONOMIALS = st.dictionaries(st.sampled_from(_SYMS), st.integers(1, 3), max_size=3).map(
-    lambda mono: tuple(sorted(mono.items()))
-)
+
+
+def _sym_monomials(top, size):
+    return st.dictionaries(st.sampled_from(_SYMS), st.integers(1, top), max_size=size).map(
+        lambda mono: tuple(sorted(mono.items())))
+
+
+_SYM_MONOMIALS = _sym_monomials(3, 3)
 _SYM_POLYS = st.dictionaries(_SYM_MONOMIALS, _SCALARS, max_size=4).map(MultiPoly)
-_SMALL_POLYS = st.dictionaries(
-    st.dictionaries(st.sampled_from(_SYMS), st.integers(1, 2), max_size=2).map(
-        lambda mono: tuple(sorted(mono.items()))),
-    _SCALARS, max_size=2).map(MultiPoly)
+_SMALL_POLYS = st.dictionaries(_sym_monomials(2, 2), _SCALARS, max_size=2).map(MultiPoly)
 _POINTS = st.fixed_dictionaries({v: _SCALARS for v in _SYMS})
 
 
