@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import ExternalDataRequired, TableError, UnknownAlgebra
 from .jsonio import pack_checksum, read_json, record_fields
 from .liealg import StructureConstants, table_in_basis
-from .scalars import FIELD_Q, FIELD_QI, QI
+from .scalars import FIELD_Q, FIELD_QI, is_nonreal
 from .tables import parse_symbolic, parse_tpoly, parse_vector
 
 DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
@@ -327,14 +327,13 @@ _DEGENERATIONS = [
 def read_record(path, name=None) -> AlgebraRecord:
     """The JSON record (either form of ``jsonio``) in the file ``path``;
     ``name`` names a record without one.  A record that cannot be read, or
-    whose table text does not parse or has Gaussian values over Q, raises
-    ValueError naming the file."""
+    whose table text does not parse or has a nonreal coefficient over Q,
+    raises ValueError naming the file."""
     data = read_json(path)
     try:
         rec = AlgebraRecord(**record_fields(data, name), provenance="external-pack")
-        coeffs = [c for row in rec.symbolic().c.values() for p in row.values()
-                  for c in p.terms.values()]
-        if rec.field == FIELD_Q and any(isinstance(c, QI) for c in coeffs):
+        polys = (p for row in rec.symbolic().c.values() for p in row.values())
+        if rec.field == FIELD_Q and any(is_nonreal(c) for p in polys for c in p.terms.values()):
             raise ValueError("'field' is Q, but the table has Gaussian values")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

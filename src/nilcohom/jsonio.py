@@ -10,7 +10,8 @@ strings "p/q" or "p/q+r/s i"; the round trip is bit-exact) or table text:
 
 ``params`` names the table text's parameter symbols, each a single letter
 that is not a basis letter, declared once.  ``field`` defaults to "Q",
-which refuses Gaussian values; "Qi" puts even a real algebra over Q(i).  ``aliases`` and a ``citation`` are optional.
+which refuses a nonreal value, and not ``(it)(it)``; "Qi" puts even a real
+algebra over Q(i).  ``aliases`` and a ``citation`` are optional.
 """
 
 from __future__ import annotations
@@ -21,23 +22,9 @@ from pathlib import Path
 
 from .liealg import StructureConstants
 from .polynomials import MultiPoly
-from .scalars import FIELD_Q, FIELD_QI, format_scalar, parse_scalar, promote
+from .scalars import FIELD_Q, FIELD_QI, parse_scalar, promote
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
-
-
-def algebra_to_dict(mu: StructureConstants, name=None) -> dict:
-    brackets = []
-    for (i, j) in mu.brackets():
-        coeffs = mu.bracket_basis(i, j)
-        terms = [{"k": k + 1, "c": format_scalar(coeffs[k])} for k in sorted(coeffs)]
-        brackets.append({"i": i + 1, "j": j + 1, "terms": terms})
-    return {
-        "name": name if name is not None else mu.name,
-        "dim": mu.n,
-        "field": mu.field,
-        "brackets": brackets,
-    }
 
 
 def _entry(obj, key, kind, where="", default=None):

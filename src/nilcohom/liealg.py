@@ -18,25 +18,31 @@ from functools import lru_cache
 from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra,
                      ResourceCapExceeded, TableError)
 from .linalg import ExactMatrix, int_cleared, inverse, reduce_rows
-from .scalars import FIELD_Q, FIELD_QI, QI, join_fields, promote
+from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
 
 
 class StructureConstants:
     """Antisymmetric coefficient tensor of a bracket (or any 2-cochain), over
     Q, Q(i) or "sym", whose coefficients are ``MultiPoly`` polynomials in the
-    symbols ``params`` names; zero coefficients and empty pairs are dropped."""
+    symbols ``params`` names; zero coefficients and empty pairs are dropped.
+    Here alone a numeric table not declared Q(i) takes its field from its
+    values: Q(i) when one is nonreal, else Q, with every value a Fraction."""
 
     __slots__ = ("n", "field", "c", "name", "params")
 
     def __init__(self, n, brackets=None, field=FIELD_Q, name=None, params=()):
         if n < 1:
             raise DimensionMismatch("dimension must be positive")
+        brackets = brackets or {}
+        if field == FIELD_Q and any(is_nonreal(v) for row in brackets.values()
+                                    for v in row.values()):
+            field = FIELD_QI
         self.n = n
         self.field = field
         self.name = name
         self.params = tuple(params)
         self.c = {}
-        for (i, j), coeffs in (brackets or {}).items():
+        for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < n):
                 raise DimensionMismatch(f"bad basis pair ({i},{j}) for dim {n}")
             row = {}
@@ -51,8 +57,8 @@ class StructureConstants:
                 self.c[(i, j)] = row
 
     @classmethod
-    def abelian(cls, n, field=FIELD_Q, name=None):
-        return cls(n, {}, field, name)
+    def abelian(cls, n):
+        return cls(n)
 
     # -- access --------------------------------------------------------------
 
@@ -85,26 +91,6 @@ class StructureConstants:
     def is_abelian(self):
         return not self.c
 
-    # -- arithmetic in the ambient space ---------------------------------------
-
-    def add(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch("mixed dimensions")
-        field = join_fields(self.field, other.field)
-        brackets = {pair: dict(coeffs) for pair, coeffs in self.c.items()}
-        for pair, coeffs in other.c.items():
-            row = brackets.setdefault(pair, {})
-            for k, v in coeffs.items():
-                row[k] = row.get(k, 0) + v
-        return StructureConstants(self.n, brackets, field)
-
-    def scale(self, t):
-        brackets = {
-            pair: {k: v * t for k, v in coeffs.items()} for pair, coeffs in self.c.items()
-        }
-        field = FIELD_QI if self.field == FIELD_QI or isinstance(t, QI) else self.field
-        return StructureConstants(self.n, brackets, field)
-
     def with_name(self, name):
         out = StructureConstants.__new__(StructureConstants)
         out.n, out.field, out.c, out.name, out.params = self.n, self.field, self.c, name, self.params
@@ -124,15 +110,14 @@ class StructureConstants:
 
     def evaluate(self, assignment=None):
         """The table at a value per symbol (TableError if one has none), over
-        Q(i) exactly when some evaluated coefficient is Gaussian."""
+        Q(i) exactly when some value there is nonreal."""
         assignment = dict(assignment or {})
         missing = sorted(self.free_symbols() - set(assignment))
         if missing:
             raise TableError(f"unresolved parameter symbols: {', '.join(missing)}")
         brackets = {pair: {k: p.evaluate(assignment) for k, p in coeffs.items()}
                     for pair, coeffs in self.c.items()}
-        gaussian = any(isinstance(v, QI) for row in brackets.values() for v in row.values())
-        return StructureConstants(self.n, brackets, FIELD_QI if gaussian else FIELD_Q)
+        return StructureConstants(self.n, brackets)
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
@@ -145,8 +130,15 @@ class StructureConstants:
 
 
 def pencil(mu, nu, t):
-    """mu + t * nu."""
-    return mu.add(nu.scale(t))
+    """mu + t * nu, over Q(i) when mu or nu is, or when a value is nonreal."""
+    if mu.n != nu.n:
+        raise DimensionMismatch("mixed dimensions")
+    brackets = {pair: dict(coeffs) for pair, coeffs in mu.c.items()}
+    for pair, coeffs in nu.c.items():
+        row = brackets.setdefault(pair, {})
+        for k, v in coeffs.items():
+            row[k] = row.get(k, 0) + t * v
+    return StructureConstants(mu.n, brackets, join_fields(mu.field, nu.field))
 
 
 # -- operators ----------------------------------------------------------------

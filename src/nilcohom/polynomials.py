@@ -209,7 +209,8 @@ class MultiPoly:
 
     def evaluate(self, assignment):
         """The scalar value (KeyError names an unassigned variable); a sum
-        that vanishes is the int 0, so a zero Gaussian value is no QI."""
+        that vanishes is the int 0, so a zero Gaussian value is no QI, which
+        would put a basis over Q(i) (``liealg._square`` reads the types)."""
         total = 0
         for mono, c in self.terms.items():
             c = prod((assignment[v] for v, e in mono for _ in range(e)), start=c)

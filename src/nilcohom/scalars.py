@@ -4,9 +4,9 @@ Plain rationals are ``fractions.Fraction``; the Gaussian field Q(i) is a thin
 class over a pair of rational parts.  A part that is an ``int`` stays an
 ``int``, so Gaussian integers are multiplied as plain ints, and division
 always goes through ``Fraction``, so it never gives a float.  Mixed
-arithmetic promotes Fraction -> QI, never the other way around; collapsing a
-QI with zero imaginary part back to Fraction is an explicit call
-(:meth:`QI.to_fraction`).
+arithmetic promotes Fraction -> QI, never the other way around, so a QI may
+be real; a table over Q holds it as a Fraction (:func:`promote`), and only a
+nonreal value (:func:`is_nonreal`) puts a table over Q(i) undeclared.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class QI:
 
     def to_fraction(self):
         """Explicit coercion to Fraction; rejects a nonzero imaginary part."""
-        if self.im != 0:
+        if is_nonreal(self):
             raise ValueError(f"{self} has a nonzero imaginary part")
         return Fraction(self.re)
 
@@ -115,6 +115,11 @@ class QI:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def is_nonreal(x) -> bool:
+    """Whether the scalar ``x`` has a nonzero imaginary part."""
+    return isinstance(x, QI) and x.im != 0
 
 
 def promote(x, field: str):

@@ -321,6 +321,22 @@ def contains_space(big, small):
     return reduce_rows(rows, big.ncols, field).rank == big.rank
 
 
+def algebra_to_dict(mu, name=None) -> dict:
+    """The ``brackets`` record of ``jsonio`` for ``mu``, named ``name`` or,
+    by default, ``mu.name``; ``jsonio.algebra_from_dict`` reads it back."""
+    brackets = []
+    for (i, j) in mu.brackets():
+        coeffs = mu.bracket_basis(i, j)
+        terms = [{"k": k + 1, "c": format_scalar(coeffs[k])} for k in sorted(coeffs)]
+        brackets.append({"i": i + 1, "j": j + 1, "terms": terms})
+    return {
+        "name": name if name is not None else mu.name,
+        "dim": mu.n,
+        "field": mu.field,
+        "brackets": brackets,
+    }
+
+
 def format_table(mu) -> str:
     """Render structure constants back to the table text that
     ``tables.parse_table`` reads; zero bracket -> ''.

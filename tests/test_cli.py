@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import algebra_to_dict
 from nilcohom import liealg, reproduce
 from nilcohom.catalog import Catalog
 from nilcohom.cli import main
 from nilcohom.cohomology import h2_knil
 from nilcohom.errors import ResourceCapExceeded
-from nilcohom.jsonio import algebra_to_dict
 from nilcohom.liealg import StructureConstants, n_k, sn_k
 from nilcohom.tables import parse_table
 
@@ -162,6 +162,31 @@ def test_a_real_record_declared_over_qi_answers_over_qi(tmp_path, capsys):
                  '"brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]'):
         path.write_text(f'{{"name": "f3", "dim": 3, "field": "Qi", {body}}}')
         assert run(capsys, "info", str(path)) == (0, answer, ""), body
+
+
+def test_a_table_of_real_values_answers_over_q_whatever_its_terms(tmp_path, capsys):
+    # 1+it-is at t = s = 1 and (it)(it) at t = 1 are real, in any order of terms
+    path = tmp_path / "t.txt"
+    answer = "3-dim over Q, 2-step nilpotent, solvable length 2, derivation dim 6, orbit dim 3\n"
+    for text, params in (("ab = (1+it-is)c", "t=1,s=1"), ("ab = (it-is+1)c", "t=1,s=1"),
+                         ("ab = (it)(it)c", "t=1")):
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, "info", str(path), "--params", params)
+        assert (code, out.split(": ", 1)[1], err) == (0, answer, ""), text
+        code, out, _ = run(capsys, "info", str(path), "--params", params, "--json")
+        assert code == 0 and json.loads(out)["field"] == "Q", text
+
+
+def test_a_record_over_q_refuses_a_nonreal_coefficient_only(tmp_path, capsys):
+    # (it)(it) = -t^2 is real, though built from Gaussian factors; i is not
+    path = tmp_path / "sq.json"
+    path.write_text('{"name": "sq", "dim": 3, "field": "Q", "table": "ab = (it)(it)c",'
+                    ' "params": ["t"]}')
+    answer = "sq@t=1: 3-dim over Q, 2-step nilpotent, solvable length 2, derivation dim 6, orbit dim 3\n"
+    assert run(capsys, "info", str(path), "--params", "t=1") == (0, answer, "")
+    path.write_text('{"name": "sq", "dim": 3, "field": "Q", "table": "ab = i c"}')
+    assert run(capsys, "info", str(path)) == (
+        2, "", f"error: {path}: 'field' is Q, but the table has Gaussian values\n")
 
 
 def test_table_text_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import structure_tables
+from conftest import algebra_to_dict, structure_tables
 from nilcohom.catalog import Catalog
-from nilcohom.jsonio import algebra_from_dict, algebra_to_dict, pack_checksum
+from nilcohom.jsonio import algebra_from_dict, pack_checksum
 from nilcohom.scalars import FIELD_QI, QI
 from nilcohom.tables import parse_table
 

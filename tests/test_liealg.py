@@ -366,6 +366,31 @@ def test_change_basis_gaussian_matrix_on_rational_algebra(catalog):
     assert change_basis(moved, g) == mu
 
 
+def test_a_basis_change_over_qi_keeps_a_table_of_real_values_over_qi(catalog):
+    # e_1, e_2 -> i e_1, i e_2 and e_3 -> -e_3 leaves ab = c with real values;
+    # the Gaussian basis still puts it over Q(i), every value a QI
+    i = QI(0, 1)
+    moved = table_in_basis(catalog.structure("f_3"), [[i, 0, 0], [0, i, 0], [0, 0, -1]])
+    assert moved == parse_table("ab = c", 3) and moved.field == FIELD_QI
+    assert all(type(v) is QI for row in moved.c.values() for v in row.values())
+
+
+def test_pencil_joins_the_declared_fields_and_reads_the_values(catalog):
+    f3, f4 = catalog.structure("f_3"), catalog.structure("f_4")
+    with pytest.raises(DimensionMismatch):
+        pencil(f3, f4, 1)
+    nu = parse_table("ac = b", 3)
+    declared = StructureConstants(3, {(0, 1): {2: 1}}, FIELD_QI)
+    for mu in (pencil(declared, nu, 2), pencil(nu, declared, 2)):
+        assert mu.field == FIELD_QI
+        assert all(type(v) is QI for row in mu.c.values() for v in row.values())
+    # a real Gaussian t leaves real tables over Q, a nonreal one does not
+    mu = pencil(f3, nu, QI(2, 0))
+    assert mu == parse_table("ab = c, ac = 2b", 3) and mu.field == FIELD_Q
+    assert all(type(v) is Fraction for row in mu.c.values() for v in row.values())
+    assert pencil(f3, nu, QI(0, 2)).field == FIELD_QI
+
+
 def _inv(rows):
     from nilcohom.linalg import ExactMatrix, inverse
 
@@ -475,7 +500,9 @@ def test_random_brackets_jacobi_consistency(catalog):
                              for k in range(n) if rng.random() < 0.4}
                     for i in range(n) for j in range(i + 1, n)}
         tables.append(StructureConstants(n, brackets, FIELD_QI))
-    tables += [random_structure(4, rng, lo=-3, hi=3).scale(Fraction(1, 6)) for _ in range(3)]
+    zero = StructureConstants.abelian(4)
+    tables += [pencil(zero, random_structure(4, rng, lo=-3, hi=3), Fraction(1, 6))
+               for _ in range(3)]
     tables += [catalog.structure(name) for name, _ in NILPOTENT_CATALOG]
     tables += [catalog.structure(fam, {"r": r, "t": t}) for fam, r, t in CURVE_POINTS]
     tables += [generic_chart(n) for n in range(3, 7)]

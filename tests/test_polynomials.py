@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nilcohom.liealg import StructureConstants
 from nilcohom.polynomials import MultiPoly, format_poly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import parse_symbolic, parse_tpoly
@@ -220,3 +222,43 @@ def test_a_gaussian_coefficient_zero_at_the_point_leaves_the_table_over_q(text):
     assert mu.field == FIELD_Q
     assert not any(isinstance(c, QI) for row in mu.c.values() for c in row.values())
     assert family.evaluate({"t": 1}).field == FIELD_QI
+
+
+def _typed_values(mu):
+    return mu.field, {pair: {k: (type(v), v) for k, v in row.items()} for pair, row in mu.c.items()}
+
+
+def test_a_table_of_real_values_is_over_q_whatever_its_terms():
+    # a real product of Gaussian factors, or a sum that passes through a
+    # Gaussian term, is a Fraction in a table over Q
+    tables = [parse_symbolic(text, 3, ("t", "s")).evaluate({"t": 1, "s": 1})
+              for text in ("ab = (1+it-is)c", "ab = (it-is+1)c", "ab = (it)(it)c")]
+    assert [_typed_values(mu) for mu in tables] == [
+        (FIELD_Q, {(0, 1): {2: (Fraction, 1)}})] * 2 + [(FIELD_Q, {(0, 1): {2: (Fraction, -1)}})]
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SYM_TABLES = st.dictionaries(st.sampled_from(_PAIRS),
+                              st.dictionaries(st.integers(0, 2), _SYM_POLYS, max_size=2),
+                              max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYM_TABLES, _POINTS, st.randoms(use_true_random=False))
+@example({(0, 1): {2: MultiPoly({(): 1, (("t", 1),): QI(0, 1), (("s", 1),): QI(0, -1)})}},
+         {"r": 0, "s": 1, "t": 1}, random.Random(0))
+def test_the_values_alone_decide_the_field_of_an_evaluated_table(brackets, point, rng):
+    # multiplying a coefficient by the real QI 1, or reordering its terms,
+    # changes neither the field nor the values and their types
+    def at(table):
+        return _typed_values(StructureConstants(3, table, "sym").evaluate(point))
+
+    def reordered(p):
+        terms = list(p.terms.items())
+        rng.shuffle(terms)
+        return MultiPoly(dict(terms))
+
+    expected = at(brackets)
+    for change in (lambda p: p * QI(1, 0), reordered):
+        assert at({pair: {k: change(p) for k, p in row.items()}
+                   for pair, row in brackets.items()}) == expected
