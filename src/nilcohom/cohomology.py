@@ -71,11 +71,12 @@ algebras are solvable, not nilpotent).  The restriction holds only where
 N_k(mu) = 0 or SN_k(mu) = 0: the expansion leaves values of the operator
 at mu, which vanish only then, and elsewhere the S-letter rows can span
 less.  So every certificate builds its sequence in one routine,
-``_sequence``: it checks Jacobi, and the picker both decides W(mu) = 0 and
-gives S, or refuses the point.  Only the image [tangents | d1] depends on
-the free parameters, so ``_sequence`` keeps the reduced stacks of the last
-eight tables, by content, and the free and frozen runs at a curve point,
-or ``h2_knil`` and ``augmented_exactness`` at one point, reduce it once.
+``_sequence``, and its stack in ``_stack``: it checks Jacobi, and the
+picker both decides W(mu) = 0 and gives S, or refuses the point.  Only the
+image [tangents | d1] depends on the free parameters, so ``_stack`` is a
+``functools.lru_cache`` of the last eight stacks, keyed by the table's
+content and field, and the free and frozen runs at a curve point, or
+``h2_knil`` and ``augmented_exactness`` at one point, reduce it once.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -90,9 +91,9 @@ by enumerating the words.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from .errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
@@ -380,42 +381,34 @@ def _constraint_reducer(mu, kind, k, letters=None):
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
 
 
-# the last _STACKS_MAX reduced [d2 ; dW] stacks, least recently used first
-_STACKS = OrderedDict()
-_STACKS_MAX = 8
+@lru_cache(maxsize=8)
+def _stack(mu, field, kind, k):
+    """The reduced [d2 ; dW] stack at mu, for W of ``kind`` "j" (Jacobi),
+    "n" (N_k) or "sn" (SN_k).  A point off the variety is refused: not
+    Lie, or W(mu) != 0, which the picker of ``_WORDS`` decides; its letters
+    generate g there, and the stack walks them.  The last eight stacks are
+    kept, least recently used first out, keyed by content (a table hashes
+    and compares by n and its brackets, not by name or identity), kind, k
+    and ``field``, mu's, which keeps Q and Q(i) apart; a refusal or a cap
+    keeps nothing.  A kept stack is shared, so it is read-only."""
+    if not is_lie(mu):
+        raise NotInVariety("point violates the Jacobi identity")
+    letters = None
+    if kind in _WORDS:
+        letters = _WORDS[kind][0](mu, k)
+        if letters is None:
+            raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
+    return _constraint_reducer(mu, kind, k, letters)
 
 
 def _sequence(mu, kind, k, tangents=()):
     """Hamilton's sequence at mu, [tangents | d1] -> C^2 -> [d2 ; dW], for W
-    of ``kind`` "j" (Jacobi), "n" (N_k) or "sn" (SN_k).  Returns (cols, df,
-    red): the Im dF columns, their RowBasis and that of the [d2 ; dW] stack.
-    A point off the variety is refused: not Lie, or W(mu) != 0, which the
-    picker of ``_WORDS`` decides; its letters generate g there, and the
-    stack walks them.  The stack is reduced before the image is built, so
-    the d1 columns are not held through its reduction.
-
-    The stack depends only on the point, W and k, so the last
-    ``_STACKS_MAX`` fully reduced stacks are kept, keyed by the table's
-    content (n, the field, the brackets in sorted order with their
-    coefficients; no name, no object identity) and (kind, k): a call at an
-    equal table skips the guard, the picker and the reduction.  A refusal
-    or a cap keeps nothing.  The shared ``red`` is read-only."""
-    key = (mu.n, mu.field, kind, k,
-           tuple(sorted((pair, tuple(sorted(c.items()))) for pair, c in mu.c.items())))
-    red = _STACKS.get(key)
-    if red is None:
-        if not is_lie(mu):
-            raise NotInVariety("point violates the Jacobi identity")
-        letters = None
-        if kind in _WORDS:
-            letters = _WORDS[kind][0](mu, k)
-            if letters is None:
-                raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
-        red = _STACKS[key] = _constraint_reducer(mu, kind, k, letters)
-        if len(_STACKS) > _STACKS_MAX:
-            _STACKS.popitem(last=False)
-    else:
-        _STACKS.move_to_end(key)
+    of ``kind`` "j", "n" or "sn".  Returns (cols, df, red): the Im dF
+    columns, their RowBasis and the kept RowBasis of the [d2 ; dW] stack
+    (``_stack``, which refuses a point off the variety).  The stack is
+    reduced before the image is built, so the d1 columns are not held
+    through its reduction."""
+    red = _stack(mu, mu.field, kind, k)
     cols, df = _image(mu, tangents)
     return cols, df, red
 

@@ -124,6 +124,10 @@ class StructureConstants:
             return NotImplemented
         return self.n == other.n and self.c == other.c
 
+    def __hash__(self):
+        """By content, as ``__eq__``: n and the brackets, not name or field."""
+        return hash((self.n, frozenset((p, frozenset(row.items())) for p, row in self.c.items())))
+
     def __repr__(self):
         label = self.name or f"{self.n}-dim bracket"
         return f"StructureConstants({label}, nnz={sum(len(v) for v in self.c.values())})"

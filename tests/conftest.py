@@ -22,10 +22,10 @@ def catalog():
 
 @pytest.fixture(autouse=True)
 def _no_kept_stacks():
-    """Each test starts with no reduced stack kept by ``cohomology._sequence``,
+    """Each test starts with no reduced stack kept by ``cohomology._stack``,
     so a test that lowers a cap or patches a stream is not served a stack
     reduced before it."""
-    cohomology._STACKS.clear()
+    cohomology._stack.cache_clear()
 
 
 def digest(items):

@@ -336,6 +336,11 @@ def test_reproduce_dim5(capsys):
     assert out.count("[PASS]") == 8 and "0 failed, 0 skipped" in out
 
 
+def test_run_suite_refuses_an_unknown_suite(catalog):
+    with pytest.raises(ValueError, match="^unknown suite 'bogus' \\(choose from dim5, "):
+        reproduce.run_suite("bogus", catalog)
+
+
 def test_reproduce_dim6_skips_without_pack(capsys):
     code, out, _ = run(capsys, "reproduce", "dim6")
     assert code == 0

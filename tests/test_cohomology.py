@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -20,6 +22,7 @@ from conftest import (
     stack,
 )
 from nilcohom import cohomology, liealg
+from nilcohom.catalog import named_polynomial
 from nilcohom.cohomology import (
     Layout,
     _constraint_reducer,
@@ -37,7 +40,8 @@ from nilcohom.cohomology import (
     iter_dsnk_rows,
     parse_constraint,
 )
-from nilcohom.errors import NotInVariety, ResourceCapExceeded
+from nilcohom.errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
+from nilcohom.ideals import member_bounded, nilpotency_ideal
 from nilcohom.liealg import (
     StructureConstants,
     _letters,
@@ -599,6 +603,16 @@ def test_derivation_and_orbit_dims(catalog):
     assert 7 * 7 - derivation_dim(catalog.structure("g_{137B}")) == 36
 
 
+def test_word_row_streams_and_derivations_refuse_bad_input():
+    heisenberg = StructureConstants(3, {(0, 1): {2: 1}})
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        list(iter_dnk_rows(heisenberg, 0))
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        list(iter_dsnk_rows(heisenberg, 1))
+    with pytest.raises(NotLieAlgebra, match="^derivations are defined for Lie brackets$"):
+        derivation_dim(StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}}))
+
+
 def test_image_of_d1_inside_every_word_kernel(catalog):
     for name, k in (("g_{5,3}", 3), ("g_{5,1}", 2), ("f_5", 4)):
         mu = catalog.structure(name)
@@ -947,6 +961,11 @@ def _count_reductions(monkeypatch):
     return calls
 
 
+def _kept():
+    """The number of reduced stacks ``_stack`` keeps."""
+    return cohomology._stack.cache_info().currsize
+
+
 def _e147_1_certificates(catalog):
     """h2_knil and augmented_exactness at g_{147E_1}(2), as ``reproduce
     curves`` runs them, then h2_dim at the same table."""
@@ -984,22 +1003,23 @@ def test_kept_stacks_give_the_reports_of_an_empty_memo(catalog):
     # h2_dim at the same table reduces the Jacobi stack, not the kept N_3 one
     runs = _e147_1_certificates(catalog) + _curve_certificates(catalog)
     kept = [run() for run in runs]
-    assert len(cohomology._STACKS) == 3
+    assert _kept() == 3
     fresh = []
     for run in runs:
-        cohomology._STACKS.clear()
+        cohomology._stack.cache_clear()
         fresh.append(run())
     assert kept == fresh
 
 
 def test_a_refused_point_keeps_nothing_and_is_refused_again(catalog, monkeypatch):
-    h2_knil(catalog.structure("g_{5,3}"), 3)
-    before = list(cohomology._STACKS.items())
+    calls = _count_reductions(monkeypatch)
+    kept = catalog.structure("g_{5,3}")
+    h2_knil(kept, 3)
     g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
     for _ in range(2):
         with pytest.raises(NotInVariety, match="violates N_3 = 0"):
             h2_knil(g5, 3)
-        assert list(cohomology._STACKS.items()) == before
+        assert _kept() == 1
     # a cap keeps nothing either, and the same call answers once it is lifted
     table = catalog.get("g_5(r,t)").symbolic()
     point = {"r": Fraction(1), "t": Fraction(1)}
@@ -1008,7 +1028,10 @@ def test_a_refused_point_keeps_nothing_and_is_refused_again(catalog, monkeypatch
         for _ in range(2):
             with pytest.raises(ResourceCapExceeded):
                 augmented_exactness(table, point, ("t",), "sn5")
-            assert list(cohomology._STACKS.items()) == before
+            assert _kept() == 1
+    # the kept table is still served, with no new reduction
+    assert (h2_knil(kept, 3).z, _kept()) == (17, 1)
+    assert calls == [("n", 3), ("sn", 5), ("sn", 5)]
     assert augmented_exactness(table, point, ("t",), "sn5").exact
 
 
@@ -1020,10 +1043,10 @@ def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
     reports = [h2_knil(table, 3) for table in (mu, reordered)]
     assert [(rep.z, rep.b, rep.h) for rep in reports] == [(17, 15, 2)] * 2
     assert reports[1].algebra == "other"
-    assert len(cohomology._STACKS) == 1 and len(calls) == 1
+    assert _kept() == 1 and len(calls) == 1
     # the same integer table over Q(i) is another table
     gaussian = StructureConstants(mu.n, mu.c, FIELD_QI)
-    assert (h2_knil(gaussian, 3).z, len(cohomology._STACKS), len(calls)) == (17, 2, 2)
+    assert (h2_knil(gaussian, 3).z, _kept(), len(calls)) == (17, 2, 2)
 
 
 def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch):
@@ -1031,11 +1054,38 @@ def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch
     tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 22)]
     for mu in tables[:20]:
         h2_dim(mu)
-    assert len(cohomology._STACKS) == 8 and len(calls) == 20
+    assert _kept() == 8 and len(calls) == 20
     h2_dim(tables[12])  # kept: no reduction, and now the most recent
     assert len(calls) == 20
     h2_dim(tables[20])  # pushes out tables[13], the least recently used
     h2_dim(tables[12])
-    assert len(cohomology._STACKS) == 8 and len(calls) == 21
+    assert _kept() == 8 and len(calls) == 21
     h2_dim(tables[13])
     assert len(calls) == 22
+
+
+def test_threads_get_the_single_threaded_answers():
+    # eight threads share the memo of 24 stacks (h2_dim and h2_knil at twelve
+    # tables, so every thread keeps evicting the others' stacks) and the
+    # membership search of I_{6,4}; the thread switches come every microsecond
+    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 13)]
+    gens = nilpotency_ideal(6, 4).gens
+    targets = [named_polynomial(q) for q in ("Q1", "Q5")]
+
+    def work(shift):
+        reports = [(h2_dim(mu), h2_knil(mu, 2))
+                   for _ in range(40) for mu in tables[shift:] + tables[:shift]]
+        return (sorted(reports, key=repr),
+                [member_bounded(f, gens, 4).multipliers for f in targets])
+
+    expected = work(0)
+    interval = sys.getswitchinterval()
+    pool = ThreadPoolExecutor(8)
+    sys.setswitchinterval(1e-6)
+    try:
+        futures = [pool.submit(work, i) for i in range(8)]
+        answers = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert answers == [expected] * 8

@@ -13,6 +13,7 @@ from conftest import (
     direct_sum,
     random_structure,
     seeded_bases,
+    structure_tables,
 )
 from nilcohom.errors import (
     DimensionMismatch,
@@ -106,6 +107,29 @@ def test_bracket_table_values(catalog):
     assert f3.bracket(e(3, 0), e(3, 1)) == e(3, 2)  # [a,b] = c
     g = catalog.structure("12346_E")
     assert g.bracket(e(6, 2), e(6, 3)) == [0, 0, 0, 0, 0, Fraction(-1)]  # [c,d] = -f
+
+
+def _with_ints(v):
+    """v with every integral part an int."""
+    if isinstance(v, QI):
+        return QI(_with_ints(v.re), _with_ints(v.im))
+    return int(v) if v.denominator == 1 else v
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_tables())
+def test_equal_tables_hash_equal(mu):
+    # the hash reads n and the brackets, as == does, and not the name, the
+    # field, the order of the brackets or the types of the values
+    equal = [
+        StructureConstants(mu.n, dict(reversed(list(mu.c.items()))), mu.field),
+        StructureConstants(mu.n, {pair: {k: _with_ints(v) for k, v in reversed(list(row.items()))}
+                                  for pair, row in mu.c.items()}, mu.field),
+        mu.with_name("other"),
+        StructureConstants(mu.n, mu.c, FIELD_QI),
+    ]
+    for other in equal:
+        assert other == mu and hash(other) == hash(mu)
 
 
 def test_jacobi_detects_non_lie_brackets():
@@ -252,6 +276,17 @@ def test_k_step_generators_span_g_modulo_g1(catalog):
     assert k_step_generators(StructureConstants.abelian(3), 1) == (0, 1, 2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         k_step_generators(heisenberg(1), 0)
+
+
+def test_word_tensors_and_the_derived_series_refuse_bad_input():
+    # N_k needs k >= 1 and SN_k k >= 2 letters past the first pair; the
+    # derived series, like the lower central one, needs the Jacobi identity
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        n_k(heisenberg(1), 0)
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        sn_k(heisenberg(1), 1)
+    with pytest.raises(NotLieAlgebra, match="^derived series needs the Jacobi identity$"):
+        derived_series(StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}}))
 
 
 def _generated_dim(mu, letters):
