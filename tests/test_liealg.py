@@ -279,8 +279,8 @@ def test_k_step_generators_span_g_modulo_g1(catalog):
 
 
 def test_word_tensors_and_the_derived_series_refuse_bad_input():
-    # N_k needs k >= 1 and SN_k k >= 2 letters past the first pair; the
-    # derived series, like the lower central one, needs the Jacobi identity
+    # N_k is defined for k >= 1 and SN_k for k >= 2; the derived series,
+    # like the lower central one, needs the Jacobi identity
     with pytest.raises(ValueError, match="^k must be >= 1$"):
         n_k(heisenberg(1), 0)
     with pytest.raises(ValueError, match="^k must be >= 2$"):
