@@ -73,10 +73,11 @@ at mu, which vanish only then, and elsewhere the S-letter rows can span
 less.  So every certificate builds its sequence in one routine,
 ``_sequence``, and its stack in ``_stack``: it checks Jacobi, and the
 picker both decides W(mu) = 0 and gives S, or refuses the point.  Only the
-image [tangents | d1] depends on the free parameters, so ``_stack`` is a
-``functools.lru_cache`` of the last eight stacks, keyed by the table's
-content and field, and the free and frozen runs at a curve point, or
-``h2_knil`` and ``augmented_exactness`` at one point, reduce it once.
+tangents depend on the free parameters, so ``_stack`` is a
+``functools.lru_cache`` of the last eight pairs (stack, Im d1), keyed by
+the table's content and field: the free and frozen runs at a curve point,
+or ``h2_knil`` and ``augmented_exactness`` at one point, reduce each once,
+and ``_closed`` keeps whether Im d1 lies in the stack's kernel.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -111,7 +112,7 @@ from .liealg import (
     split_generators,
     walk_words,
 )
-from .linalg import ExactMatrix, reduce_rows
+from .linalg import ExactMatrix, _sparse_from, reduce_rows
 
 
 def cochain_vector(sigma: StructureConstants):
@@ -358,12 +359,10 @@ class CohomologyReport:
         }
 
 
-def _image(mu, tangents=()):
-    """Im dF: the columns [tangents | d1] and the RowBasis of their span, of
-    rank b with no tangents.  The tangent 2-cochains stay unscaled; d1 is
-    linear in mu, so its scaled columns span Im d1."""
-    cols = list(tangents) + [col for _, col in iter_d1_columns(mu)]
-    return cols, reduce_rows(cols, Layout(mu.n).dim2, mu.field)
+def _image(mu):
+    """The RowBasis of Im d1, of rank b: the d1 columns, streamed and
+    reduced.  d1 is linear in mu, so its scaled columns span Im d1."""
+    return reduce_rows((col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2, mu.field)
 
 
 def _constraint_reducer(mu, kind, k, letters=None):
@@ -383,14 +382,15 @@ def _constraint_reducer(mu, kind, k, letters=None):
 
 @lru_cache(maxsize=8)
 def _stack(mu, field, kind, k):
-    """The reduced [d2 ; dW] stack at mu, for W of ``kind`` "j" (Jacobi),
-    "n" (N_k) or "sn" (SN_k).  A point off the variety is refused: not
-    Lie, or W(mu) != 0, which the picker of ``_WORDS`` decides; its letters
-    generate g there, and the stack walks them.  The last eight stacks are
-    kept, least recently used first out, keyed by content (a table hashes
-    and compares by n and its brackets, not by name or identity), kind, k
-    and ``field``, mu's, which keeps Q and Q(i) apart; a refusal or a cap
-    keeps nothing.  A kept stack is shared, so it is read-only."""
+    """(red, im_d1): the reduced [d2 ; dW] stack at mu, for W of ``kind``
+    "j" (Jacobi), "n" (N_k) or "sn" (SN_k), then Im d1 (``_image``).  A
+    point off the variety is refused: not Lie, or W(mu) != 0, which the
+    picker of ``_WORDS`` decides; its letters generate g there, and the
+    stack walks them.  The last eight pairs are kept, least recently used
+    first out, keyed by content (a table hashes and compares by n and its
+    brackets, not by name or identity), kind, k and ``field``, mu's, which
+    keeps Q and Q(i) apart; a refusal or a cap keeps nothing.  A kept pair
+    is shared, so both bases are read-only."""
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
     letters = None
@@ -398,19 +398,30 @@ def _stack(mu, field, kind, k):
         letters = _WORDS[kind][0](mu, k)
         if letters is None:
             raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
-    return _constraint_reducer(mu, kind, k, letters)
+    return _constraint_reducer(mu, kind, k, letters), _image(mu)
+
+
+@lru_cache(maxsize=8)
+def _closed(mu, field, kind, k):
+    """Whether Im d1 lies in Ker [d2 ; dW], the d1 columns streamed again
+    against ``_stack``'s stack; kept apart, so only a caller that reads it
+    pays for it."""
+    return _stack(mu, field, kind, k)[0].annihilates(col for _, col in iter_d1_columns(mu))
 
 
 def _sequence(mu, kind, k, tangents=()):
     """Hamilton's sequence at mu, [tangents | d1] -> C^2 -> [d2 ; dW], for W
-    of ``kind`` "j", "n" or "sn".  Returns (cols, df, red): the Im dF
-    columns, their RowBasis and the kept RowBasis of the [d2 ; dW] stack
-    (``_stack``, which refuses a point off the variety).  The stack is
-    reduced before the image is built, so the d1 columns are not held
-    through its reduction."""
-    red = _stack(mu, mu.field, kind, k)
-    cols, df = _image(mu, tangents)
-    return cols, df, red
+    of ``kind`` "j", "n" or "sn".  Returns (tangents, df, red): the tangents
+    as a list, the RowBasis of Im dF (the kept Im d1 itself when there are
+    none, else a copy with them added) and the kept stack (``_stack``,
+    which refuses a point off the variety)."""
+    red, df = _stack(mu, mu.field, kind, k)
+    tangents = list(tangents)
+    if tangents:
+        df = df.copy()
+        for vec in tangents:
+            df.add(_sparse_from(vec, df.ncols))
+    return tangents, df, red
 
 
 def h2_knil(mu, k, name=None) -> CohomologyReport:
@@ -430,7 +441,7 @@ def h2_dim(mu, name=None) -> CohomologyReport:
 def derivation_dim(mu) -> int:
     if not is_lie(mu):
         raise NotLieAlgebra("derivations are defined for Lie brackets")
-    return mu.n * mu.n - _image(mu)[1].rank
+    return mu.n * mu.n - _image(mu).rank
 
 
 # -- augmented exactness for parametric families -------------------------------------
@@ -500,9 +511,9 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     mu = table.evaluate(point)
     lay = Layout(mu.n)
     # a generator: the tangents are evaluated only at a point the guards admit
-    cols, df, red = _sequence(mu, kind, k, (cochain_vector(table.derivative(p).evaluate(point))
-                                            for p in free_params))
-    containment = red.annihilates(cols)
+    tangents, df, red = _sequence(mu, kind, k, (cochain_vector(table.derivative(p).evaluate(point))
+                                                for p in free_params))
+    containment = _closed(mu, mu.field, kind, k) and red.annihilates(tangents)
     ker_dg = lay.dim2 - red.rank
     codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
     return ExactnessReport(

@@ -16,7 +16,8 @@ that row and of the new one, so it grows with the density of the rows
 that are kept.
 Every stack in the package enters the echelon through ``reduce_rows`` (the
 streams, ``rank``, ``solve`` and the augmented rows of ``inverse``; ``rank``
-returns its RowBasis), and no RowBasis is built anywhere else.  It
+returns its RowBasis), and no RowBasis is built anywhere else but as a
+``copy`` of one.  It
 therefore reads its rows in windows of 4 * ncols + 1 and adds each window
 sparsest row first, the order of sparse-first pivoting in structured Gaussian
 elimination (LaMacchia and Odlyzko, "Solving large sparse linear systems
@@ -183,6 +184,13 @@ class RowBasis:
                 dense[c] = v
             out.append(dense)
         return out
+
+    def copy(self):
+        """The same span, with its own rows: ``add`` rewrites rows in place."""
+        other = RowBasis(self.ncols)
+        other.gaussian = self.gaussian
+        other._rows = {j: dict(row) for j, row in self._rows.items()}
+        return other
 
     def annihilates(self, vecs):
         """True iff every vector of ``vecs`` ({col: value} dicts or dense

@@ -162,7 +162,9 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        """As ``__eq__``: a constant polynomial hashes as its scalar."""
+        c = self.as_scalar()
+        return hash(frozenset(self.terms.items()) if c is None else c)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""

@@ -20,8 +20,9 @@ from conftest import (
     random_structure,
     seeded_bases,
     stack,
+    structure_tables,
 )
-from nilcohom import cohomology, liealg
+from nilcohom import cohomology, liealg, reproduce
 from nilcohom.catalog import named_polynomial
 from nilcohom.cohomology import (
     Layout,
@@ -46,9 +47,11 @@ from nilcohom.liealg import (
     StructureConstants,
     _letters,
     change_basis,
+    is_lie,
     jacobi,
     k_step_generators,
     n_k,
+    nil_index,
     pencil,
     sn_k,
     split_generators,
@@ -424,11 +427,11 @@ def test_a_corrupted_kept_row_fails_containment(catalog):
     """Im d1 lies in Ker [d2 ; dN_3] at g_{5,3} over Q and over Q(i); one
     entry changed in any kept row, at a column some d1 column meets, takes
     that column's product with the row off zero.  The rows corrupted are
-    those of a reducer of the test's own: ``_sequence`` shares its stack
+    those of a reducer of the test's own: ``_stack`` shares its stack
     with later calls, read-only."""
     mu = catalog.structure("g_{5,3}")
     for table in (mu, *seeded_bases(mu, random.Random(5), 2)):
-        cols = _sequence(table, "n", 3)[0]
+        cols = [col for _, col in iter_d1_columns(table)]
         red = _constraint_reducer(table, "n", 3)
         assert red.annihilates(cols)
         met = set().union(*cols)
@@ -1062,6 +1065,129 @@ def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch
     assert _kept() == 8 and len(calls) == 21
     h2_dim(tables[13])
     assert len(calls) == 22
+
+
+def _kept_image(mu, kind, k):
+    """The sparse rows of the Im d1 basis ``_stack`` keeps for mu."""
+    return cohomology._stack(mu, mu.field, kind, k)[1].sparse_rows()
+
+
+def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeypatch):
+    free_run, frozen_run = _curve_certificates(catalog)
+    free = free_run()
+    streams = []
+    d1_columns = cohomology.iter_d1_columns
+
+    def spy(mu, scaled=True):
+        streams.append(mu)
+        return d1_columns(mu, scaled)
+
+    monkeypatch.setattr(cohomology, "iter_d1_columns", spy)
+    frozen = frozen_run()
+    assert streams == []
+    info = cohomology._closed.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert (free.rank_df, frozen.rank_df, free.containment, frozen.containment) == (41, 41,
+                                                                                    True, True)
+    # the free run's two tangents went into a copy: the kept Im d1 is d1's alone
+    mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    assert _kept_image(mu, "sn", 5) == reduce_rows(
+        (col for _, col in d1_columns(mu)), Layout(mu.n).dim2, mu.field).sparse_rows()
+
+
+def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalog,
+                                                                          monkeypatch):
+    """One entry of one kept row of the curve point's [d2 ; dSN_5] stack is
+    changed, at a column some d1 column meets: both runs at the point see
+    it, the first through the d1 columns it checks, the second through the
+    kept answer."""
+    reduce_stack = cohomology._constraint_reducer
+
+    def corrupt(mu, kind, k, letters=None):
+        red = reduce_stack(mu, kind, k, letters)
+        met = set().union(*(col for _, col in iter_d1_columns(mu)))
+        row = next(row for row in red.sparse_rows() if met.intersection(row))
+        kept = red._rows[min(row)]
+        c = min(met.intersection(kept))
+        kept[c] += 1
+        return red
+
+    monkeypatch.setattr(cohomology, "_constraint_reducer", corrupt)
+    reports = [run() for run in _curve_certificates(catalog)]
+    assert [(rep.containment, rep.exact) for rep in reports] == [(False, False)] * 2
+    assert cohomology._closed.cache_info().hits == 1
+
+
+def test_the_nu_items_leave_the_kept_image_as_it_was(catalog):
+    """The nu items of ``reproduce`` read b and the rank with nu1, nu2 off
+    ``_sequence``, whose Im d1 with no tangents is the kept one: they must
+    add nothing to it."""
+    items = [item for item in reproduce._counterexample_items(catalog)
+             if item[0].startswith("nu1, nu2")]
+    assert len(items) == 2
+    for _ in range(2):
+        assert [run() for *_, run in items] == [True, True]
+    mu = catalog.structure("g_{5,3}")
+    rep = h2_knil(mu, 3)
+    assert (rep.z, rep.b, rep.h) == (17, 15, 2)
+    assert _kept_image(mu, "n", 3) == cohomology._image(mu).sparse_rows()
+
+
+@st.composite
+def _points_and_tangents(draw):
+    """A Lie table of ``structure_tables`` (the table itself if it is Lie,
+    else its brackets of the first m letters on the others, which is a
+    2-step nilpotent table) and 0-2 integer tangent 2-cochains, each random
+    or an integer combination of two d1 columns."""
+    mu = draw(structure_tables())
+    if not is_lie(mu):
+        m = draw(st.integers(1, mu.n - 1))
+        brackets = {(i, j): {l: v for l, v in row.items() if l >= m}
+                    for (i, j), row in mu.c.items() if j < m}
+        mu = StructureConstants(mu.n, brackets, mu.field)
+    dim2 = Layout(mu.n).dim2
+    d1 = [col for _, col in iter_d1_columns(mu)]
+    coeffs = st.integers(-3, 3)
+    tangents = []
+    for _ in range(draw(st.integers(0, 2))):
+        if d1 and draw(st.booleans()):
+            vec = {}
+            for col in draw(st.lists(st.sampled_from(d1), min_size=1, max_size=2)):
+                c = draw(coeffs)
+                for j, v in col.items():
+                    vec[j] = vec.get(j, 0) + c * v
+            tangents.append({j: v for j, v in vec.items() if v})
+        else:
+            tangents.append(draw(st.dictionaries(st.integers(0, max(dim2 - 1, 0)), coeffs,
+                                                 max_size=4 if dim2 else 0)))
+    return mu, tangents
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points_and_tangents())
+def test_the_kept_image_and_closure_answer_as_one_reduction(point):
+    """df.rank is the rank of [tangents | d1], and the kept answer with the
+    tangents' own check is the containment of [tangents | d1] in the kernel
+    of a stack over every letter; with an empty memo and a warm one, where
+    the same point was just served with and without the tangents."""
+    mu, tangents = point
+    dim2 = Layout(mu.n).dim2
+    d1 = [col for _, col in iter_d1_columns(mu)]
+    b = reduce_rows(d1, dim2, mu.field).rank
+    step = nil_index(mu)
+    kinds = [("j", None)] + ([("n", step)] if step is not None and step <= 3 else [])
+    for kind, k in kinds:
+        rank_df = reduce_rows(tangents + d1, dim2, mu.field).rank
+        closed = _constraint_reducer(mu, kind, k).annihilates(tangents + d1)
+        cohomology._stack.cache_clear()
+        cohomology._closed.cache_clear()
+        for _ in range(2):
+            _, df, red = _sequence(mu, kind, k, tangents)
+            assert df.rank == rank_df, (kind, k)
+            assert (cohomology._closed(mu, mu.field, kind, k)
+                    and red.annihilates(tangents)) == closed, (kind, k)
+            assert _sequence(mu, kind, k)[1].rank == b <= rank_df
+        assert cohomology._stack.cache_info().misses == 1
 
 
 def test_threads_get_the_single_threaded_answers():

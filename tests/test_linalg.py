@@ -260,6 +260,21 @@ def test_integral_reduced_rows_equal_the_dense_rref():
     _assert_canonical_integral(basis, [_dense(c, v, 20) for c, v in rows])
 
 
+def test_a_copy_grows_alone():
+    # add rewrites retained rows in place, so a copy must own its rows: rows
+    # added to the copy leave the original's rows and field flag as they were
+    rng = random.Random(7)
+    rows = [{c: rng.randint(-4, 4) or 1 for c in rng.sample(range(12), 4)} for _ in range(6)]
+    basis = reduce_rows(rows, 12)
+    kept = basis.sparse_rows()
+    grown = basis.copy()
+    extra = [{0: 1, 11: QI(0, 1)}, {c: 1 for c in range(12)}, {5: Fraction(1, 3)}]
+    for row in extra:
+        grown.add(row)
+    assert basis.sparse_rows() == kept and not basis.gaussian and grown.gaussian
+    assert grown.sparse_rows() == reduce_rows(rows + extra, 12).sparse_rows()
+
+
 def test_integral_reduced_rows_equal_the_dense_rref_past_the_machine_word():
     rng = random.Random(99)
     for _ in range(12):

@@ -29,6 +29,22 @@ def test_scalar_on_the_left_and_equality_with_a_scalar():
     assert MultiPoly() == 0 and x != 3 and x + 1 != 1
 
 
+def test_a_constant_polynomial_hashes_as_its_scalar():
+    for c in (0, 3, Fraction(1, 2), QI(3, 0), QI(1, 2)):
+        p = MultiPoly.const(c)
+        assert p == c and hash(p) == hash(c), c
+    x = MultiPoly.var("x")
+    assert hash(x + 1) == hash(MultiPoly({(): 1, (("x", 1),): 1}))
+
+
+def test_a_table_of_constant_polynomials_hashes_as_its_numeric_twin():
+    sym = parse_symbolic("ab = 3c, ac = (1/2)b + (i)a", 3, ("t",))
+    assert sym.field == "sym"
+    numeric = StructureConstants(3, {(0, 1): {2: 3}, (0, 2): {1: Fraction(1, 2), 0: QI(0, 1)}})
+    assert sym == numeric and hash(sym) == hash(numeric)
+    assert len({sym, numeric}) == 1
+
+
 def test_degree_homogeneity_variables():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     p = x**2 * y + x * y**2
