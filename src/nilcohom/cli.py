@@ -105,7 +105,7 @@ def cmd_info(args, catalog):
 def cmd_cohomology(args, catalog):
     rec, assignment = _record(catalog, args.name, args.params)
     mu = rec.structure(assignment)
-    rep = h2_knil(mu, args.k, mu.name)
+    rep = h2_knil(mu, args.k)
     if args.json:
         _print_json(rep.to_dict())
     else:

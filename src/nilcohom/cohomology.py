@@ -73,11 +73,11 @@ at mu, which vanish only then, and elsewhere the S-letter rows can span
 less.  So every certificate builds its sequence in one routine,
 ``_sequence``, and its stack in ``_stack``: it checks Jacobi, and the
 picker both decides W(mu) = 0 and gives S, or refuses the point.  Only the
-tangents depend on the free parameters, so ``_stack`` is a
-``functools.lru_cache`` of the last eight pairs (stack, Im d1), keyed by
-the table's content and field: the free and frozen runs at a curve point,
-or ``h2_knil`` and ``augmented_exactness`` at one point, reduce each once,
-and ``_closed`` keeps whether Im d1 lies in the stack's kernel.
+tangents depend on the free parameters, so ``_stack`` keeps one entry
+(stack, Im d1, closed) for each of the last eight points, keyed by the
+table's content and the constraint: the free and frozen runs at a curve
+point, or ``h2_knil`` and ``augmented_exactness`` at one point, reduce
+each once, and ``closed`` checks once whether Im d1 lies in its kernel.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -94,7 +94,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 
 from .errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
@@ -362,7 +362,7 @@ class CohomologyReport:
 def _image(mu):
     """The RowBasis of Im d1, of rank b: the d1 columns, streamed and
     reduced.  d1 is linear in mu, so its scaled columns span Im d1."""
-    return reduce_rows((col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2, mu.field)
+    return reduce_rows((col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2)
 
 
 def _constraint_reducer(mu, kind, k, letters=None):
@@ -377,20 +377,21 @@ def _constraint_reducer(mu, kind, k, letters=None):
     rows = iter_d2_rows(mu)
     if kind in _WORDS:
         rows = chain(rows, _WORDS[kind][1](mu, k, least_first=True, letters=letters))
-    return reduce_rows((row for _, row in rows), Layout(mu.n).dim2, mu.field)
+    return reduce_rows((row for _, row in rows), Layout(mu.n).dim2)
 
 
 @lru_cache(maxsize=8)
-def _stack(mu, field, kind, k):
-    """(red, im_d1): the reduced [d2 ; dW] stack at mu, for W of ``kind``
-    "j" (Jacobi), "n" (N_k) or "sn" (SN_k), then Im d1 (``_image``).  A
-    point off the variety is refused: not Lie, or W(mu) != 0, which the
-    picker of ``_WORDS`` decides; its letters generate g there, and the
-    stack walks them.  The last eight pairs are kept, least recently used
-    first out, keyed by content (a table hashes and compares by n and its
-    brackets, not by name or identity), kind, k and ``field``, mu's, which
-    keeps Q and Q(i) apart; a refusal or a cap keeps nothing.  A kept pair
-    is shared, so both bases are read-only."""
+def _stack(mu, kind, k):
+    """(red, im_d1, closed): the reduced [d2 ; dW] stack at mu, for W of
+    ``kind`` "j", "n" (N_k) or "sn" (SN_k), Im d1 (``_image``), and
+    ``closed()``, whether Im d1 lies in the stack's kernel, checked on the
+    first call against the d1 columns streamed again.  A point off the
+    variety (not Lie, or W(mu) != 0, which the picker of ``_WORDS``
+    decides) is refused.  The last eight entries are kept, least recently
+    used first out, keyed by content (n and the brackets, not the name or
+    the field: a Q(i) table of real values reads, scaled, as the ints of
+    its Q twin), kind and k; a refusal or a cap keeps nothing.  A kept entry
+    is shared: both bases are read-only."""
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
     letters = None
@@ -398,24 +399,22 @@ def _stack(mu, field, kind, k):
         letters = _WORDS[kind][0](mu, k)
         if letters is None:
             raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
-    return _constraint_reducer(mu, kind, k, letters), _image(mu)
+    red = _constraint_reducer(mu, kind, k, letters)
 
+    @cache
+    def closed():
+        return red.annihilates(col for _, col in iter_d1_columns(mu))
 
-@lru_cache(maxsize=8)
-def _closed(mu, field, kind, k):
-    """Whether Im d1 lies in Ker [d2 ; dW], the d1 columns streamed again
-    against ``_stack``'s stack; kept apart, so only a caller that reads it
-    pays for it."""
-    return _stack(mu, field, kind, k)[0].annihilates(col for _, col in iter_d1_columns(mu))
+    return red, _image(mu), closed
 
 
 def _sequence(mu, kind, k, tangents=()):
     """Hamilton's sequence at mu, [tangents | d1] -> C^2 -> [d2 ; dW], for W
     of ``kind`` "j", "n" or "sn".  Returns (tangents, df, red): the tangents
     as a list, the RowBasis of Im dF (the kept Im d1 itself when there are
-    none, else a copy with them added) and the kept stack (``_stack``,
-    which refuses a point off the variety)."""
-    red, df = _stack(mu, mu.field, kind, k)
+    none, else a copy with them added) and the kept stack, off the point's
+    entry of ``_stack``, whose ``closed()`` is left to its one reader."""
+    red, df, _ = _stack(mu, kind, k)
     tangents = list(tangents)
     if tangents:
         df = df.copy()
@@ -424,18 +423,18 @@ def _sequence(mu, kind, k, tangents=()):
     return tangents, df, red
 
 
-def h2_knil(mu, k, name=None) -> CohomologyReport:
+def h2_knil(mu, k) -> CohomologyReport:
     """Deformation cohomology inside the k-step nilpotent variety."""
     _, df, red = _sequence(mu, "n", k)
     z, b = Layout(mu.n).dim2 - red.rank, df.rank
-    return CohomologyReport(name or mu.name, mu.n, k, z, b, z - b, z == b)
+    return CohomologyReport(mu.name, mu.n, k, z, b, z - b, z == b)
 
 
-def h2_dim(mu, name=None) -> CohomologyReport:
+def h2_dim(mu) -> CohomologyReport:
     """Ordinary adjoint H^2 dimensions (z, b, h)."""
     _, df, red = _sequence(mu, "j", None)
     z, b = Layout(mu.n).dim2 - red.rank, df.rank
-    return CohomologyReport(name or mu.name, mu.n, None, z, b, z - b, False)
+    return CohomologyReport(mu.name, mu.n, None, z, b, z - b, False)
 
 
 def derivation_dim(mu) -> int:
@@ -513,7 +512,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     # a generator: the tangents are evaluated only at a point the guards admit
     tangents, df, red = _sequence(mu, kind, k, (cochain_vector(table.derivative(p).evaluate(point))
                                                 for p in free_params))
-    containment = _closed(mu, mu.field, kind, k) and red.annihilates(tangents)
+    containment = _stack(mu, kind, k)[2]() and red.annihilates(tangents)
     ker_dg = lay.dim2 - red.rank
     codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
     return ExactnessReport(

@@ -546,13 +546,13 @@ def _series(mu, derived=False):
     """
     n, _, right = _letter_operators(mu, scaled=True)
     rows = [_unit(n, i) for i in range(n)]
-    series = [reduce_rows(rows, n, mu.field)]
+    series = [reduce_rows(rows, n)]
     while rows:
         if derived:
             brackets = (_brvv(right, n, u, v) for i, u in enumerate(rows) for v in rows[i + 1:])
         else:
             brackets = (_brv(right, n, u, b) for u in rows for b in range(n))
-        basis = reduce_rows((w for w in brackets if w is not None), n, mu.field)
+        basis = reduce_rows((w for w in brackets if w is not None), n)
         if basis.rank == len(rows):
             break
         rows = basis.basis_rows()
@@ -577,7 +577,7 @@ def _generators(mu, series):
     if nilpotent:
         return tuple(picks)
     _, _, right = _letter_operators(mu, scaled=True)
-    sub = reduce_rows((), n, mu.field)
+    sub = reduce_rows((), n)
     kept = []  # the vectors added to sub, each outside the span of those before
 
     def take(u):

@@ -392,7 +392,7 @@ def reduce_rows(rows, ncols, field=FIELD_Q):
 
 def rank(m: ExactMatrix) -> RowBasis:
     """The RowBasis of the rows of ``m``: ``rank`` and ``pivot_cols()``."""
-    return reduce_rows((dict(zip(cols, vals)) for cols, vals in m.iter_rows()), m.ncols, m.field)
+    return reduce_rows((dict(zip(cols, vals)) for cols, vals in m.iter_rows()), m.ncols)
 
 
 def solve(rows, ncols):
@@ -424,18 +424,17 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    field = m.field
     # the augmented rows [m | I]
     rows = ({**dict(zip(cols, vals)), n + i: 1} for i, (cols, vals) in enumerate(m.iter_rows()))
-    basis = reduce_rows(rows, 2 * n, field)
+    basis = reduce_rows(rows, 2 * n)
     if basis.pivot_cols() != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     entries = {}
     for r, row in enumerate(basis.sparse_rows()):
         for c, v in row.items():
             if c >= n:
-                entries[(r, c - n)] = promote(v, field) / row[r]
-    return ExactMatrix(n, n, entries, field)
+                entries[(r, c - n)] = promote(v, m.field) / row[r]
+    return ExactMatrix(n, n, entries, m.field)
 
 
 def dot(u, v):

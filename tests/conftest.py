@@ -22,11 +22,10 @@ def catalog():
 
 @pytest.fixture(autouse=True)
 def _no_kept_stacks():
-    """Each test starts with no reduced stack kept by ``cohomology._stack``
-    and no containment answer kept by ``cohomology._closed``, so a test that
-    lowers a cap or patches a stream is not served work done before it."""
+    """Each test starts with no entry (stack, Im d1, containment answer)
+    kept by ``cohomology._stack``, so a test that lowers a cap or patches a
+    stream is not served work done before it."""
     cohomology._stack.cache_clear()
-    cohomology._closed.cache_clear()
 
 
 def digest(items):

@@ -74,7 +74,7 @@ def test_criterion_01_dim5_table():
     }
     with criterion(1, "all eight 5-dim (z, b, h) triples match the table"):
         for (name, k), want in expected.items():
-            rep = h2_knil(CAT.structure(name), k, name)
+            rep = h2_knil(CAT.structure(name), k)
             assert (rep.z, rep.b, rep.h) == want, (name, rep)
 
 
@@ -114,7 +114,7 @@ def test_criterion_03_split_word_counterexample():
         assert nil_index(mu) == 5
         assert sn_k(mu, 4)[(0, 1, 0, 1, 0)] == [0, 0, 0, 0, 0, F(1)]
         assert n_k(mu, 6) == {}
-        rep = h2_knil(mu, 5, "12346_E")
+        rep = h2_knil(mu, 5)
         assert (rep.z, rep.b, rep.h) == (28, 28, 0) and rep.rigid_certificate
 
 
@@ -175,7 +175,7 @@ def test_criterion_06_ideal_membership():
 def test_criterion_07_rigid_points_dim7():
     with criterion(7, "three printed rigid points in the 3-step dim-7 variety"):
         for name, orbit in (("g_{137B}", 36), ("g_{137B_1}", 36), ("g_{247H}", 38)):
-            rep = h2_knil(CAT.structure(name), 3, name)
+            rep = h2_knil(CAT.structure(name), 3)
             assert rep.h == 0 and rep.rigid_certificate, name
             assert rep.b == orbit, name
         try:
@@ -183,7 +183,7 @@ def test_criterion_07_rigid_points_dim7():
         except ExternalDataRequired:
             print("  (g_{247H_1} skipped: data pack not installed)")
         else:
-            rep = h2_knil(rec.structure(), 3, rec.name)
+            rep = h2_knil(rec.structure(), 3)
             assert rep.h == 0 and rep.b == 38
 
 
@@ -191,7 +191,7 @@ def test_criterion_08_nonrigid_points_and_witnesses():
     with criterion(8, "h=1 points and all four degeneration witnesses,"
                       " including the Gaussian one"):
         for name in ("g_{247K}", "g_{147D}", "g_{137A}", "g_{137D}", "g_{137A_1}"):
-            rep = h2_knil(CAT.structure(name), 3, name)
+            rep = h2_knil(CAT.structure(name), 3)
             assert rep.h == 1, name
         runs = [
             ("137B-from-curve", F(2)),

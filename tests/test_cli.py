@@ -341,6 +341,19 @@ def test_run_suite_refuses_an_unknown_suite(catalog):
         reproduce.run_suite("bogus", catalog)
 
 
+def test_a_failed_membership_fails_the_ideals_suite(catalog, monkeypatch):
+    q5 = reproduce.cat.named_polynomial("Q5")
+    search = reproduce.member_bounded
+
+    def miss_q5(f, gens, bound):
+        return None if f == q5 else search(f, gens, bound)
+
+    monkeypatch.setattr(reproduce, "member_bounded", miss_q5)
+    report = reproduce.run_suite("ideals", catalog)
+    failed = [(item.computed, item.status) for item in report.items if item.status != "pass"]
+    assert failed == [("failures at [5]", "fail")] and not report.passed
+
+
 def test_reproduce_dim6_skips_without_pack(capsys):
     code, out, _ = run(capsys, "reproduce", "dim6")
     assert code == 0
@@ -504,6 +517,13 @@ def test_ideal_variables_outside_the_chart_are_usage_errors(capsys):
     assert code == 2 and "bad --zeros entry '\u0661,\u0662,\u0664'" in err
     code, _, err = run(capsys, "ideal", "member", "6", "4", "t_{1,2,3}+")
     assert code == 2 and "unexpected end of input" in err
+
+
+def test_zeroth_powers_and_powers_of_zero_pass_the_power_caps(capsys):
+    code, out, _ = run(capsys, "ideal", "member", "6", "4", "Q13^0", "--json")
+    assert code == 1 and json.loads(out)["member"] is False  # 1 is no member
+    code, out, _ = run(capsys, "ideal", "member", "6", "4", "(t_{1,2,3}-t_{1,2,3})^3")
+    assert code == 0 and out.startswith("0 lies in the ideal")
 
 
 def test_named_targets_take_any_power(capsys):

@@ -1043,13 +1043,13 @@ def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
     mu = catalog.structure("g_{5,3}")
     reordered = StructureConstants(mu.n, dict(reversed(list(mu.c.items()))), name="other")
     assert list(reordered.c) != list(mu.c)
-    reports = [h2_knil(table, 3) for table in (mu, reordered)]
-    assert [(rep.z, rep.b, rep.h) for rep in reports] == [(17, 15, 2)] * 2
-    assert reports[1].algebra == "other"
+    # the same table over Q(i) reads, scaled, as the same ints: its twin
+    gaussian = StructureConstants(mu.n, mu.c, FIELD_QI, name="twin")
+    assert gaussian.field == FIELD_QI
+    reports = [h2_knil(table, 3) for table in (mu, reordered, gaussian)]
+    assert [(rep.z, rep.b, rep.h) for rep in reports] == [(17, 15, 2)] * 3
+    assert [rep.algebra for rep in reports] == [mu.name, "other", "twin"]
     assert _kept() == 1 and len(calls) == 1
-    # the same integer table over Q(i) is another table
-    gaussian = StructureConstants(mu.n, mu.c, FIELD_QI)
-    assert (h2_knil(gaussian, 3).z, _kept(), len(calls)) == (17, 2, 2)
 
 
 def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch):
@@ -1068,13 +1068,13 @@ def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch
 
 
 def _kept_image(mu, kind, k):
-    """The sparse rows of the Im d1 basis ``_stack`` keeps for mu."""
-    return cohomology._stack(mu, mu.field, kind, k)[1].sparse_rows()
+    """The sparse rows of the kept Im d1 at mu: ``_sequence`` with no
+    tangents returns it as it is."""
+    return _sequence(mu, kind, k)[1].sparse_rows()
 
 
-def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeypatch):
-    free_run, frozen_run = _curve_certificates(catalog)
-    free = free_run()
+def _count_d1_streams(monkeypatch):
+    """Spy on ``iter_d1_columns``; returns the list of tables it streamed."""
     streams = []
     d1_columns = cohomology.iter_d1_columns
 
@@ -1083,16 +1083,46 @@ def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeyp
         return d1_columns(mu, scaled)
 
     monkeypatch.setattr(cohomology, "iter_d1_columns", spy)
+    return streams
+
+
+def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeypatch):
+    free_run, frozen_run = _curve_certificates(catalog)
+    streams = _count_d1_streams(monkeypatch)
+    free = free_run()
+    assert len(streams) == 2  # Im d1, then the containment of its columns
     frozen = frozen_run()
-    assert streams == []
-    info = cohomology._closed.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert len(streams) == 2
+    info = cohomology._stack.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
     assert (free.rank_df, frozen.rank_df, free.containment, frozen.containment) == (41, 41,
                                                                                     True, True)
     # the free run's two tangents went into a copy: the kept Im d1 is d1's alone
     mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
     assert _kept_image(mu, "sn", 5) == reduce_rows(
-        (col for _, col in d1_columns(mu)), Layout(mu.n).dim2, mu.field).sparse_rows()
+        (col for _, col in iter_d1_columns(mu)), Layout(mu.n).dim2).sparse_rows()
+
+
+def test_the_containment_answer_is_kept_with_its_entry(catalog, monkeypatch):
+    """``h2_dim`` never asks whether Im d1 lies in Ker dG.  While eight other
+    tables pass through the memo by it, the curve point's entry stays kept
+    and so does its answer; once it is pushed out, the answer goes with it."""
+    free_run, frozen_run = _curve_certificates(catalog)
+    others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 17)]
+    calls = _count_reductions(monkeypatch)
+    streams = _count_d1_streams(monkeypatch)
+    free_run()
+    for mu in others[:7]:
+        h2_dim(mu)
+    assert _kept() == 8 and len(streams) == 2 + 7
+    assert frozen_run().containment  # kept: the least recently used, now the most
+    h2_dim(others[7])
+    assert free_run().containment
+    assert _kept() == 8 and len(streams) == 2 + 8 and len(calls) == 1 + 8
+    for mu in others[8:]:
+        h2_dim(mu)
+    assert frozen_run().containment  # pushed out: reduced and checked again
+    assert len(streams) == 2 + 16 + 2 and len(calls) == 1 + 16 + 1
 
 
 def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalog,
@@ -1100,7 +1130,7 @@ def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalo
     """One entry of one kept row of the curve point's [d2 ; dSN_5] stack is
     changed, at a column some d1 column meets: both runs at the point see
     it, the first through the d1 columns it checks, the second through the
-    kept answer."""
+    kept answer, with no d1 column streamed."""
     reduce_stack = cohomology._constraint_reducer
 
     def corrupt(mu, kind, k, letters=None):
@@ -1113,9 +1143,13 @@ def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalo
         return red
 
     monkeypatch.setattr(cohomology, "_constraint_reducer", corrupt)
-    reports = [run() for run in _curve_certificates(catalog)]
-    assert [(rep.containment, rep.exact) for rep in reports] == [(False, False)] * 2
-    assert cohomology._closed.cache_info().hits == 1
+    streams = _count_d1_streams(monkeypatch)
+    free_run, frozen_run = _curve_certificates(catalog)
+    free = free_run()
+    assert len(streams) == 2
+    frozen = frozen_run()
+    assert len(streams) == 2
+    assert [(rep.containment, rep.exact) for rep in (free, frozen)] == [(False, False)] * 2
 
 
 def test_the_nu_items_leave_the_kept_image_as_it_was(catalog):
@@ -1130,6 +1164,7 @@ def test_the_nu_items_leave_the_kept_image_as_it_was(catalog):
     mu = catalog.structure("g_{5,3}")
     rep = h2_knil(mu, 3)
     assert (rep.z, rep.b, rep.h) == (17, 15, 2)
+    assert cohomology._stack.cache_info().misses == 1
     assert _kept_image(mu, "n", 3) == cohomology._image(mu).sparse_rows()
 
 
@@ -1173,27 +1208,40 @@ def test_the_kept_image_and_closure_answer_as_one_reduction(point):
     mu, tangents = point
     dim2 = Layout(mu.n).dim2
     d1 = [col for _, col in iter_d1_columns(mu)]
-    b = reduce_rows(d1, dim2, mu.field).rank
+    b = reduce_rows(d1, dim2).rank
     step = nil_index(mu)
     kinds = [("j", None)] + ([("n", step)] if step is not None and step <= 3 else [])
     for kind, k in kinds:
-        rank_df = reduce_rows(tangents + d1, dim2, mu.field).rank
+        rank_df = reduce_rows(tangents + d1, dim2).rank
         closed = _constraint_reducer(mu, kind, k).annihilates(tangents + d1)
         cohomology._stack.cache_clear()
-        cohomology._closed.cache_clear()
         for _ in range(2):
             _, df, red = _sequence(mu, kind, k, tangents)
             assert df.rank == rank_df, (kind, k)
-            assert (cohomology._closed(mu, mu.field, kind, k)
+            assert (cohomology._stack(mu, kind, k)[2]()
                     and red.annihilates(tangents)) == closed, (kind, k)
             assert _sequence(mu, kind, k)[1].rank == b <= rank_df
         assert cohomology._stack.cache_info().misses == 1
 
 
+def _in_eight_threads(work):
+    """work(i) for i = 0..7, each in its own thread, the thread switches
+    coming every microsecond."""
+    interval = sys.getswitchinterval()
+    pool = ThreadPoolExecutor(8)
+    sys.setswitchinterval(1e-6)
+    try:
+        futures = [pool.submit(work, i) for i in range(8)]
+        return [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
 def test_threads_get_the_single_threaded_answers():
     # eight threads share the memo of 24 stacks (h2_dim and h2_knil at twelve
     # tables, so every thread keeps evicting the others' stacks) and the
-    # membership search of I_{6,4}; the thread switches come every microsecond
+    # membership search of I_{6,4}
     tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 13)]
     gens = nilpotency_ideal(6, 4).gens
     targets = [named_polynomial(q) for q in ("Q1", "Q5")]
@@ -1205,13 +1253,29 @@ def test_threads_get_the_single_threaded_answers():
                 [member_bounded(f, gens, 4).multipliers for f in targets])
 
     expected = work(0)
-    interval = sys.getswitchinterval()
-    pool = ThreadPoolExecutor(8)
-    sys.setswitchinterval(1e-6)
-    try:
-        futures = [pool.submit(work, i) for i in range(8)]
-        answers = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown(wait=False, cancel_futures=True)
-    assert answers == [expected] * 8
+    assert _in_eight_threads(work) == [expected] * 8
+
+
+def test_threads_share_the_containment_answers_of_the_curve_points(catalog):
+    # eight threads run the free and frozen SN_5 certificates at six curve
+    # points, each after h2_dim at another table: 18 entries for 8 places,
+    # so the entries whose containment answer one thread asks for keep
+    # being pushed out and built again by the others
+    points = [("g_5(r,t)", 1, 1), ("g_5(r,t)", 2, 3), ("g_5(r,t)", -1, 2),
+              ("g_6(r,t)", 1, 1), ("g_6(r,t)", 2, 3), ("g_6(r,t)", Fraction(1, 2),
+                                                       Fraction(1, 3))]
+    runs = [(catalog.get(fam).symbolic(), {"r": Fraction(r), "t": Fraction(t)}, free)
+            for fam, r, t in points for free in (("r", "t"), ("t",))]
+    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 13)]
+
+    def work(shift):
+        reports = []
+        for _ in range(3):
+            for (table, point, free), mu in zip(runs[shift:] + runs[:shift], tables):
+                reports.append(h2_dim(mu))
+                reports.append(augmented_exactness(table, point, free, "sn5"))
+        return sorted(reports, key=repr)
+
+    expected = work(0)
+    assert all(rep.exact for rep in expected if hasattr(rep, "exact"))
+    assert _in_eight_threads(work) == [expected] * 8

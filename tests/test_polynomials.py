@@ -11,6 +11,15 @@ from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
 from nilcohom.tables import parse_symbolic, parse_tpoly
 
 
+def test_substitute_drops_the_terms_that_cancel():
+    # a kept zero coefficient would make is_zero() false on the zero
+    # polynomial, and non_membership reads is_zero()
+    x, y, z = (MultiPoly.var(v) for v in "xyz")
+    for p, assignment in ((x * y - x, {"y": 1}), (x * y - x * z, {"y": z})):
+        q = p.substitute(assignment)
+        assert q.terms == {} and q.is_zero() and q == MultiPoly(), (p, assignment)
+
+
 def test_ring_axioms_on_small_cases():
     x = MultiPoly.var("x")
     y = MultiPoly.var("y")
