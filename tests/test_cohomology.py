@@ -1262,8 +1262,7 @@ def test_threads_share_the_containment_answers_of_the_curve_points(catalog):
     # so the entries whose containment answer one thread asks for keep
     # being pushed out and built again by the others
     points = [("g_5(r,t)", 1, 1), ("g_5(r,t)", 2, 3), ("g_5(r,t)", -1, 2),
-              ("g_6(r,t)", 1, 1), ("g_6(r,t)", 2, 3), ("g_6(r,t)", Fraction(1, 2),
-                                                       Fraction(1, 3))]
+              ("g_6(r,t)", 1, 1), ("g_6(r,t)", 2, 3), ("g_6(r,t)", Fraction(1, 2), Fraction(1, 3))]
     runs = [(catalog.get(fam).symbolic(), {"r": Fraction(r), "t": Fraction(t)}, free)
             for fam, r, t in points for free in (("r", "t"), ("t",))]
     tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 13)]
