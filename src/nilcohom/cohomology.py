@@ -84,7 +84,14 @@ to ints over Q and to ints and Gaussian integers over Q(i).  Each
 differential is homogeneous in mu (d1 and d2 are linear), so that
 multiplies all its rows or columns by one positive integer, changes no
 span, rank or containment, and keeps the whole pipeline fraction-free on
-the one reducer.  The tangent columns of
+the one reducer.  The Jacobi guard reads the same scaled table, as J is
+homogeneous of degree 2 in mu.  ``liealg._letter_operators`` keeps the
+scaled read for the last eight tables (``liealg._scaled_operators``),
+keyed by content as ``_stack`` is, so the guard, the picker, d1, d2 and
+the word walk of one certificate build it once.  The unscaled read, of
+``d1_matrix``, ``d2_matrix`` and the public tensors, is built on each
+call: a Q(i) twin holds QIs where its Q twin holds Fractions, which
+scaled become the same ints.  The tangent columns of
 ``augmented_exactness`` stay unscaled.  Membership in the k-step and split
 varieties is checked by the lower central series, in polynomial time, not
 by enumerating the words.

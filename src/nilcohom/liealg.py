@@ -150,8 +150,22 @@ def pencil(mu, nu, t):
 
 def jacobi(mu):
     """Cyclic Jacobi tensor on basis triples i<j<k; empty dict iff Lie."""
-    n, table, right = _letter_operators(mu, scaled=False)
-    out = {}
+    return dict(_jacobi_terms(*_letter_operators(mu, scaled=False)))
+
+
+def is_lie(mu):
+    """Whether the Jacobi tensor vanishes, read off the scaled operators of
+    a numeric table: J is homogeneous of degree 2 in mu, so scaling mu by N
+    scales J by N^2 and keeps which entries vanish.  A table over "sym" has
+    no scaled read and is read as it is."""
+    ops = _letter_operators(mu, scaled=mu.field in (FIELD_Q, FIELD_QI))
+    return next(_jacobi_terms(*ops), None) is None
+
+
+def _jacobi_terms(n, table, right):
+    """((i, j, l), J(e_i, e_j, e_l)) for each triple i < j < l where the
+    cyclic sum of mu(mu(e_x, e_y), e_z) is nonzero, from the operators of
+    ``_letter_operators``."""
     for i, j, l in Layout(n).triples:
         acc = [0] * n
         for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
@@ -160,12 +174,7 @@ def jacobi(mu):
             if w is not None:
                 acc = [a + b for a, b in zip(acc, w)]
         if any(acc):
-            out[(i, j, l)] = acc
-    return out
-
-
-def is_lie(mu):
-    return not jacobi(mu)
+            yield (i, j, l), acc
 
 
 # -- left-nested words over the dense table ------------------------------------
@@ -223,9 +232,28 @@ def _letter_operators(mu, scaled):
     the left operator mu(e_b, .).  J, d1, d2, the words, their derivatives
     and the series read the coefficients here and nowhere else.
     scaled=True multiplies every entry by one global integer, which is
-    legitimate anywhere a uniform per-row scale is (rank, kernel); the
-    scaled entries are ints, and QIs with int parts where they are not real.
+    legitimate anywhere a uniform per-row scale is (rank, kernel, whether J
+    vanishes); the scaled entries are ints, and QIs with int parts where
+    they are not real.  The scaled read is kept for the last eight tables
+    (``_scaled_operators``), keyed by content as ``cohomology._stack`` is,
+    so a certificate builds it once for its guard, picker and streams; the
+    result is shared and read-only.  The unscaled read is built on every
+    call: a Q(i) twin of a rational table is equal to it but holds QIs
+    where it holds Fractions, and a kept entry would hand one table the
+    other's values.  Scaled, both are the same ints.
     """
+    return _scaled_operators(mu) if scaled else _read_operators(mu, scaled=False)
+
+
+@lru_cache(maxsize=8)
+def _scaled_operators(mu):
+    """``_read_operators(mu, scaled=True)``, kept for the last eight tables."""
+    return _read_operators(mu, scaled=True)
+
+
+def _read_operators(mu, scaled):
+    """``_letter_operators`` without the memo; only it and
+    ``_scaled_operators`` call this."""
     n = mu.n
     keys = [(i, j, k) for (i, j), coeffs in mu.c.items() for k in coeffs]
     vals = [mu.c[i, j][k] for i, j, k in keys]

@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 from hypothesis import strategies as st
 
-from nilcohom import cohomology
+from nilcohom import cohomology, liealg
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
 from nilcohom.errors import TableError
@@ -23,9 +23,11 @@ def catalog():
 @pytest.fixture(autouse=True)
 def _no_kept_stacks():
     """Each test starts with no entry (stack, Im d1, containment answer)
-    kept by ``cohomology._stack``, so a test that lowers a cap or patches a
-    stream is not served work done before it."""
+    kept by ``cohomology._stack`` and no scaled letter operators kept by
+    ``liealg._scaled_operators``, so a test that lowers a cap or patches a
+    stream or reader is not served work done before it."""
     cohomology._stack.cache_clear()
+    liealg._scaled_operators.cache_clear()
 
 
 def digest(items):
