@@ -1067,6 +1067,33 @@ def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch
     assert len(calls) == 22
 
 
+def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypatch):
+    # the Jacobi guard, the picker, d1, d2 and the word walk of h2_knil are
+    # served one scaled read of the table, and no unscaled one; a second
+    # certificate on the table, on another stack or the same, builds none
+    reads = []
+    read = liealg._read_operators
+
+    def spy(mu, scaled):
+        reads.append((mu, scaled))
+        return read(mu, scaled)
+
+    monkeypatch.setattr(liealg, "_read_operators", spy)
+    g = catalog.structure("g_{137A}")
+    expected = h2_knil(g, 3)
+    # one basis with real transvections, one with Gaussian ones
+    tables = seeded_bases(g, random.Random(45), 2)
+    reads.clear()
+    for mu in tables:
+        report = h2_knil(mu, 3)
+        assert (report.z, report.b, report.h) == (expected.z, expected.b, expected.h)
+        assert reads == [(mu, True)]
+        h2_dim(mu)
+        h2_knil(mu, 3)
+        assert reads == [(mu, True)]
+        reads.clear()
+
+
 def _kept_image(mu, kind, k):
     """The sparse rows of the kept Im d1 at mu: ``_sequence`` with no
     tangents returns it as it is."""

@@ -27,6 +27,8 @@ from nilcohom.liealg import (
     _brv,
     _brvv,
     _letter_operators,
+    _read_operators,
+    _scaled_operators,
     change_basis,
     derived_series,
     heisenberg,
@@ -590,3 +592,53 @@ def test_sparse_letter_operators_match_the_bracket(case):
         e_b = [int(c == b) for c in range(n)]
         assert (_brv(right, n, x, b) or zero) == mu.bracket(x, e_b)
         assert (_brvv(right, n, e_b, y) or zero) == mu.bracket(e_b, y)
+
+
+# Lie brackets whose Jacobi sums cancel between several terms once moved
+# into a basis with denominators: sl_2 (h, e, f), the filiform f_4, h_1 and
+# the shift extension of h_2
+_LIE = (
+    StructureConstants(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+    StructureConstants(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    heisenberg(1),
+    heisenberg_extension(2),
+)
+
+
+@st.composite
+def _lie_tables(draw):
+    """One of ``_LIE`` in the basis g = L U, for unitriangular L and U with
+    entries over Q or Q(i), with denominators."""
+    mu = draw(st.sampled_from(_LIE))
+    n = mu.n
+    entry = st.one_of(st.just(0), draw(st.sampled_from((_rationals, _gaussians))))
+    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    g = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return change_basis(mu, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(structure_tables(), _lie_tables()))
+def test_the_kept_scaled_operators_and_the_guard_read_the_table(mu):
+    # is_lie reads the kept scaled operators and agrees with the unscaled
+    # Jacobi tensor; content-equal twins (brackets in reverse order, another
+    # name, the table declared over Q(i)) are served the ints of a fresh read
+    lie = not jacobi(mu)
+    fresh = _read_operators(mu, scaled=True)
+    twins = [
+        mu,
+        StructureConstants(mu.n, dict(reversed(list(mu.c.items()))), mu.field),
+        mu.with_name("other"),
+        StructureConstants(mu.n, mu.c, FIELD_QI),
+    ]
+    for twin in twins:
+        assert _letter_operators(twin, scaled=True) == fresh
+        assert is_lie(twin) == lie
+
+
+def test_the_guard_reads_a_polynomial_table_as_it_is():
+    # the generic charts are over "sym": no scaled read, and none kept
+    assert [is_lie(generic_chart(n)) for n in (4, 5)] == [True, False]
+    assert not jacobi(generic_chart(4)) and jacobi(generic_chart(5))
+    assert _scaled_operators.cache_info().currsize == 0

@@ -1,6 +1,7 @@
 """Checks on the sources as text: they parse under the grammar of the
-oldest Python the package claims to support, and no echelon in the package
-is handed a field."""
+oldest Python the package claims to support, no echelon in the package is
+handed a field, and every read of the letter operators goes through the
+memo."""
 
 import ast
 import inspect
@@ -18,13 +19,19 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-def _calls(node, scope):
-    """(name of the enclosing def, call) for every call under ``node``."""
+def _nodes(node, scope):
+    """(name of the enclosing def, node) for every node under ``node``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            yield scope, child
+        yield scope, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _calls(child, inner)
+        yield from _nodes(child, inner)
+
+
+def _package_nodes():
+    """(module file name, name of the enclosing def, node) over ``src/``."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for scope, node in _nodes(ast.parse(path.read_text()), None):
+            yield path.name, scope, node
 
 
 def test_no_echelon_in_the_package_is_given_a_field():
@@ -37,14 +44,33 @@ def test_no_echelon_in_the_package_is_given_a_field():
     field_at = {f.__name__: list(inspect.signature(f).parameters).index("field")
                 for f in (RowBasis, reduce_rows)}
     passed = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for scope, call in _calls(ast.parse(path.read_text()), None):
-            func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in field_at and (
-                len(call.args) > field_at[name]
-                or any(isinstance(a, ast.Starred) for a in call.args)
-                or any(kw.arg in ("field", None) for kw in call.keywords)
-            ):
-                passed.append((path.name, scope, name))
+    for module, scope, call in _package_nodes():
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in field_at and (
+            len(call.args) > field_at[name]
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg in ("field", None) for kw in call.keywords)
+        ):
+            passed.append((module, scope, name))
     assert passed == [("linalg.py", "reduce_rows", "RowBasis")]
+
+
+def test_every_letter_operator_read_in_the_package_goes_through_the_memo():
+    # the scaled operators of a table are built once per certificate only if
+    # every reader asks _letter_operators: no module in src/ names the
+    # uncached reader, in a call, an import or otherwise, save
+    # _letter_operators and the memo behind it
+    from nilcohom import liealg
+
+    reader = liealg._read_operators.__name__
+    named = set()
+    for module, scope, node in _package_nodes():
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name == reader:
+            named.add((module, scope))
+    assert named == {("liealg.py", "_letter_operators"), ("liealg.py", "_scaled_operators")}
