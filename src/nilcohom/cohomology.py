@@ -76,8 +76,24 @@ picker both decides W(mu) = 0 and gives S, or refuses the point.  Only the
 tangents depend on the free parameters, so ``_stack`` keeps one entry
 (stack, Im d1, closed) for each of the last eight points, keyed by the
 table's content and the constraint: the free and frozen runs at a curve
-point, or ``h2_knil`` and ``augmented_exactness`` at one point, reduce
-each once, and ``closed`` checks once whether Im d1 lies in its kernel.
+point, or ``h2_knil`` and ``augmented_exactness`` at one point whose
+table ``h2_knil`` does not adapt (below), reduce each once, and
+``closed`` checks once whether Im d1 lies in its kernel.
+
+``h2_knil`` certifies mu in a basis built from its generators
+(``liealg._adapted``), times one positive integer, wherever that table
+has fewer structure constants than mu.  Its z and b are those of mu: a
+change of basis carries Ker d2, Ker dN_k and Im d1 onto those of the new
+table, and a uniform scale of the table changes no span, rank or kernel,
+since d1 and d2 are linear in mu and dN_k is homogeneous in it.  Jacobi
+and N_k = 0 do not depend on the basis either, so ``_stack`` refuses the
+adapted table exactly where it would refuse mu, with the same message.
+The stacks cost what the table's density costs, and the adapted table is
+about half as dense on seeded dense bases.  Its entry is keyed by the
+adapted table, so an adapted ``h2_knil`` and an ``augmented_exactness``
+at the same point do not share one; isomorphic inputs often adapt to one
+table and then do.  The entry's own stack is never adapted, which keeps
+the rows of ``_sequence(mu, "n", k)`` in mu's coordinates.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -109,6 +125,7 @@ from .liealg import (
     MAX_WALK_DEPTH,
     Layout,
     StructureConstants,
+    _adapted,
     _add_sigma,
     _apply_to_rows,
     _brv,
@@ -431,8 +448,16 @@ def _sequence(mu, kind, k, tangents=()):
 
 
 def h2_knil(mu, k) -> CohomologyReport:
-    """Deformation cohomology inside the k-step nilpotent variety."""
-    _, df, red = _sequence(mu, "n", k)
+    """Deformation cohomology inside the k-step nilpotent variety.
+
+    z and b are invariants of the point, unchanged by a change of basis and
+    by a uniform scale of the table, so they are read off ``_sequence`` at
+    mu written in a basis built from its generators (``liealg._adapted``),
+    where that table has fewer structure constants: the stacks cost what
+    the table's density costs.  A table that is not adapted is certified
+    as given, and only then shares its ``_stack`` entry with an
+    ``augmented_exactness`` at the same point."""
+    _, df, red = _sequence(_adapted(mu), "n", k)
     z, b = Layout(mu.n).dim2 - red.rank, df.rank
     return CohomologyReport(mu.name, mu.n, k, z, b, z - b, z == b)
 

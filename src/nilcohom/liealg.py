@@ -16,9 +16,23 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra,
-                     ResourceCapExceeded, TableError)
-from .linalg import ExactMatrix, int_cleared, inverse, reduce_rows
+                     ResourceCapExceeded, SingularMatrix, TableError)
+from .linalg import (ExactMatrix, _denominator, _integral_inverse, int_cleared, inverse,
+                     reduce_rows)
 from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
+
+
+class _ReadOnly(dict):
+    """A dict that refuses writes: the brackets of a table, and each of
+    their rows.  It is still a dict, so readers that test for one keep
+    working."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a StructureConstants table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
 
 class StructureConstants:
@@ -26,9 +40,12 @@ class StructureConstants:
     Q, Q(i) or "sym", whose coefficients are ``MultiPoly`` polynomials in the
     symbols ``params`` names; zero coefficients and empty pairs are dropped.
     Here alone a numeric table not declared Q(i) takes its field from its
-    values: Q(i) when one is nonreal, else Q, with every value a Fraction."""
+    values: Q(i) when one is nonreal, else Q, with every value a Fraction.
 
-    __slots__ = ("n", "field", "c", "name", "params")
+    A table is read-only once built: its attributes cannot be rebound, and
+    ``c`` and its rows refuse writes, so the content hash is taken once."""
+
+    __slots__ = ("n", "field", "c", "name", "params", "_hash")
 
     def __init__(self, n, brackets=None, field=FIELD_Q, name=None, params=()):
         if n < 1:
@@ -37,11 +54,7 @@ class StructureConstants:
         if field == FIELD_Q and any(is_nonreal(v) for row in brackets.values()
                                     for v in row.values()):
             field = FIELD_QI
-        self.n = n
-        self.field = field
-        self.name = name
-        self.params = tuple(params)
-        self.c = {}
+        c = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < n):
                 raise DimensionMismatch(f"bad basis pair ({i},{j}) for dim {n}")
@@ -54,7 +67,18 @@ class StructureConstants:
                 if v:
                     row[k] = v
             if row:
-                self.c[(i, j)] = row
+                c[(i, j)] = _ReadOnly(row)
+        self._fill(n, field, _ReadOnly(c), name, tuple(params), None)
+
+    def _fill(self, *values):
+        """Set the slots, in their order; the one writer of a table."""
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("a StructureConstants table is read-only")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def abelian(cls, n):
@@ -93,7 +117,7 @@ class StructureConstants:
 
     def with_name(self, name):
         out = StructureConstants.__new__(StructureConstants)
-        out.n, out.field, out.c, out.name, out.params = self.n, self.field, self.c, name, self.params
+        out._fill(self.n, self.field, self.c, name, self.params, self._hash)
         return out
 
     # -- polynomial coefficients ------------------------------------------------
@@ -125,12 +149,23 @@ class StructureConstants:
         return self.n == other.n and self.c == other.c
 
     def __hash__(self):
-        """By content, as ``__eq__``: n and the brackets, not name or field."""
-        return hash((self.n, frozenset((p, frozenset(row.items())) for p, row in self.c.items())))
+        """By content, as ``__eq__``: n and the brackets, not name or field.
+        Taken on the first call and kept (``_content_hash``): the content
+        cannot change."""
+        h = self._hash
+        if h is None:
+            h = _content_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         label = self.name or f"{self.n}-dim bracket"
         return f"StructureConstants({label}, nnz={sum(len(v) for v in self.c.values())})"
+
+
+def _content_hash(mu):
+    """The hash of n and the brackets, which ``__hash__`` keeps."""
+    return hash((mu.n, frozenset((p, frozenset(row.items())) for p, row in mu.c.items())))
 
 
 def pencil(mu, nu, t):
@@ -700,20 +735,97 @@ def _square(m, n, field):
     return m
 
 
-def _transport(mu, p, q):
-    """The bracket (x, y) -> q mu(p x, p y), for n x n ExactMatrices p, q;
-    over Q(i) when mu or q is."""
-    n, _, right = _letter_operators(mu, scaled=False)
-    cols = [[p.entries.get((r, c), 0) for r in range(n)] for c in range(n)]
+def _transport(mu, vectors):
+    """(brackets, scale): the brackets of mu in the basis ``vectors`` (n dense
+    vectors of ints, Fractions or QIs), each times the positive int
+    ``scale``, as {(i, j): {k: value}} of ints and Gaussian integers; None
+    when the vectors are dependent.  The one transport of the package.
+
+    Fraction-free.  The vectors are cleared of denominators by one factor
+    D, into b_0..b_{n-1}, and the rows [b_j | e_j] are reduced once
+    (``linalg._integral_inverse``): row m of its den * (V^T)^{-1}, V the
+    matrix of columns b_j, holds den times the coordinates of e_m in the
+    basis b.  Each bracket of two basis vectors is read off the scaled
+    operators (s mu, ints) by ``_brvv`` and written in the basis b by
+    summing those rows.  In the basis b mu is D times its table in the
+    basis ``vectors``, so scale = den * s * D.
+    """
+    n, _, right = _letter_operators(mu, scaled=True)
+    flat = [x for v in vectors for x in v]
+    cleared = int_cleared(flat)
+    basis = [cleared[t * n:(t + 1) * n] for t in range(n)]
+    form = _integral_inverse(basis, n)
+    if form is None:
+        return None
+    coords, den = form
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = _brvv(right, n, cols[i], cols[j])
+            w = _brvv(right, n, basis[i], basis[j])
             if w is not None:
-                row = {k: v for k, v in enumerate(q.mat_vec(w)) if v}
+                row = {}
+                for m, x in enumerate(w):
+                    if x:
+                        for k, y in coords[m].items():
+                            row[k] = row.get(k, 0) + x * y
+                row = {k: v for k, v in row.items() if v}
                 if row:
                     brackets[(i, j)] = row
-    return StructureConstants(n, brackets, join_fields(mu.field, q.field))
+    scale = den * _denominator(v for row in mu.c.values() for v in row.values()) * _denominator(flat)
+    return brackets, scale
+
+
+def _adapted(mu):
+    """mu in a basis built from its generators, times a positive integer,
+    when that table has fewer structure constants than mu; else mu itself.
+
+    g^1 is the span of the nonzero mu(e_i, e_j), and S the indices whose e_s
+    are independent of g^1 and of the e_s before them, as ``_generators``
+    picks them.  Layer 0 is the e_s; each later layer holds the brackets
+    mu(u, e_s) of the last layer's vectors u with the letters s of S, each
+    kept when it is independent of every vector kept before it.  All of it
+    is read off the scaled operators, so the vectors are of ints and
+    Gaussian integers.
+
+    At a nilpotent Lie point there are n kept vectors.  The e_s span g
+    modulo g^1, so they generate g, and every element of g is a
+    combination of left-normed words in them.  By induction on t, the
+    vectors kept up to layer t span every left-normed S-word of t + 1
+    letters: such a word is mu(w, e_s) with w of t letters, a combination
+    of vectors u kept up to layer t - 1; each mu(u, e_s) was offered to a
+    layer up to t, and was kept there or lay in the span of the vectors
+    kept before it.  The last layer keeps nothing, so the kept vectors span
+    every S-word, hence g, and are independent.
+
+    Fewer than n means the point is not nilpotent, or not Lie: mu is
+    returned, and ``cohomology._stack`` refuses it as it would any such
+    point.  At n vectors ``_transport`` writes mu in them, and a dependent
+    basis there is a fault of this routine: RuntimeError.  The basis and a
+    uniform scale change neither Jacobi, nor N_k = 0, nor the ranks that a
+    certificate reads (z and b are invariants, and d1, d2 and dN_k are
+    homogeneous in mu).
+    """
+    n, table, right = _letter_operators(mu, scaled=True)
+    g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
+                     if table[i][j] is not None), n)
+    letters = [s for s in range(n) if g1.add({s: 1})]
+    if len(letters) == n:
+        return mu  # abelian: the basis is the given one
+    kept = reduce_rows(({s: 1} for s in letters), n)
+    layer = [_unit(n, s) for s in letters]
+    basis = list(layer)
+    while layer:
+        layer = [w for u in layer for s in letters
+                 if (w := _brv(right, n, u, s)) is not None
+                 and kept.add({i: x for i, x in enumerate(w) if x})]
+        basis += layer
+    if len(basis) < n:
+        return mu
+    form = _transport(mu, basis)
+    if form is None:
+        raise RuntimeError("the basis built from the generators is dependent")
+    nu = StructureConstants(n, form[0])
+    return nu if sum(map(len, nu.c.values())) < sum(map(len, mu.c.values())) else mu
 
 
 def change_basis(mu, g):
@@ -721,23 +833,35 @@ def change_basis(mu, g):
 
     ``g`` is an n x n matrix (rows, or an ExactMatrix) over Q or Q(i); the
     result is over Q(i) when either the algebra or ``g`` is.  Raises
-    SingularMatrix when ``g`` is not invertible.
+    SingularMatrix when ``g`` is not invertible.  It is mu in the basis of
+    the columns of g^{-1} (``table_in_basis``).
     """
-    g = _square(g, mu.n, mu.field)
-    return _transport(mu, inverse(g), g)
+    n = mu.n
+    inv = inverse(_square(g, n, mu.field))
+    return table_in_basis(mu, [[inv.entries.get((r, c), 0) for r in range(n)] for c in range(n)])
 
 
 def table_in_basis(mu, vectors):
     """Structure table of mu written in the new basis ``vectors``.
 
     Equivalent to change_basis(mu, V^{-1}) where V has the new basis vectors
-    as columns; this is the form every isomorphism witness uses.
+    as columns; this is the form every isomorphism witness uses.  Over Q(i)
+    when mu is or a vector has a Gaussian entry; raises SingularMatrix when
+    the vectors are dependent.  The fraction-free ``_transport`` divided by
+    its scale.
     """
     n = mu.n
     if len(vectors) != n:
         raise DimensionMismatch(f"need {n} basis vectors")
     v = _square([[x[r] for x in vectors] for r in range(n)], n, mu.field)
-    return _transport(mu, v, inverse(v))
+    form = _transport(mu, [[v.entries.get((r, c), 0) for r in range(n)] for c in range(n)])
+    if form is None:
+        raise SingularMatrix("matrix is not invertible")
+    brackets, scale = form
+    field = join_fields(mu.field, v.field)
+    exact = {pair: {k: promote(x, field) / scale for k, x in row.items()}
+             for pair, row in brackets.items()}
+    return StructureConstants(n, exact, field)
 
 
 def semidirect_by_derivation(mu, d_rows):

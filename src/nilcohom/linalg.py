@@ -15,15 +15,15 @@ row with a nonzero in the new lead column, each touching the entries of
 that row and of the new one, so it grows with the density of the rows
 that are kept.
 Every stack in the package enters the echelon through ``reduce_rows`` (the
-streams, ``rank``, ``solve`` and the augmented rows of ``inverse``; ``rank``
-returns its RowBasis), and no RowBasis is built anywhere else but as a
-``copy`` of one.  It
-therefore reads its rows in windows of 4 * ncols + 1 and adds each window
-sparsest row first, the order of sparse-first pivoting in structured Gaussian
-elimination (LaMacchia and Odlyzko, "Solving large sparse linear systems
-over finite fields", CRYPTO '90): sparse rows kept early keep the retained
-rows sparse, so a later lead hits fewer of them.  One window is held
-besides the retained rows.
+streams, ``rank``, ``solve`` and the augmented rows of ``_integral_inverse``;
+``rank`` returns its RowBasis), and no RowBasis is built anywhere else but
+as a ``copy`` of one.  It therefore reads its rows in windows of
+4 * ncols + 1 and adds each window sparsest row first, the order of
+sparse-first pivoting in structured Gaussian elimination (LaMacchia and
+Odlyzko, "Solving large sparse linear systems over finite fields",
+CRYPTO '90): sparse rows kept early keep the retained rows sparse, so a
+later lead hits fewer of them.  One window is held besides the retained
+rows.
 
 The echelon's readers take the retained rows as they are: ``rank``,
 ``pivot_cols``, the copies ``sparse_rows`` and ``basis_rows``, and
@@ -124,16 +124,23 @@ def _zero(field):
     return QI(0) if field == FIELD_QI else Fraction(0)
 
 
-def int_cleared(vals):
-    """Scale ints, Fractions and QIs by the lcm of all their denominators (of
-    both parts of a QI): ints, and QIs with int parts where a value is not
-    real."""
+def _denominator(vals):
+    """The lcm of the denominators of ints, Fractions and QIs (of both parts
+    of a QI): the factor by which ``int_cleared`` scales them."""
     den = 1
     for v in vals:
         if isinstance(v, QI):
             den = lcm(den, v.re.denominator, v.im.denominator)
         elif type(v) is not int:
             den = lcm(den, v.denominator)
+    return den
+
+
+def int_cleared(vals):
+    """Scale ints, Fractions and QIs by the lcm of all their denominators
+    (``_denominator``): ints, and QIs with int parts where a value is not
+    real."""
+    den = _denominator(vals)
     return [
         _gaussian(_times(v.re, den), _times(v.im, den)) if isinstance(v, QI) else _times(v, den)
         for v in vals
@@ -225,22 +232,27 @@ class RowBasis:
         Q(i)-span.  A row of ints and Gaussian integers is only copied; any
         other goes once through ``int_cleared``, which also turns Fraction(3)
         and QI(Fraction(3), 0) into the int 3."""
-        integral = True
+        integral = ints = True
         for v in row.values():
             if type(v) is not int:
+                ints = False
                 if isinstance(v, QI):
                     self.gaussian = True
                     if type(v.re) is int and type(v.im) is int:
                         continue
                 integral = False
-        if integral:
+        if ints and 0 not in row.values():
+            row = dict(row)
+        elif integral:
             row = {c: v for c, v in row.items() if v}
         else:
             row = {c: v for c, v in zip(row, int_cleared(row.values())) if v}
         rows = self._rows
         # eliminating one pivot column leaves every other pivot column of the
-        # row as it was (up to a common factor), so the hits are fixed upfront
-        for j in [j for j in row if j in rows]:
+        # row as it was (up to a common factor), so the hits are fixed upfront;
+        # the reduced row does not depend on their order up to that factor,
+        # which ``add`` divides out
+        for j in rows.keys() & row.keys():
             _eliminate(row, j, rows[j])
         return row
 
@@ -420,21 +432,44 @@ def solve(rows, ncols):
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix; raises SingularMatrix."""
+    """Exact inverse of a square matrix, its fraction-free form
+    (``_integral_inverse``) divided by its denominator; raises
+    SingularMatrix."""
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    # the augmented rows [m | I]
-    rows = ({**dict(zip(cols, vals)), n + i: 1} for i, (cols, vals) in enumerate(m.iter_rows()))
-    basis = reduce_rows(rows, 2 * n)
-    if basis.pivot_cols() != list(range(n)):
+    form = _integral_inverse((dict(zip(cols, vals)) for cols, vals in m.iter_rows()), n)
+    if form is None:
         raise SingularMatrix("matrix is not invertible")
-    entries = {}
-    for r, row in enumerate(basis.sparse_rows()):
-        for c, v in row.items():
-            if c >= n:
-                entries[(r, c - n)] = promote(v, m.field) / row[r]
+    inv, den = form
+    entries = {(r, c): promote(v, m.field) / den for r, row in enumerate(inv) for c, v in row.items()}
     return ExactMatrix(n, n, entries, m.field)
+
+
+def _integral_inverse(rows, n):
+    """(inv, den) with inv the rows of den * M^{-1}, as {col: value} dicts of
+    ints and Gaussian integers, and den a positive int, for the n x n matrix
+    M of the ``rows`` (as ``reduce_rows`` takes them); None when M is
+    singular.
+
+    One reduction of the rows [M | I]: when its pivots are 0..n-1, row r of
+    the reduced form is [p e_r | w] with w M = p e_r, so row r of M^{-1} is
+    w / p, and w conj(p) / |p|^2 when the lead p is Gaussian.  den is the
+    lcm of those denominators, p or |p|^2, so no division is left.  The
+    one inverse of the package: ``inverse`` divides by den, and the
+    transport of a table to a new basis (``liealg._transport``) keeps it."""
+    basis = reduce_rows(({**_sparse_from(row, n), n + r: 1} for r, row in enumerate(rows)), 2 * n)
+    if basis.pivot_cols() != list(range(n)):
+        return None
+    # per row, 1 / p as (numerator, denominator) with an int denominator
+    leads = [(1, p) if type(p) is int else (p.conjugate(), p.re * p.re + p.im * p.im)
+             for p in (basis._rows[r][r] for r in range(n))]
+    den = lcm(*(norm for _, norm in leads))
+    inv = []
+    for r, (num, norm) in enumerate(leads):
+        f = num * (den // norm)
+        inv.append({c - n: v * f for c, v in basis._rows[r].items() if c >= n})
+    return inv, den
 
 
 def dot(u, v):

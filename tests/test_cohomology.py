@@ -648,6 +648,69 @@ def test_h2_knil_invariant_under_basis_change(catalog, case):
     assert (rep.z, rep.b, rep.h) == zbh
 
 
+_NILPOTENT = (("f_3", 3), ("f_4", 4), ("f_5", 5), ("f_4+R", 5), ("g_{5,1}", 5), ("g_{5,3}", 5),
+              ("g_{5,4}", 5), ("g_{5,6}", 5), ("12346_E", 6), ("g_{137A}", 7), ("g_{147D}", 7),
+              ("g_{247K}", 7))
+
+
+@st.composite
+def _k_step_tables(draw):
+    """A table over Z or Z[i], and a step k: a printed nilpotent algebra
+    with a basis of 1-4 transvections I + c E_ij (its name and the basis),
+    a random 2-step table (the brackets of the first m letters in the span
+    of the others, which are central), or a random table of
+    ``structure_tables``, mostly not Lie."""
+    gaussian = draw(st.booleans())
+    ints = st.integers(-3, 3)
+    scalar = st.builds(QI, ints, ints) if gaussian else ints
+    kind = draw(st.sampled_from(("printed", "2-step", "random")))
+    if kind == "random":
+        mu = draw(structure_tables(FIELD_QI if gaussian else FIELD_Q))
+    elif kind == "2-step":
+        n = draw(st.integers(3, 7))
+        m = draw(st.integers(2, n - 1))
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        mu = StructureConstants(n, draw(st.dictionaries(
+            st.sampled_from(pairs), st.dictionaries(st.integers(m, n - 1), scalar, max_size=3),
+            min_size=1, max_size=len(pairs))))
+    else:
+        name, n = draw(st.sampled_from(_NILPOTENT))
+        g = [[int(i == j) for j in range(n)] for i in range(n)]
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        for (i, j), c in draw(st.lists(st.tuples(pair, scalar), min_size=1, max_size=4)):
+            g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        mu = (name, g)
+    return mu, draw(st.integers(1, 4))
+
+
+def _ranks_or_refusal(f):
+    """(z, b) from ``f``, or the type and message of its refusal."""
+    try:
+        return f()
+    except NotInVariety as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_k_step_tables())
+def test_h2_knil_reads_the_ranks_of_the_given_basis(catalog, case):
+    # the adapted basis and its uniform scale change no rank and no refusal:
+    # h2_knil answers as Hamilton's sequence at the table as it is given
+    mu, k = case
+    if isinstance(mu, tuple):
+        mu = change_basis(catalog.structure(mu[0]), mu[1])
+
+    def report():
+        rep = h2_knil(mu, k)
+        return rep.z, rep.b
+
+    def given_basis():
+        _, df, red = _sequence(mu, "n", k)
+        return Layout(mu.n).dim2 - red.rank, df.rank
+
+    assert _ranks_or_refusal(report) == _ranks_or_refusal(given_basis)
+
+
 def test_parse_constraint():
     assert parse_constraint("j") == ("j", None)
     assert parse_constraint("n3") == ("n", 3)
@@ -1068,8 +1131,9 @@ def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch
 
 
 def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypatch):
-    # the Jacobi guard, the picker, d1, d2 and the word walk of h2_knil are
-    # served one scaled read of the table, and no unscaled one; a second
+    # the adapted basis, the Jacobi guard, the picker, d1, d2 and the word
+    # walk of h2_knil are served one scaled read of each table they read,
+    # the given one and the adapted one, and no unscaled read; a second
     # certificate on the table, on another stack or the same, builds none
     reads = []
     read = liealg._read_operators
@@ -1084,14 +1148,38 @@ def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypat
     # one basis with real transvections, one with Gaussian ones
     tables = seeded_bases(g, random.Random(45), 2)
     reads.clear()
+    adapted = []
     for mu in tables:
         report = h2_knil(mu, 3)
         assert (report.z, report.b, report.h) == (expected.z, expected.b, expected.h)
-        assert reads == [(mu, True)]
+        nu = liealg._adapted(mu)  # served by the memo
+        once = [(mu, True)] if nu is mu else [(mu, True), (nu, True)]
+        assert reads == once
         h2_dim(mu)
         h2_knil(mu, 3)
-        assert reads == [(mu, True)]
+        assert reads == once
         reads.clear()
+        adapted.append(nu is not mu)
+    assert any(adapted)
+
+
+def test_a_certificate_takes_one_content_hash_per_table(catalog, monkeypatch):
+    # a table keeps its hash: one h2_knil hashes the given table and the
+    # adapted one once each, for both memos and every lookup
+    hashed = []
+    content_hash = liealg._content_hash
+
+    def spy(mu):
+        hashed.append(mu)
+        return content_hash(mu)
+
+    monkeypatch.setattr(liealg, "_content_hash", spy)
+    for mu in seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2):
+        hashed.clear()
+        h2_knil(mu, 3)
+        nu = liealg._adapted(mu)
+        assert hashed == ([mu] if nu is mu else [mu, nu])
+        assert [t is mu for t in hashed] == [True] + [False] * (len(hashed) - 1)
 
 
 def _kept_image(mu, kind, k):

@@ -21,14 +21,17 @@ from nilcohom.errors import (
     NotLieAlgebra,
     SingularMatrix,
 )
+from nilcohom import liealg
 from nilcohom.ideals import generic_chart
 from nilcohom.liealg import (
     StructureConstants,
+    _adapted,
     _brv,
     _brvv,
     _letter_operators,
     _read_operators,
     _scaled_operators,
+    _transport,
     change_basis,
     derived_series,
     heisenberg,
@@ -434,6 +437,117 @@ def _inv(rows):
     m = inverse(ExactMatrix.from_dense(rows))
     n = m.nrows
     return [[m.entries.get((i, j), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def _in_basis_by_definition(mu, vectors):
+    """mu written in the basis ``vectors`` by the definition: each
+    mu(v_i, v_j), through ``StructureConstants.bracket``, solved against the
+    vectors by dense Gauss-Jordan (``dense_rref``), over Q(i) when mu is or
+    a vector has a Gaussian entry.  The independent oracle of the
+    transport."""
+    n = mu.n
+    gaussian = mu.field == FIELD_QI or any(isinstance(x, QI) for v in vectors for x in v)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = mu.bracket(vectors[i], vectors[j])
+            rref = dense_rref([[v[r] for v in vectors] + [w[r]] for r in range(n)])
+            brackets[(i, j)] = {k: row[n] for k, row in enumerate(rref)}
+    return StructureConstants(n, brackets, FIELD_QI if gaussian else FIELD_Q)
+
+
+def _typed(mu):
+    """The field and every value of a table with its type."""
+    return mu.field, sorted((p, k, v, type(v)) for p, row in mu.c.items() for k, v in row.items())
+
+
+def _transvections(n, rng, coeffs):
+    """Rows of a product of three transvections I + c E_ij, c from ``coeffs``."""
+    g = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(coeffs)
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    return g
+
+
+def test_change_basis_and_table_in_basis_match_the_definition(catalog):
+    # the fraction-free transport, divided by its scale, against the tables
+    # written by the definition: equal values, value types and field
+    rng = random.Random(46)
+    rational = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    gaussian = (QI(0, 1), QI(1, 1), QI(0, -1), QI(Fraction(1, 2), 1))
+    tables = [catalog.structure(name) for name, _ in NILPOTENT_CATALOG]
+    tables += [_LIE[0], StructureConstants(3, {(0, 1): {2: QI(1, 2)}})]
+    for mu in tables:
+        for coeffs in (rational, gaussian):
+            g = _transvections(mu.n, rng, coeffs)
+            columns = [[g[r][c] for r in range(mu.n)] for c in range(mu.n)]
+            assert _typed(table_in_basis(mu, columns)) == _typed(_in_basis_by_definition(mu, columns))
+            inv = dense_rref([row + [int(r == c) for c in range(mu.n)] for r, row in enumerate(g)])
+            inv_columns = [[inv[r][mu.n + c] for r in range(mu.n)] for c in range(mu.n)]
+            want = _in_basis_by_definition(mu, inv_columns)
+            if coeffs is gaussian:  # g^{-1} may come out real; g makes it Q(i)
+                want = StructureConstants(mu.n, want.c, FIELD_QI)
+            assert _typed(change_basis(mu, g)) == _typed(want)
+
+
+def test_table_in_basis_refuses_dependent_vectors(catalog):
+    mu = catalog.structure("g_{5,3}")
+    vectors = [[Fraction(i == j) for j in range(5)] for i in range(5)]
+    vectors[4] = [a + 2 * b for a, b in zip(vectors[0], vectors[1])]
+    with pytest.raises(SingularMatrix):
+        table_in_basis(mu, vectors)
+    assert _transport(mu, vectors) is None
+
+
+def test_a_table_refuses_writes(catalog):
+    mu = catalog.structure("g_{5,3}")
+    before, row = hash(mu), next(iter(mu.c))
+    writes = (
+        lambda: mu.c.__setitem__((0, 4), {1: 1}),
+        lambda: mu.c.pop(row),
+        lambda: mu.c.update({}),
+        lambda: mu.c[row].__setitem__(0, 1),
+        lambda: mu.c[row].setdefault(0, 1),
+        lambda: mu.c[row].clear(),
+        lambda: setattr(mu, "n", 6),
+        lambda: setattr(mu, "c", {}),
+        lambda: delattr(mu, "field"),
+    )
+    for write in writes:
+        with pytest.raises((TypeError, AttributeError), match="^a StructureConstants table is read-only$"):
+            write()
+    # still dicts, for readers that test for one; nothing changed
+    assert isinstance(mu.c, dict) and all(isinstance(r, dict) for r in mu.c.values())
+    assert mu == catalog.structure("g_{5,3}") and hash(mu) == before
+    assert mu.with_name("other")._hash == before
+
+
+def test_the_adapted_table_is_sparser_or_the_table_itself(catalog):
+    rng = random.Random(6)
+    for name, _ in NILPOTENT_CATALOG:
+        g = catalog.structure(name)
+        for mu in (g, change_basis(g, _transvections(g.n, rng, (1, -1, 2)))):
+            nu = _adapted(mu)
+            nnz = [sum(map(len, t.c.values())) for t in (mu, nu)]
+            assert nu is mu or nnz[1] < nnz[0], name
+            # a uniform scale of mu in another basis: the same step
+            assert nil_index(nu) == nil_index(mu)
+    # not nilpotent: fewer than n vectors, the table as it is
+    for mu in (_LIE[0], catalog.structure("g_5(r,t)", {"r": 1, "t": 1})):
+        assert _adapted(mu) is mu
+
+
+def test_a_dependent_adapted_basis_is_a_fault(catalog, monkeypatch):
+    # the basis is independent by construction; the transport saying
+    # otherwise is a bug, not a refusal of the input
+    mu = change_basis(catalog.structure("g_{5,3}"), [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0],
+                                                     [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
+                                                     [0, 0, 0, 0, 1]])
+    monkeypatch.setattr(liealg, "_transport", lambda mu, vectors: None)
+    with pytest.raises(RuntimeError, match="^the basis built from the generators is dependent$"):
+        _adapted(mu)
 
 
 def test_table_in_basis_matches_manual_relabeling(catalog):

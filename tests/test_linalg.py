@@ -19,6 +19,7 @@ from nilcohom.errors import DimensionMismatch, ResourceCapExceeded, SingularMatr
 from nilcohom.linalg import (
     ExactMatrix,
     RowBasis,
+    _integral_inverse,
     backend,
     dot,
     in_kernel,
@@ -203,6 +204,32 @@ def test_inverse_round_trip_and_singular():
         assert matmul(m, inverse(m)).entries == identity(4).entries
     with pytest.raises(SingularMatrix):
         inverse(ExactMatrix.from_dense([[1, 2], [2, 4]]))
+
+
+def test_the_fraction_free_inverse_is_integral():
+    # den * M^{-1} in ints and Gaussian integers, for rational and Gaussian M
+    rng = random.Random(46)
+    found = 0
+    while found < 12:
+        gaussian = found % 2
+        rows = rand_matrix(rng, 4, 4, density=0.7)
+        if gaussian:
+            rows = [[x + QI(0, rng.randint(-2, 2)) * x for x in row] for row in rows]
+        form = _integral_inverse(rows, 4)
+        if dense_rank(rows) < 4:
+            assert form is None
+            continue
+        found += 1
+        inv, den = form
+        assert type(den) is int and den > 0
+        for row in inv:
+            for v in row.values():
+                assert type(v) is int or (type(v.re) is int and type(v.im) is int)
+        m = ExactMatrix.from_dense(rows, FIELD_QI if gaussian else FIELD_Q)
+        scaled = ExactMatrix(4, 4, {(r, c): v for r, row in enumerate(inv) for c, v in row.items()},
+                             m.field)
+        assert matmul(m, scaled).entries == {(i, i): den for i in range(4)}
+        assert inverse(m).entries == {key: promote(v, m.field) / den for key, v in scaled.entries.items()}
 
 
 def test_gaussian_field_path():
