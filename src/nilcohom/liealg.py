@@ -809,8 +809,6 @@ def _adapted(mu):
     g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
                      if table[i][j] is not None), n)
     letters = [s for s in range(n) if g1.add({s: 1})]
-    if len(letters) == n:
-        return mu  # abelian: the basis is the given one
     kept = reduce_rows(({s: 1} for s in letters), n)
     layer = [_unit(n, s) for s in letters]
     basis = list(layer)
