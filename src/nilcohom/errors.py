@@ -18,6 +18,11 @@ class NotInVariety(NilcohomError, ValueError):
     """Input bracket violates the constraint (nilpotency step, SN vanishing)."""
 
 
+class SymbolicTable(NilcohomError, ValueError):
+    """A computation that needs numbers received a table over polynomials
+    (field "sym"); evaluate the family at a point first."""
+
+
 class SingularMatrix(NilcohomError, ValueError):
     """A basis-change or solve step hit a non-invertible matrix."""
 

@@ -14,6 +14,7 @@ That clearing (the back-substitution) costs one elimination per retained
 row with a nonzero in the new lead column, each touching the entries of
 that row and of the new one, so it grows with the density of the rows
 that are kept.
+
 Every stack in the package enters the echelon through ``reduce_rows`` (the
 streams, ``rank``, ``solve`` and the augmented rows of ``_integral_inverse``;
 ``rank`` returns its RowBasis), and no RowBasis is built anywhere else but
@@ -24,6 +25,21 @@ Odlyzko, "Solving large sparse linear systems over finite fields",
 CRYPTO '90): sparse rows kept early keep the retained rows sparse, so a
 later lead hits fewer of them.  One window is held besides the retained
 rows.
+
+A retained row of weight one, {j: 1}, retires its column, the first move
+of structured Gaussian elimination in the same paper.  The echelon keeps
+two views of its retained rows: the set of these unit leads, and the other
+leads mapped to the very row objects it holds.  An incoming row has its
+unit columns deleted, row - row[j] e_j (the a = 1 case of ``_eliminate``),
+and is eliminated only against the wide rows it meets.  The result is the
+same reduced row echelon form: every retained row is zero in the other
+leads, so no wide row has an entry in a unit column, and the deletions
+commute with the wide eliminations; the kept row is then divided by its
+content as before, whatever the order of its hits.  A unit row holds no
+entry at a new lead, so the back-substitution skips it, and a wide row it
+leaves with one entry is {j: 1} once made primitive, so it moves to the
+units.  Column bounds are checked on the rows the echelon keeps
+(``_check_columns`` says why that refuses every bad row).
 
 The echelon's readers take the retained rows as they are: ``rank``,
 ``pivot_cols``, the copies ``sparse_rows`` and ``basis_rows``, and
@@ -160,9 +176,15 @@ class RowBasis:
     normalized (see the module docstring).  ``gaussian`` says whether the
     span is a Q(i)-span: true over Q(i), and over Q from the first row with
     a Gaussian entry on.
+
+    ``_rows`` maps every lead to its retained row.  Two views of it, which
+    only ``add`` (and ``copy``, for a new basis) writes, hold after every
+    call: ``_units`` is exactly the set of leads j with ``_rows[j] == {j:
+    1}``, and ``_wide`` maps each other lead to the same row object that
+    ``_rows`` holds.
     """
 
-    __slots__ = ("ncols", "gaussian", "_rows")
+    __slots__ = ("ncols", "gaussian", "_rows", "_units", "_wide")
 
     def __init__(self, ncols, field=FIELD_Q):
         if ncols < 0:
@@ -170,6 +192,8 @@ class RowBasis:
         self.ncols = ncols
         self.gaussian = field == FIELD_QI
         self._rows = {}  # lead column -> retained row
+        self._units = set()  # leads j whose retained row is {j: 1}
+        self._wide = {}  # every other lead -> its row, the object in _rows
 
     @property
     def rank(self):
@@ -193,10 +217,13 @@ class RowBasis:
         return out
 
     def copy(self):
-        """The same span, with its own rows: ``add`` rewrites rows in place."""
+        """The same span, with its own rows and views: ``add`` rewrites rows
+        in place."""
         other = RowBasis(self.ncols)
         other.gaussian = self.gaussian
-        other._rows = {j: dict(row) for j, row in self._rows.items()}
+        other._rows = rows = {j: dict(row) for j, row in self._rows.items()}
+        other._units = set(self._units)
+        other._wide = {j: rows[j] for j in self._wide}
         return other
 
     def annihilates(self, vecs):
@@ -208,22 +235,38 @@ class RowBasis:
 
     def add(self, row):
         """Reduce a ``{col: value}`` row of ints, Fractions or QIs and keep it
-        if it stays nonzero; ``row`` itself is left as it was.
+        if it stays nonzero; ``row`` itself is left as it was.  A row with a
+        column outside 0..ncols-1 raises DimensionMismatch (see
+        ``_check_columns`` for why checking the kept rows is enough).
 
         Returns True iff the rank grew.
         """
         row = self._reduced(row)
         if not row:
             return False
-        rows = self._rows
+        _check_columns(row, self.ncols)
         lead = min(row)
         gaussian = self.gaussian
         _make_primitive(row, lead, gaussian)
-        for j, prow in rows.items():
+        # a unit row {j: 1} is zero at the new lead, so only wide rows take
+        # the back-substitution; one left with its lead alone is {j: 1}
+        wide = self._wide
+        narrowed = []
+        for j, prow in wide.items():
             if lead in prow:
                 _eliminate(prow, lead, row)
                 _make_primitive(prow, j, gaussian)
-        rows[lead] = row
+                if len(prow) == 1:
+                    narrowed.append(j)
+        for j in narrowed:
+            del wide[j]
+        units = self._units
+        units.update(narrowed)
+        if len(row) == 1:
+            units.add(lead)
+        else:
+            wide[lead] = row
+        self._rows[lead] = row
         return True
 
     def _reduced(self, row):
@@ -231,7 +274,9 @@ class RowBasis:
         along the retained rows.  A Gaussian entry makes the span a
         Q(i)-span.  A row of ints and Gaussian integers is only copied; any
         other goes once through ``int_cleared``, which also turns Fraction(3)
-        and QI(Fraction(3), 0) into the int 3."""
+        and QI(Fraction(3), 0) into the int 3.  A row with a zero value or a
+        non-int entry has its columns checked here, since the zero filter
+        could drop a bad column that ``add`` would otherwise see."""
         integral = ints = True
         for v in row.values():
             if type(v) is not int:
@@ -241,19 +286,29 @@ class RowBasis:
                     if type(v.re) is int and type(v.im) is int:
                         continue
                 integral = False
+        units = self._units
+        if units.issuperset(row):
+            return {}
         if ints and 0 not in row.values():
             row = dict(row)
-        elif integral:
-            row = {c: v for c, v in row.items() if v}
         else:
-            row = {c: v for c, v in zip(row, int_cleared(row.values())) if v}
-        rows = self._rows
-        # eliminating one pivot column leaves every other pivot column of the
-        # row as it was (up to a common factor), so the hits are fixed upfront;
-        # the reduced row does not depend on their order up to that factor,
-        # which ``add`` divides out
-        for j in rows.keys() & row.keys():
-            _eliminate(row, j, rows[j])
+            _check_columns(row, self.ncols)
+            if integral:
+                row = {c: v for c, v in row.items() if v}
+            else:
+                row = {c: v for c, v in zip(row, int_cleared(row.values())) if v}
+        # a unit column is cleared by deleting it (the a = 1 case of
+        # ``_eliminate``), and a row with only unit columns is zero at once;
+        # no wide row has an entry there, so the deletions commute with the
+        # eliminations below.  Eliminating one pivot column leaves every
+        # other pivot column of the row as it was (up to a common factor),
+        # so the hits are fixed upfront; the reduced row does not depend on
+        # their order up to that factor, which ``add`` divides out
+        for j in units.intersection(row):
+            del row[j]
+        wide = self._wide
+        for j in wide.keys() & row.keys():
+            _eliminate(row, j, wide[j])
         return row
 
 
@@ -361,12 +416,23 @@ def _make_primitive(row, lead, gaussian):
                 row[c] = v.re
 
 
+def _check_columns(row, ncols):
+    """Refuse a {col: value} row with a column outside 0..ncols-1.
+
+    ``RowBasis`` checks only the rows it keeps, and the rows whose zero
+    values or non-int entries it filters (``_reduced``), which is enough: a
+    bad column is in no kept row, since each of them passed this check, so
+    no elimination can cancel it, and a row that holds one with a nonzero
+    value is always kept."""
+    if row and (min(row) < 0 or max(row) >= ncols):
+        raise DimensionMismatch(f"column index outside 0..{ncols - 1}")
+
+
 def _sparse_from(rowlike, ncols):
     """A dense sequence or {col: value} dict as a {col: value} dict, checked
     against ``ncols``."""
     if isinstance(rowlike, dict):
-        if rowlike and (min(rowlike) < 0 or max(rowlike) >= ncols):
-            raise DimensionMismatch(f"column index outside 0..{ncols - 1}")
+        _check_columns(rowlike, ncols)
         return rowlike
     row = list(rowlike)
     if len(row) != ncols:
@@ -390,12 +456,16 @@ def reduce_rows(rows, ncols, field=FIELD_Q):
     adding the rows as they arrive.  Deterministic; besides the at most
     ``ncols`` retained rows of at most ``ncols`` entries, only one window
     is held, so memory is bounded by (5 * ncols + 1) * ncols entries.  An
-    exception raised by ``rows`` propagates as it is.
+    exception raised by ``rows`` propagates as it is.  A dense row of
+    another length raises DimensionMismatch when its window is read, a dict
+    row with a column outside 0..ncols-1 when it is added, so an exception
+    that ``rows`` raises later in that window comes first.
     """
     basis = RowBasis(ncols, field)
     rows = iter(rows)
     size = _WINDOW_PER_COL * ncols + 1
-    while window := [_sparse_from(rowlike, ncols) for rowlike in islice(rows, size)]:
+    while window := [row if isinstance(row, dict) else _sparse_from(row, ncols)
+                     for row in islice(rows, size)]:
         window.sort(key=len)
         for row in window:
             basis.add(row)

@@ -41,7 +41,7 @@ from nilcohom.cohomology import (
     iter_dsnk_rows,
     parse_constraint,
 )
-from nilcohom.errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
+from nilcohom.errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded, SymbolicTable
 from nilcohom.ideals import member_bounded, nilpotency_ideal
 from nilcohom.liealg import (
     StructureConstants,
@@ -55,6 +55,7 @@ from nilcohom.liealg import (
     pencil,
     sn_k,
     split_generators,
+    table_in_basis,
 )
 from nilcohom.linalg import ExactMatrix, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
@@ -410,6 +411,28 @@ def test_streaming_rank_cross_check_against_kernel(catalog):
     tab = catalog.get("g_5(r,t)").symbolic()
     rep = augmented_exactness(tab, {"r": Fraction(1), "t": Fraction(1)}, ("r", "t"), "sn5")
     assert rep.ker_dg_dim == 147 - red.rank
+
+
+def test_a_table_over_polynomials_is_refused_where_numbers_are_read(catalog):
+    # the numeric entry points read the scaled operators, which a "sym" table
+    # has none of; is_lie reads it unscaled, and augmented_exactness
+    # evaluates the family first
+    tab = catalog.get("g_5(r,t)").symbolic()
+    identity = [[int(i == j) for j in range(tab.n)] for i in range(tab.n)]
+    calls = {
+        "h2_knil": lambda: h2_knil(tab, 5),
+        "h2_dim": lambda: h2_dim(tab),
+        "derivation_dim": lambda: derivation_dim(tab),
+        "change_basis": lambda: change_basis(tab, ExactMatrix.from_dense(identity)),
+        "table_in_basis": lambda: table_in_basis(tab, identity),
+    }
+    for name, call in calls.items():
+        with pytest.raises(SymbolicTable, match="evaluate the family at a point") as info:
+            call()
+        assert isinstance(info.value, ValueError), name
+    assert is_lie(tab)
+    rep = augmented_exactness(tab, {"r": Fraction(1), "t": Fraction(1)}, ("r", "t"), "sn5")
+    assert (rep.rank_df, rep.ker_dg_dim, rep.exact) == (41, 41, True)
 
 
 def test_a_tangent_outside_ker_dg_fails_containment():

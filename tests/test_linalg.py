@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -608,3 +609,132 @@ def test_gaussian_integer_rows_are_copied_and_the_rest_cleared():
         want = typed(reduce_rows(rows, ncols, FIELD_QI))
         assert typed(reduce_rows(real_qis, ncols, FIELD_QI)) == want
         assert typed(reduce_rows(fractions, ncols, FIELD_QI)) == want
+
+
+# -- the unit and wide views, and the column bounds ---------------------------------
+
+
+def _assert_views(basis):
+    """_units holds exactly the leads whose kept row is {j: 1}, and _wide maps
+    every other lead to the very row object _rows holds."""
+    rows = basis._rows
+    assert basis._units == {j for j, row in rows.items() if row == {j: 1}}
+    assert basis._wide.keys() == rows.keys() - basis._units
+    assert all(basis._wide[j] is rows[j] for j in basis._wide)
+
+
+_INTS = st.integers(-5, 5).filter(bool)
+_GAUSSIAN_INTS = st.builds(QI, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+
+
+@st.composite
+def _unit_heavy_rows(draw):
+    """(ncols, rows, cut): sparse rows over Z or Z[i], most of them single
+    entries, repeats of earlier rows (rescaled) or the single entries that
+    narrow an earlier row to its lead, so that back-substitution leaves it
+    {lead: 1}; ``cut`` is where a copy of the basis is taken."""
+    ncols = draw(st.integers(1, 8))
+    scalar = draw(st.sampled_from((_INTS, st.one_of(_INTS, _GAUSSIAN_INTS))))
+    col = st.integers(0, ncols - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(("single", "single", "wide", "repeat", "narrow")))
+        if kind == "single" or not rows and kind != "wide":
+            rows.append({draw(col): draw(scalar)})
+        elif kind == "wide":
+            cols = draw(st.lists(col, min_size=1, max_size=4, unique=True))
+            rows.append({c: draw(scalar) for c in cols})
+        elif kind == "repeat":
+            row, s = draw(st.sampled_from(rows)), draw(scalar)
+            rows.append({c: s * v for c, v in row.items()})
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.extend({c: draw(scalar)} for c in sorted(row)[1:])
+    return ncols, rows, draw(st.integers(0, len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@example((3, [{0: 2, 1: 3, 2: 1}, {0: 1, 2: 1}, {1: -4}, {2: 5}, {0: 7}], 2))
+@given(_unit_heavy_rows())
+def test_unit_pivots_keep_the_reduced_echelon_and_the_views(case):
+    """Rows that are mostly single entries reduce to the RREF of the dense
+    oracle, and the views hold after every add; a copy keeps them, owns its
+    rows, and grows without touching the original."""
+    ncols, rows, cut = case
+    field = FIELD_QI if any(isinstance(v, QI) for row in rows for v in row.values()) else FIELD_Q
+    ref = dense_rref([_dense(list(row), list(row.values()), ncols) for row in rows])
+    basis = RowBasis(ncols, field)
+    for row in rows[:cut]:
+        basis.add(row)
+        _assert_views(basis)
+    kept = basis.sparse_rows()
+    grown = basis.copy()
+    _assert_views(grown)
+    assert all(grown._rows[j] is not basis._rows[j] for j in basis._rows)
+    for row in rows[cut:]:
+        grown.add(row)
+        _assert_views(grown)
+    _assert_views(basis)
+    assert basis.sparse_rows() == kept
+    assert [_monic(row, ncols) for row in grown.sparse_rows()] == ref
+    assert grown.sparse_rows() == reduce_rows(rows, ncols, field).sparse_rows()
+
+
+def test_a_row_narrowed_to_its_lead_becomes_a_unit():
+    basis = RowBasis(3)
+    basis.add({0: 2, 1: 4, 2: 6})
+    assert basis._units == set() and basis._wide == {0: {0: 1, 1: 2, 2: 3}}
+    basis.add({1: 5, 2: 5})
+    assert basis._units == set() and basis._wide == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+    basis.add({2: -7})
+    assert basis._units == {0, 1, 2} and basis._wide == {}
+    _assert_views(basis)
+    # a row in unit columns alone reduces to zero
+    assert not basis.add({0: 3, 2: QI(0, 1)}) and basis.gaussian
+
+
+@pytest.mark.parametrize("rows, ncols, message", [
+    ([{0: 1, 3: 2}], 3, "column index outside 0..2"),
+    ([{-1: 1}], 3, "column index outside 0..2"),
+    ([{0: 1}, {1: 1}, {0: 2, 1: 3, 3: 1}], 3, "column index outside 0..2"),
+    ([{0: 1, 1: 1}, {0: 2, 1: 2, -2: 1}], 3, "column index outside 0..2"),
+    ([{0: 1, 4: 0}], 3, "column index outside 0..2"),
+    ([{0: 1}, {0: 5, 4: 0}], 3, "column index outside 0..2"),
+    ([{4: Fraction(0)}], 3, "column index outside 0..2"),
+    ([{0: Fraction(1, 2), 3: Fraction(1, 3)}], 3, "column index outside 0..2"),
+    ([{0: QI(1, 1), 3: QI(0, 1)}], 3, "column index outside 0..2"),
+    ([{0: 1}, {0: QI(Fraction(1, 2), 1), 7: QI(0)}], 3, "column index outside 0..2"),
+    ([{2: 1}], 0, "column index outside 0..-1"),
+    ([[1, 2]], 3, "row has length 2, expected 3"),
+    ([{0: 1}, [1, 2, 3, 4]], 3, "row has length 4, expected 3"),
+])
+def test_a_row_outside_the_columns_is_refused(rows, ncols, message):
+    """Whether its bad column is its lead or not, zero or not, int or not,
+    and wherever the row comes in the stream."""
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        reduce_rows(rows, ncols)
+
+
+def test_add_refuses_a_row_outside_the_columns_and_keeps_the_basis():
+    basis = reduce_rows([{0: 1}, {1: 2, 2: 3}], 3)
+    kept = basis.sparse_rows()
+    for row in ({3: 1}, {0: 1, 1: 1, 5: 2}, {-1: 4}, {2: 1, 6: 0}, {0: Fraction(1, 2), 4: 1}):
+        with pytest.raises(DimensionMismatch, match=r"^column index outside 0\.\.2$"):
+            basis.add(row)
+        assert basis.sparse_rows() == kept
+        _assert_views(basis)
+
+
+def test_a_bad_row_is_refused_when_it_is_reached():
+    # a window is read whole before its rows are added, so a stream that
+    # raises later in the window a bad row came in raises its own error
+    cap = ResourceCapExceeded("the word walk kept more than 3 nonzero words")
+
+    def stream():
+        yield {0: 1}
+        yield {5: 1}
+        raise cap
+
+    with pytest.raises(ResourceCapExceeded) as info:
+        reduce_rows(stream(), 3)
+    assert info.value is cap

@@ -1,6 +1,7 @@
 """Checks on the sources as text: they parse under the grammar of the
 oldest Python the package claims to support, no echelon in the package is
-handed a field, and every read of the letter operators goes through the
+handed a field, only the echelon's own methods write its three views of
+the kept rows, and every read of the letter operators goes through the
 memo."""
 
 import ast
@@ -74,3 +75,56 @@ def test_every_letter_operator_read_in_the_package_goes_through_the_memo():
         if name == reader:
             named.add((module, scope))
     assert named == {("liealg.py", "_letter_operators"), ("liealg.py", "_scaled_operators")}
+
+
+# methods of dict and set that change them in place
+_MUTATORS = {"add", "clear", "discard", "pop", "popitem", "remove", "setdefault", "update",
+             "difference_update", "intersection_update", "symmetric_difference_update"}
+
+
+def _written(target):
+    """The expressions an assignment target writes into: a subscript writes
+    into what it indexes, and a tuple into each of its elements."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _written(elt)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield target
+        yield from _written(target.value)
+    else:
+        yield target
+
+
+def test_only_the_echelon_writes_its_views_of_the_kept_rows():
+    # RowBasis keeps every kept row in _rows and two views of them, _units
+    # and _wide, which its own methods update together; no node in src/
+    # outside them assigns, deletes, mutates or aliases one, so the views
+    # cannot drift apart (reads, as in solve and _integral_inverse, stay)
+    views = {"_rows", "_units", "_wide"}
+    outside, inside = [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(node): fn.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "RowBasis"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.comprehension)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _MUTATORS:
+                targets = [node.func.value]
+            else:
+                targets = []
+            written = [t for target in targets for t in _written(target)]
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
+                written.append(node.value)  # an alias writes what it names
+            for expr in written:
+                if isinstance(expr, ast.Attribute) and expr.attr in views:
+                    if id(node) in methods:
+                        inside.add(methods[id(node)])
+                    else:
+                        outside.append((path.name, node.lineno, expr.attr))
+    assert outside == []
+    assert inside >= {"__init__", "copy", "add"}
