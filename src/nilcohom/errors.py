@@ -18,7 +18,7 @@ class NotInVariety(NilcohomError, ValueError):
     """Input bracket violates the constraint (nilpotency step, SN vanishing)."""
 
 
-class SymbolicTable(NilcohomError, ValueError):
+class NotNumeric(NilcohomError, ValueError):
     """A computation that needs numbers received a table over polynomials
     (field "sym"); evaluate the family at a point first."""
 

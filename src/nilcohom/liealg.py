@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra,
-                     ResourceCapExceeded, SingularMatrix, SymbolicTable, TableError)
+from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra, NotNumeric,
+                     ResourceCapExceeded, SingularMatrix, TableError)
 from .linalg import (ExactMatrix, _denominator, _integral_inverse, int_cleared, inverse,
                      reduce_rows)
 from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
@@ -291,11 +291,10 @@ def _read_operators(mu, scaled):
     ``_scaled_operators`` call this.  A table over "sym" has no scaled read,
     since its coefficients are polynomials, not numbers to clear of
     denominators; every certificate, change of basis and series reads the
-    scaled operators, so each refuses such a table here, with
-    SymbolicTable."""
+    scaled operators, so each refuses such a table here, with NotNumeric."""
     if scaled and mu.field not in (FIELD_Q, FIELD_QI):
-        raise SymbolicTable('a table over polynomials (field "sym") has no numeric read;'
-                            ' evaluate the family at a point first')
+        raise NotNumeric('a table over polynomials (field "sym") has no numeric read;'
+                         ' evaluate the family at a point first')
     n = mu.n
     keys = [(i, j, k) for (i, j), coeffs in mu.c.items() for k in coeffs]
     vals = [mu.c[i, j][k] for i, j, k in keys]
