@@ -179,9 +179,9 @@ class RowBasis:
 
     ``_rows`` maps every lead to its retained row.  Two views of it, which
     only ``add`` (and ``copy``, for a new basis) writes, hold after every
-    call: ``_units`` is exactly the set of leads j with ``_rows[j] == {j:
-    1}``, and ``_wide`` maps each other lead to the same row object that
-    ``_rows`` holds.
+    call: ``_units`` is exactly the set of leads j with
+    ``_rows[j] == {j: 1}``, and ``_wide`` maps each other lead to the same
+    row object that ``_rows`` holds.
     """
 
     __slots__ = ("ncols", "gaussian", "_rows", "_units", "_wide")
