@@ -78,7 +78,13 @@ tangents depend on the free parameters, so ``_stack`` keeps one entry
 table's content and the constraint: the free and frozen runs at a curve
 point, or ``h2_knil`` and ``augmented_exactness`` at one point whose
 table ``h2_knil`` does not adapt (below), reduce each once, and
-``closed`` checks once whether Im d1 lies in its kernel.
+``closed`` checks once whether Im d1 lies in its kernel.  ``closed`` also
+keeps one column index of the stack's rows, built at the first
+containment question at the point, against which each run checks its
+tangents; ``h2_knil`` and ``h2_dim`` ask none and build none.  A run at
+a kept point thus pays for its tangents only: each is read as a sparse
+cochain off the family's polynomials (``_tangent``), added to a copy of
+the kept Im d1 and checked against the kept index.
 
 ``h2_knil`` certifies mu in a basis built from its generators
 (``liealg._adapted``), times one positive integer, wherever that table
@@ -107,8 +113,8 @@ keyed by content as ``_stack`` is, so the guard, the picker, d1, d2 and
 the word walk of one certificate build it once.  The unscaled read, of
 ``d1_matrix``, ``d2_matrix`` and the public tensors, is built on each
 call: a Q(i) twin holds QIs where its Q twin holds Fractions, which
-scaled become the same ints.  The tangent columns of
-``augmented_exactness`` stay unscaled.  Membership in the k-step and split
+scaled become the same ints.  The tangents of ``augmented_exactness``
+stay unscaled.  Membership in the k-step and split
 varieties is checked by the lower central series, in polynomial time, not
 by enumerating the words.
 """
@@ -117,7 +123,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 from .errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
@@ -136,18 +142,40 @@ from .liealg import (
     split_generators,
     walk_words,
 )
-from .linalg import ExactMatrix, _sparse_from, reduce_rows
+from .linalg import ExactMatrix, _cleared, _sparse_from, _vanish, reduce_rows
+from .scalars import FIELD_Q, FIELD_QI, is_nonreal, promote
+
+
+def _cochain_entries(sigma):
+    """(column, value) for each entry of the table ``sigma`` read as a
+    2-cochain: coordinate k of sigma(e_i, e_j), i < j, at column
+    first + k, for first = Layout.sigma[i][j][0].  The one layout rule of
+    ``cochain_vector`` and ``_tangent``."""
+    lay = Layout(sigma.n)
+    for (i, j), coeffs in sigma.c.items():
+        first = lay.sigma[i][j][0]
+        for k, val in coeffs.items():
+            yield first + k, val
 
 
 def cochain_vector(sigma: StructureConstants):
     """Coordinates of a 2-cochain in the (pair, k) layout."""
-    lay = Layout(sigma.n)
-    v = [Fraction(0)] * lay.dim2
-    for (i, j), coeffs in sigma.c.items():
-        first = lay.sigma[i][j][0]
-        for k, val in coeffs.items():
-            v[first + k] = val
+    v = [Fraction(0)] * Layout(sigma.n).dim2
+    for c, val in _cochain_entries(sigma):
+        v[c] = val
     return v
+
+
+def _tangent(table, p, point):
+    """The tangent of the family ``table`` in its parameter ``p`` at
+    ``point``, as a sparse 2-cochain {column: value}: dP/dp at the point for
+    each bracket entry P, read off its polynomial.  The values are those of
+    ``cochain_vector(table.derivative(p).evaluate(point))`` with the zeros
+    dropped: Fractions, or QIs when one is nonreal, as the evaluated table
+    holds them."""
+    vals = {c: poly.diff(p).evaluate(point) for c, poly in _cochain_entries(table)}
+    field = FIELD_QI if any(map(is_nonreal, vals.values())) else FIELD_Q
+    return {c: promote(v, field) for c, v in vals.items() if v}
 
 
 # -- streamed differentials -----------------------------------------------------
@@ -404,18 +432,50 @@ def _constraint_reducer(mu, kind, k, letters=None):
     return reduce_rows((row for _, row in rows), Layout(mu.n).dim2)
 
 
+class _Containment:
+    """Whether vectors lie in Ker dG, the kernel of the kept stack ``red``
+    at ``mu``.  Called, it answers whether Im d1 does (``closed``), checked
+    on the first call against the d1 columns streamed again; ``holds``
+    answers it for Im d1 and the given vectors together.  Both read one
+    column index of the stack's rows (``RowBasis.column_index``), built at
+    the first question and kept here, with the entry: each certificate at
+    the point then sums over the rows its vectors meet, and a point that no
+    one asks about builds none.  It indexes every column, since later
+    questions meet columns the first one did not."""
+
+    __slots__ = ("mu", "red", "_index", "_closed")
+
+    def __init__(self, mu, red):
+        self.mu, self.red = mu, red
+        self._index = self._closed = None
+
+    def __call__(self):
+        if self._closed is None:
+            self._closed = self._check(col for _, col in iter_d1_columns(self.mu))
+        return self._closed
+
+    def holds(self, vecs):
+        return self() and self._check(vecs)
+
+    def _check(self, vecs):
+        if self._index is None:
+            self._index = self.red.column_index()
+        return _vanish(self._index, map(_cleared, vecs))
+
+
 @lru_cache(maxsize=8)
 def _stack(mu, kind, k):
     """(red, im_d1, closed): the reduced [d2 ; dW] stack at mu, for W of
     ``kind`` "j", "n" (N_k) or "sn" (SN_k), Im d1 (``_image``), and
-    ``closed()``, whether Im d1 lies in the stack's kernel, checked on the
-    first call against the d1 columns streamed again.  A point off the
-    variety (not Lie, or W(mu) != 0, which the picker of ``_WORDS``
-    decides) is refused.  The last eight entries are kept, least recently
-    used first out, keyed by content (n and the brackets, not the name or
-    the field: a Q(i) table of real values reads, scaled, as the ints of
-    its Q twin), kind and k; a refusal or a cap keeps nothing.  A kept entry
-    is shared: both bases are read-only."""
+    ``closed``, the ``_Containment`` of the stack's kernel, whose call
+    says whether Im d1 lies in it.  A point off the variety (not Lie, or
+    W(mu) != 0, which the picker of ``_WORDS`` decides) is refused.  The
+    last eight entries are kept, least recently used first out, keyed by
+    content (n and the brackets, not the name or the field: a Q(i) table
+    of real values reads, scaled, as the ints of its Q twin), kind and k; a
+    refusal or a cap keeps nothing.  A kept entry is shared: both bases are
+    read-only, and the column index and answer that ``closed`` keeps leave
+    the memo with the entry."""
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
     letters = None
@@ -424,12 +484,7 @@ def _stack(mu, kind, k):
         if letters is None:
             raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
     red = _constraint_reducer(mu, kind, k, letters)
-
-    @cache
-    def closed():
-        return red.annihilates(col for _, col in iter_d1_columns(mu))
-
-    return red, _image(mu), closed
+    return red, _image(mu), _Containment(mu, red)
 
 
 def _sequence(mu, kind, k, tangents=()):
@@ -437,7 +492,8 @@ def _sequence(mu, kind, k, tangents=()):
     of ``kind`` "j", "n" or "sn".  Returns (tangents, df, red): the tangents
     as a list, the RowBasis of Im dF (the kept Im d1 itself when there are
     none, else a copy with them added) and the kept stack, off the point's
-    entry of ``_stack``, whose ``closed()`` is left to its one reader."""
+    entry of ``_stack``, whose containment checks are left to their one
+    reader, ``augmented_exactness``."""
     red, df, _ = _stack(mu, kind, k)
     tangents = list(tangents)
     if tangents:
@@ -522,10 +578,15 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     """Exactness of [tangents | d1] -> middle -> [d2 ; d(constraint)] at a point.
 
     ``table`` is a StructureConstants over polynomials (field "sym") with
-    its parameters in ``params``; the point must satisfy the constraint
-    exactly (Jacobi, plus vanishing of the chosen word operator).  One
-    column is adjoined to d1 per free parameter: the exact derivative of
-    the table in that parameter, evaluated at the point.  Words longer than
+    its parameters in ``params``; a numeric table answers as its twin over
+    polynomials (``StructureConstants.symbolic``), whose constants evaluate
+    to its values and have zero derivatives.  The point must satisfy the constraint exactly (Jacobi,
+    plus vanishing of the chosen word operator).  One column is adjoined to
+    d1 per free parameter: the exact derivative of the table in that
+    parameter at the point, read as a sparse cochain off the polynomials
+    (``_tangent``) once the point's ``_stack`` entry has admitted it.  The
+    containment of Im dF in Ker dG is the entry's ``closed`` answer and
+    the tangents' check against its kept column index.  Words longer than
     the walk's MAX_WALK_DEPTH letters raise ResourceCapExceeded at once.
     """
     kind, k = parse_constraint(constraint)
@@ -539,12 +600,12 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
             raise ValueError(f"free parameter {p!r} is not a parameter of the family")
         if p in free_params[:t]:
             raise ValueError(f"free parameter {p!r} given twice")
+    table = table.symbolic()  # a numeric table answers as its twin
     mu = table.evaluate(point)
     lay = Layout(mu.n)
-    # a generator: the tangents are evaluated only at a point the guards admit
-    tangents, df, red = _sequence(mu, kind, k, (cochain_vector(table.derivative(p).evaluate(point))
-                                                for p in free_params))
-    containment = _stack(mu, kind, k)[2]() and red.annihilates(tangents)
+    # a generator: the tangents are read only at a point the guards admit
+    tangents, df, red = _sequence(mu, kind, k, (_tangent(table, p, point) for p in free_params))
+    containment = _stack(mu, kind, k)[2].holds(tangents)
     ker_dg = lay.dim2 - red.rank
     codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
     return ExactnessReport(

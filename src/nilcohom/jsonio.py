@@ -21,7 +21,6 @@ import json
 from pathlib import Path
 
 from .liealg import StructureConstants
-from .polynomials import MultiPoly
 from .scalars import FIELD_Q, FIELD_QI, parse_scalar, promote
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -89,10 +88,7 @@ def record_fields(data, name=None) -> dict:
     if "table" in data:
         table, params = _entry(data, "table", str), _strings(data, "params")
     else:
-        mu = algebra_from_dict(data)
-        table = StructureConstants(dim, {pair: {k: MultiPoly.const(v) for k, v in row.items()}
-                                         for pair, row in mu.c.items()}, "sym")
-        params = ()
+        table, params = algebra_from_dict(data).symbolic(), ()
     return {"name": name, "dim": dim, "table": table, "params": params, "field": _field(data),
             "aliases": _strings(data, "aliases"), "notes": _entry(data, "citation", str, default="")}
 

@@ -19,6 +19,7 @@ from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra, No
                      ResourceCapExceeded, SingularMatrix, TableError)
 from .linalg import (ExactMatrix, _denominator, _integral_inverse, int_cleared, inverse,
                      reduce_rows)
+from .polynomials import MultiPoly
 from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
 
 
@@ -131,6 +132,17 @@ class StructureConstants:
         brackets = {pair: {k: p.diff(sym) for k, p in coeffs.items()}
                     for pair, coeffs in self.c.items()}
         return StructureConstants(self.n, brackets, self.field, params=self.params)
+
+    def symbolic(self):
+        """The table over polynomials (field "sym") whose constants are the
+        values of this one, with its ``params``: its twin over "sym", which
+        evaluates to it at any point and differentiates to zero.  A table
+        over "sym" is its own."""
+        if self.field == "sym":
+            return self
+        brackets = {pair: {k: MultiPoly.const(v) for k, v in row.items()}
+                    for pair, row in self.c.items()}
+        return StructureConstants(self.n, brackets, "sym", params=self.params)
 
     def evaluate(self, assignment=None):
         """The table at a value per symbol (TableError if one has none), over

@@ -47,7 +47,10 @@ The echelon's readers take the retained rows as they are: ``rank``,
 Ker dG).  It indexes the retained rows once by column, {column: [(row
 number, value)]}, so each nonzero of a vector meets only the rows with a
 nonzero in its column, instead of every vector taking one product with
-every row.  ``in_kernel`` runs the same loop over rows given as a list.
+every row.  ``in_kernel`` runs the same loop over rows given as a list,
+and ``column_index`` hands out the index of every retained row, for a
+caller that asks many questions of a basis it no longer adds to (a kept
+entry of ``cohomology._stack``).
 
 One scalar rule holds over Q and Q(i) alike, the fraction-free elimination
 of Bareiss carried over to the Gaussian integers Z[i]:
@@ -232,6 +235,13 @@ class RowBasis:
         row, i.e. lies in the kernel of the stack the basis reduced.  One
         column index over the retained rows serves all the vectors."""
         return _annihilates(self._rows.values(), vecs)
+
+    def column_index(self):
+        """A column index of every retained row, {column: [(row number,
+        value)]} (``_column_index``), built anew on each call: ``add``
+        rewrites rows in place, so a caller that keeps one keeps it with a
+        basis that no longer grows."""
+        return _column_index(self._rows.values(), set(range(self.ncols)))
 
     def add(self, row):
         """Reduce a ``{col: value}`` row of ints, Fractions or QIs and keep it
@@ -552,27 +562,44 @@ def dot(u, v):
 
 def _annihilates(rows, vecs):
     """True iff every vector of ``vecs`` has a zero product with every row;
-    rows and vectors are {col: value} dicts or dense sequences.  Each
-    vector is cleared of denominators first (of both parts of a Gaussian
-    entry, so that against the rows of a RowBasis every product is one of
-    Gaussian integers).  The rows are indexed once by column, {column:
-    [(row number, value)]}, over the columns some vector meets, and each
-    vector sums over the rows its nonzeros meet.  The one containment loop
-    of the package."""
-    terms = []
-    for vec in vecs:
-        if isinstance(vec, dict):
-            cols, vals = list(vec), list(vec.values())
-        else:
-            cols = [c for c, x in enumerate(vec) if x]
-            vals = [vec[c] for c in cols]
-        terms.append(list(zip(cols, int_cleared(vals))))
+    rows and vectors are {col: value} dicts or dense sequences.  The rows
+    are indexed by column over the columns some vector meets, so the
+    vectors are read first."""
+    terms = [_cleared(vec) for vec in vecs]
     met = {c for t in terms for c, _ in t}
+    return _vanish(_column_index(rows, met), terms)
+
+
+def _column_index(rows, met):
+    """{column: [(row number, value)]} over the nonzero entries of ``rows``
+    ({col: value} dicts or dense sequences) in the columns of the set
+    ``met``; with every column in ``met``, the index of the whole rows."""
     index = {}
     for i, row in enumerate(rows):
         for c in met.intersection(row) if isinstance(row, dict) else met:
             if v := row[c]:
                 index.setdefault(c, []).append((i, v))
+    return index
+
+
+def _cleared(vec):
+    """The (column, value) pairs of a vector's nonzeros ({col: value} dict
+    or dense sequence), cleared of denominators (of both parts of a
+    Gaussian entry, so that against the rows of a RowBasis every product
+    is one of Gaussian integers)."""
+    if isinstance(vec, dict):
+        cols, vals = list(vec), list(vec.values())
+    else:
+        cols = [c for c, x in enumerate(vec) if x]
+        vals = [vec[c] for c in cols]
+    return list(zip(cols, int_cleared(vals)))
+
+
+def _vanish(index, terms):
+    """True iff every vector of ``terms`` (each a ``_cleared`` list) has a
+    zero product with every row of the column ``index``
+    (``_column_index``): each vector sums over the rows its nonzeros meet.
+    The one containment loop of the package."""
     for t in terms:
         sums = {}
         for c, x in t:
@@ -586,7 +613,8 @@ def _annihilates(rows, vecs):
 def in_kernel(vec, rows):
     """True iff vec is orthogonal to every row, i.e. M @ vec = 0 for any
     matrix whose row space those rows span.  The vector and the rows are
-    {col: value} dicts or dense lists.  ``RowBasis.annihilates`` is the
-    package's own check; this one-vector form has no caller in the package
-    and stays for certbench's traced ``curves-sn5`` path, which calls it."""
+    {col: value} dicts or dense lists.  ``RowBasis.annihilates`` and the
+    kept index of ``RowBasis.column_index`` are the package's own checks;
+    this one-vector form has no caller in the package and stays for
+    certbench's traced ``curves-sn5`` path, which calls it."""
     return _annihilates(rows, [vec])

@@ -22,7 +22,7 @@ from conftest import (
     stack,
     structure_tables,
 )
-from nilcohom import cohomology, liealg, reproduce
+from nilcohom import cohomology, liealg, linalg, reproduce
 from nilcohom.catalog import named_polynomial
 from nilcohom.cohomology import (
     Layout,
@@ -435,6 +435,28 @@ def test_a_table_over_polynomials_is_refused_where_numbers_are_read(catalog):
     assert (rep.rank_df, rep.ker_dg_dim, rep.exact) == (41, 41, True)
 
 
+def test_a_numeric_table_answers_as_its_twin_over_polynomials(catalog):
+    # no symbols, nothing to evaluate; a declared parameter of a numeric
+    # table has a zero tangent, as the constants of its twin have
+    numeric = catalog.structure("g_{5,3}")
+    twin = catalog.get("g_{5,3}").symbolic()
+    assert numeric.field == FIELD_Q and twin.field == "sym" and not twin.free_symbols()
+    assert twin.symbolic() is twin and numeric.symbolic().field == "sym"
+    assert numeric.symbolic().evaluate({}) == twin.evaluate({}) == numeric
+    reports = [augmented_exactness(table, {}, (), "n3") for table in (numeric, twin)]
+    assert reports[0] == reports[1]
+    rep = reports[0]
+    assert (rep.rank_df, rep.ker_dg_dim, rep.containment, rep.exact) == (15, 17, True, False)
+    gaussian = StructureConstants(numeric.n, numeric.c, FIELD_QI)
+    assert augmented_exactness(gaussian, {}, (), "n3") == rep
+    declared = StructureConstants(3, {(0, 1): {2: Fraction(1, 2)}}, params=("s",))
+    twin = parse_symbolic("ab = c/2", 3, ("s",))
+    reports = [augmented_exactness(table, {"s": Fraction(5)}, ("s",), "n2")
+               for table in (declared, twin)]
+    assert reports[0] == reports[1]
+    assert (reports[0].rank_df, reports[0].ker_dg_dim, reports[0].exact) == (3, 3, True)
+
+
 def test_a_tangent_outside_ker_dg_fails_containment():
     # the Jacobiator of ab = c, ac = s a is s c, so at s = 0 the tangent in
     # s leaves Ker dG; the d1 columns alone stay inside it
@@ -775,6 +797,31 @@ def test_augmented_exactness_fails_at_excluded_points(catalog):
     rep = augmented_exactness(g5, {"r": Fraction(1), "t": Fraction(-1)}, ("r", "t"), "sn5")
     assert not rep.exact and rep.containment
     assert rep.rank_df == 41 and rep.ker_dg_dim == 47
+
+
+_FAMILIES = ("g_1(t)", "g_5(r,t)", "g_6(r,t)", "g_I(t)", "g_{137D}(t)", "g_{147E_1}(t)",
+             "g_{247G}(t)", "g_{247K}(t)")
+_POINT_VALUES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.booleans(), st.data())
+def test_a_tangent_read_off_the_polynomials_is_the_evaluated_derivative(catalog, fam,
+                                                                        gaussian, data):
+    """The sparse tangent of ``augmented_exactness`` has, value for value and
+    type for type, the nonzero entries of the dense cochain of the
+    derivative table evaluated at the point, over the catalog's parametric
+    families at rational and Gaussian points."""
+    table = catalog.get(fam).symbolic()
+    assert table.params
+    value = st.builds(QI, _POINT_VALUES, _POINT_VALUES) if gaussian else _POINT_VALUES
+    point = {p: data.draw(value) for p in table.params}
+    for p in table.params:
+        dense = cochain_vector(table.derivative(p).evaluate(point))
+        expected = {c: v for c, v in enumerate(dense) if v}
+        got = cohomology._tangent(table, p, point)
+        assert got == expected, (fam, point, p)
+        assert [type(v) for v in got.values()] == [type(expected[c]) for c in got], (fam, p)
 
 
 # -- the least-first word walk of the constraint reducer ----------------------------
@@ -1261,6 +1308,69 @@ def test_the_containment_answer_is_kept_with_its_entry(catalog, monkeypatch):
         h2_dim(mu)
     assert frozen_run().containment  # pushed out: reduced and checked again
     assert len(streams) == 2 + 16 + 2 and len(calls) == 1 + 16 + 1
+
+
+def _count_index_builds(monkeypatch):
+    """Spy on ``RowBasis.column_index``; returns the list of ranks it indexed."""
+    builds = []
+    column_index = linalg.RowBasis.column_index
+
+    def spy(basis):
+        builds.append(basis.rank)
+        return column_index(basis)
+
+    monkeypatch.setattr(linalg.RowBasis, "column_index", spy)
+    return builds
+
+
+def test_one_column_index_is_built_per_kept_entry(catalog, monkeypatch):
+    """The free and frozen runs at a curve point build one column index of
+    the kept stack, with the first containment question; ``h2_knil`` and
+    ``h2_dim`` ask none and build none; once the entry is pushed out of the
+    memo, the next run builds it again with the entry."""
+    free_run, frozen_run = _curve_certificates(catalog)
+    builds = _count_index_builds(monkeypatch)
+    assert free_run().exact and builds == [106]
+    assert frozen_run().exact and builds == [106]
+    knil, _, dim = _e147_1_certificates(catalog)
+    knil()
+    dim()
+    others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 9)]
+    for mu in others:
+        h2_dim(mu)
+        h2_knil(mu, 2)
+    assert builds == [106]
+    assert frozen_run().exact and builds == [106, 106]
+    assert free_run().exact and builds == [106, 106]
+
+
+def test_a_changed_tangent_fails_containment_on_a_memo_hit(catalog, monkeypatch):
+    """After the free run at g_5(1,1) has built the kept index, each frozen
+    run is a memo hit whose tangent has one entry changed by one: it stays
+    in Ker dG exactly when no kept row meets that column, also where
+    neither the d1 columns nor the free run's tangents do."""
+    free_run, frozen_run = _curve_certificates(catalog)
+    assert free_run().containment
+    table = catalog.get("g_5(r,t)").symbolic()
+    point = {"r": Fraction(1), "t": Fraction(1)}
+    mu = table.evaluate(point)
+    red = _sequence(mu, "sn", 5)[2]
+    met = set().union(*red.sparse_rows())
+    asked = set().union(*(col for _, col in iter_d1_columns(mu)),
+                        *(cohomology._tangent(table, p, point) for p in ("r", "t")))
+    assert met - asked and set(range(red.ncols)) - met
+    tangent = cohomology._tangent
+    for c in range(red.ncols):
+
+        def changed(table, p, point, c=c):
+            vec = dict(tangent(table, p, point))
+            vec[c] = vec.get(c, 0) + 1
+            return {j: v for j, v in vec.items() if v}
+
+        monkeypatch.setattr(cohomology, "_tangent", changed)
+        assert frozen_run().containment == (c not in met), c
+    info = cohomology._stack.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalog,

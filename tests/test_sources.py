@@ -1,8 +1,9 @@
 """Checks on the sources as text: they parse under the grammar of the
 oldest Python the package claims to support, no echelon in the package is
 handed a field, only the echelon's own methods write its three views of
-the kept rows, and every read of the letter operators goes through the
-memo."""
+the kept rows, every read of the letter operators goes through the
+memo, and the exactness certificate reads its tangents off the family's
+polynomials."""
 
 import ast
 import inspect
@@ -128,3 +129,29 @@ def test_only_the_echelon_writes_its_views_of_the_kept_rows():
                         outside.append((path.name, node.lineno, expr.attr))
     assert outside == []
     assert inside >= {"__init__", "copy", "add"}
+
+
+def test_the_exactness_certificate_builds_no_derivative_table():
+    # a memo hit pays only for its tangents: augmented_exactness, and every
+    # function or class of cohomology.py that it names, directly or through
+    # another, calls neither cochain_vector (a dense cochain) nor a table's
+    # .derivative( (a table per free parameter); _tangent reads each
+    # tangent off the polynomials instead
+    tree = ast.parse((ROOT / "src" / "nilcohom" / "cohomology.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo, called = set(), ["augmented_exactness"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert {"_tangent", "_sequence", "_stack", "_Containment"} <= reached
+    assert "cochain_vector" not in reached
+    assert not called & {"cochain_vector", "derivative"}
