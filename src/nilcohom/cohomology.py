@@ -81,10 +81,13 @@ table ``h2_knil`` does not adapt (below), reduce each once, and
 ``closed`` checks once whether Im d1 lies in its kernel.  ``closed`` also
 keeps one column index of the stack's rows, built at the first
 containment question at the point, against which each run checks its
-tangents; ``h2_knil`` and ``h2_dim`` ask none and build none.  A run at
-a kept point thus pays for its tangents only: each is read as a sparse
-cochain off the family's polynomials (``_tangent``), added to a copy of
-the kept Im d1 and checked against the kept index.
+tangents; ``h2_knil`` and ``h2_dim`` ask none and build none.  A second
+memo, ``_at``, keeps the family evaluated at each of the last eight
+points, with each tangent once it is read as a sparse cochain off the
+family's polynomials (``_tangent``).  A run at a kept point thus
+evaluates and differentiates nothing, and both its ``_stack`` lookups
+meet the kept table itself: it adds the kept tangents to a copy of the
+kept Im d1 and checks them against the kept index.
 
 ``h2_knil`` certifies mu in a basis built from its generators
 (``liealg._adapted``), times one positive integer, wherever that table
@@ -131,6 +134,7 @@ from .liealg import (
     MAX_WALK_DEPTH,
     Layout,
     StructureConstants,
+    _ReadOnly,
     _adapted,
     _add_sigma,
     _apply_to_rows,
@@ -166,13 +170,35 @@ def cochain_vector(sigma: StructureConstants):
     return v
 
 
+@lru_cache(maxsize=8)
+def _at(table, point):
+    """(mu, tangents): the family ``table`` over "sym" evaluated at
+    ``point``, a frozenset of (parameter, value), and its tangents by
+    parameter, each kept read-only once ``_tangent`` has read it.  The last
+    eight (family, point) pairs are kept, with no stack: a point the guard
+    refuses may keep its table here, never a verdict.  Equal values hash
+    and compare equal, so a point given in another order or as equal ints
+    or QIs shares the entry, whose content does not depend on which of
+    them built it."""
+    return table.evaluate(point), {}
+
+
 def _tangent(table, p, point):
     """The tangent of the family ``table`` in its parameter ``p`` at
-    ``point``, as a sparse 2-cochain {column: value}: dP/dp at the point for
-    each bracket entry P, read off its polynomial.  The values are those of
-    ``cochain_vector(table.derivative(p).evaluate(point))`` with the zeros
-    dropped: Fractions, or QIs when one is nonreal, as the evaluated table
-    holds them."""
+    ``point`` (a dict), as a read-only sparse 2-cochain, read once per kept
+    entry of ``_at``."""
+    kept = _at(table, frozenset(point.items()))[1]
+    if p not in kept:
+        kept[p] = _ReadOnly(_read_tangent(table, p, point))
+    return kept[p]
+
+
+def _read_tangent(table, p, point):
+    """dP/dp at ``point`` for each bracket entry P of ``table``, read off
+    its polynomial, as a sparse 2-cochain {column: value}.  The values are
+    those of ``cochain_vector(table.derivative(p).evaluate(point))`` with
+    the zeros dropped: Fractions, or QIs when one is nonreal, as the
+    evaluated table holds them."""
     vals = {c: poly.diff(p).evaluate(point) for c, poly in _cochain_entries(table)}
     field = FIELD_QI if any(map(is_nonreal, vals.values())) else FIELD_Q
     return {c: promote(v, field) for c, v in vals.items() if v}
@@ -585,8 +611,10 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     d1 per free parameter: the exact derivative of the table in that
     parameter at the point, read as a sparse cochain off the polynomials
     (``_tangent``) once the point's ``_stack`` entry has admitted it.  The
-    containment of Im dF in Ker dG is the entry's ``closed`` answer and
-    the tangents' check against its kept column index.  Words longer than
+    evaluated table and the tangents are kept by (family, point) in
+    ``_at``, so a repeated run reads them there.  The containment of Im dF
+    in Ker dG is the entry's ``closed`` answer and the tangents' check
+    against its kept column index, on every run.  Words longer than
     the walk's MAX_WALK_DEPTH letters raise ResourceCapExceeded at once.
     """
     kind, k = parse_constraint(constraint)
@@ -601,7 +629,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
         if p in free_params[:t]:
             raise ValueError(f"free parameter {p!r} given twice")
     table = table.symbolic()  # a numeric table answers as its twin
-    mu = table.evaluate(point)
+    mu = _at(table, frozenset(point.items()))[0]
     lay = Layout(mu.n)
     # a generator: the tangents are read only at a point the guards admit
     tangents, df, red = _sequence(mu, kind, k, (_tangent(table, p, point) for p in free_params))

@@ -24,9 +24,9 @@ from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
 
 
 class _ReadOnly(dict):
-    """A dict that refuses writes: the brackets of a table, and each of
-    their rows.  It is still a dict, so readers that test for one keep
-    working."""
+    """A dict that refuses writes: the brackets of a table, each of their
+    rows, and the tangents ``cohomology._at`` keeps.  It is still a dict,
+    so readers that test for one keep working."""
 
     __slots__ = ()
 

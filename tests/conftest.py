@@ -23,11 +23,13 @@ def catalog():
 @pytest.fixture(autouse=True)
 def _no_kept_stacks():
     """Each test starts with no entry (stack, Im d1, containment answer)
-    kept by ``cohomology._stack`` and no scaled letter operators kept by
+    kept by ``cohomology._stack``, no evaluated family or tangent kept by
+    ``cohomology._at`` and no scaled letter operators kept by
     ``liealg._scaled_operators``, so a test that lowers a cap or patches a
     stream or reader is not served work done before it."""
     cohomology._stack.cache_clear()
     liealg._scaled_operators.cache_clear()
+    cohomology._at.cache_clear()
 
 
 def digest(items):

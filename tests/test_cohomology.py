@@ -756,6 +756,57 @@ def test_h2_knil_reads_the_ranks_of_the_given_basis(catalog, case):
     assert _ranks_or_refusal(report) == _ranks_or_refusal(given_basis)
 
 
+def _monotone_in_k(mu, k):
+    """The (z, b) of h2_knil at k and k + 1 and of h2_dim at mu, a k-step
+    point, checked against z(k) <= z(k + 1) <= z(h2_dim) with one b."""
+    reports = [h2_knil(mu, k), h2_knil(mu, k + 1), h2_dim(mu)]
+    zs, bs = [rep.z for rep in reports], {rep.b for rep in reports}
+    assert zs == sorted(zs) and len(bs) == 1, (mu, k, zs, bs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_k_step_tables(), st.integers(0, 2), st.data())
+def test_z_is_monotone_in_k_on_random_k_step_tables(catalog, case, extra, data):
+    """At a k-step point z(h2_knil, k) <= z(h2_knil, k + 1) <= z(h2_dim),
+    with the same b.  N_{k+1}(x_1, ..., x_{k+2}) = mu(N_k(x_1, ..., x_{k+1}),
+    x_{k+2}), so by the product rule
+
+        dN_{k+1}(phi)(x) = phi(N_k(mu)(x_1, ..., x_{k+1}), x_{k+2})
+                           + mu(dN_k(phi)(x_1, ..., x_{k+1}), x_{k+2}),
+
+    and at N_k(mu) = 0 the first term vanishes: dN_{k+1}(phi) =
+    mu(dN_k(phi)(...), x_{k+2}).  So Ker d2 ^ Ker dN_k lies in
+    Ker d2 ^ Ker dN_{k+1}, which lies in Ker d2; the point is (k+1)-step
+    too, and b = rank d1 does not depend on k."""
+    mu, _ = case
+    if isinstance(mu, tuple):
+        mu = change_basis(catalog.structure(mu[0]), mu[1])
+    elif not is_lie(mu) or nil_index(mu) is None:
+        # its brackets of the first m letters on the others: a 2-step table
+        m = data.draw(st.integers(1, max(mu.n - 1, 1)))
+        mu = StructureConstants(mu.n, {(i, j): {l: v for l, v in row.items() if l >= m}
+                                       for (i, j), row in mu.c.items() if j < m}, mu.field)
+    # k from the nilpotency index to two steps past it
+    _monotone_in_k(mu, max(nil_index(mu), 1) + extra)
+
+
+def test_z_is_monotone_in_k_on_the_catalog(catalog):
+    # every non-parametric catalog algebra of dimension at most 7 is
+    # nilpotent; the property at its nilpotency index and the two steps past
+    # it (the proof is in the docstring above)
+    checked = 0
+    for name in catalog.names():
+        if catalog.get(name).params:
+            continue
+        mu = catalog.structure(name)
+        if mu.n <= 7:
+            step = nil_index(mu)
+            for k in range(step, step + 3):
+                _monotone_in_k(mu, k)
+            checked += 1
+    assert checked == 21
+
+
 def test_parse_constraint():
     assert parse_constraint("j") == ("j", None)
     assert parse_constraint("n3") == ("n", 3)
@@ -1400,6 +1451,107 @@ def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalo
     assert [(rep.containment, rep.exact) for rep in (free, frozen)] == [(False, False)] * 2
 
 
+def _count_family_reads(monkeypatch):
+    """Spy on ``StructureConstants.evaluate`` and on the polynomial read
+    behind ``_tangent``; returns the lists of points evaluated and of
+    (parameter, point) tangents read."""
+    evaluated, read = [], []
+    evaluate, read_tangent = StructureConstants.evaluate, cohomology._read_tangent
+
+    def evaluate_spy(table, assignment=None):
+        evaluated.append(dict(assignment or {}))
+        return evaluate(table, assignment)
+
+    def read_spy(table, p, point):
+        read.append((p, dict(point)))
+        return read_tangent(table, p, point)
+
+    monkeypatch.setattr(StructureConstants, "evaluate", evaluate_spy)
+    monkeypatch.setattr(cohomology, "_read_tangent", read_spy)
+    return evaluated, read
+
+
+def test_the_free_and_frozen_runs_evaluate_the_family_and_read_each_tangent_once(
+        catalog, monkeypatch):
+    """The free and the frozen run at g_5(1,1) share one kept entry of
+    ``_at``: the family is evaluated once and each parameter's tangent read
+    once.  Once eight other points have pushed the entry out, the next run
+    evaluates and reads again."""
+    free_run, frozen_run = _curve_certificates(catalog)
+    evaluated, read = _count_family_reads(monkeypatch)
+    point = {"r": Fraction(1), "t": Fraction(1)}
+    assert free_run().exact and frozen_run().exact
+    assert evaluated == [point] and read == [("r", point), ("t", point)]
+    table = catalog.get("g_5(r,t)").symbolic()
+    others = [{"r": Fraction(s), "t": Fraction(1)} for s in range(2, 10)]
+    for other in others:
+        cohomology._tangent(table, "t", other)
+    assert evaluated == [point] + others and cohomology._at.cache_info().currsize == 8
+    del evaluated[:], read[:]
+    assert frozen_run().exact and free_run().exact
+    assert evaluated == [point] and read == [("t", point), ("r", point)]
+
+
+def test_equal_points_share_one_kept_entry(catalog, monkeypatch):
+    """A point given in another key order, or as ints or real QIs equal to
+    the Fractions, hashes and compares equal, so it is served the kept
+    table and tangents; another point misses."""
+    table = catalog.get("g_5(r,t)").symbolic()
+    evaluated, read = _count_family_reads(monkeypatch)
+    first = augmented_exactness(table, {"r": Fraction(1), "t": Fraction(1)}, ("r", "t"), "sn5")
+    mu = cohomology._at(table, frozenset({"r": Fraction(1), "t": Fraction(1)}.items()))[0]
+    for point in ({"t": Fraction(1), "r": Fraction(1)}, {"r": 1, "t": 1},
+                  {"t": QI(1, 0), "r": QI(1)}):
+        assert augmented_exactness(table, point, ("r", "t"), "sn5") == first
+        assert cohomology._at(table, frozenset(point.items()))[0] is mu
+    assert len(evaluated) == 1 and len(read) == 2
+    info = cohomology._at.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    other = augmented_exactness(table, {"r": Fraction(2), "t": Fraction(3)}, ("r", "t"), "sn5")
+    assert other.exact and len(evaluated) == 2 and len(read) == 4
+    assert cohomology._at.cache_info().misses == 2
+    # the two _stack lookups of every hit met the kept table: one reduction
+    # per point
+    assert cohomology._stack.cache_info().misses == 2
+
+
+def test_a_kept_tangent_refuses_writes(catalog):
+    """The tangents a kept entry hands out are read-only, so no reader can
+    change what the next run at the point reads."""
+    free_run, frozen_run = _curve_certificates(catalog)
+    expected = free_run()
+    table = catalog.get("g_5(r,t)").symbolic()
+    point = {"r": Fraction(1), "t": Fraction(1)}
+    vec = cohomology._tangent(table, "t", point)
+    assert vec is cohomology._tangent(table, "t", point)
+    kept = dict(vec)
+    c = next(iter(vec))
+    for write in (lambda: vec.__setitem__(c, 5), lambda: vec.__delitem__(c),
+                  lambda: vec.update({c: 5}), lambda: vec.pop(c), lambda: vec.clear(),
+                  lambda: vec.setdefault(-1, 5), lambda: vec.popitem()):
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    assert vec == kept and isinstance(vec, dict)
+    assert free_run() == expected and frozen_run().exact
+
+
+def test_a_point_refused_by_the_guard_is_refused_again(catalog, monkeypatch):
+    """g_5(1,1) is not 3-step nilpotent: the guard refuses it on every call.
+    The point's evaluated family stays kept, since evaluating comes first,
+    but no verdict and no tangent: none is read at a refused point."""
+    table = catalog.get("g_5(r,t)").symbolic()
+    point = {"r": Fraction(1), "t": Fraction(1)}
+    evaluated, read = _count_family_reads(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NotInVariety, match="violates N_3 = 0"):
+            augmented_exactness(table, point, ("r", "t"), "n3")
+    assert len(evaluated) == 1 and read == []
+    info = cohomology._stack.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    assert cohomology._at.cache_info().currsize == 1
+    assert augmented_exactness(table, point, ("r", "t"), "sn5").exact
+
+
 def test_the_nu_items_leave_the_kept_image_as_it_was(catalog):
     """The nu items of ``reproduce`` read b and the rank with nu1, nu2 off
     ``_sequence``, whose Im d1 with no tangents is the kept one: they must
@@ -1526,3 +1678,29 @@ def test_threads_share_the_containment_answers_of_the_curve_points(catalog):
     expected = work(0)
     assert all(rep.exact for rep in expected if hasattr(rep, "exact"))
     assert _in_eight_threads(work) == [expected] * 8
+
+
+def test_threads_share_the_kept_families_and_tangents_of_ten_points(catalog):
+    # eight threads run the free and frozen SN_5 certificates at ten points
+    # of the two curve families, each thread from its own point on: ten
+    # (family, point) keys for the eight places of _at (and of _stack), so
+    # the entries whose tangents one thread reads keep being pushed out and
+    # built again by the others; (4, -1/4) on g_5 is not exact
+    tables = {fam: catalog.get(fam).symbolic() for fam in ("g_5(r,t)", "g_6(r,t)")}
+    points = [(fam, Fraction(r), Fraction(t)) for fam in tables
+              for r, t in ((1, 1), (2, 3), (-1, 2), (3, 1), (4, Fraction(-1, 4)))]
+    runs = [(tables[fam], {"r": r, "t": t}, free)
+            for fam, r, t in points for free in (("r", "t"), ("t",))]
+
+    def work(shift):
+        order = runs[2 * shift:] + runs[:2 * shift]
+        return [augmented_exactness(table, point, free, "sn5")
+                for _ in range(2) for table, point, free in order]
+
+    expected = work(0)
+    assert sorted(rep.exact for rep in expected) == [False] * 4 + [True] * 36
+    results = _in_eight_threads(work)
+    for shift, got in enumerate(results):
+        assert got == expected[2 * shift:20] + expected[:2 * shift] \
+            + expected[20 + 2 * shift:] + expected[20:20 + 2 * shift], shift
+    assert cohomology._at.cache_info().currsize == 8

@@ -2,8 +2,8 @@
 oldest Python the package claims to support, no echelon in the package is
 handed a field, only the echelon's own methods write its three views of
 the kept rows, every read of the letter operators goes through the
-memo, and the exactness certificate reads its tangents off the family's
-polynomials."""
+memo, the exactness certificate reads its tangents off the family's
+polynomials, and the package keeps state only in its declared memos."""
 
 import ast
 import inspect
@@ -155,3 +155,39 @@ def test_the_exactness_certificate_builds_no_derivative_table():
     assert {"_tangent", "_sequence", "_stack", "_Containment"} <= reached
     assert "cochain_vector" not in reached
     assert not called & {"cochain_vector", "derivative"}
+
+
+def test_the_package_keeps_state_only_in_its_declared_memos():
+    # the only state the package keeps between calls is in these memos,
+    # which the README lists; each holds at most a fixed number of entries,
+    # save Layout, one per dimension n.  A new memo, or a cache used any
+    # other way than as a decorator, must be declared here
+    from nilcohom import cohomology, ideals, liealg
+
+    names = {"lru_cache", "cache", "cached_property"}
+    found, stray = {}, []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    func = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in names:
+                        found[f"{path.stem}.{node.name}"] = dec
+                        decorators.update(map(id, ast.walk(dec)))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in names and id(node) not in decorators:
+                stray.append((path.name, node.lineno, name))
+    assert stray == []
+    assert set(found) == {"cohomology._stack", "cohomology._at", "liealg.Layout",
+                          "liealg._scaled_operators", "ideals._search_masks"}
+    modules = {"cohomology": cohomology, "ideals": ideals, "liealg": liealg}
+    for qualname, dec in found.items():
+        module, name = qualname.split(".")
+        maxsize = getattr(modules[module], name).cache_parameters()["maxsize"]
+        assert isinstance(dec, ast.Call), qualname  # no bare default size
+        assert (maxsize is None) == (qualname == "liealg.Layout"), qualname
+        assert maxsize is None or 0 < maxsize <= 32, qualname
