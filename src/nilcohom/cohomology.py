@@ -86,8 +86,9 @@ memo, ``_at``, keeps the family evaluated at each of the last eight
 points, with each tangent once it is read as a sparse cochain off the
 family's polynomials (``_tangent``).  A run at a kept point thus
 evaluates and differentiates nothing, and both its ``_stack`` lookups
-meet the kept table itself: it adds the kept tangents to a copy of the
-kept Im d1 and checks them against the kept index.
+meet the kept table itself: it reduces the kept tangents against the
+kept Im d1 without writing to it, for rank dF, and checks them against
+the kept index.
 
 ``h2_knil`` certifies mu in a basis built from its generators
 (``liealg._adapted``), times one positive integer, wherever that table
@@ -183,13 +184,20 @@ def _at(table, point):
     return table.evaluate(point), {}
 
 
+class _KeptTangent(_ReadOnly):
+    """A tangent kept in an entry of ``_at``, which refuses writes."""
+
+    __slots__ = ()
+    _what = "a kept tangent"
+
+
 def _tangent(table, p, point):
     """The tangent of the family ``table`` in its parameter ``p`` at
     ``point`` (a dict), as a read-only sparse 2-cochain, read once per kept
     entry of ``_at``."""
     kept = _at(table, frozenset(point.items()))[1]
     if p not in kept:
-        kept[p] = _ReadOnly(_read_tangent(table, p, point))
+        kept[p] = _KeptTangent(_read_tangent(table, p, point))
     return kept[p]
 
 
@@ -515,18 +523,17 @@ def _stack(mu, kind, k):
 
 def _sequence(mu, kind, k, tangents=()):
     """Hamilton's sequence at mu, [tangents | d1] -> C^2 -> [d2 ; dW], for W
-    of ``kind`` "j", "n" or "sn".  Returns (tangents, df, red): the tangents
-    as a list, the RowBasis of Im dF (the kept Im d1 itself when there are
-    none, else a copy with them added) and the kept stack, off the point's
-    entry of ``_stack``, whose containment checks are left to their one
-    reader, ``augmented_exactness``."""
-    red, df, _ = _stack(mu, kind, k)
+    of ``kind`` "j", "n" or "sn".  Returns (tangents, rank_df, red): the
+    tangents as a list, the rank of Im dF (that of the kept Im d1 when there
+    are none, else ``rank_with`` the tangents, which leaves it as it was)
+    and the kept stack, off the point's entry of ``_stack``, whose
+    containment checks are left to their one reader,
+    ``augmented_exactness``."""
+    red, im_d1, _ = _stack(mu, kind, k)
     tangents = list(tangents)
-    if tangents:
-        df = df.copy()
-        for vec in tangents:
-            df.add(_sparse_from(vec, df.ncols))
-    return tangents, df, red
+    if not tangents:
+        return tangents, im_d1.rank, red
+    return tangents, im_d1.rank_with(_sparse_from(vec, im_d1.ncols) for vec in tangents), red
 
 
 def h2_knil(mu, k) -> CohomologyReport:
@@ -539,15 +546,15 @@ def h2_knil(mu, k) -> CohomologyReport:
     the table's density costs.  A table that is not adapted is certified
     as given, and only then shares its ``_stack`` entry with an
     ``augmented_exactness`` at the same point."""
-    _, df, red = _sequence(_adapted(mu), "n", k)
-    z, b = Layout(mu.n).dim2 - red.rank, df.rank
+    _, b, red = _sequence(_adapted(mu), "n", k)
+    z = Layout(mu.n).dim2 - red.rank
     return CohomologyReport(mu.name, mu.n, k, z, b, z - b, z == b)
 
 
 def h2_dim(mu) -> CohomologyReport:
     """Ordinary adjoint H^2 dimensions (z, b, h)."""
-    _, df, red = _sequence(mu, "j", None)
-    z, b = Layout(mu.n).dim2 - red.rank, df.rank
+    _, b, red = _sequence(mu, "j", None)
+    z = Layout(mu.n).dim2 - red.rank
     return CohomologyReport(mu.name, mu.n, None, z, b, z - b, False)
 
 
@@ -632,7 +639,8 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     mu = _at(table, frozenset(point.items()))[0]
     lay = Layout(mu.n)
     # a generator: the tangents are read only at a point the guards admit
-    tangents, df, red = _sequence(mu, kind, k, (_tangent(table, p, point) for p in free_params))
+    tangents, rank_df, red = _sequence(mu, kind, k,
+                                       (_tangent(table, p, point) for p in free_params))
     containment = _stack(mu, kind, k)[2].holds(tangents)
     ker_dg = lay.dim2 - red.rank
     codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
@@ -644,8 +652,8 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
         domain_dim=len(free_params) + lay.dim1,
         middle_dim=lay.dim2,
         codomain_dim=codom,
-        rank_df=df.rank,
+        rank_df=rank_df,
         ker_dg_dim=ker_dg,
         containment=containment,
-        exact=containment and df.rank == ker_dg,
+        exact=containment and rank_df == ker_dg,
     )

@@ -24,14 +24,16 @@ from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
 
 
 class _ReadOnly(dict):
-    """A dict that refuses writes: the brackets of a table, each of their
-    rows, and the tangents ``cohomology._at`` keeps.  It is still a dict,
-    so readers that test for one keep working."""
+    """A dict that refuses writes: the brackets of a table and each of their
+    rows, and, as a subclass that names itself in ``_what``, the tangents
+    ``cohomology._at`` keeps.  It is still a dict, so readers that test for
+    one keep working."""
 
     __slots__ = ()
+    _what = "a StructureConstants table"
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("a StructureConstants table is read-only")
+        raise TypeError(f"{self._what} is read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 

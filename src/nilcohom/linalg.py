@@ -18,7 +18,7 @@ that are kept.
 Every stack in the package enters the echelon through ``reduce_rows`` (the
 streams, ``rank``, ``solve`` and the augmented rows of ``_integral_inverse``;
 ``rank`` returns its RowBasis), and no RowBasis is built anywhere else but
-as a ``copy`` of one.  It therefore reads its rows in windows of
+the small one of ``rank_with``.  It therefore reads its rows in windows of
 4 * ncols + 1 and adds each window sparsest row first, the order of
 sparse-first pivoting in structured Gaussian elimination (LaMacchia and
 Odlyzko, "Solving large sparse linear systems over finite fields",
@@ -42,15 +42,16 @@ units.  Column bounds are checked on the rows the echelon keeps
 (``_check_columns`` says why that refuses every bad row).
 
 The echelon's readers take the retained rows as they are: ``rank``,
-``pivot_cols``, the copies ``sparse_rows`` and ``basis_rows``, and
-``annihilates``, the containment check of the certificates (Im dF in
-Ker dG).  It indexes the retained rows once by column, {column: [(row
-number, value)]}, so each nonzero of a vector meets only the rows with a
-nonzero in its column, instead of every vector taking one product with
-every row.  ``in_kernel`` runs the same loop over rows given as a list,
-and ``column_index`` hands out the index of every retained row, for a
-caller that asks many questions of a basis it no longer adds to (a kept
-entry of ``cohomology._stack``).
+``pivot_cols``, the copies ``sparse_rows`` and ``basis_rows``,
+``rank_with``, the rank of the span with more rows, which it reduces
+without writing to the basis, and ``annihilates``, the containment check
+of the certificates (Im dF in Ker dG).  That check indexes the retained
+rows once by column, {column: [(row number, value)]}, so each nonzero of
+a vector meets only the rows with a nonzero in its column, instead of
+every vector taking one product with every row.  ``in_kernel`` runs the
+same loop over rows given as a list, and ``column_index`` hands out the
+index of every retained row, for a caller that asks many questions of a
+basis it no longer adds to (a kept entry of ``cohomology._stack``).
 
 One scalar rule holds over Q and Q(i) alike, the fraction-free elimination
 of Bareiss carried over to the Gaussian integers Z[i]:
@@ -181,10 +182,9 @@ class RowBasis:
     a Gaussian entry on.
 
     ``_rows`` maps every lead to its retained row.  Two views of it, which
-    only ``add`` (and ``copy``, for a new basis) writes, hold after every
-    call: ``_units`` is exactly the set of leads j with
-    ``_rows[j] == {j: 1}``, and ``_wide`` maps each other lead to the same
-    row object that ``_rows`` holds.
+    only ``add`` writes, hold after every call: ``_units`` is exactly the
+    set of leads j with ``_rows[j] == {j: 1}``, and ``_wide`` maps each
+    other lead to the same row object that ``_rows`` holds.
     """
 
     __slots__ = ("ncols", "gaussian", "_rows", "_units", "_wide")
@@ -219,15 +219,17 @@ class RowBasis:
             out.append(dense)
         return out
 
-    def copy(self):
-        """The same span, with its own rows and views: ``add`` rewrites rows
-        in place."""
-        other = RowBasis(self.ncols)
-        other.gaussian = self.gaussian
-        other._rows = rows = {j: dict(row) for j, row in self._rows.items()}
-        other._units = set(self._units)
-        other._wide = {j: rows[j] for j in self._wide}
-        return other
+    def rank_with(self, rows):
+        """The rank of the span with the ``{col: value}`` rows added, as
+        ``add`` takes them, leaving this basis as it was, ``gaussian``
+        included.  Each row's residue against the retained rows is zero at
+        every lead, and so is every combination of residues, so the rank
+        is this rank plus that of the residues, reduced in a basis of their
+        own, which also refuses a bad column as ``add`` does."""
+        residues = RowBasis(self.ncols)
+        for row in rows:
+            residues.add(self._reduced(row)[0])
+        return self.rank + residues.rank
 
     def annihilates(self, vecs):
         """True iff every vector of ``vecs`` ({col: value} dicts or dense
@@ -251,7 +253,9 @@ class RowBasis:
 
         Returns True iff the rank grew.
         """
-        row = self._reduced(row)
+        row, gaussian = self._reduced(row)
+        if gaussian:
+            self.gaussian = True
         if not row:
             return False
         _check_columns(row, self.ncols)
@@ -280,25 +284,28 @@ class RowBasis:
         return True
 
     def _reduced(self, row):
-        """A copy of ``row`` cleared of denominators, minus its components
-        along the retained rows.  A Gaussian entry makes the span a
-        Q(i)-span.  A row of ints and Gaussian integers is only copied; any
-        other goes once through ``int_cleared``, which also turns Fraction(3)
-        and QI(Fraction(3), 0) into the int 3.  A row with a zero value or a
-        non-int entry has its columns checked here, since the zero filter
-        could drop a bad column that ``add`` would otherwise see."""
+        """(reduced, gaussian): a copy of ``row`` cleared of denominators,
+        minus its components along the retained rows, and whether ``row``
+        has a QI entry, which makes the span that keeps it a Q(i)-span.
+        Writes nothing to the basis.  A row of ints and Gaussian integers is
+        only copied; any other goes once through ``int_cleared``, which also
+        turns Fraction(3) and QI(Fraction(3), 0) into the int 3.  A row with
+        a zero value or a non-int entry has its columns checked here, since
+        the zero filter could drop a bad column that ``add`` would otherwise
+        see."""
         integral = ints = True
+        gaussian = False
         for v in row.values():
             if type(v) is not int:
                 ints = False
                 if isinstance(v, QI):
-                    self.gaussian = True
+                    gaussian = True
                     if type(v.re) is int and type(v.im) is int:
                         continue
                 integral = False
         units = self._units
         if units.issuperset(row):
-            return {}
+            return {}, gaussian
         if ints and 0 not in row.values():
             row = dict(row)
         else:
@@ -319,7 +326,7 @@ class RowBasis:
         wide = self._wide
         for j in wide.keys() & row.keys():
             _eliminate(row, j, wide[j])
-        return row
+        return row, gaussian
 
 
 def _eliminate(row, col, piv):
@@ -433,7 +440,7 @@ def _check_columns(row, ncols):
     values or non-int entries it filters (``_reduced``), which is enough: a
     bad column is in no kept row, since each of them passed this check, so
     no elimination can cancel it, and a row that holds one with a nonzero
-    value is always kept."""
+    value is always kept (in ``rank_with``, by the basis of the residues)."""
     if row and (min(row) < 0 or max(row) >= ncols):
         raise DimensionMismatch(f"column index outside 0..{ncols - 1}")
 

@@ -189,8 +189,8 @@ def _counterexample_items(catalog):
 
     def nu_independent():
         mu, nus = g53()
-        b = _sequence(mu, "n", 3)[1].rank
-        rank = _sequence(mu, "n", 3, map(cochain_vector, nus))[1].rank
+        b = _sequence(mu, "n", 3)[1]
+        rank = _sequence(mu, "n", 3, map(cochain_vector, nus))[1]
         return rank == b + 2 or f"rank = b + {rank - b}"
 
     def nu_deformations():

@@ -62,8 +62,8 @@ def canonical_rows(reducer):
 
 def rigidity_digest(mu, k):
     """(z, b, h) and the [d2 ; dN_k] rows, from one sequence."""
-    _, df, red = _sequence(mu, "n", k)
-    z, b = Layout(mu.n).dim2 - red.rank, df.rank
+    _, b, red = _sequence(mu, "n", k)
+    z = Layout(mu.n).dim2 - red.rank
     return digest([("zbh", (z, b, z - b)), ("rows", canonical_rows(red))]), (z, b, z - b)
 
 

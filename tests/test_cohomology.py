@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -750,8 +750,8 @@ def test_h2_knil_reads_the_ranks_of_the_given_basis(catalog, case):
         return rep.z, rep.b
 
     def given_basis():
-        _, df, red = _sequence(mu, "n", k)
-        return Layout(mu.n).dim2 - red.rank, df.rank
+        _, b, red = _sequence(mu, "n", k)
+        return Layout(mu.n).dim2 - red.rank, b
 
     assert _ranks_or_refusal(report) == _ranks_or_refusal(given_basis)
 
@@ -817,6 +817,65 @@ def test_z_is_monotone_in_k_on_the_catalog(catalog):
                 _monotone_in_k(mu, k)
             checked += 1
     assert checked == 21
+
+
+@st.composite
+def _gaussian_points(draw):
+    """(mu, k) over Q(i): a table of ``random_structure`` with Gaussian
+    constants (mostly not Lie; k from 1 to 3), its 2-step part (the
+    brackets of the first m letters, on the others; k 2 or 3), or a
+    printed dim-5 algebra (its name) with a basis of 1-4 transvections
+    I + c E_ij of Gaussian c, at its printed k."""
+    kind = draw(st.sampled_from(("random", "2-step", "printed", "printed")))
+    if kind == "printed":
+        (name, k), _ = draw(st.sampled_from(sorted(DIM5_TABLE.items())))
+        g = [[int(i == j) for j in range(5)] for i in range(5)]
+        pair = st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True)
+        coeffs = st.sampled_from((QI(0, 1), QI(0, -1), QI(1, 1), QI(1, -1), QI(2, 1)))
+        for (i, j), c in draw(st.lists(st.tuples(pair, coeffs), min_size=1, max_size=4)):
+            g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        return (name, g), k
+    n = draw(st.integers(3, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    mu = _with_entries(random_structure(n, rng), lambda v: QI(v, rng.choice((-2, -1, 1, 2))),
+                       FIELD_QI)
+    if kind == "2-step":
+        m = draw(st.integers(2, n - 1))
+        mu = StructureConstants(n, {(i, j): {l: v for l, v in row.items() if l >= m}
+                                    for (i, j), row in mu.c.items() if j < m}, FIELD_QI)
+        return mu, draw(st.integers(2, 3))
+    return mu, draw(st.integers(1, 3))
+
+
+def _zbh_or_refusal(mu, k):
+    try:
+        rep = h2_knil(mu, k)
+    except NotInVariety as e:
+        return type(e), str(e)
+    return rep.z, rep.b, rep.h
+
+
+@settings(max_examples=40, deadline=None)
+@example((("g_{5,3}", [[1, QI(0, 1), 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                        [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]), 3))
+@given(_gaussian_points())
+def test_h2_knil_answers_a_table_as_its_complex_conjugate(catalog, case):
+    """A table over Q(i) and its complex conjugate give the same (z, b, h),
+    or the same refusal.  Conjugation s is a field automorphism of Q(i)
+    fixing Q, and each matrix of the sequence (d1, d2, dN_k) has entries
+    that are polynomials with rational coefficients in the structure
+    constants, so at s(mu) each is s applied entrywise to the one at mu.
+    A minor of s(M) is s of that minor of M, and is zero exactly when it
+    is, so s(M) and M have one rank: z and b agree.  Jacobi and N_k(mu)
+    are such polynomials too, so s(mu) lies in the k-step variety exactly
+    when mu does, and a refusal names the same law."""
+    mu, k = case
+    if isinstance(mu, tuple):
+        mu = change_basis(catalog.structure(mu[0]), mu[1])
+    assume(any(type(v) is QI and v.im for row in mu.c.values() for v in row.values()))
+    conjugate = _with_entries(mu, lambda v: v.conjugate())
+    assert conjugate != mu
+    assert _zbh_or_refusal(conjugate, k) == _zbh_or_refusal(mu, k)
 
 
 def test_parse_constraint():
@@ -1316,9 +1375,8 @@ def test_a_certificate_takes_one_content_hash_per_table(catalog, monkeypatch):
 
 
 def _kept_image(mu, kind, k):
-    """The sparse rows of the kept Im d1 at mu: ``_sequence`` with no
-    tangents returns it as it is."""
-    return _sequence(mu, kind, k)[1].sparse_rows()
+    """The sparse rows of the kept Im d1 at mu, off its ``_stack`` entry."""
+    return cohomology._stack(mu, kind, k)[1].sparse_rows()
 
 
 def _count_d1_streams(monkeypatch):
@@ -1545,10 +1603,32 @@ def test_a_kept_tangent_refuses_writes(catalog):
     for write in (lambda: vec.__setitem__(c, 5), lambda: vec.__delitem__(c),
                   lambda: vec.update({c: 5}), lambda: vec.pop(c), lambda: vec.clear(),
                   lambda: vec.setdefault(-1, 5), lambda: vec.popitem()):
-        with pytest.raises(TypeError, match="read-only"):
+        with pytest.raises(TypeError, match="^a kept tangent is read-only$"):
             write()
     assert vec == kept and isinstance(vec, dict)
     assert free_run() == expected and frozen_run().exact
+
+
+def test_a_gaussian_tangent_leaves_the_kept_image_as_it_was():
+    """At t = 0 the family [e0, e1] = e2, [e0, e2] = i t e3 is a rational
+    table, whose kept Im d1 is a Q-span, and its tangent in t is i at one
+    column outside Im d1.  Ranking that tangent against the kept Im d1, on
+    a miss and on a hit, writes nothing to it: not a row, not its field
+    flag."""
+    t = MultiPoly.var("t")
+    family = StructureConstants(4, {(0, 1): {2: MultiPoly.const(1)}, (0, 2): {3: t * QI(0, 1)}},
+                                "sym", params=("t",))
+    point = {"t": Fraction(0)}
+    mu = cohomology._at(family, frozenset(point.items()))[0]
+    assert mu.field == FIELD_Q
+    image = cohomology._stack(mu, "j", None)[1]
+    kept = image.sparse_rows()
+    assert not image.gaussian
+    reports = [augmented_exactness(family, point, ("t",), "j") for _ in range(2)]
+    assert list(cohomology._tangent(family, "t", point).values()) == [QI(0, 1)]
+    assert reports[0] == reports[1] and reports[0].rank_df == image.rank + 1
+    assert cohomology._stack(mu, "j", None)[1] is image
+    assert image.sparse_rows() == kept and not image.gaussian
 
 
 def test_a_point_refused_by_the_guard_is_refused_again(catalog, monkeypatch):
@@ -1617,10 +1697,11 @@ def _points_and_tangents(draw):
 @settings(max_examples=40, deadline=None)
 @given(_points_and_tangents())
 def test_the_kept_image_and_closure_answer_as_one_reduction(point):
-    """df.rank is the rank of [tangents | d1], and the kept answer with the
+    """rank dF is the rank of [tangents | d1], and the kept answer with the
     tangents' own check is the containment of [tangents | d1] in the kernel
     of a stack over every letter; with an empty memo and a warm one, where
-    the same point was just served with and without the tangents."""
+    the same point was just served with and without the tangents.  The
+    kept Im d1 keeps its rows."""
     mu, tangents = point
     dim2 = Layout(mu.n).dim2
     d1 = [col for _, col in iter_d1_columns(mu)]
@@ -1632,11 +1713,13 @@ def test_the_kept_image_and_closure_answer_as_one_reduction(point):
         closed = _constraint_reducer(mu, kind, k).annihilates(tangents + d1)
         cohomology._stack.cache_clear()
         for _ in range(2):
-            _, df, red = _sequence(mu, kind, k, tangents)
-            assert df.rank == rank_df, (kind, k)
+            image = _kept_image(mu, kind, k)
+            _, got, red = _sequence(mu, kind, k, tangents)
+            assert got == rank_df, (kind, k)
+            assert _kept_image(mu, kind, k) == image
             assert (cohomology._stack(mu, kind, k)[2]()
                     and red.annihilates(tangents)) == closed, (kind, k)
-            assert _sequence(mu, kind, k)[1].rank == b <= rank_df
+            assert _sequence(mu, kind, k)[1] == b <= rank_df
         assert cohomology._stack.cache_info().misses == 1
 
 
@@ -1672,11 +1755,22 @@ def test_threads_get_the_single_threaded_answers():
     assert _in_eight_threads(work) == [expected] * 8
 
 
-def test_threads_share_the_containment_answers_of_the_curve_points(catalog):
+def test_threads_share_the_containment_answers_of_the_curve_points(catalog, monkeypatch):
     # eight threads run the free and frozen SN_5 certificates at six curve
     # points, each after h2_dim at another table: 18 entries for 8 places,
     # so the entries whose containment answer one thread asks for keep
-    # being pushed out and built again by the others
+    # being pushed out and built again by the others; every Im d1 that an
+    # entry hands out keeps the rows and flag it had when first handed out
+    images = {}
+    kept_stack = cohomology._stack
+
+    def stack(mu, kind, k):
+        entry = kept_stack(mu, kind, k)
+        image = entry[1]
+        images.setdefault(id(image), (image, image.sparse_rows(), image.gaussian))
+        return entry
+
+    monkeypatch.setattr(cohomology, "_stack", stack)
     points = [("g_5(r,t)", 1, 1), ("g_5(r,t)", 2, 3), ("g_5(r,t)", -1, 2),
               ("g_6(r,t)", 1, 1), ("g_6(r,t)", 2, 3), ("g_6(r,t)", Fraction(1, 2), Fraction(1, 3))]
     runs = [(catalog.get(fam).symbolic(), {"r": Fraction(r), "t": Fraction(t)}, free)
@@ -1693,7 +1787,11 @@ def test_threads_share_the_containment_answers_of_the_curve_points(catalog):
 
     expected = work(0)
     assert all(rep.exact for rep in expected if hasattr(rep, "exact"))
+    before = len(images)
     assert _in_eight_threads(work) == [expected] * 8
+    assert len(images) > before >= 12
+    assert all((image.sparse_rows(), image.gaussian) == (rows, gaussian)
+               for image, rows, gaussian in images.values())
 
 
 def test_threads_share_the_kept_families_and_tangents_of_ten_points(catalog):

@@ -288,19 +288,22 @@ def test_integral_reduced_rows_equal_the_dense_rref():
     _assert_canonical_integral(basis, [_dense(c, v, 20) for c, v in rows])
 
 
-def test_a_copy_grows_alone():
-    # add rewrites retained rows in place, so a copy must own its rows: rows
-    # added to the copy leave the original's rows and field flag as they were
+def _state(basis):
+    """Everything a reader of a basis may see: its rows, views and flag."""
+    return (basis.sparse_rows(), set(basis._units), {j: dict(row) for j, row in basis._wide.items()},
+            basis.gaussian)
+
+
+def test_rank_with_leaves_the_basis_as_it_was():
+    # a kept basis is shared, so the rank with more rows, a Gaussian one
+    # among them, must write nothing to it, its field flag included
     rng = random.Random(7)
     rows = [{c: rng.randint(-4, 4) or 1 for c in rng.sample(range(12), 4)} for _ in range(6)]
     basis = reduce_rows(rows, 12)
-    kept = basis.sparse_rows()
-    grown = basis.copy()
+    kept = _state(basis)
     extra = [{0: 1, 11: QI(0, 1)}, {c: 1 for c in range(12)}, {5: Fraction(1, 3)}]
-    for row in extra:
-        grown.add(row)
-    assert basis.sparse_rows() == kept and not basis.gaussian and grown.gaussian
-    assert grown.sparse_rows() == reduce_rows(rows + extra, 12).sparse_rows()
+    assert basis.rank_with(extra) == reduce_rows(rows + extra, 12).rank
+    assert _state(basis) == kept and not basis.gaussian
 
 
 def test_integral_reduced_rows_equal_the_dense_rref_past_the_machine_word():
@@ -590,10 +593,10 @@ def test_gaussian_integer_rows_are_copied_and_the_rest_cleared():
     Either way the retained rows are the same, value types included."""
     basis = RowBasis(3, FIELD_QI)
     row = {0: QI(2, -1), 1: QI(4, 0), 2: 6}
-    got = basis._reduced(row)
-    assert got == row and got is not row
-    got = basis._reduced({0: Fraction(3), 1: QI(Fraction(3), 0), 2: QI(0)})
-    assert got == {0: 3, 1: 3} and all(type(v) is int for v in got.values())
+    got, gaussian = basis._reduced(row)
+    assert got == row and got is not row and gaussian
+    got, gaussian = basis._reduced({0: Fraction(3), 1: QI(Fraction(3), 0), 2: QI(0)})
+    assert got == {0: 3, 1: 3} and all(type(v) is int for v in got.values()) and gaussian
 
     def typed(b):
         return [[(c, type(v), v) for c, v in sorted(r.items())] for r in b.sparse_rows()]
@@ -632,7 +635,7 @@ def _unit_heavy_rows(draw):
     """(ncols, rows, cut): sparse rows over Z or Z[i], most of them single
     entries, repeats of earlier rows (rescaled) or the single entries that
     narrow an earlier row to its lead, so that back-substitution leaves it
-    {lead: 1}; ``cut`` is where a copy of the basis is taken."""
+    {lead: 1}; ``cut`` is where the rank with the rest is asked."""
     ncols = draw(st.integers(1, 8))
     scalar = draw(st.sampled_from((_INTS, st.one_of(_INTS, _GAUSSIAN_INTS))))
     col = st.integers(0, ncols - 1)
@@ -658,8 +661,9 @@ def _unit_heavy_rows(draw):
 @given(_unit_heavy_rows())
 def test_unit_pivots_keep_the_reduced_echelon_and_the_views(case):
     """Rows that are mostly single entries reduce to the RREF of the dense
-    oracle, and the views hold after every add; a copy keeps them, owns its
-    rows, and grows without touching the original."""
+    oracle, and the views hold after every add; the rank with the rest of
+    the rows, asked midway, is that of all of them and leaves the basis,
+    its views and its flag as they were."""
     ncols, rows, cut = case
     field = FIELD_QI if any(isinstance(v, QI) for row in rows for v in row.values()) else FIELD_Q
     ref = dense_rref([_dense(list(row), list(row.values()), ncols) for row in rows])
@@ -667,17 +671,56 @@ def test_unit_pivots_keep_the_reduced_echelon_and_the_views(case):
     for row in rows[:cut]:
         basis.add(row)
         _assert_views(basis)
-    kept = basis.sparse_rows()
-    grown = basis.copy()
-    _assert_views(grown)
-    assert all(grown._rows[j] is not basis._rows[j] for j in basis._rows)
-    for row in rows[cut:]:
-        grown.add(row)
-        _assert_views(grown)
+    kept = _state(basis)
+    assert basis.rank_with(rows[cut:]) == len(ref)
     _assert_views(basis)
-    assert basis.sparse_rows() == kept
-    assert [_monic(row, ncols) for row in grown.sparse_rows()] == ref
-    assert grown.sparse_rows() == reduce_rows(rows, ncols, field).sparse_rows()
+    assert _state(basis) == kept
+    for row in rows[cut:]:
+        basis.add(row)
+        _assert_views(basis)
+    assert [_monic(row, ncols) for row in basis.sparse_rows()] == ref
+    assert basis.sparse_rows() == reduce_rows(rows, ncols, field).sparse_rows()
+
+
+@st.composite
+def _rows_and_more_rows(draw):
+    """(ncols, rows, extra): sparse rows over Z or Z[i], and more rows, over
+    Z or Z[i] on their own draw, many of them an earlier extra row plus a
+    multiple of a row of the first set, so that their residues against the
+    first set's span depend on each other."""
+    ncols = draw(st.integers(1, 8))
+    scalars = st.sampled_from((_INTS, st.one_of(_INTS, _GAUSSIAN_INTS)))
+    scalar, extra_scalar = draw(scalars), draw(scalars)
+    col = st.integers(0, ncols - 1)
+    rows = draw(st.lists(st.dictionaries(col, scalar, min_size=1, max_size=4), max_size=8))
+    extra = []
+    for _ in range(draw(st.integers(0, 5))):
+        if extra and draw(st.booleans()):
+            vec = {c: draw(extra_scalar) * v for c, v in draw(st.sampled_from(extra)).items()}
+            if rows:
+                s = draw(scalar)
+                for c, v in draw(st.sampled_from(rows)).items():
+                    vec[c] = vec.get(c, 0) + s * v
+            extra.append({c: v for c, v in vec.items() if v})
+        else:
+            extra.append(draw(st.dictionaries(col, extra_scalar, min_size=1, max_size=4)))
+    return ncols, rows, extra
+
+
+@settings(max_examples=200, deadline=None)
+@example((2, [{0: 1}], [{1: 1}, {1: 2}]))
+@example((3, [{0: 1, 1: 1}], [{1: QI(0, 1), 2: 1}, {0: QI(0, 1), 2: 1}]))
+@given(_rows_and_more_rows())
+def test_rank_with_is_the_rank_of_both_and_writes_nothing(case):
+    """Over Z and Z[i], the rank with more rows is that of the stacked
+    rows, and the basis keeps its rows, views and field flag: a basis over
+    Q stays one when a Gaussian row is only ranked against it."""
+    ncols, rows, extra = case
+    basis = reduce_rows(rows, ncols)
+    kept = _state(basis)
+    assert basis.rank_with(extra) == reduce_rows(rows + extra, ncols).rank
+    assert _state(basis) == kept
+    _assert_views(basis)
 
 
 def test_a_row_narrowed_to_its_lead_becomes_a_unit():

@@ -128,7 +128,7 @@ def test_only_the_echelon_writes_its_views_of_the_kept_rows():
                     else:
                         outside.append((path.name, node.lineno, expr.attr))
     assert outside == []
-    assert inside >= {"__init__", "copy", "add"}
+    assert inside >= {"__init__", "add"}
 
 
 def test_the_exactness_certificate_builds_no_derivative_table():
