@@ -855,7 +855,7 @@ def _zbh_or_refusal(mu, k):
     return rep.z, rep.b, rep.h
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @example((("g_{5,3}", [[1, QI(0, 1), 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                         [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]), 3))
 @given(_gaussian_points())
