@@ -37,73 +37,51 @@ every row left out is an emitted row up to sign, or zero, and the row space
 (hence rank, kernel and the canonical reduced rows) is that of the full
 matrix.
 
-The certificates reduce the stacks [d2 ; dN_k] and [d2 ; dSN_k], and in
-them the word rows are streamed least-first: only the words (for dSN_k,
-the inner words) that start with their least letter.  The left-normed
-brackets of L distinct letters that start with one fixed letter form a
-basis of the multilinear part of degree L of the free Lie algebra
-(Reutenauer, *Free Lie Algebras*, ch. 5), so every left-normed word is an
-integer combination of the words that start with its least letter, modulo
-antisymmetry and Jacobi terms, and substituting basis letters (repeats
-allowed) keeps the identity.  At a Lie point the Jacobi terms vanish and
-their derivatives lie in the span of the d2 rows, which every stack holds
-(where they stand in it does not matter, as a row space has no order): the
-stack keeps its row space, and its reduced rows are the same.  The word
-rows alone can span less, so the public streams and the tensors
-``n_k``/``sn_k`` keep every word.
+The certificates reduce the stacks [d2 ; dN_k] and [d2 ; dSN_k] with two
+restrictions of the walked words (for dSN_k, the inner words), each
+proved in ``walk_words``: only the words that start with their least
+letter, and only the words over a set S of basis indices whose e_s
+generate g (the leading pair of dSN_k keeps every letter).  Beside the d2
+rows, which every stack holds, the rows left span what every word row
+spans, at a Lie point for the first and where N_k(mu) = 0 or
+SN_k(mu) = 0 for the second, so the stack keeps its row space and its
+reduced rows; the word rows alone can span less, so the public streams
+and the tensors ``n_k``/``sn_k`` keep every word.  S comes from one
+picker in ``liealg``: the e_s that span g modulo g^1
+(``k_step_generators``, which at a k-step point generate g), extended at
+a point that is not nilpotent by each e_j outside the subalgebra
+generated so far (``split_generators``; the curve algebras are solvable,
+not nilpotent).  So every certificate builds its sequence in one
+routine, ``_sequence``, and its stack in ``_stack``: it checks Jacobi,
+and the picker both decides W(mu) = 0 and gives S, or refuses the point.
 
-In both stacks the walked letters are restricted as well, to a set S of
-basis indices whose e_s generate g as a Lie algebra: in [d2 ; dN_k] every
-letter of the word, in [d2 ; dSN_k] every letter of the inner word, while
-the leading pair keeps every letter.  If the word operator vanishes at mu
-and d2(sigma) = 0, a walked letter that is a bracket mu(y, z) expands by
-the Jacobi identity of mu + e sigma, which holds to first order, into
-words of one more letter, whose first-order parts are brackets of the
-derivative on words of smaller bracket depth (for the split word, also
-with other leading pairs); so the derivative vanishes on every word once
-it does on the words of S-letters (the one lemma is in ``walk_words``).
-The S-letter rows thus span, beside the d2 rows, every word row, and the
-reduced rows are again the same.  S comes from one picker in ``liealg``:
-the e_s that span g modulo g^1 (``k_step_generators``, which at a k-step
-point generate g), extended at a point that is not nilpotent by each e_j
-outside the subalgebra generated so far (``split_generators``; the curve
-algebras are solvable, not nilpotent).  The restriction holds only where
-N_k(mu) = 0 or SN_k(mu) = 0: the expansion leaves values of the operator
-at mu, which vanish only then, and elsewhere the S-letter rows can span
-less.  So every certificate builds its sequence in one routine,
-``_sequence``, and its stack in ``_stack``: it checks Jacobi, and the
-picker both decides W(mu) = 0 and gives S, or refuses the point.  Only the
-tangents depend on the free parameters, so ``_stack`` keeps one entry
-(stack, Im d1, closed) for each of the last eight points, keyed by the
-table's content and the constraint: the free and frozen runs at a curve
-point, or ``h2_knil`` and ``augmented_exactness`` at one point whose
-table ``h2_knil`` does not adapt (below), reduce each once, and
-``closed`` checks once whether Im d1 lies in its kernel.  ``closed`` also
-keeps one column index of the stack's rows, built at the first
-containment question at the point, against which each run checks its
-tangents; ``h2_knil`` and ``h2_dim`` ask none and build none.  A second
-memo, ``_at``, keeps the family evaluated at each of the last eight
-points, with each tangent once it is read as a sparse cochain off the
-family's polynomials (``_tangent``).  A run at a kept point thus
-evaluates and differentiates nothing, and both its ``_stack`` lookups
-meet the kept table itself: it reduces the kept tangents against the
-kept Im d1 without writing to it, for rank dF, and checks them against
-the kept index.
+What is kept of a table is one entry, ``liealg._entry``, for each of the
+last eight tables, keyed by content: the scaled letter operators, the
+adapted table of ``h2_knil`` (below), one Im d1, and up to
+``liealg.STACKS_PER_ENTRY`` reduced stacks by (kind, k), each with its
+``_Containment``, ``closed``, which checks once whether Im d1 lies in the
+stack's kernel and keeps one column index of its rows for the tangents
+(``h2_knil`` and ``h2_dim`` build none).  A second memo, ``_at``, keeps
+the family evaluated at each of the last eight points and each tangent
+once read off the family's polynomials (``_tangent``), but no entry.  A
+run at a kept point thus evaluates and differentiates nothing, and both
+its ``_stack`` lookups meet the kept table itself: it reduces the kept
+tangents against the kept Im d1 without writing to it, for rank dF, and
+checks them against the kept index.
 
 ``h2_knil`` certifies mu in a basis built from its generators
-(``liealg._adapted``), times one positive integer, wherever that table
-has fewer structure constants than mu.  Its z and b are those of mu: a
-change of basis carries Ker d2, Ker dN_k and Im d1 onto those of the new
-table, and a uniform scale of the table changes no span, rank or kernel,
-since d1 and d2 are linear in mu and dN_k is homogeneous in it.  Jacobi
-and N_k = 0 do not depend on the basis either, so ``_stack`` refuses the
-adapted table exactly where it would refuse mu, with the same message.
-The stacks cost what the table's density costs, and the adapted table is
-about half as dense on seeded dense bases.  Its entry is keyed by the
-adapted table, so an adapted ``h2_knil`` and an ``augmented_exactness``
-at the same point do not share one; isomorphic inputs often adapt to one
-table and then do.  The entry's own stack is never adapted, which keeps
-the rows of ``_sequence(mu, "n", k)`` in mu's coordinates.
+(``liealg._adapted``, kept in mu's entry), times one positive integer,
+wherever that table has fewer structure constants than mu.  Its z and b
+are those of mu: a change of basis carries Ker d2, Ker dN_k and Im d1
+onto those of the new table, and a uniform scale of the table changes
+no span, rank or kernel, since d1 and d2 are linear in mu and dN_k is
+homogeneous in it.  Jacobi and N_k = 0 do not depend on the basis
+either, so ``_stack`` refuses the adapted table exactly where it would
+refuse mu, with the same message.  The stacks cost what the table's
+density costs, and the adapted table is about half as dense on seeded
+dense bases.  Its stacks are kept in the adapted table's entry, so an
+adapted ``h2_knil`` and an ``augmented_exactness`` at the same point do
+not share one; isomorphic inputs often adapt to one table and then do.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -111,16 +89,14 @@ differential is homogeneous in mu (d1 and d2 are linear), so that
 multiplies all its rows or columns by one positive integer, changes no
 span, rank or containment, and keeps the whole pipeline fraction-free on
 the one reducer.  The Jacobi guard reads the same scaled table, as J is
-homogeneous of degree 2 in mu.  ``liealg._letter_operators`` keeps the
-scaled read for the last eight tables (``liealg._scaled_operators``),
-keyed by content as ``_stack`` is, so the guard, the picker, d1, d2 and
-the word walk of one certificate build it once.  The unscaled read, of
-``d1_matrix``, ``d2_matrix`` and the public tensors, is built on each
-call: a Q(i) twin holds QIs where its Q twin holds Fractions, which
-scaled become the same ints.  The tangents of ``augmented_exactness``
-stay unscaled.  Membership in the k-step and split
-varieties is checked by the lower central series, in polynomial time, not
-by enumerating the words.
+homogeneous of degree 2 in mu.  The scaled read is the entry's, so the
+guard, the picker, d1, d2 and the word walk of one certificate build it
+once.  The unscaled read, of ``d1_matrix``, ``d2_matrix`` and the public
+tensors, is built on each call: a Q(i) twin holds QIs where its Q twin
+holds Fractions, which scaled become the same ints.  The tangents of
+``augmented_exactness`` stay unscaled.  Membership in the k-step and
+split varieties is checked by the lower central series, in polynomial
+time, not by enumerating the words.
 """
 
 from __future__ import annotations
@@ -133,6 +109,7 @@ from itertools import chain
 from .errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
 from .liealg import (
     MAX_WALK_DEPTH,
+    STACKS_PER_ENTRY,
     Layout,
     StructureConstants,
     _ReadOnly,
@@ -140,6 +117,7 @@ from .liealg import (
     _add_sigma,
     _apply_to_rows,
     _brv,
+    _entry,
     _letter_operators,
     _walk_budget,
     is_lie,
@@ -471,11 +449,9 @@ class _Containment:
     at ``mu``.  Called, it answers whether Im d1 does (``closed``), checked
     on the first call against the d1 columns streamed again; ``holds``
     answers it for Im d1 and the given vectors together.  Both read one
-    column index of the stack's rows (``RowBasis.column_index``), built at
-    the first question and kept here, with the entry: each certificate at
-    the point then sums over the rows its vectors meet, and a point that no
-    one asks about builds none.  It indexes every column, since later
-    questions meet columns the first one did not."""
+    column index of every column of the stack's rows
+    (``RowBasis.column_index``), built at the first question and kept with
+    the stack, so each later check sums over the rows its vectors meet."""
 
     __slots__ = ("mu", "red", "_index", "_closed")
 
@@ -497,19 +473,18 @@ class _Containment:
         return _vanish(self._index, map(_cleared, vecs))
 
 
-@lru_cache(maxsize=8)
 def _stack(mu, kind, k):
     """(red, im_d1, closed): the reduced [d2 ; dW] stack at mu, for W of
-    ``kind`` "j", "n" (N_k) or "sn" (SN_k), Im d1 (``_image``), and
-    ``closed``, the ``_Containment`` of the stack's kernel, whose call
-    says whether Im d1 lies in it.  A point off the variety (not Lie, or
-    W(mu) != 0, which the picker of ``_WORDS`` decides) is refused.  The
-    last eight entries are kept, least recently used first out, keyed by
-    content (n and the brackets, not the name or the field: a Q(i) table
-    of real values reads, scaled, as the ints of its Q twin), kind and k; a
-    refusal or a cap keeps nothing.  A kept entry is shared: both bases are
-    read-only, and the column index and answer that ``closed`` keeps leave
-    the memo with the entry."""
+    ``kind`` "j", "n" (N_k) or "sn" (SN_k), the entry's Im d1 and the
+    stack's ``_Containment``, kept in mu's entry under (kind, k), read-only
+    and shared.  A point off the variety (not Lie, or W(mu) != 0, as the
+    picker of ``_WORDS`` decides) is refused; a refusal or a cap keeps no
+    stack.  Past STACKS_PER_ENTRY the first kept goes, off one copy of the
+    keys and popped with a default, so threads cannot make it raise."""
+    entry = _entry(mu)
+    kept = entry.stacks.get((kind, k))
+    if kept is not None:
+        return kept
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
     letters = None
@@ -518,7 +493,13 @@ def _stack(mu, kind, k):
         if letters is None:
             raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
     red = _constraint_reducer(mu, kind, k, letters)
-    return red, _image(mu), _Containment(mu, red)
+    if entry.image is None:
+        entry.image = _image(mu)
+    stacks = entry.stacks
+    stacks[kind, k] = kept = (red, entry.image, _Containment(mu, red))
+    for old in list(stacks)[:-STACKS_PER_ENTRY]:
+        stacks.pop(old, None)
+    return kept
 
 
 def _sequence(mu, kind, k, tangents=()):
@@ -526,9 +507,8 @@ def _sequence(mu, kind, k, tangents=()):
     of ``kind`` "j", "n" or "sn".  Returns (tangents, rank_df, red): the
     tangents as a list, the rank of Im dF (that of the kept Im d1 when there
     are none, else ``rank_with`` the tangents, which leaves it as it was)
-    and the kept stack, off the point's entry of ``_stack``, whose
-    containment checks are left to their one reader,
-    ``augmented_exactness``."""
+    and the kept stack, whose containment checks are left to their one
+    reader, ``augmented_exactness``."""
     red, im_d1, _ = _stack(mu, kind, k)
     tangents = list(tangents)
     if not tangents:
@@ -541,12 +521,13 @@ def h2_knil(mu, k) -> CohomologyReport:
 
     z and b are invariants of the point, unchanged by a change of basis and
     by a uniform scale of the table, so they are read off ``_sequence`` at
-    mu written in a basis built from its generators (``liealg._adapted``),
-    where that table has fewer structure constants: the stacks cost what
-    the table's density costs.  A table that is not adapted is certified
-    as given, and only then shares its ``_stack`` entry with an
-    ``augmented_exactness`` at the same point."""
-    _, b, red = _sequence(_adapted(mu), "n", k)
+    mu written in a basis built from its generators (``liealg._adapted``,
+    kept in mu's entry), where that table has fewer structure constants:
+    the stacks cost what the table's density costs."""
+    entry = _entry(mu)
+    if entry.adapted is None:
+        entry.adapted = _adapted(mu)
+    _, b, red = _sequence(entry.adapted, "n", k)
     z = Layout(mu.n).dim2 - red.rank
     return CohomologyReport(mu.name, mu.n, k, z, b, z - b, z == b)
 
@@ -617,7 +598,7 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
     plus vanishing of the chosen word operator).  One column is adjoined to
     d1 per free parameter: the exact derivative of the table in that
     parameter at the point, read as a sparse cochain off the polynomials
-    (``_tangent``) once the point's ``_stack`` entry has admitted it.  The
+    (``_tangent``) once ``_stack`` has admitted the point.  The
     evaluated table and the tangents are kept by (family, point) in
     ``_at``, so a repeated run reads them there.  The containment of Im dF
     in Ker dG is the entry's ``closed`` answer and the tangents' check

@@ -283,26 +283,42 @@ def _letter_operators(mu, scaled):
     scaled=True multiplies every entry by one global integer, which is
     legitimate anywhere a uniform per-row scale is (rank, kernel, whether J
     vanishes); the scaled entries are ints, and QIs with int parts where
-    they are not real.  The scaled read is kept for the last eight tables
-    (``_scaled_operators``), keyed by content as ``cohomology._stack`` is,
-    so a certificate builds it once for its guard, picker and streams; the
-    result is shared and read-only.  The unscaled read is built on every
-    call: a Q(i) twin of a rational table is equal to it but holds QIs
-    where it holds Fractions, and a kept entry would hand one table the
-    other's values.  Scaled, both are the same ints.
+    they are not real.  The scaled read is the ``ops`` of the table's kept
+    entry (``_entry``), so a certificate builds it once for its guard,
+    picker and streams; it is shared and read-only.  The unscaled read is
+    built on every call: a Q(i) twin of a rational table is equal to it but
+    holds QIs where it holds Fractions, and a kept entry would hand one
+    table the other's values.  Scaled, both are the same ints.
     """
-    return _scaled_operators(mu) if scaled else _read_operators(mu, scaled=False)
+    return _entry(mu).ops if scaled else _read_operators(mu, scaled=False)
+
+
+# The most reduced stacks one entry keeps, the first kept first out.
+STACKS_PER_ENTRY = 4
+
+
+class _Entry:
+    """A table's kept parts: ``ops``, its scaled letter operators, and,
+    filled on first use by ``cohomology``, ``adapted`` (``_adapted``),
+    ``image`` (Im d1) and ``stacks`` (the reduced stacks by (kind, k))."""
+
+    __slots__ = ("ops", "adapted", "image", "stacks")
+
+    def __init__(self, ops):
+        self.ops, self.adapted, self.image, self.stacks = ops, None, None, {}
 
 
 @lru_cache(maxsize=8)
-def _scaled_operators(mu):
-    """``_read_operators(mu, scaled=True)``, kept for the last eight tables."""
-    return _read_operators(mu, scaled=True)
+def _entry(mu):
+    """The ``_Entry`` of each of the last eight tables, keyed by content (n
+    and the brackets, not the name or the field: a Q(i) table of real
+    values reads, scaled, as the ints of its Q twin)."""
+    return _Entry(_read_operators(mu, scaled=True))
 
 
 def _read_operators(mu, scaled):
-    """``_letter_operators`` without the memo; only it and
-    ``_scaled_operators`` call this.  A table over "sym" has no scaled read,
+    """``_letter_operators`` without the memo; only it and ``_entry`` call
+    this.  A table over "sym" has no scaled read,
     since its coefficients are polynomials, not numbers to clear of
     denominators; every certificate, change of basis and series reads the
     scaled operators, so each refuses such a table here, with NotNumeric."""

@@ -51,7 +51,7 @@ a vector meets only the rows with a nonzero in its column, instead of
 every vector taking one product with every row.  ``in_kernel`` runs the
 same loop over rows given as a list, and ``column_index`` hands out the
 index of every retained row, for a caller that asks many questions of a
-basis it no longer adds to (a kept entry of ``cohomology._stack``).
+basis it no longer adds to (a kept stack of ``cohomology._stack``).
 
 One scalar rule holds over Q and Q(i) alike, the fraction-free elimination
 of Bareiss carried over to the Gaussian integers Z[i]:
@@ -128,16 +128,6 @@ class ExactMatrix:
         for pairs in buckets:
             pairs.sort()
             yield [c for c, _ in pairs], [v for _, v in pairs]
-
-    def mat_vec(self, v):
-        if len(v) != self.ncols:
-            raise DimensionMismatch("vector length does not match ncols")
-        zero = _zero(self.field)
-        out = [zero] * self.nrows
-        for (r, c), a in self.entries.items():
-            if v[c]:
-                out[r] = out[r] + a * v[c]
-        return out
 
 
 def _zero(field):

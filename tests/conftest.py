@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nilcohom import cohomology, liealg
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
-from nilcohom.errors import TableError
+from nilcohom.errors import DimensionMismatch, TableError
 from nilcohom.liealg import Layout, StructureConstants, change_basis
 from nilcohom.linalg import ExactMatrix, reduce_rows
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, format_scalar, join_fields, promote
@@ -21,14 +21,13 @@ def catalog():
 
 
 @pytest.fixture(autouse=True)
-def _no_kept_stacks():
-    """Each test starts with no entry (stack, Im d1, containment answer)
-    kept by ``cohomology._stack``, no evaluated family or tangent kept by
-    ``cohomology._at`` and no scaled letter operators kept by
-    ``liealg._scaled_operators``, so a test that lowers a cap or patches a
-    stream or reader is not served work done before it."""
-    cohomology._stack.cache_clear()
-    liealg._scaled_operators.cache_clear()
+def _no_kept_entries():
+    """Each test starts with no table's entry kept by ``liealg._entry``
+    (operators, adapted table, Im d1, stacks and containment answers) and
+    no evaluated family or tangent kept by ``cohomology._at``, so a test
+    that lowers a cap or patches a stream or reader is not served work done
+    before it."""
+    liealg._entry.cache_clear()
     cohomology._at.cache_clear()
 
 
@@ -239,6 +238,18 @@ def dsnk_matrix(mu, k):
 
 def identity(n, field=FIELD_Q):
     return ExactMatrix(n, n, {(i, i): 1 for i in range(n)}, field)
+
+
+def mat_vec(m, v):
+    """The ExactMatrix ``m`` applied to the dense vector ``v``."""
+    if len(v) != m.ncols:
+        raise DimensionMismatch("vector length does not match ncols")
+    zero = QI(0) if m.field == FIELD_QI else Fraction(0)
+    out = [zero] * m.nrows
+    for (r, c), a in m.entries.items():
+        if v[c]:
+            out[r] = out[r] + a * v[c]
+    return out
 
 
 def transpose(m):

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import algebra_to_dict
+import nilcohom
 from nilcohom import liealg, reproduce
 from nilcohom.catalog import Catalog
 from nilcohom.cli import main
@@ -373,6 +377,26 @@ PLACEHOLDER_ITEMS = {
     "g_{247H_1} rigidity": ("fail", "h=18, orbit dim 31"),
     "g_{147E}(2) restricted H^2": ("fail", "h=6 at t=2"),
 }
+
+
+@pytest.mark.parametrize("seed", ["0", "777"])
+def test_reproduce_json_does_not_depend_on_the_hash_seed(seed):
+    # every memo is keyed by a content hash, and str hashes change with
+    # PYTHONHASHSEED: a fresh interpreter under each seed writes the
+    # fixture's report, timings apart
+    src = str(Path(nilcohom.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from nilcohom.cli import main;"
+                               " sys.exit(main(['reproduce', 'all', '--json']))"],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    for item in report["items"]:
+        item.pop("seconds")
+    assert report == json.loads((Path(__file__).parent / "data" / "reproduce_all.json").read_text())
 
 
 def test_reproduce_json_deterministic_modulo_timing(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain, combinations
@@ -16,6 +18,7 @@ from conftest import (
     dnk_matrix,
     dsnk_matrix,
     kernel_basis,
+    mat_vec,
     matmul,
     random_structure,
     seeded_bases,
@@ -150,7 +153,7 @@ def _streamed_entries_with_mirrors(gen, mu, k, kind):
 
 def _tensor_from_matrix_action(mat, sigma, n, arity):
     """Read a matrix-vector product back as a {tuple: vector} tensor."""
-    applied = mat.mat_vec(cochain_vector(sigma))
+    applied = mat_vec(mat, cochain_vector(sigma))
     out = {}
     for r, val in enumerate(applied):
         if val:
@@ -278,7 +281,7 @@ def test_d2_is_minus_dj_and_quadratic_expansion(catalog):
         # J is quadratic: J(mu+sigma) - J(mu) - J(sigma) is the derivative
         sigma = random_structure(4, rng)
         lay = Layout(4)
-        applied = dj.mat_vec(cochain_vector(sigma))
+        applied = mat_vec(dj, cochain_vector(sigma))
         got = {}
         for r, val in enumerate(applied):
             if val:
@@ -397,7 +400,7 @@ def test_stacked_kernel_dimension(catalog):
     ker = kernel_basis(stacked)
     assert len(ker) == 17
     for v in ker[:3]:
-        assert not any(stacked.mat_vec(v))
+        assert not any(mat_vec(stacked, v))
 
 
 def test_streaming_rank_cross_check_against_kernel(catalog):
@@ -1216,9 +1219,24 @@ def _count_reductions(monkeypatch):
     return calls
 
 
-def _kept():
-    """The number of reduced stacks ``_stack`` keeps."""
-    return cohomology._stack.cache_info().currsize
+def _track_entries(monkeypatch):
+    """Track every entry ``liealg._entry`` makes; returns a WeakSet of them.
+    No cycle holds an entry, so once the memo lets one go it is freed and
+    leaves the set: the set is the entries kept."""
+    entries = weakref.WeakSet()
+
+    class Tracked(liealg._Entry):
+        def __init__(self, ops):
+            super().__init__(ops)
+            entries.add(self)
+
+    monkeypatch.setattr(liealg, "_Entry", Tracked)
+    return entries
+
+
+def _kept(entries):
+    """The number of reduced stacks the tracked ``entries`` keep."""
+    return sum(len(entry.stacks) for entry in entries)
 
 
 def _e147_1_certificates(catalog):
@@ -1254,27 +1272,30 @@ def test_h2_knil_and_exactness_at_one_point_reduce_one_stack(catalog, monkeypatc
     assert calls == [("n", 3)]
 
 
-def test_kept_stacks_give_the_reports_of_an_empty_memo(catalog):
-    # h2_dim at the same table reduces the Jacobi stack, not the kept N_3 one
+def test_kept_stacks_give_the_reports_of_an_empty_memo(catalog, monkeypatch):
+    # h2_dim at the same table reduces the Jacobi stack beside the kept N_3
+    # one, in the same entry
+    entries = _track_entries(monkeypatch)
     runs = _e147_1_certificates(catalog) + _curve_certificates(catalog)
     kept = [run() for run in runs]
-    assert _kept() == 3
+    assert _kept(entries) == 3 and len(entries) == 2
     fresh = []
     for run in runs:
-        cohomology._stack.cache_clear()
+        liealg._entry.cache_clear()
         fresh.append(run())
     assert kept == fresh
 
 
 def test_a_refused_point_keeps_nothing_and_is_refused_again(catalog, monkeypatch):
     calls = _count_reductions(monkeypatch)
+    entries = _track_entries(monkeypatch)
     kept = catalog.structure("g_{5,3}")
     h2_knil(kept, 3)
     g5 = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
     for _ in range(2):
         with pytest.raises(NotInVariety, match="violates N_3 = 0"):
             h2_knil(g5, 3)
-        assert _kept() == 1
+        assert _kept(entries) == 1
     # a cap keeps nothing either, and the same call answers once it is lifted
     table = catalog.get("g_5(r,t)").symbolic()
     point = {"r": Fraction(1), "t": Fraction(1)}
@@ -1283,15 +1304,16 @@ def test_a_refused_point_keeps_nothing_and_is_refused_again(catalog, monkeypatch
         for _ in range(2):
             with pytest.raises(ResourceCapExceeded):
                 augmented_exactness(table, point, ("t",), "sn5")
-            assert _kept() == 1
+            assert _kept(entries) == 1
     # the kept table is still served, with no new reduction
-    assert (h2_knil(kept, 3).z, _kept()) == (17, 1)
+    assert (h2_knil(kept, 3).z, _kept(entries)) == (17, 1)
     assert calls == [("n", 3), ("sn", 5), ("sn", 5)]
     assert augmented_exactness(table, point, ("t",), "sn5").exact
 
 
 def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
     calls = _count_reductions(monkeypatch)
+    entries = _track_entries(monkeypatch)
     mu = catalog.structure("g_{5,3}")
     reordered = StructureConstants(mu.n, dict(reversed(list(mu.c.items()))), name="other")
     assert list(reordered.c) != list(mu.c)
@@ -1301,20 +1323,21 @@ def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
     reports = [h2_knil(table, 3) for table in (mu, reordered, gaussian)]
     assert [(rep.z, rep.b, rep.h) for rep in reports] == [(17, 15, 2)] * 3
     assert [rep.algebra for rep in reports] == [mu.name, "other", "twin"]
-    assert _kept() == 1 and len(calls) == 1
+    assert len(entries) == 1 and _kept(entries) == 1 and len(calls) == 1
 
 
 def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch):
     calls = _count_reductions(monkeypatch)
+    entries = _track_entries(monkeypatch)
     tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 22)]
     for mu in tables[:20]:
         h2_dim(mu)
-    assert _kept() == 8 and len(calls) == 20
+    assert len(entries) == _kept(entries) == 8 and len(calls) == 20
     h2_dim(tables[12])  # kept: no reduction, and now the most recent
     assert len(calls) == 20
     h2_dim(tables[20])  # pushes out tables[13], the least recently used
     h2_dim(tables[12])
-    assert _kept() == 8 and len(calls) == 21
+    assert len(entries) == _kept(entries) == 8 and len(calls) == 21
     h2_dim(tables[13])
     assert len(calls) == 22
 
@@ -1341,7 +1364,7 @@ def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypat
     for mu in tables:
         report = h2_knil(mu, 3)
         assert (report.z, report.b, report.h) == (expected.z, expected.b, expected.h)
-        nu = liealg._adapted(mu)  # served by the memo
+        nu = liealg._entry(mu).adapted
         once = [(mu, True)] if nu is mu else [(mu, True), (nu, True)]
         assert reads == once
         h2_dim(mu)
@@ -1366,9 +1389,163 @@ def test_a_certificate_takes_one_content_hash_per_table(catalog, monkeypatch):
     for mu in seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2):
         hashed.clear()
         h2_knil(mu, 3)
-        nu = liealg._adapted(mu)
+        nu = liealg._entry(mu).adapted
         assert hashed == ([mu] if nu is mu else [mu, nu])
         assert [t is mu for t in hashed] == [True] + [False] * (len(hashed) - 1)
+
+
+def _count_calls(monkeypatch, name):
+    """Spy on the ``cohomology`` function ``name``; returns the list of the
+    tables it was called on."""
+    seen = []
+    call = getattr(cohomology, name)
+
+    def spy(mu):
+        seen.append(mu)
+        return call(mu)
+
+    monkeypatch.setattr(cohomology, name, spy)
+    return seen
+
+
+def test_a_repeated_h2_knil_builds_the_adapted_table_once(catalog, monkeypatch):
+    # one table that adapts to itself and one seeded basis that adapts to
+    # a sparser table: each builds _adapted once, whatever the k
+    built = _count_calls(monkeypatch, "_adapted")
+    g53 = catalog.structure("g_{5,3}")
+    seeded = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
+    for mu in (g53, seeded):
+        reports = [h2_knil(mu, k) for k in (3, 4, 3, 4)]
+        assert reports[:2] == reports[2:]
+    assert built == [g53, seeded]
+    assert liealg._entry(g53).adapted is g53
+    assert liealg._entry(seeded).adapted != seeded
+
+
+def test_im_d1_is_reduced_once_per_table_across_kinds_and_k(catalog, monkeypatch):
+    images = _count_calls(monkeypatch, "_image")
+    calls = _count_reductions(monkeypatch)
+    mu = catalog.structure("g_{5,3}")  # adapts to itself: one table
+    reports = [h2_knil(mu, 3), h2_knil(mu, 4), h2_knil(mu, 3), h2_knil(mu, 4), h2_dim(mu)]
+    assert [(rep.z, rep.b, rep.h) for rep in reports] == [
+        (17, 15, 2), (23, 15, 8), (17, 15, 2), (23, 15, 8), (28, 15, 13)]
+    assert images == [mu] and calls == [("n", 3), ("n", 4), ("j", None)]
+    # a table that adapts reads two: the adapted one in h2_knil, the given
+    # one in h2_dim
+    seeded = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
+    del images[:]
+    h2_knil(seeded, 3), h2_knil(seeded, 4), h2_dim(seeded)
+    assert images == [liealg._entry(seeded).adapted, seeded]
+
+
+def test_an_entry_keeps_its_bound_of_stacks_first_kept_first_out(catalog, monkeypatch):
+    # g_{5,3} is 3-step, so it lies on every constraint below; one more
+    # constraint than the bound pushes out the first stack kept, and the
+    # one Im d1 stays
+    calls = _count_reductions(monkeypatch)
+    images = _count_calls(monkeypatch, "_image")
+    mu = catalog.structure("g_{5,3}")
+    constraints = [("j", None), ("n", 3), ("n", 4), ("sn", 3), ("sn", 4), ("sn", 5)]
+    bound = liealg.STACKS_PER_ENTRY
+    assert len(constraints) > bound
+    stacks = [cohomology._stack(mu, kind, k)[0] for kind, k in constraints]
+    entry = liealg._entry(mu)
+    assert list(entry.stacks) == constraints[-bound:]
+    assert [entry.stacks[c][0] for c in constraints[-bound:]] == stacks[-bound:]
+    for kind, k in constraints[-bound:]:
+        cohomology._stack(mu, kind, k)
+    assert calls == constraints and images == [mu]
+    cohomology._stack(mu, "j", None)  # reduced again, and the next goes
+    assert calls == constraints + [("j", None)] and len(entry.stacks) == bound
+    assert list(entry.stacks) == constraints[-bound + 1:] + [("j", None)]
+
+
+def test_an_evicted_entry_frees_every_part(catalog, monkeypatch):
+    """Once eight other tables push the curve point's entry out of the
+    memo, its operators, Im d1, stack and column index are freed: nothing
+    else held them.  Each part is made of a weakly referable subclass."""
+
+    class Basis(linalg.RowBasis):
+        pass
+
+    class Index(dict):
+        pass
+
+    class Rows(list):
+        pass
+
+    column_index, read = linalg.RowBasis.column_index, liealg._read_operators
+    monkeypatch.setattr(linalg, "RowBasis", Basis)
+    monkeypatch.setattr(Basis, "column_index", lambda basis: Index(column_index(basis)))
+
+    def read_spy(mu, scaled):
+        n, table, right = read(mu, scaled)
+        return n, Rows(table), right
+
+    monkeypatch.setattr(liealg, "_read_operators", read_spy)
+    free_run, frozen_run = _curve_certificates(catalog)
+    assert free_run().exact
+    mu = catalog.structure("g_5(r,t)", {"r": Fraction(1), "t": Fraction(1)})
+    entry = liealg._entry(mu)
+    red, image, closed = entry.stacks["sn", 5]
+    assert isinstance(red, Basis) and isinstance(image, Basis) and image is entry.image
+    parts = [weakref.ref(part) for part in (entry.ops[1], image, red, closed._index)]
+    del entry, red, image, closed
+    assert all(ref() is not None for ref in parts)
+    for other in [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 9)]:
+        h2_dim(other)
+    gc.collect()
+    assert [ref() for ref in parts] == [None] * 4
+    assert frozen_run().exact
+
+
+@st.composite
+def _two_route_points(draw):
+    """A k-step table over Z or Z[i], given in the basis it is certified
+    in by one route and not the other: the 2-step part of a
+    ``random_structure`` (the brackets of the first m letters, on the
+    others), its constants made Gaussian or not, or a printed nilpotent
+    algebra (its name) with a basis of 1-4 transvections I + c E_ij, c an
+    integer or a Gaussian integer."""
+    gaussian = draw(st.booleans())
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        lift = (lambda v: QI(v, rng.choice((-2, -1, 1, 2)))) if gaussian else (lambda v: v)
+        m = draw(st.integers(2, n - 1))
+        brackets = {(i, j): {l: lift(v) for l, v in row.items() if l >= m}
+                    for (i, j), row in random_structure(n, rng).c.items() if j < m}
+        return StructureConstants(n, brackets)
+    name, n = draw(st.sampled_from(_NILPOTENT))
+    ints = st.integers(-2, 2)
+    scalar = st.builds(QI, ints, ints.filter(bool)) if gaussian else ints
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for (i, j), c in draw(st.lists(st.tuples(pair, scalar), min_size=1, max_size=4)):
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    return name, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_route_points(), st.integers(0, 1), st.booleans())
+def test_h2_knil_and_exactness_with_no_tangent_give_one_answer(catalog, point, extra,
+                                                                knil_first):
+    """Two routes, one answer.  ``h2_knil(mu, k)`` reads Hamilton's
+    sequence at mu's adapted table, and ``augmented_exactness`` with no
+    free parameter reads it at mu as given: its dF is d1 alone.  So
+    rank dF = b and dim Ker dG = z, and as Im d1 lies in Ker dG at a k-step
+    point, the sequence is exact exactly when h = 0.  Either route may
+    fill the entries first."""
+    mu = point if isinstance(point, StructureConstants) else change_basis(
+        catalog.structure(point[0]), point[1])
+    k = max(nil_index(mu), 1) + extra
+    if knil_first:
+        knil = h2_knil(mu, k)
+    exact = augmented_exactness(mu, {}, (), f"n{k}")
+    if not knil_first:
+        knil = h2_knil(mu, k)
+    assert (exact.ker_dg_dim, exact.rank_df) == (knil.z, knil.b)
+    assert exact.containment and exact.exact == (knil.h == 0)
 
 
 def _kept_image(mu, kind, k):
@@ -1396,8 +1573,8 @@ def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeyp
     assert len(streams) == 2  # Im d1, then the containment of its columns
     frozen = frozen_run()
     assert len(streams) == 2
-    info = cohomology._stack.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    info = liealg._entry.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
     assert (free.rank_df, frozen.rank_df, free.containment, frozen.containment) == (41, 41,
                                                                                     True, True)
     # the free run's two tangents went into a copy: the kept Im d1 is d1's alone
@@ -1414,14 +1591,15 @@ def test_the_containment_answer_is_kept_with_its_entry(catalog, monkeypatch):
     others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 17)]
     calls = _count_reductions(monkeypatch)
     streams = _count_d1_streams(monkeypatch)
+    entries = _track_entries(monkeypatch)
     free_run()
     for mu in others[:7]:
         h2_dim(mu)
-    assert _kept() == 8 and len(streams) == 2 + 7
+    assert _kept(entries) == 8 and len(streams) == 2 + 7
     assert frozen_run().containment  # kept: the least recently used, now the most
     h2_dim(others[7])
     assert free_run().containment
-    assert _kept() == 8 and len(streams) == 2 + 8 and len(calls) == 1 + 8
+    assert _kept(entries) == 8 and len(streams) == 2 + 8 and len(calls) == 1 + 8
     for mu in others[8:]:
         h2_dim(mu)
     assert frozen_run().containment  # pushed out: reduced and checked again
@@ -1487,7 +1665,7 @@ def test_a_changed_tangent_fails_containment_on_a_memo_hit(catalog, monkeypatch)
 
         monkeypatch.setattr(cohomology, "_tangent", changed)
         assert frozen_run().containment == (c not in met), c
-    info = cohomology._stack.cache_info()
+    info = liealg._entry.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -1583,7 +1761,7 @@ def test_equal_points_share_one_kept_entry(catalog, monkeypatch):
     other = augmented_exactness(table, {"r": Fraction(2), "t": Fraction(3)}, ("r", "t"), "sn5")
     assert other.exact and len(evaluated) == 2 and len(read) == 4
     assert cohomology._at.cache_info().misses == 2
-    assert cohomology._stack.cache_info().misses == 2
+    assert liealg._entry.cache_info().misses == 2
 
 
 def test_a_kept_tangent_refuses_writes(catalog):
@@ -1639,16 +1817,17 @@ def test_a_point_refused_by_the_guard_is_refused_again(catalog, monkeypatch):
         with pytest.raises(NotInVariety, match="violates N_3 = 0"):
             augmented_exactness(table, point, ("r", "t"), "n3")
     assert len(evaluated) == 1 and read == []
-    info = cohomology._stack.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    mu = cohomology._at(table, frozenset(point.items()))[0]
+    assert liealg._entry.cache_info().misses == 1 and liealg._entry(mu).stacks == {}
     assert cohomology._at.cache_info().currsize == 1
     assert augmented_exactness(table, point, ("r", "t"), "sn5").exact
 
 
-def test_the_nu_items_leave_the_kept_image_as_it_was(catalog):
+def test_the_nu_items_leave_the_kept_image_as_it_was(catalog, monkeypatch):
     """The nu items of ``reproduce`` read b and the rank with nu1, nu2 off
     ``_sequence``, whose Im d1 with no tangents is the kept one: they must
     add nothing to it."""
+    calls = _count_reductions(monkeypatch)
     items = [item for item in reproduce._counterexample_items(catalog)
              if item[0].startswith("nu1, nu2")]
     assert len(items) == 2
@@ -1657,7 +1836,7 @@ def test_the_nu_items_leave_the_kept_image_as_it_was(catalog):
     mu = catalog.structure("g_{5,3}")
     rep = h2_knil(mu, 3)
     assert (rep.z, rep.b, rep.h) == (17, 15, 2)
-    assert cohomology._stack.cache_info().misses == 1
+    assert calls == [("n", 3)]
     assert _kept_image(mu, "n", 3) == cohomology._image(mu).sparse_rows()
 
 
@@ -1708,16 +1887,18 @@ def test_the_kept_image_and_closure_answer_as_one_reduction(point):
     for kind, k in kinds:
         rank_df = reduce_rows(tangents + d1, dim2).rank
         closed = _constraint_reducer(mu, kind, k).annihilates(tangents + d1)
-        cohomology._stack.cache_clear()
+        liealg._entry.cache_clear()
+        reds = []
         for _ in range(2):
             image = _kept_image(mu, kind, k)
             _, got, red = _sequence(mu, kind, k, tangents)
+            reds.append(red)
             assert got == rank_df, (kind, k)
             assert _kept_image(mu, kind, k) == image
             assert (cohomology._stack(mu, kind, k)[2]()
                     and red.annihilates(tangents)) == closed, (kind, k)
             assert _sequence(mu, kind, k)[1] == b <= rank_df
-        assert cohomology._stack.cache_info().misses == 1
+        assert reds[0] is reds[1] and liealg._entry.cache_info().misses == 1
 
 
 def _in_eight_threads(work):
@@ -1812,3 +1993,28 @@ def test_threads_share_the_kept_families_and_tangents_of_ten_points(catalog):
     assert sorted(rep.exact for rep in expected) == [False] * 4 + [True] * 36
     assert _in_eight_threads(work) == [expected] * 8
     assert cohomology._at.cache_info().currsize == 8
+
+
+def test_threads_fill_the_lazy_parts_of_three_entries(catalog):
+    # eight threads read three tables at several levels: h2_knil at 3 and
+    # 4, h2_dim, and exactness with no tangent under n3, n4, sn4 and sn5.
+    # Two tables adapt to themselves and one does not, so each given
+    # table's entry is asked for five stacks, one past its bound, and the
+    # threads keep filling the same Im d1, adapted and stack slots while
+    # others push stacks out of them
+    tables = [catalog.structure("g_{5,3}"), catalog.structure("g_{247H}"),
+              seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]]
+    constraints = ("n3", "n4", "sn4", "sn5")
+
+    def work(shift):
+        reports = []
+        for _ in range(3):
+            for mu in tables[shift % 3:] + tables[:shift % 3]:
+                reports += [h2_knil(mu, 3), h2_knil(mu, 4), h2_dim(mu)]
+                reports += [augmented_exactness(mu, {}, (), c) for c in constraints]
+        return sorted(reports, key=repr)
+
+    expected = work(0)
+    assert [rep.exact for rep in expected if hasattr(rep, "exact")].count(True) == 3
+    assert _in_eight_threads(work) == [expected] * 8
+    assert all(len(liealg._entry(mu).stacks) <= liealg.STACKS_PER_ENTRY for mu in tables)

@@ -28,9 +28,9 @@ from nilcohom.liealg import (
     _adapted,
     _brv,
     _brvv,
+    _entry,
     _letter_operators,
     _read_operators,
-    _scaled_operators,
     _transport,
     change_basis,
     derived_series,
@@ -755,4 +755,4 @@ def test_the_guard_reads_a_polynomial_table_as_it_is():
     # the generic charts are over "sym": no scaled read, and none kept
     assert [is_lie(generic_chart(n)) for n in (4, 5)] == [True, False]
     assert not jacobi(generic_chart(4)) and jacobi(generic_chart(5))
-    assert _scaled_operators.cache_info().currsize == 0
+    assert _entry.cache_info().currsize == 0

@@ -64,7 +64,8 @@ def test_every_letter_operator_read_in_the_package_goes_through_the_memo():
     # the scaled operators of a table are built once per certificate only if
     # every reader asks _letter_operators: no module in src/ names the
     # uncached reader, in a call, an import or otherwise, save
-    # _letter_operators and the memo behind it
+    # _letter_operators and _entry, which makes a table's kept entry with
+    # its operators
     from nilcohom import liealg
 
     reader = liealg._read_operators.__name__
@@ -75,7 +76,7 @@ def test_every_letter_operator_read_in_the_package_goes_through_the_memo():
             name = node.name
         if name == reader:
             named.add((module, scope))
-    assert named == {("liealg.py", "_letter_operators"), ("liealg.py", "_scaled_operators")}
+    assert named == {("liealg.py", "_letter_operators"), ("liealg.py", "_entry")}
 
 
 # methods of dict and set that change them in place
@@ -161,7 +162,9 @@ def test_the_package_keeps_state_only_in_its_declared_memos():
     # the only state the package keeps between calls is in these memos,
     # which the README lists; each holds at most a fixed number of entries,
     # save Layout, one per dimension n.  A new memo, or a cache used any
-    # other way than as a decorator, must be declared here
+    # other way than as a decorator, must be declared here.  cohomology's
+    # stacks, Im d1 and adapted tables live in the entries of liealg._entry,
+    # so cohomology._stack carries no cache
     from nilcohom import cohomology, ideals, liealg
 
     names = {"lru_cache", "cache", "cached_property"}
@@ -182,8 +185,8 @@ def test_the_package_keeps_state_only_in_its_declared_memos():
             if name in names and id(node) not in decorators:
                 stray.append((path.name, node.lineno, name))
     assert stray == []
-    assert set(found) == {"cohomology._stack", "cohomology._at", "liealg.Layout",
-                          "liealg._scaled_operators", "ideals._search_masks"}
+    assert set(found) == {"cohomology._at", "liealg.Layout", "liealg._entry",
+                          "ideals._search_masks"}
     modules = {"cohomology": cohomology, "ideals": ideals, "liealg": liealg}
     for qualname, dec in found.items():
         module, name = qualname.split(".")
