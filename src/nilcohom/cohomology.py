@@ -56,7 +56,7 @@ routine, ``_sequence``, and its stack in ``_stack``: it checks Jacobi,
 and the picker both decides W(mu) = 0 and gives S, or refuses the point.
 
 What is kept of a table is one entry, ``liealg._entry``, for each of the
-last eight tables, keyed by content: the scaled letter operators, the
+last sixteen tables, keyed by content: the scaled letter operators, the
 adapted table of ``h2_knil`` (below), one Im d1, and up to
 ``liealg.STACKS_PER_ENTRY`` reduced stacks by (kind, k), each with its
 ``_Containment``, ``closed``, which checks once whether Im d1 lies in the

@@ -294,7 +294,7 @@ def _letter_operators(mu, scaled):
 
 
 # The most reduced stacks one entry keeps, the first kept first out.
-STACKS_PER_ENTRY = 4
+STACKS_PER_ENTRY = 3
 
 
 class _Entry:
@@ -308,11 +308,13 @@ class _Entry:
         self.ops, self.adapted, self.image, self.stacks = ops, None, None, {}
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _entry(mu):
-    """The ``_Entry`` of each of the last eight tables, keyed by content (n
-    and the brackets, not the name or the field: a Q(i) table of real
-    values reads, scaled, as the ints of its Q twin)."""
+    """The ``_Entry`` of each of the last sixteen tables, keyed by content
+    (n and the brackets, not the name or the field: a Q(i) table of real
+    values reads, scaled, as the ints of its Q twin).  Sixteen, as an
+    adapted ``h2_knil`` holds two: the given table, for its adapted table,
+    and the adapted one, for its stacks."""
     return _Entry(_read_operators(mu, scaled=True))
 
 

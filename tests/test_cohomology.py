@@ -1326,20 +1326,23 @@ def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
     assert len(entries) == 1 and _kept(entries) == 1 and len(calls) == 1
 
 
-def test_at_most_eight_stacks_are_kept_least_recently_used_first_out(monkeypatch):
+def test_at_most_sixteen_entries_are_kept_least_recently_used_first_out(monkeypatch):
     calls = _count_reductions(monkeypatch)
     entries = _track_entries(monkeypatch)
-    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 22)]
-    for mu in tables[:20]:
+    places = liealg._entry.cache_parameters()["maxsize"]
+    assert places == 16
+    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 2 * places + 6)]
+    first = places + 4  # the least recently used of the kept tables
+    for mu in tables[:first + places]:
         h2_dim(mu)
-    assert len(entries) == _kept(entries) == 8 and len(calls) == 20
-    h2_dim(tables[12])  # kept: no reduction, and now the most recent
-    assert len(calls) == 20
-    h2_dim(tables[20])  # pushes out tables[13], the least recently used
-    h2_dim(tables[12])
-    assert len(entries) == _kept(entries) == 8 and len(calls) == 21
-    h2_dim(tables[13])
-    assert len(calls) == 22
+    assert len(entries) == _kept(entries) == places and len(calls) == first + places
+    h2_dim(tables[first])  # kept: no reduction, and now the most recent
+    assert len(calls) == first + places
+    h2_dim(tables[first + places])  # pushes out tables[first + 1]
+    h2_dim(tables[first])
+    assert len(entries) == _kept(entries) == places and len(calls) == first + places + 1
+    h2_dim(tables[first + 1])
+    assert len(calls) == first + places + 2
 
 
 def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypatch):
@@ -1461,7 +1464,7 @@ def test_an_entry_keeps_its_bound_of_stacks_first_kept_first_out(catalog, monkey
 
 
 def test_an_evicted_entry_frees_every_part(catalog, monkeypatch):
-    """Once eight other tables push the curve point's entry out of the
+    """Once sixteen other tables push the curve point's entry out of the
     memo, its operators, Im d1, stack and column index are freed: nothing
     else held them.  Each part is made of a weakly referable subclass."""
 
@@ -1492,7 +1495,7 @@ def test_an_evicted_entry_frees_every_part(catalog, monkeypatch):
     parts = [weakref.ref(part) for part in (entry.ops[1], image, red, closed._index)]
     del entry, red, image, closed
     assert all(ref() is not None for ref in parts)
-    for other in [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 9)]:
+    for other in [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 17)]:
         h2_dim(other)
     gc.collect()
     assert [ref() for ref in parts] == [None] * 4
@@ -1584,26 +1587,27 @@ def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeyp
 
 
 def test_the_containment_answer_is_kept_with_its_entry(catalog, monkeypatch):
-    """``h2_dim`` never asks whether Im d1 lies in Ker dG.  While eight other
-    tables pass through the memo by it, the curve point's entry stays kept
-    and so does its answer; once it is pushed out, the answer goes with it."""
+    """``h2_dim`` never asks whether Im d1 lies in Ker dG.  While sixteen
+    other tables pass through the memo by it, the curve point's entry stays
+    kept and so does its answer; once it is pushed out, the answer goes
+    with it."""
     free_run, frozen_run = _curve_certificates(catalog)
-    others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 17)]
+    others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 33)]
     calls = _count_reductions(monkeypatch)
     streams = _count_d1_streams(monkeypatch)
     entries = _track_entries(monkeypatch)
     free_run()
-    for mu in others[:7]:
+    for mu in others[:15]:
         h2_dim(mu)
-    assert _kept(entries) == 8 and len(streams) == 2 + 7
+    assert _kept(entries) == 16 and len(streams) == 2 + 15
     assert frozen_run().containment  # kept: the least recently used, now the most
-    h2_dim(others[7])
+    h2_dim(others[15])
     assert free_run().containment
-    assert _kept(entries) == 8 and len(streams) == 2 + 8 and len(calls) == 1 + 8
-    for mu in others[8:]:
+    assert _kept(entries) == 16 and len(streams) == 2 + 16 and len(calls) == 1 + 16
+    for mu in others[16:]:
         h2_dim(mu)
     assert frozen_run().containment  # pushed out: reduced and checked again
-    assert len(streams) == 2 + 16 + 2 and len(calls) == 1 + 16 + 1
+    assert len(streams) == 2 + 32 + 2 and len(calls) == 1 + 32 + 1
 
 
 def _count_index_builds(monkeypatch):
@@ -1631,7 +1635,7 @@ def test_one_column_index_is_built_per_kept_entry(catalog, monkeypatch):
     knil, _, dim = _e147_1_certificates(catalog)
     knil()
     dim()
-    others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 9)]
+    others = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 17)]
     for mu in others:
         h2_dim(mu)
         h2_knil(mu, 2)
