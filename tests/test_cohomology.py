@@ -1329,20 +1329,18 @@ def test_stacks_are_kept_by_table_content(catalog, monkeypatch):
 def test_at_most_sixteen_entries_are_kept_least_recently_used_first_out(monkeypatch):
     calls = _count_reductions(monkeypatch)
     entries = _track_entries(monkeypatch)
-    places = liealg._entry.cache_parameters()["maxsize"]
-    assert places == 16
-    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 2 * places + 6)]
-    first = places + 4  # the least recently used of the kept tables
-    for mu in tables[:first + places]:
+    assert liealg._entry.cache_parameters()["maxsize"] == 16
+    tables = [StructureConstants(3, {(0, 1): {2: s}}) for s in range(1, 38)]
+    for mu in tables[:36]:
         h2_dim(mu)
-    assert len(entries) == _kept(entries) == places and len(calls) == first + places
-    h2_dim(tables[first])  # kept: no reduction, and now the most recent
-    assert len(calls) == first + places
-    h2_dim(tables[first + places])  # pushes out tables[first + 1]
-    h2_dim(tables[first])
-    assert len(entries) == _kept(entries) == places and len(calls) == first + places + 1
-    h2_dim(tables[first + 1])
-    assert len(calls) == first + places + 2
+    assert len(entries) == _kept(entries) == 16 and len(calls) == 36
+    h2_dim(tables[20])  # kept: no reduction, and now the most recent
+    assert len(calls) == 36
+    h2_dim(tables[36])  # pushes out tables[21], the least recently used
+    h2_dim(tables[20])
+    assert len(entries) == _kept(entries) == 16 and len(calls) == 37
+    h2_dim(tables[21])
+    assert len(calls) == 38
 
 
 def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypatch):
@@ -1437,7 +1435,9 @@ def test_im_d1_is_reduced_once_per_table_across_kinds_and_k(catalog, monkeypatch
     # one in h2_dim
     seeded = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
     del images[:]
-    h2_knil(seeded, 3), h2_knil(seeded, 4), h2_dim(seeded)
+    h2_knil(seeded, 3)
+    h2_knil(seeded, 4)
+    h2_dim(seeded)
     assert images == [liealg._entry(seeded).adapted, seeded]
 
 
