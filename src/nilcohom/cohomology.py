@@ -59,14 +59,14 @@ What is kept of a table is one entry, ``liealg._entry``, for each of the
 last sixteen tables, keyed by content: the scaled letter operators, the
 adapted table of ``h2_knil`` (below), one Im d1, and up to
 ``liealg.STACKS_PER_ENTRY`` reduced stacks by (kind, k), each with its
-``_Containment``, ``closed``, which checks once whether Im d1 lies in the
-stack's kernel and keeps one column index of its rows for the tangents
-(``h2_knil`` and ``h2_dim`` build none).  A second memo, ``_at``, keeps
-the family evaluated at each of the last eight points and each tangent
-once read off the family's polynomials (``_tangent``), but no entry.  A
-run at a kept point thus evaluates and differentiates nothing, and both
-its ``_stack`` lookups meet the kept table itself: it reduces the kept
-tangents against the kept Im d1 without writing to it, for rank dF, and
+``_Containment``, ``closed``, which checks once whether the Im d1 rows lie
+in the stack's kernel and keeps one column index of its rows for the
+tangents (``h2_knil`` and ``h2_dim`` build none).  A second memo, ``_at``,
+keeps the family evaluated at each of the last eight points and each
+tangent read and cleared of denominators once (``_tangent``), but no
+entry.  A run at a kept point thus evaluates, differentiates and clears
+nothing, hashes its point once and meets the kept table itself: it ranks
+the cleared tangents against the kept Im d1 read-only, for rank dF, and
 checks them against the kept index.
 
 ``h2_knil`` certifies mu in a basis built from its generators
@@ -103,7 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from .errors import NotInVariety, NotLieAlgebra, ResourceCapExceeded
@@ -163,19 +163,25 @@ def _at(table, point):
 
 
 class _KeptTangent(_ReadOnly):
-    """A tangent kept in an entry of ``_at``, which refuses writes."""
+    """A tangent kept in an entry of ``_at``, which refuses writes, and its
+    one positive multiple of Gaussian integers ``cleared`` (``_cleared``)."""
 
-    __slots__ = ()
+    __slots__ = ("cleared",)
     _what = "a kept tangent"
+
+    def __init__(self, vec):
+        super().__init__(vec)
+        self.cleared = dict(_cleared(vec))
 
 
 def _tangent(table, p, point):
     """The tangent of the family ``table`` in its parameter ``p`` at
-    ``point`` (a dict), as a read-only sparse 2-cochain, read once per kept
-    entry of ``_at``."""
-    kept = _at(table, frozenset(point.items()))[1]
+    ``point`` (a dict, or the frozenset of its items that keys ``_at``), as
+    a read-only sparse 2-cochain, read once per kept entry of ``_at``."""
+    key = point if isinstance(point, frozenset) else frozenset(point.items())
+    kept = _at(table, key)[1]
     if p not in kept:
-        kept[p] = _KeptTangent(_read_tangent(table, p, point))
+        kept[p] = _KeptTangent(_read_tangent(table, p, dict(key)))
     return kept[p]
 
 
@@ -445,32 +451,31 @@ def _constraint_reducer(mu, kind, k, letters=None):
 
 
 class _Containment:
-    """Whether vectors lie in Ker dG, the kernel of the kept stack ``red``
-    at ``mu``.  Called, it answers whether Im d1 does (``closed``), checked
-    on the first call against the d1 columns streamed again; ``holds``
-    answers it for Im d1 and the given vectors together.  Both read one
-    column index of every column of the stack's rows
-    (``RowBasis.column_index``), built at the first question and kept with
-    the stack, so each later check sums over the rows its vectors meet."""
+    """Whether rows of Gaussian integers lie in Ker dG, the kernel of the
+    kept stack ``red``.  Called, it answers whether Im d1 does (``closed``),
+    once, with the rows of the kept Im d1 ``image``; ``holds`` answers it
+    for Im d1 and the given rows together.  Both read one column index of
+    the stack's rows (``RowBasis.column_index``), built at the first
+    question and kept, so each check sums over the rows its vectors meet."""
 
-    __slots__ = ("mu", "red", "_index", "_closed")
+    __slots__ = ("red", "image", "_index", "_closed")
 
-    def __init__(self, mu, red):
-        self.mu, self.red = mu, red
+    def __init__(self, red, image):
+        self.red, self.image = red, image
         self._index = self._closed = None
 
     def __call__(self):
         if self._closed is None:
-            self._closed = self._check(col for _, col in iter_d1_columns(self.mu))
+            self._closed = self._check(self.image.sparse_rows())
         return self._closed
 
-    def holds(self, vecs):
-        return self() and self._check(vecs)
+    def holds(self, rows):
+        return self() and self._check(rows)
 
-    def _check(self, vecs):
+    def _check(self, rows):
         if self._index is None:
             self._index = self.red.column_index()
-        return _vanish(self._index, map(_cleared, vecs))
+        return _vanish(self._index, (row.items() for row in rows))
 
 
 def _stack(mu, kind, k):
@@ -496,7 +501,7 @@ def _stack(mu, kind, k):
     if entry.image is None:
         entry.image = _image(mu)
     stacks = entry.stacks
-    stacks[kind, k] = kept = (red, entry.image, _Containment(mu, red))
+    stacks[kind, k] = kept = (red, entry.image, _Containment(red, entry.image))
     for old in list(stacks)[:-STACKS_PER_ENTRY]:
         stacks.pop(old, None)
     return kept
@@ -504,16 +509,15 @@ def _stack(mu, kind, k):
 
 def _sequence(mu, kind, k, tangents=()):
     """Hamilton's sequence at mu, [tangents | d1] -> C^2 -> [d2 ; dW], for W
-    of ``kind`` "j", "n" or "sn".  Returns (tangents, rank_df, red): the
-    tangents as a list, the rank of Im dF (that of the kept Im d1 when there
-    are none, else ``rank_with`` the tangents, which leaves it as it was)
-    and the kept stack, whose containment checks are left to their one
-    reader, ``augmented_exactness``."""
-    red, im_d1, _ = _stack(mu, kind, k)
-    tangents = list(tangents)
-    if not tangents:
-        return tangents, im_d1.rank, red
-    return tangents, im_d1.rank_with(_sparse_from(vec, im_d1.ncols) for vec in tangents), red
+    of ``kind`` "j", "n" or "sn".  Returns (contained, rank_df, red): the
+    call that answers whether Im dF lies in Ker dG, for its one reader
+    ``augmented_exactness``, the kept Im d1's ``rank_with`` the tangents,
+    and the kept stack.  Both read the tangents' ``cleared`` forms, any
+    tangent not kept cleared here: a positive multiple changes no span."""
+    red, im_d1, closed = _stack(mu, kind, k)
+    rows = [vec.cleared if type(vec) is _KeptTangent
+            else dict(_cleared(_sparse_from(vec, im_d1.ncols))) for vec in tangents]
+    return partial(closed.holds, rows), im_d1.rank_with(rows), red
 
 
 def h2_knil(mu, k) -> CohomologyReport:
@@ -542,7 +546,10 @@ def h2_dim(mu) -> CohomologyReport:
 def derivation_dim(mu) -> int:
     if not is_lie(mu):
         raise NotLieAlgebra("derivations are defined for Lie brackets")
-    return mu.n * mu.n - _image(mu).rank
+    entry = _entry(mu)  # the Im d1 of h2_dim and the certificates
+    if entry.image is None:
+        entry.image = _image(mu)
+    return mu.n * mu.n - entry.image.rank
 
 
 # -- augmented exactness for parametric families -------------------------------------
@@ -617,12 +624,13 @@ def augmented_exactness(table, point, free_params, constraint, name=None) -> Exa
         if p in free_params[:t]:
             raise ValueError(f"free parameter {p!r} given twice")
     table = table.symbolic()  # a numeric table answers as its twin
-    mu = _at(table, frozenset(point.items()))[0]
+    key = frozenset(point.items())
+    mu = _at(table, key)[0]
     lay = Layout(mu.n)
     # a generator: the tangents are read only at a point the guards admit
-    tangents, rank_df, red = _sequence(mu, kind, k,
-                                       (_tangent(table, p, point) for p in free_params))
-    containment = _stack(mu, kind, k)[2].holds(tangents)
+    contained, rank_df, red = _sequence(mu, kind, k,
+                                        (_tangent(table, p, key) for p in free_params))
+    containment = contained()
     ker_dg = lay.dim2 - red.rank
     codom = lay.dim3 if kind == "j" else lay.dim3 + mu.n ** (k + 2)
     return ExactnessReport(

@@ -593,10 +593,10 @@ def _cleared(vec):
 
 
 def _vanish(index, terms):
-    """True iff every vector of ``terms`` (each a ``_cleared`` list) has a
-    zero product with every row of the column ``index``
-    (``_column_index``): each vector sums over the rows its nonzeros meet.
-    The one containment loop of the package."""
+    """True iff every vector of ``terms``, each its (column, value) pairs
+    of Gaussian integers (``_cleared``), has a zero product with every row
+    of the column ``index`` (``_column_index``): each vector sums over the
+    rows its nonzeros meet.  The one containment loop of the package."""
     for t in terms:
         sums = {}
         for c, x in t:

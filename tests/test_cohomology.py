@@ -62,7 +62,7 @@ from nilcohom.liealg import (
 )
 from nilcohom.linalg import ExactMatrix, rank, reduce_rows
 from nilcohom.polynomials import MultiPoly
-from nilcohom.scalars import FIELD_Q, FIELD_QI, QI
+from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, promote
 from nilcohom.tables import parse_symbolic
 
 # the printed (z, b, h) of the eight non-abelian nilpotent algebras of dim 5
@@ -946,6 +946,30 @@ def test_a_tangent_read_off_the_polynomials_is_the_evaluated_derivative(catalog,
         assert [type(v) for v in got.values()] == [type(expected[c]) for c in got], (fam, p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.booleans(), st.data())
+def test_a_kept_tangent_carries_one_positive_multiple_cleared(catalog, fam, gaussian, data):
+    """The cleared form a kept tangent carries, which is all a memo hit
+    reads of it, is den times the exact tangent for one positive int den,
+    over the same columns, its values ints, and QIs with int parts where
+    they are not real; over the catalog's parametric families at rational
+    and Gaussian points."""
+    table = catalog.get(fam).symbolic()
+    value = st.builds(QI, _POINT_VALUES, _POINT_VALUES) if gaussian else _POINT_VALUES
+    point = {p: data.draw(value) for p in table.params}
+    for p in table.params:
+        exact = cohomology._tangent(table, p, point)
+        cleared = exact.cleared
+        assert cleared.keys() == exact.keys(), (fam, p)
+        assert all(type(x) is int or type(x.re) is type(x.im) is int and x.im
+                   for x in cleared.values()), (fam, p)
+        if exact:
+            c = next(iter(exact))
+            den = (promote(cleared[c], FIELD_QI) / promote(exact[c], FIELD_QI)).to_fraction()
+            assert den > 0 and den.denominator == 1, (fam, point, p)
+            assert all(cleared[c] == v * den for c, v in exact.items()), (fam, point, p)
+
+
 # -- the least-first word walk of the constraint reducer ----------------------------
 
 
@@ -1441,6 +1465,19 @@ def test_im_d1_is_reduced_once_per_table_across_kinds_and_k(catalog, monkeypatch
     assert images == [liealg._entry(seeded).adapted, seeded]
 
 
+def test_derivation_dim_reads_the_kept_im_d1(catalog, monkeypatch):
+    # h2_dim keeps Im d1 in the table's entry; derivation_dim reads it there
+    images = _count_calls(monkeypatch, "_image")
+    mu = catalog.structure("g_{247H}")
+    h2_dim(mu)
+    assert derivation_dim(mu) == 11
+    assert derivation_dim(mu) == 11
+    assert images == [mu]
+    other = catalog.structure("g_{137B}")
+    assert [derivation_dim(other), derivation_dim(other)] == [13, 13]
+    assert images == [mu, other]
+
+
 def test_an_entry_keeps_its_bound_of_stacks_first_kept_first_out(catalog, monkeypatch):
     # g_{5,3} is 3-step, so it lies on every constraint below; one more
     # constraint than the bound pushes out the first stack kept, and the
@@ -1573,9 +1610,9 @@ def test_a_repeated_certificate_at_a_point_streams_no_d1_column(catalog, monkeyp
     free_run, frozen_run = _curve_certificates(catalog)
     streams = _count_d1_streams(monkeypatch)
     free = free_run()
-    assert len(streams) == 2  # Im d1, then the containment of its columns
+    assert len(streams) == 1  # Im d1, whose kept rows answer the containment
     frozen = frozen_run()
-    assert len(streams) == 2
+    assert len(streams) == 1
     info = liealg._entry.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert (free.rank_df, frozen.rank_df, free.containment, frozen.containment) == (41, 41,
@@ -1599,15 +1636,15 @@ def test_the_containment_answer_is_kept_with_its_entry(catalog, monkeypatch):
     free_run()
     for mu in others[:15]:
         h2_dim(mu)
-    assert _kept(entries) == 16 and len(streams) == 2 + 15
+    assert _kept(entries) == 16 and len(streams) == 1 + 15
     assert frozen_run().containment  # kept: the least recently used, now the most
     h2_dim(others[15])
     assert free_run().containment
-    assert _kept(entries) == 16 and len(streams) == 2 + 16 and len(calls) == 1 + 16
+    assert _kept(entries) == 16 and len(streams) == 1 + 16 and len(calls) == 1 + 16
     for mu in others[16:]:
         h2_dim(mu)
     assert frozen_run().containment  # pushed out: reduced and checked again
-    assert len(streams) == 2 + 32 + 2 and len(calls) == 1 + 32 + 1
+    assert len(streams) == 1 + 32 + 1 and len(calls) == 1 + 32 + 1
 
 
 def _count_index_builds(monkeypatch):
@@ -1677,8 +1714,9 @@ def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalo
                                                                           monkeypatch):
     """One entry of one kept row of the curve point's [d2 ; dSN_5] stack is
     changed, at a column some d1 column meets: both runs at the point see
-    it, the first through the d1 columns it checks, the second through the
-    kept answer, with no d1 column streamed."""
+    it, the first through the kept Im d1 rows it checks, which span what
+    the d1 columns span, the second through the kept answer, with no d1
+    column streamed."""
     reduce_stack = cohomology._constraint_reducer
 
     def corrupt(mu, kind, k, letters=None):
@@ -1694,9 +1732,9 @@ def test_a_corrupted_kept_stack_fails_containment_on_the_miss_and_the_hit(catalo
     streams = _count_d1_streams(monkeypatch)
     free_run, frozen_run = _curve_certificates(catalog)
     free = free_run()
-    assert len(streams) == 2
+    assert len(streams) == 1
     frozen = frozen_run()
-    assert len(streams) == 2
+    assert len(streams) == 1
     assert [(rep.containment, rep.exact) for rep in (free, frozen)] == [(False, False)] * 2
 
 
@@ -1739,6 +1777,28 @@ def test_the_free_and_frozen_runs_evaluate_the_family_and_read_each_tangent_once
     del evaluated[:], read[:]
     assert frozen_run().exact and free_run().exact
     assert evaluated == [point] and read == [("t", point), ("r", point)]
+
+
+def test_a_memo_hit_clears_no_tangent_and_hashes_its_point_once(catalog, monkeypatch):
+    """Once the free and frozen runs at g_5(2,3) have kept their tangents,
+    each repeated run reads their cleared forms: it clears nothing
+    (``linalg.int_cleared``), reads no tangent off the polynomials, and
+    hashes each of the point's two values once, for the one key of the
+    run."""
+    table = catalog.get("g_5(r,t)").symbolic()
+    point = {"r": Fraction(2), "t": Fraction(3)}
+    runs = [(free, augmented_exactness(table, point, free, "sn5")) for free in (("r", "t"), ("t",))]
+    cleared, hashed = [], []
+    int_cleared, fraction_hash = linalg.int_cleared, Fraction.__hash__
+    monkeypatch.setattr(linalg, "int_cleared", lambda vals: cleared.append(vals) or int_cleared(vals))
+    evaluated, read = _count_family_reads(monkeypatch)
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    for free, expected in runs * 2:
+        del hashed[:]
+        assert augmented_exactness(table, point, free, "sn5") == expected
+        assert sorted(hashed) == [2, 3], free
+    assert cleared == [] and evaluated == [] and read == []
+    assert [rep.exact for _, rep in runs] == [True, True]
 
 
 def test_equal_points_share_one_kept_entry(catalog, monkeypatch):
