@@ -53,35 +53,43 @@ a point that is not nilpotent by each e_j outside the subalgebra
 generated so far (``split_generators``; the curve algebras are solvable,
 not nilpotent).  So every certificate builds its sequence in one
 routine, ``_sequence``, and its stack in ``_stack``: it checks Jacobi,
-and the picker both decides W(mu) = 0 and gives S, or refuses the point.
+and the picker both decides W(mu) = 0 and gives S, or refuses the point
+(``h2_knil`` runs no picker, below).
 
 What is kept of a table is one entry, ``liealg._entry``, for each of the
 last sixteen tables, keyed by content: the scaled letter operators, the
-adapted table of ``h2_knil`` (below), one Im d1, and up to
-``liealg.STACKS_PER_ENTRY`` reduced stacks by (kind, k), each with its
-``_Containment``, ``closed``, which checks once whether the Im d1 rows lie
-in the stack's kernel and keeps one column index of its rows for the
-tangents (``h2_knil`` and ``h2_dim`` build none).  A second memo, ``_at``,
-keeps the family evaluated at each of the last eight points and each
-tangent read and cleared of denominators once (``_tangent``), but no
-entry.  A run at a kept point thus evaluates, differentiates and clears
-nothing, hashes its point once and meets the kept table itself: it ranks
-the cleared tangents against the kept Im d1 read-only, for rank dF, and
-checks them against the kept index.
+letters that generate it where ``h2_knil`` proved them (below), one
+Im d1, and up to ``liealg.STACKS_PER_ENTRY`` reduced stacks by (kind, k),
+each with its ``_Containment``, ``closed``, which checks once whether the
+Im d1 rows lie in the stack's kernel and keeps one column index of its
+rows for the tangents (``h2_knil`` and ``h2_dim`` build none).  A second
+memo, ``_at``, keeps the family evaluated at each of the last eight
+points and each tangent read and cleared of denominators once
+(``_tangent``), but no entry.  A run at a kept point thus evaluates,
+differentiates and clears nothing, hashes its point once and meets the
+kept table itself: it ranks the cleared tangents against the kept Im d1
+read-only, for rank dF, and checks them against the kept index.
 
 ``h2_knil`` certifies mu in a basis built from its generators
-(``liealg._adapted``, kept in mu's entry), times one positive integer,
-wherever that table has fewer structure constants than mu.  Its z and b
-are those of mu: a change of basis carries Ker d2, Ker dN_k and Im d1
-onto those of the new table, and a uniform scale of the table changes
-no span, rank or kernel, since d1 and d2 are linear in mu and dN_k is
-homogeneous in it.  Jacobi and N_k = 0 do not depend on the basis
-either, so ``_stack`` refuses the adapted table exactly where it would
-refuse mu, with the same message.  The stacks cost what the table's
-density costs, and the adapted table is about half as dense on seeded
-dense bases.  Its stacks are kept in the adapted table's entry, so an
-adapted ``h2_knil`` and an ``augmented_exactness`` at the same point do
-not share one; isomorphic inputs often adapt to one table and then do.
+(``liealg._adapted``, kept by content for the last sixteen given tables
+in ``liealg._adapted_form``, so a given table keeps no entry), times one
+positive integer, wherever that table has fewer structure constants than
+mu.  Its z and b are those of mu: a change of basis carries Ker d2,
+Ker dN_k and Im d1 onto those of the new table, and a uniform scale of
+the table changes no span, rank or kernel, since d1 and d2 are linear in
+mu and dN_k is homogeneous in it.  Jacobi and N_k = 0 do not depend on
+the basis either, so ``_stack`` refuses the adapted table exactly where
+it would refuse mu, with the same message.  ``_adapted`` also proves
+which letters generate that table, at a nilpotent point the picks of
+``k_step_generators``, and ``_stack`` walks them with no lower central
+series: at a Lie point N_k(mu) = 0 exactly when every least-first
+(k+1)-letter word over them vanishes, so the dN_k stream refuses the
+first that does not, and where it meets a cap the picker decides.  The
+stacks cost what the table's density costs, and the adapted table is
+about half as dense on seeded dense bases.  Its stacks are kept in the
+adapted table's entry, so an adapted ``h2_knil`` and an
+``augmented_exactness`` at the same point do not share one; isomorphic
+inputs often adapt to one table and then do.
 
 The streams read the table scaled by one global integer (``scaled=True``),
 to ints over Q and to ints and Gaussian integers over Q(i).  Each
@@ -112,6 +120,7 @@ from .liealg import (
     STACKS_PER_ENTRY,
     Layout,
     StructureConstants,
+    _Generators,
     _ReadOnly,
     _adapted,
     _add_sigma,
@@ -288,12 +297,18 @@ def iter_dnk_rows(mu, k, scaled=True, least_first=False, letters=None):
     With ``letters`` (basis indices) only the words over those letters are
     emitted; at a k-step point, with letters that generate, their rows span
     beside the d2 rows what every word row spans (again ``walk_words``).
+    Over letters that generate g where N_k(mu) = 0 is not yet decided
+    (``liealg._Generators``), a nonzero word raises NotInVariety: at a Lie
+    point N_k(mu) = 0 exactly when every least-first word over them does.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n, _, right = _letter_operators(mu, scaled)
     words = walk_words(right, k + 1, Layout(n), least_first=least_first, letters=letters)
-    for index, _, tangent in words:
+    refuse = isinstance(letters, _Generators)
+    for index, value, tangent in words:
+        if refuse and value is not None:
+            raise NotInVariety(f"point violates N_{k} = 0")
         for m in sorted(tangent):
             yield index * n + m, tangent[m]
 
@@ -383,6 +398,15 @@ def iter_dsnk_rows(mu, k, scaled=True, least_first=False, letters=None):
 
 # the word constraints: the picker of their walked letters, and their rows
 _WORDS = {"n": (k_step_generators, iter_dnk_rows), "sn": (split_generators, iter_dsnk_rows)}
+
+
+def _picked(mu, kind, k):
+    """The letters of the picker of ``_WORDS`` at mu; a point where the
+    word W of ``kind`` does not vanish is refused."""
+    letters = _WORDS[kind][0](mu, k)
+    if letters is None:
+        raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
+    return letters
 
 
 # -- materialized matrices ---------------------------------------------------------
@@ -483,21 +507,26 @@ def _stack(mu, kind, k):
     ``kind`` "j", "n" (N_k) or "sn" (SN_k), the entry's Im d1 and the
     stack's ``_Containment``, kept in mu's entry under (kind, k), read-only
     and shared.  A point off the variety (not Lie, or W(mu) != 0, as the
-    picker of ``_WORDS`` decides) is refused; a refusal or a cap keeps no
-    stack.  Past STACKS_PER_ENTRY the first kept goes, off one copy of the
-    keys and popped with a default, so threads cannot make it raise."""
+    picker decides, or for N_k the stream over the entry's ``letters``,
+    then the picker where it meets a cap) is refused; a refusal or a cap
+    keeps no stack.  Past STACKS_PER_ENTRY the first kept goes, off one
+    copy of the keys and popped with a default, so threads cannot make it
+    raise."""
     entry = _entry(mu)
     kept = entry.stacks.get((kind, k))
     if kept is not None:
         return kept
     if not is_lie(mu):
         raise NotInVariety("point violates the Jacobi identity")
-    letters = None
-    if kind in _WORDS:
-        letters = _WORDS[kind][0](mu, k)
-        if letters is None:
-            raise NotInVariety(f"point violates {kind.upper()}_{k} = 0")
-    red = _constraint_reducer(mu, kind, k, letters)
+    letters = entry.letters if kind == "n" else None
+    if kind in _WORDS and letters is None:
+        letters = _picked(mu, kind, k)
+    try:
+        red = _constraint_reducer(mu, kind, k, letters)
+    except ResourceCapExceeded:
+        if isinstance(letters, _Generators):
+            _picked(mu, kind, k)  # refuses as the picker would
+        raise
     if entry.image is None:
         entry.image = _image(mu)
     stacks = entry.stacks
@@ -525,13 +554,14 @@ def h2_knil(mu, k) -> CohomologyReport:
 
     z and b are invariants of the point, unchanged by a change of basis and
     by a uniform scale of the table, so they are read off ``_sequence`` at
-    mu written in a basis built from its generators (``liealg._adapted``,
-    kept in mu's entry), where that table has fewer structure constants:
-    the stacks cost what the table's density costs."""
-    entry = _entry(mu)
-    if entry.adapted is None:
-        entry.adapted = _adapted(mu)
-    _, b, red = _sequence(entry.adapted, "n", k)
+    mu written in a basis built from its generators (``liealg._adapted``),
+    where that table has fewer structure constants: the stacks cost what
+    the table's density costs.  mu keeps no entry; the adapted table's
+    keeps the letters that generate it, for ``_stack``."""
+    nu, letters = _adapted(mu)
+    if letters is not None:
+        _entry(nu).letters = letters
+    _, b, red = _sequence(nu, "n", k)
     z = Layout(mu.n).dim2 - red.rank
     return CohomologyReport(mu.name, mu.n, k, z, b, z - b, z == b)
 

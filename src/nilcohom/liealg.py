@@ -299,28 +299,28 @@ STACKS_PER_ENTRY = 3
 
 class _Entry:
     """A table's kept parts: ``ops``, its scaled letter operators, and,
-    filled on first use by ``cohomology``, ``adapted`` (``_adapted``),
-    ``image`` (Im d1) and ``stacks`` (the reduced stacks by (kind, k))."""
+    filled on first use by ``cohomology``, ``letters`` (the ``_Generators``
+    of ``_adapted``), ``image`` (Im d1) and ``stacks`` (the reduced stacks
+    by (kind, k))."""
 
-    __slots__ = ("ops", "adapted", "image", "stacks")
+    __slots__ = ("ops", "letters", "image", "stacks")
 
     def __init__(self, ops):
-        self.ops, self.adapted, self.image, self.stacks = ops, None, None, {}
+        self.ops, self.letters, self.image, self.stacks = ops, None, None, {}
 
 
 @lru_cache(maxsize=16)
 def _entry(mu):
     """The ``_Entry`` of each of the last sixteen tables, keyed by content
     (n and the brackets, not the name or the field: a Q(i) table of real
-    values reads, scaled, as the ints of its Q twin).  Sixteen, as an
-    adapted ``h2_knil`` holds two: the given table, for its adapted table,
-    and the adapted one, for its stacks."""
+    values reads, scaled, as the ints of its Q twin).  A table that
+    ``h2_knil`` is given makes none: ``_adapted`` reads it."""
     return _Entry(_read_operators(mu, scaled=True))
 
 
 def _read_operators(mu, scaled):
-    """``_letter_operators`` without the memo; only it and ``_entry`` call
-    this.  A table over "sym" has no scaled read,
+    """``_letter_operators`` without the memo; only it, ``_entry`` and
+    ``_adapted_form`` call this.  A table over "sym" has no scaled read,
     since its coefficients are polynomials, not numbers to clear of
     denominators; every certificate, change of basis and series reads the
     scaled operators, so each refuses such a table here, with NotNumeric."""
@@ -773,11 +773,12 @@ def _square(m, n, field):
     return m
 
 
-def _transport(mu, vectors):
+def _transport(mu, vectors, ops=None):
     """(brackets, scale): the brackets of mu in the basis ``vectors`` (n dense
     vectors of ints, Fractions or QIs), each times the positive int
     ``scale``, as {(i, j): {k: value}} of ints and Gaussian integers; None
     when the vectors are dependent.  The one transport of the package.
+    ``ops`` are mu's scaled operators, ``_letter_operators`` when not given.
 
     Fraction-free.  The vectors are cleared of denominators by one factor
     D, into b_0..b_{n-1}, and the rows [b_j | e_j] are reduced once
@@ -788,7 +789,7 @@ def _transport(mu, vectors):
     summing those rows.  In the basis b mu is D times its table in the
     basis ``vectors``, so scale = den * s * D.
     """
-    n, _, right = _letter_operators(mu, scaled=True)
+    n, _, right = ops or _letter_operators(mu, scaled=True)
     flat = [x for v in vectors for x in v]
     cleared = int_cleared(flat)
     basis = [cleared[t * n:(t + 1) * n] for t in range(n)]
@@ -813,9 +814,18 @@ def _transport(mu, vectors):
     return brackets, scale
 
 
+class _Generators(tuple):
+    """Letters that ``_adapted`` proved to generate its table, where N_k = 0
+    is not yet decided: the dN_k stream over them decides it."""
+
+    __slots__ = ()
+
+
 def _adapted(mu):
-    """mu in a basis built from its generators, times a positive integer,
-    when that table has fewer structure constants than mu; else mu itself.
+    """(nu, letters): mu in a basis built from its generators, times a
+    positive integer, when that table has fewer structure constants than
+    mu, else mu itself, the caller's object; and the ``_Generators`` of nu,
+    or None where none are proved.  Kept by ``_adapted_form``.
 
     g^1 is the span of the nonzero mu(e_i, e_j), and S the indices whose e_s
     are independent of g^1 and of the e_s before them, as ``_generators``
@@ -833,17 +843,30 @@ def _adapted(mu):
     of vectors u kept up to layer t - 1; each mu(u, e_s) was offered to a
     layer up to t, and was kept there or lay in the span of the vectors
     kept before it.  The last layer keeps nothing, so the kept vectors span
-    every S-word, hence g, and are independent.
+    every S-word, hence g, and are independent.  Wherever n vectors are
+    kept, the S-words span g, so the letters S (in the new basis the first
+    |S| vectors) generate it; at a nilpotent Lie point they are the picks
+    of ``k_step_generators``, as g^1 is the span of the later layers.
 
     Fewer than n means the point is not nilpotent, or not Lie: mu is
-    returned, and ``cohomology._stack`` refuses it as it would any such
-    point.  At n vectors ``_transport`` writes mu in them, and a dependent
-    basis there is a fault of this routine: RuntimeError.  The basis and a
-    uniform scale change neither Jacobi, nor N_k = 0, nor the ranks that a
-    certificate reads (z and b are invariants, and d1, d2 and dN_k are
-    homogeneous in mu).
+    returned, with no letters, and ``cohomology._stack`` refuses it as it
+    would any such point.  At n vectors ``_transport`` writes mu in them,
+    and a dependent basis there is a fault of this routine: RuntimeError.
+    The basis and a uniform scale change neither Jacobi, nor N_k = 0, nor
+    the ranks that a certificate reads (z and b are invariants, and d1, d2
+    and dN_k are homogeneous in mu).
     """
-    n, table, right = _letter_operators(mu, scaled=True)
+    nu, letters = _adapted_form(mu)
+    return (mu if nu is None else nu), letters
+
+
+@lru_cache(maxsize=16)
+def _adapted_form(mu):
+    """``_adapted`` of each of the last sixteen tables, keyed by content,
+    with None for a table that keeps its basis, so that a hit on an equal
+    table hands back no other object.  It makes no entry for mu."""
+    ops = _read_operators(mu, scaled=True)
+    n, table, right = ops
     g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
                      if table[i][j] is not None), n)
     letters = [s for s in range(n) if g1.add({s: 1})]
@@ -856,12 +879,14 @@ def _adapted(mu):
                  and kept.add({i: x for i, x in enumerate(w) if x})]
         basis += layer
     if len(basis) < n:
-        return mu
-    form = _transport(mu, basis)
+        return None, None
+    form = _transport(mu, basis, ops)
     if form is None:
         raise RuntimeError("the basis built from the generators is dependent")
     nu = StructureConstants(n, form[0])
-    return nu if sum(map(len, nu.c.values())) < sum(map(len, mu.c.values())) else mu
+    if sum(map(len, nu.c.values())) < sum(map(len, mu.c.values())):
+        return nu, _Generators(range(len(letters)))
+    return None, _Generators(letters)
 
 
 def change_basis(mu, g):

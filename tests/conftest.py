@@ -23,11 +23,12 @@ def catalog():
 @pytest.fixture(autouse=True)
 def _no_kept_entries():
     """Each test starts with no table's entry kept by ``liealg._entry``
-    (operators, adapted table, Im d1, stacks and containment answers) and
-    no evaluated family or tangent kept by ``cohomology._at``, so a test
-    that lowers a cap or patches a stream or reader is not served work done
-    before it."""
+    (operators, generators, Im d1, stacks and containment answers), no
+    adapted table kept by ``liealg._adapted_form`` and no evaluated family
+    or tangent kept by ``cohomology._at``, so a test that lowers a cap or
+    patches a stream or reader is not served work done before it."""
     liealg._entry.cache_clear()
+    liealg._adapted_form.cache_clear()
     cohomology._at.cache_clear()
 
 

@@ -759,6 +759,35 @@ def test_h2_knil_reads_the_ranks_of_the_given_basis(catalog, case):
     assert _ranks_or_refusal(report) == _ranks_or_refusal(given_basis)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_h2_dim_is_unchanged_by_a_change_of_basis(catalog, data):
+    # z, b and h are invariants of the point, and so is a refusal: a table
+    # and its copy in a basis of 1-4 transvections I + c E_ij, c an integer
+    # or a Gaussian integer, give one answer, on random tables (mostly not
+    # Lie), the printed algebras and sl(2)
+    if data.draw(st.booleans()):
+        mu = data.draw(structure_tables())
+    else:
+        printed = [name for name in catalog.names() if not catalog.get(name).params]
+        mu = data.draw(st.sampled_from([catalog.structure(name) for name in printed]
+                                       + [StructureConstants(3, SL2)]))
+    ints = st.integers(-2, 2)
+    scalar = data.draw(st.sampled_from((ints, st.builds(QI, ints, ints.filter(bool)))))
+    g = [[int(i == j) for j in range(mu.n)] for i in range(mu.n)]
+    if mu.n > 1:
+        pair = st.lists(st.integers(0, mu.n - 1), min_size=2, max_size=2, unique=True)
+        for (i, j), c in data.draw(st.lists(st.tuples(pair, scalar), min_size=1, max_size=4)):
+            g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+
+    def dims(table):
+        rep = h2_dim(table)
+        return rep.z, rep.b, rep.h
+
+    moved = change_basis(mu, g)
+    assert _ranks_or_refusal(lambda: dims(moved)) == _ranks_or_refusal(lambda: dims(mu))
+
+
 def _monotone_in_k(mu, k):
     """The (z, b) of h2_knil at k and k + 1 and of h2_dim at mu, a k-step
     point, checked against z(k) <= z(k + 1) <= z(h2_dim) with one b."""
@@ -1329,9 +1358,10 @@ def test_a_refused_point_keeps_nothing_and_is_refused_again(catalog, monkeypatch
             with pytest.raises(ResourceCapExceeded):
                 augmented_exactness(table, point, ("t",), "sn5")
             assert _kept(entries) == 1
-    # the kept table is still served, with no new reduction
+    # the kept table is still served, with no new reduction; g_5(1,1) is
+    # generated by e_0, e_1, so its dN_3 stream, read by the reducer, refused it
     assert (h2_knil(kept, 3).z, _kept(entries)) == (17, 1)
-    assert calls == [("n", 3), ("sn", 5), ("sn", 5)]
+    assert calls == [("n", 3)] * 3 + [("sn", 5), ("sn", 5)]
     assert augmented_exactness(table, point, ("t",), "sn5").exact
 
 
@@ -1368,10 +1398,13 @@ def test_at_most_sixteen_entries_are_kept_least_recently_used_first_out(monkeypa
 
 
 def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypatch):
-    # the adapted basis, the Jacobi guard, the picker, d1, d2 and the word
-    # walk of h2_knil are served one scaled read of each table they read,
-    # the given one and the adapted one, and no unscaled read; a second
-    # certificate on the table, on another stack or the same, builds none
+    # the adapted basis, the Jacobi guard, d1, d2 and the word walk of
+    # h2_knil are served one scaled read of each table they read, the given
+    # one, which _adapted reads without making it an entry, and the adapted
+    # one, and no unscaled read (a table that keeps its basis is read twice,
+    # by _adapted and for its entry); a second certificate on the table, on
+    # another stack or the same, builds none, save h2_dim, which makes the
+    # given table's entry and reads it once more where it adapts
     reads = []
     read = liealg._read_operators
 
@@ -1389,12 +1422,12 @@ def test_a_certificate_builds_the_operators_of_its_table_once(catalog, monkeypat
     for mu in tables:
         report = h2_knil(mu, 3)
         assert (report.z, report.b, report.h) == (expected.z, expected.b, expected.h)
-        nu = liealg._entry(mu).adapted
-        once = [(mu, True)] if nu is mu else [(mu, True), (nu, True)]
+        nu = liealg._adapted(mu)[0]
+        once = [(mu, True), (nu, True)]
         assert reads == once
         h2_dim(mu)
         h2_knil(mu, 3)
-        assert reads == once
+        assert reads == once + ([] if nu is mu else [(mu, True)])
         reads.clear()
         adapted.append(nu is not mu)
     assert any(adapted)
@@ -1414,7 +1447,7 @@ def test_a_certificate_takes_one_content_hash_per_table(catalog, monkeypatch):
     for mu in seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2):
         hashed.clear()
         h2_knil(mu, 3)
-        nu = liealg._entry(mu).adapted
+        nu = liealg._adapted(mu)[0]
         assert hashed == ([mu] if nu is mu else [mu, nu])
         assert [t is mu for t in hashed] == [True] + [False] * (len(hashed) - 1)
 
@@ -1433,18 +1466,18 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
-def test_a_repeated_h2_knil_builds_the_adapted_table_once(catalog, monkeypatch):
+def test_a_repeated_h2_knil_builds_the_adapted_table_once(catalog):
     # one table that adapts to itself and one seeded basis that adapts to
-    # a sparser table: each builds _adapted once, whatever the k
-    built = _count_calls(monkeypatch, "_adapted")
+    # a sparser table: the memo of _adapted builds each once, whatever the k
     g53 = catalog.structure("g_{5,3}")
     seeded = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
     for mu in (g53, seeded):
         reports = [h2_knil(mu, k) for k in (3, 4, 3, 4)]
         assert reports[:2] == reports[2:]
-    assert built == [g53, seeded]
-    assert liealg._entry(g53).adapted is g53
-    assert liealg._entry(seeded).adapted != seeded
+    info = liealg._adapted_form.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    assert liealg._adapted(g53)[0] is g53
+    assert liealg._adapted(seeded)[0] != seeded
 
 
 def test_im_d1_is_reduced_once_per_table_across_kinds_and_k(catalog, monkeypatch):
@@ -1462,7 +1495,7 @@ def test_im_d1_is_reduced_once_per_table_across_kinds_and_k(catalog, monkeypatch
     h2_knil(seeded, 3)
     h2_knil(seeded, 4)
     h2_dim(seeded)
-    assert images == [liealg._entry(seeded).adapted, seeded]
+    assert images == [liealg._adapted(seeded)[0], seeded]
 
 
 def test_derivation_dim_reads_the_kept_im_d1(catalog, monkeypatch):
@@ -1476,6 +1509,74 @@ def test_derivation_dim_reads_the_kept_im_d1(catalog, monkeypatch):
     other = catalog.structure("g_{137B}")
     assert [derivation_dim(other), derivation_dim(other)] == [13, 13]
     assert images == [mu, other]
+
+
+def test_seeded_bases_reduce_one_stack_per_adapted_table(catalog, monkeypatch):
+    # twenty Gaussian bases of f_5, each run beside one of three printed
+    # algebras: the given tables keep no entry, so the adapted tables and
+    # the printed ones stay within the sixteen entries
+    calls = _count_reductions(monkeypatch)
+    others = [(catalog.structure(name), k) for name, k in (("g_{5,3}", 3), ("g_{5,4}", 3),
+                                                            ("g_{5,6}", 4))]
+    bases = seeded_bases(catalog.structure("f_5"), random.Random(1), 40)[20:]
+    for t, mu in enumerate(bases):
+        assert h2_knil(mu, 4).h == 1
+        h2_knil(*others[t % 3])
+    adapted = {liealg._adapted(mu)[0] for mu in bases}
+    assert len(set(bases)) == 20 and len(adapted) == 5
+    assert len(calls) == len(adapted) + len(others)
+
+
+def _count_series(monkeypatch):
+    """Spy on ``liealg._series``; returns the list of tables it was run on."""
+    seen = []
+    series = liealg._series
+
+    def spy(mu, derived=False):
+        seen.append(mu)
+        return series(mu, derived)
+
+    monkeypatch.setattr(liealg, "_series", spy)
+    return seen
+
+
+def test_h2_knil_at_a_nilpotent_table_computes_no_lower_central_series(catalog, monkeypatch):
+    # _adapted proved which letters generate the table, one that keeps its
+    # basis and one that adapts, so no picker runs; exactness keeps it
+    seen = _count_series(monkeypatch)
+    g53 = catalog.structure("g_{5,3}")
+    seeded = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
+    assert liealg._adapted(g53)[0] is g53 and liealg._adapted(seeded)[0] != seeded
+    reports = [h2_knil(g53, 3), h2_knil(seeded, 3), h2_knil(seeded, 4)]
+    assert [(rep.z, rep.b, rep.h) for rep in reports] == [(17, 15, 2), (36, 35, 1), (52, 35, 17)]
+    assert seen == []
+    f4 = catalog.get("f_4").symbolic()
+    assert augmented_exactness(f4, {}, (), "n3").exact and len(seen) == 1
+
+
+def test_refusals_over_the_proved_letters_keep_their_messages(catalog, monkeypatch):
+    # [e0, e1] = e2, [e0, e2] = e2 is Lie, solvable and generated by e0, e1:
+    # its dN_3 stream meets a nonzero word, and its dN_250 stream the depth
+    # cap, where the picker refuses it
+    solvable = StructureConstants(3, {(0, 1): {2: 1}, (0, 2): {2: 1}})
+    assert liealg._adapted(solvable) == (solvable, (0, 1))
+    for k in (3, 250):
+        with pytest.raises(NotInVariety, match=f"^point violates N_{k} = 0$"):
+            h2_knil(solvable, k)
+    # f_5 is 4-step: a seeded basis that adapts is refused by its stream
+    calls = _count_reductions(monkeypatch)
+    seen = _count_series(monkeypatch)
+    f5 = seeded_bases(catalog.structure("f_5"), random.Random(1), 2)[1]
+    assert liealg._adapted(f5)[0] != f5
+    with pytest.raises(NotInVariety, match="^point violates N_3 = 0$"):
+        h2_knil(f5, 3)
+    assert calls == [("n", 3)] and seen == []
+    # not Lie, yet generated by its letters: the Jacobi guard refuses first
+    bad = StructureConstants(5, {(0, 1): {2: 1}, (2, 3): {4: 1}})
+    assert liealg._adapted(bad)[1] is not None
+    with pytest.raises(NotInVariety, match="^point violates the Jacobi identity$"):
+        h2_knil(bad, 3)
+    assert calls == [("n", 3)]
 
 
 def test_an_entry_keeps_its_bound_of_stacks_first_kept_first_out(catalog, monkeypatch):
@@ -1586,6 +1687,22 @@ def test_h2_knil_and_exactness_with_no_tangent_give_one_answer(catalog, point, e
         knil = h2_knil(mu, k)
     assert (exact.ker_dg_dim, exact.rank_df) == (knil.z, knil.b)
     assert exact.containment and exact.exact == (knil.h == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_route_points(), st.integers(0, 1))
+def test_the_kept_h2_knil_stack_is_the_pickers_stack(catalog, point, extra):
+    # over the letters _adapted proved, h2_knil keeps the reduced echelon
+    # that the picker's letters give
+    mu = point if isinstance(point, StructureConstants) else change_basis(
+        catalog.structure(point[0]), point[1])
+    k = max(nil_index(mu), 1) + extra
+    h2_knil(mu, k)
+    nu = liealg._adapted(mu)[0]
+    letters = k_step_generators(nu, k)
+    assert liealg._entry(nu).letters == letters
+    kept = cohomology._stack(nu, "n", k)[0]
+    assert kept.sparse_rows() == _constraint_reducer(nu, "n", k, letters).sparse_rows()
 
 
 def _kept_image(mu, kind, k):

@@ -529,14 +529,19 @@ def test_the_adapted_table_is_sparser_or_the_table_itself(catalog):
     for name, _ in NILPOTENT_CATALOG:
         g = catalog.structure(name)
         for mu in (g, change_basis(g, _transvections(g.n, rng, (1, -1, 2)))):
-            nu = _adapted(mu)
+            nu, letters = _adapted(mu)
             nnz = [sum(map(len, t.c.values())) for t in (mu, nu)]
             assert nu is mu or nnz[1] < nnz[0], name
             # a uniform scale of mu in another basis: the same step
             assert nil_index(nu) == nil_index(mu)
-    # not nilpotent: fewer than n vectors, the table as it is
-    for mu in (_LIE[0], catalog.structure("g_5(r,t)", {"r": 1, "t": 1})):
-        assert _adapted(mu) is mu
+            # the letters it proved to generate nu are the picker's
+            assert letters == k_step_generators(nu, nil_index(nu)), name
+    # not nilpotent: the table as it is; sl(2) is not generated by the
+    # letters outside its g^1, so no letters are proved, and g_5(1,1) is
+    # generated by e_0, e_1
+    for mu, letters in ((_LIE[0], None),
+                        (catalog.structure("g_5(r,t)", {"r": 1, "t": 1}), (0, 1))):
+        assert _adapted(mu) == (mu, letters) and _adapted(mu)[0] is mu
 
 
 def test_a_dependent_adapted_basis_is_a_fault(catalog, monkeypatch):
@@ -545,7 +550,7 @@ def test_a_dependent_adapted_basis_is_a_fault(catalog, monkeypatch):
     mu = change_basis(catalog.structure("g_{5,3}"), [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0],
                                                      [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
                                                      [0, 0, 0, 0, 1]])
-    monkeypatch.setattr(liealg, "_transport", lambda mu, vectors: None)
+    monkeypatch.setattr(liealg, "_transport", lambda mu, vectors, ops: None)
     with pytest.raises(RuntimeError, match="^the basis built from the generators is dependent$"):
         _adapted(mu)
 

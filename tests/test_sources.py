@@ -65,7 +65,8 @@ def test_every_letter_operator_read_in_the_package_goes_through_the_memo():
     # every reader asks _letter_operators: no module in src/ names the
     # uncached reader, in a call, an import or otherwise, save
     # _letter_operators and _entry, which makes a table's kept entry with
-    # its operators
+    # its operators, and _adapted_form, which reads a given table for
+    # h2_knil without making it an entry
     from nilcohom import liealg
 
     reader = liealg._read_operators.__name__
@@ -76,7 +77,8 @@ def test_every_letter_operator_read_in_the_package_goes_through_the_memo():
             name = node.name
         if name == reader:
             named.add((module, scope))
-    assert named == {("liealg.py", "_letter_operators"), ("liealg.py", "_entry")}
+    assert named == {("liealg.py", "_letter_operators"), ("liealg.py", "_entry"),
+                     ("liealg.py", "_adapted_form")}
 
 
 # methods of dict and set that change them in place
@@ -163,8 +165,9 @@ def test_the_package_keeps_state_only_in_its_declared_memos():
     # which the README lists; each holds at most a fixed number of entries,
     # save Layout, one per dimension n.  A new memo, or a cache used any
     # other way than as a decorator, must be declared here.  cohomology's
-    # stacks, Im d1 and adapted tables live in the entries of liealg._entry,
-    # so cohomology._stack carries no cache
+    # stacks and Im d1 live in the entries of liealg._entry, so
+    # cohomology._stack carries no cache; the adapted tables of h2_knil are
+    # kept apart, by liealg._adapted_form
     from nilcohom import cohomology, ideals, liealg
 
     names = {"lru_cache", "cache", "cached_property"}
@@ -186,7 +189,7 @@ def test_the_package_keeps_state_only_in_its_declared_memos():
                 stray.append((path.name, node.lineno, name))
     assert stray == []
     assert set(found) == {"cohomology._at", "liealg.Layout", "liealg._entry",
-                          "ideals._search_masks"}
+                          "liealg._adapted_form", "ideals._search_masks"}
     modules = {"cohomology": cohomology, "ideals": ideals, "liealg": liealg}
     for qualname, dec in found.items():
         module, name = qualname.split(".")
