@@ -514,7 +514,8 @@ def walk_words(right, length, lay=None, least_first=False, letters=None, budget=
     keeps its reduced rows.  The least-first restriction keeps the letters
     of a word, so both restrictions hold together.  For N_k, S is
     ``k_step_generators``: at a k-step point g is nilpotent, and e_s that
-    span g modulo g^1 = mu(g, g) generate it.  For SN_k, S is
+    span g modulo g^1 = mu(g, g) generate it; or the letters ``_adapted``
+    proved to generate g, the same picks there.  For SN_k, S is
     ``split_generators``, which extends those picks at a point that is not
     nilpotent.  The proof needs W(mu) = 0: where W does not vanish, the
     value terms remain and the restricted rows can span less.
