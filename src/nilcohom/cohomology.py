@@ -502,17 +502,20 @@ class _Containment:
         return _vanish(self._index, (row.items() for row in rows))
 
 
-def _stack(mu, kind, k):
+def _stack(mu, kind, k, letters=None):
     """(red, im_d1, closed): the reduced [d2 ; dW] stack at mu, for W of
     ``kind`` "j", "n" (N_k) or "sn" (SN_k), the entry's Im d1 and the
     stack's ``_Containment``, kept in mu's entry under (kind, k), read-only
-    and shared.  A point off the variety (not Lie, or W(mu) != 0, as the
-    picker decides, or for N_k the stream over the entry's ``letters``,
-    then the picker where it meets a cap) is refused; a refusal or a cap
-    keeps no stack.  Past STACKS_PER_ENTRY the first kept goes, off one
-    copy of the keys and popped with a default, so threads cannot make it
-    raise."""
+    and shared.  ``letters``, when given, are the ``_Generators`` that
+    ``liealg._adapted`` proved for mu, kept in its entry first.  A point
+    off the variety (not Lie, or W(mu) != 0, as the picker decides, or for
+    N_k the stream over the entry's ``letters``, then the picker where it
+    meets a cap) is refused; a refusal or a cap keeps no stack.  Past
+    STACKS_PER_ENTRY the first kept goes, off one copy of the keys and
+    popped with a default, so threads cannot make it raise."""
     entry = _entry(mu)
+    if letters is not None:
+        entry.letters = letters
     kept = entry.stacks.get((kind, k))
     if kept is not None:
         return kept
@@ -557,12 +560,12 @@ def h2_knil(mu, k) -> CohomologyReport:
     mu written in a basis built from its generators (``liealg._adapted``),
     where that table has fewer structure constants: the stacks cost what
     the table's density costs.  mu keeps no entry; the adapted table's
-    keeps the letters that generate it, for ``_stack``."""
+    keeps the letters that generate it, which ``_stack`` stores on its one
+    lookup of that entry.  With no tangents b is the rank of Im d1."""
     nu, letters = _adapted(mu)
-    if letters is not None:
-        _entry(nu).letters = letters
-    _, b, red = _sequence(nu, "n", k)
+    red, im_d1, _ = _stack(nu, "n", k, letters)
     z = Layout(mu.n).dim2 - red.rank
+    b = im_d1.rank
     return CohomologyReport(mu.name, mu.n, k, z, b, z - b, z == b)
 
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 from .errors import (Budget, DimensionMismatch, NotDerivation, NotLieAlgebra, NotNumeric,
                      ResourceCapExceeded, SingularMatrix, TableError)
-from .linalg import (ExactMatrix, _denominator, _integral_inverse, int_cleared, inverse,
-                     reduce_rows)
+from .linalg import (ExactMatrix, _denominator, _integral_inverse, _read_inverse, int_cleared,
+                     inverse, reduce_rows)
 from .polynomials import MultiPoly
 from .scalars import FIELD_Q, FIELD_QI, QI, is_nonreal, join_fields, promote
 
@@ -778,17 +778,14 @@ def _transport(mu, vectors, ops=None):
     """(brackets, scale): the brackets of mu in the basis ``vectors`` (n dense
     vectors of ints, Fractions or QIs), each times the positive int
     ``scale``, as {(i, j): {k: value}} of ints and Gaussian integers; None
-    when the vectors are dependent.  The one transport of the package.
+    when the vectors are dependent.  The transport of ``table_in_basis``.
     ``ops`` are mu's scaled operators, ``_letter_operators`` when not given.
 
     Fraction-free.  The vectors are cleared of denominators by one factor
-    D, into b_0..b_{n-1}, and the rows [b_j | e_j] are reduced once
-    (``linalg._integral_inverse``): row m of its den * (V^T)^{-1}, V the
-    matrix of columns b_j, holds den times the coordinates of e_m in the
-    basis b.  Each bracket of two basis vectors is read off the scaled
-    operators (s mu, ints) by ``_brvv`` and written in the basis b by
-    summing those rows.  In the basis b mu is D times its table in the
-    basis ``vectors``, so scale = den * s * D.
+    D, into b_0..b_{n-1}, the rows [b_j | e_j] are reduced once
+    (``linalg._integral_inverse``), and ``_written`` writes the scaled
+    operators (s mu, ints) in the basis b, den times.  In the basis b mu is
+    D times its table in the basis ``vectors``, so scale = den * s * D.
     """
     n, _, right = ops or _letter_operators(mu, scaled=True)
     flat = [x for v in vectors for x in v]
@@ -797,22 +794,42 @@ def _transport(mu, vectors, ops=None):
     form = _integral_inverse(basis, n)
     if form is None:
         return None
-    coords, den = form
+    s = _denominator(v for row in mu.c.values() for v in row.values())
+    return _written(right, n, basis, form), form[1] * s * _denominator(flat)
+
+
+def _written(right, n, basis, form, known=None):
+    """The brackets of the scaled operators ``right`` in ``basis``, n
+    independent dense vectors b_0..b_{n-1} of ints and Gaussian integers,
+    each times den, as {(i, j): {k: value}} over i < j, zeros dropped.  The
+    one writer of a table in a new basis, for ``_transport`` and
+    ``_adapted_form``.
+
+    ``form`` is (inv, den) of the matrix of rows b_j
+    (``linalg._read_inverse``): row m of inv holds den times the
+    coordinates of e_m in the basis b.  Each bracket of two basis vectors is
+    read off the operators by ``_brvv`` and written in the basis b by
+    summing those rows; a pair in ``known`` is written as the row it maps
+    to, with no product."""
+    coords = form[0]
+    known = known or {}
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = _brvv(right, n, basis[i], basis[j])
-            if w is not None:
+            row = known.get((i, j))
+            if row is None:
+                w = _brvv(right, n, basis[i], basis[j])
+                if w is None:
+                    continue
                 row = {}
                 for m, x in enumerate(w):
                     if x:
                         for k, y in coords[m].items():
                             row[k] = row.get(k, 0) + x * y
                 row = {k: v for k, v in row.items() if v}
-                if row:
-                    brackets[(i, j)] = row
-    scale = den * _denominator(v for row in mu.c.values() for v in row.values()) * _denominator(flat)
-    return brackets, scale
+            if row:
+                brackets[(i, j)] = row
+    return brackets
 
 
 class _Generators(tuple):
@@ -851,7 +868,7 @@ def _adapted(mu):
 
     Fewer than n means the point is not nilpotent, or not Lie: mu is
     returned, with no letters, and ``cohomology._stack`` refuses it as it
-    would any such point.  At n vectors ``_transport`` writes mu in them,
+    would any such point.  At n vectors ``_adapted_form`` writes mu in them,
     and a dependent basis there is a fault of this routine: RuntimeError.
     The basis and a uniform scale change neither Jacobi, nor N_k = 0, nor
     the ranks that a certificate reads (z and b are invariants, and d1, d2
@@ -865,28 +882,52 @@ def _adapted(mu):
 def _adapted_form(mu):
     """``_adapted`` of each of the last sixteen tables, keyed by content,
     with None for a table that keeps its basis, so that a hit on an equal
-    table hands back no other object.  It makes no entry for mu."""
-    ops = _read_operators(mu, scaled=True)
-    n, table, right = ops
+    table hands back no other object.  It makes no entry for mu.
+
+    One echelon over 2n columns both chooses the basis and inverts it.
+    Each vector offered, a letter e_s or a bracket w = mu(b_a, e_s), enters
+    it once, as the row [w | e_t] with t the number of vectors kept so far,
+    and is kept as b_t when its residue leads below n: the residue's first
+    n entries are w less a combination of b_0..b_{t-1}, zero exactly when w
+    is one.  The layers are walked breadth first, b_a in the order kept,
+    until n are kept.  The rows kept are those of [B | I], B of rows b_t,
+    so the echelon is the one ``linalg._integral_inverse`` would reduce,
+    and ``linalg._read_inverse`` reads (inv, den) off it; pivots other than
+    0..n-1 are the fault.  A bracket mu(b_a, b_i) that made b_t (b_i = e_s,
+    the i-th letter) is den e_t in the new basis, written with no product
+    (``_written``), and the table is built only when it has fewer
+    structure constants than mu.
+    """
+    n, table, right = _read_operators(mu, scaled=True)
     g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
                      if table[i][j] is not None), n)
     letters = [s for s in range(n) if g1.add({s: 1})]
-    kept = reduce_rows(({s: 1} for s in letters), n)
-    layer = [_unit(n, s) for s in letters]
-    basis = list(layer)
-    while layer:
-        layer = [w for u in layer for s in letters
-                 if (w := _brv(right, n, u, s)) is not None
-                 and kept.add({i: x for i, x in enumerate(w) if x})]
-        basis += layer
+    echelon = reduce_rows(({s: 1, n + t: 1} for t, s in enumerate(letters)), 2 * n)
+    basis = [_unit(n, s) for s in letters]
+    made = {}  # (a, i) -> t, for b_t = mu(b_a, e_s), s the i-th letter
+    a = 0
+    while a < len(basis) < n:
+        for i, s in enumerate(letters):
+            w = _brv(right, n, basis[a], s)
+            if w is None:
+                continue
+            t = len(basis)
+            if echelon.add({**{c: x for c, x in enumerate(w) if x}, n + t: 1}, n):
+                made[a, i] = t
+                basis.append(w)
+                if t + 1 == n:
+                    break
+        a += 1
     if len(basis) < n:
         return None, None
-    form = _transport(mu, basis, ops)
+    form = _read_inverse(echelon, n)
     if form is None:
         raise RuntimeError("the basis built from the generators is dependent")
-    nu = StructureConstants(n, form[0])
-    if sum(map(len, nu.c.values())) < sum(map(len, mu.c.values())):
-        return nu, _Generators(range(len(letters)))
+    den = form[1]
+    known = {(min(a, i), max(a, i)): {t: den if a < i else -den} for (a, i), t in made.items()}
+    brackets = _written(right, n, basis, form, known)
+    if sum(map(len, brackets.values())) < sum(map(len, mu.c.values())):
+        return StructureConstants(n, brackets), _Generators(range(len(letters)))
     return None, _Generators(letters)
 
 

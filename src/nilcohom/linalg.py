@@ -16,15 +16,18 @@ that row and of the new one, so it grows with the density of the rows
 that are kept.
 
 Every stack in the package enters the echelon through ``reduce_rows`` (the
-streams, ``rank``, ``solve`` and the augmented rows of ``_integral_inverse``;
-``rank`` returns its RowBasis), and no RowBasis is built anywhere else but
-the small one of ``rank_with``.  It therefore reads its rows in windows of
-4 * ncols + 1 and adds each window sparsest row first, the order of
-sparse-first pivoting in structured Gaussian elimination (LaMacchia and
-Odlyzko, "Solving large sparse linear systems over finite fields",
-CRYPTO '90): sparse rows kept early keep the retained rows sparse, so a
-later lead hits fewer of them.  One window is held besides the retained
-rows.
+streams, ``rank``, ``solve``, the augmented rows of ``_integral_inverse``,
+the terms of ``liealg._series``, and the echelons that
+``liealg._generators`` and ``liealg._adapted_form`` start there and grow a
+row at a time, the latter over the rows [b | e_t] of its basis, whose
+inverse it reads off the same echelon; ``rank`` returns its RowBasis), and
+no RowBasis is built anywhere else but the small one of ``rank_with``.  It
+therefore reads its rows in windows of 4 * ncols + 1 and adds each window
+sparsest row first, the order of sparse-first pivoting in structured
+Gaussian elimination (LaMacchia and Odlyzko, "Solving large sparse linear
+systems over finite fields", CRYPTO '90): sparse rows kept early keep the
+retained rows sparse, so a later lead hits fewer of them.  One window is
+held besides the retained rows.
 
 A retained row of weight one, {j: 1}, retires its column, the first move
 of structured Gaussian elimination in the same paper.  The echelon keeps
@@ -235,21 +238,25 @@ class RowBasis:
         basis that no longer grows."""
         return _column_index(self._rows.values(), set(range(self.ncols)))
 
-    def add(self, row):
+    def add(self, row, below=None):
         """Reduce a ``{col: value}`` row of ints, Fractions or QIs and keep it
         if it stays nonzero; ``row`` itself is left as it was.  A row with a
         column outside 0..ncols-1 raises DimensionMismatch (see
-        ``_check_columns`` for why checking the kept rows is enough).
+        ``_check_columns`` for why checking the kept rows is enough).  With
+        ``below``, a row is kept only when its residue leads in a column
+        below it, and one that is not leaves the basis as it was.
 
         Returns True iff the rank grew.
         """
         row, gaussian = self._reduced(row)
+        lead = min(row, default=None)
+        if below is not None and (lead is None or lead >= below):
+            return False
         if gaussian:
             self.gaussian = True
-        if not row:
+        if lead is None:
             return False
         _check_columns(row, self.ncols)
-        lead = min(row)
         gaussian = self.gaussian
         _make_primitive(row, lead, gaussian)
         # a unit row {j: 1} is zero at the new lead, so only wide rows take
@@ -527,15 +534,22 @@ def _integral_inverse(rows, n):
     """(inv, den) with inv the rows of den * M^{-1}, as {col: value} dicts of
     ints and Gaussian integers, and den a positive int, for the n x n matrix
     M of the ``rows`` (as ``reduce_rows`` takes them); None when M is
-    singular.
+    singular.  One reduction of the rows [M | I], read by ``_read_inverse``.
+    ``inverse`` divides by den, and the transport of a table to a new basis
+    (``liealg._transport``) keeps it."""
+    return _read_inverse(reduce_rows(({**_sparse_from(row, n), n + r: 1}
+                                      for r, row in enumerate(rows)), 2 * n), n)
 
-    One reduction of the rows [M | I]: when its pivots are 0..n-1, row r of
-    the reduced form is [p e_r | w] with w M = p e_r, so row r of M^{-1} is
-    w / p, and w conj(p) / |p|^2 when the lead p is Gaussian.  den is the
-    lcm of those denominators, p or |p|^2, so no division is left.  The
-    one inverse of the package: ``inverse`` divides by den, and the
-    transport of a table to a new basis (``liealg._transport``) keeps it."""
-    basis = reduce_rows(({**_sparse_from(row, n), n + r: 1} for r, row in enumerate(rows)), 2 * n)
+
+def _read_inverse(basis, n):
+    """(inv, den) of ``_integral_inverse``, read off ``basis``, the echelon
+    of the rows [m_r | e_r] of an n x n matrix M over 2n columns; None
+    unless its pivots are 0..n-1, which they are exactly when M is
+    invertible.  Then row r of the reduced form is [p e_r | w] with
+    w M = p e_r, so row r of M^{-1} is w / p, and w conj(p) / |p|^2 when the
+    lead p is Gaussian.  den is the lcm of those denominators, p or |p|^2,
+    so no division is left.  The one reader of an inverse in the package:
+    ``liealg._adapted_form`` reads the echelon that chose its basis."""
     if basis.pivot_cols() != list(range(n)):
         return None
     # per row, 1 / p as (numerator, denominator) with an int denominator

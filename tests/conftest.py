@@ -124,6 +124,24 @@ def structure_tables(draw, field=None):
     return StructureConstants(n, brackets, field)
 
 
+@st.composite
+def nilpotent_tables(draw, field=None):
+    """Random brackets of dimension 1-7 with [e_i, e_j] in the span of the
+    e_k, k > j, so nilpotent, of ints, or over Z[i] (drawn when ``field`` is
+    None) of Gaussian integers, some of them real.  Not all are Lie."""
+    n = draw(st.integers(1, 7))
+    field = field or draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    small = st.integers(-3, 3)
+    scalar = small if field == FIELD_Q else st.builds(QI, small, small)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n - 1):
+            row = draw(st.dictionaries(st.integers(j + 1, n - 1), scalar, max_size=2))
+            if row:
+                brackets[(i, j)] = row
+    return StructureConstants(n, brackets, field)
+
+
 def d1_by_brackets(mu):
     """d1 by its definition, through ``StructureConstants.bracket``; the
     independent oracle for ``d1_matrix``.  Column p*n+q is the 1-cochain
@@ -232,6 +250,34 @@ def dsnk_matrix(mu, k):
     with the mirrors of its rows put back (moderate n, k only)."""
     swaps = (0, 2) if k >= 3 else (0,)
     return _materialize(mu, k, iter_dsnk_rows(mu, k, scaled=False), swaps)
+
+
+def adapted_by_two_echelons(mu):
+    """``liealg._adapted_form`` as it was built with two echelons: the basis
+    chosen in one over n columns, layer by layer, and mu then written in it
+    by ``liealg._transport``, which reduces [B | I] in a second and reads
+    every bracket by a product.  The oracle of the one-echelon form."""
+    ops = n, table, right = liealg._read_operators(mu, scaled=True)
+    g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
+                     if table[i][j] is not None), n)
+    letters = [s for s in range(n) if g1.add({s: 1})]
+    kept = reduce_rows(({s: 1} for s in letters), n)
+    layer = [[int(i == s) for i in range(n)] for s in letters]
+    basis = list(layer)
+    while layer:
+        layer = [w for u in layer for s in letters
+                 if (w := liealg._brv(right, n, u, s)) is not None
+                 and kept.add({i: x for i, x in enumerate(w) if x})]
+        basis += layer
+    if len(basis) < n:
+        return None, None
+    form = liealg._transport(mu, basis, ops)
+    if form is None:
+        raise RuntimeError("the basis built from the generators is dependent")
+    nu = StructureConstants(n, form[0])
+    if sum(map(len, nu.c.values())) < sum(map(len, mu.c.values())):
+        return nu, liealg._Generators(range(len(letters)))
+    return None, liealg._Generators(letters)
 
 
 # -- matrix and subspace helpers that only the tests need ------------------------

@@ -1480,6 +1480,27 @@ def test_a_repeated_h2_knil_builds_the_adapted_table_once(catalog):
     assert liealg._adapted(seeded)[0] != seeded
 
 
+def test_a_memo_hit_h2_knil_looks_its_entry_up_once(catalog, monkeypatch):
+    # a table that keeps its basis and a seeded basis that adapts: a second
+    # h2_knil finds its adapted table, then its entry, in one lookup each
+    looked = []
+    entry = liealg._entry
+
+    def spy(mu):
+        looked.append(mu)
+        return entry(mu)
+
+    monkeypatch.setattr(liealg, "_entry", spy)
+    monkeypatch.setattr(cohomology, "_entry", spy)
+    g53 = catalog.structure("g_{5,3}")
+    seeded = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
+    for mu in (g53, seeded):
+        first = h2_knil(mu, 3)
+        looked.clear()
+        assert h2_knil(mu, 3) == first
+        assert looked == [liealg._adapted(mu)[0]]
+
+
 def test_im_d1_is_reduced_once_per_table_across_kinds_and_k(catalog, monkeypatch):
     images = _count_calls(monkeypatch, "_image")
     calls = _count_reductions(monkeypatch)

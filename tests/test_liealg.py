@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    adapted_by_two_echelons,
     center,
     contains_space,
     dense_rref,
     direct_sum,
+    nilpotent_tables,
     random_structure,
     seeded_bases,
     structure_tables,
@@ -21,7 +23,7 @@ from nilcohom.errors import (
     NotLieAlgebra,
     SingularMatrix,
 )
-from nilcohom import liealg
+from nilcohom import liealg, linalg
 from nilcohom.ideals import generic_chart
 from nilcohom.liealg import (
     StructureConstants,
@@ -545,14 +547,87 @@ def test_the_adapted_table_is_sparser_or_the_table_itself(catalog):
 
 
 def test_a_dependent_adapted_basis_is_a_fault(catalog, monkeypatch):
-    # the basis is independent by construction; the transport saying
-    # otherwise is a bug, not a refusal of the input
+    # the basis is independent by construction; the echelon that chose it
+    # reading as dependent is a bug, not a refusal of the input: pivots
+    # other than 0..n-1, or the shared inverse reader failing
     mu = change_basis(catalog.structure("g_{5,3}"), [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0],
                                                      [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
                                                      [0, 0, 0, 0, 1]])
-    monkeypatch.setattr(liealg, "_transport", lambda mu, vectors, ops: None)
-    with pytest.raises(RuntimeError, match="^the basis built from the generators is dependent$"):
-        _adapted(mu)
+    assert _adapted(mu)[0] != mu
+    faults = [(linalg.RowBasis, "pivot_cols", lambda self: sorted(self._rows)[1:] + [2 * mu.n]),
+              (liealg, "_read_inverse", lambda basis, n: None)]
+    for owner, name, fault in faults:
+        liealg._adapted_form.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault)
+            with pytest.raises(RuntimeError, match="^the basis built from the generators is dependent$"):
+                _adapted(mu)
+
+
+@st.composite
+def _moved_tables(draw, catalog):
+    """A drawn nilpotent or arbitrary table, or an algebra of ``catalog``,
+    as it is or, past dimension 1, moved by ``table_in_basis`` to the
+    columns of seeded transvections over Z or Z[i]."""
+    names = [name for name, _ in NILPOTENT_CATALOG]
+    mu = draw(st.one_of(nilpotent_tables(), structure_tables(),
+                        st.sampled_from(names).map(catalog.structure)))
+    move = draw(st.sampled_from((None, (1, -1, 2), (QI(0, 1), QI(1, 1), QI(0, -1)))))
+    if move is not None and mu.n > 1:
+        g = _transvections(mu.n, random.Random(draw(st.integers(0, 2 ** 16))), move)
+        mu = table_in_basis(mu, [[g[r][c] for r in range(mu.n)] for c in range(mu.n)])
+    return mu
+
+
+def _form_typed(form):
+    """An ``_adapted_form`` value with the table's field, its values with
+    their types, the order of its pairs, and the letters with their type."""
+    nu, letters = form
+    return (None if nu is None else (_typed(nu), list(nu.c)), letters, type(letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_one_echelon_adapted_form_is_the_two_echelon_one(catalog, data):
+    # the basis chosen and inverted in one echelon gives the table and the
+    # letters that choosing it in one and inverting it in another gave
+    mu = data.draw(_moved_tables(catalog))
+    assert _form_typed(liealg._adapted_form.__wrapped__(mu)) == _form_typed(adapted_by_two_echelons(mu))
+
+
+def test_an_adapted_form_miss_reduces_one_augmented_echelon(catalog, monkeypatch):
+    # a seeded 7-dimensional table: g^1, then one echelon of [b | e_t] that
+    # chooses the basis and is read for its inverse; the n - |S| brackets
+    # that made a basis vector are written without a product
+    mu = seeded_bases(catalog.structure("g_{137A}"), random.Random(45), 2)[1]
+    reduced, inverted, products, written = [], [], [], []
+    reduce, brvv, write = liealg.reduce_rows, liealg._brvv, liealg._written
+
+    def spy_reduce(rows, ncols):
+        reduced.append(ncols)
+        return reduce(rows, ncols)
+
+    def spy_brvv(right, n, x, y):
+        products.append((tuple(x), tuple(y)))
+        return brvv(right, n, x, y)
+
+    def spy_write(right, n, basis, form, known=None):
+        written.append((right, basis, known))
+        return write(right, n, basis, form, known)
+
+    monkeypatch.setattr(liealg, "reduce_rows", spy_reduce)
+    monkeypatch.setattr(liealg, "_integral_inverse", lambda *args: inverted.append(args))
+    monkeypatch.setattr(liealg, "_brvv", spy_brvv)
+    monkeypatch.setattr(liealg, "_written", spy_write)
+    nu, letters = _adapted(mu)
+    assert nu != mu and reduced == [7, 14] and inverted == []
+    [(right, basis, known)] = written
+    assert len(known) == 7 - len(letters) > 0
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    assert products == [(tuple(basis[i]), tuple(basis[j])) for i, j in pairs if (i, j) not in known]
+    for (i, j), row in known.items():
+        [(t, _)] = row.items()
+        assert brvv(right, 7, basis[i], basis[j]) in (basis[t], [-x for x in basis[t]])
 
 
 def test_table_in_basis_matches_manual_relabeling(catalog):
