@@ -249,14 +249,14 @@ class RowBasis:
         Returns True iff the rank grew.
         """
         row, gaussian = self._reduced(row)
-        lead = min(row, default=None)
-        if below is not None and (lead is None or lead >= below):
+        if below is not None and (not row or min(row) >= below):
             return False
         if gaussian:
             self.gaussian = True
-        if lead is None:
+        if not row:
             return False
         _check_columns(row, self.ncols)
+        lead = min(row)
         gaussian = self.gaussian
         _make_primitive(row, lead, gaussian)
         # a unit row {j: 1} is zero at the new lead, so only wide rows take
