@@ -774,12 +774,11 @@ def _square(m, n, field):
     return m
 
 
-def _transport(mu, vectors, ops=None):
+def _transport(mu, vectors):
     """(brackets, scale): the brackets of mu in the basis ``vectors`` (n dense
     vectors of ints, Fractions or QIs), each times the positive int
     ``scale``, as {(i, j): {k: value}} of ints and Gaussian integers; None
     when the vectors are dependent.  The transport of ``table_in_basis``.
-    ``ops`` are mu's scaled operators, ``_letter_operators`` when not given.
 
     Fraction-free.  The vectors are cleared of denominators by one factor
     D, into b_0..b_{n-1}, the rows [b_j | e_j] are reduced once
@@ -787,7 +786,7 @@ def _transport(mu, vectors, ops=None):
     operators (s mu, ints) in the basis b, den times.  In the basis b mu is
     D times its table in the basis ``vectors``, so scale = den * s * D.
     """
-    n, _, right = ops or _letter_operators(mu, scaled=True)
+    n, _, right = _letter_operators(mu, scaled=True)
     flat = [x for v in vectors for x in v]
     cleared = int_cleared(flat)
     basis = [cleared[t * n:(t + 1) * n] for t in range(n)]
@@ -795,10 +794,10 @@ def _transport(mu, vectors, ops=None):
     if form is None:
         return None
     s = _denominator(v for row in mu.c.values() for v in row.values())
-    return _written(right, n, basis, form), form[1] * s * _denominator(flat)
+    return _written(right, n, basis, form, {}), form[1] * s * _denominator(flat)
 
 
-def _written(right, n, basis, form, known=None):
+def _written(right, n, basis, form, known):
     """The brackets of the scaled operators ``right`` in ``basis``, n
     independent dense vectors b_0..b_{n-1} of ints and Gaussian integers,
     each times den, as {(i, j): {k: value}} over i < j, zeros dropped.  The
@@ -812,7 +811,6 @@ def _written(right, n, basis, form, known=None):
     summing those rows; a pair in ``known`` is written as the row it maps
     to, with no product."""
     coords = form[0]
-    known = known or {}
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):

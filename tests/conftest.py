@@ -257,7 +257,7 @@ def adapted_by_two_echelons(mu):
     chosen in one over n columns, layer by layer, and mu then written in it
     by ``liealg._transport``, which reduces [B | I] in a second and reads
     every bracket by a product.  The oracle of the one-echelon form."""
-    ops = n, table, right = liealg._read_operators(mu, scaled=True)
+    n, table, right = liealg._read_operators(mu, scaled=True)
     g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
                      if table[i][j] is not None), n)
     letters = [s for s in range(n) if g1.add({s: 1})]
@@ -271,7 +271,7 @@ def adapted_by_two_echelons(mu):
         basis += layer
     if len(basis) < n:
         return None, None
-    form = liealg._transport(mu, basis, ops)
+    form = liealg._transport(mu, basis)
     if form is None:
         raise RuntimeError("the basis built from the generators is dependent")
     nu = StructureConstants(n, form[0])

@@ -611,7 +611,7 @@ def test_an_adapted_form_miss_reduces_one_augmented_echelon(catalog, monkeypatch
         products.append((tuple(x), tuple(y)))
         return brvv(right, n, x, y)
 
-    def spy_write(right, n, basis, form, known=None):
+    def spy_write(right, n, basis, form, known):
         written.append((right, basis, known))
         return write(right, n, basis, form, known)
 
