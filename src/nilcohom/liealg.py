@@ -882,6 +882,11 @@ def _adapted_form(mu):
     with None for a table that keeps its basis, so that a hit on an equal
     table hands back no other object.  It makes no entry for mu.
 
+    The letters come from one echelon of the brackets mu(e_i, e_j) with
+    their columns reversed (c -> n - 1 - c).  e_s is a letter when it is not
+    in g^1 + span(e_0..e_{s-1}), that is when no vector of g^1 has its last
+    nonzero entry at s, that is when n - 1 - s is no pivot of that echelon.
+
     One echelon over 2n columns both chooses the basis and inverts it.
     Each vector offered, a letter e_s or a bracket w = mu(b_a, e_s), enters
     it once, as the row [w | e_t] with t the number of vectors kept so far,
@@ -897,9 +902,9 @@ def _adapted_form(mu):
     structure constants than mu.
     """
     n, table, right = _read_operators(mu, scaled=True)
-    g1 = reduce_rows((table[i][j] for i in range(n) for j in range(i + 1, n)
+    g1 = reduce_rows((table[i][j][::-1] for i in range(n) for j in range(i + 1, n)
                      if table[i][j] is not None), n)
-    letters = [s for s in range(n) if g1.add({s: 1})]
+    letters = sorted(set(range(n)).difference(n - 1 - c for c in g1.pivot_cols()))
     echelon = reduce_rows(({s: 1, n + t: 1} for t, s in enumerate(letters)), 2 * n)
     basis = [_unit(n, s) for s in letters]
     made = {}  # (a, i) -> t, for b_t = mu(b_a, e_s), s the i-th letter
