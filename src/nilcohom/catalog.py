@@ -15,31 +15,40 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ExternalDataRequired, TableError, UnknownAlgebra
 from .jsonio import pack_checksum, read_json, record_fields
-from .liealg import StructureConstants, table_in_basis
+from .liealg import StructureConstants, _ReadOnly, table_in_basis
 from .scalars import FIELD_Q, FIELD_QI, is_nonreal
 from .tables import parse_symbolic, parse_tpoly, parse_vector
 
 DATA_PACK_ENV = "NILCOHOM_DATA_PACK"
 
 
-@dataclass(frozen=True)
-class AlgebraRecord:
-    name: str
-    dim: int
-    table: str | StructureConstants  # a ``brackets`` record or a table-text file is held parsed
-    params: tuple = ()
-    aliases: tuple = ()
-    field: str = FIELD_Q
-    provenance: str = "printed"  # printed | external-pack
-    notes: str = ""
-    cochains: dict = dc_field(default_factory=dict)
-    default_samples: tuple = ()  # tuples of parameter assignments
+class _NoEntries(_ReadOnly):
+    """The one empty mapping that record fields default to: it refuses
+    writes, so no record can write into another's."""
+
+    __slots__ = ()
+    _what = "a record's default mapping"
+
+
+_NO_ENTRIES = _NoEntries()
+
+
+class AlgebraRecord(namedtuple("AlgebraRecord", "name dim table params aliases field provenance"
+                                                " notes cochains default_samples",
+                               defaults=((), (), FIELD_Q, "printed", "", _NO_ENTRIES, ()))):
+    """A catalog entry.  ``table`` is table text, or a StructureConstants
+    when a ``brackets`` record or a table-text file is held parsed;
+    ``provenance`` is "printed" or "external-pack"; ``cochains`` maps a
+    name to table text; ``default_samples`` holds tuples of parameter
+    assignments."""
+
+    __slots__ = ()
 
     def symbolic(self):
         if isinstance(self.table, StructureConstants):
@@ -238,18 +247,14 @@ _EXTERNAL = {
 }
 
 
-@dataclass(frozen=True)
-class IsomorphismWitness:
-    """Change of basis carrying one bracket's table onto another's."""
+class IsomorphismWitness(namedtuple("IsomorphismWitness",
+                                    "id source basis target param fixed validity samples",
+                                    defaults=(None, _NO_ENTRIES, "", ()))):
+    """Change of basis carrying one bracket's table onto another's.  ``param``
+    is the symbol that ``source``, ``basis`` and ``target`` range over, or
+    None; ``fixed`` holds the pinned parameter values."""
 
-    id: str
-    source: str
-    basis: tuple
-    target: str
-    param: str | None = None  # symbol ranged over by source/basis/target
-    fixed: dict = dc_field(default_factory=dict)  # pinned parameter values
-    validity: str = ""
-    samples: tuple = ()
+    __slots__ = ()
 
 
 _WITNESSES = [

@@ -109,7 +109,7 @@ time, not by enumerating the words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
@@ -429,17 +429,11 @@ def d2_matrix(mu) -> ExactMatrix:
 # -- cohomology reports ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    """z = dim(Ker d2 ^ Ker dN_k), b = dim Im d1, h = z - b."""
+class CohomologyReport(namedtuple("CohomologyReport", "algebra n k z b h rigid_certificate")):
+    """z = dim(Ker d2 ^ Ker dN_k), b = dim Im d1, h = z - b; ``algebra`` is
+    the table's name or None, and ``k`` is None for the plain H^2."""
 
-    algebra: str | None
-    n: int
-    k: int | None
-    z: int
-    b: int
-    h: int
-    rigid_certificate: bool
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -588,21 +582,13 @@ def derivation_dim(mu) -> int:
 # -- augmented exactness for parametric families -------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    """Is the image of the augmented tangent map exactly Ker dG?"""
+class ExactnessReport(namedtuple("ExactnessReport",
+                                 "family point free_params constraint domain_dim middle_dim"
+                                 " codomain_dim rank_df ker_dg_dim containment exact")):
+    """Is the image of the augmented tangent map exactly Ker dG?  ``family``
+    is the name or None, ``point`` the sorted (symbol, value) pairs."""
 
-    family: str | None
-    point: tuple
-    free_params: tuple
-    constraint: str
-    domain_dim: int
-    middle_dim: int
-    codomain_dim: int
-    rank_df: int
-    ker_dg_dim: int
-    containment: bool
-    exact: bool
+    __slots__ = ()
 
     def to_dict(self):
         return {

@@ -34,7 +34,7 @@ terms themselves, in grevlex with the variables in sorted order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, or_, sub
@@ -108,14 +108,10 @@ def generators(n, k, kind):
     )
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(namedtuple("IdealPresentation", "n k jacobi_gens word_gens")):
     """Tagged generating set of the ideal cut out by J and N_k."""
 
-    n: int
-    k: int
-    jacobi_gens: tuple
-    word_gens: tuple
+    __slots__ = ()
 
     @property
     def gens(self):
@@ -136,11 +132,11 @@ def substitute(f: MultiPoly, assignment) -> MultiPoly:
 # -- bounded-degree membership by exact linear algebra ------------------------------
 
 
-@dataclass
-class MembershipCertificate:
-    target: MultiPoly
-    multipliers: list
-    bound: int
+class MembershipCertificate(namedtuple("MembershipCertificate", "target multipliers bound")):
+    """sum m_j * g_j = ``target``, with one MultiPoly m_j in ``multipliers``
+    per generator g_j and deg(m_j g_j) <= ``bound``."""
+
+    __slots__ = ()
 
     def verify(self, gens) -> bool:
         """True iff sum m_j * g_j is exactly the target: every term product

@@ -12,7 +12,7 @@ raises any other error fails with that error as its computed text.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -48,25 +48,32 @@ from .tables import parse_tpoly
 _F = Fraction
 
 
-@dataclass
-class ItemResult:
-    name: str
-    source: str
-    expected: str
-    computed: str
-    status: str  # pass | fail | skip
-    seconds: float
+class ItemResult(namedtuple("ItemResult", "name source expected computed status seconds")):
+    """One item's outcome; ``status`` is "pass", "fail" or "skip"."""
+
+    __slots__ = ()
 
     def to_dict(self):
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
+        return {**self._asdict(), "seconds": round(self.seconds, 3)}
 
 
-@dataclass
 class ReproductionReport:
-    suite: str
-    items: list = dc_field(default_factory=list)
-    pack: str | None = None
-    pack_checksum: str | None = None
+    """A suite's ItemResults, which ``_run_items`` appends one at a time,
+    and the data pack, if any, that it ran with."""
+
+    __slots__ = ("suite", "items", "pack", "pack_checksum")
+
+    def __init__(self, suite, items=None, pack=None, pack_checksum=None):
+        self.suite, self.pack, self.pack_checksum = suite, pack, pack_checksum
+        self.items = [] if items is None else items
+
+    def __repr__(self):
+        return (f"ReproductionReport(suite={self.suite!r}, items={self.items!r},"
+                f" pack={self.pack!r}, pack_checksum={self.pack_checksum!r})")
+
+    def __eq__(self, other):
+        return type(other) is ReproductionReport and all(
+            getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     @property
     def passed(self):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 from conftest import algebra_to_dict
 import nilcohom
 from nilcohom import liealg, reproduce
-from nilcohom.catalog import Catalog
+from nilcohom.catalog import Catalog, IsomorphismWitness
 from nilcohom.cli import main
-from nilcohom.cohomology import h2_knil
+from nilcohom.cohomology import ExactnessReport, h2_knil
 from nilcohom.errors import ResourceCapExceeded
+from nilcohom.ideals import member_bounded, nilpotency_ideal
 from nilcohom.liealg import StructureConstants, n_k, sn_k
+from nilcohom.polynomials import MultiPoly
 from nilcohom.tables import parse_table
 
 
@@ -397,6 +400,93 @@ def test_reproduce_json_does_not_depend_on_the_hash_seed(seed):
     for item in report["items"]:
         item.pop("seconds")
     assert report == json.loads((Path(__file__).parent / "data" / "reproduce_all.json").read_text())
+
+
+def test_the_cli_imports_no_dataclass_machinery():
+    # the records are named tuples, so a fresh CLI process loads neither
+    # dataclasses nor the inspect it pulls in, and generates no code
+    src = str(Path(nilcohom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, nilcohom.cli;"
+                                     " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_ITEM = ("h2", "Table 1", "2", "2", "pass", 0.12345)
+_ITEM_TEXT = ("ItemResult(name='h2', source='Table 1', expected='2', computed='2',"
+              " status='pass', seconds=0.12345)")
+_ITEM_DICT = {"name": "h2", "source": "Table 1", "expected": "2", "computed": "2",
+              "status": "pass", "seconds": 0.123}
+_RECORDS = {
+    # class: (a maker of one instance, its repr, its to_dict or None, a field to assign)
+    "AlgebraRecord": (
+        lambda catalog: catalog.get("f_3"),
+        "AlgebraRecord(name='f_3', dim=3, table='ab = c', params=(), aliases=(), field='Q',"
+        " provenance='printed', notes='standard filiform; Heisenberg h_1', cochains={},"
+        " default_samples=())",
+        None, "name"),
+    "IsomorphismWitness": (
+        lambda catalog: IsomorphismWitness("w", "ab = c", ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
+                                           "ab = c"),
+        "IsomorphismWitness(id='w', source='ab = c', basis=((0, 1, 0), (1, 0, 0), (0, 0, -1)),"
+        " target='ab = c', param=None, fixed={}, validity='', samples=())",
+        None, "fixed"),
+    "CohomologyReport": (
+        lambda catalog: h2_knil(catalog.structure("g_{5,3}"), 3),
+        "CohomologyReport(algebra='g_{5,3}', n=5, k=3, z=17, b=15, h=2, rigid_certificate=False)",
+        {"algebra": "g_{5,3}", "k": 3, "z": 17, "b": 15, "h": 2, "rigid_certificate": False,
+         "orbit_dim": 15},
+        "h"),
+    "ExactnessReport": (
+        lambda catalog: ExactnessReport("g_5(r,t)", (("r", Fraction(1)), ("t", Fraction(-1, 2))),
+                                        ("r", "t"), "sn5", 12, 34, 56, 7, 7, True, False),
+        "ExactnessReport(family='g_5(r,t)', point=(('r', Fraction(1, 1)), ('t', Fraction(-1, 2))),"
+        " free_params=('r', 't'), constraint='sn5', domain_dim=12, middle_dim=34,"
+        " codomain_dim=56, rank_df=7, ker_dg_dim=7, containment=True, exact=False)",
+        {"family": "g_5(r,t)", "point": {"r": "1", "t": "-1/2"}, "free_params": ["r", "t"],
+         "constraint": "sn5", "dims": [12, 34, 56], "rank_dF": 7, "ker_dG_dim": 7,
+         "containment": True, "exact": False},
+        "exact"),
+    "IdealPresentation": (
+        lambda catalog: nilpotency_ideal(3, 1),
+        "IdealPresentation(n=3, k=1, jacobi_gens=(), word_gens=(MultiPoly(t_{1,2,3}),))",
+        None, "k"),
+    "MembershipCertificate": (
+        lambda catalog: member_bounded(MultiPoly.var("x") * MultiPoly.var("y"),
+                                       [MultiPoly.var("x"), MultiPoly.var("y")], 2),
+        "MembershipCertificate(target=MultiPoly(x*y), multipliers=[MultiPoly(y), MultiPoly(0)],"
+        " bound=2)",
+        None, "bound"),
+    "ItemResult": (lambda catalog: reproduce.ItemResult(*_ITEM), _ITEM_TEXT, _ITEM_DICT, "status"),
+    # the one record that is built a piece at a time: its slots take no
+    # other name
+    "ReproductionReport": (
+        lambda catalog: reproduce.ReproductionReport("demo", [reproduce.ItemResult(*_ITEM)]),
+        f"ReproductionReport(suite='demo', items=[{_ITEM_TEXT}], pack=None, pack_checksum=None)",
+        {"suite": "demo", "pack": None, "pack_checksum": None,
+         "counts": {"pass": 1, "fail": 0, "skip": 0}, "pass": True, "items": [_ITEM_DICT]},
+        "seconds"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_a_record_prints_and_reads_as_before(catalog, name):
+    make, text, as_dict, assigned = _RECORDS[name]
+    rec = make(catalog)
+    assert type(rec).__name__ == name and repr(rec) == text
+    if as_dict is not None:
+        assert rec.to_dict() == as_dict
+    with pytest.raises(AttributeError):
+        setattr(rec, assigned, None)
+    for mapping in ("cochains", "fixed"):
+        if hasattr(rec, mapping):
+            with pytest.raises(TypeError, match="read-only"):
+                getattr(rec, mapping)["s"] = "ab = c"
+            # the write reached no record: the shared default is still empty
+            assert getattr(rec, mapping) == type(rec)._field_defaults[mapping] == {}
 
 
 def test_reproduce_json_deterministic_modulo_timing(tmp_path, capsys):
