@@ -404,7 +404,7 @@ def test_reproduce_json_does_not_depend_on_the_hash_seed(seed):
 
 def test_the_cli_imports_no_dataclass_machinery():
     # the records are named tuples, so a fresh CLI process loads neither
-    # dataclasses nor the inspect it pulls in, and generates no code
+    # dataclasses nor the inspect it pulls in
     src = str(Path(nilcohom.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, nilcohom.cli;"
