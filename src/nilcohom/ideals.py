@@ -18,7 +18,10 @@ them one by one, and with three letters or fewer left reads exactly those
 that reach the weight from a table of pair sums or steps, built once per
 search shape, or from a memo of triple sums filled as the searches meet
 them; when f or any generator has no torus weight it runs, for every
-generator, with weights of no coordinates, which filter nothing.
+generator, with weights of no coordinates, which filter nothing.  What
+the generators alone decide (their variables, degrees and torus weights)
+is worked out once per generator list and kept, by content, for the last
+four lists (``_presentation``); a call works out only f's.
 The system goes to ``linalg.solve`` as one sparse augmented row per
 monomial, and the answer is read off its reduced row echelon form.  Within
 one call a monomial is one int, the exponents in fixed bit fields, so a
@@ -150,20 +153,40 @@ class MembershipCertificate(namedtuple("MembershipCertificate", "target multipli
         return {mono: c for mono, c in acc.items() if c} == self.target.terms
 
 
-def _multiweight(poly, pos):
-    """Torus weight of a multihomogeneous chart polynomial, as a vector with
-    the weight of e_p at ``pos[p]``, or None."""
-    weights = set()
-    for mono in poly.terms:
-        acc = [0] * len(pos)
-        for (i, j, k), e in mono:
-            acc[pos[i]] += e
-            acc[pos[j]] += e
-            acc[pos[k]] -= e
-        weights.add(tuple(acc))
-        if len(weights) > 1:
-            return None
-    return weights.pop() if weights else (0,) * len(pos)
+def _index_weight(mono, at):
+    """Torus weight of a chart monomial, t_{i,j,k} of weight e_i + e_j - e_k,
+    as a vector with the weight of e_p at ``at[p]``."""
+    acc = [0] * len(at)
+    for (i, j, k), e in mono:
+        acc[at[i]] += e
+        acc[at[j]] += e
+        acc[at[k]] -= e
+    return tuple(acc)
+
+
+def _weight(poly):
+    """Torus weight of a polynomial as {p: weight of e_p} over the indices p
+    of its variables, or None when a variable is no index triple or two
+    terms differ in weight."""
+    names = poly.variables()
+    if not all(isinstance(v, tuple) for v in names):
+        return None
+    at = {p: r for r, p in enumerate(sorted({p for v in names for p in v}))}
+    weights = {_index_weight(mono, at) for mono in poly.terms}
+    return dict(zip(at, next(iter(weights), ()))) if len(weights) < 2 else None
+
+
+@lru_cache(maxsize=4)
+def _presentation(gens):
+    """What the generator tuple ``gens`` alone decides for the search: the
+    set of their variables, (j, deg g_j) for each nonzero g_j, and the
+    ``_weight`` of each of those.  Keyed by content (MultiPoly hashes as
+    ``==``), so an equal list in new objects hits and an edited generator
+    misses; it holds no column and charges no Budget, so no answer,
+    certificate or cap depends on the calls made before."""
+    live = tuple((j, g.degree()) for j, g in enumerate(gens) if not g.is_zero())
+    names = frozenset().union(*(g.variables() for g in gens))
+    return names, live, tuple(_weight(gens[j]) for j, _ in live)
 
 
 # Above this many multiplier columns, counted as the search finds them,
@@ -256,10 +279,13 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
     Steps of no coordinates (``reach`` 0, ``rem`` empty) filter nothing.
     The search runs depth first on a stack of pending prefixes
     ``(start, code, rem, left)``: each pass pops one and pushes its children
-    highest index first, so that they are visited in ascending order.
+    highest index first, so that they are visited in ascending order; a
+    prefix with two letters left walks its children and their leaves in
+    place, in that order, with no push.
     Each monomial found is charged to the Budget ``columns`` and each prefix
-    visited to the Budget ``nodes``, which raise ResourceCapExceeded past
-    their limits; every letter costs a visit, so ``nodes`` bounds d too.
+    visited to the Budget ``nodes``, a leaf as a visit and then a find, as
+    the stack met them, which raise ResourceCapExceeded past their limits;
+    every letter costs a visit, so ``nodes`` bounds d too.
     """
     reach, off, below, exact, pair, triple, far = masks
     full = (1 << len(units)) - 1
@@ -278,7 +304,20 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
         if left == 1:
             sel &= exact.get(rem, 0)
         elif left == 2:
+            # each child i and then its leaves j >= i in place, charged in the
+            # order the stack would visit them: a child's rest is a step
             sel &= pair.get(rem, 0)
+            while sel:
+                i = (sel & -sel).bit_length() - 1
+                sel &= sel - 1
+                visit()
+                head, leaves = code + units[i], exact[tuple(map(sub, rem, steps[i]))] >> i << i
+                while leaves:
+                    visit()
+                    find()
+                    out.append(head + units[(leaves & -leaves).bit_length() - 1])
+                    leaves &= leaves - 1
+            continue
         elif left == 3 and rem in triple:
             sel &= triple[rem]
         elif left == 3 and sum(map(abs, rem)) > far:
@@ -322,27 +361,30 @@ def _multiplier_columns(f, gens, bound):
     one of prefixes for the whole call: when f and every nonzero g_j have a
     torus weight, those of weight w(f) - w(g_j); otherwise, with steps of no
     coordinates that filter nothing, all of each admissible degree.
+    The variables, degrees and weights of ``gens`` come from
+    ``_presentation``, kept for the last four generator lists by content;
+    each call reads f's, sorts the universe and writes each weight, and the
+    step e_i + e_j - e_k of each variable t_{i,j,k}, densely over the
+    indices of the universe.
     """
-    universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
+    names, live, weights = _presentation(tuple(gens))
     # a multiplier variable absent from f and every generator could be set to
     # 0 in any certificate, so this universe is enough
-    live = [(j, g, g.degree()) for j, g in enumerate(gens) if not g.is_zero()]
-    weights = [None]
-    if all(isinstance(v, tuple) for v in universe):
-        pos = {p: i for i, p in enumerate(sorted({p for v in universe for p in v}))}
-        weights = [_multiweight(p, pos) for p in [f] + [g for _, g, _ in live]]
+    universe = sorted(names.union(f.variables()))
+    wf = _weight(f)
     # a weight fixes the degree, as a chart variable's has coordinate sum 1
-    homog = None not in weights
+    homog = wf is not None and None not in weights
     if homog:
-        steps = tuple(_multiweight(MultiPoly.var(v), pos) for v in universe)
-        rems = [list(map(sub, weights[0], wg)) for wg in weights[1:]]
+        pos = {p: r for r, p in enumerate(sorted({p for v in universe for p in v}))}
+        steps = tuple(_index_weight(((v, 1),), pos) for v in universe)
+        rems = [[wf.get(p, 0) - wg.get(p, 0) for p in pos] for wg in weights]
     else:  # weights on only some polynomials would drop certificates
         homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
         steps, rems = ((),) * len(universe), [[]] * len(live)
 
     df = f.degree()
     top = df if homog else bound
-    depth = max([0] + [top - dg for _, _, dg in live])
+    depth = max([0] + [top - dg for _, dg in live])
     masks = (_search_masks if depth <= _MAX_DEGREE else _search_masks.__wrapped__)(steps, depth)
     budgets = (
         Budget(MAX_UNWEIGHTED_COLUMNS,
@@ -355,7 +397,7 @@ def _multiplier_columns(f, gens, bound):
     width = bound.bit_length()
     units = [1 << r * width for r in range(len(universe))]
     columns = []
-    for (j, g, dg), rem in zip(live, rems):
+    for (j, dg), rem in zip(live, rems):
         degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
         for d in degs:
             codes = _weighted_monomials(units, steps, masks, rem, d, *budgets)

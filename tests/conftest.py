@@ -1,18 +1,23 @@
 import hashlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain
+from operator import sub
 
 import pytest
 from hypothesis import strategies as st
 
-from nilcohom import cohomology, liealg
+from nilcohom import cohomology, ideals, liealg
 from nilcohom.catalog import Catalog
 from nilcohom.cohomology import iter_dnk_rows, iter_dsnk_rows
-from nilcohom.errors import DimensionMismatch, TableError
+from nilcohom.errors import Budget, DimensionMismatch, ResourceCapExceeded, TableError
 from nilcohom.liealg import Layout, StructureConstants, change_basis
 from nilcohom.linalg import ExactMatrix, reduce_rows
+from nilcohom.polynomials import MultiPoly
 from nilcohom.scalars import FIELD_Q, FIELD_QI, QI, format_scalar, join_fields, promote
+from nilcohom.tables import _MAX_DEGREE
 
 
 @pytest.fixture(scope="session")
@@ -278,6 +283,108 @@ def adapted_by_two_echelons(mu):
     if sum(map(len, nu.c.values())) < sum(map(len, mu.c.values())):
         return nu, liealg._Generators(range(len(letters)))
     return None, liealg._Generators(letters)
+
+
+def in_eight_threads(work):
+    """work(i) for i = 0..7, each in its own thread, the thread switches
+    coming every microsecond."""
+    interval = sys.getswitchinterval()
+    pool = ThreadPoolExecutor(8)
+    sys.setswitchinterval(1e-6)
+    try:
+        futures = [pool.submit(work, i) for i in range(8)]
+        return [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+# -- the membership search's inputs, worked out on every call ------------------
+
+
+def _multiweight(poly, pos):
+    """Torus weight of a multihomogeneous chart polynomial, as a vector with
+    the weight of e_p at ``pos[p]``, or None."""
+    weights = set()
+    for mono in poly.terms:
+        acc = [0] * len(pos)
+        for (i, j, k), e in mono:
+            acc[pos[i]] += e
+            acc[pos[j]] += e
+            acc[pos[k]] -= e
+        weights.add(tuple(acc))
+        if len(weights) > 1:
+            return None
+    return weights.pop() if weights else (0,) * len(pos)
+
+
+def multiplier_columns_by_call(f, gens, bound):
+    """``ideals._multiplier_columns`` with nothing kept between calls: the
+    universe, each generator's degree and torus weight, and each variable's
+    step, as the weight of ``MultiPoly.var(v)``, worked out afresh from f and
+    ``gens``; the search is ``ideals._weighted_monomials``.  Returns
+    (universe, columns, columns spent, prefixes spent), or the message of
+    the cap it ran into in place of (universe, columns).  The oracle of
+    ``ideals._presentation``."""
+    universe = sorted(set().union(f.variables(), *(g.variables() for g in gens)))
+    live = [(j, g, g.degree()) for j, g in enumerate(gens) if not g.is_zero()]
+    weights = [None]
+    if all(isinstance(v, tuple) for v in universe):
+        pos = {p: i for i, p in enumerate(sorted({p for v in universe for p in v}))}
+        weights = [_multiweight(p, pos) for p in [f] + [g for _, g, _ in live]]
+    homog = None not in weights
+    if homog:
+        steps = tuple(_multiweight(MultiPoly.var(v), pos) for v in universe)
+        rems = [list(map(sub, weights[0], wg)) for wg in weights[1:]]
+    else:
+        homog = f.is_homogeneous() and all(g.is_homogeneous() for g in gens)
+        steps, rems = ((),) * len(universe), [[]] * len(live)
+    df = f.degree()
+    top = df if homog else bound
+    depth = max([0] + [top - dg for _, _, dg in live])
+    masks = (ideals._search_masks if depth <= _MAX_DEGREE
+             else ideals._search_masks.__wrapped__)(steps, depth)
+    found = Budget(ideals.MAX_UNWEIGHTED_COLUMNS,
+                   f"membership system needs more than {ideals.MAX_UNWEIGHTED_COLUMNS}"
+                   f" multiplier columns, over the cap {ideals.MAX_UNWEIGHTED_COLUMNS}")
+    nodes = Budget(ideals.MAX_WEIGHTED_NODES,
+                   f"membership search visits more than {ideals.MAX_WEIGHTED_NODES}"
+                   " multiplier monomial prefixes, over the cap")
+    width = bound.bit_length()
+    units = [1 << r * width for r in range(len(universe))]
+    columns = []
+    try:
+        for (j, g, dg), rem in zip(live, rems):
+            degs = ([df - dg] if df >= dg else []) if homog else range(bound - dg + 1)
+            for d in degs:
+                codes = ideals._weighted_monomials(units, steps, masks, rem, d, found, nodes)
+                columns.extend((j, code) for code in codes)
+    except ResourceCapExceeded as exc:
+        return str(exc), found.spent, nodes.spent
+    return universe, columns, found.spent, nodes.spent
+
+
+def multiplier_columns_spent(f, gens, bound):
+    """``ideals._multiplier_columns(f, gens, bound)`` in the form of
+    ``multiplier_columns_by_call``, the counts read off the two Budgets the
+    call makes."""
+    made = []
+
+    class Counted(Budget):
+        __slots__ = ()
+
+        def __init__(self, limit, message):
+            super().__init__(limit, message)
+            made.append(self)
+
+    kept, ideals.Budget = ideals.Budget, Counted
+    try:
+        out = ideals._multiplier_columns(f, gens, bound)
+    except ResourceCapExceeded as exc:
+        out = (str(exc),)
+    finally:
+        ideals.Budget = kept
+    return (*out, *(b.spent for b in made))
 
 
 # -- matrix and subspace helpers that only the tests need ------------------------

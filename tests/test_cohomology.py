@@ -1,8 +1,6 @@
 import gc
 import random
-import sys
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -17,6 +15,7 @@ from conftest import (
     dj_matrix,
     dnk_matrix,
     dsnk_matrix,
+    in_eight_threads,
     kernel_basis,
     mat_vec,
     matmul,
@@ -2103,20 +2102,6 @@ def test_the_kept_image_and_closure_answer_as_one_reduction(point):
         assert reds[0] is reds[1] and liealg._entry.cache_info().misses == 1
 
 
-def _in_eight_threads(work):
-    """work(i) for i = 0..7, each in its own thread, the thread switches
-    coming every microsecond."""
-    interval = sys.getswitchinterval()
-    pool = ThreadPoolExecutor(8)
-    sys.setswitchinterval(1e-6)
-    try:
-        futures = [pool.submit(work, i) for i in range(8)]
-        return [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def test_threads_get_the_single_threaded_answers():
     # eight threads share the memo of 24 stacks (h2_dim and h2_knil at twelve
     # tables, so every thread keeps evicting the others' stacks) and the
@@ -2132,7 +2117,7 @@ def test_threads_get_the_single_threaded_answers():
                 [member_bounded(f, gens, 4).multipliers for f in targets])
 
     expected = work(0)
-    assert _in_eight_threads(work) == [expected] * 8
+    assert in_eight_threads(work) == [expected] * 8
 
 
 def test_threads_share_the_containment_answers_of_the_curve_points(catalog, monkeypatch):
@@ -2168,7 +2153,7 @@ def test_threads_share_the_containment_answers_of_the_curve_points(catalog, monk
     expected = work(0)
     assert all(rep.exact for rep in expected if hasattr(rep, "exact"))
     before = len(images)
-    assert _in_eight_threads(work) == [expected] * 8
+    assert in_eight_threads(work) == [expected] * 8
     assert len(images) > before >= 12
     assert all((image.sparse_rows(), image.gaussian) == (rows, gaussian)
                for image, rows, gaussian in images.values())
@@ -2193,7 +2178,7 @@ def test_threads_share_the_kept_families_and_tangents_of_ten_points(catalog):
 
     expected = work(0)
     assert sorted(rep.exact for rep in expected) == [False] * 4 + [True] * 36
-    assert _in_eight_threads(work) == [expected] * 8
+    assert in_eight_threads(work) == [expected] * 8
     assert cohomology._at.cache_info().currsize == 8
 
 
@@ -2218,5 +2203,5 @@ def test_threads_fill_the_lazy_parts_of_three_entries(catalog):
 
     expected = work(0)
     assert [rep.exact for rep in expected if hasattr(rep, "exact")].count(True) == 3
-    assert _in_eight_threads(work) == [expected] * 8
+    assert in_eight_threads(work) == [expected] * 8
     assert all(len(liealg._entry(mu).stacks) <= liealg.STACKS_PER_ENTRY for mu in tables)

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_sum
+from conftest import (
+    direct_sum,
+    in_eight_threads,
+    multiplier_columns_by_call,
+    multiplier_columns_spent,
+)
 import nilcohom
 from nilcohom import catalog as cat
 from nilcohom import ideals
@@ -788,6 +793,123 @@ def test_weighted_search_matches_brute_force(search):
         found, nodes = Budget(len(columns), "columns"), Budget(visited - 1, "prefixes")
         with pytest.raises(ResourceCapExceeded, match="^prefixes$"):
             ideals._weighted_monomials(units, steps, masks, rem, d, found, nodes)
+
+
+def test_the_last_two_letters_charge_each_leaf_as_the_stack_did(monkeypatch):
+    # five variables t_{p,2,p} of weight e_2, so f = x^2 (their sum) over x
+    # searches the degree-2 monomials in them: the root (visit 1), its
+    # first child (visit 2) and that child's five leaves, each a visit and
+    # then a find.  With one column allowed and four visits, the second
+    # leaf's find passes the column cap after its visit, and before any
+    # third leaf is visited
+    x = MultiPoly.var((1, 2, 1))
+    f = x**2 * sum((MultiPoly.var((p, 2, p)) for p in (3, 4, 5, 6)), x)
+    monkeypatch.setattr(ideals, "MAX_UNWEIGHTED_COLUMNS", 1)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 4)
+    with pytest.raises(ResourceCapExceeded, match="needs more than 1 multiplier columns, over the cap 1$"):
+        _multiplier_columns(f, [x], 3)
+    # the leaves' visits are charged as they come: the third prefix is the
+    # first leaf, and passes a cap of two before any find
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 2)
+    with pytest.raises(ResourceCapExceeded, match="more than 2 multiplier monomial prefixes"):
+        _multiplier_columns(f, [x], 3)
+    monkeypatch.setattr(ideals, "MAX_UNWEIGHTED_COLUMNS", 15)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTED_NODES", 21)
+    assert len(_multiplier_columns(f, [x], 3)[1]) == 15
+
+
+@st.composite
+def _generator_lists(draw):
+    """A target, one to four generators and a bound from 1 to 8, all over a
+    few chart variables (t_{1,1,2} among them at times) or all over a few
+    variables off the chart: zero generators, single terms, which are
+    homogeneous in every grading, and sums of two terms, often in none,
+    mixed; the target may carry a variable no generator has."""
+    if draw(st.booleans()):
+        pool, stray = chart_variables(5) + [(1, 1, 2)], (4, 5, 6)
+    else:
+        pool, stray = ["w", "x", "y"], "z"
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    coeff = st.integers(-2, 2).filter(bool)
+
+    def poly(variables, terms, top):
+        out = MultiPoly()
+        for _ in range(terms):
+            term = MultiPoly.const(draw(coeff))
+            for v in draw(st.lists(st.sampled_from(variables), max_size=top)):
+                term = term * MultiPoly.var(v)
+            out = out + term
+        return out
+
+    gens = [poly(names, draw(st.integers(0, 2)), 2) for _ in range(draw(st.integers(1, 4)))]
+    f = poly(names + draw(st.sampled_from([[], [stray]])), draw(st.integers(1, 2)), 3)
+    return f, gens, draw(st.integers(max(1, f.degree()), 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_lists())
+def test_the_kept_presentation_gives_the_per_call_columns(system):
+    # the columns, the universe and both counts are those of the search set
+    # up afresh on every call, whether the presentation is built or found
+    f, gens, bound = system
+    expected = multiplier_columns_by_call(f, gens, bound)
+    assert multiplier_columns_spent(f, gens, bound) == expected
+    assert multiplier_columns_spent(f, [MultiPoly(g.terms) for g in gens], bound) == expected
+
+
+def test_an_equal_generator_list_is_prepared_once(ideal64_gens, monkeypatch):
+    # a list of new objects equal to one seen before finds its presentation
+    # kept: the second call reads no generator's variables or degree
+    f = _q("Q5")
+    ideals._presentation.cache_clear()
+    first = _multiplier_columns(f, ideal64_gens, 4)
+    copies = [MultiPoly(g.terms) for g in ideal64_gens]
+    read = []
+
+    def spy(name):
+        method = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name, lambda self: read.append(id(self)) or method(self))
+
+    spy("variables")
+    spy("degree")
+    assert _multiplier_columns(f, copies, 4) == first
+    assert read and not set(read) & set(map(id, copies + ideal64_gens))
+    info = ideals._presentation.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_an_edited_generator_is_prepared_again(ideal64_gens):
+    # a generator edited in place between two calls hashes anew, so the
+    # second call sees the edit, as a fresh process would
+    f = _q("Q13") ** 2
+    gens = [MultiPoly(g.terms) for g in ideal64_gens]
+    before = _multiplier_columns(f, gens, 6)
+    g = gens[before[1][0][0]]  # a generator with columns
+    original = dict(g.terms)
+    for edit in ((g * MultiPoly.var((1, 2, 3))).terms, {}, original):
+        g.terms.clear()
+        g.terms.update(edit)
+        got = _multiplier_columns(f, gens, 6)
+        assert (got == before) == (edit is original)
+        assert got == multiplier_columns_by_call(f, gens, 6)[:2]
+        ideals._presentation.cache_clear()
+        assert _multiplier_columns(f, gens, 6) == got
+
+
+def test_threads_on_alternating_generator_lists_get_the_single_threaded_answers(ideal64_gens):
+    # six generator lists for the four places of the presentation memo, so
+    # the threads keep pushing out each other's presentations
+    lists = [ideal64_gens, ideal64_gens[::-1], ideal64_gens[:24], ideal64_gens[8:],
+             ideal64_gens[::2] + ideal64_gens[1::2], ideal64_gens + [MultiPoly()]]
+    targets = [_q("Q1"), _q("Q5"), _q("Q12")]
+
+    def work(shift):
+        return [(c := member_bounded(f, gens, 4)) and [format_poly(m) for m in c.multipliers]
+                for _ in range(3) for gens in lists[shift % 6:] + lists[:shift % 6]
+                for f in targets]
+
+    expected = [work(shift) for shift in range(8)]
+    assert in_eight_threads(work) == expected
 
 
 def test_certificate_reverification_survives_optimize():

@@ -189,7 +189,7 @@ def test_the_package_keeps_state_only_in_its_declared_memos():
                 stray.append((path.name, node.lineno, name))
     assert stray == []
     assert set(found) == {"cohomology._at", "liealg.Layout", "liealg._entry",
-                          "liealg._adapted_form", "ideals._search_masks"}
+                          "liealg._adapted_form", "ideals._search_masks", "ideals._presentation"}
     modules = {"cohomology": cohomology, "ideals": ideals, "liealg": liealg}
     for qualname, dec in found.items():
         module, name = qualname.split(".")
