@@ -283,9 +283,10 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
     prefix with two letters left walks its children and their leaves in
     place, in that order, with no push.
     Each monomial found is charged to the Budget ``columns`` and each prefix
-    visited to the Budget ``nodes``, a leaf as a visit and then a find, as
-    the stack met them, which raise ResourceCapExceeded past their limits;
-    every letter costs a visit, so ``nodes`` bounds d too.
+    visited to the Budget ``nodes``, in that depth-first order, a leaf as a
+    visit and then a find, so each cap trips at the same prefix whichever
+    way the prefix is reached; both raise ResourceCapExceeded past their
+    limits, and every letter costs a visit, so ``nodes`` bounds d too.
     """
     reach, off, below, exact, pair, triple, far = masks
     full = (1 << len(units)) - 1
@@ -304,8 +305,9 @@ def _weighted_monomials(units, steps, masks, rem, d, columns, nodes):
         if left == 1:
             sel &= exact.get(rem, 0)
         elif left == 2:
-            # each child i and then its leaves j >= i in place, charged in the
-            # order the stack would visit them: a child's rest is a step
+            # each child i, then its leaves j >= i, in ascending order, a leaf
+            # charged as a visit and then a find; pair keeps only the i whose
+            # rest is a step, so exact holds it
             sel &= pair.get(rem, 0)
             while sel:
                 i = (sel & -sel).bit_length() - 1

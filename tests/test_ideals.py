@@ -795,7 +795,7 @@ def test_weighted_search_matches_brute_force(search):
             ideals._weighted_monomials(units, steps, masks, rem, d, found, nodes)
 
 
-def test_the_last_two_letters_charge_each_leaf_as_the_stack_did(monkeypatch):
+def test_the_last_two_letters_charge_a_leaf_as_a_visit_then_a_find(monkeypatch):
     # five variables t_{p,2,p} of weight e_2, so f = x^2 (their sum) over x
     # searches the degree-2 monomials in them: the root (visit 1), its
     # first child (visit 2) and that child's five leaves, each a visit and
