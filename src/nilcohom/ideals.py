@@ -364,10 +364,8 @@ def _multiplier_columns(f, gens, bound):
     torus weight, those of weight w(f) - w(g_j); otherwise, with steps of no
     coordinates that filter nothing, all of each admissible degree.
     The variables, degrees and weights of ``gens`` come from
-    ``_presentation``, kept for the last four generator lists by content;
-    each call reads f's, sorts the universe and writes each weight, and the
-    step e_i + e_j - e_k of each variable t_{i,j,k}, densely over the
-    indices of the universe.
+    ``_presentation``, which keeps them for the last four generator lists;
+    a call works out f's, and each step e_i + e_j - e_k of t_{i,j,k}.
     """
     names, live, weights = _presentation(tuple(gens))
     # a multiplier variable absent from f and every generator could be set to
